@@ -100,7 +100,8 @@ pub struct FlowOptions {
     /// Record a VCD of clock/done/conditions per configuration.
     pub trace: bool,
     /// Keep textual artifacts (XML, hds, behavioral source, dot) in the
-    /// report.
+    /// report. They are rendered when the report is built, so every run
+    /// of a [`PreparedDesign`] with this set pays for the rendering.
     pub keep_artifacts: bool,
     /// Datapath signals to record ("access to values on certain
     /// connections"): every change is captured per configuration and
@@ -887,15 +888,16 @@ fn run_golden(
 }
 
 /// The transform-stage products of one design, precomputed once and
-/// reusable across runs: XML documents, stylesheet translations, parsed
-/// `.hds` netlists, and validated FSM tables. Everything here is plain
-/// data (no interior mutability), so a `PreparedParts` can be shared
-/// across threads.
+/// reusable across runs: XML documents, parsed `.hds` netlists, and
+/// validated FSM tables. The textual artifacts are not kept: only
+/// `keep_artifacts` reports read them, so [`render_artifacts`] derives
+/// them from the documents when such a report is built. Everything here
+/// is plain data (no interior mutability), so a `PreparedParts` can be
+/// shared across threads.
 struct PreparedParts {
     rtg_doc: xmlite::Document,
     /// `(config name, datapath.xml, fsm.xml)` in design order.
     docs: Vec<(String, xmlite::Document, xmlite::Document)>,
-    config_artifacts: Vec<ConfigArtifacts>,
     /// Metrics template with the per-run fields (cycles/events/seconds)
     /// zeroed.
     config_metrics: Vec<ConfigMetrics>,
@@ -915,9 +917,18 @@ struct PreparedFsm {
     outputs: Vec<(String, u32)>,
 }
 
+/// Applies one of the transform stylesheets, mapping its failure to the
+/// flow's elaboration error.
+fn apply_stylesheet(
+    sheet: &xform::Stylesheet,
+    root: &xmlite::Element,
+) -> Result<String, FlowError> {
+    xform::apply(sheet, root)
+        .map_err(|e| FlowError::Elaborate(ElaborateConfigError::Stylesheet(e.to_string())))
+}
+
 fn prepare_parts(design: &Design) -> Result<PreparedParts, FlowError> {
     let rtg_doc = nenya::xml::emit_rtg(&design.rtg);
-    let mut config_artifacts = Vec::new();
     let mut config_metrics = Vec::new();
     let mut docs = Vec::new();
     let mut netlists = Vec::new();
@@ -925,15 +936,8 @@ fn prepare_parts(design: &Design) -> Result<PreparedParts, FlowError> {
     for config in &design.configs {
         let dp_doc = nenya::xml::emit_datapath(&config.datapath);
         let fsm_doc = nenya::xml::emit_fsm(&config.fsm);
-        let behavior =
-            xform::apply(&xform::stylesheets::fsm_to_behavior(), fsm_doc.root())
-                .map_err(|e| FlowError::Elaborate(ElaborateConfigError::Stylesheet(e.to_string())))?;
-        let hds = xform::apply(&xform::stylesheets::datapath_to_hds(), dp_doc.root())
-            .map_err(|e| FlowError::Elaborate(ElaborateConfigError::Stylesheet(e.to_string())))?;
-        let dp_dot = xform::apply(&xform::stylesheets::datapath_to_dot(), dp_doc.root())
-            .map_err(|e| FlowError::Elaborate(ElaborateConfigError::Stylesheet(e.to_string())))?;
-        let fsm_dot = xform::apply(&xform::stylesheets::fsm_to_dot(), fsm_doc.root())
-            .map_err(|e| FlowError::Elaborate(ElaborateConfigError::Stylesheet(e.to_string())))?;
+        let behavior = apply_stylesheet(&xform::stylesheets::fsm_to_behavior(), fsm_doc.root())?;
+        let hds = apply_stylesheet(&xform::stylesheets::datapath_to_hds(), dp_doc.root())?;
         let netlist = eventsim::hds::parse(&hds)
             .map_err(|e| FlowError::Elaborate(ElaborateConfigError::Hds(e.to_string())))?;
         let fsm = nenya::xml::parse_fsm(&fsm_doc)
@@ -957,24 +961,52 @@ fn prepare_parts(design: &Design) -> Result<PreparedParts, FlowError> {
             events: 0,
             sim_seconds: 0.0,
         });
-        config_artifacts.push(ConfigArtifacts {
-            name: config.name.clone(),
-            datapath_xml: dp_doc.to_pretty_string(),
-            fsm_xml: fsm_doc.to_pretty_string(),
-            hds,
-            behavior_src: behavior,
-            datapath_dot: dp_dot,
-            fsm_dot,
-        });
         docs.push((config.name.clone(), dp_doc, fsm_doc));
     }
     Ok(PreparedParts {
         rtg_doc,
         docs,
-        config_artifacts,
         config_metrics,
         netlists,
         fsm_tables,
+    })
+}
+
+/// Renders a `keep_artifacts` report's textual artifacts from the
+/// prepared documents, re-running the stylesheets whose output the
+/// transform stage consumed without keeping.
+fn render_artifacts(parts: &PreparedParts) -> Result<Artifacts, FlowError> {
+    let configs = parts
+        .docs
+        .iter()
+        .map(|(name, dp_doc, fsm_doc)| {
+            Ok(ConfigArtifacts {
+                name: name.clone(),
+                datapath_xml: dp_doc.to_pretty_string(),
+                fsm_xml: fsm_doc.to_pretty_string(),
+                hds: apply_stylesheet(&xform::stylesheets::datapath_to_hds(), dp_doc.root())?,
+                behavior_src: apply_stylesheet(
+                    &xform::stylesheets::fsm_to_behavior(),
+                    fsm_doc.root(),
+                )?,
+                datapath_dot: apply_stylesheet(
+                    &xform::stylesheets::datapath_to_dot(),
+                    dp_doc.root(),
+                )?,
+                fsm_dot: apply_stylesheet(&xform::stylesheets::fsm_to_dot(), fsm_doc.root())?,
+            })
+        })
+        .collect::<Result<_, FlowError>>()?;
+    Ok(Artifacts {
+        rtg_xml: parts.rtg_doc.to_pretty_string(),
+        rtg_dot: xform::apply(&xform::stylesheets::rtg_to_dot(), parts.rtg_doc.root())
+            .unwrap_or_default(),
+        controller_src: xform::apply(
+            &xform::stylesheets::rtg_to_controller(),
+            parts.rtg_doc.root(),
+        )
+        .unwrap_or_default(),
+        configs,
     })
 }
 
@@ -1012,7 +1044,8 @@ pub struct PreparedDesign {
 }
 
 /// The golden software reference's products for one `(design, stimuli)`
-/// pair, captured by [`PreparedDesign::prepare_golden`] and replayed by
+/// pair, captured by [`prepare_golden`] (or the
+/// [`PreparedDesign::prepare_golden`] shorthand) and replayed by
 /// [`PreparedDesign::run_with_golden`]. Plain data (`Send + Sync`), so a
 /// campaign's worker shards can share one.
 pub struct PreparedGolden {
@@ -1077,13 +1110,7 @@ impl PreparedDesign {
         stimuli: &[(String, Stimulus)],
         options: &FlowOptions,
     ) -> Result<PreparedGolden, FlowError> {
-        let initial = initial_images(&self.design, stimuli)?;
-        let golden = run_golden(&self.design, initial.clone(), options, &mut Recorder::new())?;
-        Ok(PreparedGolden {
-            initial,
-            stats: golden.stats,
-            mems: golden.mems,
-        })
+        prepare_golden(&self.design, stimuli, options)
     }
 
     /// Runs the simulation + comparison stages against a precomputed
@@ -1490,6 +1517,29 @@ pub struct BatchRunReport {
 pub fn prepare_design(design: Design) -> Result<PreparedDesign, FlowError> {
     let parts = prepare_parts(&design)?;
     Ok(PreparedDesign { design, parts })
+}
+
+/// [`PreparedDesign::prepare_golden`] over a compiled design that has
+/// not been through the transform stage yet. Running the golden
+/// reference *before* [`prepare_design`] keeps [`run_design`]'s error
+/// precedence: a case whose stimulus or golden run fails reports that
+/// error even when its transform would fail too.
+///
+/// # Errors
+///
+/// As [`PreparedDesign::prepare_golden`].
+pub fn prepare_golden(
+    design: &Design,
+    stimuli: &[(String, Stimulus)],
+    options: &FlowOptions,
+) -> Result<PreparedGolden, FlowError> {
+    let initial = initial_images(design, stimuli)?;
+    let golden = run_golden(design, initial.clone(), options, &mut Recorder::new())?;
+    Ok(PreparedGolden {
+        initial,
+        stats: golden.stats,
+        mems: golden.mems,
+    })
 }
 
 /// The simulation + comparison stages, shared by [`run_design_recorded`]
@@ -1984,6 +2034,11 @@ fn simulate_prepared(
     span_event_end(&options.events, "flow.compare", compare_event);
 
     let passed = failure.is_none() && mismatches.is_empty();
+    let artifacts = if options.keep_artifacts {
+        Some(render_artifacts(parts)?)
+    } else {
+        None
+    };
     Ok(TestReport {
         design: design.name.clone(),
         passed,
@@ -1997,17 +2052,7 @@ fn simulate_prepared(
             configs: config_metrics,
             golden_seconds: golden.seconds,
         },
-        artifacts: options.keep_artifacts.then(|| Artifacts {
-            rtg_xml: parts.rtg_doc.to_pretty_string(),
-            rtg_dot: xform::apply(&xform::stylesheets::rtg_to_dot(), parts.rtg_doc.root())
-                .unwrap_or_default(),
-            controller_src: xform::apply(
-                &xform::stylesheets::rtg_to_controller(),
-                parts.rtg_doc.root(),
-            )
-            .unwrap_or_default(),
-            configs: parts.config_artifacts.clone(),
-        }),
+        artifacts,
         sim_mems,
         golden_mems: golden.mems,
         fault_skips,

@@ -1533,7 +1533,12 @@ fn execute_with_watchdog(
 }
 
 fn execute_job(state: &ServerState, spec: &JobSpec, sink: &EventSink) -> (String, i32, String, Json) {
-    let mut options = FlowOptions::default();
+    // A reply carries the verdict, never the textual artifacts, so a job
+    // does not pay for rendering them.
+    let mut options = FlowOptions {
+        keep_artifacts: false,
+        ..FlowOptions::default()
+    };
     if let Some(width) = spec.width {
         options.compile.width = width;
     }

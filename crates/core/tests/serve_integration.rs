@@ -155,9 +155,10 @@ fn shutdown_drains_inflight_and_rejects_new_jobs() {
     });
 
     // Occupy the only worker for ~600 ms with a job that hangs until
-    // its wall-clock watchdog trips.
-    let mut hog = JobSpec::test("fdct-hog", &workloads::fdct_source(256))
-        .stimulus("img", Stimulus::from_values(workloads::test_image(256)));
+    // its wall-clock watchdog trips. The 1024-point FDCT needs seconds
+    // in a debug build; a 256-point one can finish inside the budget.
+    let mut hog = JobSpec::test("fdct-hog", &workloads::fdct_source(1024))
+        .stimulus("img", Stimulus::from_values(workloads::test_image(1024)));
     hog.width = Some(32);
     hog.wall_ms = Some(600);
     hog.events = true;

@@ -1,22 +1,32 @@
 //! The differential executor: golden interpreter vs full flow.
 //!
-//! Each case runs through [`fpgatest::flow::run_design`], which executes
-//! the golden TAC interpreter *and* elaborates + simulates the design,
-//! then compares final memory images word for word. The executor drives
-//! that oracle across compile variants — both schedule policies and 1 vs
-//! 2 temporal partitions — and classifies the outcome:
+//! The executor drives the flow's oracle across compile variants — both
+//! schedule policies and 1 vs 2 temporal partitions. Each variant is
+//! compiled and (optionally) injected once, then prepared once: the
+//! golden TAC interpreter runs first ([`fpgatest::flow::prepare_golden`]),
+//! then the transform stage ([`fpgatest::flow::prepare_design`]). Every
+//! engine run of the variant replays that one [`PreparedDesign`] and
+//! [`PreparedGolden`] through [`PreparedDesign::run_with_golden`]: the
+//! event kernel with coverage on, then — if it passes — the compiled
+//! cycle, level, and batch engines, whose final memories must match the
+//! event kernel's word for word. Outcomes are classified:
 //!
 //! * any memory mismatch, simulation failure, elaboration error, or
 //!   watchdog timeout is a **divergence** (a compiler bug, or our
 //!   injected one);
-//! * a compile or golden-reference error is a **generator error** — the
-//!   case violated the valid-by-construction contract, so the generator
-//!   (not the compiler) is at fault.
+//! * a compile, stimulus, or golden-reference error is a **generator
+//!   error** — the case violated the valid-by-construction contract, so
+//!   the generator (not the compiler) is at fault. The golden reference
+//!   runs before the transform stage, so a case that breaks both is a
+//!   generator error, exactly as in the one-shot flow.
 
 use crate::coverage::{case_coverage, CoverageMap};
 use crate::gen::Case;
 use fpgatest::faults::FaultSpec;
-use fpgatest::flow::{run_design, Engine, FlowError, FlowOptions, TestReport};
+use fpgatest::flow::{
+    prepare_design, prepare_golden, Engine, FlowError, FlowOptions, PreparedDesign, PreparedGolden,
+    TestReport,
+};
 use fpgatest::stimulus::Stimulus;
 use nenya::schedule::SchedulePolicy;
 use nenya::tac::MemRole;
@@ -249,8 +259,8 @@ pub fn run_case(case: &Case, width: u32, opts: &ExecOptions) -> CaseOutcome {
             faults: fault.iter().cloned().collect(),
             ..FlowOptions::default()
         };
-        match run_design(&design, &stimuli, &flow_options) {
-            Ok(report) if report.passed => {
+        match event_leg(design, &stimuli, &flow_options) {
+            Ok((prepared, golden, report)) if report.passed => {
                 // A faulted run that sails through the oracle is a fault
                 // escape, never a clean pass.
                 if let Some(fault) = &fault {
@@ -262,14 +272,15 @@ pub fn run_case(case: &Case, width: u32, opts: &ExecOptions) -> CaseOutcome {
                 }
                 coverage.merge(case_coverage(&report));
                 coverage.insert(format!("cfg:{variant}"));
-                if let Some(divergence) = check_engines(&design, &stimuli, &flow_options, &report) {
+                if let Some(divergence) = check_engines(&prepared, &golden, &flow_options, &report)
+                {
                     return CaseOutcome::Divergence(Divergence {
                         variant,
                         ..divergence
                     });
                 }
             }
-            Ok(report) => {
+            Ok((_, _, report)) => {
                 let (kind, detail) = match &report.failure {
                     Some(failure) => (DivKind::SimFailure, failure.clone()),
                     None => (
@@ -317,18 +328,34 @@ pub fn run_case(case: &Case, width: u32, opts: &ExecOptions) -> CaseOutcome {
     CaseOutcome::Pass { coverage }
 }
 
-/// The cross-engine leg of the differential matrix: once the event
-/// kernel passes a variant, the same design re-runs on the compiled
-/// cycle, level, and batch engines and the final memories must be
-/// word-identical to the event kernel's. Coverage stays off on these
-/// runs — the compiled engines reject observability features, and the
-/// pass-side coverage keys must not change just because extra engines
-/// ran. Any disagreement, failure, or flow error comes back as an
-/// [`DivKind::EngineMismatch`] divergence (the caller fills in the
-/// variant).
-fn check_engines(
-    design: &Design,
+/// The event-kernel leg of one variant, preparing everything the
+/// cross-engine leg reuses. The golden reference runs *before* the
+/// transform stage, in the one-shot flow's order, so a stimulus
+/// or golden error takes precedence over a transform failure: a case
+/// that breaks both is a generator error, not a divergence.
+fn event_leg(
+    design: Design,
     stimuli: &[(String, Stimulus)],
+    options: &FlowOptions,
+) -> Result<(PreparedDesign, PreparedGolden, TestReport), FlowError> {
+    let golden = prepare_golden(&design, stimuli, options)?;
+    let prepared = prepare_design(design)?;
+    let report = prepared.run_with_golden(&golden, options)?;
+    Ok((prepared, golden, report))
+}
+
+/// The cross-engine leg of the differential matrix: once the event
+/// kernel passes a variant, the same prepared design and golden run
+/// replay on the compiled cycle, level, and batch engines, and the final
+/// memories must be word-identical to the event kernel's. Coverage stays
+/// off on these runs — the compiled engines reject observability
+/// features, and the pass-side coverage keys must not change just
+/// because extra engines ran. Any disagreement, failure, or flow error
+/// comes back as an [`DivKind::EngineMismatch`] divergence (the caller
+/// fills in the variant).
+fn check_engines(
+    prepared: &PreparedDesign,
+    golden: &PreparedGolden,
     event_options: &FlowOptions,
     event_report: &TestReport,
 ) -> Option<Divergence> {
@@ -338,7 +365,7 @@ fn check_engines(
             coverage: false,
             ..event_options.clone()
         };
-        let detail = match run_design(design, stimuli, &options) {
+        let detail = match prepared.run_with_golden(golden, &options) {
             Ok(report) if report.passed => {
                 if report.sim_mems == event_report.sim_mems {
                     continue;
@@ -376,4 +403,32 @@ fn check_engines(
 /// Whether the case still diverges — the shrinker's predicate.
 pub fn diverges(case: &Case, width: u32, opts: &ExecOptions) -> bool {
     matches!(run_case(case, width, opts), CaseOutcome::Divergence(_))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::gen::{generate_case, Budget};
+
+    /// The golden reference runs before the transform stage, so a case
+    /// whose golden run fails is a generator error carrying the flow's
+    /// `"{variant}: golden reference: …"` text, never a divergence.
+    #[test]
+    fn golden_failure_is_a_generator_error() {
+        let case = generate_case(42, 0, &Budget::default()).expect("valid case");
+        let opts = ExecOptions {
+            golden_step_limit: 1,
+            ..ExecOptions::default()
+        };
+        match run_case(&case, 16, &opts) {
+            CaseOutcome::GeneratorError(text) => {
+                assert!(
+                    text.starts_with("list/p1: golden reference: configuration '"),
+                    "{text}"
+                );
+                assert!(text.ends_with("': step limit of 1 exhausted"), "{text}");
+            }
+            other => panic!("expected a generator error, got {other:?}"),
+        }
+    }
 }

@@ -6,10 +6,16 @@
 //! on every corpus case. A second, structural property checks the level engine's
 //! schedule itself: in the rank table of every generated netlist, each
 //! combinational instance is ranked strictly after all of its producers,
-//! so a single ascending pass per clock phase is sufficient.
+//! so a single ascending pass per clock phase is sufficient. A third
+//! pins the executor's prepare-once shape: replaying one prepared design
+//! and golden run must report exactly what a fresh flow reports.
 
+use fpgafuzz::exec::{run_case, signal_fault_for, variants_for, CaseOutcome, ExecOptions};
 use fpgafuzz::gen::{generate_case, Budget, Case};
-use fpgatest::flow::{Engine, TestFlow};
+use fpgatest::flow::{
+    prepare_design, prepare_golden, run_design, Engine, FlowError, FlowOptions, TestFlow,
+    TestReport,
+};
 use fpgatest::stimulus::Stimulus;
 use nenya::{compile_program, CompileOptions};
 use proptest::prelude::*;
@@ -84,6 +90,109 @@ fn corpus_final_memories_identical_across_engines() {
                 "case {seed}/{index}: {engine} engine memories differ from the event kernel"
             );
         }
+    }
+}
+
+fn stimuli(case: &Case) -> Vec<(String, Stimulus)> {
+    case.stimuli
+        .iter()
+        .map(|(mem, values)| (mem.clone(), Stimulus::from_values(values.iter().copied())))
+        .collect()
+}
+
+/// The report fields a verdict is made of, with errors as their text.
+type Verdict = Result<
+    (
+        bool,
+        Option<String>,
+        Vec<fpgatest::memcmp::Mismatch>,
+        std::collections::BTreeMap<String, nenya::interp::MemImage>,
+        Vec<u64>,
+    ),
+    String,
+>;
+
+fn verdict(result: Result<TestReport, FlowError>) -> Verdict {
+    result
+        .map(|report| {
+            (
+                report.passed,
+                report.failure,
+                report.mismatches,
+                report.sim_mems,
+                report.runs.iter().map(|run| run.cycles).collect(),
+            )
+        })
+        .map_err(|e| e.to_string())
+}
+
+/// For every corpus case and engine, `prepare_design` + `prepare_golden`
+/// + `run_with_golden` reports the same verdict, failure, mismatches,
+/// final memories, and per-configuration cycles as a fresh `run_design`
+/// — once clean and once with the executor's stuck-at fault injected.
+#[test]
+fn prepared_legs_match_fresh_flows() {
+    let compile = CompileOptions {
+        width: WIDTH,
+        ..CompileOptions::default()
+    };
+    for (seed, index) in corpus_cases() {
+        let case = regenerate(seed, index);
+        let stimuli = stimuli(&case);
+        let design = compile_program("gen", &case.program, &compile)
+            .expect("generator emits valid programs");
+        let fault = signal_fault_for(&design, index).expect("generated cases write memory");
+        let golden = prepare_golden(&design, &stimuli, &FlowOptions::default())
+            .unwrap_or_else(|e| panic!("case {seed}/{index}: golden: {e}"));
+        let prepared = prepare_design(design.clone())
+            .unwrap_or_else(|e| panic!("case {seed}/{index}: prepare: {e}"));
+        for faults in [Vec::new(), vec![fault.clone()]] {
+            for engine in [Engine::Event, Engine::Cycle, Engine::Level, Engine::Batch] {
+                let options = FlowOptions {
+                    compile: compile.clone(),
+                    engine,
+                    faults: faults.clone(),
+                    ..FlowOptions::default()
+                };
+                assert_eq!(
+                    verdict(prepared.run_with_golden(&golden, &options)),
+                    verdict(run_design(&design, &stimuli, &options)),
+                    "case {seed}/{index}, {engine} engine, faults {faults:?}"
+                );
+            }
+        }
+    }
+}
+
+/// A golden failure comes back from the executor as a generator error
+/// with the variant-prefixed text of the fresh flow's error.
+#[test]
+fn golden_failure_text_matches_the_fresh_flow() {
+    let (seed, index) = corpus_cases()[0];
+    let case = regenerate(seed, index);
+    let opts = ExecOptions {
+        golden_step_limit: 1,
+        ..ExecOptions::default()
+    };
+    let variant = variants_for(index)[0];
+    let compile = CompileOptions {
+        width: WIDTH,
+        policy: variant.policy,
+        partitions: variant.partitions,
+        optimize: false,
+    };
+    let design = compile_program(&format!("fuzz_{seed}_{index}"), &case.program, &compile)
+        .expect("generator emits valid programs");
+    let options = FlowOptions {
+        compile,
+        golden_step_limit: 1,
+        coverage: true,
+        ..FlowOptions::default()
+    };
+    let fresh = run_design(&design, &stimuli(&case), &options).expect_err("golden must fail");
+    match run_case(&case, WIDTH, &opts) {
+        CaseOutcome::GeneratorError(text) => assert_eq!(text, format!("{variant}: {fresh}")),
+        other => panic!("expected a generator error, got {other:?}"),
     }
 }
 

@@ -2,10 +2,11 @@
 //!
 //! Runs the mega-campaign workload — a fuzz campaign plus a fault
 //! campaign — once at 1 shard and once at 4 shards, and a third leg
-//! that isolates the *amortization* win: the sharded fault path
-//! prepares the design and the golden reference once per campaign,
-//! where the legacy per-site path re-transforms the design and re-runs
-//! the golden model for every injection.
+//! that isolates the *amortization* win: the fault campaign prepares
+//! the design and the golden reference once, where a fresh `run_design`
+//! per site re-transforms the design and re-runs the golden model for
+//! every injection. That per-site loop also re-derives each site's
+//! verdict, which must match the campaign's record.
 //!
 //! The gate is core-count-aware. With 4+ hardware threads the 4-shard
 //! run must beat the 1-shard run by `--floor` (default 3×). On smaller
@@ -27,10 +28,10 @@ use fpgafuzz::campaign::{
 };
 use fpgatest::events::EventSink;
 use fpgatest::faults::{
-    run_campaign, run_campaign_sharded as run_faults_sharded,
-    CampaignOptions as FaultOptions, ShardedCampaignOptions as FaultShardOptions,
+    run_campaign_sharded as run_faults_sharded, CampaignOptions as FaultOptions, CampaignReport,
+    InjectionOutcome, ShardedCampaignOptions as FaultShardOptions,
 };
-use fpgatest::flow::Engine;
+use fpgatest::flow::{run_design, Engine, FlowError, FlowOptions};
 use fpgatest::ledger::{self, LedgerEntry};
 use fpgatest::stimulus::Stimulus;
 use fpgatest::suite::TestCase;
@@ -92,6 +93,38 @@ fn mega_campaign(shards: usize, cases: u64, sites: usize) -> (f64, f64) {
     (fuzz_wall, started.elapsed().as_secs_f64())
 }
 
+/// Times a fresh `run_design` per site of `campaign` on the level engine
+/// (compile and clean run included, as a campaign pays them too) and
+/// classifies each run: the per-site baseline the campaign's
+/// prepare-once shape is measured against.
+fn fresh_per_site(case: &TestCase, campaign: &CampaignReport) -> (f64, Vec<InjectionOutcome>) {
+    let started = Instant::now();
+    let program = nenya::lang::parse(&case.source).expect("the FDCT source parses");
+    let design = nenya::compile_program(&case.name, &program, &case.options.compile)
+        .expect("the FDCT source compiles");
+    let mut options = FlowOptions {
+        engine: Engine::Level,
+        keep_artifacts: false,
+        ..case.options.clone()
+    };
+    let clean = run_design(&design, &case.stimuli, &options).expect("clean run");
+    let clean_ticks: u64 = clean.runs.iter().map(|r| r.cycles * 10).sum();
+    options.max_ticks = (clean_ticks * 5).max(50_000);
+    let outcomes = campaign
+        .injections
+        .iter()
+        .map(|record| {
+            options.faults = vec![record.fault.clone()];
+            match run_design(&design, &case.stimuli, &options) {
+                Err(FlowError::Timeout { .. }) => InjectionOutcome::Hung,
+                Ok(report) if report.passed => InjectionOutcome::Silent,
+                _ => InjectionOutcome::Detected,
+            }
+        })
+        .collect();
+    (started.elapsed().as_secs_f64(), outcomes)
+}
+
 fn main() -> ExitCode {
     let mut cases = 2000u64;
     let mut sites = 512usize;
@@ -128,24 +161,12 @@ fn main() -> ExitCode {
     println!("  4-shard speedup: {shard_speedup:.2}x");
 
     // Amortization leg: the level engine has no lane batching, so the
-    // sharded-vs-legacy gap there is purely prepare-once (one transform,
-    // one golden run) against re-transform-and-re-golden per site.
+    // gap between the campaign and a fresh flow per site is purely
+    // prepare-once (one transform, one golden run) against
+    // re-transform-and-re-golden per site.
     let amortize_sites = sites.min(48);
     let started = Instant::now();
-    let legacy = run_campaign(
-        &fdct_case(),
-        &FaultOptions {
-            seed: 5,
-            sites: amortize_sites,
-            engine: Engine::Level,
-            max_ticks: None,
-            events: EventSink::disabled(),
-        },
-    )
-    .expect("legacy fault campaign");
-    let legacy_wall = started.elapsed().as_secs_f64();
-    let started = Instant::now();
-    let sharded = run_faults_sharded(
+    let campaign = run_faults_sharded(
         &fdct_case(),
         &FaultOptions {
             seed: 5,
@@ -159,17 +180,21 @@ fn main() -> ExitCode {
             ..FaultShardOptions::default()
         },
     )
-    .expect("sharded fault campaign");
-    let sharded_wall = started.elapsed().as_secs_f64();
-    assert_eq!(
-        legacy.injections.len(),
-        sharded.report.injections.len(),
-        "both amortization legs must classify the same sites"
-    );
-    let amortization = legacy_wall / sharded_wall.max(1e-9);
+    .expect("level fault campaign")
+    .report;
+    let campaign_wall = started.elapsed().as_secs_f64();
+    let (fresh_wall, fresh) = fresh_per_site(&fdct_case(), &campaign);
+    for (record, outcome) in campaign.injections.iter().zip(&fresh) {
+        assert_eq!(
+            record.outcome, *outcome,
+            "a fresh flow disagrees with the campaign on {}",
+            record.fault
+        );
+    }
+    let amortization = fresh_wall / campaign_wall.max(1e-9);
     println!(
         "  prepare-once amortization ({amortize_sites} level-engine sites): \
-         {legacy_wall:.3}s legacy vs {sharded_wall:.3}s sharded = {amortization:.2}x"
+         {fresh_wall:.3}s fresh per site vs {campaign_wall:.3}s campaign = {amortization:.2}x"
     );
 
     let parallel_gate = cores >= 4;
@@ -195,8 +220,8 @@ fn main() -> ExitCode {
         ("faults_wall_4_shards", Json::from(faults_4)),
         ("shard_speedup", Json::from(shard_speedup)),
         ("amortization_sites", Json::from(amortize_sites)),
-        ("amortization_legacy_wall", Json::from(legacy_wall)),
-        ("amortization_sharded_wall", Json::from(sharded_wall)),
+        ("amortization_fresh_wall", Json::from(fresh_wall)),
+        ("amortization_sharded_wall", Json::from(campaign_wall)),
         ("amortization_speedup", Json::from(amortization)),
     ]);
     report.sort_keys();

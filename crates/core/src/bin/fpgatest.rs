@@ -85,17 +85,18 @@
 //! --baseline <file>         fail if coverage regressed vs a previous
 //!                           --report file
 //! --shards <n>              spread injections over N work-stealing
-//!                           worker shards (one --design at a time;
-//!                           verdicts and events stay bit-identical to
-//!                           --shards 1)
+//!                           worker shards (default: the machine's
+//!                           available parallelism; reports and events
+//!                           are bit-identical at any count)
 //! --checkpoint <file>       write fpgatest-checkpoint-v1 snapshots of
-//!                           the completed prefix while running
+//!                           the completed prefix while running (one
+//!                           --design at a time, as for --resume)
 //! --checkpoint-every <k>    merged injections between snapshots
 //! --resume <file>           skip the ranges a checkpoint already holds
 //! ```
 //!
-//! A sharded campaign interrupted by SIGINT exits 130 after saving a
-//! final checkpoint; `--resume` continues it to the same bytes an
+//! A campaign interrupted by SIGINT exits 130 after saving a final
+//! checkpoint; `--resume` continues it to the same bytes an
 //! uninterrupted run produces.
 //!
 //! Exit codes: 0 = everything passed; 1 = verification failed (or fault
@@ -104,7 +105,7 @@
 //! (tick or wall-clock) tripped.
 
 use fpgatest::events::EventSink;
-use fpgatest::faults::{campaign_json, run_campaign, CampaignOptions, FaultSpec, InjectionOutcome};
+use fpgatest::faults::{campaign_json, CampaignOptions, FaultSpec, InjectionOutcome};
 use fpgatest::flow::{Engine, FlowOptions, TestFlow};
 use fpgatest::ledger::{self, LedgerEntry};
 use fpgatest::suite::{CaseResult, SuiteReport};
@@ -591,57 +592,42 @@ fn cmd_faults(args: &[String]) -> ExitCode {
         max_ticks,
         events: sink,
     };
-    let sharded = shards.is_some() || checkpoint.is_some() || resume.is_some();
+    // A checkpoint's identity is one design.
+    if (checkpoint.is_some() || resume.is_some()) && cases.len() != 1 {
+        eprintln!(
+            "error: --checkpoint and --resume run one design at a time; narrow with --design \
+             ({} cases matched)",
+            cases.len()
+        );
+        return ExitCode::from(2);
+    }
+    fpgatest::campaign::install_sigint();
+    let shard = fpgatest::faults::ShardedCampaignOptions {
+        shards: shards.unwrap_or_else(fpgatest::campaign::default_shards),
+        checkpoint,
+        checkpoint_every,
+        resume,
+        stop: None,
+        sigint: true,
+    };
     let campaigns_started = Instant::now();
     let mut campaigns = Vec::new();
-    if sharded {
-        if cases.len() != 1 {
-            eprintln!(
-                "error: sharded campaigns run one design at a time; narrow with --design \
-                 ({} cases matched)",
-                cases.len()
-            );
-            return ExitCode::from(2);
-        }
-        fpgatest::campaign::install_sigint();
-        let shard = fpgatest::faults::ShardedCampaignOptions {
-            shards: shards.unwrap_or(1),
-            checkpoint,
-            checkpoint_every,
-            resume,
-            stop: None,
-            sigint: true,
-        };
-        match fpgatest::faults::run_campaign_sharded(cases[0], &options, &shard) {
+    for case in cases {
+        match fpgatest::faults::run_campaign_sharded(case, &options, &shard) {
             Ok(outcome) => {
                 if let Some(note) = &outcome.salvage {
                     eprintln!("fpgatest: {note}");
                 }
                 if outcome.interrupted {
-                    eprintln!(
-                        "fpgatest: interrupted; checkpoint holds the completed prefix"
-                    );
+                    eprintln!("fpgatest: interrupted; checkpoint holds the completed prefix");
                     return ExitCode::from(130);
                 }
                 print!("{}", outcome.report.render());
                 campaigns.push(outcome.report);
             }
             Err(e) => {
-                eprintln!("error: campaign '{}': {e}", cases[0].name);
+                eprintln!("error: campaign '{}': {e}", case.name);
                 return ExitCode::from(2);
-            }
-        }
-    } else {
-        for case in cases {
-            match run_campaign(case, &options) {
-                Ok(report) => {
-                    print!("{}", report.render());
-                    campaigns.push(report);
-                }
-                Err(e) => {
-                    eprintln!("error: campaign '{}': {e}", case.name);
-                    return ExitCode::from(2);
-                }
             }
         }
     }
@@ -675,18 +661,18 @@ fn cmd_faults(args: &[String]) -> ExitCode {
         let hung: usize = campaigns.iter().map(|c| c.count(InjectionOutcome::Hung)).sum();
         let injections: usize = campaigns.iter().map(|c| c.injections.len()).sum();
         let denom = detected + silent + hung;
-        let mut counters = vec![("injections".to_string(), injections as f64)];
-        if sharded {
-            counters.push(("shards".to_string(), shards.unwrap_or(1).max(1) as f64));
-            counters.push((
+        let counters = vec![
+            ("injections".to_string(), injections as f64),
+            ("shards".to_string(), shard.shards.max(1) as f64),
+            (
                 "sites_per_sec".to_string(),
                 if campaigns_seconds > 0.0 {
                     injections as f64 / campaigns_seconds
                 } else {
                     0.0
                 },
-            ));
-        }
+            ),
+        ];
         let entry = LedgerEntry {
             engine: engine.to_string(),
             wall_seconds: campaigns_seconds,

@@ -269,6 +269,53 @@ impl Checkpoint {
         Checkpoint::from_json(&json).map_err(|e| format!("checkpoint {}: {e}", path.display()))
     }
 
+    /// Loads the checkpoint a campaign resumes from, salvaging torn
+    /// writes ([`load_salvage`](Self::load_salvage)), and refuses one
+    /// that another campaign wrote: its `kind`, `key` (design or seed)
+    /// and unit `total` must match, every `identity` field must equal the
+    /// one in its state, and its completed set must be a prefix.
+    ///
+    /// # Errors
+    ///
+    /// The salvage error; `checkpoint P: FIELD does not match this
+    /// campaign` for the first mismatch; or a non-prefix completed set.
+    pub fn load_resume(
+        path: &Path,
+        kind: &str,
+        key: &str,
+        total: u64,
+        identity: &[(&str, Json)],
+    ) -> Result<SalvagedCheckpoint, String> {
+        let salvaged = Checkpoint::load_salvage(path)?;
+        let checkpoint = &salvaged.checkpoint;
+        let mismatch = if checkpoint.kind != kind {
+            Some("kind")
+        } else if checkpoint.key != key {
+            Some("key")
+        } else if checkpoint.total != total {
+            Some("total")
+        } else {
+            identity
+                .iter()
+                .find(|(field, value)| checkpoint.state.get(field) != Some(value))
+                .map(|(field, _)| *field)
+        };
+        if let Some(field) = mismatch {
+            return Err(format!(
+                "checkpoint {}: {field} does not match this campaign",
+                path.display()
+            ));
+        }
+        let ranges = checkpoint.completed.ranges();
+        if ranges.len() > 1 || ranges.first().is_some_and(|&(s, _)| s != 0) {
+            return Err(format!(
+                "checkpoint {}: completed set is not a prefix",
+                path.display()
+            ));
+        }
+        Ok(salvaged)
+    }
+
     /// Loads a checkpoint, salvaging what it can from torn writes.
     ///
     /// Tried in order, best surviving generation wins (most covered
@@ -282,9 +329,9 @@ impl Checkpoint {
     /// 4. `<path>.prev` — the N-1 generation [`Checkpoint::save`] keeps.
     ///
     /// A truncated primary therefore costs at most one checkpoint
-    /// interval of repeated work, never the whole campaign. The caller
-    /// still owns identity validation (kind/key/total); salvage only
-    /// finds a structurally sound document.
+    /// interval of repeated work, never the whole campaign. Salvage only
+    /// finds a structurally sound document; identity validation is
+    /// [`load_resume`](Self::load_resume)'s.
     ///
     /// # Errors
     ///
@@ -379,6 +426,44 @@ fn load_tolerant(path: &Path) -> Option<Checkpoint> {
     let text = String::from_utf8_lossy(&bytes);
     let (json, _consumed) = Json::parse_prefix(&text).ok()?;
     Checkpoint::from_json(&json).ok()
+}
+
+/// What a campaign runner takes beyond its own campaign options: the
+/// shard count and the checkpoint/resume and stop controls. Both runners
+/// — [`crate::faults::run_campaign_sharded`] and the fuzzer's — share it.
+#[derive(Debug, Clone, Default)]
+pub struct ShardedCampaignOptions {
+    /// Worker-shard count (clamped to at least 1).
+    pub shards: usize,
+    /// Where to write `fpgatest-checkpoint-v1` snapshots (`None` = no
+    /// checkpointing).
+    pub checkpoint: Option<std::path::PathBuf>,
+    /// Merged units between snapshots (0 = every work chunk).
+    pub checkpoint_every: u64,
+    /// Resume from this checkpoint: its completed prefix is re-merged
+    /// (and its events re-emitted) without re-running.
+    pub resume: Option<std::path::PathBuf>,
+    /// Cooperative stop flag (tests; SIGINT uses [`install_sigint`]).
+    pub stop: Option<Arc<AtomicBool>>,
+    /// Stop when the process-wide SIGINT flag fires.
+    pub sigint: bool,
+}
+
+/// What a campaign runner produced, around its campaign `report`.
+#[derive(Debug)]
+pub struct ShardedCampaignOutcome<R> {
+    /// The (possibly partial, when interrupted) campaign report: always
+    /// a prefix of the canonical unit order.
+    pub report: R,
+    /// Whether the run stopped early (stop flag / SIGINT). The
+    /// checkpoint file, if any, holds everything merged so far.
+    pub interrupted: bool,
+    /// Units skipped thanks to the resume checkpoint.
+    pub resumed: u64,
+    /// When the resume checkpoint was torn and
+    /// [`Checkpoint::load_salvage`] fell back to another generation: a
+    /// note saying which (for the CLI to surface on stderr).
+    pub salvage: Option<String>,
 }
 
 /// Knobs for [`run_sharded`].
@@ -593,6 +678,13 @@ static SIGINT_FLAG: AtomicBool = AtomicBool::new(false);
 
 extern "C" fn campaign_on_sigint(_signum: i32) {
     SIGINT_FLAG.store(true, Ordering::SeqCst);
+}
+
+/// The shard count a campaign CLI uses when the user names none: the
+/// machine's available parallelism (1 when it cannot be determined).
+/// Output bytes never depend on it; only wall time does.
+pub fn default_shards() -> usize {
+    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
 }
 
 /// Installs a SIGINT handler that sets the process-wide campaign stop

@@ -72,7 +72,9 @@ pub enum Event {
         /// Monotonic wall-clock time the case took.
         wall_seconds: f64,
     },
-    /// Periodic campaign progress.
+    /// Periodic campaign progress. Suite runs carry live wall-clock
+    /// values; fault and fuzz campaigns zero `rate`, `eta_seconds` and
+    /// `slowest*` so their streams are byte-deterministic.
     Heartbeat {
         /// Units of work completed so far.
         done: u64,
@@ -431,12 +433,12 @@ impl EventSink {
     }
 }
 
-/// Shared campaign bookkeeping: completion/failure counters, rate and
-/// ETA, the slowest unit seen — plus the campaign-started, heartbeat,
-/// and campaign-finished events every campaign stream carries. The
-/// suite runner, the fault campaign, and the fuzzer all drive one of
-/// these; campaign-specific events (case verdicts, injections,
-/// divergences) are emitted by the caller alongside.
+/// Live campaign bookkeeping for the suite runner: completion/failure
+/// counters, rate and ETA, the slowest unit seen — plus the
+/// campaign-started, heartbeat, and campaign-finished events. Case
+/// verdict events are emitted by the caller alongside. Fault and fuzz
+/// campaigns emit the same event kinds from their merge loop instead,
+/// with the wall-clock fields zeroed so their streams are deterministic.
 #[derive(Debug)]
 pub struct CampaignProgress {
     events: EventSink,
@@ -444,7 +446,6 @@ pub struct CampaignProgress {
     key: String,
     total: u64,
     started: Instant,
-    heartbeat_every: u64,
     done: u64,
     failed: u64,
     slowest: String,
@@ -466,19 +467,11 @@ impl CampaignProgress {
             key: key.to_string(),
             total,
             started: Instant::now(),
-            heartbeat_every: 1,
             done: 0,
             failed: 0,
             slowest: String::new(),
             slowest_seconds: 0.0,
         }
-    }
-
-    /// Heartbeat only every `every` completed units (default every
-    /// unit); high-volume campaigns like fuzzing thin the stream.
-    pub fn heartbeat_every(mut self, every: u64) -> CampaignProgress {
-        self.heartbeat_every = every.max(1);
-        self
     }
 
     /// Records one completed unit of work and emits a heartbeat.
@@ -491,7 +484,7 @@ impl CampaignProgress {
             self.slowest = name.to_string();
             self.slowest_seconds = wall_seconds;
         }
-        if !self.events.is_enabled() || !self.done.is_multiple_of(self.heartbeat_every) {
+        if !self.events.is_enabled() {
             return;
         }
         let elapsed = self.started.elapsed().as_secs_f64();

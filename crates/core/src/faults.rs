@@ -21,9 +21,13 @@
 //!
 //! Site enumeration is deterministic, and large pools are reduced by
 //! seeded sampling (SplitMix64) so a campaign is reproducible from
-//! `(design, engine, seed, sites)` alone.
+//! `(design, engine, seed, sites)` alone. Every campaign runs through
+//! [`run_campaign_sharded`]: the design is prepared and its golden run
+//! made once, the injections spread over worker shards, and the records
+//! merge back in sampled-site order, so no output byte depends on the
+//! shard count.
 
-use crate::flow::{run_design, Engine, FlowError};
+use crate::flow::{Engine, FlowError};
 use crate::suite::TestCase;
 use crate::telemetry::Json;
 use std::fmt;
@@ -223,7 +227,7 @@ pub struct InjectionRecord {
     pub detail: String,
 }
 
-/// Options for [`run_campaign`].
+/// Options for [`run_campaign_sharded`].
 #[derive(Debug, Clone)]
 pub struct CampaignOptions {
     /// Seed for site sampling.
@@ -446,270 +450,29 @@ pub fn enumerate_sites(
     Ok(sites)
 }
 
-/// Runs a full fault campaign for one test case: compile, clean
-/// reference run, site enumeration, seeded sampling, then one faulty run
-/// per sampled site, classified.
-///
-/// The harness never lets an injection escape: panics inside the flow
-/// are caught and recorded as [`InjectionOutcome::Crashed`].
-///
-/// # Errors
-///
-/// Returns [`FlowError`] when the *clean* flow cannot produce a verdict
-/// (broken test case), or a compile failure. A clean run that fails its
-/// own verdict is also an error — fault classification is meaningless on
-/// a design that does not pass clean.
-pub fn run_campaign(
-    case: &TestCase,
-    options: &CampaignOptions,
-) -> Result<CampaignReport, FlowError> {
-    let program = nenya::lang::parse(&case.source)
-        .map_err(|e| FlowError::Compile(nenya::CompileError::from(e)))?;
-    let design = nenya::compile_program(&case.name, &program, &case.options.compile)?;
-
-    let mut clean_options = case.options.clone();
-    clean_options.engine = options.engine;
-    clean_options.keep_artifacts = false;
-    clean_options.faults.clear();
-    let clean = run_design(&design, &case.stimuli, &clean_options)?;
-    if !clean.passed {
-        return Err(FlowError::Fault(format!(
-            "clean run of '{}' fails ({}); cannot classify faults",
-            case.name,
-            clean
-                .failure
-                .clone()
-                .unwrap_or_else(|| format!("{} mismatches", clean.mismatches.len()))
-        )));
-    }
-    let clean_cycles = clean.runs.iter().map(|r| r.cycles).max().unwrap_or(0);
-    let clean_ticks: u64 = clean.runs.iter().map(|r| r.cycles * 10).sum();
-
-    let mut sites =
-        enumerate_sites(&design, clean_cycles, options.seed).map_err(FlowError::Fault)?;
-    let site_pool = sites.len();
-    // Seeded Fisher–Yates, then truncate: a deterministic sample without
-    // replacement.
-    let mut rng = SplitMix64(options.seed);
-    for i in (1..sites.len()).rev() {
-        sites.swap(i, rng.below(i as u64 + 1) as usize);
-    }
-    sites.truncate(options.sites);
-
-    let max_ticks = options.max_ticks.unwrap_or((clean_ticks * 5).max(50_000));
-    let total = sites.len() as u64;
-    let mut progress = crate::events::CampaignProgress::start(
-        options.events.clone(),
-        "faults",
-        &case.name,
-        total,
-    );
-    let mut injections = Vec::with_capacity(sites.len());
-
-    // Batch engine: pack up to 64 fault sites into one lane-parallel
-    // walk per chunk — one transform, one golden run, and one schedule
-    // walk amortized over the whole chunk. Verdict strings are identical
-    // to the per-site path (the engine's per-lane bit-identity
-    // contract); a panicking chunk falls back to one-at-a-time injection
-    // so `Crashed` stays attributed to a single site.
-    if options.engine == Engine::Batch {
-        let prepared = crate::flow::prepare_design(design)?;
-        let mut faulty_options = clean_options.clone();
-        faulty_options.max_ticks = max_ticks;
-        let mut index = 0u64;
-        for chunk in sites.chunks(eventsim::batchsim::LANES) {
-            let specs: Vec<crate::flow::BatchLaneSpec> = chunk
-                .iter()
-                .map(|fault| crate::flow::BatchLaneSpec {
-                    stimuli: case.stimuli.clone(),
-                    faults: vec![fault.clone()],
-                })
-                .collect();
-            let chunk_started = std::time::Instant::now();
-            let result =
-                catch_unwind(AssertUnwindSafe(|| prepared.run_batch(&specs, &faulty_options)));
-            let chunk_wall = chunk_started.elapsed().as_secs_f64();
-            let lane_reports = match result {
-                Ok(Ok(report)) => Some(report.lanes),
-                // Design-scoped error or panic: retry the chunk's sites
-                // individually through the sequential classifier.
-                Ok(Err(_)) | Err(_) => None,
-            };
-            for (lane, fault) in chunk.iter().enumerate() {
-                if options.events.is_enabled() {
-                    options.events.emit(&crate::events::Event::FaultInjected {
-                        fault: fault.to_string(),
-                        class: fault.class().to_string(),
-                        index,
-                        total,
-                    });
-                }
-                let (outcome, detail, wall_seconds) = match &lane_reports {
-                    Some(lanes) => {
-                        let (outcome, detail) = classify_lane(&lanes[lane]);
-                        (outcome, detail, chunk_wall / chunk.len() as f64)
-                    }
-                    None => {
-                        let mut site_options = faulty_options.clone();
-                        site_options.faults = vec![fault.clone()];
-                        let started = std::time::Instant::now();
-                        let result = catch_unwind(AssertUnwindSafe(|| {
-                            run_design(prepared.design(), &case.stimuli, &site_options)
-                        }));
-                        let (outcome, detail) = classify(result);
-                        let detail = lane_tagged(outcome, detail, lane);
-                        (outcome, detail, started.elapsed().as_secs_f64())
-                    }
-                };
-                if options.events.is_enabled() {
-                    options.events.emit(&crate::events::Event::FaultClassified {
-                        fault: fault.to_string(),
-                        outcome: outcome.to_string(),
-                        detail: detail.clone(),
-                        wall_seconds,
-                    });
-                }
-                progress.unit_done(
-                    &fault.to_string(),
-                    wall_seconds,
-                    outcome == InjectionOutcome::Silent,
-                );
-                injections.push(InjectionRecord {
-                    fault: fault.clone(),
-                    outcome,
-                    detail,
-                });
-                index += 1;
-            }
-        }
-        progress.finish();
-        return Ok(CampaignReport {
-            design: case.name.clone(),
-            engine: options.engine,
-            seed: options.seed,
-            site_pool,
-            clean_cycles,
-            injections,
-        });
-    }
-
-    for (index, fault) in sites.into_iter().enumerate() {
-        let mut faulty_options = clean_options.clone();
-        faulty_options.max_ticks = max_ticks;
-        faulty_options.faults = vec![fault.clone()];
-        if options.events.is_enabled() {
-            options.events.emit(&crate::events::Event::FaultInjected {
-                fault: fault.to_string(),
-                class: fault.class().to_string(),
-                index: index as u64,
-                total,
-            });
-        }
-        let injection_started = std::time::Instant::now();
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            run_design(&design, &case.stimuli, &faulty_options)
-        }));
-        let (outcome, detail) = classify(result);
-        let wall_seconds = injection_started.elapsed().as_secs_f64();
-        if options.events.is_enabled() {
-            options.events.emit(&crate::events::Event::FaultClassified {
-                fault: fault.to_string(),
-                outcome: outcome.to_string(),
-                detail: detail.clone(),
-                wall_seconds,
-            });
-        }
-        // "Failed" for a fault campaign means the oracle missed: silent
-        // escapes, not detections.
-        progress.unit_done(
-            &fault.to_string(),
-            wall_seconds,
-            outcome == InjectionOutcome::Silent,
-        );
-        injections.push(InjectionRecord {
-            fault,
-            outcome,
-            detail,
-        });
-    }
-    progress.finish();
-
-    Ok(CampaignReport {
-        design: case.name.clone(),
-        engine: options.engine,
-        seed: options.seed,
-        site_pool,
-        clean_cycles,
-        injections,
-    })
-}
-
-/// When a batch chunk panics and its sites rerun one at a time, a site
-/// that *still* crashes carries its lane slot in the detail so sharded
-/// reassembly (and a human) can see which lane of the packed walk blew
-/// up. The slot is the site's position in a full chunk — `index %
-/// LANES` — which is stable across shard counts and resume boundaries.
-fn lane_tagged(outcome: InjectionOutcome, detail: String, lane: usize) -> String {
-    if outcome == InjectionOutcome::Crashed {
-        format!("[lane {lane}] {detail}")
-    } else {
-        detail
-    }
-}
-
-/// Knobs for [`run_campaign_sharded`] beyond the base
-/// [`CampaignOptions`].
-#[derive(Debug, Clone, Default)]
-pub struct ShardedCampaignOptions {
-    /// Worker-shard count (clamped to at least 1).
-    pub shards: usize,
-    /// Where to write `fpgatest-checkpoint-v1` snapshots (`None` = no
-    /// checkpointing).
-    pub checkpoint: Option<std::path::PathBuf>,
-    /// Merged injections between snapshots (0 = a sensible default).
-    pub checkpoint_every: u64,
-    /// Resume from this checkpoint file: its completed prefix is
-    /// re-merged (and its events re-emitted) without re-running.
-    pub resume: Option<std::path::PathBuf>,
-    /// Cooperative stop flag (tests; SIGINT uses
-    /// [`crate::campaign::install_sigint`]).
-    pub stop: Option<std::sync::Arc<std::sync::atomic::AtomicBool>>,
-    /// Stop when the process-wide SIGINT flag fires.
-    pub sigint: bool,
-}
+pub use crate::campaign::ShardedCampaignOptions;
 
 /// What [`run_campaign_sharded`] produced.
-#[derive(Debug)]
-pub struct ShardedCampaignOutcome {
-    /// The (possibly partial, when interrupted) campaign report; the
-    /// injections are always a prefix of the canonical site order.
-    pub report: CampaignReport,
-    /// Whether the run stopped early (stop flag / SIGINT). The
-    /// checkpoint file, if any, holds everything merged so far.
-    pub interrupted: bool,
-    /// Injections skipped thanks to the resume checkpoint.
-    pub resumed: u64,
-    /// When the resume checkpoint was torn and
-    /// [`crate::campaign::Checkpoint::load_salvage`] fell back to another
-    /// generation: a human-readable note saying which (for the CLI to
-    /// surface on stderr).
-    pub salvage: Option<String>,
-}
+pub type ShardedCampaignOutcome = crate::campaign::ShardedCampaignOutcome<CampaignReport>;
 
-/// [`run_campaign`] across N work-stealing worker shards, with
-/// checkpoint/resume. Per-site verdicts are bit-identical to the
-/// sequential path; the merged record order is the canonical sampled
+/// Runs a full fault campaign for one test case across N work-stealing
+/// worker shards, with checkpoint/resume: compile, clean reference run,
+/// site enumeration, seeded sampling, then one faulty run per sampled
+/// site, classified. The merged record order is the canonical sampled
 /// site order at any shard count.
 ///
 /// Perf shape: the transform stage runs **once** ([`crate::flow::prepare_design`])
 /// and the golden reference runs **once**
 /// ([`crate::flow::PreparedDesign::prepare_golden`]), then every
-/// injection replays only the simulation + comparison stages — unlike
-/// the sequential non-batch path, which pays transform + golden per
-/// site. The batch engine packs chunks of [`eventsim::batchsim::LANES`]
-/// sites into single schedule walks exactly like the sequential batch
-/// path (chunks are cut at absolute 64-site boundaries, so packing is
-/// shard-count-independent).
+/// injection replays only the simulation + comparison stages. The batch
+/// engine packs chunks of [`eventsim::batchsim::LANES`] sites into single
+/// schedule walks (chunks are cut at absolute 64-site boundaries, so
+/// packing is shard-count-independent); a chunk that errors or panics
+/// reruns its sites one at a time, so a crash stays attributed to one
+/// site.
+///
+/// The harness never lets an injection escape: panics inside the flow
+/// are caught and recorded as [`InjectionOutcome::Crashed`].
 ///
 /// Events: with a live sink, the stream is emitted in merge order with
 /// wall-clock fields zeroed (`wall_seconds`, `rate`, `eta_seconds`,
@@ -719,8 +482,12 @@ pub struct ShardedCampaignOutcome {
 ///
 /// # Errors
 ///
-/// Everything [`run_campaign`] errors on, plus checkpoint I/O or
-/// identity mismatches (wrapped as [`FlowError::Fault`]).
+/// Returns [`FlowError`] when the *clean* flow cannot produce a verdict
+/// (broken test case), or a compile failure. A clean run that fails its
+/// own verdict is also an error — fault classification is meaningless on
+/// a design that does not pass clean. Checkpoint I/O failures and
+/// identity mismatches (design, engine, seed, sites, tick budget) are
+/// wrapped as [`FlowError::Fault`].
 pub fn run_campaign_sharded(
     case: &TestCase,
     options: &CampaignOptions,
@@ -768,6 +535,14 @@ pub fn run_campaign_sharded(
     faulty_options.max_ticks = max_ticks;
     let golden = prepared.prepare_golden(&case.stimuli, &faulty_options)?;
 
+    // What makes a checkpoint this campaign's beyond its design and site
+    // count: checked on resume and written into every snapshot.
+    let identity = [
+        ("engine", Json::from(options.engine.to_string())),
+        ("seed", options.seed.into()),
+        ("max_ticks", max_ticks.into()),
+    ];
+
     // Resume: salvage what survives on disk, validate identity, preload
     // the record prefix. Salvage only relaxes *structural* damage (torn
     // writes); an identity mismatch below still refuses outright.
@@ -775,7 +550,8 @@ pub fn run_campaign_sharded(
     let mut records: Vec<InjectionRecord> = Vec::new();
     let mut salvage = None;
     if let Some(path) = &shard.resume {
-        let salvaged = Checkpoint::load_salvage(path).map_err(FlowError::Fault)?;
+        let salvaged = Checkpoint::load_resume(path, "faults", &case.name, total, &identity)
+            .map_err(FlowError::Fault)?;
         let checkpoint = salvaged.checkpoint;
         salvage = salvaged.note;
         let bad = |what: &str| {
@@ -784,33 +560,10 @@ pub fn run_campaign_sharded(
                 path.display()
             ))
         };
-        if checkpoint.kind != "faults" {
-            return Err(bad("kind"));
-        }
-        if checkpoint.key != case.name {
-            return Err(bad("design"));
-        }
-        if checkpoint.total != total {
-            return Err(bad("total"));
-        }
-        let state = &checkpoint.state;
-        let field = |key: &str| state.get(key).and_then(crate::telemetry::Json::as_str);
-        if field("engine") != Some(options.engine.to_string().as_str()) {
-            return Err(bad("engine"));
-        }
-        if state.get("seed").and_then(crate::telemetry::Json::as_u64) != Some(options.seed) {
-            return Err(bad("seed"));
-        }
-        let ranges = checkpoint.completed.ranges();
-        if ranges.len() > 1 || ranges.first().is_some_and(|&(s, _)| s != 0) {
-            return Err(FlowError::Fault(format!(
-                "checkpoint {}: completed set is not a prefix",
-                path.display()
-            )));
-        }
-        let list = state
+        let list = checkpoint
+            .state
             .get("records")
-            .and_then(crate::telemetry::Json::as_array)
+            .and_then(Json::as_array)
             .ok_or_else(|| bad("records"))?;
         if list.len() as u64 != checkpoint.completed.covered() {
             return Err(bad("record count"));
@@ -819,7 +572,7 @@ pub fn run_campaign_sharded(
             let get = |key: &str| {
                 entry
                     .get(key)
-                    .and_then(crate::telemetry::Json::as_str)
+                    .and_then(Json::as_str)
                     .ok_or_else(|| bad(key))
             };
             records.push(InjectionRecord {
@@ -885,13 +638,6 @@ pub fn run_campaign_sharded(
     let prepared = &prepared;
     let golden = &golden;
     let faulty_options = &faulty_options;
-    let run_site = |index: u64, fault: &FaultSpec| -> (InjectionOutcome, String) {
-        let mut site_options = faulty_options.clone();
-        site_options.faults = vec![fault.clone()];
-        let result =
-            catch_unwind(AssertUnwindSafe(|| prepared.run_with_golden(golden, &site_options)));
-        classify_with_lane(result, engine_is_batch, index)
-    };
     let worker = move |start: u64, end: u64| -> Vec<(InjectionOutcome, String)> {
         let chunk_sites = &sites[start as usize..end as usize];
         if engine_is_batch {
@@ -904,25 +650,55 @@ pub fn run_campaign_sharded(
                 .collect();
             let result =
                 catch_unwind(AssertUnwindSafe(|| prepared.run_batch(&specs, faulty_options)));
-            match result {
-                Ok(Ok(report)) => report.lanes.iter().map(classify_lane).collect(),
-                // Design-scoped error or panic: rerun the chunk's sites
-                // one at a time so a crash stays attributed to one lane.
-                Ok(Err(_)) | Err(_) => chunk_sites
-                    .iter()
-                    .enumerate()
-                    .map(|(i, fault)| run_site(start + i as u64, fault))
-                    .collect(),
+            if let Ok(Ok(report)) = result {
+                return report.lanes.iter().map(classify_lane).collect();
             }
-        } else {
-            chunk_sites
-                .iter()
-                .enumerate()
-                .map(|(i, fault)| run_site(start + i as u64, fault))
-                .collect()
+            // Design-scoped error or panic: rerun the chunk's sites one
+            // at a time so a crash stays attributed to one lane.
         }
+        (start..end)
+            .zip(chunk_sites)
+            .map(|(index, fault)| {
+                let mut site_options = faulty_options.clone();
+                site_options.faults = vec![fault.clone()];
+                let result = catch_unwind(AssertUnwindSafe(|| {
+                    prepared.run_with_golden(golden, &site_options)
+                }));
+                classify_with_lane(result, engine_is_batch, index)
+            })
+            .collect()
     };
 
+    // The checkpoint document: identity (with the effective tick budget,
+    // explicit or derived from the clean run) plus the merged records.
+    let faults_checkpoint = |completed: &RangeSet, records: &[InjectionRecord]| Checkpoint {
+        kind: "faults".to_string(),
+        key: case.name.clone(),
+        total,
+        completed: completed.clone(),
+        state: Json::obj(
+            identity.iter().cloned().chain([
+                ("requested_sites", options.sites.into()),
+                ("site_pool", site_pool.into()),
+                ("clean_cycles", clean_cycles.into()),
+                (
+                    "records",
+                    Json::Arr(
+                        records
+                            .iter()
+                            .map(|r| {
+                                Json::obj([
+                                    ("fault", r.fault.to_string().into()),
+                                    ("outcome", r.outcome.to_string().into()),
+                                    ("detail", r.detail.as_str().into()),
+                                ])
+                            })
+                            .collect(),
+                    ),
+                ),
+            ]),
+        ),
+    };
     let merged = RefCell::new(records);
     let save_error = RefCell::new(None::<String>);
     let outcome = crate::campaign::run_sharded(
@@ -955,16 +731,7 @@ pub fn run_campaign_sharded(
         },
         |completed| {
             let Some(path) = &shard.checkpoint else { return };
-            let checkpoint = faults_checkpoint(
-                case,
-                options,
-                total,
-                site_pool,
-                clean_cycles,
-                completed,
-                &merged.borrow(),
-            );
-            if let Err(e) = checkpoint.save(path) {
+            if let Err(e) = faults_checkpoint(completed, &merged.borrow()).save(path) {
                 *save_error.borrow_mut() = Some(format!("cannot save {}: {e}", path.display()));
             }
         },
@@ -987,16 +754,7 @@ pub fn run_campaign_sharded(
             wall_seconds: 0.0,
         });
         if let Some(path) = &shard.checkpoint {
-            let checkpoint = faults_checkpoint(
-                case,
-                options,
-                total,
-                site_pool,
-                clean_cycles,
-                &outcome.completed,
-                &injections,
-            );
-            checkpoint
+            faults_checkpoint(&outcome.completed, &injections)
                 .save(path)
                 .map_err(|e| FlowError::Fault(format!("cannot save {}: {e}", path.display())))?;
         }
@@ -1017,64 +775,24 @@ pub fn run_campaign_sharded(
     })
 }
 
-/// Builds the faults checkpoint document from merged state.
-fn faults_checkpoint(
-    case: &TestCase,
-    options: &CampaignOptions,
-    total: u64,
-    site_pool: usize,
-    clean_cycles: u64,
-    completed: &crate::campaign::RangeSet,
-    records: &[InjectionRecord],
-) -> crate::campaign::Checkpoint {
-    use crate::telemetry::Json;
-    crate::campaign::Checkpoint {
-        kind: "faults".to_string(),
-        key: case.name.clone(),
-        total,
-        completed: completed.clone(),
-        state: Json::obj([
-            ("engine", options.engine.to_string().into()),
-            ("seed", options.seed.into()),
-            ("requested_sites", options.sites.into()),
-            ("site_pool", site_pool.into()),
-            ("clean_cycles", clean_cycles.into()),
-            (
-                "records",
-                Json::Arr(
-                    records
-                        .iter()
-                        .map(|r| {
-                            Json::obj([
-                                ("fault", r.fault.to_string().into()),
-                                ("outcome", r.outcome.to_string().into()),
-                                ("detail", r.detail.as_str().into()),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-        ]),
-    }
-}
-
-/// [`classify`] plus the batch fallback's lane tag (see [`lane_tagged`]).
+/// [`classify`] for the site at `index`. On the batch engine's
+/// one-at-a-time fallback (`batch_fallback`), a site that still crashes
+/// carries its lane slot in the detail, so a human can see which lane of
+/// the packed walk blew up. The slot is the site's position in a full
+/// chunk — `index % LANES` — which is stable across shard counts and
+/// resume boundaries.
 fn classify_with_lane(
     result: std::thread::Result<Result<crate::flow::TestReport, FlowError>>,
     batch_fallback: bool,
     index: u64,
 ) -> (InjectionOutcome, String) {
     let (outcome, detail) = classify(result);
-    let detail = if batch_fallback {
-        lane_tagged(
-            outcome,
-            detail,
-            (index % eventsim::batchsim::LANES as u64) as usize,
-        )
+    if batch_fallback && outcome == InjectionOutcome::Crashed {
+        let lane = index % eventsim::batchsim::LANES as u64;
+        (outcome, format!("[lane {lane}] {detail}"))
     } else {
-        detail
-    };
-    (outcome, detail)
+        (outcome, detail)
+    }
 }
 
 /// Maps one faulty-run result onto an [`InjectionOutcome`].
@@ -1082,59 +800,48 @@ fn classify(
     result: std::thread::Result<Result<crate::flow::TestReport, FlowError>>,
 ) -> (InjectionOutcome, String) {
     match result {
-        Err(payload) => (InjectionOutcome::Crashed, panic_message(&payload)),
-        Ok(Err(FlowError::Timeout { config, max_ticks })) => (
-            InjectionOutcome::Hung,
-            format!("configuration '{config}' exceeded {max_ticks} ticks"),
-        ),
+        Err(payload) => (InjectionOutcome::Crashed, panic_message(&*payload)),
+        Ok(Err(e @ FlowError::Timeout { .. })) => (InjectionOutcome::Hung, e.to_string()),
         Ok(Err(e)) => (InjectionOutcome::Detected, format!("flow error: {e}")),
-        Ok(Ok(report)) => {
-            if !report.fault_skips.is_empty() {
-                (InjectionOutcome::Skipped, report.fault_skips.join("; "))
-            } else if let Some(failure) = report.failure {
-                (InjectionOutcome::Detected, failure)
-            } else if let Some(first) = report.mismatches.first() {
-                (
-                    InjectionOutcome::Detected,
-                    format!(
-                        "{} mismatches, first {}[{}] golden {:?} sim {:?}",
-                        report.mismatches.len(),
-                        first.mem,
-                        first.addr,
-                        first.expected,
-                        first.got
-                    ),
-                )
-            } else {
-                (InjectionOutcome::Silent, "verdict PASS".to_string())
-            }
+        Ok(Ok(report)) if !report.fault_skips.is_empty() => {
+            (InjectionOutcome::Skipped, report.fault_skips.join("; "))
         }
+        Ok(Ok(report)) => classify_verdict(report.failure, &report.mismatches),
     }
 }
 
 /// Maps one batch lane's verdict onto an [`InjectionOutcome`], with the
-/// same detail strings [`classify`] derives from a sequential run.
+/// same detail strings [`classify`] derives from a one-lane run.
 fn classify_lane(lane: &crate::flow::LaneReport) -> (InjectionOutcome, String) {
     if let Some(detail) = &lane.timed_out {
         (InjectionOutcome::Hung, detail.clone())
     } else if let Some(e) = &lane.flow_error {
         (InjectionOutcome::Detected, format!("flow error: {e}"))
-    } else if let Some(failure) = &lane.failure {
-        (InjectionOutcome::Detected, failure.clone())
-    } else if let Some(first) = lane.mismatches.first() {
-        (
+    } else {
+        classify_verdict(lane.failure.clone(), &lane.mismatches)
+    }
+}
+
+/// A completed faulty run: detected by a design failure or a memory
+/// mismatch, otherwise a silent escape.
+fn classify_verdict(
+    failure: Option<String>,
+    mismatches: &[crate::memcmp::Mismatch],
+) -> (InjectionOutcome, String) {
+    match (failure, mismatches.first()) {
+        (Some(failure), _) => (InjectionOutcome::Detected, failure),
+        (None, Some(first)) => (
             InjectionOutcome::Detected,
             format!(
                 "{} mismatches, first {}[{}] golden {:?} sim {:?}",
-                lane.mismatches.len(),
+                mismatches.len(),
                 first.mem,
                 first.addr,
                 first.expected,
                 first.got
             ),
-        )
-    } else {
-        (InjectionOutcome::Silent, "verdict PASS".to_string())
+        ),
+        (None, None) => (InjectionOutcome::Silent, "verdict PASS".to_string()),
     }
 }
 
@@ -1201,10 +908,26 @@ mod tests {
 
     #[test]
     fn lane_tag_marks_only_crashes() {
-        let tagged = lane_tagged(InjectionOutcome::Crashed, "boom".to_string(), 17);
-        assert_eq!(tagged, "[lane 17] boom");
-        let silent = lane_tagged(InjectionOutcome::Silent, "verdict PASS".to_string(), 17);
-        assert_eq!(silent, "verdict PASS");
+        let crash = || Err(Box::new("boom") as Box<dyn std::any::Any + Send>);
+        let tagged = classify_with_lane(crash(), true, 64 + 17);
+        assert_eq!(
+            tagged,
+            (InjectionOutcome::Crashed, "[lane 17] boom".to_string())
+        );
+        let untagged = classify_with_lane(crash(), false, 17);
+        assert_eq!(untagged, (InjectionOutcome::Crashed, "boom".to_string()));
+        let timeout = FlowError::Timeout {
+            config: "c0".to_string(),
+            max_ticks: 9,
+        };
+        let hung = classify_with_lane(Ok(Err(timeout)), true, 17);
+        assert_eq!(
+            hung,
+            (
+                InjectionOutcome::Hung,
+                "configuration 'c0' exceeded 9 ticks".to_string()
+            )
+        );
     }
 
     #[test]

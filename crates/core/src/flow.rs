@@ -10,6 +10,10 @@
 //! 5. elaborate and simulate every configuration in RTG order, carrying
 //!    SRAM contents across reconfigurations,
 //! 6. compare final memory contents and produce a [`TestReport`].
+//!
+//! Step 5 is one RTG walk for every engine: the event, cycle and level
+//! engines run it with one lane (one stimulus and fault set), the batch
+//! engine with up to 64 ([`PreparedDesign::run_batch`]).
 
 use crate::elaborate::{elaborate_config, elaborate_config_instrumented, ElaborateConfigError};
 use crate::events::{Event, EventSink};
@@ -19,7 +23,7 @@ use crate::metrics::{ConfigMetrics, DesignMetrics};
 use crate::stimulus::{MemImage, Stimulus};
 use crate::telemetry::Recorder;
 use eventsim::batchsim::{BatchSim, LaneOutcome, LANES};
-use eventsim::cyclesim::{CycleOutcome, CycleSim, CycleSimError, CycleSummary};
+use eventsim::cyclesim::{CycleOutcome, CycleSim, CycleSimError};
 use eventsim::levelsim::LevelSim;
 use eventsim::ops::FsmTable;
 use eventsim::{KernelStats, MemHandle, RunOutcome, SimError, SimTime};
@@ -144,190 +148,6 @@ const HOT_COMPONENT_LIMIT: usize = 10;
 /// clock generator (`ConfigSim::clock_period`); the compiled engines use it
 /// to convert the tick watchdog into a cycle budget and back.
 const COMPILED_CLOCK_PERIOD: u64 = 10;
-
-/// Uniform front for the compiled (non-event) engines.
-enum CompiledSim {
-    Cycle(CycleSim),
-    Level(LevelSim),
-    /// The 64-lane batch engine restricted to lane 0, so the
-    /// single-stimulus flow path reads one lane and stays report-
-    /// compatible with the sequential engines. The full lane fan-out is
-    /// exposed by [`PreparedDesign::run_batch`].
-    Batch(BatchSim),
-}
-
-impl CompiledSim {
-    fn build(engine: Engine, netlist: &eventsim::netlist::Netlist) -> Result<Self, CycleSimError> {
-        match engine {
-            Engine::Cycle => CycleSim::from_netlist(netlist).map(CompiledSim::Cycle),
-            Engine::Level => netlist.compile_levelized().map(CompiledSim::Level),
-            Engine::Batch => BatchSim::from_netlist(netlist).map(|mut s| {
-                s.set_active(1);
-                CompiledSim::Batch(s)
-            }),
-            Engine::Event => unreachable!("event engine does not use CompiledSim"),
-        }
-    }
-
-    fn add_control_unit(
-        &mut self,
-        name: &str,
-        conditions: &[&str],
-        outputs: &[(&str, u32)],
-        table: FsmTable,
-    ) -> Result<(), CycleSimError> {
-        match self {
-            CompiledSim::Cycle(s) => s.add_control_unit(name, conditions, outputs, table),
-            CompiledSim::Level(s) => s.add_control_unit(name, conditions, outputs, table),
-            CompiledSim::Batch(s) => s.add_control_unit(name, conditions, outputs, table),
-        }
-    }
-
-    /// The `MemHandle` view shared by the sequential compiled engines;
-    /// `None` for the lane-struct-of-arrays batch engine, whose memory
-    /// access goes through the lane-aware methods below.
-    fn handle_of(&self, name: &str) -> Option<&MemHandle> {
-        match self {
-            CompiledSim::Cycle(s) => s.mem(name),
-            CompiledSim::Level(s) => s.mem(name),
-            CompiledSim::Batch(_) => None,
-        }
-    }
-
-    fn mem_size(&self, name: &str) -> Option<usize> {
-        match self {
-            CompiledSim::Batch(s) => s.mem_size(name),
-            _ => self.handle_of(name).map(MemHandle::size),
-        }
-    }
-
-    /// Preloads defined words of `image` into the named memory (lane 0
-    /// on the batch engine).
-    fn load_mem(&mut self, name: &str, image: &[Option<i64>]) -> bool {
-        if let CompiledSim::Batch(s) = self {
-            return s.load_mem(name, 0, image);
-        }
-        let Some(handle) = self.handle_of(name) else {
-            return false;
-        };
-        for (addr, word) in image.iter().enumerate() {
-            if let Some(v) = word {
-                handle.store(addr, *v);
-            }
-        }
-        true
-    }
-
-    /// Final image of the named memory (lane 0 on the batch engine).
-    fn snapshot_mem(&self, name: &str) -> Option<Vec<Option<i64>>> {
-        match self {
-            CompiledSim::Batch(s) => s.snapshot_mem(name, 0),
-            _ => self.handle_of(name).map(MemHandle::snapshot),
-        }
-    }
-
-    fn run(&mut self, max_cycles: u64) -> Result<CycleSummary, CycleSimError> {
-        match self {
-            CompiledSim::Cycle(s) => s.run(max_cycles),
-            CompiledSim::Level(s) => s.run(max_cycles),
-            CompiledSim::Batch(s) => s.run(max_cycles),
-        }
-    }
-
-    fn cycles(&self) -> u64 {
-        match self {
-            CompiledSim::Cycle(s) => s.cycles(),
-            CompiledSim::Level(s) => s.cycles(),
-            CompiledSim::Batch(s) => s.cycles(),
-        }
-    }
-
-    fn comb_evals(&self) -> u64 {
-        match self {
-            CompiledSim::Cycle(s) => s.comb_evals(),
-            CompiledSim::Level(s) => s.comb_evals(),
-            CompiledSim::Batch(s) => s.comb_evals(),
-        }
-    }
-
-    fn inject_stuck(&mut self, signal: &str, bit: u32, value: bool) -> Result<bool, CycleSimError> {
-        match self {
-            CompiledSim::Cycle(s) => s.inject_stuck_at(signal, bit, value),
-            CompiledSim::Level(s) => s.inject_stuck_at(signal, bit, value),
-            CompiledSim::Batch(s) => s.inject_stuck_at(signal, bit, value),
-        }
-    }
-
-    fn inject_flip(&mut self, signal: &str, bit: u32, cycle: u64) -> Result<bool, CycleSimError> {
-        match self {
-            CompiledSim::Cycle(s) => s.inject_transient_flip(signal, bit, cycle),
-            CompiledSim::Level(s) => s.inject_transient_flip(signal, bit, cycle),
-            CompiledSim::Batch(s) => s.inject_transient_flip(signal, bit, cycle),
-        }
-    }
-
-    fn enable_profile(&mut self) {
-        match self {
-            CompiledSim::Cycle(s) => s.enable_profile(),
-            CompiledSim::Level(s) => s.enable_profile(),
-            CompiledSim::Batch(s) => s.enable_profile(),
-        }
-    }
-
-    /// The engine profile accumulated since construction, translated
-    /// into the flow's [`ConfigProfile`] shape.
-    fn profile(&self) -> ConfigProfile {
-        match self {
-            CompiledSim::Cycle(s) => {
-                let phases = s
-                    .profile()
-                    .map(|p| {
-                        vec![
-                            PhaseProfile {
-                                phase: "settle".to_string(),
-                                nanos: p.settle_nanos,
-                            },
-                            PhaseProfile {
-                                phase: "commit".to_string(),
-                                nanos: p.commit_nanos,
-                            },
-                        ]
-                    })
-                    .unwrap_or_default();
-                ConfigProfile {
-                    phases,
-                    ..ConfigProfile::default()
-                }
-            }
-            CompiledSim::Level(s) => {
-                let ranks = s
-                    .profile()
-                    .map(|p| {
-                        p.ranks
-                            .iter()
-                            .enumerate()
-                            .map(|(rank, row)| RankProfile {
-                                rank,
-                                size: p.rank_sizes.get(rank).copied().unwrap_or(0),
-                                evals: row.evals,
-                                changes: row.changes,
-                                nanos: row.nanos,
-                                hit_rate: p.hit_rate(rank),
-                            })
-                            .collect()
-                    })
-                    .unwrap_or_default();
-                ConfigProfile {
-                    ranks,
-                    ..ConfigProfile::default()
-                }
-            }
-            // The batch engine has no per-rank or per-phase profile:
-            // the bytecode walk is one undifferentiated loop.
-            CompiledSim::Batch(_) => ConfigProfile::default(),
-        }
-    }
-}
 
 impl Default for FlowOptions {
     fn default() -> Self {
@@ -798,8 +618,7 @@ pub fn run_design_recorded(
     recorder: &mut Recorder,
 ) -> Result<TestReport, FlowError> {
     preflight(options)?;
-    let initial = initial_images(design, stimuli)?;
-    let golden = run_golden(design, initial.clone(), options, recorder)?;
+    let golden = run_golden(design, initial_images(design, stimuli)?, options, recorder)?;
 
     // Artifact generation (XML + stylesheet translations + metrics),
     // plus the engine-independent parse products (netlists, FSM tables)
@@ -811,7 +630,7 @@ pub fn run_design_recorded(
     recorder.end(transform_span);
     span_event_end(&options.events, "flow.transform", transform_event);
 
-    simulate_prepared(design, &parts, initial, golden, options, recorder)
+    simulate_prepared(design, &parts, golden, options, recorder)
 }
 
 /// Rejects option combinations the flow cannot honour, and fires the
@@ -857,19 +676,14 @@ fn initial_images(
     Ok(initial)
 }
 
-/// Products of the golden software execution.
-struct GoldenRun {
-    stats: nenya::interp::ExecStats,
-    mems: BTreeMap<String, MemImage>,
-    seconds: f64,
-}
-
+/// Runs the golden reference from the `initial` images.
 fn run_golden(
     design: &Design,
-    mut golden_mems: BTreeMap<String, MemImage>,
+    initial: BTreeMap<String, MemImage>,
     options: &FlowOptions,
     recorder: &mut Recorder,
-) -> Result<GoldenRun, FlowError> {
+) -> Result<PreparedGolden, FlowError> {
+    let mut golden_mems = initial.clone();
     let golden_span = recorder.start("flow.golden");
     let golden_event = span_event_start(&options.events, "flow.golden");
     let golden_started = Instant::now();
@@ -880,7 +694,8 @@ fn run_golden(
     recorder.attr(golden_span, "instructions", stats.instructions);
     recorder.end(golden_span);
     span_event_end(&options.events, "flow.golden", golden_event);
-    Ok(GoldenRun {
+    Ok(PreparedGolden {
+        initial,
         stats,
         mems: golden_mems,
         seconds,
@@ -901,9 +716,10 @@ struct PreparedParts {
     /// Metrics template with the per-run fields (cycles/events/seconds)
     /// zeroed.
     config_metrics: Vec<ConfigMetrics>,
-    /// Parsed `.hds` netlists, one per config (compiled-engine path).
+    /// Parsed `.hds` netlists, one per config: the compiled engines build
+    /// from them, and every engine's SRAM list and sizes come from them.
     netlists: Vec<eventsim::netlist::Netlist>,
-    /// Per-config control-unit description (compiled-engine path).
+    /// Per-config control-unit description (compiled engines).
     fsm_tables: Vec<PreparedFsm>,
 }
 
@@ -915,6 +731,20 @@ struct PreparedFsm {
     conditions: Vec<String>,
     /// `(output name, width)` pairs.
     outputs: Vec<(String, u32)>,
+}
+
+impl PreparedFsm {
+    /// Attaches this control unit through a compiled engine's
+    /// `add_control_unit` (`add`).
+    fn attach(
+        &self,
+        add: impl FnOnce(&str, &[&str], &[(&str, u32)], FsmTable) -> Result<(), CycleSimError>,
+    ) -> Result<(), FlowError> {
+        let conditions: Vec<&str> = self.conditions.iter().map(String::as_str).collect();
+        let outputs: Vec<(&str, u32)> =
+            self.outputs.iter().map(|(n, w)| (n.as_str(), *w)).collect();
+        add(&self.name, &conditions, &outputs, self.table.clone()).map_err(netlist_error)
+    }
 }
 
 /// Applies one of the transform stylesheets, mapping its failure to the
@@ -1048,10 +878,13 @@ pub struct PreparedDesign {
 /// [`PreparedDesign::prepare_golden`] shorthand) and replayed by
 /// [`PreparedDesign::run_with_golden`]. Plain data (`Send + Sync`), so a
 /// campaign's worker shards can share one.
+#[derive(Clone)]
 pub struct PreparedGolden {
     initial: BTreeMap<String, MemImage>,
     stats: nenya::interp::ExecStats,
     mems: BTreeMap<String, MemImage>,
+    /// Wall-clock seconds the reference took (0 once replayed).
+    seconds: f64,
 }
 
 impl PreparedDesign {
@@ -1091,8 +924,8 @@ impl PreparedDesign {
     ) -> Result<TestReport, FlowError> {
         preflight(options)?;
         let initial = initial_images(&self.design, stimuli)?;
-        let golden = run_golden(&self.design, initial.clone(), options, recorder)?;
-        simulate_prepared(&self.design, &self.parts, initial, golden, options, recorder)
+        let golden = run_golden(&self.design, initial, options, recorder)?;
+        simulate_prepared(&self.design, &self.parts, golden, options, recorder)
     }
 
     /// Runs the golden software reference once for a fixed stimulus set
@@ -1129,15 +962,14 @@ impl PreparedDesign {
         options: &FlowOptions,
     ) -> Result<TestReport, FlowError> {
         preflight(options)?;
+        let golden = PreparedGolden {
+            seconds: 0.0,
+            ..golden.clone()
+        };
         simulate_prepared(
             &self.design,
             &self.parts,
-            golden.initial.clone(),
-            GoldenRun {
-                stats: golden.stats,
-                mems: golden.mems.clone(),
-                seconds: 0.0,
-            },
+            golden,
             options,
             &mut Recorder::new(),
         )
@@ -1183,279 +1015,68 @@ impl PreparedDesign {
             )));
         }
         let design = &self.design;
-        let parts = &self.parts;
         let mut recorder = Recorder::new();
 
-        struct LaneState {
-            sim_mems: BTreeMap<String, MemImage>,
-            golden: Option<usize>,
-            fault_applied: Vec<bool>,
-            failure: Option<String>,
-            timed_out: Option<String>,
-            flow_error: Option<String>,
-            cycles: u64,
-            live: bool,
-        }
-
-        // Per-lane setup: initial images, deduplicated golden runs, and
-        // the one-time SRAM-corruption edits (mirroring the sequential
-        // flow, which edits images once before the first configuration).
-        let mut golden_runs: Vec<(BTreeMap<String, MemImage>, BTreeMap<String, MemImage>)> =
-            Vec::new();
-        let mut states: Vec<LaneState> = Vec::new();
+        // Per-lane initial images and golden runs, one golden run per
+        // distinct initial image.
+        let mut goldens: Vec<PreparedGolden> = Vec::new();
+        let mut golden_of = Vec::with_capacity(lanes.len());
+        let mut states = Vec::with_capacity(lanes.len());
         for spec in lanes {
-            let mut state = LaneState {
-                sim_mems: BTreeMap::new(),
-                golden: None,
-                fault_applied: vec![false; spec.faults.len()],
-                failure: None,
-                timed_out: None,
-                flow_error: None,
-                cycles: 0,
-                live: true,
-            };
-            let initial = match initial_images(design, &spec.stimuli) {
-                Ok(initial) => initial,
+            let golden = initial_images(design, &spec.stimuli).and_then(|initial| {
+                if let Some(index) = goldens.iter().position(|g| g.initial == initial) {
+                    return Ok((index, initial));
+                }
+                goldens.push(run_golden(design, initial.clone(), options, &mut recorder)?);
+                Ok((goldens.len() - 1, initial))
+            });
+            let mut lane = Lane::new(&spec.faults, BTreeMap::new());
+            match golden {
+                Ok((index, initial)) => {
+                    lane.mems = initial;
+                    golden_of.push(Some(index));
+                }
                 Err(e) => {
-                    state.flow_error = Some(e.to_string());
-                    state.live = false;
-                    states.push(state);
-                    continue;
-                }
-            };
-            let golden = golden_runs.iter().position(|(key, _)| *key == initial);
-            let golden = match golden {
-                Some(index) => index,
-                None => match run_golden(design, initial.clone(), options, &mut recorder) {
-                    Ok(run) => {
-                        golden_runs.push((initial.clone(), run.mems));
-                        golden_runs.len() - 1
-                    }
-                    Err(e) => {
-                        state.flow_error = Some(e.to_string());
-                        state.live = false;
-                        states.push(state);
-                        continue;
-                    }
-                },
-            };
-            state.golden = Some(golden);
-            state.sim_mems = initial;
-            for (i, fault) in spec.faults.iter().enumerate() {
-                if let FaultSpec::SramCorrupt { mem, addr, bit } = fault {
-                    if let Some(image) = state.sim_mems.get_mut(mem) {
-                        if *addr >= image.len() || *bit >= design.width {
-                            state.flow_error = Some(
-                                FlowError::Fault(format!(
-                                    "{fault}: address or bit out of range for '{mem}' ({} words of width {})",
-                                    image.len(),
-                                    design.width
-                                ))
-                                .to_string(),
-                            );
-                            state.live = false;
-                            break;
-                        }
-                        image[*addr] = Some(image[*addr].unwrap_or(0) ^ (1i64 << bit));
-                        state.fault_applied[i] = true;
-                    }
+                    lane.error = Some(e);
+                    golden_of.push(None);
                 }
             }
-            states.push(state);
+            states.push(lane);
         }
 
-        // Configuration loop: one fresh batch engine per configuration,
-        // all live lanes walking together, SRAM contents carried across
-        // reconfigurations per lane.
-        let max_cycles = options.max_ticks / COMPILED_CLOCK_PERIOD;
-        let mut sim_wall_seconds = 0.0f64;
-        let order = design
-            .rtg
-            .execution_order()
-            .map_err(|e| FlowError::Rtg(e.to_string()))?;
-        for node in order {
-            let config = design
-                .configs
-                .iter()
-                .position(|c| c.datapath.name == node.datapath)
-                .ok_or_else(|| FlowError::Rtg(format!("unknown datapath '{}'", node.datapath)))?;
-            let (config_name, _, _) = &parts.docs[config];
-            let netlist = &parts.netlists[config];
-            let mut sim = BatchSim::from_netlist(netlist)
-                .map_err(|e| FlowError::Elaborate(ElaborateConfigError::Netlist(e.to_string())))?;
-            let fsm = &parts.fsm_tables[config];
-            let conds: Vec<&str> = fsm.conditions.iter().map(String::as_str).collect();
-            let outs: Vec<(&str, u32)> =
-                fsm.outputs.iter().map(|(n, w)| (n.as_str(), *w)).collect();
-            sim.add_control_unit(fsm.name.as_str(), &conds, &outs, fsm.table.clone())
-                .map_err(|e| FlowError::Elaborate(ElaborateConfigError::Netlist(e.to_string())))?;
-
-            // Per-lane signal-fault injection (a signal may exist in
-            // several configurations; the fault lands in all of them).
-            for (lane, spec) in lanes.iter().enumerate() {
-                if !states[lane].live {
-                    continue;
-                }
-                for (i, fault) in spec.faults.iter().enumerate() {
-                    let injected = match fault {
-                        FaultSpec::StuckAt { signal, bit, value } => {
-                            sim.inject_stuck_at_lane(signal, *bit, *value, lane)
-                        }
-                        FaultSpec::BitFlip { signal, bit, cycle }
-                        | FaultSpec::SeuReg { signal, bit, cycle } => {
-                            sim.inject_transient_flip_lane(signal, *bit, *cycle, lane)
-                        }
-                        FaultSpec::SramCorrupt { .. } => continue, // image edit above
-                    };
-                    match injected {
-                        Ok(true) => states[lane].fault_applied[i] = true,
-                        Ok(false) => {}
-                        Err(e) => {
-                            states[lane].flow_error =
-                                Some(FlowError::Fault(format!("{fault}: {e}")).to_string());
-                            states[lane].live = false;
-                            break;
-                        }
-                    }
-                }
-            }
-
-            // Preload SRAM contents per lane (same contract as the
-            // sequential compiled path).
-            let mem_list: Vec<String> = netlist
-                .instances()
-                .iter()
-                .filter(|i| i.kind == "sram")
-                .map(|i| i.name.clone())
-                .collect();
-            for (lane, state) in states.iter_mut().enumerate() {
-                if !state.live {
-                    continue;
-                }
-                for mem_name in &mem_list {
-                    let size = sim.mem_size(mem_name).expect("sram instances have handles");
-                    let Some(image) = state.sim_mems.get(mem_name) else {
-                        state.flow_error = Some(
-                            FlowError::Stimulus(format!(
-                                "memory '{mem_name}' missing from design"
-                            ))
-                            .to_string(),
-                        );
-                        state.live = false;
-                        break;
-                    };
-                    if image.len() != size {
-                        state.failure = Some(format!(
-                            "configuration '{config_name}': memory '{mem_name}' has {size} words in the netlist but {} in the design",
-                            image.len()
-                        ));
-                        state.live = false;
-                        break;
-                    }
-                    sim.load_mem(mem_name, lane, image);
-                }
-            }
-
-            let live_mask: u64 = states
-                .iter()
-                .enumerate()
-                .filter(|(_, s)| s.live)
-                .fold(0u64, |m, (lane, _)| m | (1u64 << lane));
-            if live_mask == 0 {
-                break;
-            }
-            sim.set_active(live_mask);
-            let sim_started = Instant::now();
-            let summary = sim.run_batch(max_cycles);
-            sim_wall_seconds += sim_started.elapsed().as_secs_f64();
-
-            for (lane, state) in states.iter_mut().enumerate() {
-                if live_mask & (1u64 << lane) == 0 {
-                    continue;
-                }
-                let result = summary.lanes[lane].as_ref().expect("lane was active");
-                state.cycles += result.cycles;
-                match &result.outcome {
-                    LaneOutcome::Done | LaneOutcome::Watchpoint(_) => {
-                        for mem_name in &mem_list {
-                            let snapshot = sim
-                                .snapshot_mem(mem_name, lane)
-                                .expect("sram instances have handles");
-                            state.sim_mems.insert(mem_name.clone(), snapshot);
-                        }
-                    }
-                    LaneOutcome::CycleLimit => {
-                        state.timed_out = Some(
-                            FlowError::Timeout {
-                                config: config_name.clone(),
-                                max_ticks: options.max_ticks,
-                            }
-                            .to_string(),
-                        );
-                        state.live = false;
-                    }
-                    LaneOutcome::Failed(m) => {
-                        state.failure = Some(format!(
-                            "configuration '{config_name}': {}",
-                            CycleSimError::Failed(m.clone())
-                        ));
-                        state.live = false;
-                    }
-                }
-            }
-        }
-
-        // Verdict synthesis per lane, mirroring the sequential tail:
-        // unapplied faults only matter when every configuration ran,
-        // comparison only happens on clean completion.
+        let ctx = WalkContext {
+            design,
+            parts: &self.parts,
+            options,
+        };
+        let runs = walk::<BatchSim>(&ctx, &mut states, &EventSink::disabled(), &mut recorder)?;
         let reports = states
             .into_iter()
-            .zip(lanes)
-            .map(|(mut state, spec)| {
-                if state.failure.is_none()
-                    && state.timed_out.is_none()
-                    && state.flow_error.is_none()
-                {
-                    for (i, fault) in spec.faults.iter().enumerate() {
-                        if !state.fault_applied[i] {
-                            state.flow_error = Some(
-                                FlowError::Fault(format!(
-                                    "'{fault}' matched no signal or memory in any executed configuration"
-                                ))
-                                .to_string(),
-                            );
-                            break;
-                        }
-                    }
-                }
-                let mut mismatches = Vec::new();
-                if state.failure.is_none()
-                    && state.timed_out.is_none()
-                    && state.flow_error.is_none()
-                {
-                    let golden = &golden_runs[state.golden.expect("clean lanes ran golden")].1;
-                    for (name, golden_image) in golden {
-                        mismatches.extend(diff_images(name, golden_image, &state.sim_mems[name]));
-                    }
-                }
-                let passed = state.failure.is_none()
-                    && state.timed_out.is_none()
-                    && state.flow_error.is_none()
-                    && mismatches.is_empty();
+            .zip(golden_of)
+            .map(|(lane, golden)| {
+                let live = lane.live();
+                let mismatches = match golden {
+                    Some(golden) if live => compare_mems(&goldens[golden].mems, &lane.mems),
+                    _ => Vec::new(),
+                };
+                let (timed_out, flow_error) = match lane.error {
+                    Some(e @ FlowError::Timeout { .. }) => (Some(e.to_string()), None),
+                    error => (None, error.map(|e| e.to_string())),
+                };
                 LaneReport {
-                    passed,
-                    failure: state.failure,
-                    timed_out: state.timed_out,
-                    flow_error: state.flow_error,
+                    passed: live && mismatches.is_empty(),
+                    failure: lane.failure,
+                    timed_out,
+                    flow_error,
                     mismatches,
-                    sim_mems: state.sim_mems,
-                    cycles: state.cycles,
+                    sim_mems: lane.mems,
+                    cycles: lane.cycles,
                 }
             })
             .collect();
         Ok(BatchRunReport {
             lanes: reports,
-            sim_wall_seconds,
+            sim_wall_seconds: runs.iter().map(|(_, run)| run.summary.wall_seconds).sum(),
         })
     }
 }
@@ -1533,321 +1154,436 @@ pub fn prepare_golden(
     stimuli: &[(String, Stimulus)],
     options: &FlowOptions,
 ) -> Result<PreparedGolden, FlowError> {
-    let initial = initial_images(design, stimuli)?;
-    let golden = run_golden(design, initial.clone(), options, &mut Recorder::new())?;
-    Ok(PreparedGolden {
-        initial,
-        stats: golden.stats,
-        mems: golden.mems,
-    })
+    run_golden(
+        design,
+        initial_images(design, stimuli)?,
+        options,
+        &mut Recorder::new(),
+    )
 }
 
-/// The simulation + comparison stages, shared by [`run_design_recorded`]
-/// (which prepares parts inline) and [`PreparedDesign::run_recorded`]
-/// (which reuses cached parts).
+/// The simulation + comparison stages for one stimulus set, shared by
+/// [`run_design_recorded`] (which prepares parts inline) and
+/// [`PreparedDesign`]'s runs (which reuse cached parts): one lane through
+/// [`walk`], then the compare against the golden memories.
 fn simulate_prepared(
     design: &Design,
     parts: &PreparedParts,
-    initial: BTreeMap<String, MemImage>,
-    golden: GoldenRun,
+    golden: PreparedGolden,
     options: &FlowOptions,
     recorder: &mut Recorder,
 ) -> Result<TestReport, FlowError> {
-    // Simulation in RTG order, SRAM contents carried across
-    // reconfigurations.
+    let ctx = WalkContext {
+        design,
+        parts,
+        options,
+    };
+    let mut lanes = [Lane::new(&options.faults, golden.initial)];
+    let events = &options.events;
+    let runs = match options.engine {
+        Engine::Event => walk::<EventConfig>(&ctx, &mut lanes, events, recorder)?,
+        Engine::Cycle => walk::<CycleSim>(&ctx, &mut lanes, events, recorder)?,
+        Engine::Level => walk::<LevelSim>(&ctx, &mut lanes, events, recorder)?,
+        Engine::Batch => walk::<BatchSim>(&ctx, &mut lanes, events, recorder)?,
+    };
+    let [lane] = lanes;
+    if let Some(e) = lane.error {
+        return Err(e);
+    }
     let mut config_metrics = parts.config_metrics.clone();
-    let mut sim_mems = initial;
-    let mut runs = Vec::new();
-    let mut failure = None;
+    for (config, run) in &runs {
+        let metrics = &mut config_metrics[*config];
+        metrics.cycles = run.cycles;
+        metrics.events = run.summary.events;
+        metrics.sim_seconds = run.summary.wall_seconds;
+    }
 
-    // Fault bookkeeping: every requested fault must either be injected
-    // somewhere or be reported as a skip — never silently dropped. SRAM
-    // corruption edits the initial images once, before the first
-    // configuration preloads them (the flipped word must not re-flip at
-    // later reconfigurations).
-    let mut fault_applied = vec![false; options.faults.len()];
-    // Every engine now expresses every fault class; the skip channel
-    // stays for future inexpressible classes and for report parity.
-    let fault_skips: Vec<String> = Vec::new();
-    for (i, fault) in options.faults.iter().enumerate() {
-        if let FaultSpec::SramCorrupt { mem, addr, bit } = fault {
-            if let Some(image) = sim_mems.get_mut(mem) {
-                if *addr >= image.len() || *bit >= design.width {
-                    return Err(FlowError::Fault(format!(
-                        "{fault}: address or bit out of range for '{mem}' ({} words of width {})",
-                        image.len(),
-                        design.width
-                    )));
-                }
-                image[*addr] = Some(image[*addr].unwrap_or(0) ^ (1i64 << bit));
-                fault_applied[i] = true;
-            }
+    // Comparison of data content.
+    let compare_span = recorder.start("flow.compare");
+    let compare_event = span_event_start(events, "flow.compare");
+    let mismatches = match lane.failure {
+        None => compare_mems(&golden.mems, &lane.mems),
+        Some(_) => Vec::new(),
+    };
+    recorder.attr(compare_span, "mismatches", mismatches.len());
+    recorder.end(compare_span);
+    span_event_end(events, "flow.compare", compare_event);
+
+    let artifacts = if options.keep_artifacts {
+        Some(render_artifacts(parts)?)
+    } else {
+        None
+    };
+    Ok(TestReport {
+        design: design.name.clone(),
+        passed: lane.failure.is_none() && mismatches.is_empty(),
+        failure: lane.failure,
+        mismatches,
+        golden: golden.stats,
+        runs: runs.into_iter().map(|(_, run)| run).collect(),
+        metrics: DesignMetrics {
+            design: design.name.clone(),
+            lo_java: design.source_lines,
+            configs: config_metrics,
+            golden_seconds: golden.seconds,
+        },
+        artifacts,
+        sim_mems: lane.mems,
+        golden_mems: golden.mems,
+        // Every engine expresses every fault class; the skip channel
+        // stays for future inexpressible classes and for report parity.
+        fault_skips: Vec::new(),
+    })
+}
+
+/// Word-level disagreements between golden and simulated memories.
+fn compare_mems(
+    golden: &BTreeMap<String, MemImage>,
+    sim: &BTreeMap<String, MemImage>,
+) -> Vec<Mismatch> {
+    golden
+        .iter()
+        .flat_map(|(name, image)| diff_images(name, image, &sim[name]))
+        .collect()
+}
+
+/// What every step of a [`walk`] reads.
+struct WalkContext<'a> {
+    design: &'a Design,
+    parts: &'a PreparedParts,
+    options: &'a FlowOptions,
+}
+
+/// One lane's state across a [`walk`]: its faults, the SRAM contents it
+/// carries between configurations, and what stopped it.
+#[derive(Default)]
+struct Lane<'a> {
+    faults: &'a [FaultSpec],
+    /// Which of `faults` landed somewhere so far.
+    applied: Vec<bool>,
+    mems: BTreeMap<String, MemImage>,
+    /// Cycles executed, summed across configurations.
+    cycles: u64,
+    /// A design failure, as [`TestReport::failure`] renders it.
+    failure: Option<String>,
+    /// A lane-scoped flow error: bad stimulus or fault, golden failure,
+    /// or the tick watchdog.
+    error: Option<FlowError>,
+}
+
+impl<'a> Lane<'a> {
+    fn new(faults: &'a [FaultSpec], mems: BTreeMap<String, MemImage>) -> Self {
+        Lane {
+            faults,
+            applied: vec![false; faults.len()],
+            mems,
+            ..Lane::default()
         }
     }
+
+    /// Whether the lane is still simulating.
+    fn live(&self) -> bool {
+        self.failure.is_none() && self.error.is_none()
+    }
+}
+
+/// Each live lane's cycles and outcome from one configuration, indexed by
+/// lane (`None` for lanes that did not run).
+type LaneRuns = Vec<Option<(u64, RunOutcome)>>;
+
+/// A simulation engine as [`walk`] drives it through the RTG: build a
+/// configuration, preload and snapshot a lane's SRAMs, inject a fault
+/// into a lane, run the live lanes, and describe the finished
+/// configuration. A lane is one independent stimulus and fault set; the
+/// event, cycle and level engines simulate one, the batch engine up to
+/// [`LANES`] in one schedule walk. Span attributes go to the span the
+/// walk has open.
+trait LaneEngine: Sized {
+    /// Builds configuration `config` with the run's observers (VCD trace,
+    /// probes) attached.
+    fn build(ctx: &WalkContext, config: usize, recorder: &mut Recorder) -> Result<Self, FlowError>;
+
+    /// Preloads the defined words of `image` into `lane`'s SRAM `mem`.
+    fn load(&mut self, lane: usize, mem: &str, image: &[Option<i64>]);
+
+    /// `lane`'s contents of SRAM `mem`.
+    fn snapshot(&self, lane: usize, mem: &str) -> MemImage;
+
+    /// Injects the `index`th fault of `lane`'s list; `Ok(false)` when the
+    /// configuration has no such signal. SRAM corruption never lands
+    /// here: [`walk`] edits the initial images instead.
+    fn inject(&mut self, lane: usize, index: usize, fault: &FaultSpec) -> Result<bool, FlowError>;
+
+    /// Runs the lanes in the `live` mask under the tick watchdog. Returns
+    /// each live lane's result and the configuration's report entry
+    /// `name`, which describes the lowest live lane.
+    fn simulate(
+        &mut self,
+        ctx: &WalkContext,
+        live: u64,
+        name: &str,
+        recorder: &mut Recorder,
+    ) -> Result<(LaneRuns, ConfigRun), FlowError>;
+}
+
+/// Simulates every configuration in RTG order on engine `E`, all live
+/// lanes together, carrying each lane's SRAM contents across
+/// reconfigurations. Lane-scoped problems stop only that lane and land in
+/// its [`Lane`]; design-scoped ones (RTG, netlist, kernel and probe
+/// errors) abort the walk. Returns each executed configuration's index
+/// and report entry.
+fn walk<E: LaneEngine>(
+    ctx: &WalkContext,
+    lanes: &mut [Lane],
+    events: &EventSink,
+    recorder: &mut Recorder,
+) -> Result<Vec<(usize, ConfigRun)>, FlowError> {
+    let design = ctx.design;
+    // SRAM corruption edits the initial images once, before the first
+    // configuration preloads them (the flipped word must not re-flip at
+    // later reconfigurations).
+    for lane in lanes.iter_mut().filter(|lane| lane.live()) {
+        for (i, fault) in lane.faults.iter().enumerate() {
+            let FaultSpec::SramCorrupt { mem, addr, bit } = fault else {
+                continue;
+            };
+            let Some(image) = lane.mems.get_mut(mem) else {
+                continue;
+            };
+            if *addr >= image.len() || *bit >= design.width {
+                lane.error = Some(FlowError::Fault(format!(
+                    "{fault}: address or bit out of range for '{mem}' ({} words of width {})",
+                    image.len(),
+                    design.width
+                )));
+                break;
+            }
+            image[*addr] = Some(image[*addr].unwrap_or(0) ^ (1i64 << bit));
+            lane.applied[i] = true;
+        }
+    }
+
     let order = design
         .rtg
         .execution_order()
         .map_err(|e| FlowError::Rtg(e.to_string()))?;
+    let mut runs = Vec::new();
     for node in order {
+        if !lanes.iter().any(Lane::live) {
+            break;
+        }
         let config = design
             .configs
             .iter()
             .position(|c| c.datapath.name == node.datapath)
             .ok_or_else(|| FlowError::Rtg(format!("unknown datapath '{}'", node.datapath)))?;
-        let (config_name, dp_doc, fsm_doc) = &parts.docs[config];
+        let name = &ctx.parts.docs[config].0;
+        let netlist = &ctx.parts.netlists[config];
 
-        if options.engine != Engine::Event {
-            // Compiled (cycle/level) path: interpret the same .hds netlist
-            // and FSM table against the flat model instead of elaborating
-            // event-kernel components.
-            let elaborate_span = recorder.start("flow.elaborate");
-            let elaborate_event = span_event_start(&options.events, "flow.elaborate");
-            recorder.attr(elaborate_span, "config", config_name.as_str());
-            recorder.attr(elaborate_span, "engine", options.engine.to_string());
-            let netlist = &parts.netlists[config];
-            let mut csim = CompiledSim::build(options.engine, netlist)
-                .map_err(|e| FlowError::Elaborate(ElaborateConfigError::Netlist(e.to_string())))?;
-            let fsm = &parts.fsm_tables[config];
-            let conds: Vec<&str> = fsm.conditions.iter().map(String::as_str).collect();
-            let outs: Vec<(&str, u32)> =
-                fsm.outputs.iter().map(|(n, w)| (n.as_str(), *w)).collect();
-            csim.add_control_unit(&fsm.name, &conds, &outs, fsm.table.clone())
-                .map_err(|e| FlowError::Elaborate(ElaborateConfigError::Netlist(e.to_string())))?;
+        let span = recorder.start("flow.elaborate");
+        let event = span_event_start(events, "flow.elaborate");
+        recorder.attr(span, "config", name.as_str());
+        let mut engine = E::build(ctx, config, recorder)?;
+        recorder.end(span);
+        span_event_end(events, "flow.elaborate", event);
 
-            // Inject the signal faults this configuration can host (a
-            // signal may exist in several configurations; the fault lands
-            // in all of them, like a real manufacturing defect would).
-            for (i, fault) in options.faults.iter().enumerate() {
-                let injected = match fault {
-                    FaultSpec::StuckAt { signal, bit, value } => csim
-                        .inject_stuck(signal, *bit, *value)
-                        .map_err(|e| FlowError::Fault(format!("{fault}: {e}")))?,
-                    FaultSpec::BitFlip { signal, bit, cycle }
-                    | FaultSpec::SeuReg { signal, bit, cycle } => csim
-                        .inject_flip(signal, *bit, *cycle)
-                        .map_err(|e| FlowError::Fault(format!("{fault}: {e}")))?,
-                    FaultSpec::SramCorrupt { .. } => continue, // image edit above
-                };
-                if injected {
-                    fault_applied[i] = true;
+        // Preload SRAM contents. A size disagreement between the design's
+        // memory map and the netlist is itself a compiler bug worth
+        // reporting as a failing verdict. (Building the engine validated
+        // every size parameter.)
+        let srams: Vec<(&str, usize)> = netlist
+            .instances()
+            .iter()
+            .filter(|i| i.kind == "sram")
+            .map(|i| {
+                (
+                    i.name.as_str(),
+                    i.param("size").and_then(|s| s.parse().ok()).unwrap_or(0),
+                )
+            })
+            .collect();
+        for &(mem, size) in &srams {
+            for (l, lane) in lanes.iter_mut().enumerate().filter(|(_, lane)| lane.live()) {
+                match lane.mems.get(mem) {
+                    None => {
+                        let missing = format!("memory '{mem}' missing from design");
+                        lane.error = Some(FlowError::Stimulus(missing));
+                    }
+                    Some(image) if image.len() != size => {
+                        lane.failure = Some(format!(
+                            "configuration '{name}': memory '{mem}' has {size} words in the netlist but {} in the design",
+                            image.len()
+                        ));
+                    }
+                    Some(image) => engine.load(l, mem, image),
                 }
             }
-            if options.profile {
-                csim.enable_profile();
-            }
-            recorder.end(elaborate_span);
-            span_event_end(&options.events, "flow.elaborate", elaborate_event);
-
-            // Preload SRAM contents (same contract as the event path).
-            let mem_list: Vec<String> = netlist
-                .instances()
-                .iter()
-                .filter(|i| i.kind == "sram")
-                .map(|i| i.name.clone())
-                .collect();
-            for mem_name in &mem_list {
-                let size = csim.mem_size(mem_name).expect("sram instances have handles");
-                let image = sim_mems.get(mem_name).ok_or_else(|| {
-                    FlowError::Stimulus(format!("memory '{mem_name}' missing from design"))
-                })?;
-                if image.len() != size {
-                    failure = Some(format!(
-                        "configuration '{config_name}': memory '{mem_name}' has {size} words in the netlist but {} in the design",
-                        image.len()
-                    ));
-                    break;
-                }
-                csim.load_mem(mem_name, image);
-            }
-            if failure.is_some() {
-                break;
-            }
-
-            let simulate_span = recorder.start(format!("flow.simulate.{config_name}"));
-            let simulate_event =
-                span_event_start(&options.events, &format!("flow.simulate.{config_name}"));
-            let max_cycles = options.max_ticks / COMPILED_CLOCK_PERIOD;
-            let started = Instant::now();
-            let result = csim.run(max_cycles);
-            let wall_seconds = started.elapsed().as_secs_f64();
-            let (outcome, cycles, comb_evals) = match result {
-                Ok(CycleSummary {
-                    outcome: CycleOutcome::CycleLimit,
-                    ..
-                }) => {
-                    return Err(FlowError::Timeout {
-                        config: config_name.clone(),
-                        max_ticks: options.max_ticks,
-                    });
-                }
-                Ok(summary) => {
-                    let outcome = match &summary.outcome {
-                        CycleOutcome::Done => RunOutcome::Stopped("control unit done".into()),
-                        CycleOutcome::Watchpoint(name) => {
-                            RunOutcome::Stopped(format!("watchpoint '{name}'"))
-                        }
-                        CycleOutcome::CycleLimit => unreachable!("matched above"),
-                    };
-                    (outcome, summary.cycles, summary.comb_evals)
-                }
-                Err(e @ (CycleSimError::Failed(_) | CycleSimError::NoFixpoint { .. })) => {
-                    failure = Some(format!("configuration '{config_name}': {e}"));
-                    (
-                        RunOutcome::Failed(e.to_string()),
-                        csim.cycles(),
-                        csim.comb_evals(),
-                    )
-                }
-                // Build/CombinationalCycle cannot occur after construction.
-                Err(e) => {
-                    return Err(FlowError::Elaborate(ElaborateConfigError::Netlist(
-                        e.to_string(),
-                    )));
-                }
-            };
-            recorder.attr(simulate_span, "cycles", cycles);
-            recorder.attr(simulate_span, "comb_evals", comb_evals);
-            recorder.end(simulate_span);
-            span_event_end(
-                &options.events,
-                &format!("flow.simulate.{config_name}"),
-                simulate_event,
-            );
-
-            config_metrics[config].cycles = cycles;
-            config_metrics[config].sim_seconds = wall_seconds;
-            runs.push(ConfigRun {
-                name: config_name.clone(),
-                summary: eventsim::RunSummary {
-                    outcome,
-                    end_time: SimTime(cycles * COMPILED_CLOCK_PERIOD),
-                    events: 0,
-                    updates: 0,
-                    evals: comb_evals,
-                    delta_cycles: 0,
-                    max_queue_depth: 0,
-                    wall_seconds,
-                },
-                kernel: KernelStats {
-                    evals: comb_evals,
-                    ..KernelStats::default()
-                },
-                hot_components: Vec::new(),
-                cycles,
-                vcd: None,
-                probes: BTreeMap::new(),
-                coverage: None,
-                profile: options.profile.then(|| csim.profile()),
-            });
-            if failure.is_some() {
-                break;
-            }
-            for mem_name in &mem_list {
-                let snapshot = csim
-                    .snapshot_mem(mem_name)
-                    .expect("sram instances have handles");
-                sim_mems.insert(mem_name.clone(), snapshot);
-            }
-            continue;
         }
 
-        let elaborate_span = recorder.start("flow.elaborate");
-        let elaborate_event = span_event_start(&options.events, "flow.elaborate");
-        recorder.attr(elaborate_span, "config", config_name.as_str());
-        let mut cs = if options.coverage {
+        // A signal may exist in several configurations; the fault lands
+        // in all of them, like a real manufacturing defect would.
+        for (l, lane) in lanes.iter_mut().enumerate().filter(|(_, lane)| lane.live()) {
+            for (i, fault) in lane.faults.iter().enumerate() {
+                match engine.inject(l, i, fault) {
+                    Ok(injected) => lane.applied[i] |= injected,
+                    Err(e) => {
+                        lane.error = Some(e);
+                        break;
+                    }
+                }
+            }
+        }
+        let live = (0..lanes.len())
+            .filter(|&l| lanes[l].live())
+            .fold(0u64, |mask, l| mask | 1 << l);
+        if live == 0 {
+            break;
+        }
+
+        let span_name = format!("flow.simulate.{name}");
+        let span = recorder.start(span_name.as_str());
+        let event = span_event_start(events, &span_name);
+        let (results, run) = engine.simulate(ctx, live, name, recorder)?;
+        recorder.end(span);
+        span_event_end(events, &span_name, event);
+        for (l, (lane, result)) in lanes.iter_mut().zip(results).enumerate() {
+            let Some((cycles, outcome)) = result else {
+                continue;
+            };
+            lane.cycles += cycles;
+            match outcome {
+                // Write back memory contents for the next configuration.
+                RunOutcome::Stopped(_) => {
+                    for &(mem, _) in &srams {
+                        lane.mems.insert(mem.to_string(), engine.snapshot(l, mem));
+                    }
+                }
+                RunOutcome::Failed(message) => {
+                    lane.failure = Some(format!("configuration '{name}': {message}"));
+                }
+                RunOutcome::QueueEmpty => {
+                    lane.failure = Some(format!(
+                        "configuration '{name}': simulation went quiet before done"
+                    ));
+                }
+                RunOutcome::TimeLimit => {
+                    lane.error = Some(FlowError::Timeout {
+                        config: name.clone(),
+                        max_ticks: ctx.options.max_ticks,
+                    });
+                }
+            }
+        }
+        runs.push((config, run));
+    }
+
+    // A fault that matched nothing anywhere is a campaign bug, not a
+    // verdict — but only when every configuration actually ran (an early
+    // failure may have skipped the configuration hosting the target).
+    for lane in lanes.iter_mut().filter(|lane| lane.live()) {
+        if let Some(i) = lane.applied.iter().position(|applied| !applied) {
+            lane.error = Some(FlowError::Fault(format!(
+                "'{}' matched no signal or memory in any executed configuration",
+                lane.faults[i]
+            )));
+        }
+    }
+    Ok(runs)
+}
+
+/// The event kernel's built configuration: the elaborated simulator and
+/// the probes attached to it.
+struct EventConfig {
+    config: usize,
+    cs: crate::elaborate::ConfigSim,
+    probes: Vec<(String, eventsim::probe::ProbeHandle)>,
+}
+
+impl LaneEngine for EventConfig {
+    fn build(ctx: &WalkContext, config: usize, recorder: &mut Recorder) -> Result<Self, FlowError> {
+        let (name, dp_doc, fsm_doc) = &ctx.parts.docs[config];
+        let mut cs = if ctx.options.coverage {
             elaborate_config_instrumented(dp_doc, fsm_doc, true)?
         } else {
             elaborate_config(dp_doc, fsm_doc)?
         };
-        recorder.attr(elaborate_span, "signals", cs.sim.signal_count());
-        recorder.attr(elaborate_span, "components", cs.sim.component_count());
-        recorder.end(elaborate_span);
-        span_event_end(&options.events, "flow.elaborate", elaborate_event);
-
-        // Preload SRAM contents. A size disagreement between the design's
-        // memory map and the elaborated netlist is itself a compiler bug
-        // worth reporting as a failing verdict.
-        for (mem_name, handle) in &cs.mems {
-            let image = sim_mems
-                .get(mem_name)
-                .ok_or_else(|| FlowError::Stimulus(format!("memory '{mem_name}' missing from design")))?;
-            if image.len() != handle.size() {
-                failure = Some(format!(
-                    "configuration '{config_name}': memory '{mem_name}' has {} words in the netlist but {} in the design",
-                    handle.size(),
-                    image.len()
-                ));
-                break;
-            }
-            for (addr, word) in image.iter().enumerate() {
-                if let Some(v) = word {
-                    handle.store(addr, *v);
-                }
-            }
-        }
-        if failure.is_some() {
-            break;
-        }
-
-        if options.trace {
+        recorder.attr_open("signals", cs.sim.signal_count());
+        recorder.attr_open("components", cs.sim.component_count());
+        if ctx.options.trace {
             cs.sim.trace_signal(cs.clk);
             cs.sim.trace_signal(cs.done);
         }
-
-        // Attach the requested probes.
-        let mut probe_handles = Vec::new();
-        for name in &options.probes {
-            let signal = cs.sim.find_signal(name).ok_or_else(|| FlowError::Probe {
-                config: config_name.clone(),
-                signal: name.clone(),
+        let mut probes = Vec::new();
+        for probe in &ctx.options.probes {
+            let signal = cs.sim.find_signal(probe).ok_or_else(|| FlowError::Probe {
+                config: name.clone(),
+                signal: probe.clone(),
             })?;
             let handle = eventsim::probe::ProbeHandle::new();
             cs.sim.add_component(eventsim::probe::Probe::new(
-                format!("probe_{name}"),
+                format!("probe_{probe}"),
                 signal,
                 handle.clone(),
             ));
-            probe_handles.push((name.clone(), handle));
+            probes.push((probe.clone(), handle));
         }
+        Ok(EventConfig { config, cs, probes })
+    }
 
-        // Inject signal faults as ordinary kernel components; with no
-        // faults requested nothing is added and the event schedule (and
-        // every kernel counter) is bit-identical to a clean run.
-        for (i, fault) in options.faults.iter().enumerate() {
-            match fault {
-                FaultSpec::StuckAt { signal, bit, value } => {
-                    if let Some(id) = cs.sim.find_signal(signal) {
-                        check_fault_bit(fault, *bit, cs.sim.signal_width(id))?;
-                        cs.sim.add_component(eventsim::faults::StuckAtClamp::new(
-                            format!("fault{i}"),
-                            id,
-                            *bit,
-                            *value,
-                        ));
-                        fault_applied[i] = true;
-                    }
-                }
-                FaultSpec::BitFlip { signal, bit, cycle }
-                | FaultSpec::SeuReg { signal, bit, cycle } => {
-                    if let Some(id) = cs.sim.find_signal(signal) {
-                        check_fault_bit(fault, *bit, cs.sim.signal_width(id))?;
-                        // Rising edges land at clock_period/2 + N*period;
-                        // the flip fires one tick earlier so edge-sampled
-                        // logic observes the upset value.
-                        let edge = cs.clock_period / 2 + cycle * cs.clock_period;
-                        cs.sim.add_component(eventsim::faults::TransientFlip::new(
-                            format!("fault{i}"),
-                            id,
-                            *bit,
-                            edge.saturating_sub(1),
-                        ));
-                        fault_applied[i] = true;
-                    }
-                }
-                FaultSpec::SramCorrupt { .. } => {} // image edit above
+    fn load(&mut self, _lane: usize, mem: &str, image: &[Option<i64>]) {
+        store_image(&self.cs.mems[mem], image);
+    }
+
+    fn snapshot(&self, _lane: usize, mem: &str) -> MemImage {
+        self.cs.mems[mem].snapshot()
+    }
+
+    /// Faults are ordinary kernel components; with none requested nothing
+    /// is added and the event schedule (and every kernel counter) is
+    /// bit-identical to a clean run.
+    fn inject(&mut self, _lane: usize, index: usize, fault: &FaultSpec) -> Result<bool, FlowError> {
+        let (signal, bit) = match fault {
+            FaultSpec::StuckAt { signal, bit, .. }
+            | FaultSpec::BitFlip { signal, bit, .. }
+            | FaultSpec::SeuReg { signal, bit, .. } => (signal, *bit),
+            FaultSpec::SramCorrupt { .. } => return Ok(false),
+        };
+        let sim = &mut self.cs.sim;
+        let Some(id) = sim.find_signal(signal) else {
+            return Ok(false);
+        };
+        let width = sim.signal_width(id);
+        if bit >= width {
+            let message = format!("{fault}: bit {bit} out of range for width {width}");
+            return Err(FlowError::Fault(message));
+        }
+        let name = format!("fault{index}");
+        match *fault {
+            FaultSpec::StuckAt { value, .. } => {
+                sim.add_component(eventsim::faults::StuckAtClamp::new(name, id, bit, value));
             }
+            FaultSpec::BitFlip { cycle, .. } | FaultSpec::SeuReg { cycle, .. } => {
+                // Rising edges land at clock_period/2 + N*period; the flip
+                // fires one tick earlier so edge-sampled logic observes
+                // the upset value.
+                let period = self.cs.clock_period;
+                let at = (period / 2 + cycle * period).saturating_sub(1);
+                sim.add_component(eventsim::faults::TransientFlip::new(name, id, bit, at));
+            }
+            FaultSpec::SramCorrupt { .. } => {}
         }
+        Ok(true)
+    }
 
+    fn simulate(
+        &mut self,
+        ctx: &WalkContext,
+        _live: u64,
+        name: &str,
+        recorder: &mut Recorder,
+    ) -> Result<(LaneRuns, ConfigRun), FlowError> {
+        let options = ctx.options;
+        let cs = &mut self.cs;
         // The profiler hook is only installed on request; without it the
         // kernel's timing branch stays a single cached bool per run.
         let eval_profile = options.profile.then(|| {
@@ -1855,63 +1591,14 @@ fn simulate_prepared(
             cs.sim.set_hook(Box::new(timer));
             handle
         });
-
-        let simulate_span = recorder.start(format!("flow.simulate.{config_name}"));
-        let simulate_event =
-            span_event_start(&options.events, &format!("flow.simulate.{config_name}"));
         let summary = cs.sim.run(SimTime(options.max_ticks))?;
-        recorder.attr(simulate_span, "events", summary.events);
-        recorder.attr(simulate_span, "delta_cycles", summary.delta_cycles);
-        recorder.attr(simulate_span, "end_time", summary.end_time.ticks());
-        recorder.end(simulate_span);
-        span_event_end(
-            &options.events,
-            &format!("flow.simulate.{config_name}"),
-            simulate_event,
-        );
-        match &summary.outcome {
-            RunOutcome::Stopped(_) => {}
-            RunOutcome::Failed(message) => {
-                failure = Some(format!("configuration '{config_name}': {message}"));
-            }
-            RunOutcome::TimeLimit => {
-                return Err(FlowError::Timeout {
-                    config: config_name.clone(),
-                    max_ticks: options.max_ticks,
-                });
-            }
-            RunOutcome::QueueEmpty => {
-                failure = Some(format!(
-                    "configuration '{config_name}': simulation went quiet before done"
-                ));
-            }
-        }
+        recorder.attr_open("events", summary.events);
+        recorder.attr_open("delta_cycles", summary.delta_cycles);
+        recorder.attr_open("end_time", summary.end_time.ticks());
 
+        let sim = &cs.sim;
         let cycles = summary.end_time.ticks() / cs.clock_period;
-        config_metrics[config].cycles = cycles;
-        config_metrics[config].events = summary.events;
-        config_metrics[config].sim_seconds = summary.wall_seconds;
-        let kernel = cs.sim.stats();
-        let hot_components = cs
-            .sim
-            .hot_components(HOT_COMPONENT_LIMIT)
-            .into_iter()
-            .map(|(id, count)| (cs.sim.component_name(id).to_string(), count))
-            .collect();
-        let vcd = options
-            .trace
-            .then(|| eventsim::vcd::render(&cs.sim, config_name));
-        let probes = probe_handles
-            .into_iter()
-            .map(|(name, handle)| {
-                let history = handle
-                    .history()
-                    .into_iter()
-                    .map(|(time, value)| (time.ticks(), value.try_i64()))
-                    .collect();
-                (name, history)
-            })
-            .collect();
+        let kind_of = || fu_kinds(&ctx.design.configs[self.config].datapath);
         let coverage = cs.fsm_coverage.as_ref().map(|handle| {
             let fsm_cov = handle.snapshot();
             let visited_states = cs
@@ -1924,17 +1611,11 @@ fn simulate_prepared(
             // Sum kernel activations per functional-unit kind; kinds
             // instantiated but never reacted stay at 0 so callers can see
             // unexercised hardware.
-            let kind_of: BTreeMap<&str, &str> = design.configs[config]
-                .datapath
-                .cells
-                .iter()
-                .filter(|c| FU_KINDS.contains(&c.kind.as_str()))
-                .map(|c| (c.name.as_str(), c.kind.as_str()))
-                .collect();
+            let kind_of = kind_of();
             let mut operator_activations: BTreeMap<String, u64> =
                 kind_of.values().map(|kind| (kind.to_string(), 0)).collect();
-            for (id, count) in cs.sim.hot_components(usize::MAX) {
-                if let Some(kind) = kind_of.get(cs.sim.component_name(id)) {
+            for (id, count) in sim.hot_components(usize::MAX) {
+                if let Some(kind) = kind_of.get(sim.component_name(id)) {
                     *operator_activations.entry(kind.to_string()).or_insert(0) += count;
                 }
             }
@@ -1950,13 +1631,7 @@ fn simulate_prepared(
         // functional units report under their datapath kind, everything
         // else under its name with trailing instance digits stripped.
         let profile = eval_profile.map(|handle| {
-            let kind_of: BTreeMap<&str, &str> = design.configs[config]
-                .datapath
-                .cells
-                .iter()
-                .filter(|c| FU_KINDS.contains(&c.kind.as_str()))
-                .map(|c| (c.name.as_str(), c.kind.as_str()))
-                .collect();
+            let kind_of = kind_of();
             let timings = handle
                 .lock()
                 .unwrap_or_else(|poisoned| poisoned.into_inner());
@@ -1965,7 +1640,7 @@ fn simulate_prepared(
                 if *evals == 0 {
                     continue;
                 }
-                let name = cs.sim.component_name(eventsim::ComponentId::from_index(index));
+                let name = sim.component_name(eventsim::ComponentId::from_index(index));
                 let class = kind_of
                     .get(name)
                     .copied()
@@ -1984,79 +1659,313 @@ fn simulate_prepared(
                 ..ConfigProfile::default()
             }
         });
-        runs.push(ConfigRun {
-            name: config_name.clone(),
+        let probes = std::mem::take(&mut self.probes)
+            .into_iter()
+            .map(|(name, handle)| {
+                let history = handle
+                    .history()
+                    .into_iter()
+                    .map(|(time, value)| (time.ticks(), value.try_i64()))
+                    .collect();
+                (name, history)
+            })
+            .collect();
+        let results = vec![Some((cycles, summary.outcome.clone()))];
+        let run = ConfigRun {
+            name: name.to_string(),
             summary,
-            kernel,
-            hot_components,
+            kernel: sim.stats(),
+            hot_components: sim
+                .hot_components(HOT_COMPONENT_LIMIT)
+                .into_iter()
+                .map(|(id, count)| (sim.component_name(id).to_string(), count))
+                .collect(),
             cycles,
-            vcd,
+            vcd: options.trace.then(|| eventsim::vcd::render(sim, name)),
             probes,
             coverage,
             profile,
-        });
+        };
+        Ok((results, run))
+    }
+}
 
-        if failure.is_some() {
-            break;
-        }
+/// Functional-unit cells of a datapath, name → kind.
+fn fu_kinds(datapath: &nenya::datapath::Datapath) -> BTreeMap<&str, &str> {
+    datapath
+        .cells
+        .iter()
+        .filter(|c| FU_KINDS.contains(&c.kind.as_str()))
+        .map(|c| (c.name.as_str(), c.kind.as_str()))
+        .collect()
+}
 
-        // Write back memory contents for the next configuration.
-        for (mem_name, handle) in &cs.mems {
-            sim_mems.insert(mem_name.clone(), handle.snapshot());
+/// Stores the defined words of `image` through a memory handle.
+fn store_image(handle: &MemHandle, image: &[Option<i64>]) {
+    for (addr, word) in image.iter().enumerate() {
+        if let Some(v) = word {
+            handle.store(addr, *v);
         }
     }
+}
 
-    // A fault that matched nothing anywhere is a campaign bug, not a
-    // verdict — but only when every configuration actually ran (an early
-    // failure may have skipped the configuration hosting the target).
-    if failure.is_none() {
-        for (i, fault) in options.faults.iter().enumerate() {
-            if !fault_applied[i] {
-                return Err(FlowError::Fault(format!(
-                    "'{fault}' matched no signal or memory in any executed configuration"
-                )));
+/// A netlist the compiled engines reject, as the flow reports it.
+fn netlist_error(e: CycleSimError) -> FlowError {
+    FlowError::Elaborate(ElaborateConfigError::Netlist(e.to_string()))
+}
+
+/// A compiled engine's report entry. These engines keep no event
+/// counters: combinational evaluations stand in for `evals`, and the end
+/// time is the cycle count in kernel ticks.
+fn compiled_run(
+    name: &str,
+    (cycles, outcome): (u64, RunOutcome),
+    comb_evals: u64,
+    wall_seconds: f64,
+    profile: Option<ConfigProfile>,
+) -> ConfigRun {
+    ConfigRun {
+        name: name.to_string(),
+        summary: eventsim::RunSummary {
+            outcome,
+            end_time: SimTime(cycles * COMPILED_CLOCK_PERIOD),
+            events: 0,
+            updates: 0,
+            evals: comb_evals,
+            delta_cycles: 0,
+            max_queue_depth: 0,
+            wall_seconds,
+        },
+        kernel: KernelStats {
+            evals: comb_evals,
+            ..KernelStats::default()
+        },
+        hot_components: Vec::new(),
+        cycles,
+        vcd: None,
+        probes: BTreeMap::new(),
+        coverage: None,
+        profile,
+    }
+}
+
+/// The cycle and level engines share one interface (one lane, memories
+/// behind [`MemHandle`]s), so one body implements the walk for both.
+macro_rules! sequential_engine {
+    ($sim:ty, $engine:literal, $build:path, $profile:path) => {
+        impl LaneEngine for $sim {
+            fn build(
+                ctx: &WalkContext,
+                config: usize,
+                recorder: &mut Recorder,
+            ) -> Result<Self, FlowError> {
+                let mut sim = $build(&ctx.parts.netlists[config]).map_err(netlist_error)?;
+                ctx.parts.fsm_tables[config]
+                    .attach(|n, c, o, t| sim.add_control_unit(n, c, o, t))?;
+                if ctx.options.profile {
+                    sim.enable_profile();
+                }
+                recorder.attr_open("engine", $engine);
+                Ok(sim)
+            }
+
+            fn load(&mut self, _lane: usize, mem: &str, image: &[Option<i64>]) {
+                store_image(self.mem(mem).expect("sram instances have handles"), image);
+            }
+
+            fn snapshot(&self, _lane: usize, mem: &str) -> MemImage {
+                self.mem(mem)
+                    .expect("sram instances have handles")
+                    .snapshot()
+            }
+
+            fn inject(
+                &mut self,
+                _lane: usize,
+                _index: usize,
+                fault: &FaultSpec,
+            ) -> Result<bool, FlowError> {
+                match fault {
+                    FaultSpec::StuckAt { signal, bit, value } => {
+                        self.inject_stuck_at(signal, *bit, *value)
+                    }
+                    FaultSpec::BitFlip { signal, bit, cycle }
+                    | FaultSpec::SeuReg { signal, bit, cycle } => {
+                        self.inject_transient_flip(signal, *bit, *cycle)
+                    }
+                    FaultSpec::SramCorrupt { .. } => Ok(false),
+                }
+                .map_err(|e| FlowError::Fault(format!("{fault}: {e}")))
+            }
+
+            fn simulate(
+                &mut self,
+                ctx: &WalkContext,
+                _live: u64,
+                name: &str,
+                recorder: &mut Recorder,
+            ) -> Result<(LaneRuns, ConfigRun), FlowError> {
+                let started = Instant::now();
+                let result = self.run(ctx.options.max_ticks / COMPILED_CLOCK_PERIOD);
+                let wall_seconds = started.elapsed().as_secs_f64();
+                let outcome = match result {
+                    Ok(summary) => cycle_outcome(summary.outcome),
+                    Err(e @ (CycleSimError::Failed(_) | CycleSimError::NoFixpoint { .. })) => {
+                        RunOutcome::Failed(e.to_string())
+                    }
+                    // Build/CombinationalCycle cannot occur after construction.
+                    Err(e) => return Err(netlist_error(e)),
+                };
+                let result = (self.cycles(), outcome);
+                recorder.attr_open("cycles", result.0);
+                recorder.attr_open("comb_evals", self.comb_evals());
+                let profile = ctx.options.profile.then(|| $profile(self));
+                let run = compiled_run(
+                    name,
+                    result.clone(),
+                    self.comb_evals(),
+                    wall_seconds,
+                    profile,
+                );
+                Ok((vec![Some(result)], run))
             }
         }
-    }
-
-    // Comparison of data content.
-    let compare_span = recorder.start("flow.compare");
-    let compare_event = span_event_start(&options.events, "flow.compare");
-    let mut mismatches = Vec::new();
-    if failure.is_none() {
-        for (name, golden_image) in &golden.mems {
-            let sim_image = &sim_mems[name];
-            mismatches.extend(diff_images(name, golden_image, sim_image));
-        }
-    }
-    recorder.attr(compare_span, "mismatches", mismatches.len());
-    recorder.end(compare_span);
-    span_event_end(&options.events, "flow.compare", compare_event);
-
-    let passed = failure.is_none() && mismatches.is_empty();
-    let artifacts = if options.keep_artifacts {
-        Some(render_artifacts(parts)?)
-    } else {
-        None
     };
-    Ok(TestReport {
-        design: design.name.clone(),
-        passed,
-        failure,
-        mismatches,
-        golden: golden.stats,
-        runs,
-        metrics: DesignMetrics {
-            design: design.name.clone(),
-            lo_java: design.source_lines,
-            configs: config_metrics,
-            golden_seconds: golden.seconds,
-        },
-        artifacts,
-        sim_mems,
-        golden_mems: golden.mems,
-        fault_skips,
-    })
+}
+
+sequential_engine!(CycleSim, "cycle", CycleSim::from_netlist, cycle_profile);
+sequential_engine!(
+    LevelSim,
+    "level",
+    eventsim::netlist::Netlist::compile_levelized,
+    level_profile
+);
+
+/// A compiled engine's termination as the event kernel's [`RunOutcome`].
+fn cycle_outcome(outcome: CycleOutcome) -> RunOutcome {
+    match outcome {
+        CycleOutcome::Done => RunOutcome::Stopped("control unit done".into()),
+        CycleOutcome::Watchpoint(name) => RunOutcome::Stopped(format!("watchpoint '{name}'")),
+        CycleOutcome::CycleLimit => RunOutcome::TimeLimit,
+    }
+}
+
+/// The cycle engine's per-phase profile.
+fn cycle_profile(sim: &CycleSim) -> ConfigProfile {
+    let phases = sim
+        .profile()
+        .map(|p| {
+            vec![
+                PhaseProfile {
+                    phase: "settle".to_string(),
+                    nanos: p.settle_nanos,
+                },
+                PhaseProfile {
+                    phase: "commit".to_string(),
+                    nanos: p.commit_nanos,
+                },
+            ]
+        })
+        .unwrap_or_default();
+    ConfigProfile {
+        phases,
+        ..ConfigProfile::default()
+    }
+}
+
+/// The level engine's per-rank profile.
+fn level_profile(sim: &LevelSim) -> ConfigProfile {
+    let ranks = sim
+        .profile()
+        .map(|p| {
+            p.ranks
+                .iter()
+                .enumerate()
+                .map(|(rank, row)| RankProfile {
+                    rank,
+                    size: p.rank_sizes.get(rank).copied().unwrap_or(0),
+                    evals: row.evals,
+                    changes: row.changes,
+                    nanos: row.nanos,
+                    hit_rate: p.hit_rate(rank),
+                })
+                .collect()
+        })
+        .unwrap_or_default();
+    ConfigProfile {
+        ranks,
+        ..ConfigProfile::default()
+    }
+}
+
+impl LaneEngine for BatchSim {
+    fn build(ctx: &WalkContext, config: usize, recorder: &mut Recorder) -> Result<Self, FlowError> {
+        let mut sim = BatchSim::from_netlist(&ctx.parts.netlists[config]).map_err(netlist_error)?;
+        ctx.parts.fsm_tables[config].attach(|n, c, o, t| sim.add_control_unit(n, c, o, t))?;
+        recorder.attr_open("engine", "batch");
+        Ok(sim)
+    }
+
+    fn load(&mut self, lane: usize, mem: &str, image: &[Option<i64>]) {
+        self.load_mem(mem, lane, image);
+    }
+
+    fn snapshot(&self, lane: usize, mem: &str) -> MemImage {
+        self.snapshot_mem(mem, lane)
+            .expect("sram instances have handles")
+    }
+
+    fn inject(&mut self, lane: usize, _index: usize, fault: &FaultSpec) -> Result<bool, FlowError> {
+        match fault {
+            FaultSpec::StuckAt { signal, bit, value } => {
+                self.inject_stuck_at_lane(signal, *bit, *value, lane)
+            }
+            FaultSpec::BitFlip { signal, bit, cycle }
+            | FaultSpec::SeuReg { signal, bit, cycle } => {
+                self.inject_transient_flip_lane(signal, *bit, *cycle, lane)
+            }
+            FaultSpec::SramCorrupt { .. } => Ok(false),
+        }
+        .map_err(|e| FlowError::Fault(format!("{fault}: {e}")))
+    }
+
+    fn simulate(
+        &mut self,
+        ctx: &WalkContext,
+        live: u64,
+        name: &str,
+        recorder: &mut Recorder,
+    ) -> Result<(LaneRuns, ConfigRun), FlowError> {
+        self.set_active(live);
+        let started = Instant::now();
+        let summary = self.run_batch(ctx.options.max_ticks / COMPILED_CLOCK_PERIOD);
+        let wall_seconds = started.elapsed().as_secs_f64();
+        let results: LaneRuns = summary
+            .lanes
+            .into_iter()
+            .map(|lane| {
+                let lane = lane?;
+                let outcome = match lane.outcome {
+                    LaneOutcome::Done => cycle_outcome(CycleOutcome::Done),
+                    LaneOutcome::Watchpoint(name) => cycle_outcome(CycleOutcome::Watchpoint(name)),
+                    LaneOutcome::CycleLimit => RunOutcome::TimeLimit,
+                    LaneOutcome::Failed(m) => {
+                        RunOutcome::Failed(CycleSimError::Failed(m).to_string())
+                    }
+                };
+                Some((lane.cycles, outcome))
+            })
+            .collect();
+        let first = results.iter().flatten().next().cloned();
+        let first = first.expect("the walk runs a live lane");
+        recorder.attr_open("cycles", first.0);
+        recorder.attr_open("comb_evals", self.comb_evals());
+        // The batch engine has no per-rank or per-phase profile: the
+        // bytecode walk is one undifferentiated loop.
+        let profile = ctx.options.profile.then(ConfigProfile::default);
+        let run = compiled_run(name, first, self.comb_evals(), wall_seconds, profile);
+        Ok((results, run))
+    }
 }
 
 /// Emits a span-start event and returns the matching wall-clock anchor;
@@ -2090,16 +1999,6 @@ fn component_class(name: &str) -> &str {
     } else {
         stripped
     }
-}
-
-/// Rejects fault bit indices outside the target signal's width.
-fn check_fault_bit(fault: &FaultSpec, bit: u32, width: u32) -> Result<(), FlowError> {
-    if bit >= width {
-        return Err(FlowError::Fault(format!(
-            "{fault}: bit {bit} out of range for width {width}"
-        )));
-    }
-    Ok(())
 }
 
 #[cfg(test)]

@@ -107,7 +107,7 @@ use std::time::{Duration, Instant};
 
 use crate::cache::DesignCache;
 use crate::events::{Event, EventSink, EVENTS_SCHEMA};
-use crate::faults::{campaign_json, run_campaign, CampaignOptions, InjectionOutcome};
+use crate::faults::{campaign_json, CampaignOptions, InjectionOutcome, ShardedCampaignOptions};
 use crate::flow::{Engine, FlowError, FlowOptions, TestFlow, TestReport};
 use crate::ledger::{self, LedgerEntry};
 use crate::stimulus::Stimulus;
@@ -185,9 +185,9 @@ pub struct JobSpec {
     pub seed: u64,
     /// Fault campaigns: number of injections.
     pub sites: usize,
-    /// Fault campaigns: worker-shard count (0/1 = the sequential path;
-    /// larger values run the work-stealing sharded runtime with
-    /// bit-identical verdicts).
+    /// Fault campaigns: worker-shard count (0 counts as 1). Verdicts and
+    /// events are bit-identical at any count; the default stays 1
+    /// because the daemon's workers already use the cores.
     pub shards: usize,
     /// Test hook: panic inside the flow (exercises crash isolation).
     pub planted_panic: bool,
@@ -1589,19 +1589,17 @@ fn execute_job(state: &ServerState, spec: &JobSpec, sink: &EventSink) -> (String
                 max_ticks: spec.max_ticks,
                 events: sink.clone(),
             };
-            let result = if spec.shards > 1 {
-                crate::faults::run_campaign_sharded(
-                    &case,
-                    &campaign,
-                    &crate::faults::ShardedCampaignOptions {
-                        shards: spec.shards,
-                        ..Default::default()
-                    },
-                )
-                .map(|outcome| outcome.report)
-            } else {
-                run_campaign(&case, &campaign)
-            };
+            // The job's own shard count: the daemon's workers already use
+            // the cores.
+            let result = crate::faults::run_campaign_sharded(
+                &case,
+                &campaign,
+                &ShardedCampaignOptions {
+                    shards: spec.shards,
+                    ..ShardedCampaignOptions::default()
+                },
+            )
+            .map(|outcome| outcome.report);
             match result {
                 Ok(report) => {
                     let crashed = report.count(InjectionOutcome::Crashed);

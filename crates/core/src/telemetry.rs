@@ -556,6 +556,13 @@ impl Recorder {
         self.spans[id.0].attrs.push((key.into(), value.into()));
     }
 
+    /// Attaches an attribute to the innermost open span, if any.
+    pub fn attr_open(&mut self, key: impl Into<String>, value: impl Into<Json>) {
+        if let Some(&open) = self.stack.last() {
+            self.attr(SpanId(open), key, value);
+        }
+    }
+
     /// Closes a span, recording its duration. Any children still open are
     /// closed with it (a span cannot outlive its parent).
     pub fn end(&mut self, id: SpanId) {

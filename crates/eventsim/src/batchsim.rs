@@ -1005,10 +1005,6 @@ impl BatchSim {
         self.comb_evals
     }
 
-    /// Profiling hook for engine-interface parity: the batch engine has
-    /// no per-rank profile; this is a no-op.
-    pub fn enable_profile(&mut self) {}
-
     /// Marks a lane failed at the current (pre-increment) cycle and
     /// drops it from the running mask. First failure wins, matching the
     /// sequential engine's abort-at-first-error.

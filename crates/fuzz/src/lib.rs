@@ -20,9 +20,8 @@
 //! * [`distill`] greedily minimizes a grown corpus while preserving its
 //!   coverage union;
 //! * [`campaign`] ties it all together into the reproducible loop behind
-//!   the `fpgafuzz` CLI — single-threaded, or sharded across a
-//!   work-stealing worker pool with checkpoint/resume
-//!   ([`campaign::run_campaign_sharded`]).
+//!   the `fpgafuzz` CLI, sharded across a work-stealing worker pool with
+//!   checkpoint/resume ([`campaign::run_campaign_sharded`]).
 //!
 //! Everything is reproducible from a single `u64` seed ([`rng`]): no
 //! wall-clock, no OS randomness, no hash-order iteration anywhere in the

@@ -8,12 +8,11 @@
 //! ```
 //!
 //! Exit codes: 0 = clean, 1 = at least one divergence, 2 = usage or
-//! generator error. Output is deterministic for a fresh run: same seed,
-//! same cases, bit-identical bytes.
+//! generator error. Output is deterministic: same seed, same cases,
+//! bit-identical bytes at any `--shards` count (default: the machine's
+//! available parallelism).
 
-use fpgafuzz::campaign::{
-    run_campaign, run_campaign_sharded, CampaignOptions, ShardedCampaignOptions,
-};
+use fpgafuzz::campaign::{run_campaign_sharded, CampaignOptions, ShardedCampaignOptions};
 use fpgafuzz::distill::{distill, DistillOptions};
 use fpgafuzz::exec::{run_case, CaseOutcome, ExecOptions, Injection};
 use fpgafuzz::gen::{generate_case, Budget};
@@ -70,34 +69,23 @@ fn cmd_run(flags: &Flags) -> Result<ExitCode, String> {
         max_ticks: flags.u64_or("max-ticks", 5_000_000)?,
         events,
     };
-    let sharded = ["shards", "checkpoint", "checkpoint-every", "resume"]
-        .iter()
-        .any(|flag| flags.get(flag).is_some());
-    let started = std::time::Instant::now();
-    let (report, interrupted, shards) = if sharded {
-        let shard = ShardedCampaignOptions {
-            shards: flags.u64_or("shards", 1)? as usize,
-            checkpoint: flags.get("checkpoint").map(PathBuf::from),
-            checkpoint_every: flags.u64_or("checkpoint-every", 0)?,
-            resume: flags.get("resume").map(PathBuf::from),
-            stop: None,
-            sigint: true,
-        };
-        fpgatest::campaign::install_sigint();
-        let outcome = run_campaign_sharded(&opts, &shard).map_err(|e| format!("campaign: {e}"))?;
-        if let Some(note) = &outcome.salvage {
-            eprintln!("fpgafuzz: {note}");
-        }
-        (outcome.report, outcome.interrupted, shard.shards.max(1))
-    } else {
-        (
-            run_campaign(&opts).map_err(|e| format!("corpus I/O: {e}"))?,
-            false,
-            1,
-        )
+    let shard = ShardedCampaignOptions {
+        shards: flags.u64_or("shards", fpgatest::campaign::default_shards() as u64)? as usize,
+        checkpoint: flags.get("checkpoint").map(PathBuf::from),
+        checkpoint_every: flags.u64_or("checkpoint-every", 0)?,
+        resume: flags.get("resume").map(PathBuf::from),
+        stop: None,
+        sigint: true,
     };
+    fpgatest::campaign::install_sigint();
+    let started = std::time::Instant::now();
+    let outcome = run_campaign_sharded(&opts, &shard).map_err(|e| format!("campaign: {e}"))?;
+    if let Some(note) = &outcome.salvage {
+        eprintln!("fpgafuzz: {note}");
+    }
+    let report = outcome.report;
     print!("{}", report.log);
-    if interrupted {
+    if outcome.interrupted {
         eprintln!("fpgafuzz: interrupted; checkpoint holds the completed prefix");
         return Ok(ExitCode::from(130));
     }
@@ -114,7 +102,7 @@ fn cmd_run(flags: &Flags) -> Result<ExitCode, String> {
             passed: opts.cases - report.divergences as u64,
             failed: report.divergences as u64,
             counters: vec![
-                ("shards".to_string(), shards as f64),
+                ("shards".to_string(), shard.shards.max(1) as f64),
                 ("cases_per_sec".to_string(), cases_per_sec),
                 ("new_keys".to_string(), report.new_keys as f64),
             ],

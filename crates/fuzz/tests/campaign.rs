@@ -1,8 +1,10 @@
 //! End-to-end tests of the fuzzing campaign: determinism, the planted
-//! branch-polarity bug being caught and shrunk small, and corpus
-//! persistence.
+//! branch-polarity bug being caught and shrunk small, corpus
+//! persistence, and the checkpoint identity a resume must match.
 
-use fpgafuzz::campaign::{run_campaign, CampaignOptions};
+use fpgafuzz::campaign::{
+    run_campaign_sharded, CampaignOptions, CampaignReport, ShardedCampaignOptions,
+};
 use fpgafuzz::exec::Injection;
 use fpgafuzz::shrink::line_count;
 
@@ -17,11 +19,16 @@ fn quick(seed: u64, cases: u64) -> CampaignOptions {
     }
 }
 
+/// A whole campaign at the default (one) shard.
+fn campaign_report(opts: &CampaignOptions) -> std::io::Result<CampaignReport> {
+    run_campaign_sharded(opts, &ShardedCampaignOptions::default()).map(|outcome| outcome.report)
+}
+
 #[test]
 fn fresh_campaigns_are_bit_identical() {
     let opts = quick(7, 40);
-    let a = run_campaign(&opts).unwrap();
-    let b = run_campaign(&opts).unwrap();
+    let a = campaign_report(&opts).unwrap();
+    let b = campaign_report(&opts).unwrap();
     assert_eq!(a.log, b.log);
     assert_eq!(a.divergences, 0, "clean compiler must not diverge:\n{}", a.log);
     assert_eq!(a.generator_errors, 0, "generator must emit valid cases:\n{}", a.log);
@@ -34,7 +41,7 @@ fn injected_branch_polarity_is_caught_and_shrunk() {
         injection: Some(Injection::BranchPolarity),
         ..quick(42, 20)
     };
-    let report = run_campaign(&opts).unwrap();
+    let report = campaign_report(&opts).unwrap();
     assert!(
         report.divergences > 0,
         "the planted bug must be detected:\n{}",
@@ -103,7 +110,7 @@ fn corpus_accumulates_coverage_across_runs() {
         corpus_dir: Some(dir.clone()),
         ..quick(9, 25)
     };
-    let first = run_campaign(&opts).unwrap();
+    let first = campaign_report(&opts).unwrap();
     assert!(first.new_keys > 0);
     assert!(dir.join("coverage.txt").is_file());
     assert!(
@@ -113,12 +120,58 @@ fn corpus_accumulates_coverage_across_runs() {
     // A second run starts from the saved map. Its generation is biased
     // differently (the missing-operator set shrank), so it may still add
     // the odd key, but coverage only grows and mostly saturates.
-    let second = run_campaign(&opts).unwrap();
+    let second = campaign_report(&opts).unwrap();
     assert!(second.new_keys <= first.new_keys / 2);
     assert!(second.coverage.len() >= first.coverage.len());
     assert_eq!(
         std::fs::read_to_string(dir.join("coverage.txt")).unwrap(),
         second.coverage.render()
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn resume_refuses_a_changed_tick_or_shrink_budget() {
+    // A resumed campaign must match an uninterrupted one, so a checkpoint
+    // taken under one watchdog or shrink budget cannot finish a run under
+    // another: with `max_ticks: 10` every case would diverge.
+    let dir = std::env::temp_dir().join("fpgafuzz_campaign_budget");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let checkpoint = dir.join("f.ckpt");
+    let opts = quick(3, 16);
+    let first = run_campaign_sharded(
+        &opts,
+        &ShardedCampaignOptions {
+            checkpoint: Some(checkpoint.clone()),
+            ..ShardedCampaignOptions::default()
+        },
+    )
+    .unwrap();
+    assert_eq!(first.report.divergences, 0, "{}", first.report.log);
+    let resume = ShardedCampaignOptions {
+        resume: Some(checkpoint),
+        ..ShardedCampaignOptions::default()
+    };
+    for changed in [
+        CampaignOptions {
+            max_ticks: 10,
+            ..quick(3, 16)
+        },
+        CampaignOptions {
+            max_shrink_evals: 7,
+            ..quick(3, 16)
+        },
+    ] {
+        let err = run_campaign_sharded(&changed, &resume).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        assert!(
+            err.to_string().contains("does not match this campaign"),
+            "{err}"
+        );
+    }
+    // The unchanged campaign still resumes, to the same log.
+    let resumed = run_campaign_sharded(&opts, &resume).unwrap();
+    assert_eq!(resumed.report.log, first.report.log);
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -5,7 +5,10 @@
 //! single harness crash, and the fault machinery is invisible on clean
 //! runs.
 
-use fpgatest::faults::{run_campaign, CampaignOptions, FaultSpec, InjectionOutcome};
+use fpgatest::faults::{
+    run_campaign_sharded, CampaignOptions, CampaignReport, FaultSpec, InjectionOutcome,
+    ShardedCampaignOptions,
+};
 use fpgatest::flow::{Engine, FlowOptions, TestFlow};
 use fpgatest::stimulus::Stimulus;
 use fpgatest::suite::{parse_manifest, CaseResult, Suite, TestCase};
@@ -25,6 +28,13 @@ fn stimulus() -> Stimulus {
 
 fn passing_case(name: &str) -> TestCase {
     TestCase::new(name, PROGRAM).with_stimulus("inp", stimulus())
+}
+
+/// A whole fault campaign at the default (one) shard.
+fn campaign_report(case: &TestCase, options: &CampaignOptions) -> Result<CampaignReport, String> {
+    run_campaign_sharded(case, options, &ShardedCampaignOptions::default())
+        .map(|outcome| outcome.report)
+        .map_err(|e| e.to_string())
 }
 
 /// The signal steering the compiled loop's conditional FSM transition —
@@ -185,7 +195,7 @@ fn seeded_campaign_classifies_every_injection_without_crashing() {
         max_ticks: Some(20_000),
         ..CampaignOptions::default()
     };
-    let report = run_campaign(&case, &options).expect("campaign runs");
+    let report = campaign_report(&case, &options).expect("campaign runs");
 
     assert!(
         report.site_pool >= 200,
@@ -207,7 +217,7 @@ fn seeded_campaign_classifies_every_injection_without_crashing() {
     assert!(report.detected_fraction() > 0.0);
 
     // Same seed, same sites: bit-identical log.
-    let again = run_campaign(&case, &options).expect("campaign reruns");
+    let again = campaign_report(&case, &options).expect("campaign reruns");
     assert_eq!(report.render(), again.render());
 }
 
@@ -215,32 +225,64 @@ fn seeded_campaign_classifies_every_injection_without_crashing() {
 fn batch_campaign_matches_level_campaign_classification() {
     // The batch engine dispatches 64 fault sites per walk; every lane's
     // verdict (outcome and detail string) must be identical to what a
-    // sequential level-engine campaign over the same seeded site list
-    // produces.
-    let case = passing_case("batch_parity");
-    let mut reports = Vec::new();
-    for engine in [Engine::Level, Engine::Batch] {
-        let options = CampaignOptions {
-            seed: 7,
-            sites: 150,
-            engine,
-            max_ticks: Some(20_000),
-            ..CampaignOptions::default()
-        };
-        reports.push(run_campaign(&case, &options).expect("campaign runs"));
+    // level-engine campaign over the same seeded site list produces —
+    // on the small loop program, and on the paper's FDCT1 from the
+    // example manifest (64 sites under the default tick budget, as
+    // `fpgatest faults --design fdct1 --seed 1 --sites 64` runs it).
+    let manifest = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../examples/suite/suite.manifest"
+    );
+    let suite = fpgatest::suite::load_manifest(manifest).expect("example manifest loads");
+    let fdct1 = suite
+        .cases()
+        .iter()
+        .find(|case| case.name == "fdct1")
+        .expect("the example manifest has fdct1")
+        .clone();
+    for (case, seed, sites, max_ticks) in [
+        (passing_case("batch_parity"), 7, 150, Some(20_000)),
+        (fdct1, 1, 64, None),
+    ] {
+        let mut reports = Vec::new();
+        for engine in [Engine::Level, Engine::Batch] {
+            let options = CampaignOptions {
+                seed,
+                sites,
+                engine,
+                max_ticks,
+                ..CampaignOptions::default()
+            };
+            reports.push(campaign_report(&case, &options).expect("campaign runs"));
+        }
+        let (level, batch) = (&reports[0], &reports[1]);
+        assert_eq!(level.injections.len(), sites, "{}", case.name);
+        assert_eq!(level.injections.len(), batch.injections.len());
+        for (l, b) in level.injections.iter().zip(&batch.injections) {
+            assert_eq!(l.fault, b.fault, "seeded site lists diverged");
+            assert_eq!(
+                (&l.outcome, &l.detail),
+                (&b.outcome, &b.detail),
+                "batch lane disagrees with sequential level run on {}",
+                l.fault
+            );
+        }
+        for report in [level, batch] {
+            assert_eq!(
+                report.count(InjectionOutcome::Crashed),
+                0,
+                "{}",
+                report.render()
+            );
+            assert_eq!(
+                report.count(InjectionOutcome::Skipped),
+                0,
+                "{}",
+                report.render()
+            );
+        }
+        assert!(level.count(InjectionOutcome::Detected) > 0);
     }
-    let (level, batch) = (&reports[0], &reports[1]);
-    assert_eq!(level.injections.len(), batch.injections.len());
-    for (l, b) in level.injections.iter().zip(&batch.injections) {
-        assert_eq!(l.fault, b.fault, "seeded site lists diverged");
-        assert_eq!(
-            (&l.outcome, &l.detail),
-            (&b.outcome, &b.detail),
-            "batch lane disagrees with sequential level run on {}",
-            l.fault
-        );
-    }
-    assert!(level.count(InjectionOutcome::Detected) > 0);
 }
 
 #[test]
@@ -276,7 +318,7 @@ fn no_engine_reports_transient_skips() {
             max_ticks: Some(20_000),
             ..CampaignOptions::default()
         };
-        let campaign = run_campaign(&case, &options).expect("campaign runs");
+        let campaign = campaign_report(&case, &options).expect("campaign runs");
         assert!(
             campaign.injections.iter().any(|r| r.fault.is_transient()),
             "engine {engine}: the sampled campaign must include transient sites"

@@ -20,6 +20,13 @@
 //! F` applies a custom floor at every size run (CI smoke uses a small
 //! size with a CI-safe floor).
 //!
+//! A control-divergence row runs the example manifest's `hamming` with
+//! 64 seeded code-word vectors, whose data-dependent branch spreads the
+//! lanes over the controller's states, as one `run_batch` call against
+//! 64 sequential level runs. Every lane must pass and match its level
+//! run, and the batch call must be at least 1.5x faster in sim wall
+//! (a fixed floor; `--batch-floor` gates only the FDCT column).
+//!
 //! The run doubles as an equivalence gate: the four engines must leave
 //! word-identical final memories, and their cycle counts may differ by
 //! at most one (the compiled engines count the cycle-0 reset step; the
@@ -32,9 +39,10 @@
 //! repeats).
 
 use bench::{fdct_flow, run_checked_recorded};
+use fpgafuzz::rng::Rng;
 use fpgatest::flow::{prepare_design, BatchLaneSpec, Engine, FlowOptions, TestReport};
 use fpgatest::stimulus::Stimulus;
-use fpgatest::suite::{CaseResult, SuiteReport};
+use fpgatest::suite::{load_manifest, CaseResult, SuiteReport};
 use fpgatest::telemetry::{self, Json, Recorder};
 use fpgatest::workloads;
 use nenya::schedule::SchedulePolicy;
@@ -51,6 +59,17 @@ const DEFAULT_BATCH_FLOOR: f64 = 10.0;
 
 /// The FDCT1-64k size the default batch gate applies to.
 const GATED_PIXELS: usize = 65536;
+
+const MANIFEST: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/../../examples/suite/suite.manifest"
+);
+
+/// Floor on the control-divergence row's batch-over-level speedup.
+const DIVERGENCE_FLOOR: f64 = 1.5;
+
+/// Seed of the control-divergence row's code-word vectors.
+const DIVERGENCE_SEED: u64 = 7;
 
 struct EngineRow {
     engine: Engine,
@@ -309,6 +328,15 @@ fn main() -> ExitCode {
         }
     }
 
+    let divergence = match control_divergence_row(repeat) {
+        Ok(row) => row,
+        Err(e) => {
+            eprintln!("ablation_bench: {e}");
+            disagreement = true;
+            Json::Null
+        }
+    };
+
     // The standard metrics report plus the comparison block, keys sorted
     // so the file is byte-stable across runs of the same build.
     let suite = SuiteReport {
@@ -321,7 +349,10 @@ fn main() -> ExitCode {
     if let Json::Obj(pairs) = &mut json {
         pairs.push((
             "ablation_bench".to_string(),
-            Json::obj([("sizes", Json::Arr(comparison_rows))]),
+            Json::obj([
+                ("sizes", Json::Arr(comparison_rows)),
+                ("control_divergence", divergence),
+            ]),
         ));
     }
     json.sort_keys();
@@ -336,4 +367,69 @@ fn main() -> ExitCode {
         return ExitCode::from(1);
     }
     ExitCode::SUCCESS
+}
+
+/// The control-divergence row: the manifest's `hamming` with
+/// [`BATCH_LANES`] seeded vectors of random 7-bit code words, as one
+/// `run_batch` call and as that many sequential level runs (best of
+/// `repeat` sim walls each). An error names a lane that failed or
+/// differs from its level run, or a speedup below [`DIVERGENCE_FLOOR`].
+fn control_divergence_row(repeat: usize) -> Result<Json, String> {
+    let suite = load_manifest(MANIFEST).map_err(|e| format!("{MANIFEST}: {e}"))?;
+    let case = suite.cases().iter().find(|case| case.name == "hamming");
+    let case = case.ok_or("the example manifest has no hamming case")?;
+    let design = nenya::compile(&case.name, &case.source, &case.options.compile)
+        .map_err(|e| format!("hamming: {e}"))?;
+    let words = design.blank_images().get("code").map(Vec::len);
+    let words = words.ok_or("hamming declares no 'code' memory")?;
+    let prepared = prepare_design(design).map_err(|e| format!("hamming: {e}"))?;
+    let mut rng = Rng::new(DIVERGENCE_SEED);
+    let specs: Vec<BatchLaneSpec> = (0..BATCH_LANES)
+        .map(|_| BatchLaneSpec {
+            stimuli: vec![(
+                "code".to_string(),
+                Stimulus::from_values((0..words).map(|_| rng.below(128) as i64)),
+            )],
+            faults: Vec::new(),
+        })
+        .collect();
+    let level = FlowOptions {
+        engine: Engine::Level,
+        ..FlowOptions::default()
+    };
+    let (mut batch_wall, mut level_wall) = (f64::MAX, f64::MAX);
+    for _ in 0..repeat {
+        let batch = prepared.run_batch(&specs, &FlowOptions::default());
+        let batch = batch.map_err(|e| format!("hamming batch run: {e}"))?;
+        batch_wall = batch_wall.min(batch.sim_wall_seconds);
+        let mut wall = 0.0;
+        for (lane, (spec, got)) in specs.iter().zip(&batch.lanes).enumerate() {
+            let want = prepared.run(&spec.stimuli, &level);
+            let want = want.map_err(|e| format!("hamming level run {lane}: {e}"))?;
+            wall += want.runs.iter().map(|r| r.summary.wall_seconds).sum::<f64>();
+            let cycles: u64 = want.runs.iter().map(|r| r.cycles).sum();
+            if !got.passed || got.sim_mems != want.sim_mems || got.cycles != cycles {
+                return Err(format!(
+                    "CONTROL DIVERGENCE: hamming lane {lane} failed or differs from its level run"
+                ));
+            }
+        }
+        level_wall = level_wall.min(wall);
+    }
+    let speedup = level_wall / batch_wall;
+    println!(
+        "  control divergence (hamming, {BATCH_LANES} seeded vectors): batch {batch_wall:.4} s, \
+         {BATCH_LANES} level runs {level_wall:.4} s, speedup {speedup:.2}x"
+    );
+    if speedup < DIVERGENCE_FLOOR {
+        return Err(format!(
+            "CONTROL DIVERGENCE GATE: hamming batch speedup {speedup:.2}x is below \
+             the {DIVERGENCE_FLOOR:.2}x floor"
+        ));
+    }
+    Ok(Json::obj([
+        ("batch_sim_wall_seconds", Json::from(batch_wall)),
+        ("level_sim_wall_seconds", Json::from(level_wall)),
+        ("batch_speedup_vs_level", Json::from(speedup)),
+    ]))
 }

@@ -27,6 +27,13 @@
 //!   compiler can vectorize; fallible or data-dependent ops (div/rem,
 //!   mux selection, SRAM reads) take a scalar per-lane path with known
 //!   checks.
+//! * **Control units commit per state group.** At each edge the running
+//!   lanes are grouped by FSM state; each group resolves its transition
+//!   once over lane masks (splitting where lanes disagree on a
+//!   condition) and rewrites only the Moore outputs that differ between
+//!   its old and new state, so an edge costs one pass per distinct
+//!   state, not per lane. The walk after a transient flip or a re-arm
+//!   redrives every output instead.
 //! * **Per-lane bit-identity.** Each lane's observable results — signal
 //!   values, memory images, cycle counts, failure messages, and
 //!   termination outcomes — are bit-identical to running that lane's
@@ -140,6 +147,9 @@ struct BFsm {
     out_shifts: Vec<u32>,
     /// `state_values[state][output]`, canonical.
     state_values: Vec<Vec<i64>>,
+    /// `deltas[state][transition]`: the outputs whose value differs
+    /// between `state` and that transition's target.
+    deltas: Vec<Vec<Vec<u32>>>,
 }
 
 /// Per-lane stuck-at clamp row for one faulted slot.
@@ -242,9 +252,10 @@ pub struct BatchSim {
     reg_dirty: Vec<u64>,
     /// Registers sampled this edge (drain order), reused across walks.
     edge_regs: Vec<u32>,
-    /// Forces the next edge's FSM phase onto the per-lane drive path
-    /// (set by transient flips, which must be reverted by a full
-    /// change-detected redrive of every Moore output).
+    /// Makes the next edge redrive every Moore output of every running
+    /// lane with change detection, instead of only the outputs a state
+    /// change alters (set by transient flips and re-arms, after which an
+    /// output column may no longer hold its lane's state values).
     force_fsm_drive: bool,
     /// Register sample scratch, `reg * LANES + lane`.
     reg_vals: Vec<i64>,
@@ -670,6 +681,23 @@ impl BatchSim {
                     .collect()
             })
             .collect();
+        let deltas = table
+            .states()
+            .iter()
+            .zip(&state_values)
+            .map(|(state, from)| {
+                state
+                    .transitions
+                    .iter()
+                    .map(|t| {
+                        let to = &state_values[t.target];
+                        (0..from.len() as u32)
+                            .filter(|&j| from[j as usize] != to[j as usize])
+                            .collect()
+                    })
+                    .collect()
+            })
+            .collect();
         let fsm = BFsm {
             name,
             table,
@@ -677,27 +705,12 @@ impl BatchSim {
             outputs: out_ids,
             out_shifts,
             state_values,
+            deltas,
         };
-        self.drive_fsm_outputs_all_lanes(&fsm, 0);
+        self.drive_outputs(&fsm, 0, 0..fsm.outputs.len(), !0, false);
         self.fsms.push(fsm);
         self.fsm_state.extend(std::iter::repeat_n(0, LANES));
         Ok(())
-    }
-
-    /// Drives `state`'s Moore outputs into every lane (registration and
-    /// reset use this; the edge commit drives running lanes). Marks each
-    /// driven slot so its readers re-evaluate.
-    fn drive_fsm_outputs_all_lanes(&mut self, fsm: &BFsm, state: usize) {
-        for (j, &slot) in fsm.outputs.iter().enumerate() {
-            let slot = slot as usize;
-            let v = fsm.state_values[state][j];
-            let base = slot * LANES;
-            for l in 0..LANES {
-                self.values[base + l] = self.clamp_lane(slot, l, v, fsm.out_shifts[j]);
-            }
-            self.known[slot] = !0;
-            self.mark_slot(slot);
-        }
     }
 
     /// Restricts the next `run_batch` to the lanes in `lane_mask` and
@@ -715,7 +728,8 @@ impl BatchSim {
         }
         // Conservative re-arm: a re-armed lane stopped committing
         // mid-flight, so re-dirty the whole schedule (one full walk's
-        // worth of work, once per run) and force a full FSM redrive.
+        // worth of work, once per run) and make the first edge redrive
+        // every Moore output rather than only the state deltas.
         self.mark_all();
         self.force_fsm_drive = true;
     }
@@ -736,7 +750,7 @@ impl BatchSim {
         self.fsm_state.iter_mut().for_each(|s| *s = 0);
         let fsms = std::mem::take(&mut self.fsms);
         for fsm in &fsms {
-            self.drive_fsm_outputs_all_lanes(fsm, 0);
+            self.drive_outputs(fsm, 0, 0..fsm.outputs.len(), !0, false);
         }
         self.fsms = fsms;
         self.active = !0;
@@ -1094,7 +1108,7 @@ impl BatchSim {
                 }
                 self.mark_slot(slot);
                 // A flipped Moore output must be reverted by the edge's
-                // change-detected redrive: force the per-lane path.
+                // change-detected redrive of every output.
                 self.force_fsm_drive = true;
             }
         }
@@ -1379,92 +1393,132 @@ impl BatchSim {
         }
     }
 
-    /// Attempts the uniform FSM fast path: every running lane in the
-    /// same state, every consulted condition known and agreeing across
-    /// them. Returns `false` (having mutated nothing) when the lanes
-    /// diverge, so the caller falls back to the per-lane drive.
+    /// Commits one control unit's edge for the running lanes, one state
+    /// group at a time. The running lanes are grouped by current state;
+    /// each group tries its state's transitions once, in table order,
+    /// over lane masks: lanes whose condition matches take the target (an
+    /// unconditional transition takes every lane still undecided), lanes
+    /// whose condition is X fail with the sequential engine's message,
+    /// and lanes that match nothing stay. A group whose lanes disagree on
+    /// a condition thus splits instead of falling back to a per-lane
+    /// walk, and a pack in `k` distinct states costs `k` groups per edge.
     ///
-    /// Relies on the invariant that each running lane's output columns
-    /// hold the (clamped) Moore values of its current state — true
-    /// after registration, maintained by every drive path, and restored
-    /// after transient flips by the forced per-lane redrive.
-    fn fsm_fast_path(&mut self, fi: usize, fsm: &BFsm, done_mask: &mut u64) -> bool {
-        let running = self.running;
-        if running == 0 {
-            return true;
-        }
-        let first = running.trailing_zeros() as usize;
-        let su = self.fsm_state[fi * LANES + first] as usize;
-        let mut m = running & (running - 1);
-        while m != 0 {
-            let l = m.trailing_zeros() as usize;
-            m &= m - 1;
-            if self.fsm_state[fi * LANES + l] as usize != su {
-                return false;
-            }
-        }
+    /// Lanes that move rewrite only the transition's delta outputs,
+    /// without a per-lane compare. That rests on the invariant that each
+    /// running lane's output columns hold the (clamped) Moore values of
+    /// its current state — true after registration and reset, and kept
+    /// by every delta. A transient flip or a
+    /// [`set_active`](Self::set_active) re-arm breaks it, so the walk
+    /// after one is `force`d: every output of every running lane, staying
+    /// lanes included, is redriven with per-lane change detection, as the
+    /// sequential engines' drive does.
+    fn commit_fsm(&mut self, fi: usize, fsm: &BFsm, force: bool, done_mask: &mut u64) {
         let states = fsm.table.states();
-        let current = &states[su];
-        if current.terminal {
-            *done_mask |= running;
-            return true;
-        }
-        let mut next = su;
-        for transition in &current.transitions {
-            match transition.condition {
-                None => {
-                    next = transition.target;
-                    break;
-                }
-                Some((index, expected)) => {
-                    let slot = fsm.conditions[index] as usize;
-                    if self.known[slot] & running != running {
-                        return false; // X somewhere: slow path fails it
-                    }
-                    let t = self.nonzero_mask(slot) & running;
-                    let truth = if t == running {
-                        true
-                    } else if t == 0 {
-                        false
-                    } else {
-                        return false; // lanes disagree on the condition
-                    };
-                    if truth == expected {
-                        next = transition.target;
+        let col = fi * LANES;
+        let mut rest = self.running;
+        while rest != 0 {
+            let from = self.fsm_state[col + rest.trailing_zeros() as usize];
+            let mut group = 0u64;
+            for (l, &s) in self.fsm_state[col..col + LANES].iter().enumerate() {
+                group |= ((s == from) as u64) << l;
+            }
+            group &= rest;
+            rest &= !group;
+            let from = from as usize;
+            let current = &states[from];
+            let mut undecided = group;
+            if current.terminal {
+                *done_mask |= group;
+            } else {
+                for (ti, transition) in current.transitions.iter().enumerate() {
+                    if undecided == 0 {
                         break;
                     }
+                    let taken = match transition.condition {
+                        None => undecided,
+                        Some((index, expected)) => {
+                            let slot = fsm.conditions[index] as usize;
+                            let mut x = undecided & !self.known[slot];
+                            undecided &= !x;
+                            while x != 0 {
+                                let l = x.trailing_zeros() as usize;
+                                x &= x - 1;
+                                let msg = format!(
+                                    "{}: X condition in state '{}'",
+                                    fsm.name, current.name
+                                );
+                                self.fail_lane(l, msg);
+                            }
+                            let truth = self.nonzero_mask(slot) & undecided;
+                            if expected {
+                                truth
+                            } else {
+                                undecided & !truth
+                            }
+                        }
+                    };
+                    if taken == 0 {
+                        continue;
+                    }
+                    undecided &= !taken;
+                    let to = transition.target;
+                    let mut m = taken;
+                    while m != 0 {
+                        let l = m.trailing_zeros() as usize;
+                        m &= m - 1;
+                        self.fsm_state[col + l] = to as u32;
+                    }
+                    if force {
+                        self.drive_outputs(fsm, to, 0..fsm.outputs.len(), taken, true);
+                    } else {
+                        let delta = fsm.deltas[from][ti].iter().map(|&j| j as usize);
+                        self.drive_outputs(fsm, to, delta, taken, false);
+                    }
+                    if states[to].terminal {
+                        *done_mask |= taken;
+                    }
                 }
             }
+            // Lanes that stay put (terminal or unmatched) redrive only on
+            // forced walks.
+            if force && undecided != 0 {
+                self.drive_outputs(fsm, from, 0..fsm.outputs.len(), undecided, true);
+            }
         }
-        if next != su {
-            let mut m = running;
+    }
+
+    /// Drives `state`'s Moore values for the given `outputs` (indices
+    /// into the control unit's output list) into `lanes`, marking each
+    /// written slot's readers: unconditionally when unforced (a
+    /// transition's delta, or every output of every lane at registration
+    /// and reset), only on a change when `force`d.
+    fn drive_outputs(
+        &mut self,
+        fsm: &BFsm,
+        state: usize,
+        outputs: impl Iterator<Item = usize>,
+        lanes: u64,
+        force: bool,
+    ) {
+        for j in outputs {
+            let slot = fsm.outputs[j] as usize;
+            let v = fsm.state_values[state][j];
+            let shift = fsm.out_shifts[j];
+            let base = slot * LANES;
+            let mut changed = !force || self.known[slot] & lanes != lanes;
+            let mut m = lanes;
             while m != 0 {
                 let l = m.trailing_zeros() as usize;
                 m &= m - 1;
-                self.fsm_state[fi * LANES + l] = next as u32;
+                let v = self.clamp_lane(slot, l, v, shift);
+                changed |= force && self.values[base + l] != v;
+                self.values[base + l] = v;
             }
-            for (j, &slot) in fsm.outputs.iter().enumerate() {
-                let vnew = fsm.state_values[next][j];
-                if vnew == fsm.state_values[su][j] {
-                    continue; // same Moore value in both states
-                }
-                let slot = slot as usize;
-                let shift = fsm.out_shifts[j];
-                let base = slot * LANES;
-                let mut m = running;
-                while m != 0 {
-                    let l = m.trailing_zeros() as usize;
-                    m &= m - 1;
-                    self.values[base + l] = self.clamp_lane(slot, l, vnew, shift);
-                }
-                self.known[slot] |= running;
+            self.known[slot] |= lanes;
+            if changed {
                 self.mark_slot(slot);
             }
         }
-        if states[next].terminal {
-            *done_mask |= running;
-        }
-        true
     }
 
     /// The rising-edge commit, per-lane: register sample, SRAM writes,
@@ -1593,83 +1647,13 @@ impl BatchSim {
             }
         }
 
-        // Phase c: FSM transitions + Moore outputs, running lanes only.
-        // When every running lane sits in the same state and the
-        // consulted conditions resolve identically across them, the
-        // transition is computed once and only the outputs whose value
-        // differs between the two states are rewritten (and marked) —
-        // on a quiet cycle this phase touches nothing. Divergent lanes,
-        // X conditions, and flip-forced walks fall back to the per-lane
-        // drive with per-write change detection.
+        // Phase c: FSM transitions + Moore outputs, running lanes only,
+        // one state group at a time (see `commit_fsm`).
         let fsms = std::mem::take(&mut self.fsms);
         let force = std::mem::take(&mut self.force_fsm_drive);
         let mut done_mask = 0u64;
         for (fi, fsm) in fsms.iter().enumerate() {
-            if !force && self.fsm_fast_path(fi, fsm, &mut done_mask) {
-                continue;
-            }
-            let states = fsm.table.states();
-            let mut m = self.running;
-            while m != 0 {
-                let l = m.trailing_zeros() as usize;
-                m &= m - 1;
-                let bit = 1u64 << l;
-                let st = self.fsm_state[fi * LANES + l] as usize;
-                let current = &states[st];
-                let next = if current.terminal {
-                    st
-                } else {
-                    let mut next = st;
-                    let mut failed = None;
-                    for transition in &current.transitions {
-                        match transition.condition {
-                            None => {
-                                next = transition.target;
-                                break;
-                            }
-                            Some((index, expected)) => {
-                                let slot = fsm.conditions[index] as usize;
-                                if self.known[slot] & bit == 0 {
-                                    failed = Some(format!(
-                                        "{}: X condition in state '{}'",
-                                        fsm.name, current.name
-                                    ));
-                                    break;
-                                }
-                                let truth = self.values[slot * LANES + l] != 0;
-                                if truth == expected {
-                                    next = transition.target;
-                                    break;
-                                }
-                            }
-                        }
-                    }
-                    if let Some(msg) = failed {
-                        self.fail_lane(l, msg);
-                        continue;
-                    }
-                    next
-                };
-                self.fsm_state[fi * LANES + l] = next as u32;
-                for (j, &slot) in fsm.outputs.iter().enumerate() {
-                    let slot = slot as usize;
-                    let v = self.clamp_lane(
-                        slot,
-                        l,
-                        fsm.state_values[next][j],
-                        fsm.out_shifts[j],
-                    );
-                    let idx = slot * LANES + l;
-                    if self.known[slot] & bit == 0 || self.values[idx] != v {
-                        self.values[idx] = v;
-                        self.known[slot] |= bit;
-                        self.mark_slot(slot);
-                    }
-                }
-                if states[next].terminal {
-                    done_mask |= bit;
-                }
-            }
+            self.commit_fsm(fi, fsm, force, &mut done_mask);
         }
         self.fsms = fsms;
 

@@ -477,3 +477,299 @@ fn run_wrapper_matches_level_summary() {
     assert_eq!(got.cycles, want.cycles);
     assert_eq!(batch.cycles(), level.cycles());
 }
+
+/// Words per memory of the divergent-control design.
+const DIV_WORDS: usize = 8;
+
+/// The divergent-control design: a pointer register walks two
+/// per-lane-preloaded memories, `src` and `aux`. Bit 0 of each word read
+/// is a control condition (`c0`, `c1`), so lanes with different data
+/// take different transitions at the same edge. The controller's
+/// `wen`/`mode` outputs write `ptr + mode` into `dst`, so any stale
+/// Moore output shows up in memory.
+fn divergent_netlist() -> Netlist {
+    let mut nl = Netlist::new("divergent");
+    for (name, width) in [
+        ("clk", 1),
+        ("rst", 1),
+        ("ptr", 8),
+        ("nxt", 8),
+        ("one", 8),
+        ("hi", 1),
+        ("lo", 1),
+        ("word", 8),
+        ("flag", 8),
+        ("c0", 1),
+        ("c1", 1),
+        ("inc", 1),
+        ("wen", 1),
+        ("mode", 4),
+        ("tag", 8),
+        ("dst_out", 8),
+    ] {
+        nl.add_signal(name, width);
+    }
+    nl.add_instance(
+        Instance::new("clock0", "clock")
+            .with_param("period", 10)
+            .with_conn("y", "clk"),
+    );
+    nl.add_instance(Instance::new("reset0", "reset").with_conn("y", "rst"));
+    for (name, width, value, y) in [
+        ("c_one", 8, 1, "one"),
+        ("c_hi", 1, 1, "hi"),
+        ("c_lo", 1, 0, "lo"),
+    ] {
+        nl.add_instance(
+            Instance::new(name, "const")
+                .with_param("width", width)
+                .with_param("value", value)
+                .with_conn("y", y),
+        );
+    }
+    nl.add_instance(
+        Instance::new("ptr0", "reg")
+            .with_param("width", 8)
+            .with_conn("clk", "clk")
+            .with_conn("d", "nxt")
+            .with_conn("q", "ptr")
+            .with_conn("en", "inc")
+            .with_conn("rst", "rst"),
+    );
+    for (name, kind, width, a, b, y) in [
+        ("step", "add", 8, "ptr", "one", "nxt"),
+        ("bit0", "and", 1, "word", "one", "c0"),
+        ("bit1", "and", 1, "flag", "one", "c1"),
+        ("tagger", "add", 8, "ptr", "mode", "tag"),
+    ] {
+        nl.add_instance(
+            Instance::new(name, kind)
+                .with_param("width", width)
+                .with_conn("a", a)
+                .with_conn("b", b)
+                .with_conn("y", y),
+        );
+    }
+    for (name, we, din, dout) in [
+        ("src", "lo", "tag", "word"),
+        ("aux", "lo", "tag", "flag"),
+        ("dst", "wen", "tag", "dst_out"),
+    ] {
+        nl.add_instance(
+            Instance::new(name, "sram")
+                .with_param("width", 8)
+                .with_param("size", DIV_WORDS as i64)
+                .with_conn("clk", "clk")
+                .with_conn("en", "hi")
+                .with_conn("we", we)
+                .with_conn("addr", "ptr")
+                .with_conn("din", din)
+                .with_conn("dout", dout),
+        );
+    }
+    nl.add_instance(
+        Instance::new("stop", "watchpoint")
+            .with_param("value", 6)
+            .with_conn("sig", "ptr"),
+    );
+    nl
+}
+
+/// Seven states, three outputs (`inc`, `wen`, `mode`), two conditions.
+/// `fetch` tries `c0` then `c1` then falls through; `odd` takes two
+/// cycles and `skip` one, so lanes drift out of phase; `odd2` waits while
+/// `c1` holds; `flagged` ends in the terminal `halt`. `fetch` and `skip`
+/// drive the same `wen`, so a flipped `wen` survives a fetch-to-skip
+/// move, or a wait in `odd2`, unless it is redriven.
+fn divergent_table() -> FsmTable {
+    type Transitions = Vec<(Option<(usize, bool)>, usize)>;
+    let state = |name: &str, outputs: Vec<(usize, i64)>, transitions: Transitions| FsmState {
+        name: name.to_string(),
+        outputs,
+        transitions: transitions
+            .into_iter()
+            .map(|(condition, target)| FsmTransition { condition, target })
+            .collect(),
+        terminal: false,
+    };
+    let mut states = vec![
+        state("boot", vec![], vec![(None, 1)]),
+        state(
+            "fetch",
+            vec![(2, 1)],
+            vec![(Some((0, true)), 2), (Some((1, true)), 4), (None, 3)],
+        ),
+        state("odd", vec![(0, 1), (1, 1), (2, 2)], vec![(None, 6)]),
+        state("skip", vec![(0, 1), (2, 1)], vec![(None, 1)]),
+        state("flagged", vec![(1, 1), (2, 5)], vec![(None, 5)]),
+        state("halt", vec![(2, 7)], vec![]),
+        state("odd2", vec![(2, 4)], vec![(Some((1, false)), 1)]),
+    ];
+    states[5].terminal = true;
+    FsmTable::new(states, 2, 3).expect("table validates")
+}
+
+const DIV_CONDITIONS: [&str; 2] = ["c0", "c1"];
+const DIV_OUTPUTS: [(&str, u32); 3] = [("inc", 1), ("wen", 1), ("mode", 4)];
+const DIV_PROBES: [&str; 9] = ["ptr", "word", "flag", "c0", "c1", "inc", "wen", "mode", "tag"];
+const DIV_MAX_CYCLES: u64 = 40;
+
+/// One lane of the divergent-control test: its `src` and `aux` images
+/// (`None` = an undefined word) and an optional `wen` flip cycle.
+#[derive(Debug, Clone)]
+struct DivLane {
+    src: Vec<Option<i64>>,
+    aux: Vec<Option<i64>>,
+    flip: Option<u64>,
+}
+
+/// Hand-written lanes for each behavior, then seeded ones.
+fn divergent_lanes() -> Vec<DivLane> {
+    let (zeros, odds) = (vec![Some(0); DIV_WORDS], vec![Some(1); DIV_WORDS]);
+    let lane = |src: Vec<Option<i64>>, aux: Vec<Option<i64>>| DivLane { src, aux, flip: None };
+    let with = |base: &Vec<Option<i64>>, addr: usize, word: Option<i64>| {
+        let mut v = base.clone();
+        v[addr] = word;
+        v
+    };
+    let mut lanes = vec![
+        // fetch/skip forever, until the watchpoint.
+        lane(zeros.clone(), zeros.clone()),
+        // fetch/odd/odd2: drifts out of phase with lane 0.
+        lane(odds.clone(), zeros.clone()),
+        // A flag at word 2 reaches the terminal state while others run.
+        lane(zeros.clone(), with(&zeros, 2, Some(1))),
+        // X at the very first fetch: fails while its group walks on.
+        lane(with(&zeros, 0, None), zeros.clone()),
+        // X later, mid-run.
+        lane(with(&zeros, 3, None), zeros.clone()),
+        // `c1` is X but never reached: `c0` matches first.
+        lane(with(&zeros, 1, Some(3)), with(&zeros, 1, None)),
+        // `c1` is X and reached: fails in `fetch`.
+        lane(zeros.clone(), with(&zeros, 1, None)),
+        // A `wen` flip in `fetch` (cycle 3) while others sit elsewhere.
+        DivLane {
+            flip: Some(3),
+            ..lane(zeros.clone(), zeros.clone())
+        },
+        // A flip at cycle 3, as this lane moves from `odd2` to `fetch`.
+        DivLane {
+            flip: Some(3),
+            ..lane(odds.clone(), zeros.clone())
+        },
+        // A flip while the lane waits in `odd2` until the cycle limit.
+        DivLane {
+            flip: Some(6),
+            ..lane(odds.clone(), with(&zeros, 1, Some(1)))
+        },
+    ];
+    let mut state = 0x9E37_79B9_7F4A_7C15u64;
+    let mut next = move |n: u64| {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state % n
+    };
+    while lanes.len() < LANES {
+        let mut image = |x_odds: u64| -> Vec<Option<i64>> {
+            (0..DIV_WORDS)
+                .map(|_| (next(x_odds) != 0).then(|| next(4) as i64))
+                .collect()
+        };
+        let src = image(24);
+        let aux = image(24);
+        let flip = (lanes.len() % 7 == 0).then(|| 1 + lanes.len() as u64 % 9);
+        lanes.push(DivLane { src, aux, flip });
+    }
+    lanes
+}
+
+fn divergent_level(nl: &Netlist, lane: &DivLane) -> LaneSnapshot {
+    let mut sim = LevelSim::from_netlist(nl).expect("netlist builds");
+    sim.add_control_unit("ctl", &DIV_CONDITIONS, &DIV_OUTPUTS, divergent_table())
+        .expect("control unit attaches");
+    if let Some(cycle) = lane.flip {
+        assert!(sim.inject_transient_flip("wen", 0, cycle).expect("injects"));
+    }
+    for (mem, image) in [("src", &lane.src), ("aux", &lane.aux)] {
+        let handle = sim.mem(mem).expect("sram exists");
+        for (addr, word) in image.iter().enumerate() {
+            if let Some(v) = word {
+                handle.store(addr, *v);
+            }
+        }
+    }
+    let (outcome, cycles) = match sim.run(DIV_MAX_CYCLES) {
+        Ok(summary) => (
+            match summary.outcome {
+                CycleOutcome::Done => LaneOutcome::Done,
+                CycleOutcome::Watchpoint(name) => LaneOutcome::Watchpoint(name),
+                CycleOutcome::CycleLimit => LaneOutcome::CycleLimit,
+            },
+            summary.cycles,
+        ),
+        Err(eventsim::cyclesim::CycleSimError::Failed(m)) => (LaneOutcome::Failed(m), sim.cycles()),
+        Err(e) => panic!("unexpected level-engine error: {e}"),
+    };
+    LaneSnapshot {
+        outcome,
+        cycles,
+        values: DIV_PROBES
+            .iter()
+            .map(|name| (name.to_string(), sim.value(name)))
+            .collect(),
+        mem: sim.mem("dst").expect("sram exists").snapshot(),
+    }
+}
+
+/// Control divergence, lane by lane: lanes split across FSM states at
+/// the same edge, fail on an X condition while the rest of their state
+/// group walks on, finish in a terminal state while others continue, and
+/// take a transient flip on a Moore output while others sit in other
+/// states. Every lane must equal a fresh sequential level run.
+#[test]
+fn divergent_control_matches_level_lane_by_lane() {
+    let nl = divergent_netlist();
+    let lanes = divergent_lanes();
+
+    let mut batch = BatchSim::from_netlist(&nl).expect("netlist builds");
+    batch
+        .add_control_unit("ctl", &DIV_CONDITIONS, &DIV_OUTPUTS, divergent_table())
+        .expect("control unit attaches");
+    for (l, lane) in lanes.iter().enumerate() {
+        if let Some(cycle) = lane.flip {
+            assert!(batch
+                .inject_transient_flip_lane("wen", 0, cycle, l)
+                .expect("injects"));
+        }
+        assert!(batch.load_mem("src", l, &lane.src));
+        assert!(batch.load_mem("aux", l, &lane.aux));
+    }
+    let summary = batch.run_batch(DIV_MAX_CYCLES);
+
+    let mut seen = Vec::new();
+    for (l, lane) in lanes.iter().enumerate() {
+        let result = summary.lanes[l].as_ref().expect("lane is active");
+        let got = LaneSnapshot {
+            outcome: result.outcome.clone(),
+            cycles: result.cycles,
+            values: DIV_PROBES
+                .iter()
+                .map(|name| (name.to_string(), batch.value_lane(name, l)))
+                .collect(),
+            mem: batch.snapshot_mem("dst", l).expect("sram exists"),
+        };
+        let want = divergent_level(&nl, lane);
+        assert_eq!(got, want, "lane {l} ({lane:?}) diverges");
+        seen.push(want.outcome);
+    }
+    // The hand-written lanes cover what they claim.
+    let x_fetch = LaneOutcome::Failed("ctl: X condition in state 'fetch'".to_string());
+    assert_eq!(seen[2], LaneOutcome::Done, "flagged lane halts");
+    assert_eq!(seen[0], LaneOutcome::Watchpoint("stop".to_string()));
+    assert_eq!(seen[3], x_fetch, "X at the first fetch fails");
+    assert_eq!(seen[4], x_fetch, "X mid-run fails");
+    assert_ne!(seen[5], x_fetch, "an X condition that is never reached is harmless");
+    assert_eq!(seen[6], x_fetch, "an X condition that is reached fails");
+    assert_eq!(seen[9], LaneOutcome::CycleLimit, "the waiting lane never leaves");
+}

@@ -226,23 +226,29 @@ fn batch_campaign_matches_level_campaign_classification() {
     // The batch engine dispatches 64 fault sites per walk; every lane's
     // verdict (outcome and detail string) must be identical to what a
     // level-engine campaign over the same seeded site list produces —
-    // on the small loop program, and on the paper's FDCT1 from the
-    // example manifest (64 sites under the default tick budget, as
-    // `fpgatest faults --design fdct1 --seed 1 --sites 64` runs it).
+    // on the small loop program, on the paper's FDCT1 from the example
+    // manifest (64 sites under the default tick budget, as
+    // `fpgatest faults --design fdct1 --seed 1 --sites 64` runs it), and
+    // on the manifest's data-dependent hamming and sort, whose packs
+    // spread across controller states even without a control fault.
     let manifest = concat!(
         env!("CARGO_MANIFEST_DIR"),
         "/../../examples/suite/suite.manifest"
     );
     let suite = fpgatest::suite::load_manifest(manifest).expect("example manifest loads");
-    let fdct1 = suite
-        .cases()
-        .iter()
-        .find(|case| case.name == "fdct1")
-        .expect("the example manifest has fdct1")
-        .clone();
+    let manifest_case = |name: &str| {
+        suite
+            .cases()
+            .iter()
+            .find(|case| case.name == name)
+            .unwrap_or_else(|| panic!("the example manifest has {name}"))
+            .clone()
+    };
     for (case, seed, sites, max_ticks) in [
         (passing_case("batch_parity"), 7, 150, Some(20_000)),
-        (fdct1, 1, 64, None),
+        (manifest_case("fdct1"), 1, 64, None),
+        (manifest_case("hamming"), 1, 128, None),
+        (manifest_case("sort"), 1, 128, None),
     ] {
         let mut reports = Vec::new();
         for engine in [Engine::Level, Engine::Batch] {

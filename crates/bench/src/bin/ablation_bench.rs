@@ -1,5 +1,6 @@
-//! Engine-ablation benchmark: event kernel vs cycle sweeper vs levelized
-//! engine vs batch engine on the paper's FDCT1 workload.
+//! Engine-ablation benchmark: event kernel vs cycle sweeper vs the
+//! compiled bytecode walked one lane wide (level) and 64 lanes wide
+//! (batch) on the paper's FDCT1 workload.
 //!
 //! Runs FDCT1 at one or more image sizes through all four simulation
 //! engines (`fpgatest --engine {event,cycle,level,batch}`) and writes a
@@ -13,19 +14,21 @@
 //! distinct stimulus images dispatched as lanes of one
 //! [`PreparedDesign::run_batch`] call, compared against 64 sequential
 //! level-engine runs (priced at the level row's measured per-case sim
-//! wall). Every lane must pass its golden comparison, and lane 0 — which
-//! reuses the level row's stimulus — must leave memories word-identical
-//! to the level engine's. The effective speedup is gated: at 65,536
-//! pixels the batch engine must clear 10x by default, and `--batch-floor
-//! F` applies a custom floor at every size run (CI smoke uses a small
-//! size with a CI-safe floor).
+//! wall). Since the level row is the same bytecode one lane wide, the
+//! ratio prices lane packing alone. Every lane must pass its golden
+//! comparison, and lane 0 — which reuses the level row's stimulus — must
+//! leave memories word-identical to the level engine's. The effective
+//! speedup is gated: at 65,536 pixels the batch engine must clear 4x by
+//! default, and `--batch-floor F` applies a custom floor at every size
+//! run (CI smoke uses a small size with a CI-safe floor).
 //!
 //! A control-divergence row runs the example manifest's `hamming` with
 //! 64 seeded code-word vectors, whose data-dependent branch spreads the
 //! lanes over the controller's states, as one `run_batch` call against
 //! 64 sequential level runs. Every lane must pass and match its level
-//! run, and the batch call must be at least 1.5x faster in sim wall
-//! (a fixed floor; `--batch-floor` gates only the FDCT column).
+//! run, and the 64-lane walk must not lose to the 64 one-lane walks in
+//! sim wall (a fixed 1.0x floor; `--batch-floor` gates only the FDCT
+//! column).
 //!
 //! The run doubles as an equivalence gate: the four engines must leave
 //! word-identical final memories, and their cycle counts may differ by
@@ -55,7 +58,7 @@ const BATCH_LANES: usize = 64;
 
 /// Default effective-speedup floor, enforced at [`GATED_PIXELS`] when no
 /// `--batch-floor` is given.
-const DEFAULT_BATCH_FLOOR: f64 = 10.0;
+const DEFAULT_BATCH_FLOOR: f64 = 4.0;
 
 /// The FDCT1-64k size the default batch gate applies to.
 const GATED_PIXELS: usize = 65536;
@@ -65,8 +68,9 @@ const MANIFEST: &str = concat!(
     "/../../examples/suite/suite.manifest"
 );
 
-/// Floor on the control-divergence row's batch-over-level speedup.
-const DIVERGENCE_FLOOR: f64 = 1.5;
+/// Floor on the control-divergence row's batch-over-level speedup: one
+/// 64-lane walk must not lose to 64 one-lane walks.
+const DIVERGENCE_FLOOR: f64 = 1.0;
 
 /// Seed of the control-divergence row's code-word vectors.
 const DIVERGENCE_SEED: u64 = 7;
@@ -124,7 +128,7 @@ fn main() -> ExitCode {
         pixels = vec![1024, 4096, 16384, 65536];
     }
 
-    println!("engine ablation (FDCT1): event kernel vs cycle sweeper vs levelized\n");
+    println!("engine ablation (FDCT1): event kernel vs cycle sweeper vs compiled bytecode\n");
     let mut recorder = Recorder::new();
     let mut reports = Vec::new();
     let mut comparison_rows = Vec::new();

@@ -237,6 +237,7 @@ fn emit_telemetry(
     report: &SuiteReport,
     recorder: &Recorder,
     args: &TelemetryArgs,
+    engine: Engine,
 ) -> Result<(), String> {
     // Canonical key order: serializing the same run twice (or the same
     // run on two machines) produces byte-identical reports, so metrics
@@ -249,7 +250,7 @@ fn emit_telemetry(
         println!("metrics written to {}", path.display());
     }
     if let Some(path) = &args.profile_folded {
-        std::fs::write(path, folded_stacks(report))
+        std::fs::write(path, folded_stacks(report, engine))
             .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
         println!("folded stacks written to {}", path.display());
     }
@@ -274,9 +275,10 @@ fn emit_telemetry(
 
 /// Renders every `--profile` block as flamegraph-compatible folded
 /// stacks (`frame;frame;frame count`, one line per leaf, counts in
-/// microseconds): `design;config;event;<class>`, `…;level;rank N`, and
+/// microseconds): `design;config;event;<class>`, `…;level;rank N` (or
+/// `…;batch;rank N`, after the compiled engine that ran), and
 /// `…;cycle;<phase>` frames, ready for flamegraph.pl or inferno.
-fn folded_stacks(report: &SuiteReport) -> String {
+fn folded_stacks(report: &SuiteReport, engine: Engine) -> String {
     let micros = |nanos: u64| (nanos / 1_000).max(1);
     let mut out = String::new();
     for (name, result) in &report.results {
@@ -295,7 +297,7 @@ fn folded_stacks(report: &SuiteReport) -> String {
             }
             for rank in &profile.ranks {
                 out.push_str(&format!(
-                    "{name};{};level;rank {} {}\n",
+                    "{name};{};{engine};rank {} {}\n",
                     run.name,
                     rank.rank,
                     micros(rank.nanos)
@@ -394,13 +396,14 @@ fn run_suite(
     let wall_seconds = run_started.elapsed().as_secs_f64();
     print!("{}", report.render());
     print_metrics(&report, telemetry_args.verbose);
-    if let Err(message) = emit_telemetry(&report, &recorder, telemetry_args) {
+    let engine = engine.unwrap_or_default();
+    if let Err(message) = emit_telemetry(&report, &recorder, telemetry_args, engine) {
         eprintln!("error: {message}");
         return ExitCode::from(2);
     }
     if let Some(path) = &telemetry_args.ledger {
         let entry = LedgerEntry {
-            engine: engine.unwrap_or_default().to_string(),
+            engine: engine.to_string(),
             wall_seconds,
             passed: report.passed() as u64,
             failed: report.failed() as u64,
@@ -1417,7 +1420,8 @@ fn cmd_test(args: &[String]) -> ExitCode {
     let suite_report = SuiteReport {
         results: vec![(name, CaseResult::Finished(report))],
     };
-    if let Err(message) = emit_telemetry(&suite_report, &recorder, &parsed.telemetry) {
+    let engine = parsed.options.engine;
+    if let Err(message) = emit_telemetry(&suite_report, &recorder, &parsed.telemetry, engine) {
         eprintln!("error: {message}");
         return ExitCode::from(2);
     }

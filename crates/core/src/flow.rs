@@ -24,7 +24,6 @@ use crate::stimulus::{MemImage, Stimulus};
 use crate::telemetry::Recorder;
 use eventsim::batchsim::{BatchSim, LaneOutcome, LANES};
 use eventsim::cyclesim::{CycleOutcome, CycleSim, CycleSimError};
-use eventsim::levelsim::LevelSim;
 use eventsim::ops::FsmTable;
 use eventsim::{KernelStats, MemHandle, RunOutcome, SimError, SimTime};
 use nenya::datapath::FU_KINDS;
@@ -48,13 +47,13 @@ pub enum Engine {
     Event,
     /// The naive sweep-until-fixpoint cycle engine — the slow comparator.
     Cycle,
-    /// The levelized compiled-schedule engine — fastest on dense
-    /// datapaths; no probe/trace/coverage support.
+    /// The compiled engine walked one lane wide: the levelized schedule
+    /// flattened into bytecode, evaluated with a dirty bitset — fastest
+    /// for one stimulus; no probe/trace/coverage support.
     Level,
-    /// The bytecode-compiled batch engine — the level schedule flattened
-    /// into a linear opcode buffer and executed over 64 stimulus lanes
-    /// per walk; fastest when many independent vectors or fault sites
-    /// share one design. No probe/trace/coverage support.
+    /// The same bytecode walked [`LANES`] (64) lanes wide — fastest when
+    /// many independent vectors or fault sites share one design. No
+    /// probe/trace/coverage support.
     Batch,
 }
 
@@ -129,8 +128,9 @@ pub struct FlowOptions {
     pub events: EventSink,
     /// Collect an engine profile per configuration into
     /// [`ConfigRun::profile`]: per-component-class evaluation timing on
-    /// the event kernel, per-rank settle timing and dirty-bitset hit
-    /// rates on the level engine, per-phase timing on the cycle engine.
+    /// the event kernel, per-rank walk timing and dirty-bitset hit rates
+    /// on the level and batch engines, per-phase timing on the cycle
+    /// engine.
     /// Profiling only observes — kernel counters, cycle counts, and
     /// verdicts are bit-identical with it on or off — and costs nothing
     /// when off.
@@ -232,20 +232,20 @@ pub struct ClassProfile {
     pub nanos: u64,
 }
 
-/// Per-rank settle timing on the level engine.
+/// Per-rank walk timing on the level and batch engines.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RankProfile {
     /// Levelization rank.
     pub rank: usize,
-    /// Schedule positions in this rank.
+    /// Bytecode ops in this rank.
     pub size: u64,
-    /// Dirty positions actually evaluated across all settles.
+    /// Dirty ops actually evaluated across all walks.
     pub evals: u64,
     /// Evaluations whose output changed.
     pub changes: u64,
     /// Monotonic nanoseconds spent evaluating this rank.
     pub nanos: u64,
-    /// Dirty-bitset hit rate: evaluated fraction of `size × settles`
+    /// Dirty-bitset hit rate: evaluated fraction of `size × walks`
     /// (1.0 = the bitset saved nothing).
     pub hit_rate: f64,
 }
@@ -262,14 +262,14 @@ pub struct PhaseProfile {
 /// Engine profile of one configuration, collected under
 /// [`FlowOptions::profile`]. Exactly one section is populated,
 /// depending on the engine that ran: `classes` (event kernel), `ranks`
-/// (level engine), or `phases` (cycle engine).
+/// (level and batch engines), or `phases` (cycle engine).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ConfigProfile {
     /// Event kernel: per-component-class evaluation timing, descending
     /// by nanoseconds.
     pub classes: Vec<ClassProfile>,
-    /// Level engine: per-rank settle timing and dirty-bitset hit rates,
-    /// in rank order.
+    /// Level and batch engines: per-rank walk timing and dirty-bitset
+    /// hit rates, in rank order.
     pub ranks: Vec<RankProfile>,
     /// Cycle engine: per-phase timing.
     pub phases: Vec<PhaseProfile>,
@@ -1047,9 +1047,10 @@ impl PreparedDesign {
         let ctx = WalkContext {
             design,
             parts: &self.parts,
-            options,
+            options: &batch_options,
         };
-        let runs = walk::<BatchSim>(&ctx, &mut states, &EventSink::disabled(), &mut recorder)?;
+        let runs =
+            walk::<BatchSim<LANES>>(&ctx, &mut states, &EventSink::disabled(), &mut recorder)?;
         let reports = states
             .into_iter()
             .zip(golden_of)
@@ -1183,8 +1184,8 @@ fn simulate_prepared(
     let runs = match options.engine {
         Engine::Event => walk::<EventConfig>(&ctx, &mut lanes, events, recorder)?,
         Engine::Cycle => walk::<CycleSim>(&ctx, &mut lanes, events, recorder)?,
-        Engine::Level => walk::<LevelSim>(&ctx, &mut lanes, events, recorder)?,
-        Engine::Batch => walk::<BatchSim>(&ctx, &mut lanes, events, recorder)?,
+        Engine::Level => walk::<BatchSim<1>>(&ctx, &mut lanes, events, recorder)?,
+        Engine::Batch => walk::<BatchSim<LANES>>(&ctx, &mut lanes, events, recorder)?,
     };
     let [lane] = lanes;
     if let Some(e) = lane.error {
@@ -1295,9 +1296,9 @@ type LaneRuns = Vec<Option<(u64, RunOutcome)>>;
 /// configuration, preload and snapshot a lane's SRAMs, inject a fault
 /// into a lane, run the live lanes, and describe the finished
 /// configuration. A lane is one independent stimulus and fault set; the
-/// event, cycle and level engines simulate one, the batch engine up to
-/// [`LANES`] in one schedule walk. Span attributes go to the span the
-/// walk has open.
+/// event and cycle engines simulate one, the compiled bytecode as many
+/// as its width (one for level, [`LANES`] for batch) in one schedule
+/// walk. Span attributes go to the span the walk has open.
 trait LaneEngine: Sized {
     /// Builds configuration `config` with the run's observers (VCD trace,
     /// probes) attached.
@@ -1749,97 +1750,76 @@ fn compiled_run(
     }
 }
 
-/// The cycle and level engines share one interface (one lane, memories
-/// behind [`MemHandle`]s), so one body implements the walk for both.
-macro_rules! sequential_engine {
-    ($sim:ty, $engine:literal, $build:path, $profile:path) => {
-        impl LaneEngine for $sim {
-            fn build(
-                ctx: &WalkContext,
-                config: usize,
-                recorder: &mut Recorder,
-            ) -> Result<Self, FlowError> {
-                let mut sim = $build(&ctx.parts.netlists[config]).map_err(netlist_error)?;
-                ctx.parts.fsm_tables[config]
-                    .attach(|n, c, o, t| sim.add_control_unit(n, c, o, t))?;
-                if ctx.options.profile {
-                    sim.enable_profile();
-                }
-                recorder.attr_open("engine", $engine);
-                Ok(sim)
-            }
-
-            fn load(&mut self, _lane: usize, mem: &str, image: &[Option<i64>]) {
-                store_image(self.mem(mem).expect("sram instances have handles"), image);
-            }
-
-            fn snapshot(&self, _lane: usize, mem: &str) -> MemImage {
-                self.mem(mem)
-                    .expect("sram instances have handles")
-                    .snapshot()
-            }
-
-            fn inject(
-                &mut self,
-                _lane: usize,
-                _index: usize,
-                fault: &FaultSpec,
-            ) -> Result<bool, FlowError> {
-                match fault {
-                    FaultSpec::StuckAt { signal, bit, value } => {
-                        self.inject_stuck_at(signal, *bit, *value)
-                    }
-                    FaultSpec::BitFlip { signal, bit, cycle }
-                    | FaultSpec::SeuReg { signal, bit, cycle } => {
-                        self.inject_transient_flip(signal, *bit, *cycle)
-                    }
-                    FaultSpec::SramCorrupt { .. } => Ok(false),
-                }
-                .map_err(|e| FlowError::Fault(format!("{fault}: {e}")))
-            }
-
-            fn simulate(
-                &mut self,
-                ctx: &WalkContext,
-                _live: u64,
-                name: &str,
-                recorder: &mut Recorder,
-            ) -> Result<(LaneRuns, ConfigRun), FlowError> {
-                let started = Instant::now();
-                let result = self.run(ctx.options.max_ticks / COMPILED_CLOCK_PERIOD);
-                let wall_seconds = started.elapsed().as_secs_f64();
-                let outcome = match result {
-                    Ok(summary) => cycle_outcome(summary.outcome),
-                    Err(e @ (CycleSimError::Failed(_) | CycleSimError::NoFixpoint { .. })) => {
-                        RunOutcome::Failed(e.to_string())
-                    }
-                    // Build/CombinationalCycle cannot occur after construction.
-                    Err(e) => return Err(netlist_error(e)),
-                };
-                let result = (self.cycles(), outcome);
-                recorder.attr_open("cycles", result.0);
-                recorder.attr_open("comb_evals", self.comb_evals());
-                let profile = ctx.options.profile.then(|| $profile(self));
-                let run = compiled_run(
-                    name,
-                    result.clone(),
-                    self.comb_evals(),
-                    wall_seconds,
-                    profile,
-                );
-                Ok((vec![Some(result)], run))
-            }
+impl LaneEngine for CycleSim {
+    fn build(ctx: &WalkContext, config: usize, recorder: &mut Recorder) -> Result<Self, FlowError> {
+        let mut sim = CycleSim::from_netlist(&ctx.parts.netlists[config]).map_err(netlist_error)?;
+        ctx.parts.fsm_tables[config].attach(|n, c, o, t| sim.add_control_unit(n, c, o, t))?;
+        if ctx.options.profile {
+            sim.enable_profile();
         }
-    };
-}
+        recorder.attr_open("engine", "cycle");
+        Ok(sim)
+    }
 
-sequential_engine!(CycleSim, "cycle", CycleSim::from_netlist, cycle_profile);
-sequential_engine!(
-    LevelSim,
-    "level",
-    eventsim::netlist::Netlist::compile_levelized,
-    level_profile
-);
+    fn load(&mut self, _lane: usize, mem: &str, image: &[Option<i64>]) {
+        store_image(self.mem(mem).expect("sram instances have handles"), image);
+    }
+
+    fn snapshot(&self, _lane: usize, mem: &str) -> MemImage {
+        self.mem(mem)
+            .expect("sram instances have handles")
+            .snapshot()
+    }
+
+    fn inject(
+        &mut self,
+        _lane: usize,
+        _index: usize,
+        fault: &FaultSpec,
+    ) -> Result<bool, FlowError> {
+        match fault {
+            FaultSpec::StuckAt { signal, bit, value } => self.inject_stuck_at(signal, *bit, *value),
+            FaultSpec::BitFlip { signal, bit, cycle }
+            | FaultSpec::SeuReg { signal, bit, cycle } => {
+                self.inject_transient_flip(signal, *bit, *cycle)
+            }
+            FaultSpec::SramCorrupt { .. } => Ok(false),
+        }
+        .map_err(|e| FlowError::Fault(format!("{fault}: {e}")))
+    }
+
+    fn simulate(
+        &mut self,
+        ctx: &WalkContext,
+        _live: u64,
+        name: &str,
+        recorder: &mut Recorder,
+    ) -> Result<(LaneRuns, ConfigRun), FlowError> {
+        let started = Instant::now();
+        let result = self.run(ctx.options.max_ticks / COMPILED_CLOCK_PERIOD);
+        let wall_seconds = started.elapsed().as_secs_f64();
+        let outcome = match result {
+            Ok(summary) => cycle_outcome(summary.outcome),
+            Err(e @ (CycleSimError::Failed(_) | CycleSimError::NoFixpoint { .. })) => {
+                RunOutcome::Failed(e.to_string())
+            }
+            // Build/CombinationalCycle cannot occur after construction.
+            Err(e) => return Err(netlist_error(e)),
+        };
+        let result = (self.cycles(), outcome);
+        recorder.attr_open("cycles", result.0);
+        recorder.attr_open("comb_evals", self.comb_evals());
+        let profile = ctx.options.profile.then(|| cycle_profile(self));
+        let run = compiled_run(
+            name,
+            result.clone(),
+            self.comb_evals(),
+            wall_seconds,
+            profile,
+        );
+        Ok((vec![Some(result)], run))
+    }
+}
 
 /// A compiled engine's termination as the event kernel's [`RunOutcome`].
 fn cycle_outcome(outcome: CycleOutcome) -> RunOutcome {
@@ -1873,8 +1853,8 @@ fn cycle_profile(sim: &CycleSim) -> ConfigProfile {
     }
 }
 
-/// The level engine's per-rank profile.
-fn level_profile(sim: &LevelSim) -> ConfigProfile {
+/// The compiled engine's per-rank profile.
+fn rank_profile<const W: usize>(sim: &BatchSim<W>) -> ConfigProfile {
     let ranks = sim
         .profile()
         .map(|p| {
@@ -1883,7 +1863,7 @@ fn level_profile(sim: &LevelSim) -> ConfigProfile {
                 .enumerate()
                 .map(|(rank, row)| RankProfile {
                     rank,
-                    size: p.rank_sizes.get(rank).copied().unwrap_or(0),
+                    size: p.rank_sizes[rank],
                     evals: row.evals,
                     changes: row.changes,
                     nanos: row.nanos,
@@ -1898,11 +1878,16 @@ fn level_profile(sim: &LevelSim) -> ConfigProfile {
     }
 }
 
-impl LaneEngine for BatchSim {
+/// The compiled bytecode, one lane wide for `--engine level` and
+/// [`LANES`] wide for `--engine batch` and [`PreparedDesign::run_batch`].
+impl<const W: usize> LaneEngine for BatchSim<W> {
     fn build(ctx: &WalkContext, config: usize, recorder: &mut Recorder) -> Result<Self, FlowError> {
-        let mut sim = BatchSim::from_netlist(&ctx.parts.netlists[config]).map_err(netlist_error)?;
+        let mut sim = Self::from_netlist(&ctx.parts.netlists[config]).map_err(netlist_error)?;
         ctx.parts.fsm_tables[config].attach(|n, c, o, t| sim.add_control_unit(n, c, o, t))?;
-        recorder.attr_open("engine", "batch");
+        if ctx.options.profile {
+            sim.enable_profile();
+        }
+        recorder.attr_open("engine", ctx.options.engine.to_string());
         Ok(sim)
     }
 
@@ -1960,9 +1945,7 @@ impl LaneEngine for BatchSim {
         let first = first.expect("the walk runs a live lane");
         recorder.attr_open("cycles", first.0);
         recorder.attr_open("comb_evals", self.comb_evals());
-        // The batch engine has no per-rank or per-phase profile: the
-        // bytecode walk is one undifferentiated loop.
-        let profile = ctx.options.profile.then(ConfigProfile::default);
+        let profile = ctx.options.profile.then(|| rank_profile(self));
         let run = compiled_run(name, first, self.comb_evals(), wall_seconds, profile);
         Ok((results, run))
     }

@@ -826,7 +826,8 @@ fn finished_design_json(name: &str, report: &TestReport) -> Json {
 
 /// The `profile` block of one configuration: only the sections the
 /// engine actually filled in are present (classes for the event kernel,
-/// ranks for the levelized engine, phases for the cycle sweeper).
+/// ranks for the compiled bytecode at either width, phases for the cycle
+/// sweeper).
 fn profile_json(profile: &ConfigProfile) -> Json {
     let mut members = Vec::new();
     if !profile.classes.is_empty() {

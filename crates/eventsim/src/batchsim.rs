@@ -1,26 +1,28 @@
-//! The bytecode-compiled batch engine: 64 stimulus lanes per walk.
+//! The bytecode-compiled engine: `W` stimulus lanes per schedule walk.
 //!
-//! [`crate::levelsim::LevelSim`] already pays the levelization cost once
-//! at build time, but it still *interprets* the schedule: every step
-//! dispatches on the [`crate::simmodel::Comb`] enum per node and chases
-//! `Value` boxes. This engine flattens that rank schedule one step
-//! further, into a linear bytecode buffer ([`BOp`]) of dense operand
-//! slots, and then amortizes each walk over **64 independent stimulus
-//! vectors**:
+//! The netlist is compiled once at build time. Its combinational
+//! instances are levelized (`FlatModel::levelize`: a true combinational
+//! loop is reported here as [`CycleSimError::CombinationalCycle`]), and
+//! the rank schedule is flattened into a linear bytecode buffer
+//! (`BOp`) of dense operand slots. One walk of the bytecode evaluates
+//! `W` independent stimulus vectors, `1 ≤ W ≤ 64`; the caller's engine
+//! picks the width. `BatchSim<1>` is the level engine (`--engine level`)
+//! and `BatchSim<LANES>` the batch engine (`--engine batch`, fault packs,
+//! `run_batch`).
 //!
-//! * **State is lane-struct-of-arrays.** Every value slot holds
-//!   [`LANES`] sign-extended `i64` lanes (`values[slot * LANES + lane]`)
-//!   plus one 64-bit known mask per slot; memories hold `size × LANES`
-//!   words addr-major. One walk of the bytecode evaluates all 64 lanes.
-//! * **The walk is dirty-driven, like the level engine.** A dirty
-//!   bitset over op indices is drained in ascending (rank) order; an op
-//!   whose output column actually changed marks its reader ops and the
-//!   registers that sample it, so a quiescent region of the schedule
-//!   costs nothing. Because dirtiness is tracked per *column* (any lane
-//!   changing re-evaluates all 64), each lane's evaluation set is a
-//!   superset of what the sequential level engine would evaluate for
-//!   that lane alone — extra evaluations of unchanged inputs are
-//!   observationally idempotent, so per-lane results are unaffected.
+//! * **State is lane-struct-of-arrays.** Every value slot holds `W`
+//!   sign-extended `i64` lanes (`values[slot * W + lane]`) plus one lane
+//!   mask of known bits per slot; memories hold `size × W` words
+//!   addr-major. One walk of the bytecode evaluates all `W` lanes.
+//! * **The walk is dirty-driven.** A dirty bitset over op indices is
+//!   drained in ascending (rank) order; an op whose output column
+//!   actually changed marks its reader ops and the registers that sample
+//!   it, so a quiescent region of the schedule costs nothing. Because
+//!   dirtiness is tracked per *column* (any lane changing re-evaluates
+//!   all `W`), each lane's evaluation set is a superset of what a
+//!   one-lane walk would evaluate for that lane alone — extra
+//!   evaluations of unchanged inputs are observationally idempotent, so
+//!   per-lane results are unaffected.
 //! * **Bitwise ops vectorize across packed lanes; word ops loop the
 //!   lane array.** Infallible ops (add/sub/mul/logic/shift/compare)
 //!   evaluate all lanes unconditionally in straight-line loops the
@@ -37,24 +39,28 @@
 //! * **Per-lane bit-identity.** Each lane's observable results — signal
 //!   values, memory images, cycle counts, failure messages, and
 //!   termination outcomes — are bit-identical to running that lane's
-//!   stimulus alone through the sequential level engine. Lanes that fail
-//!   or finish drop out of the running mask and stop committing state;
-//!   the surviving lanes walk on. See `DESIGN.md` ("Batch engine").
+//!   stimulus alone through a one-lane walk, and agree with the sweep
+//!   engine ([`crate::cyclesim::CycleSim`]). Lanes that fail or finish
+//!   drop out of the running mask and stop committing state; the
+//!   surviving lanes walk on. See `DESIGN.md` ("Batch engine").
+//! * **Opt-in per-rank profile.** [`BatchSim::enable_profile`] times
+//!   every evaluation into its rank's counters; the unprofiled walk is a
+//!   separate instance of the same loop that carries no timing code.
 //!
-//! Faults are per-lane: stuck-at clamps carry a 64-lane AND/OR row per
+//! Faults are per-lane: stuck-at clamps carry a `W`-lane AND/OR row per
 //! faulted slot, transient flips carry a lane mask, so a fault campaign
 //! can pack 64 fault sites into one batch walk.
 
 use crate::cyclesim::{CycleOutcome, CycleSimError, CycleSummary};
-use crate::levelsim::LevelSim;
 use crate::netlist::Netlist;
 use crate::ops::{FsmTable, OpKind};
-use crate::simmodel::Comb;
+use crate::simmodel::{Comb, FlatModel};
 use crate::value::{mask, Value};
 use std::collections::HashMap;
+use std::time::Instant;
 
-/// Stimulus lanes per schedule walk. Matches the machine word so known
-/// masks, running masks, and fault lane-masks are single `u64`s.
+/// Stimulus lanes per walk of the batch engine. Matches the machine word
+/// so known masks, running masks, and fault lane-masks are single `u64`s.
 pub const LANES: usize = 64;
 
 /// One bytecode instruction. Operands are dense value-slot indices;
@@ -96,6 +102,41 @@ enum BOp {
     },
 }
 
+impl BOp {
+    /// Calls `read` on every input slot, in operand order (duplicates
+    /// possible).
+    fn inputs(&self, mux_pool: &[u32], mut read: impl FnMut(u32)) {
+        match *self {
+            BOp::Bin { a, b, .. } => {
+                read(a);
+                read(b);
+            }
+            BOp::Un { a, .. } => read(a),
+            BOp::Mux { sel, lo, n, .. } => {
+                read(sel);
+                mux_pool[lo as usize..(lo + n) as usize]
+                    .iter()
+                    .for_each(|&i| read(i));
+            }
+            BOp::SramRead { en, we, addr, .. } => {
+                read(en);
+                read(we);
+                read(addr);
+            }
+        }
+    }
+
+    /// The slot this op writes.
+    fn y(&self) -> u32 {
+        match *self {
+            BOp::Bin { y, .. }
+            | BOp::Un { y, .. }
+            | BOp::Mux { y, .. }
+            | BOp::SramRead { y, .. } => y,
+        }
+    }
+}
+
 /// A register: sampled before the edge, committed after FSMs transition.
 #[derive(Debug, Clone, Copy)]
 struct BReg {
@@ -120,7 +161,7 @@ struct BSram {
     din: u32,
 }
 
-/// Lane-parallel memory contents: `data[addr * LANES + lane]` canonical,
+/// Lane-parallel memory contents: `data[addr * W + lane]` canonical,
 /// `known[addr]` a lane mask (bit set = that lane's word is defined).
 #[derive(Debug, Clone)]
 struct BMem {
@@ -154,9 +195,9 @@ struct BFsm {
 
 /// Per-lane stuck-at clamp row for one faulted slot.
 #[derive(Debug, Clone)]
-struct ClampRow {
-    and: [u64; LANES],
-    or: [u64; LANES],
+struct ClampRow<const W: usize> {
+    and: [u64; W],
+    or: [u64; W],
 }
 
 /// A scheduled transient flip: XORed into `slot` (known lanes in
@@ -178,13 +219,13 @@ pub enum LaneOutcome {
     Watchpoint(String),
     /// The lane was still running when the cycle budget ran out.
     CycleLimit,
-    /// A design failure — the message the sequential engine would have
-    /// raised as [`CycleSimError::Failed`].
+    /// A design failure — the message the sweep engine would have raised
+    /// as [`CycleSimError::Failed`].
     Failed(String),
 }
 
 /// One finished lane: its outcome and the cycles it ran (relative to
-/// the `run_batch` call, with the sequential engine's conventions —
+/// the `run_batch` call, with the sweep engine's conventions —
 /// failures count the walk they failed in as not yet elapsed).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LaneResult {
@@ -202,21 +243,72 @@ pub struct BatchSummary {
     pub lanes: Vec<Option<LaneResult>>,
 }
 
-/// The batch engine. See the [module docs](self).
-pub struct BatchSim {
+/// One row of [`BatchSim::rank_table`]: an instance, its rank, and the
+/// combinational producers it reads (with their ranks).
+#[derive(Debug, Clone)]
+pub struct RankEntry {
+    /// Instance name.
+    pub instance: String,
+    /// Evaluation rank (0 = fed only by sequential/constant slots).
+    pub rank: usize,
+    /// `(producer instance, producer rank)` for every combinational
+    /// instance whose output this one reads.
+    pub sources: Vec<(String, usize)>,
+}
+
+/// Per-rank walk timing and dirty-bitset effectiveness, collected when
+/// [`BatchSim::enable_profile`] was called.
+#[derive(Debug, Clone, Default)]
+pub struct WalkProfile {
+    /// Schedule walks executed (one per clock cycle).
+    pub walks: u64,
+    /// Number of ops in each rank.
+    pub rank_sizes: Vec<u64>,
+    /// Accumulated per-rank counters, indexed by rank.
+    pub ranks: Vec<RankProfile>,
+}
+
+/// One rank's accumulated profile counters.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct RankProfile {
+    /// Dirty ops of this rank actually evaluated.
+    pub evals: u64,
+    /// Evaluations whose output column changed.
+    pub changes: u64,
+    /// Monotonic nanoseconds spent evaluating this rank.
+    pub nanos: u64,
+}
+
+impl WalkProfile {
+    /// Fraction of rank `rank`'s ops the dirty bitset actually evaluated,
+    /// across all walks — 1.0 means no savings over evaluate-everything,
+    /// small values mean the bitset is doing its job.
+    pub fn hit_rate(&self, rank: usize) -> f64 {
+        let visited = self.ranks.get(rank).map_or(0, |row| row.evals);
+        let possible = self.rank_sizes.get(rank).copied().unwrap_or(0) * self.walks;
+        if possible == 0 {
+            0.0
+        } else {
+            visited as f64 / possible as f64
+        }
+    }
+}
+
+/// The compiled engine over `W` lanes. See the [module docs](self).
+pub struct BatchSim<const W: usize> {
     ops: Vec<BOp>,
-    /// Instance name per bytecode op, for failure messages only.
+    /// Instance name per bytecode op, for failure messages and the rank
+    /// table.
     op_names: Vec<String>,
+    /// Levelization rank per bytecode op (non-decreasing: ops are in
+    /// rank order).
+    op_ranks: Vec<u32>,
     mux_pool: Vec<u32>,
     widths: Vec<u32>,
-    /// Canonical lane values, `slot * LANES + lane`.
+    /// Canonical lane values, `slot * W + lane`.
     values: Vec<i64>,
     /// Known lane mask per slot.
     known: Vec<u64>,
-    /// Post-construction snapshot per slot (lane-uniform), for
-    /// [`reset_state`](Self::reset_state).
-    initial_vals: Vec<i64>,
-    initial_known: Vec<bool>,
     regs: Vec<BReg>,
     srams: Vec<BSram>,
     mems: Vec<BMem>,
@@ -225,21 +317,21 @@ pub struct BatchSim {
     reset_signals: Vec<u32>,
     watches: Vec<BWatch>,
     fsms: Vec<BFsm>,
-    /// Current state per FSM per lane, `fsm * LANES + lane`.
+    /// Current state per FSM per lane, `fsm * W + lane`.
     fsm_state: Vec<u32>,
     /// Clamp row index per slot (`u32::MAX` = unfaulted); empty until
     /// the first stuck-at injection.
     clamp_of: Vec<u32>,
-    clamp_rows: Vec<ClampRow>,
+    clamp_rows: Vec<ClampRow<W>>,
     flips: Vec<BFlip>,
     /// Comb readers per value slot: the op indices whose inputs include
-    /// the slot. Mirrors the level engine's fanout CSR.
+    /// the slot.
     readers: Vec<Vec<u32>>,
     /// Registers whose `d`/`en`/`rst` read each value slot.
     reg_readers: Vec<Vec<u32>>,
     /// Op producing each value slot (`u32::MAX` for sequential/constant
     /// slots). A transient flip re-dirties the producer so the settle
-    /// recomputes it away, matching the sequential engines.
+    /// recomputes it away, matching the sweep engine's fixpoint.
     producer_op: Vec<u32>,
     /// Read-port op per SRAM instance: a committed write dirties the
     /// read path even though no signal changed.
@@ -257,7 +349,7 @@ pub struct BatchSim {
     /// change alters (set by transient flips and re-arms, after which an
     /// output column may no longer hold its lane's state values).
     force_fsm_drive: bool,
-    /// Register sample scratch, `reg * LANES + lane`.
+    /// Register sample scratch, `reg * W + lane`.
     reg_vals: Vec<i64>,
     /// Per-register lane masks: which lanes sampled (commit) and which
     /// of those sampled a known value.
@@ -270,11 +362,11 @@ pub struct BatchSim {
     /// Lanes whose value column was snapshotted at termination. Later
     /// walks keep recomputing every lane's comb slots (the vector loops
     /// are unconditional), so a finished lane's observable values are
-    /// served from this freeze-frame — the state a sequential run would
+    /// served from this freeze-frame — the state a one-lane run would
     /// have stopped with. Registers, FSMs, and memories are commit-
     /// masked and need no copy.
     frozen_mask: u64,
-    /// Frozen value column per lane, `slot * LANES + lane`; lazily
+    /// Frozen value column per lane, `slot * W + lane`; lazily
     /// allocated on the first freeze.
     frozen_vals: Vec<i64>,
     /// Frozen known bit per slot per lane, same lane-mask layout as
@@ -284,6 +376,8 @@ pub struct BatchSim {
     lane_cycles: Vec<u64>,
     cycles: u64,
     comb_evals: u64,
+    /// Opt-in per-rank profile; `None` runs the untimed walk.
+    profile: Option<Box<WalkProfile>>,
 }
 
 /// Canonicalizes a raw result at `shift = 64 - width`.
@@ -297,26 +391,32 @@ fn canon(raw: i64, shift: u32) -> i64 {
 /// running masks make unobservable), canonicalized. The caller
 /// change-detects against the old column before writing back.
 #[inline(always)]
-fn vec_bin(
+fn vec_bin<const W: usize>(
     values: &[i64],
     a: usize,
     b: usize,
     shift: u32,
-    out: &mut [i64; LANES],
+    out: &mut [i64; W],
     f: impl Fn(i64, i64) -> i64,
 ) {
-    let va = &values[a * LANES..a * LANES + LANES];
-    let vb = &values[b * LANES..b * LANES + LANES];
-    for l in 0..LANES {
+    let va = &values[a * W..a * W + W];
+    let vb = &values[b * W..b * W + W];
+    for l in 0..W {
         out[l] = canon(f(va[l], vb[l]), shift);
     }
 }
 
 /// Vectorized unary op over all lanes.
 #[inline(always)]
-fn vec_un(values: &[i64], a: usize, shift: u32, out: &mut [i64; LANES], f: impl Fn(i64) -> i64) {
-    let va = &values[a * LANES..a * LANES + LANES];
-    for l in 0..LANES {
+fn vec_un<const W: usize>(
+    values: &[i64],
+    a: usize,
+    shift: u32,
+    out: &mut [i64; W],
+    f: impl Fn(i64) -> i64,
+) {
+    let va = &values[a * W..a * W + W];
+    for l in 0..W {
         out[l] = canon(f(va[l]), shift);
     }
 }
@@ -334,23 +434,34 @@ fn fill_mask(words: &mut [u64], n: usize) {
     }
 }
 
-impl BatchSim {
-    /// Compiles a netlist: levelizes it through [`LevelSim`] (sharing
-    /// its cycle detection and rank order), then flattens the schedule
-    /// into bytecode and the model into lane-SoA state.
+impl<const W: usize> BatchSim<W> {
+    /// The lane mask with every lane set; fails to compile unless
+    /// `1 ≤ W ≤ 64`.
+    const ALL: u64 = {
+        assert!(W >= 1 && W <= 64, "lane width must be 1..=64");
+        u64::MAX >> (64 - W)
+    };
+
+    /// Compiles a netlist: levelizes it (`FlatModel::levelize`), then
+    /// flattens the rank schedule into bytecode and the model into
+    /// lane-SoA state.
     ///
     /// # Errors
     ///
-    /// Propagates [`CycleSimError::Build`] /
-    /// [`CycleSimError::CombinationalCycle`] from levelization.
+    /// [`CycleSimError::Build`] for constructs outside the compiled
+    /// engines' vocabulary, and [`CycleSimError::CombinationalCycle`]
+    /// when the combinational netlist is not a DAG (the error names one
+    /// concrete loop).
     pub fn from_netlist(netlist: &Netlist) -> Result<Self, CycleSimError> {
-        let (model, order) = LevelSim::from_netlist(netlist)?.into_parts();
+        let mut model = FlatModel::from_netlist(netlist)?;
+        let levels = model.levelize()?;
+        let order = &levels.order;
         let widths: Vec<u32> = model.values.iter().map(Value::width).collect();
 
         let mut ops = Vec::with_capacity(order.len());
         let mut op_names = Vec::with_capacity(order.len());
         let mut mux_pool: Vec<u32> = Vec::new();
-        for &ci in &order {
+        for &ci in order {
             let comb = &model.combs[ci as usize];
             op_names.push(comb.name().to_string());
             ops.push(match comb {
@@ -412,9 +523,7 @@ impl BatchSim {
                 },
             });
         }
-
-        let initial_vals: Vec<i64> = model.values.iter().map(|v| v.try_i64().unwrap_or(0)).collect();
-        let initial_known: Vec<bool> = model.values.iter().map(|v| !v.is_x()).collect();
+        let op_ranks = order.iter().map(|&ci| levels.ranks[ci as usize]).collect();
 
         let regs: Vec<BReg> = model
             .regs
@@ -440,14 +549,18 @@ impl BatchSim {
                 din: s.din as u32,
             })
             .collect();
-        let mems: Vec<BMem> = model
-            .mems
-            .iter()
-            .map(|m| BMem {
-                shift: 64 - m.width(),
-                size: m.size(),
-                data: vec![0; m.size() * LANES],
-                known: vec![0; m.size()],
+        // Only the shapes of the model's SRAMs carry over: free its own
+        // storage before the lane memories are allocated, so the two
+        // never coexist.
+        let shapes: Vec<(u32, usize)> =
+            model.mems.drain(..).map(|m| (m.width(), m.size())).collect();
+        let mems: Vec<BMem> = shapes
+            .into_iter()
+            .map(|(width, size)| BMem {
+                shift: 64 - width,
+                size,
+                data: vec![0; size * W],
+                known: vec![0; size],
             })
             .collect();
         let watches: Vec<BWatch> = model
@@ -462,45 +575,19 @@ impl BatchSim {
 
         let slots = widths.len();
 
-        // Reader tables, mirroring the level engine's fanout CSRs: which
-        // ops re-evaluate and which registers re-sample when a slot's
-        // column changes.
+        // Reader tables: which ops re-evaluate and which registers
+        // re-sample when a slot's column changes.
         let mut readers: Vec<Vec<u32>> = vec![Vec::new(); slots];
         let mut producer_op = vec![u32::MAX; slots];
         for (oi, op) in ops.iter().enumerate() {
             let oi = oi as u32;
-            let mut read = |slot: u32| {
+            op.inputs(&mux_pool, |slot| {
                 let list = &mut readers[slot as usize];
                 if list.last() != Some(&oi) {
                     list.push(oi);
                 }
-            };
-            match *op {
-                BOp::Bin { a, b, y, .. } => {
-                    read(a);
-                    read(b);
-                    producer_op[y as usize] = oi;
-                }
-                BOp::Un { a, y, .. } => {
-                    read(a);
-                    producer_op[y as usize] = oi;
-                }
-                BOp::Mux { sel, lo, n, y, .. } => {
-                    read(sel);
-                    for i in 0..n {
-                        read(mux_pool[(lo + i) as usize]);
-                    }
-                    producer_op[y as usize] = oi;
-                }
-                BOp::SramRead {
-                    en, we, addr, y, ..
-                } => {
-                    read(en);
-                    read(we);
-                    read(addr);
-                    producer_op[y as usize] = oi;
-                }
-            }
+            });
+            producer_op[op.y() as usize] = oi;
         }
         let mut reg_readers: Vec<Vec<u32>> = vec![Vec::new(); slots];
         for (r, reg) in regs.iter().enumerate() {
@@ -523,22 +610,30 @@ impl BatchSim {
             })
             .collect();
 
+        // Every lane starts from the model's post-construction values
+        // (constants known, everything else X).
+        let mut values = vec![0; slots * W];
+        let mut known = vec![0; slots];
+        for (slot, v) in model.values.iter().enumerate() {
+            values[slot * W..slot * W + W].fill(v.try_i64().unwrap_or(0));
+            known[slot] = if v.is_x() { 0 } else { Self::ALL };
+        }
+
         let op_words = ops.len().div_ceil(64);
         let reg_words = regs.len().div_ceil(64);
         let mut sim = BatchSim {
             ops,
             op_names,
+            op_ranks,
             mux_pool,
-            values: vec![0; slots * LANES],
-            known: vec![0; slots],
-            initial_vals,
-            initial_known,
+            values,
+            known,
             widths,
             regs,
             srams,
             mems,
-            mem_names: model.mem_names.clone(),
-            signal_index: model.signal_index.clone(),
+            mem_names: model.mem_names,
+            signal_index: model.signal_index,
             reset_signals: model.reset_signals.iter().map(|&s| s as u32).collect(),
             watches,
             fsms: Vec::new(),
@@ -554,34 +649,23 @@ impl BatchSim {
             reg_dirty: vec![0u64; reg_words],
             edge_regs: Vec::new(),
             force_fsm_drive: false,
-            reg_vals: vec![0; model.regs.len() * LANES],
+            reg_vals: vec![0; model.regs.len() * W],
             reg_commit: vec![0; model.regs.len()],
             reg_known: vec![0; model.regs.len()],
-            active: !0,
-            running: !0,
+            active: Self::ALL,
+            running: Self::ALL,
             frozen_mask: 0,
             frozen_vals: Vec::new(),
             frozen_known: Vec::new(),
-            outcomes: vec![None; LANES],
-            lane_cycles: vec![0; LANES],
+            outcomes: vec![None; W],
+            lane_cycles: vec![0; W],
             cycles: 0,
             comb_evals: 0,
+            profile: None,
         };
-        sim.broadcast_initials();
+        // The first walk evaluates everything, like the sweep engine.
+        sim.mark_all();
         Ok(sim)
-    }
-
-    /// Broadcasts the lane-uniform post-construction snapshot into every
-    /// lane of every slot, and marks the whole schedule dirty (the first
-    /// walk evaluates everything, like the sequential engines).
-    fn broadcast_initials(&mut self) {
-        for slot in 0..self.widths.len() {
-            let v = self.initial_vals[slot];
-            let base = slot * LANES;
-            self.values[base..base + LANES].fill(v);
-            self.known[slot] = if self.initial_known[slot] { !0 } else { 0 };
-        }
-        self.mark_all();
     }
 
     /// Marks every op and every register dirty.
@@ -600,7 +684,7 @@ impl BatchSim {
     /// column scan the compiler vectorizes to compare-and-movemask).
     #[inline]
     fn nonzero_mask(&self, slot: usize) -> u64 {
-        let col = &self.values[slot * LANES..slot * LANES + LANES];
+        let col = &self.values[slot * W..slot * W + W];
         let mut m = 0u64;
         for (l, &v) in col.iter().enumerate() {
             m |= ((v != 0) as u64) << l;
@@ -609,8 +693,7 @@ impl BatchSim {
     }
 
     /// Marks everything that reads `slot`: the comb ops with it as an
-    /// input, and the registers sampling it as `d`/`en`/`rst`. The batch
-    /// twin of the level engine's `mark_slot`.
+    /// input, and the registers sampling it as `d`/`en`/`rst`.
     #[inline]
     fn mark_slot(&mut self, slot: usize) {
         for &op in &self.readers[slot] {
@@ -622,13 +705,13 @@ impl BatchSim {
     }
 
     /// Attaches a behavioral control unit (same table vocabulary as the
-    /// sequential engines). Initial-state outputs are driven into every
-    /// lane immediately.
+    /// event kernel and the sweep engine). Initial-state outputs are
+    /// driven into every lane immediately.
     ///
     /// # Errors
     ///
     /// Returns [`CycleSimError::Build`] on a signal-count mismatch or an
-    /// unknown signal, with the sequential engines' messages.
+    /// unknown signal, with the sweep engine's messages.
     pub fn add_control_unit(
         &mut self,
         name: impl Into<String>,
@@ -707,18 +790,17 @@ impl BatchSim {
             state_values,
             deltas,
         };
-        self.drive_outputs(&fsm, 0, 0..fsm.outputs.len(), !0, false);
+        self.drive_outputs(&fsm, 0, 0..fsm.outputs.len(), Self::ALL, false);
         self.fsms.push(fsm);
-        self.fsm_state.extend(std::iter::repeat_n(0, LANES));
+        self.fsm_state.extend(std::iter::repeat_n(0, W));
         Ok(())
     }
 
     /// Restricts the next `run_batch` to the lanes in `lane_mask` and
     /// re-arms them (prior outcomes are cleared, so a lane that hit a
-    /// watchpoint in one configuration keeps walking in the next, like
-    /// the sequential engines' repeated `run` calls). Excluded lanes
-    /// keep their state but never commit, fail, or finish — their
-    /// summary entry stays `None`.
+    /// watchpoint in one configuration keeps walking in the next).
+    /// Excluded lanes keep their state but never commit, fail, or finish
+    /// — their summary entry stays `None`.
     pub fn set_active(&mut self, lane_mask: u64) {
         self.active = lane_mask;
         self.running = lane_mask;
@@ -734,35 +816,6 @@ impl BatchSim {
         self.force_fsm_drive = true;
     }
 
-    /// Rewinds to the just-built state (control units stay attached,
-    /// lane activity resets to all 64): signal values return to the
-    /// post-construction snapshot, FSMs rewind and re-drive initial
-    /// outputs, memories clear to X, faults are removed, counters zero.
-    /// A reset simulator is bit-identical to a freshly built one.
-    pub fn reset_state(&mut self) {
-        self.broadcast_initials();
-        for mem in &mut self.mems {
-            mem.known.iter_mut().for_each(|k| *k = 0);
-        }
-        self.clamp_of.clear();
-        self.clamp_rows.clear();
-        self.flips.clear();
-        self.fsm_state.iter_mut().for_each(|s| *s = 0);
-        let fsms = std::mem::take(&mut self.fsms);
-        for fsm in &fsms {
-            self.drive_outputs(fsm, 0, 0..fsm.outputs.len(), !0, false);
-        }
-        self.fsms = fsms;
-        self.active = !0;
-        self.running = !0;
-        self.frozen_mask = 0;
-        self.force_fsm_drive = false;
-        self.outcomes.iter_mut().for_each(|o| *o = None);
-        self.lane_cycles.iter_mut().for_each(|c| *c = 0);
-        self.cycles = 0;
-        self.comb_evals = 0;
-    }
-
     /// Injects a stuck-at fault on one bit of a named signal, in every
     /// lane. Returns `false` when the signal does not exist.
     ///
@@ -775,11 +828,11 @@ impl BatchSim {
         bit: u32,
         value: bool,
     ) -> Result<bool, CycleSimError> {
-        self.inject_stuck_masked(signal, bit, value, !0)
+        self.inject_stuck_masked(signal, bit, value, Self::ALL)
     }
 
     /// [`inject_stuck_at`](Self::inject_stuck_at) restricted to one lane
-    /// — the fault-campaign batching hook (64 sites per walk).
+    /// — the fault-campaign batching hook (`W` sites per walk).
     ///
     /// # Errors
     ///
@@ -816,8 +869,8 @@ impl BatchSim {
         let row = if self.clamp_of[slot] == u32::MAX {
             self.clamp_of[slot] = self.clamp_rows.len() as u32;
             self.clamp_rows.push(ClampRow {
-                and: [!0; LANES],
-                or: [0; LANES],
+                and: [!0; W],
+                or: [0; W],
             });
             self.clamp_rows.len() - 1
         } else {
@@ -835,9 +888,9 @@ impl BatchSim {
             }
         }
         // Clamp the current value immediately, so constants and
-        // already-driven FSM outputs honor the fault (sequential parity).
+        // already-driven FSM outputs honor the fault.
         let shift = 64 - width;
-        let base = slot * LANES;
+        let base = slot * W;
         let mut m = lanes & self.known[slot];
         while m != 0 {
             let l = m.trailing_zeros() as usize;
@@ -848,10 +901,12 @@ impl BatchSim {
         Ok(true)
     }
 
-    /// Schedules a one-walk transient flip on every lane, with the
-    /// sequential engines' timing (applied before the reset drive and
-    /// the settle of the matching cycle). Returns `false` when no such
-    /// signal exists.
+    /// Schedules a one-walk transient flip on every lane, with the sweep
+    /// engine's timing (applied before the reset drive and the settle of
+    /// the matching cycle): a flip on a comb-driven slot is recomputed
+    /// away, one on a sequential output (register `q`, FSM output,
+    /// constant) persists for that walk and propagates. Returns `false`
+    /// when no such signal exists.
     ///
     /// # Errors
     ///
@@ -862,7 +917,7 @@ impl BatchSim {
         bit: u32,
         cycle: u64,
     ) -> Result<bool, CycleSimError> {
-        self.inject_flip_masked(signal, bit, cycle, !0)
+        self.inject_flip_masked(signal, bit, cycle, Self::ALL)
     }
 
     /// [`inject_transient_flip`](Self::inject_transient_flip) restricted
@@ -923,7 +978,7 @@ impl BatchSim {
         for (addr, word) in image.iter().enumerate().take(mem.size) {
             match word {
                 Some(v) => {
-                    mem.data[addr * LANES + lane] = canon(*v, mem.shift);
+                    mem.data[addr * W + lane] = canon(*v, mem.shift);
                     mem.known[addr] |= bit;
                 }
                 None => mem.known[addr] &= !bit,
@@ -953,8 +1008,8 @@ impl BatchSim {
         for (addr, word) in image.iter().enumerate().take(mem.size) {
             match word {
                 Some(v) => {
-                    mem.data[addr * LANES..addr * LANES + LANES].fill(canon(*v, mem.shift));
-                    mem.known[addr] = !0;
+                    mem.data[addr * W..addr * W + W].fill(canon(*v, mem.shift));
+                    mem.known[addr] = Self::ALL;
                 }
                 None => mem.known[addr] = 0,
             }
@@ -971,7 +1026,7 @@ impl BatchSim {
         let bit = 1u64 << lane;
         Some(
             (0..mem.size)
-                .map(|addr| (mem.known[addr] & bit != 0).then(|| mem.data[addr * LANES + lane]))
+                .map(|addr| (mem.known[addr] & bit != 0).then(|| mem.data[addr * W + lane]))
                 .collect(),
         )
     }
@@ -994,15 +1049,15 @@ impl BatchSim {
             (&self.values, &self.known)
         };
         Some(if known[slot] & bit != 0 {
-            Value::known(width, vals[slot * LANES + lane])
+            Value::known(width, vals[slot * W + lane])
         } else {
             Value::x(width)
         })
     }
 
-    /// Cycles executed, with the sequential accessor's convention: after
-    /// lane 0 fails or finishes, its own cycle count (a failing walk
-    /// does not count as elapsed).
+    /// Cycles executed, with the sweep engine's convention: after lane 0
+    /// fails or finishes, its own cycle count (a failing walk does not
+    /// count as elapsed).
     pub fn cycles(&self) -> u64 {
         if self.outcomes[0].is_some() {
             self.lane_cycles[0]
@@ -1012,16 +1067,70 @@ impl BatchSim {
     }
 
     /// Bytecode evaluations performed: dirty ops drained across all
-    /// walks (each evaluation covers all 64 lanes). Comparable in spirit
-    /// to the level engine's count, but not numerically identical — a
-    /// change in any lane re-evaluates the whole column.
+    /// walks (each evaluation covers all `W` lanes, and a change in any
+    /// lane re-evaluates the whole column).
     pub fn comb_evals(&self) -> u64 {
         self.comb_evals
     }
 
+    /// Number of levelization ranks in the compiled schedule.
+    pub fn rank_count(&self) -> usize {
+        self.op_ranks.last().map_or(0, |&r| r as usize + 1)
+    }
+
+    /// The levelization result, for inspection and property tests: every
+    /// combinational instance, in schedule order, with its rank and its
+    /// combinational sources.
+    pub fn rank_table(&self) -> Vec<RankEntry> {
+        let rank = |op: u32| self.op_ranks[op as usize] as usize;
+        let mut slots = Vec::new();
+        self.ops
+            .iter()
+            .enumerate()
+            .map(|(oi, op)| {
+                slots.clear();
+                op.inputs(&self.mux_pool, |slot| slots.push(slot));
+                slots.sort_unstable();
+                slots.dedup();
+                let sources = slots
+                    .iter()
+                    .map(|&slot| self.producer_op[slot as usize])
+                    .filter(|&p| p != u32::MAX)
+                    .map(|p| (self.op_names[p as usize].clone(), rank(p)))
+                    .collect();
+                RankEntry {
+                    instance: self.op_names[oi].clone(),
+                    rank: rank(oi as u32),
+                    sources,
+                }
+            })
+            .collect()
+    }
+
+    /// Turns on the per-rank walk profile. Profiling only observes:
+    /// cycle and evaluation counters, values, and outcomes are
+    /// bit-identical with it on or off.
+    pub fn enable_profile(&mut self) {
+        let mut rank_sizes = vec![0u64; self.rank_count()];
+        for &rank in &self.op_ranks {
+            rank_sizes[rank as usize] += 1;
+        }
+        self.profile = Some(Box::new(WalkProfile {
+            walks: 0,
+            ranks: vec![RankProfile::default(); rank_sizes.len()],
+            rank_sizes,
+        }));
+    }
+
+    /// The accumulated profile, when [`enable_profile`](Self::enable_profile)
+    /// was called.
+    pub fn profile(&self) -> Option<&WalkProfile> {
+        self.profile.as_deref()
+    }
+
     /// Marks a lane failed at the current (pre-increment) cycle and
     /// drops it from the running mask. First failure wins, matching the
-    /// sequential engine's abort-at-first-error.
+    /// sweep engine's abort-at-first-error.
     fn fail_lane(&mut self, lane: usize, msg: String) {
         if self.outcomes[lane].is_none() {
             self.outcomes[lane] = Some(LaneOutcome::Failed(msg));
@@ -1041,7 +1150,7 @@ impl BatchSim {
         }
         let bit = 1u64 << lane;
         for slot in 0..self.known.len() {
-            self.frozen_vals[slot * LANES + lane] = self.values[slot * LANES + lane];
+            self.frozen_vals[slot * W + lane] = self.values[slot * W + lane];
             if self.known[slot] & bit != 0 {
                 self.frozen_known[slot] |= bit;
             } else {
@@ -1070,8 +1179,7 @@ impl BatchSim {
     }
 
     /// One walk of the bytecode: flips, reset drive, the op loop, the
-    /// edge commit, and per-lane termination — the batch twin of the
-    /// sequential engines' `step`.
+    /// edge commit, and per-lane termination — one clock cycle.
     fn walk(&mut self) {
         // Transient flips scheduled for this cycle, known lanes only.
         if !self.flips.is_empty() {
@@ -1088,7 +1196,7 @@ impl BatchSim {
                 let slot = slot as usize;
                 let shift = 64 - self.widths[slot];
                 let vmask = !0u64 >> shift;
-                let base = slot * LANES;
+                let base = slot * W;
                 let mut m = lanes & self.known[slot];
                 if m == 0 {
                     continue; // whole-X slots are skipped, unmarked
@@ -1118,35 +1226,55 @@ impl BatchSim {
         let reset_bit: i64 = if self.cycles == 0 { -1 } else { 0 };
         for i in 0..self.reset_signals.len() {
             let y = self.reset_signals[i] as usize;
-            let base = y * LANES;
-            let mut out = [reset_bit; LANES];
+            let base = y * W;
+            let mut out = [reset_bit; W];
             if !self.clamp_of.is_empty() && self.clamp_of[y] != u32::MAX {
                 for (l, v) in out.iter_mut().enumerate() {
                     *v = self.clamp_lane(y, l, reset_bit, 63);
                 }
             }
-            if self.known[y] != !0 || self.values[base..base + LANES] != out {
-                self.values[base..base + LANES].copy_from_slice(&out);
-                self.known[y] = !0;
+            if self.known[y] != Self::ALL || self.values[base..base + W] != out {
+                self.values[base..base + W].copy_from_slice(&out);
+                self.known[y] = Self::ALL;
                 self.mark_slot(y);
             }
         }
 
-        self.eval_ops();
+        if let Some(profile) = self.profile.as_mut() {
+            profile.walks += 1;
+            self.eval_ops::<true>();
+        } else {
+            self.eval_ops::<false>();
+        }
         self.commit_edge();
     }
 
     /// The settle phase: drains the dirty bitset in ascending (rank)
     /// order. Evaluating an op can re-dirty later positions, including
     /// in the word being drained, so each word is re-fetched until it
-    /// empties; rank order guarantees no earlier bit ever sets.
-    fn eval_ops(&mut self) {
+    /// empties; rank order guarantees no earlier bit ever sets. The
+    /// `PROFILE` instance also times each evaluation into its rank's
+    /// row; the other carries no timing code.
+    fn eval_ops<const PROFILE: bool>(&mut self) {
         for word in 0..self.dirty.len() {
             while self.dirty[word] != 0 {
                 let bit = self.dirty[word].trailing_zeros() as usize;
                 self.dirty[word] &= !(1u64 << bit);
                 self.comb_evals += 1;
-                self.eval_op(word * 64 + bit);
+                let oi = word * 64 + bit;
+                if PROFILE {
+                    let started = Instant::now();
+                    let changed = self.eval_op(oi);
+                    let nanos = started.elapsed().as_nanos() as u64;
+                    let rank = self.op_ranks[oi] as usize;
+                    let profile = self.profile.as_mut().expect("profiling enabled");
+                    let row = &mut profile.ranks[rank];
+                    row.evals += 1;
+                    row.changes += changed as u64;
+                    row.nanos += nanos;
+                } else {
+                    self.eval_op(oi);
+                }
             }
         }
     }
@@ -1154,8 +1282,10 @@ impl BatchSim {
     /// Evaluates one bytecode op into a scratch column, applies the
     /// fault clamp, and — only when the column or its known mask
     /// actually changed — writes it back and marks the slot's readers.
-    fn eval_op(&mut self, oi: usize) {
-        let mut out = [0i64; LANES];
+    /// Returns whether it changed.
+    #[inline(always)]
+    fn eval_op(&mut self, oi: usize) -> bool {
+        let mut out = [0i64; W];
         let (y, shift, kout) = match self.ops[oi] {
             BOp::Bin { kind, a, b, y, shift } => {
                 let (a, b, y) = (a as usize, b as usize, y as usize);
@@ -1233,9 +1363,9 @@ impl BatchSim {
                         // loop, known lanes only — a garbage divisor in
                         // an X lane must not fail the lane. A failing
                         // lane's output keeps its old (garbage) word,
-                        // like the sequential engine's aborted eval.
-                        out.copy_from_slice(&self.values[y * LANES..y * LANES + LANES]);
-                        let (a_base, b_base) = (a * LANES, b * LANES);
+                        // like the sweep engine's aborted eval.
+                        out.copy_from_slice(&self.values[y * W..y * W + W]);
+                        let (a_base, b_base) = (a * W, b * W);
                         let mut fail = 0u64;
                         for (l, o) in out.iter_mut().enumerate() {
                             let bit = 1u64 << l;
@@ -1293,8 +1423,8 @@ impl BatchSim {
                 shift,
             } => {
                 let (sel, y) = (sel as usize, y as usize);
-                out.copy_from_slice(&self.values[y * LANES..y * LANES + LANES]);
-                let sel_base = sel * LANES;
+                out.copy_from_slice(&self.values[y * W..y * W + W]);
+                let sel_base = sel * W;
                 let ksel = self.known[sel];
                 let mut kout = 0u64;
                 for (l, o) in out.iter_mut().enumerate() {
@@ -1310,7 +1440,7 @@ impl BatchSim {
                     if self.known[input] & bit == 0 {
                         continue;
                     }
-                    *o = canon(self.values[input * LANES + l], shift);
+                    *o = canon(self.values[input * W + l], shift);
                     kout |= bit;
                 }
                 (y, shift, kout)
@@ -1325,8 +1455,8 @@ impl BatchSim {
             } => {
                 let (mem, en, we, addr, y) =
                     (mem as usize, en as usize, we as usize, addr as usize, y as usize);
-                out.copy_from_slice(&self.values[y * LANES..y * LANES + LANES]);
-                let (en_base, we_base, addr_base) = (en * LANES, we * LANES, addr * LANES);
+                out.copy_from_slice(&self.values[y * W..y * W + W]);
+                let (en_base, we_base, addr_base) = (en * W, we * W, addr * W);
                 let (ken, kwe, kaddr) = (self.known[en], self.known[we], self.known[addr]);
                 let shift = self.mems[mem].shift;
                 let mut kout = 0u64;
@@ -1334,19 +1464,19 @@ impl BatchSim {
                 // Uniform fast path: every lane read-enabled, none
                 // mid-write, all reading the same known address — one
                 // contiguous row copy instead of the per-lane gather.
-                if ken == !0
-                    && kwe == !0
-                    && kaddr == !0
-                    && self.nonzero_mask(en) == !0
+                if ken == Self::ALL
+                    && kwe == Self::ALL
+                    && kaddr == Self::ALL
+                    && self.nonzero_mask(en) == Self::ALL
                     && self.nonzero_mask(we) == 0
                 {
-                    let col = &self.values[addr_base..addr_base + LANES];
+                    let col = &self.values[addr_base..addr_base + W];
                     let a0 = ((col[0] as u64) & addr_mask) as usize;
                     if col.iter().all(|&v| v == col[0]) {
                         fast = true;
                         let m = &self.mems[mem];
                         if a0 < m.size {
-                            out.copy_from_slice(&m.data[a0 * LANES..a0 * LANES + LANES]);
+                            out.copy_from_slice(&m.data[a0 * W..a0 * W + W]);
                             kout = m.known[a0];
                         }
                     }
@@ -1358,7 +1488,7 @@ impl BatchSim {
                         let we_true = kwe & bit != 0 && self.values[we_base + l] != 0;
                         if !en_true || we_true {
                             // dout undefined while disabled or
-                            // mid-write, as in the sequential engines.
+                            // mid-write, as in the sweep engine.
                             continue;
                         }
                         if kaddr & bit == 0 {
@@ -1369,7 +1499,7 @@ impl BatchSim {
                         if a >= m.size || m.known[a] & bit == 0 {
                             continue;
                         }
-                        *o = m.data[a * LANES + l];
+                        *o = m.data[a * W + l];
                         kout |= bit;
                     }
                 }
@@ -1385,12 +1515,14 @@ impl BatchSim {
                 out[l] = self.clamp_lane(y, l, out[l], shift);
             }
         }
-        let base = y * LANES;
-        if self.known[y] != kout || self.values[base..base + LANES] != out {
-            self.values[base..base + LANES].copy_from_slice(&out);
+        let base = y * W;
+        if self.known[y] != kout || self.values[base..base + W] != out {
+            self.values[base..base + W].copy_from_slice(&out);
             self.known[y] = kout;
             self.mark_slot(y);
+            return true;
         }
+        false
     }
 
     /// Commits one control unit's edge for the running lanes, one state
@@ -1398,7 +1530,7 @@ impl BatchSim {
     /// each group tries its state's transitions once, in table order,
     /// over lane masks: lanes whose condition matches take the target (an
     /// unconditional transition takes every lane still undecided), lanes
-    /// whose condition is X fail with the sequential engine's message,
+    /// whose condition is X fail with the sweep engine's message,
     /// and lanes that match nothing stay. A group whose lanes disagree on
     /// a condition thus splits instead of falling back to a per-lane
     /// walk, and a pack in `k` distinct states costs `k` groups per edge.
@@ -1411,15 +1543,15 @@ impl BatchSim {
     /// [`set_active`](Self::set_active) re-arm breaks it, so the walk
     /// after one is `force`d: every output of every running lane, staying
     /// lanes included, is redriven with per-lane change detection, as the
-    /// sequential engines' drive does.
+    /// sweep engine's drive does.
     fn commit_fsm(&mut self, fi: usize, fsm: &BFsm, force: bool, done_mask: &mut u64) {
         let states = fsm.table.states();
-        let col = fi * LANES;
+        let col = fi * W;
         let mut rest = self.running;
         while rest != 0 {
             let from = self.fsm_state[col + rest.trailing_zeros() as usize];
             let mut group = 0u64;
-            for (l, &s) in self.fsm_state[col..col + LANES].iter().enumerate() {
+            for (l, &s) in self.fsm_state[col..col + W].iter().enumerate() {
                 group |= ((s == from) as u64) << l;
             }
             group &= rest;
@@ -1490,8 +1622,8 @@ impl BatchSim {
     /// Drives `state`'s Moore values for the given `outputs` (indices
     /// into the control unit's output list) into `lanes`, marking each
     /// written slot's readers: unconditionally when unforced (a
-    /// transition's delta, or every output of every lane at registration
-    /// and reset), only on a change when `force`d.
+    /// transition's delta, or every output of every lane at
+    /// registration), only on a change when `force`d.
     fn drive_outputs(
         &mut self,
         fsm: &BFsm,
@@ -1504,7 +1636,7 @@ impl BatchSim {
             let slot = fsm.outputs[j] as usize;
             let v = fsm.state_values[state][j];
             let shift = fsm.out_shifts[j];
-            let base = slot * LANES;
+            let base = slot * W;
             let mut changed = !force || self.known[slot] & lanes != lanes;
             let mut m = lanes;
             while m != 0 {
@@ -1524,15 +1656,14 @@ impl BatchSim {
     /// The rising-edge commit, per-lane: register sample, SRAM writes,
     /// FSM transitions + Moore drive, register commit, watchpoint scan —
     /// the same phase order as `FlatModel::commit_edge` — then the cycle
-    /// counter and per-lane termination with the sequential `step`'s
+    /// counter and per-lane termination with the sweep engine's
     /// watch-beats-done priority.
     fn commit_edge(&mut self) {
         // Phase a: sample the dirty registers into scratch (all lanes;
         // commit is masked later so frozen-lane samples are
         // unobservable). The dirty set is drained fully — a register
         // none of whose inputs changed would resample the same value,
-        // so skipping it is unobservable, exactly as in the level
-        // engine.
+        // so skipping it is unobservable.
         let mut edge_regs = std::mem::take(&mut self.edge_regs);
         edge_regs.clear();
         for word in 0..self.reg_dirty.len() {
@@ -1546,8 +1677,8 @@ impl BatchSim {
             let r = ri as usize;
             let reg = self.regs[r];
             let d = reg.d as usize;
-            let d_base = d * LANES;
-            let out_base = r * LANES;
+            let d_base = d * W;
+            let out_base = r * W;
             // Column masks first (which lanes reset, which are enabled),
             // then one branch-free canon copy of the whole `d` column —
             // lanes that hold or reset get their scratch overridden or
@@ -1559,7 +1690,7 @@ impl BatchSim {
                 self.known[reg.rst as usize] & self.nonzero_mask(reg.rst as usize)
             };
             let en_mask = if reg.en == u32::MAX {
-                !0
+                Self::ALL
             } else {
                 self.known[reg.en as usize] & self.nonzero_mask(reg.en as usize)
             };
@@ -1570,9 +1701,9 @@ impl BatchSim {
             }
             let shift = reg.shift;
             {
-                let src = &self.values[d_base..d_base + LANES];
-                let dst = &mut self.reg_vals[out_base..out_base + LANES];
-                for l in 0..LANES {
+                let src = &self.values[d_base..d_base + W];
+                let dst = &mut self.reg_vals[out_base..out_base + W];
+                for l in 0..W {
                     dst[l] = canon(src[l], shift);
                 }
             }
@@ -1623,7 +1754,7 @@ impl BatchSim {
                     self.fail_lane(l, msg);
                     continue;
                 }
-                let a = ((self.values[addr * LANES + l] as u64) & addr_mask) as usize;
+                let a = ((self.values[addr * W + l] as u64) & addr_mask) as usize;
                 if a >= self.mems[mem].size {
                     let msg = format!("{}: address {} out of range", self.srams[s].name, a);
                     self.fail_lane(l, msg);
@@ -1635,12 +1766,12 @@ impl BatchSim {
                     continue;
                 }
                 let shift = self.mems[mem].shift;
-                self.mems[mem].data[a * LANES + l] = canon(self.values[din * LANES + l], shift);
+                self.mems[mem].data[a * W + l] = canon(self.values[din * W + l], shift);
                 self.mems[mem].known[a] |= bit;
                 wrote = true;
             }
             // A committed write dirties the read path even though no
-            // signal changed, as in the level engine.
+            // signal changed.
             if wrote {
                 let op = self.sram_read_op[s];
                 self.mark_op(op);
@@ -1659,14 +1790,14 @@ impl BatchSim {
 
         // Phase d: register commit (non-blocking) for the registers
         // sampled this edge, running lanes only — a lane that failed
-        // earlier this walk aborted before this phase in the sequential
+        // earlier this walk aborted before this phase in the sweep
         // engine, so it must not commit here either. A `q` whose column
         // actually changed marks its readers for the next settle.
         for &ri in &edge_regs {
             let r = ri as usize;
             let reg = self.regs[r];
             let q = reg.q as usize;
-            let q_base = q * LANES;
+            let q_base = q * W;
             let commit = self.reg_commit[r] & self.running;
             if commit == 0 {
                 continue;
@@ -1676,10 +1807,10 @@ impl BatchSim {
             // gets its scratch word written too, which is unobservable
             // because its known bit clears.
             let clamped = !self.clamp_of.is_empty() && self.clamp_of[q] != u32::MAX;
-            if commit == !0 && !clamped {
+            if commit == Self::ALL && !clamped {
                 let new_known = self.reg_known[r];
-                let src = &self.reg_vals[r * LANES..r * LANES + LANES];
-                let dst = &mut self.values[q_base..q_base + LANES];
+                let src = &self.reg_vals[r * W..r * W + W];
+                let dst = &mut self.values[q_base..q_base + W];
                 if self.known[q] != new_known || dst[..] != src[..] {
                     dst.copy_from_slice(src);
                     self.known[q] = new_known;
@@ -1694,7 +1825,7 @@ impl BatchSim {
                 m &= m - 1;
                 let bit = 1u64 << l;
                 if self.reg_known[r] & bit != 0 {
-                    let v = self.clamp_lane(q, l, self.reg_vals[r * LANES + l], reg.shift);
+                    let v = self.clamp_lane(q, l, self.reg_vals[r * W + l], reg.shift);
                     if self.known[q] & bit == 0 || self.values[q_base + l] != v {
                         self.values[q_base + l] = v;
                         self.known[q] |= bit;
@@ -1712,7 +1843,7 @@ impl BatchSim {
         self.edge_regs = edge_regs;
 
         // Phase e: watchpoint scan (first matching watch wins, as in the
-        // sequential scan order), running lanes only.
+        // sweep engine's scan order), running lanes only.
         let mut watch_mask = 0u64;
         let mut watch_hits: Vec<(usize, String)> = Vec::new();
         if !self.watches.is_empty() {
@@ -1723,7 +1854,7 @@ impl BatchSim {
                 let bit = 1u64 << l;
                 for w in &self.watches {
                     let slot = w.sig as usize;
-                    if self.known[slot] & bit != 0 && self.values[slot * LANES + l] == w.value {
+                    if self.known[slot] & bit != 0 && self.values[slot * W + l] == w.value {
                         watch_mask |= bit;
                         watch_hits.push((l, w.name.clone()));
                         break;
@@ -1734,8 +1865,8 @@ impl BatchSim {
 
         self.cycles += 1;
 
-        // Termination: a watchpoint outranks done, as in sequential
-        // `step`; both count the walk that fired them as elapsed.
+        // Termination: a watchpoint outranks done, as in the sweep
+        // engine; both count the walk that fired them as elapsed.
         let mut m = self.running & (watch_mask | done_mask);
         while m != 0 {
             let l = m.trailing_zeros() as usize;
@@ -1759,8 +1890,15 @@ impl BatchSim {
 
     /// Walks the schedule until every active lane has finished, failed,
     /// or exhausted `max_cycles`. Returns one result per lane (relative
-    /// cycle counts); inactive lanes return `None`.
+    /// cycle counts); inactive lanes return `None`. Lanes the previous
+    /// call stopped on its cycle budget walk on from where they stopped.
     pub fn run_batch(&mut self, max_cycles: u64) -> BatchSummary {
+        for l in 0..W {
+            if self.outcomes[l] == Some(LaneOutcome::CycleLimit) {
+                self.outcomes[l] = None;
+                self.running |= 1u64 << l;
+            }
+        }
         let start = self.cycles;
         loop {
             if self.running == 0 {
@@ -1780,7 +1918,7 @@ impl BatchSim {
             self.walk();
         }
         BatchSummary {
-            lanes: (0..LANES)
+            lanes: (0..W)
                 .map(|l| {
                     if self.active & (1u64 << l) == 0 {
                         return None;
@@ -1794,9 +1932,10 @@ impl BatchSim {
         }
     }
 
-    /// Sequential-compatible single-result run: lane 0's outcome in the
-    /// [`CycleSummary`] shape, with lane-0 failures surfaced as
-    /// [`CycleSimError::Failed`] like the sequential engines.
+    /// Single-result run: lane 0's outcome in the [`CycleSummary`] shape,
+    /// with lane-0 failures surfaced as [`CycleSimError::Failed`] like
+    /// the sweep engine. A run that stops on its cycle budget can be
+    /// continued by the next call.
     ///
     /// # Errors
     ///

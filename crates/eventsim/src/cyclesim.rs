@@ -7,13 +7,14 @@
 //! re-evaluates **every** combinational instance in repeated sweeps until
 //! the netlist settles — no event queue, no activity tracking. The
 //! `ablation_kernel` bench and the `ablation_bench` bin compare it against
-//! the event kernel and the levelized engine on the same netlists.
+//! the event kernel and the compiled bytecode engine on the same netlists.
 //!
 //! It interprets the same [`Netlist`] (plus behavioral FSM tables) as
 //! [`Netlist::elaborate`], so all engines can run identical designs and
 //! their final memory contents can be compared word for word. The model
-//! itself (construction, evaluation, edge commit) is shared with
-//! [`crate::levelsim`] via [`crate::simmodel`].
+//! construction in `crate::simmodel` is shared with
+//! [`crate::batchsim`], but evaluation and the edge commit are not, so
+//! this engine is an independent reference for the bytecode.
 
 use crate::memory::MemHandle;
 use crate::netlist::Netlist;
@@ -42,8 +43,8 @@ pub(crate) fn write_instance_report(
     Ok(())
 }
 
-/// Errors raised while building or running a [`CycleSim`] (or its levelized
-/// sibling [`crate::levelsim::LevelSim`]).
+/// Errors raised while building or running a [`CycleSim`] or a
+/// [`BatchSim`](crate::batchsim::BatchSim).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CycleSimError {
     /// The netlist references something the cycle engine cannot model.
@@ -57,7 +58,8 @@ pub enum CycleSimError {
         unstable: Vec<(String, String)>,
     },
     /// The netlist contains a true combinational cycle — reported at build
-    /// time by the level engine instead of burning a sweep budget.
+    /// time by the levelizing bytecode engine instead of burning a sweep
+    /// budget.
     CombinationalCycle {
         /// Instances on one concrete cycle, in dependency order.
         instances: Vec<String>,
@@ -131,8 +133,6 @@ pub struct CycleSim {
     sweep_limit: u32,
     cycles: u64,
     comb_evals: u64,
-    changed_scratch: Vec<usize>,
-    sram_scratch: Vec<usize>,
     unstable_scratch: Vec<usize>,
     /// Opt-in per-phase timing. `None` (the default) costs two
     /// `is_some` branches per clock cycle — nothing per evaluation.
@@ -170,8 +170,6 @@ impl CycleSim {
             sweep_limit: 1000,
             cycles: 0,
             comb_evals: 0,
-            changed_scratch: Vec::new(),
-            sram_scratch: Vec::new(),
             unstable_scratch: Vec::new(),
             profile: None,
         })
@@ -182,23 +180,6 @@ impl CycleSim {
     /// it on or off.
     pub fn enable_profile(&mut self) {
         self.profile = Some(Box::default());
-    }
-
-    /// Rewinds a built (and control-unit-attached) simulator to its
-    /// pre-first-step state so it can be re-run without rebuilding: signal
-    /// values, FSM states, memories, counters, and injected faults all
-    /// reset. Attached control units stay attached. A reset simulator is
-    /// bit-identical to a freshly built one — see the `reset_reuse` tests.
-    pub fn reset_state(&mut self) {
-        self.model.reset_state();
-        self.cycles = 0;
-        self.comb_evals = 0;
-        self.changed_scratch.clear();
-        self.sram_scratch.clear();
-        self.unstable_scratch.clear();
-        if self.profile.is_some() {
-            self.profile = Some(Box::default());
-        }
     }
 
     /// The accumulated profile, when [`enable_profile`](Self::enable_profile)
@@ -351,12 +332,8 @@ impl CycleSim {
             profile.settle_nanos += started.elapsed().as_nanos() as u64;
         }
 
-        self.changed_scratch.clear();
-        self.sram_scratch.clear();
         let commit_started = self.profile.is_some().then(Instant::now);
-        let effects =
-            self.model
-                .commit_edge(&mut self.changed_scratch, &mut self.sram_scratch, None)?;
+        let effects = self.model.commit_edge()?;
         if let (Some(profile), Some(started)) = (self.profile.as_mut(), commit_started) {
             profile.commit_nanos += started.elapsed().as_nanos() as u64;
             profile.cycles += 1;

@@ -19,10 +19,12 @@
 //!   `.hds` text format the XML datapaths are translated into.
 //! * [`vcd`] — waveform export.
 //! * [`cyclesim`] — a naive evaluate-everything-per-cycle baseline used by
-//!   the kernel-vs-baseline ablation benchmark.
-//! * [`levelsim`] — a levelized compiled-schedule engine: ranks the
-//!   combinational netlist at build time and evaluates each rank once per
-//!   clock phase with a dirty bitset (see `Netlist::compile_levelized`).
+//!   the kernel-vs-baseline ablation benchmark, and the independent
+//!   reference the bytecode engine is checked against.
+//! * [`batchsim`] — the compiled engine: levelizes the combinational
+//!   netlist at build time, flattens the rank schedule into bytecode, and
+//!   walks it with a dirty bitset over `W` stimulus lanes. `BatchSim<1>`
+//!   is the level engine, `BatchSim<LANES>` the 64-lane batch engine.
 //! * [`profile`] — opt-in per-component evaluation timing through
 //!   [`KernelHook`]; strictly zero cost unless installed.
 //!
@@ -52,7 +54,8 @@ pub mod cpu;
 pub mod faults;
 pub mod hds;
 mod kernel;
-pub mod levelsim;
+#[cfg(test)]
+mod levelsim;
 mod memory;
 pub mod netlist;
 pub mod ops;

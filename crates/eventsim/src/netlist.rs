@@ -151,24 +151,6 @@ impl Netlist {
             .count()
     }
 
-    /// Compiles the netlist into the levelized engine — the oblivious
-    /// counterpart of [`elaborate`](Self::elaborate). The combinational
-    /// instances are topologically ranked once here; the returned
-    /// [`LevelSim`](crate::levelsim::LevelSim) then evaluates each rank at
-    /// most once per clock phase.
-    ///
-    /// # Errors
-    ///
-    /// [`CycleSimError::Build`](crate::cyclesim::CycleSimError::Build) for
-    /// constructs outside the cycle-engine vocabulary, and
-    /// [`CycleSimError::CombinationalCycle`](crate::cyclesim::CycleSimError::CombinationalCycle)
-    /// when the combinational netlist is not a DAG.
-    pub fn compile_levelized(
-        &self,
-    ) -> Result<crate::levelsim::LevelSim, crate::cyclesim::CycleSimError> {
-        crate::levelsim::LevelSim::from_netlist(self)
-    }
-
     /// Elaborates the netlist into `sim`.
     ///
     /// Returns the mapping from declared names to simulator ids, plus a

@@ -1,17 +1,17 @@
 //! Flat signal/instance model shared by the compiled (non-event) engines.
 //!
-//! Both [`crate::cyclesim::CycleSim`] and [`crate::levelsim::LevelSim`]
-//! interpret the same [`Netlist`](crate::netlist::Netlist) vocabulary as
+//! [`crate::cyclesim::CycleSim`] interprets the same
+//! [`Netlist`](crate::netlist::Netlist) vocabulary as
 //! [`Netlist::elaborate`](crate::netlist::Netlist::elaborate), but against a
 //! dense in-memory model: every signal and memory name is interned into a
 //! slot index at construction time, so the per-cycle paths touch only flat
 //! `Vec`s. The `HashMap` name tables survive solely for the public
 //! `value()`/`mem()` accessors and for build-time wiring.
 //!
-//! The engines differ only in how they *settle* combinational logic each
-//! cycle (repeated sweeps vs. a levelized single pass); the model itself —
-//! construction, combinational evaluation, and the rising-edge sample/commit
-//! phase — lives here so the two engines cannot drift apart semantically.
+//! [`crate::batchsim::BatchSim`] builds the same model, ranks its
+//! combinational instances with [`FlatModel::levelize`], and compiles the
+//! result into bytecode; it shares no evaluator code with the sweep
+//! engine, which is what makes the sweep engine an independent reference.
 
 use crate::cyclesim::CycleSimError;
 use crate::memory::MemHandle;
@@ -156,11 +156,16 @@ pub(crate) struct FlatModel {
     /// `(register index, next value)` pairs, so the per-cycle hot path
     /// never allocates.
     reg_next: Vec<(usize, Value)>,
-    /// Snapshot of `values` taken at the end of [`FlatModel::from_netlist`]
-    /// (constants written, everything else X, no FSM outputs yet) so
-    /// [`FlatModel::reset_state`] can rewind a cached model without a
-    /// rebuild.
-    initial_values: Vec<Value>,
+}
+
+/// The levelized schedule of a model's combinational instances, from
+/// [`FlatModel::levelize`].
+pub(crate) struct Levels {
+    /// Comb indices in (rank, index) order: the compiled schedule.
+    pub order: Vec<u32>,
+    /// Rank of each comb, indexed by comb index (0 = fed only by
+    /// sequential or constant slots).
+    pub ranks: Vec<u32>,
 }
 
 impl FlatModel {
@@ -184,7 +189,6 @@ impl FlatModel {
             fault_clamps: Vec::new(),
             fault_flips: Vec::new(),
             reg_next: Vec::new(),
-            initial_values: Vec::new(),
         };
         for decl in netlist.signals() {
             if model.signal_index.contains_key(&decl.name) {
@@ -202,31 +206,111 @@ impl FlatModel {
         for inst in netlist.instances() {
             model.add_instance(inst)?;
         }
-        model.initial_values = model.values.clone();
         Ok(model)
     }
 
-    /// Rewinds the model to its just-built state so a cached instance can
-    /// be re-run without rebuilding from the netlist: signal values return
-    /// to their post-construction snapshot, control units rewind to their
-    /// initial state (re-driving initial Moore outputs, as
-    /// [`FlatModel::add_control_unit`] did at registration), memories are
-    /// cleared back to X, and all injected faults are removed.
-    pub(crate) fn reset_state(&mut self) {
-        self.values.copy_from_slice(&self.initial_values);
-        for mem in &self.mems {
-            for addr in 0..mem.size() {
-                mem.clear(addr);
+    /// Levelizes the combinational instances: Kahn's algorithm over the
+    /// comb-to-comb dependency edges gives each instance the length of
+    /// its longest path from a sequential or constant source, so rank *r*
+    /// reads only sequential outputs, constants, and ranks `< r`, and one
+    /// ascending pass settles a clock phase.
+    ///
+    /// # Errors
+    ///
+    /// [`CycleSimError::CombinationalCycle`] naming one concrete loop when
+    /// the combinational netlist is not a DAG, instead of burning a sweep
+    /// budget at runtime.
+    pub(crate) fn levelize(&self) -> Result<Levels, CycleSimError> {
+        let n = self.combs.len();
+
+        // Producers per value slot (combinational drivers only).
+        let mut producers: Vec<Vec<u32>> = vec![Vec::new(); self.values.len()];
+        for (i, comb) in self.combs.iter().enumerate() {
+            producers[comb.y()].push(i as u32);
+        }
+
+        // comb -> combs reading its output, and per-comb in-degree.
+        let mut adjacency: Vec<Vec<u32>> = vec![Vec::new(); n];
+        let mut indegree: Vec<u32> = vec![0; n];
+        let mut input_slots: Vec<Vec<usize>> = vec![Vec::new(); n];
+        for (i, comb) in self.combs.iter().enumerate() {
+            let slots = &mut input_slots[i];
+            comb.inputs(slots);
+            slots.sort_unstable();
+            slots.dedup();
+            for &slot in slots.iter() {
+                for &p in &producers[slot] {
+                    adjacency[p as usize].push(i as u32);
+                    indegree[i] += 1;
+                }
             }
         }
-        self.fault_clamps.clear();
-        self.fault_flips.clear();
-        self.reg_next.clear();
-        let mut scratch = Vec::new();
-        for fsm in &mut self.fsms {
-            fsm.state = 0;
-            scratch.clear();
-            drive_fsm_outputs(fsm, &mut self.values, &self.fault_clamps, &mut scratch);
+
+        let mut ranks: Vec<u32> = vec![0; n];
+        let mut processed: Vec<bool> = vec![false; n];
+        let mut worklist: Vec<u32> = (0..n as u32)
+            .filter(|&i| indegree[i as usize] == 0)
+            .collect();
+        let mut head = 0;
+        while head < worklist.len() {
+            let p = worklist[head] as usize;
+            head += 1;
+            processed[p] = true;
+            for &c in &adjacency[p] {
+                let c = c as usize;
+                ranks[c] = ranks[c].max(ranks[p] + 1);
+                indegree[c] -= 1;
+                if indegree[c] == 0 {
+                    worklist.push(c as u32);
+                }
+            }
+        }
+        if head < n {
+            return Err(CycleSimError::CombinationalCycle {
+                instances: self.extract_cycle(&input_slots, &producers, &processed),
+            });
+        }
+
+        // A stable sort keeps instance order within a rank.
+        let mut order: Vec<u32> = (0..n as u32).collect();
+        order.sort_by_key(|&i| ranks[i as usize]);
+        Ok(Levels { order, ranks })
+    }
+
+    /// Walks producer edges backward among unprocessed (cycle-involved)
+    /// combs until a node repeats, returning one concrete loop in
+    /// dependency order.
+    fn extract_cycle(
+        &self,
+        input_slots: &[Vec<usize>],
+        producers: &[Vec<u32>],
+        processed: &[bool],
+    ) -> Vec<String> {
+        let start = (0..processed.len())
+            .find(|&i| !processed[i])
+            .expect("caller guarantees an unprocessed comb");
+        let mut path: Vec<usize> = Vec::new();
+        let mut pos_in_path: HashMap<usize, usize> = HashMap::new();
+        let mut cur = start;
+        loop {
+            if let Some(&at) = pos_in_path.get(&cur) {
+                // path[at..] walked backward along dependencies; reverse
+                // it so the report reads source -> sink.
+                let mut cycle: Vec<String> = path[at..]
+                    .iter()
+                    .map(|&i| self.combs[i].name().to_string())
+                    .collect();
+                cycle.reverse();
+                return cycle;
+            }
+            pos_in_path.insert(cur, path.len());
+            path.push(cur);
+            cur = input_slots[cur]
+                .iter()
+                .flat_map(|&slot| producers[slot].iter().copied())
+                .map(|p| p as usize)
+                .find(|&p| !processed[p])
+                .expect("unprocessed combs always have an unprocessed producer");
         }
     }
 
@@ -443,8 +527,7 @@ impl FlatModel {
             state_values,
             state: 0,
         };
-        let mut scratch = Vec::new();
-        drive_fsm_outputs(&fsm, &mut self.values, &self.fault_clamps, &mut scratch);
+        drive_fsm_outputs(&fsm, &mut self.values, &self.fault_clamps);
         self.fsms.push(fsm);
         Ok(())
     }
@@ -459,53 +542,20 @@ impl FlatModel {
         self.signal_index.get(name).map(|&i| self.values[i])
     }
 
-    /// The rising-edge sample/commit phase, shared verbatim by both engines:
-    /// next-state values for registers are sampled from the settled netlist,
-    /// SRAM writes commit, FSMs transition and drive their Moore outputs,
-    /// and finally register outputs commit (non-blocking semantics).
-    ///
-    /// Every slot whose value actually changed is appended to `changed`, and
-    /// the index (into `self.srams`) of every memory that committed a write
-    /// is appended to `written_srams` — the level engine uses both to mark
-    /// downstream combinational logic dirty; the sweep engine ignores them.
-    ///
-    /// With `reg_filter: Some(bits)` only the registers whose bit is set are
-    /// sampled (the set is drained). A register none of whose inputs
-    /// (`d`/`en`/`rst`) changed since its last sample would resample the
-    /// same value and commit nothing, so skipping it is unobservable — the
-    /// level engine maintains that dirty set; the sweep engine passes
-    /// `None` and samples everything.
-    pub(crate) fn commit_edge(
-        &mut self,
-        changed: &mut Vec<usize>,
-        written_srams: &mut Vec<usize>,
-        reg_filter: Option<&mut Vec<u64>>,
-    ) -> Result<EdgeEffects, CycleSimError> {
+    /// The rising-edge sample/commit phase: next-state values for
+    /// registers are sampled from the settled netlist, SRAM writes
+    /// commit, FSMs transition and drive their Moore outputs, and finally
+    /// register outputs commit (non-blocking semantics).
+    pub(crate) fn commit_edge(&mut self) -> Result<EdgeEffects, CycleSimError> {
         let mut reg_next = std::mem::take(&mut self.reg_next);
         reg_next.clear();
-        match reg_filter {
-            None => {
-                for (index, reg) in self.regs.iter().enumerate() {
-                    if let Some(v) = sample_reg(reg, &self.values) {
-                        reg_next.push((index, v));
-                    }
-                }
-            }
-            Some(bits) => {
-                for (word, bits) in bits.iter_mut().enumerate() {
-                    while *bits != 0 {
-                        let bit = bits.trailing_zeros() as usize;
-                        *bits &= !(1u64 << bit);
-                        let index = word * 64 + bit;
-                        if let Some(v) = sample_reg(&self.regs[index], &self.values) {
-                            reg_next.push((index, v));
-                        }
-                    }
-                }
+        for (index, reg) in self.regs.iter().enumerate() {
+            if let Some(v) = sample_reg(reg, &self.values) {
+                reg_next.push((index, v));
             }
         }
 
-        for (index, sram) in self.srams.iter().enumerate() {
+        for sram in &self.srams {
             if self.values[sram.en].is_true() && self.values[sram.we].is_true() {
                 let addr = self.values[sram.addr]
                     .try_u64()
@@ -522,7 +572,6 @@ impl FlatModel {
                     .try_i64()
                     .ok_or_else(|| CycleSimError::Failed(format!("{}: X write data", sram.name)))?;
                 mem.store(addr, din);
-                written_srams.push(index);
             }
         }
 
@@ -566,8 +615,7 @@ impl FlatModel {
             }
             self.fsms[i].state = next_state;
             let fsm = &self.fsms[i];
-            let values = &mut self.values;
-            drive_fsm_outputs(fsm, values, &self.fault_clamps, changed);
+            drive_fsm_outputs(fsm, &mut self.values, &self.fault_clamps);
             if fsm.table.states()[next_state].terminal {
                 done = true;
             }
@@ -575,11 +623,7 @@ impl FlatModel {
 
         for &(index, v) in &reg_next {
             let q = self.regs[index].q;
-            let v = clamp_with(&self.fault_clamps, q, v);
-            if self.values[q] != v {
-                self.values[q] = v;
-                changed.push(q);
-            }
+            self.values[q] = clamp_with(&self.fault_clamps, q, v);
         }
         self.reg_next = reg_next;
 
@@ -657,8 +701,7 @@ impl FlatModel {
 
     /// Renders `(instance name, output value)` pairs for a set of
     /// combinational instances — the actionable part of a
-    /// [`CycleSimError::NoFixpoint`] report, also reused for the level
-    /// engine's combinational-cycle report.
+    /// [`CycleSimError::NoFixpoint`] report.
     pub(crate) fn describe_combs(&self, indices: &[usize]) -> Vec<(String, String)> {
         indices
             .iter()
@@ -711,22 +754,13 @@ pub(crate) fn clamp_with(clamps: &[(u64, u64)], slot: usize, value: Value) -> Va
     }
 }
 
-/// Drives the Moore outputs of `fsm`'s current state, appending every slot
-/// whose value actually changed to `changed`. Output values pass through
-/// the stuck-at `clamps` table (empty when no faults are injected).
-pub(crate) fn drive_fsm_outputs(
-    fsm: &FsmModel,
-    values: &mut [Value],
-    clamps: &[(u64, u64)],
-    changed: &mut Vec<usize>,
-) {
+/// Drives the Moore outputs of `fsm`'s current state. Output values pass
+/// through the stuck-at `clamps` table (empty when no faults are
+/// injected).
+fn drive_fsm_outputs(fsm: &FsmModel, values: &mut [Value], clamps: &[(u64, u64)]) {
     let state_values = &fsm.state_values[fsm.state];
     for (&signal, &value) in fsm.outputs.iter().zip(state_values) {
-        let value = clamp_with(clamps, signal, value);
-        if values[signal] != value {
-            values[signal] = value;
-            changed.push(signal);
-        }
+        values[signal] = clamp_with(clamps, signal, value);
     }
 }
 

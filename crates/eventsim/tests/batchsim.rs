@@ -1,15 +1,22 @@
-//! Batch-engine lane bit-identity: every lane of a `BatchSim` walk must
-//! match a fresh sequential `LevelSim` run of that lane's configuration
-//! — same signal values, same memory images, same cycle counts, same
-//! outcomes and failure messages. Lanes differ by per-lane fault
-//! injections (the fault-campaign batching contract: 64 sites per
-//! walk), so the parity check covers clean lanes, stuck-at clamps,
-//! transient flips on both sequential and combinational signals,
-//! design failures, and cycle-limit exhaustion in one run.
+//! Batch-engine lane bit-identity: every lane of a 64-lane `BatchSim`
+//! walk must match two fresh runs of that lane's configuration — same
+//! signal values, same memory images, same cycle counts, same outcomes
+//! and failure messages:
+//!
+//! * a `CycleSim` run, the sweep-to-fixpoint interpreter, which shares
+//!   no evaluator code with the bytecode and so is the independent
+//!   reference;
+//! * a one-lane `BatchSim<1>` walk (the level engine), which must agree
+//!   with the lane on every field.
+//!
+//! Lanes differ by per-lane fault injections (the fault-campaign
+//! batching contract: 64 sites per walk), so the parity check covers
+//! clean lanes, stuck-at clamps, transient flips on both sequential and
+//! combinational signals, design failures, and cycle-limit exhaustion in
+//! one run.
 
-use eventsim::batchsim::{BatchSim, LaneOutcome, LANES};
-use eventsim::cyclesim::CycleOutcome;
-use eventsim::levelsim::LevelSim;
+use eventsim::batchsim::{BatchSim, LaneOutcome, LaneResult, LANES};
+use eventsim::cyclesim::{CycleOutcome, CycleSim, CycleSimError, CycleSummary};
 use eventsim::netlist::{Instance, Netlist};
 use eventsim::ops::{FsmState, FsmTable, FsmTransition};
 use eventsim::Value;
@@ -18,8 +25,8 @@ use std::collections::BTreeMap;
 const WIDTH: u32 = 16;
 const MAX_CYCLES: u64 = 60;
 
-/// The `reset_state` integration design: counter, ripple arithmetic,
-/// enable-gated register, written SRAM, FSM control unit, watchpoint.
+/// Counter, ripple arithmetic, enable-gated register, written SRAM, FSM
+/// control unit, watchpoint.
 fn build_netlist() -> Netlist {
     let mut nl = Netlist::new("batch");
     for (name, width) in [
@@ -170,7 +177,7 @@ const PROBES: [&str; 10] = [
 
 const PRELOAD: [i64; 4] = [7, 11, 13, 17];
 
-/// One lane's fault configuration, appliable to either engine.
+/// One lane's fault configuration, appliable to every engine.
 #[derive(Debug, Clone, Copy)]
 enum Fault {
     None,
@@ -202,7 +209,7 @@ fn fault_plan() -> Vec<Fault> {
     ]
 }
 
-#[derive(Debug, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 struct LaneSnapshot {
     outcome: LaneOutcome,
     cycles: u64,
@@ -210,9 +217,26 @@ struct LaneSnapshot {
     mem: Vec<Option<i64>>,
 }
 
-/// Runs one configuration through a fresh sequential level engine.
-fn level_reference(nl: &Netlist, fault: Fault) -> LaneSnapshot {
-    let mut sim = LevelSim::from_netlist(nl).expect("netlist builds");
+/// A `CycleSim` run's outcome and cycle count in the batch engine's
+/// terms (a failing cycle does not count as elapsed).
+fn cycle_result(sim: &CycleSim, run: Result<CycleSummary, CycleSimError>) -> (LaneOutcome, u64) {
+    match run {
+        Ok(summary) => (
+            match summary.outcome {
+                CycleOutcome::Done => LaneOutcome::Done,
+                CycleOutcome::Watchpoint(name) => LaneOutcome::Watchpoint(name),
+                CycleOutcome::CycleLimit => LaneOutcome::CycleLimit,
+            },
+            summary.cycles,
+        ),
+        Err(CycleSimError::Failed(m)) => (LaneOutcome::Failed(m), sim.cycles()),
+        Err(e) => panic!("unexpected cycle-engine error: {e}"),
+    }
+}
+
+/// Runs one configuration through a fresh cycle engine.
+fn cycle_reference(nl: &Netlist, fault: Fault) -> LaneSnapshot {
+    let mut sim = CycleSim::from_netlist(nl).expect("netlist builds");
     sim.add_control_unit("ctl", &["wen"], &[("fsm_out", WIDTH)], control_table())
         .expect("control unit attaches");
     match fault {
@@ -227,20 +251,8 @@ fn level_reference(nl: &Netlist, fault: Fault) -> LaneSnapshot {
         }
     }
     sim.mem("m0").expect("sram exists").fill(PRELOAD);
-    let (outcome, cycles) = match sim.run(MAX_CYCLES) {
-        Ok(summary) => (
-            match summary.outcome {
-                CycleOutcome::Done => LaneOutcome::Done,
-                CycleOutcome::Watchpoint(name) => LaneOutcome::Watchpoint(name),
-                CycleOutcome::CycleLimit => LaneOutcome::CycleLimit,
-            },
-            summary.cycles,
-        ),
-        Err(eventsim::cyclesim::CycleSimError::Failed(m)) => {
-            (LaneOutcome::Failed(m), sim.cycles())
-        }
-        Err(e) => panic!("unexpected level-engine error: {e}"),
-    };
+    let run = sim.run(MAX_CYCLES);
+    let (outcome, cycles) = cycle_result(&sim, run);
     LaneSnapshot {
         outcome,
         cycles,
@@ -252,7 +264,40 @@ fn level_reference(nl: &Netlist, fault: Fault) -> LaneSnapshot {
     }
 }
 
-fn batch_snapshot(sim: &BatchSim, lane: usize, result: &eventsim::batchsim::LaneResult) -> LaneSnapshot {
+/// Injects `fault` into `lane` of a bytecode engine of any width.
+fn inject_lane<const W: usize>(sim: &mut BatchSim<W>, fault: Fault, lane: usize) {
+    match fault {
+        Fault::None => {}
+        Fault::Stuck(signal, bit, value) => {
+            assert!(sim
+                .inject_stuck_at_lane(signal, bit, value, lane)
+                .expect("injects"));
+        }
+        Fault::Flip(signal, bit, cycle) => {
+            assert!(sim
+                .inject_transient_flip_lane(signal, bit, cycle, lane)
+                .expect("injects"));
+        }
+    }
+}
+
+/// Runs one configuration through a fresh one-lane walk.
+fn one_lane_reference(nl: &Netlist, fault: Fault) -> LaneSnapshot {
+    let mut sim = BatchSim::<1>::from_netlist(nl).expect("netlist builds");
+    sim.add_control_unit("ctl", &["wen"], &[("fsm_out", WIDTH)], control_table())
+        .expect("control unit attaches");
+    inject_lane(&mut sim, fault, 0);
+    let preload: Vec<Option<i64>> = PRELOAD.iter().copied().map(Some).collect();
+    assert!(sim.load_mem_all("m0", &preload));
+    let summary = sim.run_batch(MAX_CYCLES);
+    batch_snapshot(&sim, 0, summary.lanes[0].as_ref().expect("lane is active"))
+}
+
+fn batch_snapshot<const W: usize>(
+    sim: &BatchSim<W>,
+    lane: usize,
+    result: &LaneResult,
+) -> LaneSnapshot {
     LaneSnapshot {
         outcome: result.outcome.clone(),
         cycles: result.cycles,
@@ -265,52 +310,48 @@ fn batch_snapshot(sim: &BatchSim, lane: usize, result: &eventsim::batchsim::Lane
 }
 
 /// The headline contract: all 64 lanes of one batch walk, with per-lane
-/// faults, against 64 fresh sequential runs.
+/// faults, against fresh cycle-engine and one-lane runs.
 #[test]
 fn every_lane_matches_a_fresh_sequential_run() {
     let nl = build_netlist();
     let plan = fault_plan();
 
-    let mut batch = BatchSim::from_netlist(&nl).expect("netlist builds");
+    let mut batch = BatchSim::<LANES>::from_netlist(&nl).expect("netlist builds");
     batch
         .add_control_unit("ctl", &["wen"], &[("fsm_out", WIDTH)], control_table())
         .expect("control unit attaches");
     for lane in 0..LANES {
-        match plan.get(lane).copied().unwrap_or(Fault::None) {
-            Fault::None => {}
-            Fault::Stuck(signal, bit, value) => {
-                assert!(batch
-                    .inject_stuck_at_lane(signal, bit, value, lane)
-                    .expect("injects"));
-            }
-            Fault::Flip(signal, bit, cycle) => {
-                assert!(batch
-                    .inject_transient_flip_lane(signal, bit, cycle, lane)
-                    .expect("injects"));
-            }
-        }
+        inject_lane(
+            &mut batch,
+            plan.get(lane).copied().unwrap_or(Fault::None),
+            lane,
+        );
     }
     let preload: Vec<Option<i64>> = PRELOAD.iter().copied().map(Some).collect();
     assert!(batch.load_mem_all("m0", &preload));
     let summary = batch.run_batch(MAX_CYCLES);
 
-    let clean = level_reference(&nl, Fault::None);
+    // Clean lanes share one pair of reference runs.
+    let clean = (
+        cycle_reference(&nl, Fault::None),
+        one_lane_reference(&nl, Fault::None),
+    );
     for lane in 0..LANES {
         let fault = plan.get(lane).copied().unwrap_or(Fault::None);
         let result = summary.lanes[lane].as_ref().expect("lane is active");
         let got = batch_snapshot(&batch, lane, result);
-        let want = if matches!(fault, Fault::None) && lane > 0 {
-            // Clean lanes share the single reference run.
-            LaneSnapshot {
-                outcome: clean.outcome.clone(),
-                cycles: clean.cycles,
-                values: clean.values.clone(),
-                mem: clean.mem.clone(),
-            }
-        } else {
-            level_reference(&nl, fault)
+        let (cycle, one_lane) = match fault {
+            Fault::None => clean.clone(),
+            _ => (cycle_reference(&nl, fault), one_lane_reference(&nl, fault)),
         };
-        assert_eq!(got, want, "lane {lane} (fault {fault:?}) diverges");
+        assert_eq!(
+            got, cycle,
+            "lane {lane} (fault {fault:?}) diverges from the cycle engine"
+        );
+        assert_eq!(
+            got, one_lane,
+            "lane {lane} (fault {fault:?}) diverges from a one-lane walk"
+        );
     }
 }
 
@@ -373,15 +414,19 @@ fn division_by_zero_fails_per_lane_like_sequential() {
             .with_conn("y", "quot"),
     );
 
-    let mut level = LevelSim::from_netlist(&nl).expect("netlist builds");
-    let err = level.run(10).expect_err("divide by zero fails");
-    let eventsim::cyclesim::CycleSimError::Failed(want_msg) = err else {
+    let mut cycle = CycleSim::from_netlist(&nl).expect("netlist builds");
+    let err = cycle.run(10).expect_err("divide by zero fails");
+    let CycleSimError::Failed(want_msg) = err else {
         panic!("unexpected error kind: {err}");
     };
     assert_eq!(want_msg, "div0: division by zero");
-    let want_cycles = level.cycles();
+    let want_cycles = cycle.cycles();
 
-    let mut batch = BatchSim::from_netlist(&nl).expect("netlist builds");
+    let mut one_lane = BatchSim::<1>::from_netlist(&nl).expect("netlist builds");
+    let one_lane = one_lane.run_batch(10).lanes[0]
+        .clone()
+        .expect("lane is active");
+    let mut batch = BatchSim::<LANES>::from_netlist(&nl).expect("netlist builds");
     let summary = batch.run_batch(10);
     for lane in 0..LANES {
         let result = summary.lanes[lane].as_ref().expect("lane is active");
@@ -391,6 +436,7 @@ fn division_by_zero_fails_per_lane_like_sequential() {
             "lane {lane}"
         );
         assert_eq!(result.cycles, want_cycles, "lane {lane}");
+        assert_eq!(result, &one_lane, "lane {lane} vs a one-lane walk");
     }
 }
 
@@ -399,7 +445,7 @@ fn division_by_zero_fails_per_lane_like_sequential() {
 #[test]
 fn inactive_lanes_stay_untouched() {
     let nl = build_netlist();
-    let mut batch = BatchSim::from_netlist(&nl).expect("netlist builds");
+    let mut batch = BatchSim::<LANES>::from_netlist(&nl).expect("netlist builds");
     batch.set_active(0b101);
     let summary = batch.run_batch(MAX_CYCLES);
     for lane in 0..LANES {
@@ -410,71 +456,22 @@ fn inactive_lanes_stay_untouched() {
     }
 }
 
-/// `reset_state` parity: run → reset → run must equal a fresh build on
-/// every lane, faults and memories cleared, counters rewound — the
-/// serve-cache reuse contract, same as the sequential engines.
-#[test]
-fn reset_matches_fresh_build() {
-    let nl = build_netlist();
-
-    let run_once = |sim: &mut BatchSim| {
-        let preload: Vec<Option<i64>> = PRELOAD.iter().copied().map(Some).collect();
-        assert!(sim.load_mem_all("m0", &preload));
-        let summary = sim.run_batch(MAX_CYCLES);
-        let evals = sim.comb_evals();
-        (summary, evals)
-    };
-
-    let mut fresh = BatchSim::from_netlist(&nl).expect("netlist builds");
-    fresh
-        .add_control_unit("ctl", &["wen"], &[("fsm_out", WIDTH)], control_table())
-        .expect("control unit attaches");
-    let (fresh_summary, fresh_evals) = run_once(&mut fresh);
-    let fresh_lane0 = batch_snapshot(&fresh, 0, fresh_summary.lanes[0].as_ref().unwrap());
-
-    let mut reused = BatchSim::from_netlist(&nl).expect("netlist builds");
-    reused
-        .add_control_unit("ctl", &["wen"], &[("fsm_out", WIDTH)], control_table())
-        .expect("control unit attaches");
-    reused
-        .inject_stuck_at_lane("cnt", 0, true, 7)
-        .expect("injects")
-        .then_some(())
-        .expect("signal exists");
-    let _ = run_once(&mut reused);
-    reused.reset_state();
-    assert_eq!(reused.cycles(), 0, "cycle counter rewinds");
-    assert_eq!(reused.comb_evals(), 0, "eval counter rewinds");
-    assert!(
-        reused
-            .snapshot_mem("m0", 7)
-            .expect("sram exists")
-            .iter()
-            .all(Option::is_none),
-        "memories return to uninitialized"
-    );
-    let (again_summary, again_evals) = run_once(&mut reused);
-    let again_lane0 = batch_snapshot(&reused, 0, again_summary.lanes[0].as_ref().unwrap());
-    assert_eq!(again_lane0, fresh_lane0, "reset + re-run equals fresh");
-    assert_eq!(again_evals, fresh_evals, "eval counters agree");
-    // The lane-7 stuck-at was cleared by the reset: lane 7 now matches
-    // the clean lane 0.
-    let lane7 = batch_snapshot(&reused, 7, again_summary.lanes[7].as_ref().unwrap());
-    assert_eq!(lane7, fresh_lane0, "reset cleared the lane fault");
-}
-
-/// The sequential-compatible `run` wrapper reports lane 0 in the
-/// `CycleSummary` shape the engine interface expects.
+/// The single-result `run` wrapper reports lane 0 in the `CycleSummary`
+/// shape the cycle engine uses, at every width.
 #[test]
 fn run_wrapper_matches_level_summary() {
     let nl = build_netlist();
-    let mut level = LevelSim::from_netlist(&nl).expect("netlist builds");
-    let want = level.run(MAX_CYCLES).expect("level run completes");
+    let mut cycle = CycleSim::from_netlist(&nl).expect("netlist builds");
+    let want = cycle.run(MAX_CYCLES).expect("cycle run completes");
 
-    let mut batch = BatchSim::from_netlist(&nl).expect("netlist builds");
+    let mut level = BatchSim::<1>::from_netlist(&nl).expect("netlist builds");
+    let one_lane = level.run(MAX_CYCLES).expect("level run completes");
+    let mut batch = BatchSim::<LANES>::from_netlist(&nl).expect("netlist builds");
     let got = batch.run(MAX_CYCLES).expect("batch run completes");
     assert_eq!(got.outcome, want.outcome);
     assert_eq!(got.cycles, want.cycles);
+    assert_eq!(batch.cycles(), cycle.cycles());
+    assert_eq!(got, one_lane);
     assert_eq!(batch.cycles(), level.cycles());
 }
 
@@ -684,8 +681,8 @@ fn divergent_lanes() -> Vec<DivLane> {
     lanes
 }
 
-fn divergent_level(nl: &Netlist, lane: &DivLane) -> LaneSnapshot {
-    let mut sim = LevelSim::from_netlist(nl).expect("netlist builds");
+fn divergent_cycle(nl: &Netlist, lane: &DivLane) -> LaneSnapshot {
+    let mut sim = CycleSim::from_netlist(nl).expect("netlist builds");
     sim.add_control_unit("ctl", &DIV_CONDITIONS, &DIV_OUTPUTS, divergent_table())
         .expect("control unit attaches");
     if let Some(cycle) = lane.flip {
@@ -699,18 +696,8 @@ fn divergent_level(nl: &Netlist, lane: &DivLane) -> LaneSnapshot {
             }
         }
     }
-    let (outcome, cycles) = match sim.run(DIV_MAX_CYCLES) {
-        Ok(summary) => (
-            match summary.outcome {
-                CycleOutcome::Done => LaneOutcome::Done,
-                CycleOutcome::Watchpoint(name) => LaneOutcome::Watchpoint(name),
-                CycleOutcome::CycleLimit => LaneOutcome::CycleLimit,
-            },
-            summary.cycles,
-        ),
-        Err(eventsim::cyclesim::CycleSimError::Failed(m)) => (LaneOutcome::Failed(m), sim.cycles()),
-        Err(e) => panic!("unexpected level-engine error: {e}"),
-    };
+    let run = sim.run(DIV_MAX_CYCLES);
+    let (outcome, cycles) = cycle_result(&sim, run);
     LaneSnapshot {
         outcome,
         cycles,
@@ -722,46 +709,63 @@ fn divergent_level(nl: &Netlist, lane: &DivLane) -> LaneSnapshot {
     }
 }
 
+/// Loads every lane's images and flip into a divergent-control engine
+/// and runs it: lane `l` of the engine gets `lanes[l]`.
+fn divergent_batch<const W: usize>(nl: &Netlist, lanes: &[DivLane]) -> Vec<LaneSnapshot> {
+    let mut sim = BatchSim::<W>::from_netlist(nl).expect("netlist builds");
+    sim.add_control_unit("ctl", &DIV_CONDITIONS, &DIV_OUTPUTS, divergent_table())
+        .expect("control unit attaches");
+    for (l, lane) in lanes.iter().enumerate() {
+        if let Some(cycle) = lane.flip {
+            assert!(sim
+                .inject_transient_flip_lane("wen", 0, cycle, l)
+                .expect("injects"));
+        }
+        assert!(sim.load_mem("src", l, &lane.src));
+        assert!(sim.load_mem("aux", l, &lane.aux));
+    }
+    let summary = sim.run_batch(DIV_MAX_CYCLES);
+    (0..lanes.len())
+        .map(|l| {
+            let result = summary.lanes[l].as_ref().expect("lane is active");
+            LaneSnapshot {
+                outcome: result.outcome.clone(),
+                cycles: result.cycles,
+                values: DIV_PROBES
+                    .iter()
+                    .map(|name| (name.to_string(), sim.value_lane(name, l)))
+                    .collect(),
+                mem: sim.snapshot_mem("dst", l).expect("sram exists"),
+            }
+        })
+        .collect()
+}
+
 /// Control divergence, lane by lane: lanes split across FSM states at
 /// the same edge, fail on an X condition while the rest of their state
 /// group walks on, finish in a terminal state while others continue, and
 /// take a transient flip on a Moore output while others sit in other
-/// states. Every lane must equal a fresh sequential level run.
+/// states. Every lane must equal a fresh cycle-engine run and a fresh
+/// one-lane walk.
 #[test]
 fn divergent_control_matches_level_lane_by_lane() {
     let nl = divergent_netlist();
     let lanes = divergent_lanes();
-
-    let mut batch = BatchSim::from_netlist(&nl).expect("netlist builds");
-    batch
-        .add_control_unit("ctl", &DIV_CONDITIONS, &DIV_OUTPUTS, divergent_table())
-        .expect("control unit attaches");
-    for (l, lane) in lanes.iter().enumerate() {
-        if let Some(cycle) = lane.flip {
-            assert!(batch
-                .inject_transient_flip_lane("wen", 0, cycle, l)
-                .expect("injects"));
-        }
-        assert!(batch.load_mem("src", l, &lane.src));
-        assert!(batch.load_mem("aux", l, &lane.aux));
-    }
-    let summary = batch.run_batch(DIV_MAX_CYCLES);
+    let batch = divergent_batch::<LANES>(&nl, &lanes);
 
     let mut seen = Vec::new();
-    for (l, lane) in lanes.iter().enumerate() {
-        let result = summary.lanes[l].as_ref().expect("lane is active");
-        let got = LaneSnapshot {
-            outcome: result.outcome.clone(),
-            cycles: result.cycles,
-            values: DIV_PROBES
-                .iter()
-                .map(|name| (name.to_string(), batch.value_lane(name, l)))
-                .collect(),
-            mem: batch.snapshot_mem("dst", l).expect("sram exists"),
-        };
-        let want = divergent_level(&nl, lane);
-        assert_eq!(got, want, "lane {l} ({lane:?}) diverges");
-        seen.push(want.outcome);
+    for (l, (lane, got)) in lanes.iter().zip(batch).enumerate() {
+        let cycle = divergent_cycle(&nl, lane);
+        let one_lane = divergent_batch::<1>(&nl, std::slice::from_ref(lane)).remove(0);
+        assert_eq!(
+            got, cycle,
+            "lane {l} ({lane:?}) diverges from the cycle engine"
+        );
+        assert_eq!(
+            got, one_lane,
+            "lane {l} ({lane:?}) diverges from a one-lane walk"
+        );
+        seen.push(cycle.outcome);
     }
     // The hand-written lanes cover what they claim.
     let x_fetch = LaneOutcome::Failed("ctl: X condition in state 'fetch'".to_string());

@@ -1,10 +1,13 @@
-//! Property tests over the two simulation engines.
+//! Property tests over the simulation engines.
 //!
-//! The key invariant: the event-driven kernel and the naive cycle-based
-//! baseline are *independent implementations of the same semantics*, so on
-//! any well-formed combinational netlist they must settle to identical
-//! values. This is the in-repo analogue of cross-simulator validation.
+//! The key invariant: the event-driven kernel, the naive cycle-based
+//! baseline and the compiled bytecode are *independent implementations of
+//! the same semantics*, so on any well-formed netlist they must settle to
+//! identical values. The bytecode runs one lane wide (the level engine)
+//! and [`LANES`] wide (the batch engine), every lane checked. This is the
+//! in-repo analogue of cross-simulator validation.
 
+use eventsim::batchsim::{BatchSim, LANES};
 use eventsim::netlist::{Instance, Netlist};
 use eventsim::ops::{eval_binop, OpKind};
 use eventsim::{cyclesim::CycleSim, SimTime, Simulator, Value};
@@ -108,7 +111,8 @@ fn dag_reference(dag: &RandomDag) -> Vec<i64> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// Event kernel result == cycle baseline result == host arithmetic, on
+    /// Event kernel result == cycle baseline result == bytecode result
+    /// (one lane and every one of [`LANES`] lanes) == host arithmetic, on
     /// every net of a random combinational DAG.
     #[test]
     fn engines_agree_on_combinational_dags(dag in arb_dag()) {
@@ -122,13 +126,23 @@ proptest! {
 
         let mut cyc = CycleSim::from_netlist(&nl).unwrap();
         cyc.step().unwrap();
+        let mut level = BatchSim::<1>::from_netlist(&nl).unwrap();
+        level.run(1).unwrap();
+        let mut batch = BatchSim::<LANES>::from_netlist(&nl).unwrap();
+        batch.run(1).unwrap();
 
         for (i, &expected) in reference.iter().enumerate() {
             let name = format!("n{i}");
             let ev = sim.value(map.signal(&name).unwrap());
             let cv = cyc.value(&name).unwrap();
+            let lv = level.value(&name).unwrap();
             prop_assert_eq!(ev.as_i64(), expected, "event kernel, net {}", &name);
             prop_assert_eq!(cv.as_i64(), expected, "cycle baseline, net {}", &name);
+            prop_assert_eq!(lv.as_i64(), expected, "one-lane bytecode, net {}", &name);
+            for lane in 0..LANES {
+                let bv = batch.value_lane(&name, lane).unwrap();
+                prop_assert_eq!(bv.as_i64(), expected, "batch lane {}, net {}", lane, &name);
+            }
         }
     }
 
@@ -234,8 +248,8 @@ fn seq_to_netlist(design: &RandomSeqDesign) -> Netlist {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Clocked designs: both engines agree on every register output after
-    /// the same number of rising edges.
+    /// Clocked designs: every engine agrees on every register output
+    /// after the same number of rising edges.
     #[test]
     fn engines_agree_on_sequential_designs(design in arb_seq_design()) {
         let nl = seq_to_netlist(&design);
@@ -251,6 +265,10 @@ proptest! {
         for _ in 0..cycles {
             cyc.step().unwrap();
         }
+        let mut level = BatchSim::<1>::from_netlist(&nl).unwrap();
+        prop_assert_eq!(level.run(cycles).unwrap().cycles, cycles);
+        let mut batch = BatchSim::<LANES>::from_netlist(&nl).unwrap();
+        prop_assert_eq!(batch.run(cycles).unwrap().cycles, cycles);
 
         for (i, _) in design.dag.nodes.iter().enumerate() {
             if !design.registered.get(i).copied().unwrap_or(false) {
@@ -259,7 +277,13 @@ proptest! {
             let name = format!("q{i}");
             let ev = sim.value(map.signal(&name).unwrap()).try_i64();
             let cv = cyc.value(&name).unwrap().try_i64();
-            prop_assert_eq!(ev, cv, "register {} after {} cycles", name, cycles);
+            let lv = level.value(&name).unwrap().try_i64();
+            prop_assert_eq!(ev, cv, "register {} after {} cycles", &name, cycles);
+            prop_assert_eq!(lv, cv, "one-lane bytecode, register {} after {} cycles", &name, cycles);
+            for lane in 0..LANES {
+                let bv = batch.value_lane(&name, lane).unwrap().try_i64();
+                prop_assert_eq!(bv, cv, "batch lane {}, register {} after {} cycles", lane, &name, cycles);
+            }
         }
     }
 }

@@ -2,19 +2,23 @@
 //!
 //! For random generated programs and 64 random stimulus vectors, lane
 //! `k` of one [`PreparedDesign::run_batch`] walk must be
-//! indistinguishable from a fresh sequential `--engine level` run of
-//! vector `k` alone: same verdict, same failure/timeout strings, same
-//! final memories, same cycle counts. This is the correctness bar of
-//! the batch engine — packing 64 stimuli into one schedule walk is an
-//! implementation detail no observer may detect.
+//! indistinguishable from fresh sequential runs of vector `k` alone:
+//! same verdict, same failure/timeout strings, same final memories, same
+//! cycle counts. Two references check every lane: `--engine cycle`, the
+//! sweep interpreter, which shares no evaluator code with the bytecode,
+//! and `--engine level`, the same bytecode one lane wide. This is the
+//! correctness bar of the batch engine — packing 64 stimuli into one
+//! schedule walk is an implementation detail no observer may detect.
 
 use fpgafuzz::gen::{generate_case, Budget, Case};
 use fpgatest::flow::{
-    prepare_design, run_design, BatchLaneSpec, Engine, FlowError, FlowOptions,
+    prepare_design, run_design, BatchLaneSpec, Engine, FlowError, FlowOptions, LaneReport,
 };
-use fpgatest::stimulus::Stimulus;
-use nenya::{compile_program, CompileOptions};
+use fpgatest::memcmp::Mismatch;
+use fpgatest::stimulus::{MemImage, Stimulus};
+use nenya::{compile_program, CompileOptions, Design};
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 
 const WIDTH: u32 = 16;
 const LANES: usize = 64;
@@ -56,10 +60,69 @@ fn lane_stimuli(case: &Case, lane_seed: u64) -> Vec<Vec<(String, Stimulus)>> {
         .collect()
 }
 
+/// Everything a lane's verdict is made of.
+#[derive(Debug, PartialEq)]
+enum Verdict {
+    /// The run finished: pass/fail, failure string, golden mismatches,
+    /// final memories, and cycles summed across configurations.
+    Finished {
+        passed: bool,
+        failure: Option<String>,
+        mismatches: Vec<Mismatch>,
+        sim_mems: BTreeMap<String, MemImage>,
+        cycles: u64,
+    },
+    /// The tick watchdog fired, with its rendered error.
+    TimedOut(String),
+    /// Any other flow error, rendered.
+    FlowError(String),
+}
+
+fn lane_verdict(lane: &LaneReport) -> Verdict {
+    if let Some(timeout) = &lane.timed_out {
+        return Verdict::TimedOut(timeout.clone());
+    }
+    if let Some(error) = &lane.flow_error {
+        return Verdict::FlowError(error.clone());
+    }
+    Verdict::Finished {
+        passed: lane.passed,
+        failure: lane.failure.clone(),
+        mismatches: lane.mismatches.clone(),
+        sim_mems: lane.sim_mems.clone(),
+        cycles: lane.cycles,
+    }
+}
+
+/// One fresh sequential `run_design` of `stimuli` on `engine`.
+fn sequential_verdict(
+    design: &Design,
+    stimuli: &[(String, Stimulus)],
+    options: &FlowOptions,
+    engine: Engine,
+) -> Verdict {
+    let options = FlowOptions {
+        engine,
+        ..options.clone()
+    };
+    match run_design(design, stimuli, &options) {
+        Ok(report) => Verdict::Finished {
+            passed: report.passed,
+            failure: report.failure,
+            mismatches: report.mismatches,
+            sim_mems: report.sim_mems,
+            cycles: report.runs.iter().map(|r| r.cycles).sum(),
+        },
+        Err(e @ FlowError::Timeout { .. }) => Verdict::TimedOut(e.to_string()),
+        Err(e) => Verdict::FlowError(e.to_string()),
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Batch lane `k` ≡ fresh sequential level run of vector `k`.
+    /// Batch lane `k` ≡ fresh sequential cycle and level runs of vector
+    /// `k`.
     #[test]
     fn batch_lanes_match_fresh_sequential_level_runs(
         seed in any::<u64>(),
@@ -93,61 +156,10 @@ proptest! {
         prop_assert_eq!(batch.lanes.len(), LANES);
 
         for (k, lane) in batch.lanes.iter().enumerate() {
-            let sequential_options = FlowOptions {
-                engine: Engine::Level,
-                ..flow_options.clone()
-            };
-            match run_design(&design, &stimuli[k], &sequential_options) {
-                Ok(report) => {
-                    prop_assert_eq!(
-                        lane.flow_error.as_deref(), None,
-                        "lane {}: unexpected flow error", k
-                    );
-                    prop_assert_eq!(
-                        lane.timed_out.as_deref(), None,
-                        "lane {}: batch timed out, sequential did not", k
-                    );
-                    prop_assert_eq!(
-                        lane.passed, report.passed,
-                        "lane {}: verdicts disagree", k
-                    );
-                    prop_assert_eq!(
-                        &lane.failure, &report.failure,
-                        "lane {}: failure strings disagree", k
-                    );
-                    prop_assert_eq!(
-                        &lane.mismatches, &report.mismatches,
-                        "lane {}: golden mismatches disagree", k
-                    );
-                    prop_assert_eq!(
-                        &lane.sim_mems, &report.sim_mems,
-                        "lane {}: final memories disagree", k
-                    );
-                    let sequential_cycles: u64 =
-                        report.runs.iter().map(|r| r.cycles).sum();
-                    prop_assert_eq!(
-                        lane.cycles, sequential_cycles,
-                        "lane {}: cycle counts disagree", k
-                    );
-                }
-                Err(FlowError::Timeout { .. }) => {
-                    let rendered = run_design(&design, &stimuli[k], &sequential_options)
-                        .unwrap_err()
-                        .to_string();
-                    prop_assert_eq!(
-                        lane.timed_out.as_deref(),
-                        Some(rendered.as_str()),
-                        "lane {}: timeout strings disagree", k
-                    );
-                }
-                Err(e) => {
-                    let rendered = e.to_string();
-                    prop_assert_eq!(
-                        lane.flow_error.as_deref(),
-                        Some(rendered.as_str()),
-                        "lane {}: flow errors disagree", k
-                    );
-                }
+            let got = lane_verdict(lane);
+            for engine in [Engine::Cycle, Engine::Level] {
+                let want = sequential_verdict(&design, &stimuli[k], &flow_options, engine);
+                prop_assert_eq!(&got, &want, "lane {} vs a fresh {} run", k, engine);
             }
         }
     }

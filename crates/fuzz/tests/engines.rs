@@ -126,10 +126,11 @@ fn verdict(result: Result<TestReport, FlowError>) -> Verdict {
         .map_err(|e| e.to_string())
 }
 
-/// For every corpus case and engine, `prepare_design` + `prepare_golden`
-/// + `run_with_golden` reports the same verdict, failure, mismatches,
-/// final memories, and per-configuration cycles as a fresh `run_design`
-/// — once clean and once with the executor's stuck-at fault injected.
+/// For every corpus case and engine, a design run through
+/// `prepare_design`, `prepare_golden` and then `run_with_golden` reports
+/// the same verdict, failure, mismatches, final memories, and
+/// per-configuration cycles as a fresh `run_design`, once clean and once
+/// with the executor's stuck-at fault injected.
 #[test]
 fn prepared_legs_match_fresh_flows() {
     let compile = CompileOptions {
@@ -198,7 +199,7 @@ fn golden_failure_text_matches_the_fresh_flow() {
 
 /// Levelizes every configuration of a compiled design and returns the
 /// rank tables, one per configuration.
-fn rank_tables(case: &Case) -> Vec<Vec<eventsim::levelsim::RankEntry>> {
+fn rank_tables(case: &Case) -> Vec<Vec<eventsim::batchsim::RankEntry>> {
     let options = CompileOptions {
         width: WIDTH,
         ..CompileOptions::default()
@@ -213,10 +214,9 @@ fn rank_tables(case: &Case) -> Vec<Vec<eventsim::levelsim::RankEntry>> {
             let hds = xform::apply(&xform::stylesheets::datapath_to_hds(), dp_doc.root())
                 .expect("datapath stylesheet applies");
             let netlist = eventsim::hds::parse(&hds).expect("stylesheet output parses");
-            let sim = netlist
-                .compile_levelized()
-                .expect("generated datapaths are acyclic");
-            sim.rank_table()
+            eventsim::batchsim::BatchSim::<1>::from_netlist(&netlist)
+                .expect("generated datapaths are acyclic")
+                .rank_table()
         })
         .collect()
 }

@@ -6,7 +6,7 @@
 //! gates regressions end to end.
 
 use fpgatest::events::{Event, EventSink};
-use fpgatest::flow::{FlowOptions, TestFlow};
+use fpgatest::flow::{Engine, FlowOptions, TestFlow};
 use fpgatest::ledger::{self, LedgerEntry};
 use fpgatest::stimulus::Stimulus;
 use fpgatest::suite::{Suite, TestCase};
@@ -173,31 +173,110 @@ fn suite_run_event_file_round_trips_in_manifest_order() {
     assert!(matches!(events.last(), Some(Event::CampaignFinished { failed: 0, .. })));
 }
 
+/// On the event kernel and on the compiled bytecode (level and batch),
+/// `--profile` changes no counter, and the compiled engines' rank rows
+/// account for every combinational evaluation.
 #[test]
 fn profiler_observes_without_perturbing_kernel_counters() {
-    let flow = |profile: bool| {
-        TestFlow::new("double", PROGRAM)
-            .with_options(FlowOptions {
-                profile,
-                ..FlowOptions::default()
-            })
-            .stimulus("inp", Stimulus::from_values([3, 1, 4, 1]))
-    };
-    let plain = flow(false).run().expect("plain flow runs");
-    let profiled = flow(true).run().expect("profiled flow runs");
-    assert!(plain.passed && profiled.passed);
-    assert_eq!(plain.runs.len(), profiled.runs.len());
-    for (p, q) in plain.runs.iter().zip(profiled.runs.iter()) {
-        assert_eq!(p.kernel, q.kernel, "profiling changed kernel counters");
-        assert_eq!(p.cycles, q.cycles, "profiling changed cycle counts");
-        assert!(p.profile.is_none(), "profile collected without --profile");
-        let profile = q.profile.as_ref().expect("--profile collects a profile");
+    for engine in [Engine::Event, Engine::Level, Engine::Batch] {
+        let flow = |profile: bool| {
+            TestFlow::new("double", PROGRAM)
+                .with_options(FlowOptions {
+                    engine,
+                    profile,
+                    ..FlowOptions::default()
+                })
+                .stimulus("inp", Stimulus::from_values([3, 1, 4, 1]))
+        };
+        let plain = flow(false).run().expect("plain flow runs");
+        let profiled = flow(true).run().expect("profiled flow runs");
+        assert!(plain.passed && profiled.passed);
+        assert_eq!(plain.runs.len(), profiled.runs.len());
+        for (p, q) in plain.runs.iter().zip(profiled.runs.iter()) {
+            assert_eq!(
+                p.kernel, q.kernel,
+                "{engine}: profiling changed kernel counters"
+            );
+            assert_eq!(
+                p.cycles, q.cycles,
+                "{engine}: profiling changed cycle counts"
+            );
+            assert!(
+                p.profile.is_none(),
+                "{engine}: profile collected without --profile"
+            );
+            let profile = q.profile.as_ref().expect("--profile collects a profile");
+            if engine == Engine::Event {
+                assert!(
+                    !profile.classes.is_empty(),
+                    "event-kernel profile has per-class timings"
+                );
+                let evals: u64 = profile.classes.iter().map(|c| c.evals).sum();
+                assert!(evals > 0, "profiled classes saw no evaluations");
+            } else {
+                assert!(
+                    !profile.ranks.is_empty(),
+                    "{engine}: profile has per-rank rows"
+                );
+                let evals: u64 = profile.ranks.iter().map(|r| r.evals).sum();
+                assert_eq!(
+                    evals, q.kernel.evals,
+                    "{engine}: rank rows must sum to the configuration's comb_evals"
+                );
+            }
+        }
+    }
+}
+
+/// A profiled level-engine suite run on two jobs streams a parseable
+/// event file that closes with `campaign-finished`, and writes folded
+/// stacks with `level;rank N` frames.
+#[test]
+fn profiled_level_run_cli_streams_events_and_rank_frames() {
+    let dir = workdir("level_profile");
+    write_small_suite(&dir);
+    let (events_path, folded_path) = (dir.join("events.jsonl"), dir.join("stacks.folded"));
+    let output = Command::new(env!("CARGO_BIN_EXE_fpgatest"))
+        .args([
+            "run",
+            "suite.manifest",
+            "--jobs",
+            "2",
+            "--engine",
+            "level",
+            "--events-out",
+        ])
+        .arg(&events_path)
+        .args(["--profile", "--profile-folded"])
+        .arg(&folded_path)
+        .current_dir(&dir)
+        .output()
+        .expect("fpgatest run runs");
+    assert!(
+        output.status.success(),
+        "level run failed: {}",
+        String::from_utf8_lossy(&output.stderr)
+    );
+
+    let events = parse_stream(&events_path);
+    assert!(
+        matches!(
+            events.last(),
+            Some(Event::CampaignFinished { failed: 0, .. })
+        ),
+        "stream must end with campaign-finished, got {:?}",
+        events.last()
+    );
+    let folded = std::fs::read_to_string(&folded_path).unwrap();
+    assert!(!folded.is_empty(), "no folded stacks written");
+    for line in folded.lines() {
+        let (stack, micros) = line.rsplit_once(' ').expect("frame count");
+        assert!(micros.parse::<u64>().is_ok(), "bad count in {line}");
+        let rank = stack.split(';').nth(3).expect("design;config;engine;leaf");
         assert!(
-            !profile.classes.is_empty(),
-            "event-kernel profile has per-class timings"
+            stack.split(';').nth(2) == Some("level") && rank.starts_with("rank "),
+            "not a level;rank N frame: {line}"
         );
-        let evals: u64 = profile.classes.iter().map(|c| c.evals).sum();
-        assert!(evals > 0, "profiled classes saw no evaluations");
     }
 }
 

@@ -91,7 +91,7 @@
 //! --checkpoint <file>       write fpgatest-checkpoint-v1 snapshots of
 //!                           the completed prefix while running (one
 //!                           --design at a time, as for --resume)
-//! --checkpoint-every <k>    merged injections between snapshots
+//! --checkpoint-every <k>    simulated injections between snapshots
 //! --resume <file>           skip the ranges a checkpoint already holds
 //! ```
 //!

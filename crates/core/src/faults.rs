@@ -26,6 +26,18 @@
 //! made once, the injections spread over worker shards, and the records
 //! merge back in sampled-site order, so no output byte depends on the
 //! shard count.
+//!
+//! Some sites need no simulation. Each campaign makes one recorded
+//! one-lane bytecode walk of the clean design
+//! ([`crate::flow::PreparedDesign::record_clean`]): the bits every signal
+//! ever held as known 0 and known 1 (the clean run's toggle coverage),
+//! and whether a read or a write touched each memory word first. A
+//! stuck-at whose bit never held the opposite value, or a corrupted word
+//! the design writes before it reads, leaves the faulty run identical to
+//! the clean run. Such a site is proven silent from the record
+//! ([`SilentReason::Unexcited`], [`SilentReason::DeadWord`]); only the
+//! unproven sites are simulated, and a simulated silent site is
+//! [`SilentReason::Masked`].
 
 use crate::flow::{Engine, FlowError};
 use crate::suite::TestCase;
@@ -215,6 +227,30 @@ impl InjectionOutcome {
     }
 }
 
+/// Why a silent injection was silent.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SilentReason {
+    /// Proven without simulation: the clean run never held the stuck bit
+    /// at the other value, so the clamp never acts.
+    Unexcited,
+    /// Proven without simulation: the corrupted word's first access over
+    /// the whole RTG walk is a committed write, so the flipped bit is
+    /// never read and is overwritten.
+    DeadWord,
+    /// Simulated: the fault was excited, yet no memory differs.
+    Masked,
+}
+
+impl fmt::Display for SilentReason {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self {
+            SilentReason::Unexcited => "unexcited",
+            SilentReason::DeadWord => "dead-word",
+            SilentReason::Masked => "masked",
+        })
+    }
+}
+
 /// One classified injection.
 #[derive(Debug, Clone)]
 pub struct InjectionRecord {
@@ -225,6 +261,28 @@ pub struct InjectionRecord {
     /// Supporting evidence (first mismatch, failure message, skip
     /// reason).
     pub detail: String,
+    /// Why a silent injection was silent; `None` for every other
+    /// outcome.
+    pub reason: Option<SilentReason>,
+}
+
+impl InjectionRecord {
+    /// A record whose reason follows from its outcome: a silent record
+    /// is `proof`'s, or [`SilentReason::Masked`] when unproven.
+    fn new(
+        fault: FaultSpec,
+        (outcome, detail): (InjectionOutcome, String),
+        proof: Option<SilentReason>,
+    ) -> InjectionRecord {
+        let reason =
+            (outcome == InjectionOutcome::Silent).then(|| proof.unwrap_or(SilentReason::Masked));
+        InjectionRecord {
+            fault,
+            outcome,
+            detail,
+            reason,
+        }
+    }
 }
 
 /// Options for [`run_campaign_sharded`].
@@ -308,8 +366,12 @@ impl CampaignReport {
             self.injections.len()
         );
         for record in &self.injections {
+            let reason = record
+                .reason
+                .map(|reason| format!(" ({reason})"))
+                .unwrap_or_default();
             out.push_str(&format!(
-                "  {:<12} {} — {}\n",
+                "  {:<12} {} — {}{reason}\n",
                 record.outcome.to_string(),
                 record.fault,
                 record.detail
@@ -351,12 +413,17 @@ pub fn campaign_json(report: &CampaignReport) -> Json {
                     .injections
                     .iter()
                     .map(|r| {
-                        Json::obj([
-                            ("fault", r.fault.to_string().into()),
-                            ("class", r.fault.class().into()),
-                            ("outcome", r.outcome.to_string().into()),
-                            ("detail", r.detail.as_str().into()),
-                        ])
+                        let reason = r.reason.map(|reason| ("reason", reason.to_string().into()));
+                        Json::obj(
+                            [
+                                ("fault", r.fault.to_string().into()),
+                                ("class", r.fault.class().into()),
+                                ("outcome", r.outcome.to_string().into()),
+                                ("detail", r.detail.as_str().into()),
+                            ]
+                            .into_iter()
+                            .chain(reason),
+                        )
                     })
                     .collect(),
             ),
@@ -387,7 +454,8 @@ impl SplitMix64 {
 /// per-bit stuck-at-0/1 on every netlist signal, per-bit corruption of
 /// every SRAM word, one SEU site per register bit (cycle seeded), and one
 /// bit-flip site per signal (bit and cycle seeded). `clean_cycles` bounds
-/// the transient schedule.
+/// the transient schedule. Campaigns index the same pool without
+/// materializing it ([`SiteTable`]), so this order has one definition.
 ///
 /// # Errors
 ///
@@ -397,57 +465,163 @@ pub fn enumerate_sites(
     clean_cycles: u64,
     seed: u64,
 ) -> Result<Vec<FaultSpec>, String> {
-    let mut rng = SplitMix64(seed ^ 0xD1F4_17A8_5EED_5EED);
-    let mut sites = Vec::new();
-    let mut seen = std::collections::HashSet::new();
-    let cycle_span = clean_cycles.max(2);
-    for config in &design.configs {
-        let dp_doc = nenya::xml::emit_datapath(&config.datapath);
-        let hds = xform::apply(&xform::stylesheets::datapath_to_hds(), dp_doc.root())
-            .map_err(|e| format!("stylesheet: {e}"))?;
-        let netlist = eventsim::hds::parse(&hds).map_err(|e| format!("hds: {e}"))?;
-        for decl in netlist.signals() {
-            if !seen.insert(decl.name.clone()) {
-                continue;
-            }
-            for bit in 0..decl.width {
-                for value in [false, true] {
-                    sites.push(FaultSpec::StuckAt {
-                        signal: decl.name.clone(),
-                        bit,
-                        value,
-                    });
+    let netlists = design
+        .configs
+        .iter()
+        .map(|config| {
+            let dp_doc = nenya::xml::emit_datapath(&config.datapath);
+            let hds = xform::apply(&xform::stylesheets::datapath_to_hds(), dp_doc.root())
+                .map_err(|e| format!("stylesheet: {e}"))?;
+            eventsim::hds::parse(&hds).map_err(|e| format!("hds: {e}"))
+        })
+        .collect::<Result<Vec<_>, String>>()?;
+    let table = SiteTable::new(&netlists, design, clean_cycles, seed);
+    Ok((0..table.len).map(|index| table.site(index)).collect())
+}
+
+/// The fault-site pool of [`enumerate_sites`], indexed without
+/// materializing it. Distinct signals come first, in configuration and
+/// declaration order, each owning `2 × width + 1` consecutive sites
+/// (stuck-at 0 and 1 per bit, then its transient); the SRAM words follow,
+/// `width` sites per word.
+struct SiteTable {
+    signals: Vec<SignalSites>,
+    /// `(memory, words, index of its first site)`.
+    mems: Vec<(String, usize, usize)>,
+    /// The design's word width.
+    width: u32,
+    len: usize,
+}
+
+/// One signal's run of sites in a [`SiteTable`].
+struct SignalSites {
+    name: String,
+    width: u32,
+    /// Index of its first site.
+    start: usize,
+    /// The seeded bit and cycle of its transient site.
+    bit: u32,
+    cycle: u64,
+}
+
+impl SiteTable {
+    fn new<'a>(
+        netlists: impl IntoIterator<Item = &'a eventsim::netlist::Netlist>,
+        design: &nenya::Design,
+        clean_cycles: u64,
+        seed: u64,
+    ) -> SiteTable {
+        let mut rng = SplitMix64(seed ^ 0xD1F4_17A8_5EED_5EED);
+        let mut seen = std::collections::HashSet::new();
+        let cycle_span = clean_cycles.max(2);
+        let mut signals = Vec::new();
+        let mut len = 0;
+        for netlist in netlists {
+            for decl in netlist.signals() {
+                if !seen.insert(decl.name.as_str()) {
+                    continue;
                 }
-            }
-            let bit = rng.below(decl.width as u64) as u32;
-            let cycle = 1 + rng.below(cycle_span - 1);
-            if decl.name.ends_with("_q") {
-                sites.push(FaultSpec::SeuReg {
-                    signal: decl.name.clone(),
+                let bit = rng.below(decl.width as u64) as u32;
+                let cycle = 1 + rng.below(cycle_span - 1);
+                signals.push(SignalSites {
+                    name: decl.name.clone(),
+                    width: decl.width,
+                    start: len,
                     bit,
                     cycle,
                 });
-            } else {
-                sites.push(FaultSpec::BitFlip {
-                    signal: decl.name.clone(),
-                    bit,
-                    cycle,
-                });
+                len += 2 * decl.width as usize + 1;
             }
         }
-    }
-    for mem in &design.mems {
-        for addr in 0..mem.size {
-            for bit in 0..design.width {
-                sites.push(FaultSpec::SramCorrupt {
-                    mem: mem.name.clone(),
-                    addr,
-                    bit,
-                });
-            }
+        let mems = design
+            .mems
+            .iter()
+            .map(|mem| {
+                let start = len;
+                len += mem.size * design.width as usize;
+                (mem.name.clone(), mem.size, start)
+            })
+            .collect();
+        SiteTable {
+            signals,
+            mems,
+            width: design.width,
+            len,
         }
     }
-    Ok(sites)
+
+    /// The site at `index` (below `len`).
+    fn site(&self, index: usize) -> FaultSpec {
+        let s = self.signals.partition_point(|s| s.start <= index);
+        if let Some(sig) = s.checked_sub(1).map(|s| &self.signals[s]) {
+            let offset = index - sig.start;
+            let stuck = 2 * sig.width as usize;
+            if offset < stuck {
+                return FaultSpec::StuckAt {
+                    signal: sig.name.clone(),
+                    bit: (offset / 2) as u32,
+                    value: offset % 2 == 1,
+                };
+            }
+            if offset == stuck {
+                let (signal, bit, cycle) = (sig.name.clone(), sig.bit, sig.cycle);
+                return if sig.name.ends_with("_q") {
+                    FaultSpec::SeuReg { signal, bit, cycle }
+                } else {
+                    FaultSpec::BitFlip { signal, bit, cycle }
+                };
+            }
+        }
+        let m = self.mems.partition_point(|&(_, _, start)| start <= index) - 1;
+        let (mem, _, start) = &self.mems[m];
+        let offset = index - start;
+        FaultSpec::SramCorrupt {
+            mem: mem.clone(),
+            addr: offset / self.width as usize,
+            bit: (offset % self.width as usize) as u32,
+        }
+    }
+}
+
+/// The first `sites` indices of a seeded Fisher–Yates shuffle of
+/// `0..pool`, which is the order a shuffle of the sites themselves
+/// would give.
+fn sample(pool: usize, sites: usize, seed: u64) -> Result<Vec<u32>, FlowError> {
+    let pool = u32::try_from(pool).map_err(|_| {
+        FlowError::Fault(format!("a pool of {pool} fault sites is too large to sample"))
+    })?;
+    let mut order: Vec<u32> = (0..pool).collect();
+    let mut rng = SplitMix64(seed);
+    for i in (1..order.len()).rev() {
+        order.swap(i, rng.below(i as u64 + 1) as usize);
+    }
+    order.truncate(sites);
+    Ok(order)
+}
+
+/// Proves `fault` silent from the clean walk's record alone, or gives
+/// `None`. `width` is the design's word width. The caller has checked
+/// that the clean run fits the faulty runs' tick budget.
+///
+/// * A stuck-at on `S.b` at `v` is unexcited when `S` exists in an
+///   executed configuration, `b` is in range, and `S` never held a known
+///   value whose bit `b` is not `v`: every engine's clamp then leaves
+///   every value as it was (X passes through).
+/// * An SRAM corruption of `M@a` is a dead word when the word's first
+///   access over the whole RTG walk is a committed write.
+/// * Transients are never proven.
+fn prove(record: &crate::flow::CleanRecord, fault: &FaultSpec, width: u32) -> Option<SilentReason> {
+    match fault {
+        FaultSpec::StuckAt { signal, bit, value } => {
+            let bits = record.signal(signal)?;
+            let away = if *value { bits.ever0 } else { bits.ever1 };
+            (*bit < bits.width && (away >> bit) & 1 == 0).then_some(SilentReason::Unexcited)
+        }
+        FaultSpec::SramCorrupt { mem, addr, bit } => (*bit < width
+            && record.first_access(mem, *addr) == eventsim::batchsim::FirstAccess::Write)
+            .then_some(SilentReason::DeadWord),
+        FaultSpec::BitFlip { .. } | FaultSpec::SeuReg { .. } => None,
+    }
 }
 
 pub use crate::campaign::ShardedCampaignOptions;
@@ -457,17 +631,26 @@ pub type ShardedCampaignOutcome = crate::campaign::ShardedCampaignOutcome<Campai
 
 /// Runs a full fault campaign for one test case across N work-stealing
 /// worker shards, with checkpoint/resume: compile, clean reference run,
-/// site enumeration, seeded sampling, then one faulty run per sampled
+/// seeded sampling, proof, then one faulty run per unproven sampled
 /// site, classified. The merged record order is the canonical sampled
 /// site order at any shard count.
 ///
 /// Perf shape: the transform stage runs **once** ([`crate::flow::prepare_design`])
 /// and the golden reference runs **once**
-/// ([`crate::flow::PreparedDesign::prepare_golden`]), then every
-/// injection replays only the simulation + comparison stages. The batch
-/// engine packs chunks of [`eventsim::batchsim::LANES`] sites into single
-/// schedule walks (chunks are cut at absolute 64-site boundaries, so
-/// packing is shard-count-independent); a chunk that errors or panics
+/// ([`crate::flow::PreparedDesign::prepare_golden`]). One recorded
+/// one-lane bytecode walk of the clean design
+/// ([`crate::flow::PreparedDesign::record_clean`]) proves sites silent;
+/// on `level` and `batch` it is also the clean reference run, while
+/// `event` and `cycle` keep their own. Sampling shuffles indices into a
+/// site table built from the prepared netlists, so the pool is never
+/// materialized. A proven site's record is written without simulation,
+/// but only when the clean run finishes within the faulty runs' tick
+/// budget in every configuration (a proven site's faulty run *is* the
+/// clean run). Every other site replays only the simulation and
+/// comparison stages. The batch engine packs the unproven sites, in
+/// sampled order, [`eventsim::batchsim::LANES`] to a walk; packs are
+/// cut at absolute 64-site boundaries of the unproven list, so packing
+/// is shard-count- and resume-independent. A pack that errors or panics
 /// reruns its sites one at a time, so a crash stays attributed to one
 /// site.
 ///
@@ -478,7 +661,9 @@ pub type ShardedCampaignOutcome = crate::campaign::ShardedCampaignOutcome<Campai
 /// wall-clock fields zeroed (`wall_seconds`, `rate`, `eta_seconds`,
 /// `slowest*`), so `--events-out` bytes are identical across
 /// `--shards 1..N` and across a killed-then-resumed run (resume
-/// re-emits the completed prefix from the checkpoint).
+/// re-emits the completed prefix from the checkpoint). Checkpoints keep
+/// their `completed` ranges in sampled-site indices and store no
+/// reasons: restored records take theirs from the recomputed proof.
 ///
 /// # Errors
 ///
@@ -506,7 +691,13 @@ pub fn run_campaign_sharded(
     clean_options.faults.clear();
     clean_options.events = crate::events::EventSink::disabled();
     let prepared = crate::flow::prepare_design(design)?;
-    let clean = prepared.run(&case.stimuli, &clean_options)?;
+    let golden = prepared.prepare_golden(&case.stimuli, &clean_options)?;
+    let (clean, record) = if matches!(options.engine, Engine::Level | Engine::Batch) {
+        let (clean, record) = prepared.record_clean(&golden, &clean_options)?;
+        (clean, Some(record))
+    } else {
+        (prepared.run_with_golden(&golden, &clean_options)?, None)
+    };
     if !clean.passed {
         return Err(FlowError::Fault(format!(
             "clean run of '{}' fails ({}); cannot classify faults",
@@ -517,23 +708,48 @@ pub fn run_campaign_sharded(
                 .unwrap_or_else(|| format!("{} mismatches", clean.mismatches.len()))
         )));
     }
+    // Event and cycle campaigns record a separate walk; one that cannot
+    // run or does not pass proves nothing.
+    let record = record.or_else(|| {
+        let (walk, record) = prepared.record_clean(&golden, &clean_options).ok()?;
+        walk.passed.then_some(record)
+    });
     let clean_cycles = clean.runs.iter().map(|r| r.cycles).max().unwrap_or(0);
     let clean_ticks: u64 = clean.runs.iter().map(|r| r.cycles * 10).sum();
 
-    let mut sites = enumerate_sites(prepared.design(), clean_cycles, options.seed)
-        .map_err(FlowError::Fault)?;
-    let site_pool = sites.len();
-    let mut rng = SplitMix64(options.seed);
-    for i in (1..sites.len()).rev() {
-        sites.swap(i, rng.below(i as u64 + 1) as usize);
-    }
-    sites.truncate(options.sites);
+    let table = SiteTable::new(
+        prepared.netlists(),
+        prepared.design(),
+        clean_cycles,
+        options.seed,
+    );
+    let site_pool = table.len;
+    let sites: Vec<FaultSpec> = sample(site_pool, options.sites, options.seed)?
+        .into_iter()
+        .map(|index| table.site(index as usize))
+        .collect();
     let total = sites.len() as u64;
 
     let max_ticks = options.max_ticks.unwrap_or((clean_ticks * 5).max(50_000));
     let mut faulty_options = clean_options.clone();
     faulty_options.max_ticks = max_ticks;
-    let golden = prepared.prepare_golden(&case.stimuli, &faulty_options)?;
+
+    // A proven site's faulty run is the clean run, which must finish
+    // within the faulty runs' budget in every configuration.
+    let fits = clean
+        .runs
+        .iter()
+        .all(|run| run.summary.end_time.ticks() <= max_ticks);
+    let record = record.filter(|_| fits);
+    let width = prepared.design().width;
+    let proofs: Vec<Option<SilentReason>> = sites
+        .iter()
+        .map(|fault| prove(record.as_ref()?, fault, width))
+        .collect();
+    // Unit `u` of the sharded run is the sampled site `unproven[u]`.
+    let unproven: Vec<u64> = (0..total)
+        .filter(|&index| proofs[index as usize].is_none())
+        .collect();
 
     // What makes a checkpoint this campaign's beyond its design and site
     // count: checked on resume and written into every snapshot.
@@ -546,7 +762,6 @@ pub fn run_campaign_sharded(
     // Resume: salvage what survives on disk, validate identity, preload
     // the record prefix. Salvage only relaxes *structural* damage (torn
     // writes); an identity mismatch below still refuses outright.
-    let mut skip = RangeSet::new();
     let mut records: Vec<InjectionRecord> = Vec::new();
     let mut salvage = None;
     if let Some(path) = &shard.resume {
@@ -568,18 +783,23 @@ pub fn run_campaign_sharded(
         if list.len() as u64 != checkpoint.completed.covered() {
             return Err(bad("record count"));
         }
-        for entry in list {
+        for (entry, proof) in list
+            .iter()
+            .zip(proofs.iter().chain(std::iter::repeat(&None)))
+        {
             let get = |key: &str| {
                 entry
                     .get(key)
                     .and_then(Json::as_str)
                     .ok_or_else(|| bad(key))
             };
-            records.push(InjectionRecord {
-                fault: FaultSpec::parse(get("fault")?).map_err(FlowError::Fault)?,
-                outcome: InjectionOutcome::parse(get("outcome")?).map_err(FlowError::Fault)?,
-                detail: get("detail")?.to_string(),
-            });
+            let fault = FaultSpec::parse(get("fault")?).map_err(FlowError::Fault)?;
+            let outcome = InjectionOutcome::parse(get("outcome")?).map_err(FlowError::Fault)?;
+            records.push(InjectionRecord::new(
+                fault,
+                (outcome, get("detail")?.to_string()),
+                *proof,
+            ));
         }
         // The stored faults must be the ones this invocation sampled.
         for (record, fault) in records.iter().zip(&sites) {
@@ -587,9 +807,12 @@ pub fn run_campaign_sharded(
                 return Err(bad("sampled site order"));
             }
         }
-        skip = checkpoint.completed.clone();
     }
     let resumed = records.len() as u64;
+    // The checkpoint holds the sampled prefix `[0, resumed)`: every
+    // unproven site in it is a completed unit.
+    let mut skip = RangeSet::new();
+    skip.insert_range(0, unproven.partition_point(|&index| index < resumed) as u64);
 
     // Deterministic event stream: indices, outcomes, and order only —
     // wall-clock fields zeroed so shard count and resume cannot leak in.
@@ -635,17 +858,18 @@ pub fn run_campaign_sharded(
         8
     };
     let sites = &sites;
+    let unproven = &unproven;
     let prepared = &prepared;
     let golden = &golden;
     let faulty_options = &faulty_options;
     let worker = move |start: u64, end: u64| -> Vec<(InjectionOutcome, String)> {
-        let chunk_sites = &sites[start as usize..end as usize];
+        let pack = &unproven[start as usize..end as usize];
         if engine_is_batch {
-            let specs: Vec<crate::flow::BatchLaneSpec> = chunk_sites
+            let specs: Vec<crate::flow::BatchLaneSpec> = pack
                 .iter()
-                .map(|fault| crate::flow::BatchLaneSpec {
+                .map(|&index| crate::flow::BatchLaneSpec {
                     stimuli: case.stimuli.clone(),
-                    faults: vec![fault.clone()],
+                    faults: vec![sites[index as usize].clone()],
                 })
                 .collect();
             let result =
@@ -653,56 +877,79 @@ pub fn run_campaign_sharded(
             if let Ok(Ok(report)) = result {
                 return report.lanes.iter().map(classify_lane).collect();
             }
-            // Design-scoped error or panic: rerun the chunk's sites one
+            // Design-scoped error or panic: rerun the pack's sites one
             // at a time so a crash stays attributed to one lane.
         }
         (start..end)
-            .zip(chunk_sites)
-            .map(|(index, fault)| {
+            .zip(pack)
+            .map(|(unit, &index)| {
                 let mut site_options = faulty_options.clone();
-                site_options.faults = vec![fault.clone()];
+                site_options.faults = vec![sites[index as usize].clone()];
                 let result = catch_unwind(AssertUnwindSafe(|| {
                     prepared.run_with_golden(golden, &site_options)
                 }));
-                classify_with_lane(result, engine_is_batch, index)
+                let lane = engine_is_batch.then_some(unit % eventsim::batchsim::LANES as u64);
+                classify_with_lane(result, lane)
             })
             .collect()
     };
 
     // The checkpoint document: identity (with the effective tick budget,
-    // explicit or derived from the clean run) plus the merged records.
-    let faults_checkpoint = |completed: &RangeSet, records: &[InjectionRecord]| Checkpoint {
-        kind: "faults".to_string(),
-        key: case.name.clone(),
-        total,
-        completed: completed.clone(),
-        state: Json::obj(
-            identity.iter().cloned().chain([
-                ("requested_sites", options.sites.into()),
-                ("site_pool", site_pool.into()),
-                ("clean_cycles", clean_cycles.into()),
-                (
-                    "records",
-                    Json::Arr(
-                        records
-                            .iter()
-                            .map(|r| {
-                                Json::obj([
-                                    ("fault", r.fault.to_string().into()),
-                                    ("outcome", r.outcome.to_string().into()),
-                                    ("detail", r.detail.as_str().into()),
-                                ])
-                            })
-                            .collect(),
+    // explicit or derived from the clean run) plus the merged records,
+    // which always cover a sampled-site prefix.
+    let faults_checkpoint = |records: &[InjectionRecord]| {
+        let mut completed = RangeSet::new();
+        completed.insert_range(0, records.len() as u64);
+        Checkpoint {
+            kind: "faults".to_string(),
+            key: case.name.clone(),
+            total,
+            completed,
+            state: Json::obj(
+                identity.iter().cloned().chain([
+                    ("requested_sites", options.sites.into()),
+                    ("site_pool", site_pool.into()),
+                    ("clean_cycles", clean_cycles.into()),
+                    (
+                        "records",
+                        Json::Arr(
+                            records
+                                .iter()
+                                .map(|r| {
+                                    Json::obj([
+                                        ("fault", r.fault.to_string().into()),
+                                        ("outcome", r.outcome.to_string().into()),
+                                        ("detail", r.detail.as_str().into()),
+                                    ])
+                                })
+                                .collect(),
+                        ),
                     ),
-                ),
-            ]),
-        ),
+                ]),
+            ),
+        }
     };
     let merged = RefCell::new(records);
+    // Appends the proven records from the merged prefix's end up to
+    // `limit`: every sampled site before the next unproven one.
+    let merge_proven = |limit: u64| {
+        let mut merged = merged.borrow_mut();
+        for index in merged.len() as u64..limit {
+            let index = index as usize;
+            let record = InjectionRecord::new(
+                sites[index].clone(),
+                (InjectionOutcome::Silent, "verdict PASS".to_string()),
+                proofs[index],
+            );
+            emit_unit(index as u64, &record);
+            merged.push(record);
+        }
+    };
+    let next_unproven = |unit: u64| unproven.get(unit as usize).copied().unwrap_or(total);
+    merge_proven(next_unproven(skip.covered()));
     let save_error = RefCell::new(None::<String>);
     let outcome = crate::campaign::run_sharded(
-        total,
+        unproven.len() as u64,
         &skip,
         &ShardOptions {
             shards: shard.shards.max(1),
@@ -720,18 +967,16 @@ pub fn run_campaign_sharded(
             sigint: shard.sigint,
         },
         worker,
-        |index, (outcome, detail)| {
-            let record = InjectionRecord {
-                fault: sites[index as usize].clone(),
-                outcome,
-                detail,
-            };
+        |unit, result| {
+            let index = unproven[unit as usize];
+            let record = InjectionRecord::new(sites[index as usize].clone(), result, None);
             emit_unit(index, &record);
             merged.borrow_mut().push(record);
+            merge_proven(next_unproven(unit + 1));
         },
-        |completed| {
+        |_| {
             let Some(path) = &shard.checkpoint else { return };
-            if let Err(e) = faults_checkpoint(completed, &merged.borrow()).save(path) {
+            if let Err(e) = faults_checkpoint(&merged.borrow()).save(path) {
                 *save_error.borrow_mut() = Some(format!("cannot save {}: {e}", path.display()));
             }
         },
@@ -754,7 +999,7 @@ pub fn run_campaign_sharded(
             wall_seconds: 0.0,
         });
         if let Some(path) = &shard.checkpoint {
-            faults_checkpoint(&outcome.completed, &injections)
+            faults_checkpoint(&injections)
                 .save(path)
                 .map_err(|e| FlowError::Fault(format!("cannot save {}: {e}", path.display())))?;
         }
@@ -775,23 +1020,23 @@ pub fn run_campaign_sharded(
     })
 }
 
-/// [`classify`] for the site at `index`. On the batch engine's
-/// one-at-a-time fallback (`batch_fallback`), a site that still crashes
-/// carries its lane slot in the detail, so a human can see which lane of
-/// the packed walk blew up. The slot is the site's position in a full
-/// chunk — `index % LANES` — which is stable across shard counts and
-/// resume boundaries.
+/// [`classify`] for a site that held `lane` of a batch pack (`None` off
+/// the batch engine). On the one-at-a-time fallback, a site that still
+/// crashes carries its lane in the detail, so a human can see which lane
+/// of the packed walk blew up. Packs are cut at absolute 64-site
+/// boundaries of the unproven sites, so the lane is the site's position
+/// among them modulo [`eventsim::batchsim::LANES`], stable across shard
+/// counts and resume boundaries.
 fn classify_with_lane(
     result: std::thread::Result<Result<crate::flow::TestReport, FlowError>>,
-    batch_fallback: bool,
-    index: u64,
+    lane: Option<u64>,
 ) -> (InjectionOutcome, String) {
     let (outcome, detail) = classify(result);
-    if batch_fallback && outcome == InjectionOutcome::Crashed {
-        let lane = index % eventsim::batchsim::LANES as u64;
-        (outcome, format!("[lane {lane}] {detail}"))
-    } else {
-        (outcome, detail)
+    match lane {
+        Some(lane) if outcome == InjectionOutcome::Crashed => {
+            (outcome, format!("[lane {lane}] {detail}"))
+        }
+        _ => (outcome, detail),
     }
 }
 
@@ -908,19 +1153,21 @@ mod tests {
 
     #[test]
     fn lane_tag_marks_only_crashes() {
+        // Packs hold the unproven sites only: the tag names the lane the
+        // site held in its pack, not its sampled index.
         let crash = || Err(Box::new("boom") as Box<dyn std::any::Any + Send>);
-        let tagged = classify_with_lane(crash(), true, 64 + 17);
+        let tagged = classify_with_lane(crash(), Some(17));
         assert_eq!(
             tagged,
             (InjectionOutcome::Crashed, "[lane 17] boom".to_string())
         );
-        let untagged = classify_with_lane(crash(), false, 17);
+        let untagged = classify_with_lane(crash(), None);
         assert_eq!(untagged, (InjectionOutcome::Crashed, "boom".to_string()));
         let timeout = FlowError::Timeout {
             config: "c0".to_string(),
             max_ticks: 9,
         };
-        let hung = classify_with_lane(Ok(Err(timeout)), true, 17);
+        let hung = classify_with_lane(Ok(Err(timeout)), Some(17));
         assert_eq!(
             hung,
             (

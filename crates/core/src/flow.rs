@@ -22,14 +22,15 @@ use crate::memcmp::{diff_images, render_mismatches, Mismatch};
 use crate::metrics::{ConfigMetrics, DesignMetrics};
 use crate::stimulus::{MemImage, Stimulus};
 use crate::telemetry::Recorder;
-use eventsim::batchsim::{BatchSim, LaneOutcome, LANES};
+use eventsim::batchsim::{BatchSim, FirstAccess, LaneOutcome, SignalBits, LANES};
 use eventsim::cyclesim::{CycleOutcome, CycleSim, CycleSimError};
 use eventsim::ops::FsmTable;
 use eventsim::{KernelStats, MemHandle, RunOutcome, SimError, SimTime};
 use nenya::datapath::FU_KINDS;
 use nenya::schedule::SchedulePolicy;
 use nenya::{compile_program, CompileError, CompileOptions, Design};
-use std::collections::BTreeMap;
+use std::cell::RefCell;
+use std::collections::{BTreeMap, HashMap};
 use std::error::Error;
 use std::fmt;
 use std::time::Instant;
@@ -630,7 +631,7 @@ pub fn run_design_recorded(
     recorder.end(transform_span);
     span_event_end(&options.events, "flow.transform", transform_event);
 
-    simulate_prepared(design, &parts, golden, options, recorder)
+    simulate_prepared(design, &parts, golden, options, recorder, None)
 }
 
 /// Rejects option combinations the flow cannot honour, and fires the
@@ -925,7 +926,7 @@ impl PreparedDesign {
         preflight(options)?;
         let initial = initial_images(&self.design, stimuli)?;
         let golden = run_golden(&self.design, initial, options, recorder)?;
-        simulate_prepared(&self.design, &self.parts, golden, options, recorder)
+        simulate_prepared(&self.design, &self.parts, golden, options, recorder, None)
     }
 
     /// Runs the golden software reference once for a fixed stimulus set
@@ -972,7 +973,47 @@ impl PreparedDesign {
             golden,
             options,
             &mut Recorder::new(),
+            None,
         )
+    }
+
+    /// [`run_with_golden`](Self::run_with_golden) on the one-lane
+    /// bytecode (`--engine level`, whatever `options.engine` names),
+    /// recording what the walk saw ([`CleanRecord`]): the bits every
+    /// signal held as known 0 and known 1, and whether a read or a write
+    /// touched each memory word first. Fault campaigns make this walk
+    /// once, on the clean design, and prove sites silent from it.
+    ///
+    /// # Errors
+    ///
+    /// See [`TestFlow::run`].
+    pub fn record_clean(
+        &self,
+        golden: &PreparedGolden,
+        options: &FlowOptions,
+    ) -> Result<(TestReport, CleanRecord), FlowError> {
+        let mut options = options.clone();
+        options.engine = Engine::Level;
+        preflight(&options)?;
+        let golden = PreparedGolden {
+            seconds: 0.0,
+            ..golden.clone()
+        };
+        let record = RefCell::new(CleanRecord::default());
+        let report = simulate_prepared(
+            &self.design,
+            &self.parts,
+            golden,
+            &options,
+            &mut Recorder::new(),
+            Some(&record),
+        )?;
+        Ok((report, record.into_inner()))
+    }
+
+    /// The parsed `.hds` netlist of every configuration, in design order.
+    pub(crate) fn netlists(&self) -> &[eventsim::netlist::Netlist] {
+        &self.parts.netlists
     }
 
     /// Runs up to [`LANES`] independent lane configurations — each with
@@ -1048,6 +1089,7 @@ impl PreparedDesign {
             design,
             parts: &self.parts,
             options: &batch_options,
+            record: None,
         };
         let runs =
             walk::<BatchSim<LANES>>(&ctx, &mut states, &EventSink::disabled(), &mut recorder)?;
@@ -1079,6 +1121,62 @@ impl PreparedDesign {
             lanes: reports,
             sim_wall_seconds: runs.iter().map(|(_, run)| run.summary.wall_seconds).sum(),
         })
+    }
+}
+
+/// What one recorded walk saw ([`PreparedDesign::record_clean`]), keyed
+/// by name across the configurations it executed.
+#[derive(Debug, Clone, Default)]
+pub struct CleanRecord {
+    /// The bits each signal held, ORed over every executed configuration
+    /// that has it; the width is the narrowest of them.
+    signals: HashMap<String, SignalBits>,
+    /// Each memory word's first access over the whole RTG walk.
+    mems: HashMap<String, Vec<FirstAccess>>,
+}
+
+impl CleanRecord {
+    /// The bits `signal` held, or `None` when no executed configuration
+    /// has it.
+    pub fn signal(&self, signal: &str) -> Option<SignalBits> {
+        self.signals.get(signal).copied()
+    }
+
+    /// How the walk first touched word `addr` of `mem`
+    /// ([`FirstAccess::Untouched`] when no executed configuration has
+    /// that word).
+    pub fn first_access(&self, mem: &str, addr: usize) -> FirstAccess {
+        self.mems
+            .get(mem)
+            .and_then(|words| words.get(addr).copied())
+            .unwrap_or(FirstAccess::Untouched)
+    }
+
+    /// Folds one configuration's record in, after those executed before
+    /// it: signal bits OR together, and a word's first access stays the
+    /// earliest configuration's.
+    fn absorb<const W: usize>(&mut self, sim: &BatchSim<W>) {
+        for (name, bits) in sim.recorded_signals() {
+            self.signals
+                .entry(name.to_string())
+                .and_modify(|seen| {
+                    seen.width = seen.width.min(bits.width);
+                    seen.ever0 |= bits.ever0;
+                    seen.ever1 |= bits.ever1;
+                })
+                .or_insert(bits);
+        }
+        for (name, accesses) in sim.recorded_accesses() {
+            let first = self
+                .mems
+                .entry(name.to_string())
+                .or_insert_with(|| vec![FirstAccess::Untouched; accesses.len()]);
+            for (word, &access) in first.iter_mut().zip(accesses) {
+                if *word == FirstAccess::Untouched {
+                    *word = access;
+                }
+            }
+        }
     }
 }
 
@@ -1173,11 +1271,13 @@ fn simulate_prepared(
     golden: PreparedGolden,
     options: &FlowOptions,
     recorder: &mut Recorder,
+    record: Option<&RefCell<CleanRecord>>,
 ) -> Result<TestReport, FlowError> {
     let ctx = WalkContext {
         design,
         parts,
         options,
+        record,
     };
     let mut lanes = [Lane::new(&options.faults, golden.initial)];
     let events = &options.events;
@@ -1253,6 +1353,9 @@ struct WalkContext<'a> {
     design: &'a Design,
     parts: &'a PreparedParts,
     options: &'a FlowOptions,
+    /// Where a recording bytecode walk folds each configuration's
+    /// record ([`PreparedDesign::record_clean`]).
+    record: Option<&'a RefCell<CleanRecord>>,
 }
 
 /// One lane's state across a [`walk`]: its faults, the SRAM contents it
@@ -1922,9 +2025,15 @@ impl<const W: usize> LaneEngine for BatchSim<W> {
         recorder: &mut Recorder,
     ) -> Result<(LaneRuns, ConfigRun), FlowError> {
         self.set_active(live);
+        if ctx.record.is_some() {
+            self.enable_record();
+        }
         let started = Instant::now();
         let summary = self.run_batch(ctx.options.max_ticks / COMPILED_CLOCK_PERIOD);
         let wall_seconds = started.elapsed().as_secs_f64();
+        if let Some(record) = ctx.record {
+            record.borrow_mut().absorb(self);
+        }
         let results: LaneRuns = summary
             .lanes
             .into_iter()

@@ -1,12 +1,18 @@
 //! End-to-end tests of the `fpgatest serve` daemon over real TCP:
 //! crash/hang isolation, design-cache behavior under concurrent
-//! clients, graceful drain, and the bit-identity contract between
-//! cached and freshly compiled designs.
+//! clients, graceful drain, the bit-identity contract between
+//! cached and freshly compiled designs, and served fault reports equal
+//! to in-process campaigns.
 
 use fpgatest::cache::DesignCache;
-use fpgatest::flow::{FlowOptions, TestFlow};
+use fpgatest::events::EventSink;
+use fpgatest::faults::{
+    campaign_json, run_campaign_sharded, CampaignOptions, ShardedCampaignOptions,
+};
+use fpgatest::flow::{Engine, FlowOptions, TestFlow};
 use fpgatest::serve::{Client, ClientError, JobSpec, ServeOptions, Server};
 use fpgatest::stimulus::Stimulus;
+use fpgatest::suite::TestCase;
 use fpgatest::telemetry::Json;
 use fpgatest::workloads;
 use std::io::Write;
@@ -252,4 +258,57 @@ fn cached_runs_match_fresh_compiles_bit_for_bit() {
         );
     }
     assert!(cached_a.passed, "the scale design passes");
+}
+
+/// A served `faults` job passes and its report is the
+/// `fpgatest-faults-v1` object an in-process campaign over the same
+/// case, seed, sites and engine renders, silent reasons included.
+#[test]
+fn served_fault_report_equals_the_in_process_campaign() {
+    let (addr, server) = start_server(ServeOptions::default());
+    let mut client = Client::connect(&addr).expect("connect");
+    let stimulus = Stimulus::from_values([1, 2, 3, 4, 5, 6, 7, 8]);
+    let mut spec = JobSpec::faults("scale", SCALE_SRC, 3, 96).stimulus("inp", stimulus.clone());
+    spec.engine = Engine::Batch;
+    spec.shards = 2;
+    let served = client.run_job(&spec).expect("fault job completes");
+    client.shutdown().expect("shutdown");
+    server.join().expect("server thread").expect("server run");
+
+    let case = TestCase {
+        name: "scale".to_string(),
+        source: SCALE_SRC.to_string(),
+        stimuli: vec![("inp".to_string(), stimulus)],
+        options: FlowOptions {
+            keep_artifacts: false,
+            engine: Engine::Batch,
+            ..FlowOptions::default()
+        },
+    };
+    let campaign = CampaignOptions {
+        seed: 3,
+        sites: 96,
+        engine: Engine::Batch,
+        max_ticks: None,
+        events: EventSink::disabled(),
+    };
+    let report = run_campaign_sharded(&case, &campaign, &ShardedCampaignOptions::default())
+        .expect("in-process campaign")
+        .report;
+
+    assert_eq!(served.verdict, "pass", "{}", served.detail);
+    assert_eq!(served.exit_code, 0);
+    assert_eq!(
+        served.report.get("schema").and_then(Json::as_str),
+        Some("fpgatest-faults-v1")
+    );
+    assert_eq!(
+        served.report.get("injections").and_then(Json::as_u64),
+        Some(96)
+    );
+    assert!(
+        served.report.emit().contains("\"reason\""),
+        "silent records carry their reason"
+    );
+    assert_eq!(served.report, campaign_json(&report));
 }

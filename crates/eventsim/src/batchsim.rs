@@ -46,6 +46,11 @@
 //! * **Opt-in per-rank profile.** [`BatchSim::enable_profile`] times
 //!   every evaluation into its rank's counters; the unprofiled walk is a
 //!   separate instance of the same loop that carries no timing code.
+//! * **Opt-in walk record.** [`BatchSim::enable_record`] notes, per
+//!   signal, the bits it ever held as known 0 and known 1 (toggle
+//!   coverage), and per memory word whether a read or a write touched it
+//!   first. Fault campaigns prove sites silent from it. Like the
+//!   profile, it lives in its own instance of the walk.
 //!
 //! Faults are per-lane: stuck-at clamps carry a `W`-lane AND/OR row per
 //! faulted slot, transient flips carry a lane mask, so a fault campaign
@@ -294,6 +299,40 @@ impl WalkProfile {
     }
 }
 
+/// How a recording walk first touched one memory word (see
+/// [`BatchSim::enable_record`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FirstAccess {
+    /// Neither read nor written.
+    Untouched,
+    /// First a read-port evaluation with `en` = 1 and `we` = 0 at this
+    /// address, whether or not the word was known. The settle precedes
+    /// the edge, so a read and a write in one cycle count as a read.
+    Read,
+    /// First a committed write.
+    Write,
+}
+
+/// The bits one signal held during a recording walk.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SignalBits {
+    /// The signal's width.
+    pub width: u32,
+    /// Bits the signal held as known 0 at some point.
+    pub ever0: u64,
+    /// Bits the signal held as known 1 at some point.
+    pub ever1: u64,
+}
+
+/// What a recording walk has seen so far: per value slot, the bits ever
+/// held known-0 and known-1; per memory, each word's first access.
+#[derive(Debug, Clone)]
+struct WalkRecord {
+    ever0: Vec<u64>,
+    ever1: Vec<u64>,
+    first: Vec<Vec<FirstAccess>>,
+}
+
 /// The compiled engine over `W` lanes. See the [module docs](self).
 pub struct BatchSim<const W: usize> {
     ops: Vec<BOp>,
@@ -378,6 +417,8 @@ pub struct BatchSim<const W: usize> {
     comb_evals: u64,
     /// Opt-in per-rank profile; `None` runs the untimed walk.
     profile: Option<Box<WalkProfile>>,
+    /// Opt-in walk record; `None` runs the walk without recording code.
+    record: Option<Box<WalkRecord>>,
 }
 
 /// Canonicalizes a raw result at `shift = 64 - width`.
@@ -662,6 +703,7 @@ impl<const W: usize> BatchSim<W> {
             cycles: 0,
             comb_evals: 0,
             profile: None,
+            record: None,
         };
         // The first walk evaluates everything, like the sweep engine.
         sim.mark_all();
@@ -693,9 +735,14 @@ impl<const W: usize> BatchSim<W> {
     }
 
     /// Marks everything that reads `slot`: the comb ops with it as an
-    /// input, and the registers sampling it as `d`/`en`/`rst`.
+    /// input, and the registers sampling it as `d`/`en`/`rst`. Every
+    /// change of a slot's column passes through here, so a `RECORD`ing
+    /// walk folds the new column into the walk record here too.
     #[inline]
-    fn mark_slot(&mut self, slot: usize) {
+    fn mark_slot<const RECORD: bool>(&mut self, slot: usize) {
+        if RECORD {
+            self.note_bits(slot);
+        }
         for &op in &self.readers[slot] {
             self.dirty[(op / 64) as usize] |= 1u64 << (op % 64);
         }
@@ -790,7 +837,7 @@ impl<const W: usize> BatchSim<W> {
             state_values,
             deltas,
         };
-        self.drive_outputs(&fsm, 0, 0..fsm.outputs.len(), Self::ALL, false);
+        self.drive_outputs::<false>(&fsm, 0, 0..fsm.outputs.len(), Self::ALL, false);
         self.fsms.push(fsm);
         self.fsm_state.extend(std::iter::repeat_n(0, W));
         Ok(())
@@ -897,7 +944,7 @@ impl<const W: usize> BatchSim<W> {
             m &= m - 1;
             self.values[base + l] = self.clamp_lane(slot, l, self.values[base + l], shift);
         }
-        self.mark_slot(slot);
+        self.mark_slot::<false>(slot);
         Ok(true)
     }
 
@@ -1128,6 +1175,85 @@ impl<const W: usize> BatchSim<W> {
         self.profile.as_deref()
     }
 
+    /// Turns on the walk record: from here on, the known bits every
+    /// signal takes in a running lane and the first access to every
+    /// memory word are noted. Values already held count at once, so a
+    /// constant's bits count from construction and a control unit's
+    /// outputs from registration (call this once the run is set up,
+    /// after [`add_control_unit`](Self::add_control_unit)). X values set
+    /// neither mask. Recording only observes: cycles, evaluation counts,
+    /// values, memories and outcomes are bit-identical with it on or off,
+    /// and walks without it run an instance of the loop that carries no
+    /// recording code.
+    pub fn enable_record(&mut self) {
+        let slots = self.widths.len();
+        self.record = Some(Box::new(WalkRecord {
+            ever0: vec![0; slots],
+            ever1: vec![0; slots],
+            first: self
+                .mems
+                .iter()
+                .map(|m| vec![FirstAccess::Untouched; m.size])
+                .collect(),
+        }));
+        for slot in 0..slots {
+            self.note_bits(slot);
+        }
+    }
+
+    /// The bits each named signal held while recording (nothing when
+    /// [`enable_record`](Self::enable_record) was not called).
+    pub fn recorded_signals(&self) -> impl Iterator<Item = (&str, SignalBits)> + '_ {
+        let record = self.record.as_deref();
+        self.signal_index.iter().filter_map(move |(name, &slot)| {
+            let record = record?;
+            let bits = SignalBits {
+                width: self.widths[slot],
+                ever0: record.ever0[slot],
+                ever1: record.ever1[slot],
+            };
+            Some((name.as_str(), bits))
+        })
+    }
+
+    /// Each named memory's first access per word while recording
+    /// (nothing when [`enable_record`](Self::enable_record) was not
+    /// called).
+    pub fn recorded_accesses(&self) -> impl Iterator<Item = (&str, &[FirstAccess])> + '_ {
+        let record = self.record.as_deref();
+        self.mem_names
+            .iter()
+            .filter_map(move |(name, &mi)| Some((name.as_str(), record?.first[mi].as_slice())))
+    }
+
+    /// Folds the known running lanes of `slot` into the walk record.
+    fn note_bits(&mut self, slot: usize) {
+        let Some(record) = self.record.as_deref_mut() else {
+            return;
+        };
+        let vmask = mask(self.widths[slot]);
+        let base = slot * W;
+        let mut m = self.known[slot] & self.running;
+        while m != 0 {
+            let l = m.trailing_zeros() as usize;
+            m &= m - 1;
+            let v = self.values[base + l] as u64 & vmask;
+            record.ever1[slot] |= v;
+            record.ever0[slot] |= !v & vmask;
+        }
+    }
+
+    /// Notes an access to word `addr` of memory `mem`, if it is the
+    /// word's first.
+    fn note_access(&mut self, mem: usize, addr: usize, access: FirstAccess) {
+        if let Some(record) = self.record.as_deref_mut() {
+            let first = &mut record.first[mem][addr];
+            if *first == FirstAccess::Untouched {
+                *first = access;
+            }
+        }
+    }
+
     /// Marks a lane failed at the current (pre-increment) cycle and
     /// drops it from the running mask. First failure wins, matching the
     /// sweep engine's abort-at-first-error.
@@ -1179,8 +1305,10 @@ impl<const W: usize> BatchSim<W> {
     }
 
     /// One walk of the bytecode: flips, reset drive, the op loop, the
-    /// edge commit, and per-lane termination — one clock cycle.
-    fn walk(&mut self) {
+    /// edge commit, and per-lane termination — one clock cycle. The
+    /// `RECORD` instance also feeds the walk record; the other carries
+    /// no recording code.
+    fn walk<const RECORD: bool>(&mut self) {
         // Transient flips scheduled for this cycle, known lanes only.
         if !self.flips.is_empty() {
             for i in 0..self.flips.len() {
@@ -1214,7 +1342,7 @@ impl<const W: usize> BatchSim<W> {
                 if p != u32::MAX {
                     self.mark_op(p);
                 }
-                self.mark_slot(slot);
+                self.mark_slot::<RECORD>(slot);
                 // A flipped Moore output must be reverted by the edge's
                 // change-detected redrive of every output.
                 self.force_fsm_drive = true;
@@ -1236,17 +1364,17 @@ impl<const W: usize> BatchSim<W> {
             if self.known[y] != Self::ALL || self.values[base..base + W] != out {
                 self.values[base..base + W].copy_from_slice(&out);
                 self.known[y] = Self::ALL;
-                self.mark_slot(y);
+                self.mark_slot::<RECORD>(y);
             }
         }
 
         if let Some(profile) = self.profile.as_mut() {
             profile.walks += 1;
-            self.eval_ops::<true>();
+            self.eval_ops::<true, RECORD>();
         } else {
-            self.eval_ops::<false>();
+            self.eval_ops::<false, RECORD>();
         }
-        self.commit_edge();
+        self.commit_edge::<RECORD>();
     }
 
     /// The settle phase: drains the dirty bitset in ascending (rank)
@@ -1255,7 +1383,7 @@ impl<const W: usize> BatchSim<W> {
     /// empties; rank order guarantees no earlier bit ever sets. The
     /// `PROFILE` instance also times each evaluation into its rank's
     /// row; the other carries no timing code.
-    fn eval_ops<const PROFILE: bool>(&mut self) {
+    fn eval_ops<const PROFILE: bool, const RECORD: bool>(&mut self) {
         for word in 0..self.dirty.len() {
             while self.dirty[word] != 0 {
                 let bit = self.dirty[word].trailing_zeros() as usize;
@@ -1264,7 +1392,7 @@ impl<const W: usize> BatchSim<W> {
                 let oi = word * 64 + bit;
                 if PROFILE {
                     let started = Instant::now();
-                    let changed = self.eval_op(oi);
+                    let changed = self.eval_op::<RECORD>(oi);
                     let nanos = started.elapsed().as_nanos() as u64;
                     let rank = self.op_ranks[oi] as usize;
                     let profile = self.profile.as_mut().expect("profiling enabled");
@@ -1273,7 +1401,7 @@ impl<const W: usize> BatchSim<W> {
                     row.changes += changed as u64;
                     row.nanos += nanos;
                 } else {
-                    self.eval_op(oi);
+                    self.eval_op::<RECORD>(oi);
                 }
             }
         }
@@ -1282,9 +1410,12 @@ impl<const W: usize> BatchSim<W> {
     /// Evaluates one bytecode op into a scratch column, applies the
     /// fault clamp, and — only when the column or its known mask
     /// actually changed — writes it back and marks the slot's readers.
-    /// Returns whether it changed.
+    /// Returns whether it changed. A `RECORD`ing walk notes each
+    /// read-port evaluation (enabled, not writing, known in-range
+    /// address) as a read of that word, whether or not the word is
+    /// known.
     #[inline(always)]
-    fn eval_op(&mut self, oi: usize) -> bool {
+    fn eval_op<const RECORD: bool>(&mut self, oi: usize) -> bool {
         let mut out = [0i64; W];
         let (y, shift, kout) = match self.ops[oi] {
             BOp::Bin { kind, a, b, y, shift } => {
@@ -1478,6 +1609,9 @@ impl<const W: usize> BatchSim<W> {
                         if a0 < m.size {
                             out.copy_from_slice(&m.data[a0 * W..a0 * W + W]);
                             kout = m.known[a0];
+                            if RECORD && self.running != 0 {
+                                self.note_access(mem, a0, FirstAccess::Read);
+                            }
                         }
                     }
                 }
@@ -1495,6 +1629,9 @@ impl<const W: usize> BatchSim<W> {
                             continue; // X address reads X (writes fail)
                         }
                         let a = ((self.values[addr_base + l] as u64) & addr_mask) as usize;
+                        if RECORD && a < self.mems[mem].size && self.running & bit != 0 {
+                            self.note_access(mem, a, FirstAccess::Read);
+                        }
                         let m = &self.mems[mem];
                         if a >= m.size || m.known[a] & bit == 0 {
                             continue;
@@ -1519,7 +1656,7 @@ impl<const W: usize> BatchSim<W> {
         if self.known[y] != kout || self.values[base..base + W] != out {
             self.values[base..base + W].copy_from_slice(&out);
             self.known[y] = kout;
-            self.mark_slot(y);
+            self.mark_slot::<RECORD>(y);
             return true;
         }
         false
@@ -1544,7 +1681,13 @@ impl<const W: usize> BatchSim<W> {
     /// after one is `force`d: every output of every running lane, staying
     /// lanes included, is redriven with per-lane change detection, as the
     /// sweep engine's drive does.
-    fn commit_fsm(&mut self, fi: usize, fsm: &BFsm, force: bool, done_mask: &mut u64) {
+    fn commit_fsm<const RECORD: bool>(
+        &mut self,
+        fi: usize,
+        fsm: &BFsm,
+        force: bool,
+        done_mask: &mut u64,
+    ) {
         let states = fsm.table.states();
         let col = fi * W;
         let mut rest = self.running;
@@ -1601,10 +1744,10 @@ impl<const W: usize> BatchSim<W> {
                         self.fsm_state[col + l] = to as u32;
                     }
                     if force {
-                        self.drive_outputs(fsm, to, 0..fsm.outputs.len(), taken, true);
+                        self.drive_outputs::<RECORD>(fsm, to, 0..fsm.outputs.len(), taken, true);
                     } else {
                         let delta = fsm.deltas[from][ti].iter().map(|&j| j as usize);
-                        self.drive_outputs(fsm, to, delta, taken, false);
+                        self.drive_outputs::<RECORD>(fsm, to, delta, taken, false);
                     }
                     if states[to].terminal {
                         *done_mask |= taken;
@@ -1614,7 +1757,7 @@ impl<const W: usize> BatchSim<W> {
             // Lanes that stay put (terminal or unmatched) redrive only on
             // forced walks.
             if force && undecided != 0 {
-                self.drive_outputs(fsm, from, 0..fsm.outputs.len(), undecided, true);
+                self.drive_outputs::<RECORD>(fsm, from, 0..fsm.outputs.len(), undecided, true);
             }
         }
     }
@@ -1624,7 +1767,7 @@ impl<const W: usize> BatchSim<W> {
     /// written slot's readers: unconditionally when unforced (a
     /// transition's delta, or every output of every lane at
     /// registration), only on a change when `force`d.
-    fn drive_outputs(
+    fn drive_outputs<const RECORD: bool>(
         &mut self,
         fsm: &BFsm,
         state: usize,
@@ -1648,7 +1791,7 @@ impl<const W: usize> BatchSim<W> {
             }
             self.known[slot] |= lanes;
             if changed {
-                self.mark_slot(slot);
+                self.mark_slot::<RECORD>(slot);
             }
         }
     }
@@ -1658,7 +1801,7 @@ impl<const W: usize> BatchSim<W> {
     /// the same phase order as `FlatModel::commit_edge` — then the cycle
     /// counter and per-lane termination with the sweep engine's
     /// watch-beats-done priority.
-    fn commit_edge(&mut self) {
+    fn commit_edge<const RECORD: bool>(&mut self) {
         // Phase a: sample the dirty registers into scratch (all lanes;
         // commit is masked later so frozen-lane samples are
         // unobservable). The dirty set is drained fully — a register
@@ -1768,6 +1911,9 @@ impl<const W: usize> BatchSim<W> {
                 let shift = self.mems[mem].shift;
                 self.mems[mem].data[a * W + l] = canon(self.values[din * W + l], shift);
                 self.mems[mem].known[a] |= bit;
+                if RECORD {
+                    self.note_access(mem, a, FirstAccess::Write);
+                }
                 wrote = true;
             }
             // A committed write dirties the read path even though no
@@ -1784,7 +1930,7 @@ impl<const W: usize> BatchSim<W> {
         let force = std::mem::take(&mut self.force_fsm_drive);
         let mut done_mask = 0u64;
         for (fi, fsm) in fsms.iter().enumerate() {
-            self.commit_fsm(fi, fsm, force, &mut done_mask);
+            self.commit_fsm::<RECORD>(fi, fsm, force, &mut done_mask);
         }
         self.fsms = fsms;
 
@@ -1814,7 +1960,7 @@ impl<const W: usize> BatchSim<W> {
                 if self.known[q] != new_known || dst[..] != src[..] {
                     dst.copy_from_slice(src);
                     self.known[q] = new_known;
-                    self.mark_slot(q);
+                    self.mark_slot::<RECORD>(q);
                 }
                 continue;
             }
@@ -1837,7 +1983,7 @@ impl<const W: usize> BatchSim<W> {
                 }
             }
             if changed {
-                self.mark_slot(q);
+                self.mark_slot::<RECORD>(q);
             }
         }
         self.edge_regs = edge_regs;
@@ -1915,7 +2061,11 @@ impl<const W: usize> BatchSim<W> {
                 self.running = 0;
                 break;
             }
-            self.walk();
+            if self.record.is_some() {
+                self.walk::<true>();
+            } else {
+                self.walk::<false>();
+            }
         }
         BatchSummary {
             lanes: (0..W)

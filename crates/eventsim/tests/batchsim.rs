@@ -15,7 +15,7 @@
 //! combinational signals, design failures, and cycle-limit exhaustion in
 //! one run.
 
-use eventsim::batchsim::{BatchSim, LaneOutcome, LaneResult, LANES};
+use eventsim::batchsim::{BatchSim, FirstAccess, LaneOutcome, LaneResult, SignalBits, LANES};
 use eventsim::cyclesim::{CycleOutcome, CycleSim, CycleSimError, CycleSummary};
 use eventsim::netlist::{Instance, Netlist};
 use eventsim::ops::{FsmState, FsmTable, FsmTransition};
@@ -776,4 +776,189 @@ fn divergent_control_matches_level_lane_by_lane() {
     assert_ne!(seen[5], x_fetch, "an X condition that is never reached is harmless");
     assert_eq!(seen[6], x_fetch, "an X condition that is reached fails");
     assert_eq!(seen[9], LaneOutcome::CycleLimit, "the waiting lane never leaves");
+}
+
+/// A constant, a control unit stepping an SRAM through a read of an X
+/// word, a write and a read back, and a signal that stays X.
+fn record_netlist() -> Netlist {
+    let mut nl = Netlist::new("record");
+    for (name, width) in [
+        ("clk", 1),
+        ("k", 4),
+        ("fo", 4),
+        ("en", 1),
+        ("we", 1),
+        ("addr", 2),
+        ("dout", 4),
+        ("xa", 4),
+        ("xs", 4),
+    ] {
+        nl.add_signal(name, width);
+    }
+    nl.add_instance(
+        Instance::new("clock0", "clock")
+            .with_param("period", 10)
+            .with_conn("y", "clk"),
+    );
+    nl.add_instance(
+        Instance::new("k0", "const")
+            .with_param("width", 4)
+            .with_param("value", 0b0101)
+            .with_conn("y", "k"),
+    );
+    nl.add_instance(
+        Instance::new("undriven", "and")
+            .with_param("width", 4)
+            .with_conn("a", "xa")
+            .with_conn("b", "k")
+            .with_conn("y", "xs"),
+    );
+    nl.add_instance(
+        Instance::new("m0", "sram")
+            .with_param("width", 4)
+            .with_param("size", 4)
+            .with_conn("clk", "clk")
+            .with_conn("en", "en")
+            .with_conn("we", "we")
+            .with_conn("addr", "addr")
+            .with_conn("din", "k")
+            .with_conn("dout", "dout"),
+    );
+    nl
+}
+
+/// Outputs `(fo, en, we, addr)`: read word 1, write word 2, read word 2,
+/// halt.
+fn record_table() -> FsmTable {
+    let step = |name: &str, outputs: [i64; 4], target: usize| FsmState {
+        name: name.to_string(),
+        outputs: outputs.into_iter().enumerate().collect(),
+        transitions: vec![FsmTransition {
+            condition: None,
+            target,
+        }],
+        terminal: false,
+    };
+    let states = vec![
+        step("read_x", [0b0011, 1, 0, 1], 1),
+        step("write", [0b1100, 1, 1, 2], 2),
+        step("read_back", [0b0011, 1, 0, 2], 3),
+        FsmState {
+            name: "halt".to_string(),
+            outputs: vec![(0, 0b0011)],
+            transitions: Vec::new(),
+            terminal: true,
+        },
+    ];
+    FsmTable::new(states, 0, 4).expect("table validates")
+}
+
+fn record_sim<const W: usize>(record: bool) -> BatchSim<W> {
+    let mut sim = BatchSim::<W>::from_netlist(&record_netlist()).expect("netlist builds");
+    sim.add_control_unit(
+        "ctl",
+        &[],
+        &[("fo", 4), ("en", 1), ("we", 1), ("addr", 2)],
+        record_table(),
+    )
+    .expect("control unit attaches");
+    if record {
+        sim.enable_record();
+    }
+    sim
+}
+
+fn recorded_bits<const W: usize>(sim: &BatchSim<W>, name: &str) -> SignalBits {
+    sim.recorded_signals()
+        .find(|(signal, _)| *signal == name)
+        .unwrap_or_else(|| panic!("'{name}' is recorded"))
+        .1
+}
+
+fn recorded_words<const W: usize>(sim: &BatchSim<W>) -> Vec<FirstAccess> {
+    let (_, words) = sim
+        .recorded_accesses()
+        .find(|(mem, _)| *mem == "m0")
+        .expect("m0 is recorded");
+    words.to_vec()
+}
+
+/// The walk record: constants count from construction and control-unit
+/// outputs from registration, X sets neither mask, a read of an X word
+/// is a read, untouched words stay untouched, and a read in the settle
+/// comes before a write at the same cycle's edge.
+#[test]
+fn walk_record_notes_held_bits_and_first_accesses() {
+    let bits = |width, ever0, ever1| SignalBits {
+        width,
+        ever0,
+        ever1,
+    };
+    let mut sim = record_sim::<1>(true);
+    assert_eq!(recorded_bits(&sim, "k"), bits(4, 0b1010, 0b0101));
+    assert_eq!(recorded_bits(&sim, "fo"), bits(4, 0b1100, 0b0011));
+    assert_eq!(recorded_bits(&sim, "xs"), bits(4, 0, 0));
+    assert_eq!(recorded_words(&sim), vec![FirstAccess::Untouched; 4]);
+
+    let summary = sim.run_batch(20);
+    assert_eq!(summary.lanes[0].as_ref().map(|l| l.cycles), Some(3));
+    assert_eq!(recorded_bits(&sim, "fo"), bits(4, 0b1111, 0b1111));
+    assert_eq!(recorded_bits(&sim, "we"), bits(1, 1, 1));
+    assert_eq!(recorded_bits(&sim, "xa"), bits(4, 0, 0), "X sets neither mask");
+    assert_eq!(recorded_bits(&sim, "xs"), bits(4, 0, 0), "X sets neither mask");
+    // The X word 1 read by the read port, the word 2 written before it is
+    // read back; words 0 and 3 untouched.
+    assert_eq!(sim.snapshot_mem("m0", 0).expect("m0")[1], None);
+    assert_eq!(
+        recorded_words(&sim),
+        [
+            FirstAccess::Untouched,
+            FirstAccess::Read,
+            FirstAccess::Write,
+            FirstAccess::Untouched
+        ]
+    );
+
+    // One port cannot read and write in one cycle, but two lanes can: with
+    // lane 1's `we` stuck at 1, lane 1 writes word 1 at cycle 0's edge
+    // while lane 0 reads it in cycle 0's settle. The read comes first.
+    let mut two = record_sim::<2>(true);
+    assert_eq!(two.inject_stuck_at_lane("we", 0, true, 1), Ok(true));
+    two.run_batch(20);
+    assert_eq!(two.snapshot_mem("m0", 1).expect("m0")[1], Some(0b0101));
+    assert_eq!(recorded_words(&two)[1], FirstAccess::Read);
+
+    // Without recording there is nothing to read back.
+    let plain = record_sim::<1>(false);
+    assert_eq!(plain.recorded_signals().count(), 0);
+    assert_eq!(plain.recorded_accesses().count(), 0);
+}
+
+/// Recording only observes: on the lane-parity netlist with its fault
+/// plan, a recording walk gives the same cycles, evaluation counts,
+/// outcomes, values and memories as a plain one, at one lane and at 64.
+#[test]
+fn recording_changes_no_result() {
+    fn run<const W: usize>(record: bool) -> (Vec<LaneSnapshot>, u64) {
+        let nl = build_netlist();
+        let plan = fault_plan();
+        let mut sim = BatchSim::<W>::from_netlist(&nl).expect("netlist builds");
+        sim.add_control_unit("ctl", &["wen"], &[("fsm_out", WIDTH)], control_table())
+            .expect("control unit attaches");
+        for lane in 0..W {
+            inject_lane(&mut sim, plan.get(lane).copied().unwrap_or(Fault::None), lane);
+        }
+        if record {
+            sim.enable_record();
+        }
+        let preload: Vec<Option<i64>> = PRELOAD.iter().copied().map(Some).collect();
+        assert!(sim.load_mem_all("m0", &preload));
+        let summary = sim.run_batch(MAX_CYCLES);
+        let lanes = (0..W)
+            .map(|lane| batch_snapshot(&sim, lane, summary.lanes[lane].as_ref().expect("active")))
+            .collect();
+        (lanes, sim.comb_evals())
+    }
+    assert_eq!(run::<1>(true), run::<1>(false));
+    assert_eq!(run::<LANES>(true), run::<LANES>(false));
 }

@@ -9,6 +9,7 @@
 use fpgatest::events::EventSink;
 use fpgatest::faults::{
     run_campaign_sharded, CampaignOptions, CampaignReport, FaultSpec, ShardedCampaignOptions,
+    SilentReason,
 };
 use fpgatest::flow::{run_design, Engine, FlowError, FlowOptions};
 use fpgatest::stimulus::Stimulus;
@@ -45,6 +46,15 @@ fn record_strings(report: &CampaignReport) -> RecordStrings {
         .injections
         .iter()
         .map(|r| (r.fault.to_string(), r.outcome.to_string(), r.detail.clone()))
+        .collect()
+}
+
+/// Each record's silent reason, rendered.
+fn reasons(report: &CampaignReport) -> Vec<Option<String>> {
+    report
+        .injections
+        .iter()
+        .map(|r| r.reason.map(|reason| reason.to_string()))
         .collect()
 }
 
@@ -109,6 +119,24 @@ fn sharded_records_and_events_are_identical_at_every_shard_count() {
             )
             .unwrap();
             assert!(!outcome.interrupted);
+            // Both paths meet in the merge: sites proven silent from the
+            // clean walk's record, and sites simulated in packs.
+            let proven = outcome
+                .report
+                .injections
+                .iter()
+                .filter(|r| {
+                    matches!(
+                        r.reason,
+                        Some(SilentReason::Unexcited | SilentReason::DeadWord)
+                    )
+                })
+                .count();
+            assert!(
+                proven > 0 && proven < outcome.report.injections.len(),
+                "{engine:?}: {proven} of {} sites proven",
+                outcome.report.injections.len()
+            );
             let faults: Vec<FaultSpec> = outcome
                 .report
                 .injections
@@ -135,78 +163,93 @@ fn sharded_records_and_events_are_identical_at_every_shard_count() {
 
 #[test]
 fn stop_flag_interrupt_then_resume_matches_the_uninterrupted_campaign() {
-    let dir = std::env::temp_dir().join("fpgatest_campaign_shard_resume");
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    let checkpoint = dir.join("faults.ckpt");
+    // Batch packs 64 unproven sites to a walk: enough sites for several
+    // packs, so the stop can land between them.
+    for (engine, sites) in [(Engine::Event, 48), (Engine::Batch, 400)] {
+        let dir = std::env::temp_dir().join(format!("fpgatest_campaign_shard_resume_{engine}"));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let checkpoint = dir.join("faults.ckpt");
 
-    let case = passing_case("shardresume");
-    let (sink, reference_events) = EventSink::capture();
-    let reference = run_campaign_sharded(
-        &case,
-        &campaign(Engine::Event, 48, sink),
-        &ShardedCampaignOptions {
-            shards: 2,
-            ..ShardedCampaignOptions::default()
-        },
-    )
-    .unwrap();
-    assert!(!reference.interrupted);
-
-    // The timer's cut point is scheduling-dependent; whatever prefix
-    // lands in the checkpoint, resuming must finish to the same bytes.
-    let stop = Arc::new(AtomicBool::new(false));
-    let timer = {
-        let stop = stop.clone();
-        std::thread::spawn(move || {
-            std::thread::sleep(std::time::Duration::from_millis(40));
-            stop.store(true, Ordering::SeqCst);
-        })
-    };
-    let first = run_campaign_sharded(
-        &case,
-        &campaign(Engine::Event, 48, EventSink::disabled()),
-        &ShardedCampaignOptions {
-            shards: 2,
-            checkpoint: Some(checkpoint.clone()),
-            checkpoint_every: 1,
-            stop: Some(stop),
-            ..ShardedCampaignOptions::default()
-        },
-    )
-    .unwrap();
-    timer.join().unwrap();
-
-    let (final_records, final_events) = if first.interrupted {
-        let text = std::fs::read_to_string(&checkpoint).unwrap();
-        assert!(
-            text.contains("\"schema\": \"fpgatest-checkpoint-v1\"")
-                || text.contains("\"schema\":\"fpgatest-checkpoint-v1\""),
-            "checkpoint file carries the fpgatest-checkpoint-v1 schema tag:\n{text}"
-        );
-        let (sink, resumed_events) = EventSink::capture();
-        let resumed = run_campaign_sharded(
+        let case = passing_case("shardresume");
+        let (sink, reference_events) = EventSink::capture();
+        let reference = run_campaign_sharded(
             &case,
-            &campaign(Engine::Event, 48, sink),
+            &campaign(engine, sites, sink),
             &ShardedCampaignOptions {
                 shards: 2,
-                resume: Some(checkpoint.clone()),
                 ..ShardedCampaignOptions::default()
             },
         )
         .unwrap();
-        assert!(!resumed.interrupted);
-        assert!(resumed.resumed > 0, "checkpoint held completed injections");
-        (record_strings(&resumed.report), resumed_events.text())
-    } else {
-        // Outran the timer: the run is its own uninterrupted comparison.
-        (record_strings(&first.report), String::new())
-    };
-    assert_eq!(record_strings(&reference.report), final_records);
-    if !final_events.is_empty() {
-        assert_eq!(reference_events.text(), final_events);
+        assert!(!reference.interrupted);
+
+        // The timer's cut point is scheduling-dependent; whatever prefix
+        // lands in the checkpoint, resuming must finish to the same bytes.
+        let stop = Arc::new(AtomicBool::new(false));
+        let timer = {
+            let stop = stop.clone();
+            std::thread::spawn(move || {
+                std::thread::sleep(std::time::Duration::from_millis(40));
+                stop.store(true, Ordering::SeqCst);
+            })
+        };
+        let first = run_campaign_sharded(
+            &case,
+            &campaign(engine, sites, EventSink::disabled()),
+            &ShardedCampaignOptions {
+                shards: 2,
+                checkpoint: Some(checkpoint.clone()),
+                checkpoint_every: 1,
+                stop: Some(stop),
+                ..ShardedCampaignOptions::default()
+            },
+        )
+        .unwrap();
+        timer.join().unwrap();
+
+        let (final_records, final_reasons, final_events) = if first.interrupted {
+            let text = std::fs::read_to_string(&checkpoint).unwrap();
+            assert!(
+                text.contains("\"schema\": \"fpgatest-checkpoint-v1\"")
+                    || text.contains("\"schema\":\"fpgatest-checkpoint-v1\""),
+                "checkpoint file carries the fpgatest-checkpoint-v1 schema tag:\n{text}"
+            );
+            let (sink, resumed_events) = EventSink::capture();
+            let resumed = run_campaign_sharded(
+                &case,
+                &campaign(engine, sites, sink),
+                &ShardedCampaignOptions {
+                    shards: 2,
+                    resume: Some(checkpoint.clone()),
+                    ..ShardedCampaignOptions::default()
+                },
+            )
+            .unwrap();
+            assert!(!resumed.interrupted);
+            assert!(resumed.resumed > 0, "checkpoint held completed injections");
+            (
+                record_strings(&resumed.report),
+                reasons(&resumed.report),
+                resumed_events.text(),
+            )
+        } else {
+            // Outran the timer: the run is its own uninterrupted comparison.
+            (
+                record_strings(&first.report),
+                reasons(&first.report),
+                String::new(),
+            )
+        };
+        assert_eq!(record_strings(&reference.report), final_records, "{engine}");
+        // Checkpoints store no reasons: restored records take theirs from
+        // the recomputed proof.
+        assert_eq!(reasons(&reference.report), final_reasons, "{engine}");
+        if !final_events.is_empty() {
+            assert_eq!(reference_events.text(), final_events, "{engine}");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

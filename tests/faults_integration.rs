@@ -2,16 +2,20 @@
 //! suite runner: a planted panic never takes down a `--jobs` pool, an
 //! FSM that can never reach `done` yields a Timeout verdict on all three
 //! engines, a seeded campaign classifies every injection without a
-//! single harness crash, and the fault machinery is invisible on clean
-//! runs.
+//! single harness crash, the fault machinery is invisible on clean
+//! runs, and every site a campaign proves silent without simulating it
+//! is silent when simulated alone.
 
 use fpgatest::faults::{
     run_campaign_sharded, CampaignOptions, CampaignReport, FaultSpec, InjectionOutcome,
-    ShardedCampaignOptions,
+    ShardedCampaignOptions, SilentReason,
 };
-use fpgatest::flow::{Engine, FlowOptions, TestFlow};
+use fpgatest::flow::{
+    prepare_design, Engine, FlowError, FlowOptions, PreparedDesign, PreparedGolden, TestFlow,
+};
 use fpgatest::stimulus::Stimulus;
 use fpgatest::suite::{parse_manifest, CaseResult, Suite, TestCase};
+use std::collections::BTreeMap;
 
 const PROGRAM: &str = "mem inp[4]; mem out[4];
 void main() { int i; for (i = 0; i < 4; i = i + 1) { out[i] = inp[i] * 2 + 1; } }";
@@ -425,5 +429,237 @@ fn static_faults_inject_on_all_three_engines() {
             ),
             Err(e) => panic!("engine {engine}: unexpected flow error: {e}"),
         }
+    }
+}
+
+/// The example manifest's designs.
+const MANIFEST_DESIGNS: [&str; 5] = ["fdct1", "fdct2", "fdct1_optimized", "hamming", "sort"];
+
+/// The example manifest's case `name`.
+fn manifest_case(name: &str) -> TestCase {
+    let manifest = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../examples/suite/suite.manifest"
+    );
+    let suite = fpgatest::suite::load_manifest(manifest).expect("example manifest loads");
+    suite
+        .cases()
+        .iter()
+        .find(|case| case.name == name)
+        .unwrap_or_else(|| panic!("the example manifest has {name}"))
+        .clone()
+}
+
+/// A campaign over the whole site pool of `case`.
+fn full_pool(case: &TestCase, engine: Engine) -> CampaignReport {
+    let options = CampaignOptions {
+        seed: 1,
+        sites: usize::MAX,
+        engine,
+        ..CampaignOptions::default()
+    };
+    let shards = ShardedCampaignOptions {
+        shards: 2,
+        ..ShardedCampaignOptions::default()
+    };
+    let report = run_campaign_sharded(case, &options, &shards)
+        .unwrap_or_else(|e| panic!("{} on {engine}: {e}", case.name))
+        .report;
+    assert_eq!(report.injections.len(), report.site_pool);
+    report
+}
+
+/// One design prepared for simulating sites one at a time, sharing
+/// nothing with the campaign runner but the public flow.
+struct Alone {
+    prepared: PreparedDesign,
+    golden: PreparedGolden,
+    options: FlowOptions,
+}
+
+impl Alone {
+    /// `case` on `engine` under a campaign's tick budget: `max_ticks`, or
+    /// five times the clean run's ticks and at least 50k.
+    fn new(case: &TestCase, engine: Engine, max_ticks: Option<u64>) -> Alone {
+        let program = nenya::lang::parse(&case.source).unwrap();
+        let design = nenya::compile_program(&case.name, &program, &case.options.compile).unwrap();
+        let prepared = prepare_design(design).unwrap();
+        let mut options = FlowOptions {
+            engine,
+            keep_artifacts: false,
+            ..case.options.clone()
+        };
+        let golden = prepared.prepare_golden(&case.stimuli, &options).unwrap();
+        let clean = prepared.run_with_golden(&golden, &options).unwrap();
+        let clean_ticks: u64 = clean.runs.iter().map(|r| r.cycles * 10).sum();
+        options.max_ticks = max_ticks.unwrap_or((clean_ticks * 5).max(50_000));
+        Alone {
+            prepared,
+            golden,
+            options,
+        }
+    }
+
+    /// `(outcome, detail)` of `fault` simulated alone, classified as a
+    /// campaign classifies it.
+    fn classify(&self, fault: &FaultSpec) -> (String, String) {
+        let options = FlowOptions {
+            faults: vec![fault.clone()],
+            ..self.options.clone()
+        };
+        let (outcome, detail) = match self.prepared.run_with_golden(&self.golden, &options) {
+            Err(e @ FlowError::Timeout { .. }) => ("hung", e.to_string()),
+            Err(e) => ("detected", format!("flow error: {e}")),
+            Ok(report) => match (report.failure, report.mismatches.first()) {
+                (Some(failure), _) => ("detected", failure),
+                (None, Some(first)) => (
+                    "detected",
+                    format!(
+                        "{} mismatches, first {}[{}] golden {:?} sim {:?}",
+                        report.mismatches.len(),
+                        first.mem,
+                        first.addr,
+                        first.expected,
+                        first.got
+                    ),
+                ),
+                (None, None) => ("silent", "verdict PASS".to_string()),
+            },
+        };
+        (outcome.to_string(), detail)
+    }
+}
+
+/// Simulates the sites `report` proved silent without simulation
+/// (`unexcited` and `dead-word`) one at a time on `engine`, at most
+/// `per_reason` of each reason, and asserts each is silent. Returns how
+/// many of each reason it checked.
+fn check_proofs(
+    case: &TestCase,
+    report: &CampaignReport,
+    engine: Engine,
+    per_reason: usize,
+) -> BTreeMap<String, usize> {
+    let alone = Alone::new(case, engine, None);
+    let mut checked = BTreeMap::new();
+    for record in &report.injections {
+        let Some(reason @ (SilentReason::Unexcited | SilentReason::DeadWord)) = record.reason else {
+            continue;
+        };
+        assert_eq!(
+            (record.outcome, record.detail.as_str()),
+            (InjectionOutcome::Silent, "verdict PASS")
+        );
+        let count = checked.entry(reason.to_string()).or_insert(0);
+        if *count == per_reason {
+            continue;
+        }
+        *count += 1;
+        assert_eq!(
+            alone.classify(&record.fault),
+            ("silent".to_string(), "verdict PASS".to_string()),
+            "{}: {} was proven {reason} by the {} campaign, yet simulated alone on {engine}",
+            case.name,
+            record.fault,
+            report.engine
+        );
+    }
+    checked
+}
+
+/// Every proven site of sort's full pool, on the level and batch
+/// campaigns, simulated alone on the campaign's engine.
+#[test]
+fn proven_sites_of_sorts_full_pool_are_silent_when_simulated_alone() {
+    let sort = manifest_case("sort");
+    for engine in [Engine::Level, Engine::Batch] {
+        let report = full_pool(&sort, engine);
+        let checked = check_proofs(&sort, &report, engine, usize::MAX);
+        assert!(checked.get("unexcited") > Some(&0), "{engine}: {checked:?}");
+        assert!(
+            report.count(InjectionOutcome::Detected) > 0,
+            "{engine}: the unproven sites were simulated"
+        );
+    }
+}
+
+/// For each manifest design, up to four proven sites of each reason
+/// from a level campaign, simulated alone on every engine: the proofs
+/// come from the one-lane bytecode whatever the campaign's engine.
+#[test]
+fn proven_sites_are_silent_on_every_engine() {
+    for name in MANIFEST_DESIGNS {
+        let case = manifest_case(name);
+        let options = CampaignOptions {
+            seed: 1,
+            sites: 48,
+            engine: Engine::Level,
+            ..CampaignOptions::default()
+        };
+        let report = campaign_report(&case, &options).expect("campaign runs");
+        for engine in Engine::ALL {
+            let checked = check_proofs(&case, &report, engine, 4);
+            assert!(checked.get("unexcited") > Some(&0), "{name}: {checked:?}");
+        }
+    }
+}
+
+/// The full pools: all five manifest designs on the batch and level
+/// engines, hamming and sort also on the cycle and event engines. Every
+/// proven site is simulated alone on the campaign's engine. CI's fault
+/// smoke job runs it in release.
+#[test]
+#[ignore = "full fault pools; run with cargo test --release --test faults_integration -- --ignored"]
+fn every_proven_site_of_the_full_pools_is_silent() {
+    for name in MANIFEST_DESIGNS {
+        let case = manifest_case(name);
+        let engines: &[Engine] = if matches!(name, "hamming" | "sort") {
+            &Engine::ALL
+        } else {
+            &[Engine::Batch, Engine::Level]
+        };
+        for &engine in engines {
+            let report = full_pool(&case, engine);
+            let checked = check_proofs(&case, &report, engine, usize::MAX);
+            eprintln!(
+                "{name} on {engine}: {checked:?} proven of {} sites",
+                report.site_pool
+            );
+        }
+    }
+}
+
+/// A proven site's faulty run is the clean run, so a tick budget the
+/// clean run does not fit proves nothing: hamming's clean run needs
+/// 2,077 cycles, and 2,000 ticks allow 200. Every record then equals
+/// its site simulated alone.
+#[test]
+fn a_budget_the_clean_run_exceeds_proves_nothing() {
+    let case = manifest_case("hamming");
+    let options = CampaignOptions {
+        seed: 1,
+        sites: 200,
+        engine: Engine::Batch,
+        max_ticks: Some(2000),
+        ..CampaignOptions::default()
+    };
+    let report = campaign_report(&case, &options).expect("campaign runs");
+    assert!(report.count(InjectionOutcome::Hung) > 0, "{}", report.render());
+    let alone = Alone::new(&case, Engine::Batch, Some(2000));
+    for record in &report.injections {
+        assert!(
+            !matches!(
+                record.reason,
+                Some(SilentReason::Unexcited | SilentReason::DeadWord)
+            ),
+            "{} proven under a budget the clean run exceeds",
+            record.fault
+        );
+        assert_eq!(
+            (record.outcome.to_string(), record.detail.clone()),
+            alone.classify(&record.fault),
+            "{}",
+            record.fault
+        );
     }
 }

@@ -7,15 +7,14 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use eventsim::cyclesim::{CycleOutcome, CycleSim};
-use eventsim::{RunOutcome, SimTime, Simulator};
-use fpgatest::elaborate::fsm_to_table;
+use eventsim::{RunOutcome, SimTime};
+use fpgatest::elaborate::ConfigParts;
 use fpgatest::workloads;
 use nenya::{compile, CompileOptions};
 use std::hint::black_box;
 
 struct Prepared {
-    netlist: eventsim::netlist::Netlist,
-    fsm: nenya::fsm::Fsm,
+    parts: ConfigParts,
     image: Vec<i64>,
 }
 
@@ -31,36 +30,29 @@ fn prepare(pixels: usize) -> Prepared {
     .expect("fdct compiles");
     let config = &design.configs[0];
     let dp_doc = nenya::xml::emit_datapath(&config.datapath);
-    let hds = xform::apply(&xform::stylesheets::datapath_to_hds(), dp_doc.root())
-        .expect("stylesheet applies");
+    let fsm_doc = nenya::xml::emit_fsm(&config.fsm);
     Prepared {
-        netlist: eventsim::hds::parse(&hds).expect("hds parses"),
-        fsm: config.fsm.clone(),
+        parts: ConfigParts::parse(&dp_doc, &fsm_doc).expect("configuration parses"),
         image: workloads::test_image(pixels),
     }
 }
 
 /// Runs the design on the event kernel; returns the output image.
 fn run_event(p: &Prepared) -> Vec<Option<i64>> {
-    let mut sim = Simulator::new();
-    let map = p.netlist.elaborate(&mut sim).expect("elaborates");
-    let clk = map.signal("clk").expect("clk");
-    fpgatest::elaborate::attach_control_unit(&mut sim, &map, &p.fsm, clk).expect("fsm binds");
+    let mut cs = p.parts.build(true, None).expect("elaborates");
     for (addr, &v) in p.image.iter().enumerate() {
-        map.mems["img"].store(addr, v);
+        cs.mems["img"].store(addr, v);
     }
-    let summary = sim.run(SimTime(u64::MAX / 4)).expect("no kernel error");
+    let summary = cs.sim.run(SimTime(u64::MAX / 4)).expect("no kernel error");
     assert!(matches!(summary.outcome, RunOutcome::Stopped(_)));
-    map.mems["out"].snapshot()
+    cs.mems["out"].snapshot()
 }
 
 /// Runs the same design on the cycle sweeper; returns the output image.
 fn run_cycle(p: &Prepared) -> Vec<Option<i64>> {
-    let mut sim = CycleSim::from_netlist(&p.netlist).expect("cycle model builds");
-    let (table, conds, outs) = fsm_to_table(&p.fsm).expect("fsm converts");
-    let cond_refs: Vec<&str> = conds.iter().map(String::as_str).collect();
-    let out_refs: Vec<(&str, u32)> = outs.iter().map(|(n, w)| (n.as_str(), *w)).collect();
-    sim.add_control_unit(&p.fsm.name, &cond_refs, &out_refs, table)
+    let mut sim = CycleSim::from_netlist(&p.parts.netlist).expect("cycle model builds");
+    p.parts
+        .attach(|n, c, o, t| sim.add_control_unit(n, c, o, t))
         .expect("control unit binds");
     for (addr, &v) in p.image.iter().enumerate() {
         sim.mem("img").expect("img").store(addr, v);

@@ -70,13 +70,17 @@ fn load_baseline(path: &PathBuf) -> Result<Vec<BaselineRow>, String> {
         .collect()
 }
 
+/// The checked-in counter baseline.
+fn default_baseline() -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("baselines/kernel_counters.json")
+}
+
 fn main() -> ExitCode {
     let mut pixels: Vec<usize> = Vec::new();
     let mut repeat: usize = 3;
     let mut metrics_out = PathBuf::from("BENCH_kernel.json");
     let mut ledger_out: Option<PathBuf> = None;
-    let mut baseline_path =
-        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("baselines/kernel_counters.json");
+    let mut baseline_path = default_baseline();
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         let mut value = |flag: &str| {
@@ -265,4 +269,26 @@ fn main() -> ExitCode {
         return ExitCode::from(1);
     }
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// FDCT1 at the baseline's 1,024 px row: the event kernel's counters
+    /// fingerprint its scheduling and the order components register in.
+    #[test]
+    fn fdct1_counters_match_the_baseline_at_1024_px() {
+        let baseline = load_baseline(&default_baseline()).expect("baseline loads");
+        let row = baseline
+            .iter()
+            .find(|row| row.pixels == 1024)
+            .expect("the baseline has a 1,024 px row");
+        let report = bench::run_checked(&fdct_flow(1024, 1, SchedulePolicy::List));
+        let stats = report.runs[0].kernel;
+        assert_eq!(
+            (stats.events, stats.evals, stats.updates),
+            (row.events, row.evals, row.updates)
+        );
+    }
 }

@@ -1,13 +1,20 @@
-//! Elaboration: turning the XML artifacts into a live simulation.
+//! Elaboration: turning a configuration's XML into a live simulation, in
+//! two steps.
 //!
-//! This follows the paper's arrows literally: the datapath XML is first
-//! translated by the `datapath→hds` stylesheet into `.hds` text, which is
-//! then parsed by the simulator's netlist loader — the structural path.
-//! The FSM XML is converted into a behavioral control table executed by
-//! an [`eventsim::ops::ControlUnit`] — the behavioral path (the paper's
-//! generated Java).
+//! [`ConfigParts::parse`] follows the paper's arrows literally: the
+//! datapath XML is translated by the `datapath→hds` stylesheet into
+//! `.hds` text, which the simulator's netlist loader parses (the
+//! structural path), and the FSM XML becomes a behavioral control table
+//! (the behavioral path; the paper's generated Java). The flow parses
+//! each configuration once per prepared design.
+//!
+//! [`ConfigParts::build`] elaborates the event kernel from those parts:
+//! the netlist's instances, then an [`eventsim::ops::ControlUnit`]
+//! executing the table. The compiled engines build from the same netlist
+//! and attach the same table ([`ConfigParts::attach`]).
 
-use eventsim::netlist::ElabMap;
+use eventsim::cyclesim::CycleSimError;
+use eventsim::netlist::Netlist;
 use eventsim::ops::{ControlUnit, FsmCoverageHandle, FsmState, FsmTable, FsmTransition};
 use eventsim::{MemHandle, SignalId, Simulator};
 use nenya::fsm::Fsm;
@@ -46,7 +53,7 @@ impl fmt::Display for ElaborateConfigError {
 
 impl Error for ElaborateConfigError {}
 
-/// A fully elaborated configuration, ready to run.
+/// A configuration built on the event kernel, ready to run.
 pub struct ConfigSim {
     /// The simulator holding the structural datapath plus the behavioral
     /// control unit.
@@ -57,120 +64,142 @@ pub struct ConfigSim {
     pub done: SignalId,
     /// The clock signal.
     pub clk: SignalId,
-    /// The clock period in ticks (fixed by the datapath generator).
-    pub clock_period: u64,
-    /// The intermediate `.hds` text (kept as a test artifact).
-    pub hds_text: String,
-    /// FSM state names in control-table order (state 0 is initial).
-    pub state_names: Vec<String>,
-    /// Total number of transitions declared in the control table.
-    pub transition_total: usize,
-    /// Live coverage handle for the control unit, present when the
-    /// configuration was elaborated with [`elaborate_config_instrumented`].
-    pub fsm_coverage: Option<FsmCoverageHandle>,
 }
 
-/// Elaborates one configuration from its two XML documents.
-///
-/// # Errors
-///
-/// Returns [`ElaborateConfigError`] when any stage of the
-/// XML→hds→netlist→simulator or XML→table→control-unit path fails.
-pub fn elaborate_config(
-    dp_doc: &Document,
-    fsm_doc: &Document,
-) -> Result<ConfigSim, ElaborateConfigError> {
-    elaborate_config_with(dp_doc, fsm_doc, true)
+/// One configuration's parsed parts: what every engine builds from.
+#[derive(Debug)]
+pub struct ConfigParts {
+    /// The datapath's `.hds` netlist.
+    pub netlist: Netlist,
+    /// The control table, initial state first.
+    pub(crate) table: FsmTable,
+    /// The control unit's name.
+    fsm_name: String,
+    /// Condition signal names, in table order.
+    conditions: Vec<String>,
+    /// `(output name, width)` pairs, in table order.
+    outputs: Vec<(String, u32)>,
+    /// The clock signal's name.
+    clock: String,
 }
 
-/// [`elaborate_config`] with control over whether reaching the FSM's
-/// terminal state stops the run. Pass `false` for co-simulation benches
-/// where another component (e.g. a CPU) owns the end of simulation.
-///
-/// # Errors
-///
-/// As for [`elaborate_config`].
-pub fn elaborate_config_with(
-    dp_doc: &Document,
-    fsm_doc: &Document,
-    stop_when_done: bool,
-) -> Result<ConfigSim, ElaborateConfigError> {
-    elaborate_config_impl(dp_doc, fsm_doc, stop_when_done, None)
-}
+impl ConfigParts {
+    /// Parses one configuration from its two XML documents: the datapath
+    /// through the `datapath→hds` stylesheet into a netlist, the FSM into
+    /// its control table.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ElaborateConfigError`] when the stylesheet, the `.hds`
+    /// parser, the FSM dialect or the table conversion rejects them.
+    pub fn parse(
+        dp_doc: &Document,
+        fsm_doc: &Document,
+    ) -> Result<ConfigParts, ElaborateConfigError> {
+        let hds = xform::apply(&xform::stylesheets::datapath_to_hds(), dp_doc.root())
+            .map_err(|e| ElaborateConfigError::Stylesheet(e.to_string()))?;
+        let netlist =
+            eventsim::hds::parse(&hds).map_err(|e| ElaborateConfigError::Hds(e.to_string()))?;
+        let fsm = nenya::xml::parse_fsm(fsm_doc)
+            .map_err(|e| ElaborateConfigError::Dialect(e.to_string()))?;
+        let clock = dp_doc.root().attr("clock").ok_or_else(|| {
+            ElaborateConfigError::Dialect("datapath lacks clock attribute".into())
+        })?;
+        let (table, conditions, outputs) = fsm_to_table(&fsm)?;
+        Ok(ConfigParts {
+            netlist,
+            table,
+            fsm_name: fsm.name,
+            conditions,
+            outputs,
+            clock: clock.to_string(),
+        })
+    }
 
-/// [`elaborate_config`] with the control unit instrumented for FSM
-/// state/transition coverage; the returned [`ConfigSim::fsm_coverage`]
-/// handle stays valid across the run.
-///
-/// # Errors
-///
-/// As for [`elaborate_config`].
-pub fn elaborate_config_instrumented(
-    dp_doc: &Document,
-    fsm_doc: &Document,
-    stop_when_done: bool,
-) -> Result<ConfigSim, ElaborateConfigError> {
-    elaborate_config_impl(dp_doc, fsm_doc, stop_when_done, Some(FsmCoverageHandle::new()))
-}
+    /// Builds the event kernel: the netlist's instances, then the
+    /// [`ControlUnit`] executing the table. With `stop_when_done` false
+    /// another component (e.g. a CPU) owns the end of simulation; a
+    /// `coverage` handle records the control unit's states and
+    /// transitions.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ElaborateConfigError::Netlist`] when the netlist does not
+    /// elaborate, and [`ElaborateConfigError::Fsm`] when the control unit
+    /// names a signal the datapath lacks.
+    pub fn build(
+        &self,
+        stop_when_done: bool,
+        coverage: Option<FsmCoverageHandle>,
+    ) -> Result<ConfigSim, ElaborateConfigError> {
+        let mut sim = Simulator::new();
+        let map = self
+            .netlist
+            .elaborate(&mut sim)
+            .map_err(|e| ElaborateConfigError::Netlist(e.to_string()))?;
+        let lookup = |name: &str| {
+            map.signal(name)
+                .map_err(|e| ElaborateConfigError::Fsm(e.to_string()))
+        };
+        let clk = lookup(&self.clock)?;
+        let done = lookup("done")?;
+        let conditions = self
+            .conditions
+            .iter()
+            .map(|name| lookup(name))
+            .collect::<Result<_, _>>()?;
+        let outputs = self
+            .outputs
+            .iter()
+            .map(|(name, _)| lookup(name))
+            .collect::<Result<_, _>>()?;
+        let widths = self.outputs.iter().map(|&(_, width)| width).collect();
+        let mut unit = ControlUnit::new(
+            self.fsm_name.clone(),
+            clk,
+            conditions,
+            outputs,
+            widths,
+            self.table.clone(),
+        )
+        .with_stop_when_done(stop_when_done);
+        if let Some(handle) = coverage {
+            unit = unit.with_coverage(handle);
+        }
+        sim.add_component(unit);
+        Ok(ConfigSim {
+            sim,
+            mems: map.mems,
+            done,
+            clk,
+        })
+    }
 
-fn elaborate_config_impl(
-    dp_doc: &Document,
-    fsm_doc: &Document,
-    stop_when_done: bool,
-    coverage: Option<FsmCoverageHandle>,
-) -> Result<ConfigSim, ElaborateConfigError> {
-    // Structural path: datapath.xml → .hds → netlist → simulator.
-    let sheet = xform::stylesheets::datapath_to_hds();
-    let hds_text = xform::apply(&sheet, dp_doc.root())
-        .map_err(|e| ElaborateConfigError::Stylesheet(e.to_string()))?;
-    let netlist =
-        eventsim::hds::parse(&hds_text).map_err(|e| ElaborateConfigError::Hds(e.to_string()))?;
-    let mut sim = Simulator::new();
-    let map = netlist
-        .elaborate(&mut sim)
-        .map_err(|e| ElaborateConfigError::Netlist(e.to_string()))?;
-
-    // Behavioral path: fsm.xml → control table → ControlUnit.
-    let fsm = nenya::xml::parse_fsm(fsm_doc)
-        .map_err(|e| ElaborateConfigError::Dialect(e.to_string()))?;
-    let clock_name = dp_doc
-        .root()
-        .attr("clock")
-        .ok_or_else(|| ElaborateConfigError::Dialect("datapath lacks clock attribute".into()))?;
-    let clk = lookup(&map, clock_name)?;
-    let done = lookup(&map, "done")?;
-    let (state_names, transition_total) =
-        attach_control_unit_cov(&mut sim, &map, &fsm, clk, stop_when_done, coverage.clone())?;
-
-    Ok(ConfigSim {
-        sim,
-        mems: map.mems.clone(),
-        done,
-        clk,
-        clock_period: 10,
-        hds_text,
-        state_names,
-        transition_total,
-        fsm_coverage: coverage,
-    })
-}
-
-fn lookup(map: &ElabMap, name: &str) -> Result<SignalId, ElaborateConfigError> {
-    map.signal(name)
-        .map_err(|e| ElaborateConfigError::Fsm(e.to_string()))
+    /// Attaches the control unit through a compiled engine's
+    /// `add_control_unit` (`add`).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ElaborateConfigError::Netlist`] when the engine rejects
+    /// the control unit.
+    pub fn attach(
+        &self,
+        add: impl FnOnce(&str, &[&str], &[(&str, u32)], FsmTable) -> Result<(), CycleSimError>,
+    ) -> Result<(), ElaborateConfigError> {
+        let conditions: Vec<&str> = self.conditions.iter().map(String::as_str).collect();
+        let outputs: Vec<(&str, u32)> =
+            self.outputs.iter().map(|(n, w)| (n.as_str(), *w)).collect();
+        add(&self.fsm_name, &conditions, &outputs, self.table.clone())
+            .map_err(|e| ElaborateConfigError::Netlist(e.to_string()))
+    }
 }
 
 /// Converts a name-based FSM description into an index-based
 /// [`FsmTable`], returning the table plus the condition and output signal
-/// names in table order. Both the event-driven path and the cycle-based
-/// baseline build their control units from this.
-///
-/// # Errors
-///
-/// Returns [`ElaborateConfigError::Fsm`] for dangling state references or
-/// inconsistent tables.
+/// names in table order. Dangling state references and inconsistent
+/// tables are [`ElaborateConfigError::Fsm`].
 #[allow(clippy::type_complexity)] // (table, condition names, output names)
-pub fn fsm_to_table(
+fn fsm_to_table(
     fsm: &Fsm,
 ) -> Result<(FsmTable, Vec<String>, Vec<(String, u32)>), ElaborateConfigError> {
     // Order states with the initial state first (the kernel's FsmTable
@@ -251,92 +280,22 @@ pub fn fsm_to_table(
     Ok((table, fsm.inputs.clone(), fsm.outputs.clone()))
 }
 
-/// Builds the control table for `fsm`, binds its signals in `map`, and
-/// registers the [`ControlUnit`] with the simulator.
-///
-/// # Errors
-///
-/// Returns [`ElaborateConfigError::Fsm`] for dangling signal or state
-/// references.
-pub fn attach_control_unit(
-    sim: &mut Simulator,
-    map: &ElabMap,
-    fsm: &Fsm,
-    clk: SignalId,
-) -> Result<(), ElaborateConfigError> {
-    attach_control_unit_with(sim, map, fsm, clk, true)
-}
-
-/// [`attach_control_unit`] with control over the stop-on-done behaviour.
-///
-/// # Errors
-///
-/// As for [`attach_control_unit`].
-pub fn attach_control_unit_with(
-    sim: &mut Simulator,
-    map: &ElabMap,
-    fsm: &Fsm,
-    clk: SignalId,
-    stop_when_done: bool,
-) -> Result<(), ElaborateConfigError> {
-    attach_control_unit_cov(sim, map, fsm, clk, stop_when_done, None).map(|_| ())
-}
-
-/// [`attach_control_unit_with`] plus an optional coverage handle; returns
-/// the state names in table order and the total transition count, which
-/// coverage reports need to compute "visited / total" ratios.
-///
-/// # Errors
-///
-/// As for [`attach_control_unit`].
-pub fn attach_control_unit_cov(
-    sim: &mut Simulator,
-    map: &ElabMap,
-    fsm: &Fsm,
-    clk: SignalId,
-    stop_when_done: bool,
-    coverage: Option<FsmCoverageHandle>,
-) -> Result<(Vec<String>, usize), ElaborateConfigError> {
-    let (table, condition_names, output_names) = fsm_to_table(fsm)?;
-    let state_names: Vec<String> = table.states().iter().map(|s| s.name.clone()).collect();
-    let transition_total: usize = table.states().iter().map(|s| s.transitions.len()).sum();
-    let mut conditions = Vec::with_capacity(condition_names.len());
-    for name in &condition_names {
-        conditions.push(lookup_signal(map, name)?);
-    }
-    let mut outputs = Vec::with_capacity(output_names.len());
-    let mut widths = Vec::with_capacity(output_names.len());
-    for (name, width) in &output_names {
-        outputs.push(lookup_signal(map, name)?);
-        widths.push(*width);
-    }
-
-    let mut unit = ControlUnit::new(fsm.name.clone(), clk, conditions, outputs, widths, table)
-        .with_stop_when_done(stop_when_done);
-    if let Some(handle) = coverage {
-        unit = unit.with_coverage(handle);
-    }
-    sim.add_component(unit);
-    Ok((state_names, transition_total))
-}
-
-fn lookup_signal(map: &ElabMap, name: &str) -> Result<SignalId, ElaborateConfigError> {
-    map.signal(name)
-        .map_err(|e| ElaborateConfigError::Fsm(e.to_string()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use eventsim::{RunOutcome, SimTime};
     use nenya::{compile, CompileOptions};
 
-    fn elaborate_source(src: &str) -> ConfigSim {
-        let design = compile("t", src, &CompileOptions::default()).unwrap();
-        let config = &design.configs[0];
+    fn parse_config(config: &nenya::Configuration) -> Result<ConfigParts, ElaborateConfigError> {
         let dp_doc = nenya::xml::emit_datapath(&config.datapath);
         let fsm_doc = nenya::xml::emit_fsm(&config.fsm);
-        elaborate_config(&dp_doc, &fsm_doc).unwrap()
+        ConfigParts::parse(&dp_doc, &fsm_doc)
+    }
+
+    fn elaborate_source(src: &str) -> ConfigSim {
+        let design = compile("t", src, &CompileOptions::default()).unwrap();
+        let parts = parse_config(&design.configs[0]).unwrap();
+        parts.build(true, None).unwrap()
     }
 
     #[test]
@@ -367,10 +326,19 @@ mod tests {
     }
 
     #[test]
-    fn hds_artifact_is_kept_and_parses() {
-        let cs = elaborate_source("mem out[4]; void main() { out[0] = 1; }");
-        assert!(cs.hds_text.contains("hds t"));
-        assert!(eventsim::hds::parse(&cs.hds_text).is_ok());
+    fn parse_step_holds_the_netlist_and_control_table() {
+        let source = "mem out[4]; void main() { out[0] = 1; }";
+        let design = compile("t", source, &CompileOptions::default()).unwrap();
+        let config = &design.configs[0];
+        let parts = parse_config(config).unwrap();
+        assert_eq!(parts.netlist.name, "t");
+        assert!(parts
+            .netlist
+            .instances()
+            .iter()
+            .any(|i| i.kind == "sram" && i.name == "out"));
+        assert_eq!(parts.table.states().len(), config.fsm.state_count());
+        assert_eq!(parts.table.states()[0].name, config.fsm.initial);
     }
 
     #[test]
@@ -378,11 +346,10 @@ mod tests {
         let design = compile("t", "mem out[4]; void main() { out[0] = 1; }", &CompileOptions::default())
             .unwrap();
         let config = &design.configs[0];
-        let dp_doc = nenya::xml::emit_datapath(&config.datapath);
-        let mut fsm = config.fsm.clone();
-        fsm.outputs.push(("phantom_signal".to_string(), 1));
-        let fsm_doc = nenya::xml::emit_fsm(&fsm);
-        let err = match elaborate_config(&dp_doc, &fsm_doc) {
+        let mut broken = config.clone();
+        broken.fsm.outputs.push(("phantom_signal".to_string(), 1));
+        let parts = parse_config(&broken).expect("the table itself is consistent");
+        let err = match parts.build(true, None) {
             Ok(_) => panic!("expected elaboration to fail"),
             Err(e) => e,
         };

@@ -39,7 +39,8 @@
 //! unproven sites are simulated, and a simulated silent site is
 //! [`SilentReason::Masked`].
 
-use crate::flow::{Engine, FlowError};
+use crate::elaborate::ConfigParts;
+use crate::flow::{Engine, FlowError, CLOCK_PERIOD};
 use crate::suite::TestCase;
 use crate::telemetry::Json;
 use std::fmt;
@@ -470,11 +471,11 @@ pub fn enumerate_sites(
         .iter()
         .map(|config| {
             let dp_doc = nenya::xml::emit_datapath(&config.datapath);
-            let hds = xform::apply(&xform::stylesheets::datapath_to_hds(), dp_doc.root())
-                .map_err(|e| format!("stylesheet: {e}"))?;
-            eventsim::hds::parse(&hds).map_err(|e| format!("hds: {e}"))
+            let fsm_doc = nenya::xml::emit_fsm(&config.fsm);
+            ConfigParts::parse(&dp_doc, &fsm_doc).map(|parts| parts.netlist)
         })
-        .collect::<Result<Vec<_>, String>>()?;
+        .collect::<Result<Vec<_>, _>>()
+        .map_err(|e| e.to_string())?;
     let table = SiteTable::new(&netlists, design, clean_cycles, seed);
     Ok((0..table.len).map(|index| table.site(index)).collect())
 }
@@ -715,7 +716,7 @@ pub fn run_campaign_sharded(
         walk.passed.then_some(record)
     });
     let clean_cycles = clean.runs.iter().map(|r| r.cycles).max().unwrap_or(0);
-    let clean_ticks: u64 = clean.runs.iter().map(|r| r.cycles * 10).sum();
+    let clean_ticks: u64 = clean.runs.iter().map(|r| r.cycles * CLOCK_PERIOD).sum();
 
     let table = SiteTable::new(
         prepared.netlists(),

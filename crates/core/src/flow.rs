@@ -15,7 +15,7 @@
 //! engines run it with one lane (one stimulus and fault set), the batch
 //! engine with up to 64 ([`PreparedDesign::run_batch`]).
 
-use crate::elaborate::{elaborate_config, elaborate_config_instrumented, ElaborateConfigError};
+use crate::elaborate::{ConfigParts, ConfigSim, ElaborateConfigError};
 use crate::events::{Event, EventSink};
 use crate::faults::FaultSpec;
 use crate::memcmp::{diff_images, render_mismatches, Mismatch};
@@ -24,7 +24,7 @@ use crate::stimulus::{MemImage, Stimulus};
 use crate::telemetry::Recorder;
 use eventsim::batchsim::{BatchSim, FirstAccess, LaneOutcome, SignalBits, LANES};
 use eventsim::cyclesim::{CycleOutcome, CycleSim, CycleSimError};
-use eventsim::ops::FsmTable;
+use eventsim::ops::FsmCoverageHandle;
 use eventsim::{KernelStats, MemHandle, RunOutcome, SimError, SimTime};
 use nenya::datapath::FU_KINDS;
 use nenya::schedule::SchedulePolicy;
@@ -145,10 +145,10 @@ pub struct FlowOptions {
 /// How many entries [`ConfigRun::hot_components`] keeps.
 const HOT_COMPONENT_LIMIT: usize = 10;
 
-/// Kernel ticks per clock cycle, matching the event path's elaborated
-/// clock generator (`ConfigSim::clock_period`); the compiled engines use it
-/// to convert the tick watchdog into a cycle budget and back.
-const COMPILED_CLOCK_PERIOD: u64 = 10;
+/// Kernel ticks per clock cycle: the period of the `clock` cell the
+/// datapath generator emits. Every engine converts between the tick
+/// watchdog and cycles with it.
+pub(crate) const CLOCK_PERIOD: u64 = 10;
 
 impl Default for FlowOptions {
     fn default() -> Self {
@@ -376,7 +376,8 @@ pub enum FlowError {
     /// The golden reference itself failed — the test case (not the
     /// compiler) is broken.
     Golden(String),
-    /// XML→simulator elaboration failed.
+    /// Parsing a configuration's XML into its netlist and control table,
+    /// or building an engine from them, failed.
     Elaborate(ElaborateConfigError),
     /// The kernel detected a model error (zero-delay loop).
     Kernel(SimError),
@@ -704,8 +705,8 @@ fn run_golden(
 }
 
 /// The transform-stage products of one design, precomputed once and
-/// reusable across runs: XML documents, parsed `.hds` netlists, and
-/// validated FSM tables. The textual artifacts are not kept: only
+/// reusable across runs: XML documents and each configuration's parsed
+/// parts. The textual artifacts are not kept: only
 /// `keep_artifacts` reports read them, so [`render_artifacts`] derives
 /// them from the documents when such a report is built. Everything here
 /// is plain data (no interior mutability), so a `PreparedParts` can be
@@ -717,35 +718,10 @@ struct PreparedParts {
     /// Metrics template with the per-run fields (cycles/events/seconds)
     /// zeroed.
     config_metrics: Vec<ConfigMetrics>,
-    /// Parsed `.hds` netlists, one per config: the compiled engines build
-    /// from them, and every engine's SRAM list and sizes come from them.
-    netlists: Vec<eventsim::netlist::Netlist>,
-    /// Per-config control-unit description (compiled engines).
-    fsm_tables: Vec<PreparedFsm>,
-}
-
-/// One configuration's parsed control unit, ready to attach to a
-/// compiled engine.
-struct PreparedFsm {
-    name: String,
-    table: FsmTable,
-    conditions: Vec<String>,
-    /// `(output name, width)` pairs.
-    outputs: Vec<(String, u32)>,
-}
-
-impl PreparedFsm {
-    /// Attaches this control unit through a compiled engine's
-    /// `add_control_unit` (`add`).
-    fn attach(
-        &self,
-        add: impl FnOnce(&str, &[&str], &[(&str, u32)], FsmTable) -> Result<(), CycleSimError>,
-    ) -> Result<(), FlowError> {
-        let conditions: Vec<&str> = self.conditions.iter().map(String::as_str).collect();
-        let outputs: Vec<(&str, u32)> =
-            self.outputs.iter().map(|(n, w)| (n.as_str(), *w)).collect();
-        add(&self.name, &conditions, &outputs, self.table.clone()).map_err(netlist_error)
-    }
+    /// Parsed netlist and control table, one per config: every engine
+    /// builds from them, and every engine's SRAM list and sizes come from
+    /// the netlists.
+    configs: Vec<ConfigParts>,
 }
 
 /// Applies one of the transform stylesheets, mapping its failure to the
@@ -762,25 +738,12 @@ fn prepare_parts(design: &Design) -> Result<PreparedParts, FlowError> {
     let rtg_doc = nenya::xml::emit_rtg(&design.rtg);
     let mut config_metrics = Vec::new();
     let mut docs = Vec::new();
-    let mut netlists = Vec::new();
-    let mut fsm_tables = Vec::new();
+    let mut configs = Vec::new();
     for config in &design.configs {
         let dp_doc = nenya::xml::emit_datapath(&config.datapath);
         let fsm_doc = nenya::xml::emit_fsm(&config.fsm);
         let behavior = apply_stylesheet(&xform::stylesheets::fsm_to_behavior(), fsm_doc.root())?;
-        let hds = apply_stylesheet(&xform::stylesheets::datapath_to_hds(), dp_doc.root())?;
-        let netlist = eventsim::hds::parse(&hds)
-            .map_err(|e| FlowError::Elaborate(ElaborateConfigError::Hds(e.to_string())))?;
-        let fsm = nenya::xml::parse_fsm(&fsm_doc)
-            .map_err(|e| FlowError::Elaborate(ElaborateConfigError::Dialect(e.to_string())))?;
-        let (table, cond_names, out_names) = crate::elaborate::fsm_to_table(&fsm)?;
-        netlists.push(netlist);
-        fsm_tables.push(PreparedFsm {
-            name: fsm.name.clone(),
-            table,
-            conditions: cond_names,
-            outputs: out_names,
-        });
+        configs.push(ConfigParts::parse(&dp_doc, &fsm_doc)?);
         config_metrics.push(ConfigMetrics {
             name: config.name.clone(),
             lo_xml_fsm: xmlite::loc(&fsm_doc),
@@ -798,8 +761,7 @@ fn prepare_parts(design: &Design) -> Result<PreparedParts, FlowError> {
         rtg_doc,
         docs,
         config_metrics,
-        netlists,
-        fsm_tables,
+        configs,
     })
 }
 
@@ -1012,8 +974,8 @@ impl PreparedDesign {
     }
 
     /// The parsed `.hds` netlist of every configuration, in design order.
-    pub(crate) fn netlists(&self) -> &[eventsim::netlist::Netlist] {
-        &self.parts.netlists
+    pub(crate) fn netlists(&self) -> impl Iterator<Item = &eventsim::netlist::Netlist> {
+        self.parts.configs.iter().map(|parts| &parts.netlist)
     }
 
     /// Runs up to [`LANES`] independent lane configurations — each with
@@ -1482,7 +1444,7 @@ fn walk<E: LaneEngine>(
             .position(|c| c.datapath.name == node.datapath)
             .ok_or_else(|| FlowError::Rtg(format!("unknown datapath '{}'", node.datapath)))?;
         let name = &ctx.parts.docs[config].0;
-        let netlist = &ctx.parts.netlists[config];
+        let netlist = &ctx.parts.configs[config].netlist;
 
         let span = recorder.start("flow.elaborate");
         let event = span_event_start(events, "flow.elaborate");
@@ -1595,22 +1557,20 @@ fn walk<E: LaneEngine>(
     Ok(runs)
 }
 
-/// The event kernel's built configuration: the elaborated simulator and
-/// the probes attached to it.
+/// The event kernel's built configuration: the elaborated simulator, its
+/// control unit's coverage handle and the probes attached to it.
 struct EventConfig {
     config: usize,
-    cs: crate::elaborate::ConfigSim,
+    cs: ConfigSim,
+    coverage: Option<FsmCoverageHandle>,
     probes: Vec<(String, eventsim::probe::ProbeHandle)>,
 }
 
 impl LaneEngine for EventConfig {
     fn build(ctx: &WalkContext, config: usize, recorder: &mut Recorder) -> Result<Self, FlowError> {
-        let (name, dp_doc, fsm_doc) = &ctx.parts.docs[config];
-        let mut cs = if ctx.options.coverage {
-            elaborate_config_instrumented(dp_doc, fsm_doc, true)?
-        } else {
-            elaborate_config(dp_doc, fsm_doc)?
-        };
+        let name = &ctx.parts.docs[config].0;
+        let coverage = ctx.options.coverage.then(FsmCoverageHandle::new);
+        let mut cs = ctx.parts.configs[config].build(true, coverage.clone())?;
         recorder.attr_open("signals", cs.sim.signal_count());
         recorder.attr_open("components", cs.sim.component_count());
         if ctx.options.trace {
@@ -1631,7 +1591,12 @@ impl LaneEngine for EventConfig {
             ));
             probes.push((probe.clone(), handle));
         }
-        Ok(EventConfig { config, cs, probes })
+        Ok(EventConfig {
+            config,
+            cs,
+            coverage,
+            probes,
+        })
     }
 
     fn load(&mut self, _lane: usize, mem: &str, image: &[Option<i64>]) {
@@ -1667,11 +1632,10 @@ impl LaneEngine for EventConfig {
                 sim.add_component(eventsim::faults::StuckAtClamp::new(name, id, bit, value));
             }
             FaultSpec::BitFlip { cycle, .. } | FaultSpec::SeuReg { cycle, .. } => {
-                // Rising edges land at clock_period/2 + N*period; the flip
-                // fires one tick earlier so edge-sampled logic observes
-                // the upset value.
-                let period = self.cs.clock_period;
-                let at = (period / 2 + cycle * period).saturating_sub(1);
+                // Rising edges land at period/2 + N*period; the flip fires
+                // one tick earlier so edge-sampled logic observes the
+                // upset value.
+                let at = (CLOCK_PERIOD / 2 + cycle * CLOCK_PERIOD).saturating_sub(1);
                 sim.add_component(eventsim::faults::TransientFlip::new(name, id, bit, at));
             }
             FaultSpec::SramCorrupt { .. } => {}
@@ -1701,16 +1665,16 @@ impl LaneEngine for EventConfig {
         recorder.attr_open("end_time", summary.end_time.ticks());
 
         let sim = &cs.sim;
-        let cycles = summary.end_time.ticks() / cs.clock_period;
+        let cycles = summary.end_time.ticks() / CLOCK_PERIOD;
         let kind_of = || fu_kinds(&ctx.design.configs[self.config].datapath);
-        let coverage = cs.fsm_coverage.as_ref().map(|handle| {
+        let coverage = self.coverage.as_ref().map(|handle| {
             let fsm_cov = handle.snapshot();
-            let visited_states = cs
-                .state_names
+            let states = ctx.parts.configs[self.config].table.states();
+            let visited_states = states
                 .iter()
                 .enumerate()
                 .filter(|(i, _)| fsm_cov.state_visits.get(*i).copied().unwrap_or(0) > 0)
-                .map(|(_, name)| name.clone())
+                .map(|(_, state)| state.name.clone())
                 .collect();
             // Sum kernel activations per functional-unit kind; kinds
             // instantiated but never reacted stay at 0 so callers can see
@@ -1725,9 +1689,9 @@ impl LaneEngine for EventConfig {
             }
             ConfigCoverage {
                 visited_states,
-                state_total: cs.state_names.len(),
+                state_total: states.len(),
                 transitions_taken: fsm_cov.transitions_taken(),
-                transition_total: cs.transition_total,
+                transition_total: states.iter().map(|s| s.transitions.len()).sum(),
                 operator_activations,
             }
         });
@@ -1832,7 +1796,7 @@ fn compiled_run(
         name: name.to_string(),
         summary: eventsim::RunSummary {
             outcome,
-            end_time: SimTime(cycles * COMPILED_CLOCK_PERIOD),
+            end_time: SimTime(cycles * CLOCK_PERIOD),
             events: 0,
             updates: 0,
             evals: comb_evals,
@@ -1855,8 +1819,9 @@ fn compiled_run(
 
 impl LaneEngine for CycleSim {
     fn build(ctx: &WalkContext, config: usize, recorder: &mut Recorder) -> Result<Self, FlowError> {
-        let mut sim = CycleSim::from_netlist(&ctx.parts.netlists[config]).map_err(netlist_error)?;
-        ctx.parts.fsm_tables[config].attach(|n, c, o, t| sim.add_control_unit(n, c, o, t))?;
+        let parts = &ctx.parts.configs[config];
+        let mut sim = CycleSim::from_netlist(&parts.netlist).map_err(netlist_error)?;
+        parts.attach(|n, c, o, t| sim.add_control_unit(n, c, o, t))?;
         if ctx.options.profile {
             sim.enable_profile();
         }
@@ -1899,7 +1864,7 @@ impl LaneEngine for CycleSim {
         recorder: &mut Recorder,
     ) -> Result<(LaneRuns, ConfigRun), FlowError> {
         let started = Instant::now();
-        let result = self.run(ctx.options.max_ticks / COMPILED_CLOCK_PERIOD);
+        let result = self.run(ctx.options.max_ticks / CLOCK_PERIOD);
         let wall_seconds = started.elapsed().as_secs_f64();
         let outcome = match result {
             Ok(summary) => cycle_outcome(summary.outcome),
@@ -1985,8 +1950,9 @@ fn rank_profile<const W: usize>(sim: &BatchSim<W>) -> ConfigProfile {
 /// [`LANES`] wide for `--engine batch` and [`PreparedDesign::run_batch`].
 impl<const W: usize> LaneEngine for BatchSim<W> {
     fn build(ctx: &WalkContext, config: usize, recorder: &mut Recorder) -> Result<Self, FlowError> {
-        let mut sim = Self::from_netlist(&ctx.parts.netlists[config]).map_err(netlist_error)?;
-        ctx.parts.fsm_tables[config].attach(|n, c, o, t| sim.add_control_unit(n, c, o, t))?;
+        let parts = &ctx.parts.configs[config];
+        let mut sim = Self::from_netlist(&parts.netlist).map_err(netlist_error)?;
+        parts.attach(|n, c, o, t| sim.add_control_unit(n, c, o, t))?;
         if ctx.options.profile {
             sim.enable_profile();
         }
@@ -2029,7 +1995,7 @@ impl<const W: usize> LaneEngine for BatchSim<W> {
             self.enable_record();
         }
         let started = Instant::now();
-        let summary = self.run_batch(ctx.options.max_ticks / COMPILED_CLOCK_PERIOD);
+        let summary = self.run_batch(ctx.options.max_ticks / CLOCK_PERIOD);
         let wall_seconds = started.elapsed().as_secs_f64();
         if let Some(record) = ctx.record {
             record.borrow_mut().absorb(self);

@@ -51,8 +51,8 @@
 //!   analogue).
 //! * [`stimulus`] — memory/stimulus file format and PGM image dumps.
 //! * [`memcmp`] — golden-vs-simulated memory comparison.
-//! * [`elaborate`] — XML → live simulation (via `.hds` and control
-//!   tables).
+//! * [`elaborate`] — a configuration's XML parsed once into its `.hds`
+//!   netlist and control table, and the event kernel built from them.
 //! * [`metrics`] — the Table I metrics and renderer.
 //! * [`telemetry`] — tracing spans, the JSON metrics report, and
 //!   baseline timing comparison.

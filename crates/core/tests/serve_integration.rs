@@ -84,21 +84,60 @@ fn daemon_survives_crashing_and_hanging_jobs() {
     server.join().expect("server thread").expect("server run");
 }
 
-/// Re-submitting the same design hits the cache: one miss (the
-/// compile), then hits only.
+/// The serve job `fpgatest submit` sends for one manifest case.
+fn job_from_case(case: &TestCase) -> JobSpec {
+    let mut spec = JobSpec::test(&case.name, &case.source);
+    spec.stimuli = case.stimuli.clone();
+    spec.width = Some(case.options.compile.width);
+    spec.partitions = Some(case.options.compile.partitions);
+    spec.policy = Some(case.options.compile.policy);
+    spec.optimize = case.options.compile.optimize;
+    spec.engine = case.options.engine;
+    spec.max_ticks = Some(case.options.max_ticks);
+    spec.wall_ms = case.options.wall_timeout_ms;
+    spec
+}
+
+/// Re-submitting the example manifest's five cases, as `fpgatest submit`
+/// sends them, hits the cache for every case: the miss count (compiles)
+/// stays put, the hit count rises by one per case, and every job passes.
 #[test]
 fn second_submission_skips_the_compile() {
+    let manifest = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../examples/suite/suite.manifest"
+    );
+    let suite = fpgatest::suite::load_manifest(manifest).expect("example manifest loads");
+    let jobs: Vec<JobSpec> = suite.cases().iter().map(job_from_case).collect();
+    assert_eq!(jobs.len(), 5);
     let (addr, server) = start_server(ServeOptions::default());
     let mut client = Client::connect(&addr).expect("connect");
 
-    for _ in 0..3 {
-        let outcome = client.run_job(&scale_job()).expect("job completes");
-        assert_eq!(outcome.verdict, "pass");
-    }
-
-    let stats = client.stats().expect("stats");
-    assert_eq!(cache_counter(&stats, "misses"), 1, "exactly one compile");
-    assert_eq!(cache_counter(&stats, "hits"), 2, "re-runs are cache hits");
+    // Submit every case first, then collect the verdicts in manifest
+    // order; return the cache counters after.
+    let submit = |client: &mut Client| {
+        let ids: Vec<u64> = jobs
+            .iter()
+            .map(|job| client.submit(job).expect("submitted"))
+            .collect();
+        for (job, id) in jobs.iter().zip(ids) {
+            let outcome = client.wait_or_resubmit(id, job).expect("job completes");
+            assert_eq!(outcome.verdict, "pass", "{}: {}", job.name, outcome.detail);
+        }
+        let stats = client.stats().expect("stats");
+        (
+            cache_counter(&stats, "misses"),
+            cache_counter(&stats, "hits"),
+        )
+    };
+    let (cold_misses, cold_hits) = submit(&mut client);
+    let (warm_misses, warm_hits) = submit(&mut client);
+    assert_eq!(warm_misses, cold_misses, "the resubmission recompiled");
+    assert_eq!(
+        warm_hits,
+        cold_hits + 5,
+        "every resubmitted case is a cache hit"
+    );
 
     client.shutdown().expect("shutdown");
     server.join().expect("server thread").expect("server run");

@@ -252,6 +252,12 @@ mod tests {
         assert!(!distilled.kept.is_empty());
         assert!(distilled.kept.len() <= distilled.examined);
 
+        // The written corpus's coverage file equals the source corpus's:
+        // the whole union is kept and no key is invented.
+        let coverage =
+            |corpus: &Path| std::fs::read_to_string(corpus.join("coverage.txt")).unwrap();
+        assert_eq!(coverage(&out), coverage(&dir));
+
         // The written subset re-distills to itself: same union, and no
         // case is droppable.
         let again = distill(&DistillOptions {

@@ -14,7 +14,7 @@
 
 use eventsim::cpu::{Cpu, CpuInstr};
 use eventsim::{RunOutcome, SimTime};
-use fpgatest::elaborate::elaborate_config_with;
+use fpgatest::elaborate::ConfigParts;
 use nenya::{compile, CompileOptions};
 
 const N: usize = 16;
@@ -33,7 +33,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let dp_doc = nenya::xml::emit_datapath(&config.datapath);
     let fsm_doc = nenya::xml::emit_fsm(&config.fsm);
     // stop_when_done = false: the CPU, not the fabric, ends this run.
-    let mut cs = elaborate_config_with(&dp_doc, &fsm_doc, false)?;
+    let mut cs = ConfigParts::parse(&dp_doc, &fsm_doc)?.build(false, None)?;
 
     // Stimulus for the fabric.
     let inputs: Vec<i64> = (0..N as i64).map(|i| i + 1).collect();

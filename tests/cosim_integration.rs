@@ -4,10 +4,10 @@
 
 use eventsim::cpu::{Cpu, CpuInstr};
 use eventsim::{RunOutcome, SimTime};
-use fpgatest::elaborate::elaborate_config_with;
+use fpgatest::elaborate::ConfigParts;
 use nenya::{compile, CompileOptions};
 
-fn accel_docs(n: usize) -> (xmlite::Document, xmlite::Document) {
+fn accel_parts(n: usize) -> ConfigParts {
     let source = format!(
         "mem inp[{n}]; mem out[{n}];
          void main() {{
@@ -17,17 +17,16 @@ fn accel_docs(n: usize) -> (xmlite::Document, xmlite::Document) {
     );
     let design = compile("accel", &source, &CompileOptions::default()).expect("compiles");
     let config = &design.configs[0];
-    (
-        nenya::xml::emit_datapath(&config.datapath),
-        nenya::xml::emit_fsm(&config.fsm),
-    )
+    let dp_doc = nenya::xml::emit_datapath(&config.datapath);
+    let fsm_doc = nenya::xml::emit_fsm(&config.fsm);
+    ConfigParts::parse(&dp_doc, &fsm_doc).expect("parses")
 }
 
 #[test]
 fn cpu_postprocesses_fabric_results_via_shared_memory() {
     let n = 8;
-    let (dp_doc, fsm_doc) = accel_docs(n);
-    let mut cs = elaborate_config_with(&dp_doc, &fsm_doc, false).expect("elaborates");
+    let parts = accel_parts(n);
+    let mut cs = parts.build(false, None).expect("elaborates");
     for addr in 0..n {
         cs.mems["inp"].store(addr, addr as i64);
     }
@@ -64,10 +63,10 @@ fn cpu_waits_full_fabric_latency_before_reading() {
     // The CPU must see `done` only after the fabric finished; its halt
     // time therefore exceeds the fabric-only run time.
     let n = 8;
-    let (dp_doc, fsm_doc) = accel_docs(n);
+    let parts = accel_parts(n);
 
     // Fabric-only run time.
-    let mut fabric_only = fpgatest::elaborate::elaborate_config(&dp_doc, &fsm_doc).unwrap();
+    let mut fabric_only = parts.build(true, None).unwrap();
     for addr in 0..n {
         fabric_only.mems["inp"].store(addr, 1);
     }
@@ -75,7 +74,7 @@ fn cpu_waits_full_fabric_latency_before_reading() {
     let fabric_ticks = fabric_summary.end_time.ticks();
 
     // Co-sim run time.
-    let mut cs = elaborate_config_with(&dp_doc, &fsm_doc, false).unwrap();
+    let mut cs = parts.build(false, None).unwrap();
     for addr in 0..n {
         cs.mems["inp"].store(addr, 1);
     }
@@ -112,10 +111,10 @@ fn cpu_can_feed_inputs_then_read_outputs_across_two_fabric_runs() {
     // let the CPU double the outputs back into the input SRAM (shared
     // handles), then run a fresh fabric instance on the new inputs.
     let n = 4;
-    let (dp_doc, fsm_doc) = accel_docs(n);
+    let parts = accel_parts(n);
 
     // First fabric pass.
-    let mut pass1 = fpgatest::elaborate::elaborate_config(&dp_doc, &fsm_doc).unwrap();
+    let mut pass1 = parts.build(true, None).unwrap();
     for addr in 0..n {
         pass1.mems["inp"].store(addr, addr as i64 + 1);
     }
@@ -128,7 +127,7 @@ fn cpu_can_feed_inputs_then_read_outputs_across_two_fabric_runs() {
 
     // Software step between configurations (the role the paper gives the
     // RTG controller, here done by the CPU model over shared memory).
-    let mut pass2 = fpgatest::elaborate::elaborate_config(&dp_doc, &fsm_doc).unwrap();
+    let mut pass2 = parts.build(true, None).unwrap();
     for (addr, &v) in intermediate.iter().enumerate() {
         pass2.mems["inp"].store(addr, v * 2);
     }

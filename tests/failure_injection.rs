@@ -4,6 +4,7 @@
 //! mis-wired mux, a broken FSM assert — and checks the flow flags the
 //! design instead of passing it.
 
+use fpgatest::elaborate::{ConfigParts, ElaborateConfigError};
 use fpgatest::flow::{run_design, FlowOptions};
 use fpgatest::stimulus::Stimulus;
 use fpgatest::workloads;
@@ -219,9 +220,9 @@ fn corrupted_xml_text_is_rejected_not_misread() {
     let retyped = dp_text.replacen("kind=\"add\"", "kind=\"quantum\"", 1);
     let doc = xmlite::Document::parse(&retyped).expect("well-formed");
     let fsm_doc = nenya::xml::emit_fsm(&config.fsm);
-    let result = fpgatest::elaborate::elaborate_config(&doc, &fsm_doc);
+    let result = ConfigParts::parse(&doc, &fsm_doc).and_then(|parts| parts.build(true, None));
     assert!(
-        matches!(result, Err(fpgatest::elaborate::ElaborateConfigError::Netlist(_))),
+        matches!(result, Err(ElaborateConfigError::Netlist(_))),
         "unknown kind must be an elaboration error"
     );
 }

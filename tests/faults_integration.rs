@@ -6,13 +6,16 @@
 //! runs, and every site a campaign proves silent without simulating it
 //! is silent when simulated alone.
 
+use eventsim::batchsim::LANES;
 use fpgatest::faults::{
     run_campaign_sharded, CampaignOptions, CampaignReport, FaultSpec, InjectionOutcome,
     ShardedCampaignOptions, SilentReason,
 };
 use fpgatest::flow::{
-    prepare_design, Engine, FlowError, FlowOptions, PreparedDesign, PreparedGolden, TestFlow,
+    prepare_design, BatchLaneSpec, Engine, FlowError, FlowOptions, PreparedDesign, PreparedGolden,
+    TestFlow,
 };
+use fpgatest::memcmp::Mismatch;
 use fpgatest::stimulus::Stimulus;
 use fpgatest::suite::{parse_manifest, CaseResult, Suite, TestCase};
 use std::collections::BTreeMap;
@@ -474,6 +477,7 @@ fn full_pool(case: &TestCase, engine: Engine) -> CampaignReport {
 struct Alone {
     prepared: PreparedDesign,
     golden: PreparedGolden,
+    stimuli: Vec<(String, Stimulus)>,
     options: FlowOptions,
 }
 
@@ -496,6 +500,7 @@ impl Alone {
         Alone {
             prepared,
             golden,
+            stimuli: case.stimuli.clone(),
             options,
         }
     }
@@ -507,33 +512,66 @@ impl Alone {
             faults: vec![fault.clone()],
             ..self.options.clone()
         };
-        let (outcome, detail) = match self.prepared.run_with_golden(&self.golden, &options) {
-            Err(e @ FlowError::Timeout { .. }) => ("hung", e.to_string()),
-            Err(e) => ("detected", format!("flow error: {e}")),
-            Ok(report) => match (report.failure, report.mismatches.first()) {
-                (Some(failure), _) => ("detected", failure),
-                (None, Some(first)) => (
-                    "detected",
-                    format!(
-                        "{} mismatches, first {}[{}] golden {:?} sim {:?}",
-                        report.mismatches.len(),
-                        first.mem,
-                        first.addr,
-                        first.expected,
-                        first.got
-                    ),
-                ),
-                (None, None) => ("silent", "verdict PASS".to_string()),
-            },
-        };
-        (outcome.to_string(), detail)
+        match self.prepared.run_with_golden(&self.golden, &options) {
+            Err(e @ FlowError::Timeout { .. }) => ("hung".to_string(), e.to_string()),
+            Err(e) => ("detected".to_string(), format!("flow error: {e}")),
+            Ok(report) => verdict(report.failure, &report.mismatches),
+        }
+    }
+
+    /// [`classify`](Self::classify) of each of `faults`; on the batch
+    /// engine one [`PreparedDesign::run_batch`] walk with one site alone
+    /// in each lane, up to [`LANES`] sites.
+    fn classify_all(&self, faults: &[FaultSpec]) -> Vec<(String, String)> {
+        if self.options.engine != Engine::Batch {
+            return faults.iter().map(|fault| self.classify(fault)).collect();
+        }
+        let lanes: Vec<BatchLaneSpec> = faults
+            .iter()
+            .map(|fault| BatchLaneSpec {
+                stimuli: self.stimuli.clone(),
+                faults: vec![fault.clone()],
+            })
+            .collect();
+        let report = self.prepared.run_batch(&lanes, &self.options).unwrap();
+        report
+            .lanes
+            .into_iter()
+            .map(|lane| match (lane.timed_out, lane.flow_error) {
+                (Some(detail), _) => ("hung".to_string(), detail),
+                (None, Some(e)) => ("detected".to_string(), format!("flow error: {e}")),
+                (None, None) => verdict(lane.failure, &lane.mismatches),
+            })
+            .collect()
     }
 }
 
+/// A completed run's `(outcome, detail)`: detected by a design failure or
+/// a memory mismatch, otherwise silent.
+fn verdict(failure: Option<String>, mismatches: &[Mismatch]) -> (String, String) {
+    let (outcome, detail) = match (failure, mismatches.first()) {
+        (Some(failure), _) => ("detected", failure),
+        (None, Some(first)) => (
+            "detected",
+            format!(
+                "{} mismatches, first {}[{}] golden {:?} sim {:?}",
+                mismatches.len(),
+                first.mem,
+                first.addr,
+                first.expected,
+                first.got
+            ),
+        ),
+        (None, None) => ("silent", "verdict PASS".to_string()),
+    };
+    (outcome.to_string(), detail)
+}
+
 /// Simulates the sites `report` proved silent without simulation
-/// (`unexcited` and `dead-word`) one at a time on `engine`, at most
-/// `per_reason` of each reason, and asserts each is silent. Returns how
-/// many of each reason it checked.
+/// (`unexcited` and `dead-word`) each alone on `engine`, at most
+/// `per_reason` of each reason, and asserts each is silent. The batch
+/// engine takes up to [`LANES`] sites per walk, one per lane; the others
+/// take one site per run. Returns how many of each reason it checked.
 fn check_proofs(
     case: &TestCase,
     report: &CampaignReport,
@@ -542,6 +580,7 @@ fn check_proofs(
 ) -> BTreeMap<String, usize> {
     let alone = Alone::new(case, engine, None);
     let mut checked = BTreeMap::new();
+    let mut proven = Vec::new();
     for record in &report.injections {
         let Some(reason @ (SilentReason::Unexcited | SilentReason::DeadWord)) = record.reason else {
             continue;
@@ -555,14 +594,20 @@ fn check_proofs(
             continue;
         }
         *count += 1;
-        assert_eq!(
-            alone.classify(&record.fault),
-            ("silent".to_string(), "verdict PASS".to_string()),
-            "{}: {} was proven {reason} by the {} campaign, yet simulated alone on {engine}",
-            case.name,
-            record.fault,
-            report.engine
-        );
+        proven.push((reason, record.fault.clone()));
+    }
+    let pack = if engine == Engine::Batch { LANES } else { 1 };
+    for sites in proven.chunks(pack) {
+        let faults: Vec<FaultSpec> = sites.iter().map(|(_, fault)| fault.clone()).collect();
+        for ((reason, fault), verdict) in sites.iter().zip(alone.classify_all(&faults)) {
+            assert_eq!(
+                verdict,
+                ("silent".to_string(), "verdict PASS".to_string()),
+                "{}: {fault} was proven {reason} by the {} campaign, yet simulated alone on {engine}",
+                case.name,
+                report.engine
+            );
+        }
     }
     checked
 }
@@ -606,8 +651,9 @@ fn proven_sites_are_silent_on_every_engine() {
 
 /// The full pools: all five manifest designs on the batch and level
 /// engines, hamming and sort also on the cycle and event engines. Every
-/// proven site is simulated alone on the campaign's engine. CI's fault
-/// smoke job runs it in release.
+/// proven site is simulated alone on the campaign's engine (on batch, 64
+/// sites per walk, one per lane). CI's fault smoke job runs it in
+/// release.
 #[test]
 #[ignore = "full fault pools; run with cargo test --release --test faults_integration -- --ignored"]
 fn every_proven_site_of_the_full_pools_is_silent() {

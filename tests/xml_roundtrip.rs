@@ -4,7 +4,7 @@
 //! processes sharing files.
 
 use eventsim::{RunOutcome, SimTime};
-use fpgatest::elaborate::elaborate_config;
+use fpgatest::elaborate::ConfigParts;
 use fpgatest::workloads;
 use nenya::{compile, CompileOptions};
 use xmlite::Document;
@@ -53,7 +53,8 @@ fn simulation_from_reserialized_xml_matches_direct_path() {
 
     let mut results = Vec::new();
     for (dp, fsm) in [(&dp_doc, &fsm_doc), (&dp_doc_b, &fsm_doc_b)] {
-        let mut cs = elaborate_config(dp, fsm).expect("elaborates");
+        let parts = ConfigParts::parse(dp, fsm).expect("parses");
+        let mut cs = parts.build(true, None).expect("elaborates");
         for (addr, &v) in image.iter().enumerate() {
             cs.mems["img"].store(addr, v);
         }
@@ -207,7 +208,10 @@ fn hand_authored_xml_is_a_usable_contract() {
     "#;
     let dp_doc = Document::parse(datapath_xml).unwrap();
     let fsm_doc = Document::parse(fsm_xml).unwrap();
-    let mut cs = elaborate_config(&dp_doc, &fsm_doc).expect("hand-written design elaborates");
+    let parts = ConfigParts::parse(&dp_doc, &fsm_doc).expect("hand-written design parses");
+    let mut cs = parts
+        .build(true, None)
+        .expect("hand-written design elaborates");
     let summary = cs.sim.run(SimTime(10_000)).unwrap();
     assert!(matches!(summary.outcome, RunOutcome::Stopped(_)));
     let acc = cs.sim.find_signal("acc_q").unwrap();

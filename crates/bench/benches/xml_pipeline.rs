@@ -32,10 +32,10 @@ fn xml_pipeline(c: &mut Criterion) {
         b.iter(|| black_box(dp_doc.to_pretty_string()));
     });
     group.bench_function("stylesheet_to_hds", |b| {
-        b.iter(|| black_box(xform::apply(&hds_sheet, dp_doc.root()).expect("applies")));
+        b.iter(|| black_box(xform::apply(hds_sheet, dp_doc.root()).expect("applies")));
     });
     group.bench_function("hds_parse", |b| {
-        let hds = xform::apply(&hds_sheet, dp_doc.root()).expect("applies");
+        let hds = xform::apply(hds_sheet, dp_doc.root()).expect("applies");
         b.iter(|| black_box(eventsim::hds::parse(&hds).expect("parses")));
     });
     group.bench_function("compile_fdct_64px", |b| {

@@ -117,6 +117,44 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::Instant;
 
+/// `print!` through [`write_stdout`].
+macro_rules! out {
+    ($($arg:tt)*) => {
+        write_stdout(format_args!($($arg)*), false)
+    };
+}
+
+/// `println!` through [`write_stdout`].
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        write_stdout(format_args!($($arg)*), true)
+    };
+}
+
+/// Writes to stdout without panicking. A reader that closes the pipe
+/// early (`fpgatest … | head`) must not turn a finished run into a
+/// panic, so a broken pipe is ignored and the process still exits with
+/// the run's own code. Any other write error (a full disk under
+/// `> log`) is reported on stderr and exits 2, so a cut-short output
+/// never passes as complete.
+fn write_stdout(args: std::fmt::Arguments, newline: bool) {
+    let mut stdout = std::io::stdout().lock();
+    let written = stdout.write_fmt(args).and_then(|()| {
+        if newline {
+            stdout.write_all(b"\n")
+        } else {
+            Ok(())
+        }
+    });
+    drop(stdout);
+    if let Err(e) = written {
+        if e.kind() != std::io::ErrorKind::BrokenPipe {
+            eprintln!("error: writing stdout: {e}");
+            std::process::exit(2);
+        }
+    }
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
@@ -128,7 +166,7 @@ fn main() -> ExitCode {
         Some("submit") => cmd_submit(&args[1..]),
         Some("compile") => cmd_compile(&args[1..]),
         Some("figure1") => {
-            print!("{}", fpgatest::dot::flow_diagram());
+            out!("{}", fpgatest::dot::flow_diagram());
             ExitCode::SUCCESS
         }
         Some("--help") | Some("-h") | None => {
@@ -247,12 +285,12 @@ fn emit_telemetry(
     if let Some(path) = &args.metrics_out {
         std::fs::write(path, json.emit_pretty())
             .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
-        println!("metrics written to {}", path.display());
+        outln!("metrics written to {}", path.display());
     }
     if let Some(path) = &args.profile_folded {
         std::fs::write(path, folded_stacks(report, engine))
             .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
-        println!("folded stacks written to {}", path.display());
+        outln!("folded stacks written to {}", path.display());
     }
     if let Some(path) = &args.trace_log {
         let write = || -> std::io::Result<()> {
@@ -261,14 +299,14 @@ fn emit_telemetry(
             out.flush()
         };
         write().map_err(|e| format!("cannot write {}: {e}", path.display()))?;
-        println!("trace log written to {}", path.display());
+        outln!("trace log written to {}", path.display());
     }
     if let Some(path) = &args.baseline {
         let text = std::fs::read_to_string(path)
             .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
         let baseline =
             Json::parse(&text).map_err(|e| format!("baseline {}: {e}", path.display()))?;
-        print!("{}", telemetry::render_baseline_deltas(&json, &baseline));
+        out!("{}", telemetry::render_baseline_deltas(&json, &baseline));
     }
     Ok(())
 }
@@ -320,7 +358,7 @@ fn folded_stacks(report: &SuiteReport, engine: Engine) -> String {
 fn append_ledger(path: &Path, entry: &LedgerEntry) -> Result<(), String> {
     ledger::append(path, entry)
         .map_err(|e| format!("cannot append to {}: {e}", path.display()))?;
-    println!("ledger entry appended to {}", path.display());
+    outln!("ledger entry appended to {}", path.display());
     Ok(())
 }
 
@@ -357,9 +395,9 @@ fn print_metrics(report: &SuiteReport, verbose: bool) {
         return;
     }
     if verbose {
-        println!("{}", metrics::render_table1_ext(&rows));
+        outln!("{}", metrics::render_table1_ext(&rows));
     } else {
-        println!("{}", metrics::render_table1(&rows));
+        outln!("{}", metrics::render_table1(&rows));
     }
 }
 
@@ -394,7 +432,7 @@ fn run_suite(
     let run_started = Instant::now();
     let report = suite.run_parallel_recorded(jobs, &mut recorder);
     let wall_seconds = run_started.elapsed().as_secs_f64();
-    print!("{}", report.render());
+    out!("{}", report.render());
     print_metrics(&report, telemetry_args.verbose);
     let engine = engine.unwrap_or_default();
     if let Err(message) = emit_telemetry(&report, &recorder, telemetry_args, engine) {
@@ -625,7 +663,7 @@ fn cmd_faults(args: &[String]) -> ExitCode {
                     eprintln!("fpgatest: interrupted; checkpoint holds the completed prefix");
                     return ExitCode::from(130);
                 }
-                print!("{}", outcome.report.render());
+                out!("{}", outcome.report.render());
                 campaigns.push(outcome.report);
             }
             Err(e) => {
@@ -649,7 +687,7 @@ fn cmd_faults(args: &[String]) -> ExitCode {
             eprintln!("error: cannot write {}: {e}", path.display());
             return ExitCode::from(2);
         }
-        println!("fault report written to {}", path.display());
+        outln!("fault report written to {}", path.display());
     }
 
     if let Some(path) = &ledger_out {
@@ -718,7 +756,7 @@ fn cmd_faults(args: &[String]) -> ExitCode {
     }
     if let Some(path) = &baseline {
         match check_faults_baseline(&campaigns, path) {
-            Ok(lines) => print!("{lines}"),
+            Ok(lines) => out!("{lines}"),
             Err(message) => {
                 eprintln!("error: {message}");
                 return ExitCode::FAILURE;
@@ -766,7 +804,7 @@ fn cmd_trends(args: &[String]) -> ExitCode {
         }
     };
     let report = ledger::render_trends(&entries, gate);
-    print!("{}", report.text);
+    out!("{}", report.text);
     if report.gate_exceeded {
         ExitCode::FAILURE
     } else {
@@ -886,7 +924,7 @@ fn cmd_serve(args: &[String]) -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    println!(
+    outln!(
         "fpgatest serve: listening on {} ({workers} workers, cache {cache} designs)",
         server.local_addr()
     );
@@ -906,7 +944,7 @@ fn cmd_serve(args: &[String]) -> ExitCode {
     });
     match server.run() {
         Ok(()) => {
-            println!("fpgatest serve: drained and stopped");
+            outln!("fpgatest serve: drained and stopped");
             ExitCode::SUCCESS
         }
         Err(e) => {
@@ -1039,7 +1077,7 @@ fn cmd_submit(args: &[String]) -> ExitCode {
         return match response {
             Ok(mut json) => {
                 json.sort_keys();
-                println!("{}", json.emit_pretty());
+                outln!("{}", json.emit_pretty());
                 ExitCode::SUCCESS
             }
             Err(e) => {
@@ -1141,7 +1179,7 @@ fn cmd_submit(args: &[String]) -> ExitCode {
                 } else {
                     String::new()
                 };
-                println!(
+                outln!(
                     "{name}: {} ({:.3}s{attempts}){detail}",
                     outcome.verdict, outcome.wall_seconds
                 );
@@ -1179,7 +1217,7 @@ fn cmd_submit(args: &[String]) -> ExitCode {
             eprintln!("error: cannot write {}: {e}", path.display());
             return ExitCode::from(2);
         }
-        println!("report written to {}", path.display());
+        outln!("report written to {}", path.display());
     }
 
     // Same precedence as SuiteReport::exit_code: crash > timeout > fail.
@@ -1400,11 +1438,11 @@ fn cmd_test(args: &[String]) -> ExitCode {
         }
     };
     let wall_seconds = run_started.elapsed().as_secs_f64();
-    print!("{}", report.render());
+    out!("{}", report.render());
     if parsed.telemetry.verbose {
-        println!("{}", metrics::render_table1_ext(std::slice::from_ref(&report.metrics)));
+        outln!("{}", metrics::render_table1_ext(std::slice::from_ref(&report.metrics)));
     } else {
-        println!("{}", report.metrics);
+        outln!("{}", report.metrics);
     }
 
     if let Some(dir) = &parsed.artifacts {
@@ -1412,7 +1450,7 @@ fn cmd_test(args: &[String]) -> ExitCode {
             eprintln!("cannot write artifacts: {e}");
             return ExitCode::from(2);
         }
-        println!("artifacts written to {}", dir.display());
+        outln!("artifacts written to {}", dir.display());
     }
     let passed = report.passed;
     // The single-design run reuses the suite report schema so baselines
@@ -1540,15 +1578,15 @@ fn cmd_compile(args: &[String]) -> ExitCode {
     for config in &design.configs {
         let dp_doc = nenya::xml::emit_datapath(&config.datapath);
         let fsm_doc = nenya::xml::emit_fsm(&config.fsm);
-        let hds = xform::apply(&xform::stylesheets::datapath_to_hds(), dp_doc.root())
+        let hds = xform::apply(xform::stylesheets::datapath_to_hds(), dp_doc.root())
             .unwrap_or_default();
-        let behavior = xform::apply(&xform::stylesheets::fsm_to_behavior(), fsm_doc.root())
+        let behavior = xform::apply(xform::stylesheets::fsm_to_behavior(), fsm_doc.root())
             .unwrap_or_default();
         files.push((format!("{}_datapath.xml", config.name), dp_doc.to_pretty_string()));
         files.push((format!("{}_fsm.xml", config.name), fsm_doc.to_pretty_string()));
         files.push((format!("{}.hds", config.name), hds));
         files.push((format!("{}_fsm.java", config.name), behavior));
-        println!(
+        outln!(
             "{}: {} operators, {} states",
             config.name,
             config.datapath.operator_count(),
@@ -1561,6 +1599,6 @@ fn cmd_compile(args: &[String]) -> ExitCode {
             return ExitCode::from(2);
         }
     }
-    println!("artifacts written to {}", dir.display());
+    outln!("artifacts written to {}", dir.display());
     ExitCode::SUCCESS
 }

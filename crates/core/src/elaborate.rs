@@ -11,8 +11,11 @@
 //! [`ConfigParts::build`] elaborates the event kernel from those parts:
 //! the netlist's instances, then an [`eventsim::ops::ControlUnit`]
 //! executing the table. The compiled engines build from the same netlist
-//! and attach the same table ([`ConfigParts::attach`]).
+//! and attach the same table ([`ConfigParts::attach`]); the bytecode
+//! engines share one program per configuration
+//! ([`ConfigParts::program`]), compiled on first use.
 
+use eventsim::batchsim::BatchProgram;
 use eventsim::cyclesim::CycleSimError;
 use eventsim::netlist::Netlist;
 use eventsim::ops::{ControlUnit, FsmCoverageHandle, FsmState, FsmTable, FsmTransition};
@@ -21,6 +24,7 @@ use nenya::fsm::Fsm;
 use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
+use std::sync::{Arc, OnceLock};
 use xmlite::Document;
 
 /// Errors raised while elaborating a configuration.
@@ -81,6 +85,10 @@ pub struct ConfigParts {
     outputs: Vec<(String, u32)>,
     /// The clock signal's name.
     clock: String,
+    /// The bytecode program with the control unit attached, compiled on
+    /// first use: every level and batch walk of this configuration
+    /// instantiates it, and event or cycle runs never build it.
+    program: OnceLock<Result<Arc<BatchProgram>, ElaborateConfigError>>,
 }
 
 impl ConfigParts {
@@ -96,7 +104,7 @@ impl ConfigParts {
         dp_doc: &Document,
         fsm_doc: &Document,
     ) -> Result<ConfigParts, ElaborateConfigError> {
-        let hds = xform::apply(&xform::stylesheets::datapath_to_hds(), dp_doc.root())
+        let hds = xform::apply(xform::stylesheets::datapath_to_hds(), dp_doc.root())
             .map_err(|e| ElaborateConfigError::Stylesheet(e.to_string()))?;
         let netlist =
             eventsim::hds::parse(&hds).map_err(|e| ElaborateConfigError::Hds(e.to_string()))?;
@@ -113,6 +121,7 @@ impl ConfigParts {
             conditions,
             outputs,
             clock: clock.to_string(),
+            program: OnceLock::new(),
         })
     }
 
@@ -191,6 +200,31 @@ impl ConfigParts {
             self.outputs.iter().map(|(n, w)| (n.as_str(), *w)).collect();
         add(&self.fsm_name, &conditions, &outputs, self.table.clone())
             .map_err(|e| ElaborateConfigError::Netlist(e.to_string()))
+    }
+
+    /// The bytecode program of this configuration with its control unit
+    /// attached, compiled on the first call and shared by every later
+    /// one (concurrent first calls wait for one compile).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ElaborateConfigError::Netlist`] when the compiled
+    /// engines reject the netlist or the control unit, on every call.
+    pub fn program(&self) -> Result<Arc<BatchProgram>, ElaborateConfigError> {
+        self.program
+            .get_or_init(|| {
+                let mut program = BatchProgram::compile(&self.netlist)
+                    .map_err(|e| ElaborateConfigError::Netlist(e.to_string()))?;
+                self.attach(|n, c, o, t| program.add_control_unit(n, c, o, t))?;
+                Ok(Arc::new(program))
+            })
+            .clone()
+    }
+
+    /// The program if [`program`](Self::program) has built it.
+    #[cfg(test)]
+    pub(crate) fn built_program(&self) -> Option<&Arc<BatchProgram>> {
+        self.program.get()?.as_ref().ok()
     }
 }
 

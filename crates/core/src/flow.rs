@@ -709,8 +709,9 @@ fn run_golden(
 /// parts. The textual artifacts are not kept: only
 /// `keep_artifacts` reports read them, so [`render_artifacts`] derives
 /// them from the documents when such a report is built. Everything here
-/// is plain data (no interior mutability), so a `PreparedParts` can be
-/// shared across threads.
+/// is plain data except each configuration's compiled program, which is
+/// built once behind a `OnceLock` ([`ConfigParts::program`]), so a
+/// `PreparedParts` can be shared across threads.
 struct PreparedParts {
     rtg_doc: xmlite::Document,
     /// `(config name, datapath.xml, fsm.xml)` in design order.
@@ -742,7 +743,7 @@ fn prepare_parts(design: &Design) -> Result<PreparedParts, FlowError> {
     for config in &design.configs {
         let dp_doc = nenya::xml::emit_datapath(&config.datapath);
         let fsm_doc = nenya::xml::emit_fsm(&config.fsm);
-        let behavior = apply_stylesheet(&xform::stylesheets::fsm_to_behavior(), fsm_doc.root())?;
+        let behavior = apply_stylesheet(xform::stylesheets::fsm_to_behavior(), fsm_doc.root())?;
         configs.push(ConfigParts::parse(&dp_doc, &fsm_doc)?);
         config_metrics.push(ConfigMetrics {
             name: config.name.clone(),
@@ -777,25 +778,25 @@ fn render_artifacts(parts: &PreparedParts) -> Result<Artifacts, FlowError> {
                 name: name.clone(),
                 datapath_xml: dp_doc.to_pretty_string(),
                 fsm_xml: fsm_doc.to_pretty_string(),
-                hds: apply_stylesheet(&xform::stylesheets::datapath_to_hds(), dp_doc.root())?,
+                hds: apply_stylesheet(xform::stylesheets::datapath_to_hds(), dp_doc.root())?,
                 behavior_src: apply_stylesheet(
-                    &xform::stylesheets::fsm_to_behavior(),
+                    xform::stylesheets::fsm_to_behavior(),
                     fsm_doc.root(),
                 )?,
                 datapath_dot: apply_stylesheet(
-                    &xform::stylesheets::datapath_to_dot(),
+                    xform::stylesheets::datapath_to_dot(),
                     dp_doc.root(),
                 )?,
-                fsm_dot: apply_stylesheet(&xform::stylesheets::fsm_to_dot(), fsm_doc.root())?,
+                fsm_dot: apply_stylesheet(xform::stylesheets::fsm_to_dot(), fsm_doc.root())?,
             })
         })
         .collect::<Result<_, FlowError>>()?;
     Ok(Artifacts {
         rtg_xml: parts.rtg_doc.to_pretty_string(),
-        rtg_dot: xform::apply(&xform::stylesheets::rtg_to_dot(), parts.rtg_doc.root())
+        rtg_dot: xform::apply(xform::stylesheets::rtg_to_dot(), parts.rtg_doc.root())
             .unwrap_or_default(),
         controller_src: xform::apply(
-            &xform::stylesheets::rtg_to_controller(),
+            xform::stylesheets::rtg_to_controller(),
             parts.rtg_doc.root(),
         )
         .unwrap_or_default(),
@@ -808,9 +809,10 @@ fn render_artifacts(parts: &PreparedParts) -> Result<Artifacts, FlowError> {
 /// the stylesheets, or the netlist/FSM parsers — the compile-once,
 /// simulate-many shape the serve subsystem's design cache is built on.
 ///
-/// `PreparedDesign` is `Send + Sync` (plain data throughout), unlike the
-/// built simulators themselves, so it can live in a cross-thread cache;
-/// each run still builds its own engine state from these parts.
+/// `PreparedDesign` is `Send + Sync`, unlike the built simulators
+/// themselves, so it can live in a cross-thread cache; each run still
+/// builds its own engine state from these parts, and level and batch
+/// runs share each configuration's compiled bytecode program.
 ///
 /// ```
 /// use fpgatest::flow::{prepare_design, FlowOptions};
@@ -1948,11 +1950,11 @@ fn rank_profile<const W: usize>(sim: &BatchSim<W>) -> ConfigProfile {
 
 /// The compiled bytecode, one lane wide for `--engine level` and
 /// [`LANES`] wide for `--engine batch` and [`PreparedDesign::run_batch`].
+/// Every walk instantiates the configuration's one shared program
+/// ([`ConfigParts::program`]).
 impl<const W: usize> LaneEngine for BatchSim<W> {
     fn build(ctx: &WalkContext, config: usize, recorder: &mut Recorder) -> Result<Self, FlowError> {
-        let parts = &ctx.parts.configs[config];
-        let mut sim = Self::from_netlist(&parts.netlist).map_err(netlist_error)?;
-        parts.attach(|n, c, o, t| sim.add_control_unit(n, c, o, t))?;
+        let mut sim = Self::new(ctx.parts.configs[config].program()?);
         if ctx.options.profile {
             sim.enable_profile();
         }
@@ -2062,6 +2064,8 @@ fn component_class(name: &str) -> &str {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use eventsim::batchsim::BatchProgram;
+    use std::sync::Arc;
 
     #[test]
     fn simple_flow_passes() {
@@ -2326,5 +2330,127 @@ mod tests {
             .run()
             .unwrap_err();
         assert!(matches!(err, FlowError::Golden(_)));
+    }
+
+    /// A two-configuration design with an input memory, prepared, and
+    /// the stimuli that make it pass.
+    fn prepared_pipeline() -> (PreparedDesign, Vec<(String, Stimulus)>) {
+        let source = "mem inp[4]; mem mid[4]; mem out[4];
+             void main() {
+                 int i;
+                 for (i = 0; i < 4; i = i + 1) { mid[i] = inp[i] * 3; }
+                 int j;
+                 for (j = 0; j < 4; j = j + 1) { out[j] = mid[j] + 1; }
+             }";
+        let options = CompileOptions {
+            partitions: 2,
+            ..CompileOptions::default()
+        };
+        let design = nenya::compile("pipe", source, &options).unwrap();
+        let stimuli = vec![("inp".to_string(), Stimulus::from_values([1, 2, 3, 4]))];
+        (prepare_design(design).unwrap(), stimuli)
+    }
+
+    /// Level runs, batch runs, `run_batch` and `record_clean` on one
+    /// prepared design all walk one program per configuration, compiled
+    /// by the first of them; event runs compile none.
+    #[test]
+    fn compiled_walks_share_one_program_per_configuration() {
+        let (prepared, stimuli) = prepared_pipeline();
+        let configs = &prepared.parts.configs;
+        assert_eq!(configs.len(), 2);
+        let event = FlowOptions::default();
+        assert!(prepared.run(&stimuli, &event).unwrap().passed);
+        assert!(
+            configs.iter().all(|c| c.built_program().is_none()),
+            "an event run compiles no bytecode"
+        );
+
+        let level = FlowOptions {
+            engine: Engine::Level,
+            ..FlowOptions::default()
+        };
+        assert!(prepared.run(&stimuli, &level).unwrap().passed);
+        let programs: Vec<Arc<BatchProgram>> = configs
+            .iter()
+            .map(|c| c.built_program().expect("the level run compiled it").clone())
+            .collect();
+
+        let batch = FlowOptions {
+            engine: Engine::Batch,
+            ..FlowOptions::default()
+        };
+        assert!(prepared.run(&stimuli, &batch).unwrap().passed);
+        let golden = prepared.prepare_golden(&stimuli, &event).unwrap();
+        assert!(prepared.record_clean(&golden, &event).unwrap().0.passed);
+        let lane = BatchLaneSpec {
+            stimuli: stimuli.clone(),
+            faults: Vec::new(),
+        };
+        assert!(prepared.run_batch(&[lane], &event).unwrap().lanes[0].passed);
+
+        let record = RefCell::new(CleanRecord::default());
+        for (config, program) in programs.iter().enumerate() {
+            let cached = configs[config].built_program().expect("still cached");
+            assert!(Arc::ptr_eq(cached, program), "config {config} compiled twice");
+            for (options, record) in [(&level, None), (&batch, None), (&level, Some(&record))] {
+                let ctx = WalkContext {
+                    design: &prepared.design,
+                    parts: &prepared.parts,
+                    options,
+                    record,
+                };
+                let mut recorder = Recorder::new();
+                let one = <BatchSim<1> as LaneEngine>::build(&ctx, config, &mut recorder).unwrap();
+                let wide =
+                    <BatchSim<LANES> as LaneEngine>::build(&ctx, config, &mut recorder).unwrap();
+                assert!(Arc::ptr_eq(one.program(), program));
+                assert!(Arc::ptr_eq(wide.program(), program));
+            }
+        }
+    }
+
+    /// A netlist the bytecode cannot compile fails level and batch runs
+    /// with the cycle engine's `FlowError::Elaborate` text, every time,
+    /// while event runs of it still pass.
+    #[test]
+    fn a_netlist_the_bytecode_rejects_fails_level_and_batch_runs() {
+        let (mut prepared, stimuli) = prepared_pipeline();
+        let netlist = &mut prepared.parts.configs[1].netlist;
+        let clock = netlist
+            .instances()
+            .iter()
+            .find(|i| i.kind == "clock")
+            .and_then(|i| i.conn("y"))
+            .expect("the datapath has a clock")
+            .to_string();
+        netlist.add_signal("spare", 8);
+        netlist.add_instance(
+            eventsim::netlist::Instance::new("spare0", "counter")
+                .with_param("width", 8)
+                .with_conn("clk", clock)
+                .with_conn("q", "spare"),
+        );
+        let run = |engine| {
+            let options = FlowOptions {
+                engine,
+                ..FlowOptions::default()
+            };
+            prepared.run(&stimuli, &options)
+        };
+        let cycle = run(Engine::Cycle).unwrap_err();
+        assert!(
+            matches!(cycle, FlowError::Elaborate(ElaborateConfigError::Netlist(_))),
+            "{cycle}"
+        );
+        for engine in [Engine::Level, Engine::Batch, Engine::Level] {
+            let err = run(engine).unwrap_err();
+            assert!(
+                matches!(err, FlowError::Elaborate(ElaborateConfigError::Netlist(_))),
+                "{engine}: {err}"
+            );
+            assert_eq!(err.to_string(), cycle.to_string(), "{engine}");
+        }
+        assert!(run(Engine::Event).unwrap().passed);
     }
 }

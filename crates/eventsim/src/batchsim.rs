@@ -1,14 +1,26 @@
 //! The bytecode-compiled engine: `W` stimulus lanes per schedule walk.
 //!
-//! The netlist is compiled once at build time. Its combinational
-//! instances are levelized (`FlatModel::levelize`: a true combinational
-//! loop is reported here as [`CycleSimError::CombinationalCycle`]), and
-//! the rank schedule is flattened into a linear bytecode buffer
-//! (`BOp`) of dense operand slots. One walk of the bytecode evaluates
-//! `W` independent stimulus vectors, `1 ≤ W ≤ 64`; the caller's engine
-//! picks the width. `BatchSim<1>` is the level engine (`--engine level`)
-//! and `BatchSim<LANES>` the batch engine (`--engine batch`, fault packs,
-//! `run_batch`).
+//! The engine comes in two parts:
+//!
+//! * **A compiled program** ([`BatchProgram`]) that does not depend on
+//!   the lane width. [`BatchProgram::compile`] levelizes the netlist's
+//!   combinational instances (`FlatModel::levelize`: a true combinational
+//!   loop is reported here as [`CycleSimError::CombinationalCycle`]) and
+//!   flattens the rank schedule into a linear bytecode buffer (`BOp`) of
+//!   dense operand slots, with the register, SRAM, watch, reader and
+//!   producer tables the walk reads and every slot's value after
+//!   construction; [`BatchProgram::add_control_unit`] attaches the
+//!   control units.
+//! * **Per-walk lane state** ([`BatchSim`]): the values, known masks,
+//!   memories, FSM states, faults, dirty sets, outcomes and counters of
+//!   `W` lanes. [`BatchSim::new`] creates one from an `Arc` of a program
+//!   and only allocates state, so a design compiles each configuration
+//!   once and every walk of it shares the program.
+//!
+//! One walk of the bytecode evaluates `W` independent stimulus vectors,
+//! `1 ≤ W ≤ 64`; the caller's engine picks the width. `BatchSim<1>` is
+//! the level engine (`--engine level`) and `BatchSim<LANES>` the batch
+//! engine (`--engine batch`, fault packs, `run_batch`).
 //!
 //! * **State is lane-struct-of-arrays.** Every value slot holds `W`
 //!   sign-extended `i64` lanes (`values[slot * W + lane]`) plus one lane
@@ -36,6 +48,11 @@
 //!   its old and new state, so an edge costs one pass per distinct
 //!   state, not per lane. The walk after a transient flip or a re-arm
 //!   redrives every output instead.
+//! * **A lone lane finishes one lane wide.** When a walk wider than one
+//!   lane has exactly one running lane, [`BatchSim::run_batch`] moves
+//!   that lane into a one-lane instance of the same program, runs it
+//!   there and moves it back, so a pack's long tail costs a level walk
+//!   instead of `W` lanes of column work.
 //! * **Per-lane bit-identity.** Each lane's observable results — signal
 //!   values, memory images, cycle counts, failure messages, and
 //!   termination outcomes — are bit-identical to running that lane's
@@ -62,6 +79,7 @@ use crate::ops::{FsmTable, OpKind};
 use crate::simmodel::{Comb, FlatModel};
 use crate::value::{mask, Value};
 use std::collections::HashMap;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Stimulus lanes per walk of the batch engine. Matches the machine word
@@ -88,7 +106,7 @@ enum BOp {
         y: u32,
         shift: u32,
     },
-    /// `n` input slots live in `BatchSim::mux_pool[lo..lo + n]`.
+    /// `n` input slots live in `BatchProgram::mux_pool[lo..lo + n]`.
     Mux {
         sel: u32,
         sel_mask: u64,
@@ -166,12 +184,17 @@ struct BSram {
     din: u32,
 }
 
+/// A memory's shape: `shift = 64 - word width`, and its size in words.
+#[derive(Debug, Clone, Copy)]
+struct MemShape {
+    shift: u32,
+    size: usize,
+}
+
 /// Lane-parallel memory contents: `data[addr * W + lane]` canonical,
 /// `known[addr]` a lane mask (bit set = that lane's word is defined).
 #[derive(Debug, Clone)]
 struct BMem {
-    shift: u32,
-    size: usize,
     data: Vec<i64>,
     known: Vec<u64>,
 }
@@ -248,8 +271,8 @@ pub struct BatchSummary {
     pub lanes: Vec<Option<LaneResult>>,
 }
 
-/// One row of [`BatchSim::rank_table`]: an instance, its rank, and the
-/// combinational producers it reads (with their ranks).
+/// One row of [`BatchProgram::rank_table`]: an instance, its rank, and
+/// the combinational producers it reads (with their ranks).
 #[derive(Debug, Clone)]
 pub struct RankEntry {
     /// Instance name.
@@ -333,8 +356,12 @@ struct WalkRecord {
     first: Vec<Vec<FirstAccess>>,
 }
 
-/// The compiled engine over `W` lanes. See the [module docs](self).
-pub struct BatchSim<const W: usize> {
+/// The compiled program: the bytecode and every table a walk reads but
+/// never writes, independent of the lane width. Compile it once per
+/// netlist, attach its control units, and share it through an `Arc`
+/// among the [`BatchSim`] instances that walk it.
+#[derive(Debug)]
+pub struct BatchProgram {
     ops: Vec<BOp>,
     /// Instance name per bytecode op, for failure messages and the rank
     /// table.
@@ -344,25 +371,14 @@ pub struct BatchSim<const W: usize> {
     op_ranks: Vec<u32>,
     mux_pool: Vec<u32>,
     widths: Vec<u32>,
-    /// Canonical lane values, `slot * W + lane`.
-    values: Vec<i64>,
-    /// Known lane mask per slot.
-    known: Vec<u64>,
     regs: Vec<BReg>,
     srams: Vec<BSram>,
-    mems: Vec<BMem>,
+    mems: Vec<MemShape>,
     mem_names: HashMap<String, usize>,
     signal_index: HashMap<String, usize>,
     reset_signals: Vec<u32>,
     watches: Vec<BWatch>,
     fsms: Vec<BFsm>,
-    /// Current state per FSM per lane, `fsm * W + lane`.
-    fsm_state: Vec<u32>,
-    /// Clamp row index per slot (`u32::MAX` = unfaulted); empty until
-    /// the first stuck-at injection.
-    clamp_of: Vec<u32>,
-    clamp_rows: Vec<ClampRow<W>>,
-    flips: Vec<BFlip>,
     /// Comb readers per value slot: the op indices whose inputs include
     /// the slot.
     readers: Vec<Vec<u32>>,
@@ -375,6 +391,27 @@ pub struct BatchSim<const W: usize> {
     /// Read-port op per SRAM instance: a committed write dirties the
     /// read path even though no signal changed.
     sram_read_op: Vec<u32>,
+    /// Every slot's value after construction (`None` = X): constants
+    /// known, control-unit outputs at their initial state's values,
+    /// everything else X. Every lane of a new instance starts from it.
+    initial: Vec<Option<i64>>,
+}
+
+/// The per-walk state of `W` lanes: everything a walk of a
+/// [`BatchProgram`] writes.
+struct LaneState<const W: usize> {
+    /// Canonical lane values, `slot * W + lane`.
+    values: Vec<i64>,
+    /// Known lane mask per slot.
+    known: Vec<u64>,
+    mems: Vec<BMem>,
+    /// Current state per FSM per lane, `fsm * W + lane`.
+    fsm_state: Vec<u32>,
+    /// Clamp row index per slot (`u32::MAX` = unfaulted); empty until
+    /// the first stuck-at injection.
+    clamp_of: Vec<u32>,
+    clamp_rows: Vec<ClampRow<W>>,
+    flips: Vec<BFlip>,
     /// Dirty bitset over op indices.
     dirty: Vec<u64>,
     /// Dirty bitset over registers — only these are sampled on the edge
@@ -419,6 +456,13 @@ pub struct BatchSim<const W: usize> {
     profile: Option<Box<WalkProfile>>,
     /// Opt-in walk record; `None` runs the walk without recording code.
     record: Option<Box<WalkRecord>>,
+}
+
+/// The compiled engine over `W` lanes: a shared [`BatchProgram`] and the
+/// lane state its walks write. See the [module docs](self).
+pub struct BatchSim<const W: usize> {
+    program: Arc<BatchProgram>,
+    lanes: LaneState<W>,
 }
 
 /// Canonicalizes a raw result at `shift = 64 - width`.
@@ -475,17 +519,10 @@ fn fill_mask(words: &mut [u64], n: usize) {
     }
 }
 
-impl<const W: usize> BatchSim<W> {
-    /// The lane mask with every lane set; fails to compile unless
-    /// `1 ≤ W ≤ 64`.
-    const ALL: u64 = {
-        assert!(W >= 1 && W <= 64, "lane width must be 1..=64");
-        u64::MAX >> (64 - W)
-    };
-
+impl BatchProgram {
     /// Compiles a netlist: levelizes it (`FlatModel::levelize`), then
-    /// flattens the rank schedule into bytecode and the model into
-    /// lane-SoA state.
+    /// flattens the rank schedule into bytecode and the model into the
+    /// tables a walk reads.
     ///
     /// # Errors
     ///
@@ -493,8 +530,8 @@ impl<const W: usize> BatchSim<W> {
     /// engines' vocabulary, and [`CycleSimError::CombinationalCycle`]
     /// when the combinational netlist is not a DAG (the error names one
     /// concrete loop).
-    pub fn from_netlist(netlist: &Netlist) -> Result<Self, CycleSimError> {
-        let mut model = FlatModel::from_netlist(netlist)?;
+    pub fn compile(netlist: &Netlist) -> Result<Self, CycleSimError> {
+        let model = FlatModel::from_netlist(netlist)?;
         let levels = model.levelize()?;
         let order = &levels.order;
         let widths: Vec<u32> = model.values.iter().map(Value::width).collect();
@@ -590,18 +627,12 @@ impl<const W: usize> BatchSim<W> {
                 din: s.din as u32,
             })
             .collect();
-        // Only the shapes of the model's SRAMs carry over: free its own
-        // storage before the lane memories are allocated, so the two
-        // never coexist.
-        let shapes: Vec<(u32, usize)> =
-            model.mems.drain(..).map(|m| (m.width(), m.size())).collect();
-        let mems: Vec<BMem> = shapes
-            .into_iter()
-            .map(|(width, size)| BMem {
-                shift: 64 - width,
-                size,
-                data: vec![0; size * W],
-                known: vec![0; size],
+        let mems = model
+            .mems
+            .iter()
+            .map(|m| MemShape {
+                shift: 64 - m.width(),
+                size: m.size(),
             })
             .collect();
         let watches: Vec<BWatch> = model
@@ -651,24 +682,11 @@ impl<const W: usize> BatchSim<W> {
             })
             .collect();
 
-        // Every lane starts from the model's post-construction values
-        // (constants known, everything else X).
-        let mut values = vec![0; slots * W];
-        let mut known = vec![0; slots];
-        for (slot, v) in model.values.iter().enumerate() {
-            values[slot * W..slot * W + W].fill(v.try_i64().unwrap_or(0));
-            known[slot] = if v.is_x() { 0 } else { Self::ALL };
-        }
-
-        let op_words = ops.len().div_ceil(64);
-        let reg_words = regs.len().div_ceil(64);
-        let mut sim = BatchSim {
+        Ok(BatchProgram {
             ops,
             op_names,
             op_ranks,
             mux_pool,
-            values,
-            known,
             widths,
             regs,
             srams,
@@ -678,82 +696,17 @@ impl<const W: usize> BatchSim<W> {
             reset_signals: model.reset_signals.iter().map(|&s| s as u32).collect(),
             watches,
             fsms: Vec::new(),
-            fsm_state: Vec::new(),
-            clamp_of: Vec::new(),
-            clamp_rows: Vec::new(),
-            flips: Vec::new(),
             readers,
             reg_readers,
             producer_op,
             sram_read_op,
-            dirty: vec![0u64; op_words],
-            reg_dirty: vec![0u64; reg_words],
-            edge_regs: Vec::new(),
-            force_fsm_drive: false,
-            reg_vals: vec![0; model.regs.len() * W],
-            reg_commit: vec![0; model.regs.len()],
-            reg_known: vec![0; model.regs.len()],
-            active: Self::ALL,
-            running: Self::ALL,
-            frozen_mask: 0,
-            frozen_vals: Vec::new(),
-            frozen_known: Vec::new(),
-            outcomes: vec![None; W],
-            lane_cycles: vec![0; W],
-            cycles: 0,
-            comb_evals: 0,
-            profile: None,
-            record: None,
-        };
-        // The first walk evaluates everything, like the sweep engine.
-        sim.mark_all();
-        Ok(sim)
-    }
-
-    /// Marks every op and every register dirty.
-    fn mark_all(&mut self) {
-        fill_mask(&mut self.dirty, self.ops.len());
-        fill_mask(&mut self.reg_dirty, self.regs.len());
-    }
-
-    /// Marks one op dirty.
-    #[inline]
-    fn mark_op(&mut self, op: u32) {
-        self.dirty[(op / 64) as usize] |= 1u64 << (op % 64);
-    }
-
-    /// Lane mask of nonzero words in a slot's column (a branch-free
-    /// column scan the compiler vectorizes to compare-and-movemask).
-    #[inline]
-    fn nonzero_mask(&self, slot: usize) -> u64 {
-        let col = &self.values[slot * W..slot * W + W];
-        let mut m = 0u64;
-        for (l, &v) in col.iter().enumerate() {
-            m |= ((v != 0) as u64) << l;
-        }
-        m
-    }
-
-    /// Marks everything that reads `slot`: the comb ops with it as an
-    /// input, and the registers sampling it as `d`/`en`/`rst`. Every
-    /// change of a slot's column passes through here, so a `RECORD`ing
-    /// walk folds the new column into the walk record here too.
-    #[inline]
-    fn mark_slot<const RECORD: bool>(&mut self, slot: usize) {
-        if RECORD {
-            self.note_bits(slot);
-        }
-        for &op in &self.readers[slot] {
-            self.dirty[(op / 64) as usize] |= 1u64 << (op % 64);
-        }
-        for &r in &self.reg_readers[slot] {
-            self.reg_dirty[(r / 64) as usize] |= 1u64 << (r % 64);
-        }
+            initial: model.values.iter().map(Value::try_i64).collect(),
+        })
     }
 
     /// Attaches a behavioral control unit (same table vocabulary as the
-    /// event kernel and the sweep engine). Initial-state outputs are
-    /// driven into every lane immediately.
+    /// event kernel and the sweep engine). Instances start with its
+    /// initial state's outputs driven into every lane.
     ///
     /// # Errors
     ///
@@ -828,7 +781,10 @@ impl<const W: usize> BatchSim<W> {
                     .collect()
             })
             .collect();
-        let fsm = BFsm {
+        for (&slot, &value) in out_ids.iter().zip(&state_values[0]) {
+            self.initial[slot as usize] = Some(value);
+        }
+        self.fsms.push(BFsm {
             name,
             table,
             conditions: cond_ids,
@@ -836,288 +792,8 @@ impl<const W: usize> BatchSim<W> {
             out_shifts,
             state_values,
             deltas,
-        };
-        self.drive_outputs::<false>(&fsm, 0, 0..fsm.outputs.len(), Self::ALL, false);
-        self.fsms.push(fsm);
-        self.fsm_state.extend(std::iter::repeat_n(0, W));
-        Ok(())
-    }
-
-    /// Restricts the next `run_batch` to the lanes in `lane_mask` and
-    /// re-arms them (prior outcomes are cleared, so a lane that hit a
-    /// watchpoint in one configuration keeps walking in the next).
-    /// Excluded lanes keep their state but never commit, fail, or finish
-    /// — their summary entry stays `None`.
-    pub fn set_active(&mut self, lane_mask: u64) {
-        self.active = lane_mask;
-        self.running = lane_mask;
-        self.frozen_mask &= !lane_mask;
-        for o in &mut self.outcomes {
-            *o = None;
-        }
-        // Conservative re-arm: a re-armed lane stopped committing
-        // mid-flight, so re-dirty the whole schedule (one full walk's
-        // worth of work, once per run) and make the first edge redrive
-        // every Moore output rather than only the state deltas.
-        self.mark_all();
-        self.force_fsm_drive = true;
-    }
-
-    /// Injects a stuck-at fault on one bit of a named signal, in every
-    /// lane. Returns `false` when the signal does not exist.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CycleSimError::Build`] when `bit` is out of range.
-    pub fn inject_stuck_at(
-        &mut self,
-        signal: &str,
-        bit: u32,
-        value: bool,
-    ) -> Result<bool, CycleSimError> {
-        self.inject_stuck_masked(signal, bit, value, Self::ALL)
-    }
-
-    /// [`inject_stuck_at`](Self::inject_stuck_at) restricted to one lane
-    /// — the fault-campaign batching hook (`W` sites per walk).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CycleSimError::Build`] when `bit` is out of range.
-    pub fn inject_stuck_at_lane(
-        &mut self,
-        signal: &str,
-        bit: u32,
-        value: bool,
-        lane: usize,
-    ) -> Result<bool, CycleSimError> {
-        self.inject_stuck_masked(signal, bit, value, 1u64 << lane)
-    }
-
-    fn inject_stuck_masked(
-        &mut self,
-        signal: &str,
-        bit: u32,
-        value: bool,
-        lanes: u64,
-    ) -> Result<bool, CycleSimError> {
-        let Some(&slot) = self.signal_index.get(signal) else {
-            return Ok(false);
-        };
-        let width = self.widths[slot];
-        if bit >= width {
-            return Err(CycleSimError::Build(format!(
-                "stuck-at bit {bit} out of range for signal '{signal}' (width {width})"
-            )));
-        }
-        if self.clamp_of.is_empty() {
-            self.clamp_of = vec![u32::MAX; self.widths.len()];
-        }
-        let row = if self.clamp_of[slot] == u32::MAX {
-            self.clamp_of[slot] = self.clamp_rows.len() as u32;
-            self.clamp_rows.push(ClampRow {
-                and: [!0; W],
-                or: [0; W],
-            });
-            self.clamp_rows.len() - 1
-        } else {
-            self.clamp_of[slot] as usize
-        };
-        let bit_mask = 1u64 << bit;
-        let mut m = lanes;
-        while m != 0 {
-            let l = m.trailing_zeros() as usize;
-            m &= m - 1;
-            if value {
-                self.clamp_rows[row].or[l] |= bit_mask;
-            } else {
-                self.clamp_rows[row].and[l] &= !bit_mask;
-            }
-        }
-        // Clamp the current value immediately, so constants and
-        // already-driven FSM outputs honor the fault.
-        let shift = 64 - width;
-        let base = slot * W;
-        let mut m = lanes & self.known[slot];
-        while m != 0 {
-            let l = m.trailing_zeros() as usize;
-            m &= m - 1;
-            self.values[base + l] = self.clamp_lane(slot, l, self.values[base + l], shift);
-        }
-        self.mark_slot::<false>(slot);
-        Ok(true)
-    }
-
-    /// Schedules a one-walk transient flip on every lane, with the sweep
-    /// engine's timing (applied before the reset drive and the settle of
-    /// the matching cycle): a flip on a comb-driven slot is recomputed
-    /// away, one on a sequential output (register `q`, FSM output,
-    /// constant) persists for that walk and propagates. Returns `false`
-    /// when no such signal exists.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CycleSimError::Build`] when `bit` is out of range.
-    pub fn inject_transient_flip(
-        &mut self,
-        signal: &str,
-        bit: u32,
-        cycle: u64,
-    ) -> Result<bool, CycleSimError> {
-        self.inject_flip_masked(signal, bit, cycle, Self::ALL)
-    }
-
-    /// [`inject_transient_flip`](Self::inject_transient_flip) restricted
-    /// to one lane.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CycleSimError::Build`] when `bit` is out of range.
-    pub fn inject_transient_flip_lane(
-        &mut self,
-        signal: &str,
-        bit: u32,
-        cycle: u64,
-        lane: usize,
-    ) -> Result<bool, CycleSimError> {
-        self.inject_flip_masked(signal, bit, cycle, 1u64 << lane)
-    }
-
-    fn inject_flip_masked(
-        &mut self,
-        signal: &str,
-        bit: u32,
-        cycle: u64,
-        lanes: u64,
-    ) -> Result<bool, CycleSimError> {
-        let Some(&slot) = self.signal_index.get(signal) else {
-            return Ok(false);
-        };
-        let width = self.widths[slot];
-        if bit >= width {
-            return Err(CycleSimError::Build(format!(
-                "bit-flip bit {bit} out of range for signal '{signal}' (width {width})"
-            )));
-        }
-        self.flips.push(BFlip {
-            cycle,
-            slot: slot as u32,
-            lanes,
-            xor: 1u64 << bit,
         });
-        Ok(true)
-    }
-
-    /// Number of words in the named SRAM, or `None` if absent.
-    pub fn mem_size(&self, name: &str) -> Option<usize> {
-        self.mem_names.get(name).map(|&i| self.mems[i].size)
-    }
-
-    /// Loads an image (`None` = leave X) into one lane of the named
-    /// SRAM. Returns `false` when the memory does not exist. Values
-    /// truncate to the memory width, like [`crate::MemHandle::store`].
-    pub fn load_mem(&mut self, name: &str, lane: usize, image: &[Option<i64>]) -> bool {
-        let Some(&mi) = self.mem_names.get(name) else {
-            return false;
-        };
-        let mem = &mut self.mems[mi];
-        let bit = 1u64 << lane;
-        for (addr, word) in image.iter().enumerate().take(mem.size) {
-            match word {
-                Some(v) => {
-                    mem.data[addr * W + lane] = canon(*v, mem.shift);
-                    mem.known[addr] |= bit;
-                }
-                None => mem.known[addr] &= !bit,
-            }
-        }
-        self.mark_mem_readers(mi);
-        true
-    }
-
-    /// Dirties the read op of every SRAM backed by memory `mem`, so a
-    /// load between runs is observed without any signal changing.
-    fn mark_mem_readers(&mut self, mem: usize) {
-        for s in 0..self.sram_read_op.len() {
-            if self.srams[s].mem as usize == mem {
-                let op = self.sram_read_op[s];
-                self.mark_op(op);
-            }
-        }
-    }
-
-    /// [`load_mem`](Self::load_mem) into every lane.
-    pub fn load_mem_all(&mut self, name: &str, image: &[Option<i64>]) -> bool {
-        let Some(&mi) = self.mem_names.get(name) else {
-            return false;
-        };
-        let mem = &mut self.mems[mi];
-        for (addr, word) in image.iter().enumerate().take(mem.size) {
-            match word {
-                Some(v) => {
-                    mem.data[addr * W..addr * W + W].fill(canon(*v, mem.shift));
-                    mem.known[addr] = Self::ALL;
-                }
-                None => mem.known[addr] = 0,
-            }
-        }
-        self.mark_mem_readers(mi);
-        true
-    }
-
-    /// Final image of one lane of the named SRAM (`None` entries are
-    /// uninitialized words), or `None` if the memory does not exist.
-    pub fn snapshot_mem(&self, name: &str, lane: usize) -> Option<Vec<Option<i64>>> {
-        let &mi = self.mem_names.get(name)?;
-        let mem = &self.mems[mi];
-        let bit = 1u64 << lane;
-        Some(
-            (0..mem.size)
-                .map(|addr| (mem.known[addr] & bit != 0).then(|| mem.data[addr * W + lane]))
-                .collect(),
-        )
-    }
-
-    /// Current value of a named signal in lane 0.
-    pub fn value(&self, name: &str) -> Option<Value> {
-        self.value_lane(name, 0)
-    }
-
-    /// Current value of a named signal in one lane. A finished lane
-    /// reads its termination freeze-frame, not the live (still-walking)
-    /// state.
-    pub fn value_lane(&self, name: &str, lane: usize) -> Option<Value> {
-        let &slot = self.signal_index.get(name)?;
-        let width = self.widths[slot];
-        let bit = 1u64 << lane;
-        let (vals, known) = if self.frozen_mask & bit != 0 {
-            (&self.frozen_vals, &self.frozen_known)
-        } else {
-            (&self.values, &self.known)
-        };
-        Some(if known[slot] & bit != 0 {
-            Value::known(width, vals[slot * W + lane])
-        } else {
-            Value::x(width)
-        })
-    }
-
-    /// Cycles executed, with the sweep engine's convention: after lane 0
-    /// fails or finishes, its own cycle count (a failing walk does not
-    /// count as elapsed).
-    pub fn cycles(&self) -> u64 {
-        if self.outcomes[0].is_some() {
-            self.lane_cycles[0]
-        } else {
-            self.cycles
-        }
-    }
-
-    /// Bytecode evaluations performed: dirty ops drained across all
-    /// walks (each evaluation covers all `W` lanes, and a change in any
-    /// lane re-evaluates the whole column).
-    pub fn comb_evals(&self) -> u64 {
-        self.comb_evals
+        Ok(())
     }
 
     /// Number of levelization ranks in the compiled schedule.
@@ -1153,16 +829,252 @@ impl<const W: usize> BatchSim<W> {
             })
             .collect()
     }
+}
+
+impl<const W: usize> BatchSim<W> {
+    /// A fresh instance of `program`: every lane at the program's
+    /// initial values, memories X, control units in their initial
+    /// states, everything dirty. Creating one only allocates lane state.
+    pub fn new(program: Arc<BatchProgram>) -> Self {
+        let lanes = LaneState::new(&program);
+        BatchSim { program, lanes }
+    }
+
+    /// Compiles a netlist ([`BatchProgram::compile`]) and instantiates
+    /// it.
+    ///
+    /// # Errors
+    ///
+    /// As [`BatchProgram::compile`].
+    pub fn from_netlist(netlist: &Netlist) -> Result<Self, CycleSimError> {
+        Ok(Self::new(Arc::new(BatchProgram::compile(netlist)?)))
+    }
+
+    /// The compiled program this instance walks.
+    pub fn program(&self) -> &Arc<BatchProgram> {
+        &self.program
+    }
+
+    /// Restricts the next `run_batch` to the lanes in `lane_mask` and
+    /// re-arms them (prior outcomes are cleared, so a lane that hit a
+    /// watchpoint in one configuration keeps walking in the next).
+    /// Excluded lanes keep their state but never commit, fail, or finish
+    /// — their summary entry stays `None`.
+    pub fn set_active(&mut self, lane_mask: u64) {
+        self.lanes.set_active(&self.program, lane_mask);
+    }
+
+    /// Injects a stuck-at fault on one bit of a named signal, in every
+    /// lane. Returns `false` when the signal does not exist.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CycleSimError::Build`] when `bit` is out of range.
+    pub fn inject_stuck_at(
+        &mut self,
+        signal: &str,
+        bit: u32,
+        value: bool,
+    ) -> Result<bool, CycleSimError> {
+        let lanes = LaneState::<W>::ALL;
+        self.lanes
+            .inject_stuck(&self.program, signal, bit, value, lanes)
+    }
+
+    /// [`inject_stuck_at`](Self::inject_stuck_at) restricted to one lane
+    /// — the fault-campaign batching hook (`W` sites per walk).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CycleSimError::Build`] when `bit` is out of range.
+    pub fn inject_stuck_at_lane(
+        &mut self,
+        signal: &str,
+        bit: u32,
+        value: bool,
+        lane: usize,
+    ) -> Result<bool, CycleSimError> {
+        self.lanes
+            .inject_stuck(&self.program, signal, bit, value, 1u64 << lane)
+    }
+
+    /// Schedules a one-walk transient flip on every lane, with the sweep
+    /// engine's timing (applied before the reset drive and the settle of
+    /// the matching cycle): a flip on a comb-driven slot is recomputed
+    /// away, one on a sequential output (register `q`, FSM output,
+    /// constant) persists for that walk and propagates. Returns `false`
+    /// when no such signal exists.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CycleSimError::Build`] when `bit` is out of range.
+    pub fn inject_transient_flip(
+        &mut self,
+        signal: &str,
+        bit: u32,
+        cycle: u64,
+    ) -> Result<bool, CycleSimError> {
+        self.inject_flip_masked(signal, bit, cycle, LaneState::<W>::ALL)
+    }
+
+    /// [`inject_transient_flip`](Self::inject_transient_flip) restricted
+    /// to one lane.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CycleSimError::Build`] when `bit` is out of range.
+    pub fn inject_transient_flip_lane(
+        &mut self,
+        signal: &str,
+        bit: u32,
+        cycle: u64,
+        lane: usize,
+    ) -> Result<bool, CycleSimError> {
+        self.inject_flip_masked(signal, bit, cycle, 1u64 << lane)
+    }
+
+    fn inject_flip_masked(
+        &mut self,
+        signal: &str,
+        bit: u32,
+        cycle: u64,
+        lanes: u64,
+    ) -> Result<bool, CycleSimError> {
+        let Some(&slot) = self.program.signal_index.get(signal) else {
+            return Ok(false);
+        };
+        let width = self.program.widths[slot];
+        if bit >= width {
+            return Err(CycleSimError::Build(format!(
+                "bit-flip bit {bit} out of range for signal '{signal}' (width {width})"
+            )));
+        }
+        self.lanes.flips.push(BFlip {
+            cycle,
+            slot: slot as u32,
+            lanes,
+            xor: 1u64 << bit,
+        });
+        Ok(true)
+    }
+
+    /// Number of words in the named SRAM, or `None` if absent.
+    pub fn mem_size(&self, name: &str) -> Option<usize> {
+        let p = &self.program;
+        p.mem_names.get(name).map(|&i| p.mems[i].size)
+    }
+
+    /// Loads an image (`None` = leave X) into one lane of the named
+    /// SRAM. Returns `false` when the memory does not exist. Values
+    /// truncate to the memory width, like [`crate::MemHandle::store`].
+    pub fn load_mem(&mut self, name: &str, lane: usize, image: &[Option<i64>]) -> bool {
+        let p = &self.program;
+        let Some(&mi) = p.mem_names.get(name) else {
+            return false;
+        };
+        let shape = p.mems[mi];
+        let mem = &mut self.lanes.mems[mi];
+        let bit = 1u64 << lane;
+        for (addr, word) in image.iter().enumerate().take(shape.size) {
+            match word {
+                Some(v) => {
+                    mem.data[addr * W + lane] = canon(*v, shape.shift);
+                    mem.known[addr] |= bit;
+                }
+                None => mem.known[addr] &= !bit,
+            }
+        }
+        self.lanes.mark_mem_readers(p, mi);
+        true
+    }
+
+    /// [`load_mem`](Self::load_mem) into every lane.
+    pub fn load_mem_all(&mut self, name: &str, image: &[Option<i64>]) -> bool {
+        let p = &self.program;
+        let Some(&mi) = p.mem_names.get(name) else {
+            return false;
+        };
+        let shape = p.mems[mi];
+        let mem = &mut self.lanes.mems[mi];
+        for (addr, word) in image.iter().enumerate().take(shape.size) {
+            match word {
+                Some(v) => {
+                    mem.data[addr * W..addr * W + W].fill(canon(*v, shape.shift));
+                    mem.known[addr] = LaneState::<W>::ALL;
+                }
+                None => mem.known[addr] = 0,
+            }
+        }
+        self.lanes.mark_mem_readers(p, mi);
+        true
+    }
+
+    /// Final image of one lane of the named SRAM (`None` entries are
+    /// uninitialized words), or `None` if the memory does not exist.
+    pub fn snapshot_mem(&self, name: &str, lane: usize) -> Option<Vec<Option<i64>>> {
+        let &mi = self.program.mem_names.get(name)?;
+        let mem = &self.lanes.mems[mi];
+        let bit = 1u64 << lane;
+        Some(
+            (0..self.program.mems[mi].size)
+                .map(|addr| (mem.known[addr] & bit != 0).then(|| mem.data[addr * W + lane]))
+                .collect(),
+        )
+    }
+
+    /// Current value of a named signal in lane 0.
+    pub fn value(&self, name: &str) -> Option<Value> {
+        self.value_lane(name, 0)
+    }
+
+    /// Current value of a named signal in one lane. A finished lane
+    /// reads its termination freeze-frame, not the live (still-walking)
+    /// state.
+    pub fn value_lane(&self, name: &str, lane: usize) -> Option<Value> {
+        let &slot = self.program.signal_index.get(name)?;
+        let width = self.program.widths[slot];
+        let s = &self.lanes;
+        let bit = 1u64 << lane;
+        let (vals, known) = if s.frozen_mask & bit != 0 {
+            (&s.frozen_vals, &s.frozen_known)
+        } else {
+            (&s.values, &s.known)
+        };
+        Some(if known[slot] & bit != 0 {
+            Value::known(width, vals[slot * W + lane])
+        } else {
+            Value::x(width)
+        })
+    }
+
+    /// Cycles executed, with the sweep engine's convention: after lane 0
+    /// fails or finishes, its own cycle count (a failing walk does not
+    /// count as elapsed).
+    pub fn cycles(&self) -> u64 {
+        let s = &self.lanes;
+        if s.outcomes[0].is_some() {
+            s.lane_cycles[0]
+        } else {
+            s.cycles
+        }
+    }
+
+    /// Bytecode evaluations performed: dirty ops drained across all
+    /// walks (each evaluation covers all `W` lanes, and a change in any
+    /// lane re-evaluates the whole column).
+    pub fn comb_evals(&self) -> u64 {
+        self.lanes.comb_evals
+    }
 
     /// Turns on the per-rank walk profile. Profiling only observes:
     /// cycle and evaluation counters, values, and outcomes are
     /// bit-identical with it on or off.
     pub fn enable_profile(&mut self) {
-        let mut rank_sizes = vec![0u64; self.rank_count()];
-        for &rank in &self.op_ranks {
+        let mut rank_sizes = vec![0u64; self.program.rank_count()];
+        for &rank in &self.program.op_ranks {
             rank_sizes[rank as usize] += 1;
         }
-        self.profile = Some(Box::new(WalkProfile {
+        self.lanes.profile = Some(Box::new(WalkProfile {
             walks: 0,
             ranks: vec![RankProfile::default(); rank_sizes.len()],
             rank_sizes,
@@ -1172,43 +1084,45 @@ impl<const W: usize> BatchSim<W> {
     /// The accumulated profile, when [`enable_profile`](Self::enable_profile)
     /// was called.
     pub fn profile(&self) -> Option<&WalkProfile> {
-        self.profile.as_deref()
+        self.lanes.profile.as_deref()
     }
 
     /// Turns on the walk record: from here on, the known bits every
     /// signal takes in a running lane and the first access to every
     /// memory word are noted. Values already held count at once, so a
-    /// constant's bits count from construction and a control unit's
-    /// outputs from registration (call this once the run is set up,
-    /// after [`add_control_unit`](Self::add_control_unit)). X values set
+    /// constant's bits and a control unit's initial outputs count from
+    /// construction (call this once the run is set up). X values set
     /// neither mask. Recording only observes: cycles, evaluation counts,
     /// values, memories and outcomes are bit-identical with it on or off,
     /// and walks without it run an instance of the loop that carries no
     /// recording code.
     pub fn enable_record(&mut self) {
-        let slots = self.widths.len();
-        self.record = Some(Box::new(WalkRecord {
+        let p = &self.program;
+        let slots = p.widths.len();
+        let s = &mut self.lanes;
+        s.record = Some(Box::new(WalkRecord {
             ever0: vec![0; slots],
             ever1: vec![0; slots],
-            first: self
+            first: p
                 .mems
                 .iter()
                 .map(|m| vec![FirstAccess::Untouched; m.size])
                 .collect(),
         }));
         for slot in 0..slots {
-            self.note_bits(slot);
+            s.note_bits(p, slot);
         }
     }
 
     /// The bits each named signal held while recording (nothing when
     /// [`enable_record`](Self::enable_record) was not called).
     pub fn recorded_signals(&self) -> impl Iterator<Item = (&str, SignalBits)> + '_ {
-        let record = self.record.as_deref();
-        self.signal_index.iter().filter_map(move |(name, &slot)| {
+        let record = self.lanes.record.as_deref();
+        let p = &self.program;
+        p.signal_index.iter().filter_map(move |(name, &slot)| {
             let record = record?;
             let bits = SignalBits {
-                width: self.widths[slot],
+                width: p.widths[slot],
                 ever0: record.ever0[slot],
                 ever1: record.ever1[slot],
             };
@@ -1220,18 +1134,244 @@ impl<const W: usize> BatchSim<W> {
     /// (nothing when [`enable_record`](Self::enable_record) was not
     /// called).
     pub fn recorded_accesses(&self) -> impl Iterator<Item = (&str, &[FirstAccess])> + '_ {
-        let record = self.record.as_deref();
-        self.mem_names
+        let record = self.lanes.record.as_deref();
+        self.program
+            .mem_names
             .iter()
             .filter_map(move |(name, &mi)| Some((name.as_str(), record?.first[mi].as_slice())))
     }
 
+    /// Walks the schedule until every active lane has finished, failed,
+    /// or exhausted `max_cycles`. Returns one result per lane (relative
+    /// cycle counts); inactive lanes return `None`. Lanes the previous
+    /// call stopped on its cycle budget walk on from where they stopped.
+    /// Once a single lane is left running, it finishes one lane wide
+    /// (see the [module docs](self)).
+    pub fn run_batch(&mut self, max_cycles: u64) -> BatchSummary {
+        self.lanes.run_batch(&self.program, max_cycles)
+    }
+
+    /// Single-result run: lane 0's outcome in the [`CycleSummary`] shape,
+    /// with lane-0 failures surfaced as [`CycleSimError::Failed`] like
+    /// the sweep engine. A run that stops on its cycle budget can be
+    /// continued by the next call.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CycleSimError::Failed`] when lane 0 fails.
+    pub fn run(&mut self, max_cycles: u64) -> Result<CycleSummary, CycleSimError> {
+        let start_evals = self.lanes.comb_evals;
+        let summary = self.run_batch(max_cycles);
+        let lane = summary
+            .lanes
+            .first()
+            .cloned()
+            .flatten()
+            .expect("lane 0 is active");
+        let outcome = match lane.outcome {
+            LaneOutcome::Failed(m) => return Err(CycleSimError::Failed(m)),
+            LaneOutcome::Done => CycleOutcome::Done,
+            LaneOutcome::Watchpoint(name) => CycleOutcome::Watchpoint(name),
+            LaneOutcome::CycleLimit => CycleOutcome::CycleLimit,
+        };
+        Ok(CycleSummary {
+            outcome,
+            cycles: lane.cycles,
+            comb_evals: self.lanes.comb_evals - start_evals,
+        })
+    }
+}
+
+impl<const W: usize> LaneState<W> {
+    /// The lane mask with every lane set; fails to compile unless
+    /// `1 ≤ W ≤ 64`.
+    const ALL: u64 = {
+        assert!(W >= 1 && W <= 64, "lane width must be 1..=64");
+        u64::MAX >> (64 - W)
+    };
+
+    /// Every lane at `p`'s initial values, memories X, control units in
+    /// their initial states, everything dirty (the first walk evaluates
+    /// everything, like the sweep engine).
+    fn new(p: &BatchProgram) -> Self {
+        let slots = p.widths.len();
+        let mut values = vec![0; slots * W];
+        let mut known = vec![0; slots];
+        for (slot, v) in p.initial.iter().enumerate() {
+            if let Some(v) = *v {
+                values[slot * W..slot * W + W].fill(v);
+                known[slot] = Self::ALL;
+            }
+        }
+        let regs = p.regs.len();
+        let mut state = LaneState {
+            values,
+            known,
+            mems: p
+                .mems
+                .iter()
+                .map(|m| BMem {
+                    data: vec![0; m.size * W],
+                    known: vec![0; m.size],
+                })
+                .collect(),
+            fsm_state: vec![0; p.fsms.len() * W],
+            clamp_of: Vec::new(),
+            clamp_rows: Vec::new(),
+            flips: Vec::new(),
+            dirty: vec![0u64; p.ops.len().div_ceil(64)],
+            reg_dirty: vec![0u64; regs.div_ceil(64)],
+            edge_regs: Vec::new(),
+            force_fsm_drive: false,
+            reg_vals: vec![0; regs * W],
+            reg_commit: vec![0; regs],
+            reg_known: vec![0; regs],
+            active: Self::ALL,
+            running: Self::ALL,
+            frozen_mask: 0,
+            frozen_vals: Vec::new(),
+            frozen_known: Vec::new(),
+            outcomes: vec![None; W],
+            lane_cycles: vec![0; W],
+            cycles: 0,
+            comb_evals: 0,
+            profile: None,
+            record: None,
+        };
+        state.mark_all(p);
+        state
+    }
+
+    /// Marks every op and every register dirty.
+    fn mark_all(&mut self, p: &BatchProgram) {
+        fill_mask(&mut self.dirty, p.ops.len());
+        fill_mask(&mut self.reg_dirty, p.regs.len());
+    }
+
+    /// Marks one op dirty.
+    #[inline]
+    fn mark_op(&mut self, op: u32) {
+        self.dirty[(op / 64) as usize] |= 1u64 << (op % 64);
+    }
+
+    /// Lane mask of nonzero words in a slot's column (a branch-free
+    /// column scan the compiler vectorizes to compare-and-movemask).
+    #[inline]
+    fn nonzero_mask(&self, slot: usize) -> u64 {
+        let col = &self.values[slot * W..slot * W + W];
+        let mut m = 0u64;
+        for (l, &v) in col.iter().enumerate() {
+            m |= ((v != 0) as u64) << l;
+        }
+        m
+    }
+
+    /// Marks everything that reads `slot`: the comb ops with it as an
+    /// input, and the registers sampling it as `d`/`en`/`rst`. Every
+    /// change of a slot's column passes through here, so a `RECORD`ing
+    /// walk folds the new column into the walk record here too.
+    #[inline]
+    fn mark_slot<const RECORD: bool>(&mut self, p: &BatchProgram, slot: usize) {
+        if RECORD {
+            self.note_bits(p, slot);
+        }
+        for &op in &p.readers[slot] {
+            self.dirty[(op / 64) as usize] |= 1u64 << (op % 64);
+        }
+        for &r in &p.reg_readers[slot] {
+            self.reg_dirty[(r / 64) as usize] |= 1u64 << (r % 64);
+        }
+    }
+
+    /// See [`BatchSim::set_active`].
+    fn set_active(&mut self, p: &BatchProgram, lane_mask: u64) {
+        self.active = lane_mask;
+        self.running = lane_mask;
+        self.frozen_mask &= !lane_mask;
+        for o in &mut self.outcomes {
+            *o = None;
+        }
+        // Conservative re-arm: a re-armed lane stopped committing
+        // mid-flight, so re-dirty the whole schedule (one full walk's
+        // worth of work, once per run) and make the first edge redrive
+        // every Moore output rather than only the state deltas.
+        self.mark_all(p);
+        self.force_fsm_drive = true;
+    }
+
+    /// Injects a stuck-at fault on one bit of a named signal in `lanes`.
+    /// Returns `false` when the signal does not exist.
+    fn inject_stuck(
+        &mut self,
+        p: &BatchProgram,
+        signal: &str,
+        bit: u32,
+        value: bool,
+        lanes: u64,
+    ) -> Result<bool, CycleSimError> {
+        let Some(&slot) = p.signal_index.get(signal) else {
+            return Ok(false);
+        };
+        let width = p.widths[slot];
+        if bit >= width {
+            return Err(CycleSimError::Build(format!(
+                "stuck-at bit {bit} out of range for signal '{signal}' (width {width})"
+            )));
+        }
+        if self.clamp_of.is_empty() {
+            self.clamp_of = vec![u32::MAX; p.widths.len()];
+        }
+        let row = if self.clamp_of[slot] == u32::MAX {
+            self.clamp_of[slot] = self.clamp_rows.len() as u32;
+            self.clamp_rows.push(ClampRow {
+                and: [!0; W],
+                or: [0; W],
+            });
+            self.clamp_rows.len() - 1
+        } else {
+            self.clamp_of[slot] as usize
+        };
+        let bit_mask = 1u64 << bit;
+        let mut m = lanes;
+        while m != 0 {
+            let l = m.trailing_zeros() as usize;
+            m &= m - 1;
+            if value {
+                self.clamp_rows[row].or[l] |= bit_mask;
+            } else {
+                self.clamp_rows[row].and[l] &= !bit_mask;
+            }
+        }
+        // Clamp the current value immediately, so constants and
+        // already-driven FSM outputs honor the fault.
+        let shift = 64 - width;
+        let base = slot * W;
+        let mut m = lanes & self.known[slot];
+        while m != 0 {
+            let l = m.trailing_zeros() as usize;
+            m &= m - 1;
+            self.values[base + l] = self.clamp_lane(slot, l, self.values[base + l], shift);
+        }
+        self.mark_slot::<false>(p, slot);
+        Ok(true)
+    }
+
+    /// Dirties the read op of every SRAM backed by memory `mem`, so a
+    /// load between runs is observed without any signal changing.
+    fn mark_mem_readers(&mut self, p: &BatchProgram, mem: usize) {
+        for (sram, &op) in p.srams.iter().zip(&p.sram_read_op) {
+            if sram.mem as usize == mem {
+                self.mark_op(op);
+            }
+        }
+    }
+
     /// Folds the known running lanes of `slot` into the walk record.
-    fn note_bits(&mut self, slot: usize) {
+    fn note_bits(&mut self, p: &BatchProgram, slot: usize) {
         let Some(record) = self.record.as_deref_mut() else {
             return;
         };
-        let vmask = mask(self.widths[slot]);
+        let vmask = mask(p.widths[slot]);
         let base = slot * W;
         let mut m = self.known[slot] & self.running;
         while m != 0 {
@@ -1308,7 +1448,7 @@ impl<const W: usize> BatchSim<W> {
     /// edge commit, and per-lane termination — one clock cycle. The
     /// `RECORD` instance also feeds the walk record; the other carries
     /// no recording code.
-    fn walk<const RECORD: bool>(&mut self) {
+    fn walk<const RECORD: bool>(&mut self, p: &BatchProgram) {
         // Transient flips scheduled for this cycle, known lanes only.
         if !self.flips.is_empty() {
             for i in 0..self.flips.len() {
@@ -1322,7 +1462,7 @@ impl<const W: usize> BatchSim<W> {
                     continue;
                 }
                 let slot = slot as usize;
-                let shift = 64 - self.widths[slot];
+                let shift = 64 - p.widths[slot];
                 let vmask = !0u64 >> shift;
                 let base = slot * W;
                 let mut m = lanes & self.known[slot];
@@ -1336,13 +1476,22 @@ impl<const W: usize> BatchSim<W> {
                     self.values[base + l] = canon(bits as i64, shift);
                 }
                 // Re-dirty the producer so the settle recomputes the
-                // flip away on combinational slots; readers and register
-                // samples see the flipped value regardless.
-                let p = self.producer_op[slot];
-                if p != u32::MAX {
-                    self.mark_op(p);
+                // flip away on combinational slots, and the register
+                // driving a `q` so this edge resamples it as the sweep
+                // engine resamples every register (an enabled one then
+                // reverts the flip even when its `d` did not change);
+                // readers and register samples see the flipped value
+                // regardless.
+                let producer = p.producer_op[slot];
+                if producer != u32::MAX {
+                    self.mark_op(producer);
                 }
-                self.mark_slot::<RECORD>(slot);
+                for (r, reg) in p.regs.iter().enumerate() {
+                    if reg.q as usize == slot {
+                        self.reg_dirty[r / 64] |= 1u64 << (r % 64);
+                    }
+                }
+                self.mark_slot::<RECORD>(p, slot);
                 // A flipped Moore output must be reverted by the edge's
                 // change-detected redrive of every output.
                 self.force_fsm_drive = true;
@@ -1352,8 +1501,8 @@ impl<const W: usize> BatchSim<W> {
         // Reset generators assert during cycle 0; marked only on change
         // (every walk after cycle 1 re-drives the same zero).
         let reset_bit: i64 = if self.cycles == 0 { -1 } else { 0 };
-        for i in 0..self.reset_signals.len() {
-            let y = self.reset_signals[i] as usize;
+        for &y in &p.reset_signals {
+            let y = y as usize;
             let base = y * W;
             let mut out = [reset_bit; W];
             if !self.clamp_of.is_empty() && self.clamp_of[y] != u32::MAX {
@@ -1364,17 +1513,17 @@ impl<const W: usize> BatchSim<W> {
             if self.known[y] != Self::ALL || self.values[base..base + W] != out {
                 self.values[base..base + W].copy_from_slice(&out);
                 self.known[y] = Self::ALL;
-                self.mark_slot::<RECORD>(y);
+                self.mark_slot::<RECORD>(p, y);
             }
         }
 
         if let Some(profile) = self.profile.as_mut() {
             profile.walks += 1;
-            self.eval_ops::<true, RECORD>();
+            self.eval_ops::<true, RECORD>(p);
         } else {
-            self.eval_ops::<false, RECORD>();
+            self.eval_ops::<false, RECORD>(p);
         }
-        self.commit_edge::<RECORD>();
+        self.commit_edge::<RECORD>(p);
     }
 
     /// The settle phase: drains the dirty bitset in ascending (rank)
@@ -1383,7 +1532,7 @@ impl<const W: usize> BatchSim<W> {
     /// empties; rank order guarantees no earlier bit ever sets. The
     /// `PROFILE` instance also times each evaluation into its rank's
     /// row; the other carries no timing code.
-    fn eval_ops<const PROFILE: bool, const RECORD: bool>(&mut self) {
+    fn eval_ops<const PROFILE: bool, const RECORD: bool>(&mut self, p: &BatchProgram) {
         for word in 0..self.dirty.len() {
             while self.dirty[word] != 0 {
                 let bit = self.dirty[word].trailing_zeros() as usize;
@@ -1392,16 +1541,16 @@ impl<const W: usize> BatchSim<W> {
                 let oi = word * 64 + bit;
                 if PROFILE {
                     let started = Instant::now();
-                    let changed = self.eval_op::<RECORD>(oi);
+                    let changed = self.eval_op::<RECORD>(p, oi);
                     let nanos = started.elapsed().as_nanos() as u64;
-                    let rank = self.op_ranks[oi] as usize;
+                    let rank = p.op_ranks[oi] as usize;
                     let profile = self.profile.as_mut().expect("profiling enabled");
                     let row = &mut profile.ranks[rank];
                     row.evals += 1;
                     row.changes += changed as u64;
                     row.nanos += nanos;
                 } else {
-                    self.eval_op::<RECORD>(oi);
+                    self.eval_op::<RECORD>(p, oi);
                 }
             }
         }
@@ -1415,9 +1564,9 @@ impl<const W: usize> BatchSim<W> {
     /// address) as a read of that word, whether or not the word is
     /// known.
     #[inline(always)]
-    fn eval_op<const RECORD: bool>(&mut self, oi: usize) -> bool {
+    fn eval_op<const RECORD: bool>(&mut self, p: &BatchProgram, oi: usize) -> bool {
         let mut out = [0i64; W];
-        let (y, shift, kout) = match self.ops[oi] {
+        let (y, shift, kout) = match p.ops[oi] {
             BOp::Bin { kind, a, b, y, shift } => {
                 let (a, b, y) = (a as usize, b as usize, y as usize);
                 let kin = self.known[a] & self.known[b];
@@ -1525,7 +1674,7 @@ impl<const W: usize> BatchSim<W> {
                             } else {
                                 "remainder"
                             };
-                            let msg = format!("{}: {what} by zero", self.op_names[oi]);
+                            let msg = format!("{}: {what} by zero", p.op_names[oi]);
                             self.fail_lane(l, msg);
                         }
                         kin & !fail
@@ -1567,7 +1716,7 @@ impl<const W: usize> BatchSim<W> {
                     if s >= n as usize {
                         continue; // out-of-range select reads X
                     }
-                    let input = self.mux_pool[lo as usize + s] as usize;
+                    let input = p.mux_pool[lo as usize + s] as usize;
                     if self.known[input] & bit == 0 {
                         continue;
                     }
@@ -1589,7 +1738,7 @@ impl<const W: usize> BatchSim<W> {
                 out.copy_from_slice(&self.values[y * W..y * W + W]);
                 let (en_base, we_base, addr_base) = (en * W, we * W, addr * W);
                 let (ken, kwe, kaddr) = (self.known[en], self.known[we], self.known[addr]);
-                let shift = self.mems[mem].shift;
+                let MemShape { shift, size } = p.mems[mem];
                 let mut kout = 0u64;
                 let mut fast = false;
                 // Uniform fast path: every lane read-enabled, none
@@ -1606,7 +1755,7 @@ impl<const W: usize> BatchSim<W> {
                     if col.iter().all(|&v| v == col[0]) {
                         fast = true;
                         let m = &self.mems[mem];
-                        if a0 < m.size {
+                        if a0 < size {
                             out.copy_from_slice(&m.data[a0 * W..a0 * W + W]);
                             kout = m.known[a0];
                             if RECORD && self.running != 0 {
@@ -1629,11 +1778,11 @@ impl<const W: usize> BatchSim<W> {
                             continue; // X address reads X (writes fail)
                         }
                         let a = ((self.values[addr_base + l] as u64) & addr_mask) as usize;
-                        if RECORD && a < self.mems[mem].size && self.running & bit != 0 {
+                        if RECORD && a < size && self.running & bit != 0 {
                             self.note_access(mem, a, FirstAccess::Read);
                         }
                         let m = &self.mems[mem];
-                        if a >= m.size || m.known[a] & bit == 0 {
+                        if a >= size || m.known[a] & bit == 0 {
                             continue;
                         }
                         *o = m.data[a * W + l];
@@ -1656,13 +1805,13 @@ impl<const W: usize> BatchSim<W> {
         if self.known[y] != kout || self.values[base..base + W] != out {
             self.values[base..base + W].copy_from_slice(&out);
             self.known[y] = kout;
-            self.mark_slot::<RECORD>(y);
+            self.mark_slot::<RECORD>(p, y);
             return true;
         }
         false
     }
 
-    /// Commits one control unit's edge for the running lanes, one state
+    /// Commits control unit `fi`'s edge for the running lanes, one state
     /// group at a time. The running lanes are grouped by current state;
     /// each group tries its state's transitions once, in table order,
     /// over lane masks: lanes whose condition matches take the target (an
@@ -1677,17 +1826,18 @@ impl<const W: usize> BatchSim<W> {
     /// running lane's output columns hold the (clamped) Moore values of
     /// its current state — true after registration and reset, and kept
     /// by every delta. A transient flip or a
-    /// [`set_active`](Self::set_active) re-arm breaks it, so the walk
+    /// [`set_active`](BatchSim::set_active) re-arm breaks it, so the walk
     /// after one is `force`d: every output of every running lane, staying
     /// lanes included, is redriven with per-lane change detection, as the
     /// sweep engine's drive does.
     fn commit_fsm<const RECORD: bool>(
         &mut self,
+        p: &BatchProgram,
         fi: usize,
-        fsm: &BFsm,
         force: bool,
         done_mask: &mut u64,
     ) {
+        let fsm = &p.fsms[fi];
         let states = fsm.table.states();
         let col = fi * W;
         let mut rest = self.running;
@@ -1744,10 +1894,11 @@ impl<const W: usize> BatchSim<W> {
                         self.fsm_state[col + l] = to as u32;
                     }
                     if force {
-                        self.drive_outputs::<RECORD>(fsm, to, 0..fsm.outputs.len(), taken, true);
+                        let all = 0..fsm.outputs.len();
+                        self.drive_outputs::<RECORD>(p, fsm, to, all, taken, true);
                     } else {
                         let delta = fsm.deltas[from][ti].iter().map(|&j| j as usize);
-                        self.drive_outputs::<RECORD>(fsm, to, delta, taken, false);
+                        self.drive_outputs::<RECORD>(p, fsm, to, delta, taken, false);
                     }
                     if states[to].terminal {
                         *done_mask |= taken;
@@ -1757,7 +1908,8 @@ impl<const W: usize> BatchSim<W> {
             // Lanes that stay put (terminal or unmatched) redrive only on
             // forced walks.
             if force && undecided != 0 {
-                self.drive_outputs::<RECORD>(fsm, from, 0..fsm.outputs.len(), undecided, true);
+                let all = 0..fsm.outputs.len();
+                self.drive_outputs::<RECORD>(p, fsm, from, all, undecided, true);
             }
         }
     }
@@ -1769,6 +1921,7 @@ impl<const W: usize> BatchSim<W> {
     /// registration), only on a change when `force`d.
     fn drive_outputs<const RECORD: bool>(
         &mut self,
+        p: &BatchProgram,
         fsm: &BFsm,
         state: usize,
         outputs: impl Iterator<Item = usize>,
@@ -1791,7 +1944,7 @@ impl<const W: usize> BatchSim<W> {
             }
             self.known[slot] |= lanes;
             if changed {
-                self.mark_slot::<RECORD>(slot);
+                self.mark_slot::<RECORD>(p, slot);
             }
         }
     }
@@ -1801,7 +1954,7 @@ impl<const W: usize> BatchSim<W> {
     /// the same phase order as `FlatModel::commit_edge` — then the cycle
     /// counter and per-lane termination with the sweep engine's
     /// watch-beats-done priority.
-    fn commit_edge<const RECORD: bool>(&mut self) {
+    fn commit_edge<const RECORD: bool>(&mut self, p: &BatchProgram) {
         // Phase a: sample the dirty registers into scratch (all lanes;
         // commit is masked later so frozen-lane samples are
         // unobservable). The dirty set is drained fully — a register
@@ -1818,7 +1971,7 @@ impl<const W: usize> BatchSim<W> {
         }
         for &ri in &edge_regs {
             let r = ri as usize;
-            let reg = self.regs[r];
+            let reg = p.regs[r];
             let d = reg.d as usize;
             let d_base = d * W;
             let out_base = r * W;
@@ -1861,18 +2014,14 @@ impl<const W: usize> BatchSim<W> {
         }
 
         // Phase b: SRAM writes, in instance order, running lanes only.
-        for s in 0..self.srams.len() {
-            let (mem, en, we, addr, din, addr_mask) = {
-                let sr = &self.srams[s];
-                (
-                    sr.mem as usize,
-                    sr.en as usize,
-                    sr.we as usize,
-                    sr.addr as usize,
-                    sr.din as usize,
-                    sr.addr_mask,
-                )
-            };
+        for (s, sram) in p.srams.iter().enumerate() {
+            let (mem, en, we, addr, din) = (
+                sram.mem as usize,
+                sram.en as usize,
+                sram.we as usize,
+                sram.addr as usize,
+                sram.din as usize,
+            );
             // Write candidates: running lanes whose en and we are both
             // known-true. Almost every walk this is empty; scanning we
             // first means the common no-write case costs one column
@@ -1885,6 +2034,7 @@ impl<const W: usize> BatchSim<W> {
             if candidates == 0 {
                 continue;
             }
+            let MemShape { shift, size } = p.mems[mem];
             let (kaddr, kdin) = (self.known[addr], self.known[din]);
             let mut wrote = false;
             let mut m = candidates;
@@ -1893,22 +2043,18 @@ impl<const W: usize> BatchSim<W> {
                 m &= m - 1;
                 let bit = 1u64 << l;
                 if kaddr & bit == 0 {
-                    let msg = format!("{}: X address", self.srams[s].name);
-                    self.fail_lane(l, msg);
+                    self.fail_lane(l, format!("{}: X address", sram.name));
                     continue;
                 }
-                let a = ((self.values[addr * W + l] as u64) & addr_mask) as usize;
-                if a >= self.mems[mem].size {
-                    let msg = format!("{}: address {} out of range", self.srams[s].name, a);
-                    self.fail_lane(l, msg);
+                let a = ((self.values[addr * W + l] as u64) & sram.addr_mask) as usize;
+                if a >= size {
+                    self.fail_lane(l, format!("{}: address {} out of range", sram.name, a));
                     continue;
                 }
                 if kdin & bit == 0 {
-                    let msg = format!("{}: X write data", self.srams[s].name);
-                    self.fail_lane(l, msg);
+                    self.fail_lane(l, format!("{}: X write data", sram.name));
                     continue;
                 }
-                let shift = self.mems[mem].shift;
                 self.mems[mem].data[a * W + l] = canon(self.values[din * W + l], shift);
                 self.mems[mem].known[a] |= bit;
                 if RECORD {
@@ -1919,20 +2065,17 @@ impl<const W: usize> BatchSim<W> {
             // A committed write dirties the read path even though no
             // signal changed.
             if wrote {
-                let op = self.sram_read_op[s];
-                self.mark_op(op);
+                self.mark_op(p.sram_read_op[s]);
             }
         }
 
         // Phase c: FSM transitions + Moore outputs, running lanes only,
         // one state group at a time (see `commit_fsm`).
-        let fsms = std::mem::take(&mut self.fsms);
         let force = std::mem::take(&mut self.force_fsm_drive);
         let mut done_mask = 0u64;
-        for (fi, fsm) in fsms.iter().enumerate() {
-            self.commit_fsm::<RECORD>(fi, fsm, force, &mut done_mask);
+        for fi in 0..p.fsms.len() {
+            self.commit_fsm::<RECORD>(p, fi, force, &mut done_mask);
         }
-        self.fsms = fsms;
 
         // Phase d: register commit (non-blocking) for the registers
         // sampled this edge, running lanes only — a lane that failed
@@ -1941,7 +2084,7 @@ impl<const W: usize> BatchSim<W> {
         // actually changed marks its readers for the next settle.
         for &ri in &edge_regs {
             let r = ri as usize;
-            let reg = self.regs[r];
+            let reg = p.regs[r];
             let q = reg.q as usize;
             let q_base = q * W;
             let commit = self.reg_commit[r] & self.running;
@@ -1960,7 +2103,7 @@ impl<const W: usize> BatchSim<W> {
                 if self.known[q] != new_known || dst[..] != src[..] {
                     dst.copy_from_slice(src);
                     self.known[q] = new_known;
-                    self.mark_slot::<RECORD>(q);
+                    self.mark_slot::<RECORD>(p, q);
                 }
                 continue;
             }
@@ -1983,7 +2126,7 @@ impl<const W: usize> BatchSim<W> {
                 }
             }
             if changed {
-                self.mark_slot::<RECORD>(q);
+                self.mark_slot::<RECORD>(p, q);
             }
         }
         self.edge_regs = edge_regs;
@@ -1991,18 +2134,18 @@ impl<const W: usize> BatchSim<W> {
         // Phase e: watchpoint scan (first matching watch wins, as in the
         // sweep engine's scan order), running lanes only.
         let mut watch_mask = 0u64;
-        let mut watch_hits: Vec<(usize, String)> = Vec::new();
-        if !self.watches.is_empty() {
+        let mut watch_hits: Vec<(usize, &str)> = Vec::new();
+        if !p.watches.is_empty() {
             let mut m = self.running;
             while m != 0 {
                 let l = m.trailing_zeros() as usize;
                 m &= m - 1;
                 let bit = 1u64 << l;
-                for w in &self.watches {
+                for w in &p.watches {
                     let slot = w.sig as usize;
                     if self.known[slot] & bit != 0 && self.values[slot * W + l] == w.value {
                         watch_mask |= bit;
-                        watch_hits.push((l, w.name.clone()));
+                        watch_hits.push((l, &w.name));
                         break;
                     }
                 }
@@ -2022,7 +2165,7 @@ impl<const W: usize> BatchSim<W> {
                 let name = watch_hits
                     .iter()
                     .find(|(lane, _)| *lane == l)
-                    .map(|(_, n)| n.clone())
+                    .map(|(_, n)| n.to_string())
                     .expect("hit recorded");
                 self.outcomes[l] = Some(LaneOutcome::Watchpoint(name));
             } else {
@@ -2034,11 +2177,8 @@ impl<const W: usize> BatchSim<W> {
         }
     }
 
-    /// Walks the schedule until every active lane has finished, failed,
-    /// or exhausted `max_cycles`. Returns one result per lane (relative
-    /// cycle counts); inactive lanes return `None`. Lanes the previous
-    /// call stopped on its cycle budget walk on from where they stopped.
-    pub fn run_batch(&mut self, max_cycles: u64) -> BatchSummary {
+    /// See [`BatchSim::run_batch`].
+    fn run_batch(&mut self, p: &BatchProgram, max_cycles: u64) -> BatchSummary {
         for l in 0..W {
             if self.outcomes[l] == Some(LaneOutcome::CycleLimit) {
                 self.outcomes[l] = None;
@@ -2061,10 +2201,12 @@ impl<const W: usize> BatchSim<W> {
                 self.running = 0;
                 break;
             }
-            if self.record.is_some() {
-                self.walk::<true>();
+            if W > 1 && self.running.count_ones() == 1 {
+                self.run_lone_lane(p, max_cycles - (self.cycles - start));
+            } else if self.record.is_some() {
+                self.walk::<true>(p);
             } else {
-                self.walk::<false>();
+                self.walk::<false>(p);
             }
         }
         BatchSummary {
@@ -2082,33 +2224,85 @@ impl<const W: usize> BatchSim<W> {
         }
     }
 
-    /// Single-result run: lane 0's outcome in the [`CycleSummary`] shape,
-    /// with lane-0 failures surfaced as [`CycleSimError::Failed`] like
-    /// the sweep engine. A run that stops on its cycle budget can be
-    /// continued by the next call.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CycleSimError::Failed`] when lane 0 fails.
-    pub fn run(&mut self, max_cycles: u64) -> Result<CycleSummary, CycleSimError> {
-        let start_evals = self.comb_evals;
-        let summary = self.run_batch(max_cycles);
-        let lane = summary
-            .lanes
-            .first()
-            .cloned()
-            .flatten()
-            .expect("lane 0 is active");
-        let outcome = match lane.outcome {
-            LaneOutcome::Failed(m) => return Err(CycleSimError::Failed(m)),
-            LaneOutcome::Done => CycleOutcome::Done,
-            LaneOutcome::Watchpoint(name) => CycleOutcome::Watchpoint(name),
-            LaneOutcome::CycleLimit => CycleOutcome::CycleLimit,
+    /// Runs the one running lane to its end (or `max_cycles`) in a
+    /// one-lane instance of the same program, then moves it back. The
+    /// lane's values, known bits, memory words, FSM states, clamp row and
+    /// scheduled flips move over, with the cycle counter, the evaluation
+    /// count, the profile and the record. The one-lane instance starts
+    /// with everything dirty and a forced Moore drive, the re-arm
+    /// [`set_active`](Self::set_active) makes, and so does this instance
+    /// once the lane is back.
+    fn run_lone_lane(&mut self, p: &BatchProgram, max_cycles: u64) {
+        let lane = self.running.trailing_zeros() as usize;
+        let bit = 1u64 << lane;
+        let mut one = LaneState::<1>::new(p);
+        for (slot, &known) in self.known.iter().enumerate() {
+            one.values[slot] = self.values[slot * W + lane];
+            one.known[slot] = (known >> lane) & 1;
+        }
+        for (to, from) in one.mems.iter_mut().zip(&self.mems) {
+            for (addr, known) in to.known.iter_mut().enumerate() {
+                to.data[addr] = from.data[addr * W + lane];
+                *known = (from.known[addr] >> lane) & 1;
+            }
+        }
+        for (fi, state) in one.fsm_state.iter_mut().enumerate() {
+            *state = self.fsm_state[fi * W + lane];
+        }
+        one.clamp_of.clone_from(&self.clamp_of);
+        one.clamp_rows = self
+            .clamp_rows
+            .iter()
+            .map(|row| ClampRow {
+                and: [row.and[lane]],
+                or: [row.or[lane]],
+            })
+            .collect();
+        one.flips = self
+            .flips
+            .iter()
+            .filter(|flip| flip.lanes & bit != 0)
+            .map(|flip| BFlip { lanes: 1, ..*flip })
+            .collect();
+        one.force_fsm_drive = true;
+        one.cycles = self.cycles;
+        one.comb_evals = self.comb_evals;
+        one.profile = self.profile.take();
+        one.record = self.record.take();
+
+        one.run_batch(p, max_cycles);
+
+        // A lane that finished reads its freeze-frame, which may differ
+        // from the live column when it failed mid-settle.
+        let (values, known) = if one.frozen_mask != 0 {
+            (&one.frozen_vals, &one.frozen_known)
+        } else {
+            (&one.values, &one.known)
         };
-        Ok(CycleSummary {
-            outcome,
-            cycles: lane.cycles,
-            comb_evals: self.comb_evals - start_evals,
-        })
+        for (slot, k) in self.known.iter_mut().enumerate() {
+            self.values[slot * W + lane] = values[slot];
+            *k = (*k & !bit) | (known[slot] << lane);
+        }
+        if one.frozen_mask != 0 {
+            self.freeze_lane(lane);
+        }
+        for (to, from) in self.mems.iter_mut().zip(&one.mems) {
+            for (addr, known) in to.known.iter_mut().enumerate() {
+                to.data[addr * W + lane] = from.data[addr];
+                *known = (*known & !bit) | (from.known[addr] << lane);
+            }
+        }
+        for (fi, &state) in one.fsm_state.iter().enumerate() {
+            self.fsm_state[fi * W + lane] = state;
+        }
+        self.outcomes[lane] = one.outcomes[0].take();
+        self.lane_cycles[lane] = one.lane_cycles[0];
+        self.running = 0;
+        self.cycles = one.cycles;
+        self.comb_evals = one.comb_evals;
+        self.profile = one.profile.take();
+        self.record = one.record.take();
+        self.mark_all(p);
+        self.force_fsm_drive = true;
     }
 }

@@ -3,13 +3,27 @@
 
 #[cfg(test)]
 mod tests {
-    use crate::batchsim::BatchSim;
+    use crate::batchsim::{BatchProgram, BatchSim};
     use crate::cyclesim::{CycleSim, CycleSimError};
     use crate::netlist::{Instance, Netlist};
     use crate::ops::{FsmState, FsmTable, FsmTransition};
+    use std::sync::Arc;
 
     /// The level engine: the bytecode walked one lane wide.
     type Level = BatchSim<1>;
+
+    /// A level instance of `nl` with one control unit attached to its
+    /// program, the way the flow builds every level walk.
+    fn with_control_unit(
+        nl: &Netlist,
+        name: &str,
+        outputs: &[(&str, u32)],
+        table: FsmTable,
+    ) -> Level {
+        let mut program = BatchProgram::compile(nl).unwrap();
+        program.add_control_unit(name, &[], outputs, table).unwrap();
+        Level::new(Arc::new(program))
+    }
 
     /// One clock cycle.
     fn step(sim: &mut Level) {
@@ -100,9 +114,9 @@ mod tests {
             Instance::new("inc3", "add").with_param("width", 8)
                 .with_conn("a", "c").with_conn("b", "b").with_conn("y", "d"),
         );
-        let level = Level::from_netlist(&nl).unwrap();
-        assert_eq!(level.rank_count(), 3);
-        for entry in level.rank_table() {
+        let program = BatchProgram::compile(&nl).unwrap();
+        assert_eq!(program.rank_count(), 3);
+        for entry in program.rank_table() {
             for (source, source_rank) in &entry.sources {
                 assert!(
                     entry.rank > *source_rank,
@@ -162,8 +176,7 @@ mod tests {
             )
             .unwrap()
         };
-        let mut level = Level::from_netlist(&nl).unwrap();
-        level.add_control_unit("fsm0", &[], &[("ctl", 8)], table()).unwrap();
+        let mut level = with_control_unit(&nl, "fsm0", &[("ctl", 8)], table());
         let mut cycle = CycleSim::from_netlist(&nl).unwrap();
         cycle.add_control_unit("fsm0", &[], &[("ctl", 8)], table()).unwrap();
         let l = level.run(100).unwrap();
@@ -212,15 +225,12 @@ mod tests {
             4,
         )
         .unwrap();
-        let mut level = Level::from_netlist(&nl).unwrap();
-        level
-            .add_control_unit(
-                "ctl0",
-                &[],
-                &[("en", 1), ("we", 1), ("addr", 8), ("din", 8)],
-                table,
-            )
-            .unwrap();
+        let mut level = with_control_unit(
+            &nl,
+            "ctl0",
+            &[("en", 1), ("we", 1), ("addr", 8), ("din", 8)],
+            table,
+        );
         step(&mut level); // write commits 0x55 @ 2, FSM moves to "read"
         assert_eq!(level.snapshot_mem("m0", 0).unwrap()[2], Some(0x55));
         step(&mut level); // read phase settles with we = 0

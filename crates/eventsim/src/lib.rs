@@ -22,9 +22,10 @@
 //!   the kernel-vs-baseline ablation benchmark, and the independent
 //!   reference the bytecode engine is checked against.
 //! * [`batchsim`] — the compiled engine: levelizes the combinational
-//!   netlist at build time, flattens the rank schedule into bytecode, and
-//!   walks it with a dirty bitset over `W` stimulus lanes. `BatchSim<1>`
-//!   is the level engine, `BatchSim<LANES>` the 64-lane batch engine.
+//!   netlist once into a bytecode program (`BatchProgram`), and walks it
+//!   with a dirty bitset over `W` stimulus lanes of per-walk state.
+//!   `BatchSim<1>` is the level engine, `BatchSim<LANES>` the 64-lane
+//!   batch engine.
 //! * [`profile`] — opt-in per-component evaluation timing through
 //!   [`KernelHook`]; strictly zero cost unless installed.
 //!

@@ -15,12 +15,15 @@
 //! combinational signals, design failures, and cycle-limit exhaustion in
 //! one run.
 
-use eventsim::batchsim::{BatchSim, FirstAccess, LaneOutcome, LaneResult, SignalBits, LANES};
+use eventsim::batchsim::{
+    BatchProgram, BatchSim, FirstAccess, LaneOutcome, LaneResult, SignalBits, LANES,
+};
 use eventsim::cyclesim::{CycleOutcome, CycleSim, CycleSimError, CycleSummary};
 use eventsim::netlist::{Instance, Netlist};
 use eventsim::ops::{FsmState, FsmTable, FsmTransition};
 use eventsim::Value;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 const WIDTH: u32 = 16;
 const MAX_CYCLES: u64 = 60;
@@ -264,6 +267,25 @@ fn cycle_reference(nl: &Netlist, fault: Fault) -> LaneSnapshot {
     }
 }
 
+/// A fresh instance of `nl`, built the way the flow builds every level
+/// and batch walk: compile the program, attach its control units with
+/// `attach`, then instantiate it.
+fn instance<const W: usize>(
+    nl: &Netlist,
+    attach: impl FnOnce(&mut BatchProgram) -> Result<(), CycleSimError>,
+) -> BatchSim<W> {
+    let mut program = BatchProgram::compile(nl).expect("netlist builds");
+    attach(&mut program).expect("control unit attaches");
+    BatchSim::new(Arc::new(program))
+}
+
+/// An instance of the lane-parity netlist with its `ctl` unit.
+fn ctl_instance<const W: usize>(nl: &Netlist) -> BatchSim<W> {
+    instance(nl, |p| {
+        p.add_control_unit("ctl", &["wen"], &[("fsm_out", WIDTH)], control_table())
+    })
+}
+
 /// Injects `fault` into `lane` of a bytecode engine of any width.
 fn inject_lane<const W: usize>(sim: &mut BatchSim<W>, fault: Fault, lane: usize) {
     match fault {
@@ -283,9 +305,7 @@ fn inject_lane<const W: usize>(sim: &mut BatchSim<W>, fault: Fault, lane: usize)
 
 /// Runs one configuration through a fresh one-lane walk.
 fn one_lane_reference(nl: &Netlist, fault: Fault) -> LaneSnapshot {
-    let mut sim = BatchSim::<1>::from_netlist(nl).expect("netlist builds");
-    sim.add_control_unit("ctl", &["wen"], &[("fsm_out", WIDTH)], control_table())
-        .expect("control unit attaches");
+    let mut sim = ctl_instance::<1>(nl);
     inject_lane(&mut sim, fault, 0);
     let preload: Vec<Option<i64>> = PRELOAD.iter().copied().map(Some).collect();
     assert!(sim.load_mem_all("m0", &preload));
@@ -316,10 +336,7 @@ fn every_lane_matches_a_fresh_sequential_run() {
     let nl = build_netlist();
     let plan = fault_plan();
 
-    let mut batch = BatchSim::<LANES>::from_netlist(&nl).expect("netlist builds");
-    batch
-        .add_control_unit("ctl", &["wen"], &[("fsm_out", WIDTH)], control_table())
-        .expect("control unit attaches");
+    let mut batch = ctl_instance::<LANES>(&nl);
     for lane in 0..LANES {
         inject_lane(
             &mut batch,
@@ -712,9 +729,9 @@ fn divergent_cycle(nl: &Netlist, lane: &DivLane) -> LaneSnapshot {
 /// Loads every lane's images and flip into a divergent-control engine
 /// and runs it: lane `l` of the engine gets `lanes[l]`.
 fn divergent_batch<const W: usize>(nl: &Netlist, lanes: &[DivLane]) -> Vec<LaneSnapshot> {
-    let mut sim = BatchSim::<W>::from_netlist(nl).expect("netlist builds");
-    sim.add_control_unit("ctl", &DIV_CONDITIONS, &DIV_OUTPUTS, divergent_table())
-        .expect("control unit attaches");
+    let mut sim = instance::<W>(nl, |p| {
+        p.add_control_unit("ctl", &DIV_CONDITIONS, &DIV_OUTPUTS, divergent_table())
+    });
     for (l, lane) in lanes.iter().enumerate() {
         if let Some(cycle) = lane.flip {
             assert!(sim
@@ -854,14 +871,14 @@ fn record_table() -> FsmTable {
 }
 
 fn record_sim<const W: usize>(record: bool) -> BatchSim<W> {
-    let mut sim = BatchSim::<W>::from_netlist(&record_netlist()).expect("netlist builds");
-    sim.add_control_unit(
-        "ctl",
-        &[],
-        &[("fo", 4), ("en", 1), ("we", 1), ("addr", 2)],
-        record_table(),
-    )
-    .expect("control unit attaches");
+    let mut sim = instance::<W>(&record_netlist(), |p| {
+        p.add_control_unit(
+            "ctl",
+            &[],
+            &[("fo", 4), ("en", 1), ("we", 1), ("addr", 2)],
+            record_table(),
+        )
+    });
     if record {
         sim.enable_record();
     }
@@ -942,9 +959,7 @@ fn recording_changes_no_result() {
     fn run<const W: usize>(record: bool) -> (Vec<LaneSnapshot>, u64) {
         let nl = build_netlist();
         let plan = fault_plan();
-        let mut sim = BatchSim::<W>::from_netlist(&nl).expect("netlist builds");
-        sim.add_control_unit("ctl", &["wen"], &[("fsm_out", WIDTH)], control_table())
-            .expect("control unit attaches");
+        let mut sim = ctl_instance::<W>(&nl);
         for lane in 0..W {
             inject_lane(&mut sim, plan.get(lane).copied().unwrap_or(Fault::None), lane);
         }
@@ -961,4 +976,358 @@ fn recording_changes_no_result() {
     }
     assert_eq!(run::<1>(true), run::<1>(false));
     assert_eq!(run::<LANES>(true), run::<LANES>(false));
+}
+
+/// Words in the lone-lane design's `log` memory.
+const LOG_WORDS: usize = 8;
+
+/// The lone-lane design: a counter counts up to a per-lane limit read
+/// from `limits`, logging `cnt ^ key` into `log` as it goes, then tests
+/// bit 0 of the word in `aux` and halts. A lane with a high limit runs
+/// long after the rest of the pack has finished, and a lane whose `aux`
+/// word is X fails on its X condition at the end.
+fn lone_netlist() -> Netlist {
+    let mut nl = Netlist::new("lone");
+    for (name, width) in [
+        ("clk", 1),
+        ("rst", 1),
+        ("cnt", 16),
+        ("nxt", 16),
+        ("one", 16),
+        ("zero", 16),
+        ("seven", 16),
+        ("key", 16),
+        ("hi", 1),
+        ("lo", 1),
+        ("lim", 16),
+        ("more", 1),
+        ("auxw", 16),
+        ("tail", 1),
+        ("tag", 16),
+        ("lowaddr", 16),
+        ("inc", 1),
+        ("wen", 1),
+        ("logout", 16),
+        ("unused", 16),
+    ] {
+        nl.add_signal(name, width);
+    }
+    nl.add_instance(
+        Instance::new("clock0", "clock")
+            .with_param("period", 10)
+            .with_conn("y", "clk"),
+    );
+    nl.add_instance(Instance::new("reset0", "reset").with_conn("y", "rst"));
+    for (name, width, value, y) in [
+        ("c_one", 16, 1, "one"),
+        ("c_zero", 16, 0, "zero"),
+        ("c_seven", 16, 7, "seven"),
+        ("c_key", 16, 0x5A, "key"),
+        ("c_hi", 1, 1, "hi"),
+        ("c_lo", 1, 0, "lo"),
+    ] {
+        nl.add_instance(
+            Instance::new(name, "const")
+                .with_param("width", width)
+                .with_param("value", value)
+                .with_conn("y", y),
+        );
+    }
+    nl.add_instance(
+        Instance::new("cnt0", "reg")
+            .with_param("width", 16)
+            .with_conn("clk", "clk")
+            .with_conn("d", "nxt")
+            .with_conn("q", "cnt")
+            .with_conn("en", "inc")
+            .with_conn("rst", "rst"),
+    );
+    for (name, kind, width, a, b, y) in [
+        ("step", "add", 16, "cnt", "one", "nxt"),
+        ("cmp", "lt", 16, "cnt", "lim", "more"),
+        ("bit0", "and", 1, "auxw", "one", "tail"),
+        ("tagger", "xor", 16, "cnt", "key", "tag"),
+        ("lowa", "and", 16, "cnt", "seven", "lowaddr"),
+    ] {
+        nl.add_instance(
+            Instance::new(name, kind)
+                .with_param("width", width)
+                .with_conn("a", a)
+                .with_conn("b", b)
+                .with_conn("y", y),
+        );
+    }
+    for (name, size, we, addr, din, dout) in [
+        ("limits", 2, "lo", "zero", "zero", "lim"),
+        ("aux", 2, "lo", "zero", "zero", "auxw"),
+        ("log", LOG_WORDS as i64, "wen", "lowaddr", "tag", "logout"),
+    ] {
+        nl.add_instance(
+            Instance::new(name, "sram")
+                .with_param("width", 16)
+                .with_param("size", size)
+                .with_conn("clk", "clk")
+                .with_conn("en", "hi")
+                .with_conn("we", we)
+                .with_conn("addr", addr)
+                .with_conn("din", din)
+                .with_conn("dout", dout),
+        );
+    }
+    nl
+}
+
+/// `boot` → `count` (while `more`, incrementing and logging) → `check`
+/// (tests `tail`, so an X `aux` word fails here) → terminal `halt`.
+fn lone_table() -> FsmTable {
+    let states = vec![
+        FsmState {
+            name: "boot".to_string(),
+            outputs: vec![],
+            transitions: vec![FsmTransition {
+                condition: None,
+                target: 1,
+            }],
+            terminal: false,
+        },
+        FsmState {
+            name: "count".to_string(),
+            outputs: vec![(0, 1), (1, 1)],
+            transitions: vec![
+                FsmTransition {
+                    condition: Some((0, true)),
+                    target: 1,
+                },
+                FsmTransition {
+                    condition: None,
+                    target: 2,
+                },
+            ],
+            terminal: false,
+        },
+        FsmState {
+            name: "check".to_string(),
+            outputs: vec![],
+            transitions: vec![
+                FsmTransition {
+                    condition: Some((1, true)),
+                    target: 3,
+                },
+                FsmTransition {
+                    condition: None,
+                    target: 3,
+                },
+            ],
+            terminal: false,
+        },
+        FsmState {
+            name: "halt".to_string(),
+            outputs: vec![],
+            transitions: vec![],
+            terminal: true,
+        },
+    ];
+    FsmTable::new(states, 2, 2).expect("table validates")
+}
+
+const LONE_PROBES: [&str; 9] = [
+    "cnt", "nxt", "lim", "more", "tail", "tag", "lowaddr", "inc", "wen",
+];
+
+/// The lane that runs alone.
+const LONE: usize = 37;
+
+/// The lone lane's first budget ends while it runs alone; the second
+/// lets it finish.
+const LONE_BUDGETS: [u64; 2] = [120, 1000];
+
+/// One lane of the lone-lane test: its limit, its `aux` word, and its
+/// faults.
+#[derive(Debug, Clone)]
+struct LoneLane {
+    limit: i64,
+    aux: Option<i64>,
+    faults: Vec<Fault>,
+}
+
+fn lone_lanes() -> Vec<LoneLane> {
+    (0..LANES)
+        .map(|l| match l {
+            // Counts to 200 alone: a stuck-at on the logged tag, flips on
+            // the counter in both budgets, then an X condition.
+            LONE => LoneLane {
+                limit: 200,
+                aux: None,
+                faults: vec![
+                    Fault::Stuck("tag", 9, true),
+                    Fault::Flip("cnt", 2, 100),
+                    Fault::Flip("cnt", 0, 130),
+                ],
+            },
+            // The same slot clamped the other way in another lane, and
+            // an early flip: the lone lane must take only its own rows.
+            3 => LoneLane {
+                limit: 5,
+                aux: Some(1),
+                faults: vec![Fault::Stuck("tag", 9, false), Fault::Flip("cnt", 0, 2)],
+            },
+            _ => LoneLane {
+                limit: 3 + (l % 7) as i64,
+                aux: Some((l % 2) as i64),
+                faults: Vec::new(),
+            },
+        })
+        .collect()
+}
+
+/// Runs `lanes` (lane `l` of the engine gets `lanes[l]`) through the
+/// lone-lane design with both budgets, returning every lane's snapshot
+/// after each budget and the evaluation count.
+fn lone_batch<const W: usize>(
+    lanes: &[LoneLane],
+    profile: bool,
+) -> (Vec<[LaneSnapshot; 2]>, u64, BatchSim<W>) {
+    let mut sim = instance::<W>(&lone_netlist(), |p| {
+        p.add_control_unit(
+            "ctl",
+            &["more", "tail"],
+            &[("inc", 1), ("wen", 1)],
+            lone_table(),
+        )
+    });
+    for (l, lane) in lanes.iter().enumerate() {
+        for &fault in &lane.faults {
+            inject_lane(&mut sim, fault, l);
+        }
+        assert!(sim.load_mem("limits", l, &[Some(lane.limit), Some(0)]));
+        assert!(sim.load_mem("aux", l, &[lane.aux, Some(0)]));
+    }
+    if profile {
+        sim.enable_profile();
+    }
+    let mut snapshots: Vec<Vec<LaneSnapshot>> = vec![Vec::new(); lanes.len()];
+    for budget in LONE_BUDGETS {
+        let summary = sim.run_batch(budget);
+        for (l, snaps) in snapshots.iter_mut().enumerate() {
+            let result = summary.lanes[l].as_ref().expect("lane is active");
+            snaps.push(LaneSnapshot {
+                outcome: result.outcome.clone(),
+                cycles: result.cycles,
+                values: LONE_PROBES
+                    .iter()
+                    .map(|name| (name.to_string(), sim.value_lane(name, l)))
+                    .collect(),
+                mem: sim.snapshot_mem("log", l).expect("sram exists"),
+            });
+        }
+    }
+    let snapshots = snapshots
+        .into_iter()
+        .map(|s| s.try_into().expect("one snapshot per budget"))
+        .collect();
+    let evals = sim.comb_evals();
+    (snapshots, evals, sim)
+}
+
+/// Runs one lone-lane configuration through a fresh cycle engine, with
+/// both budgets; a lane that finished in the first keeps its outcome.
+fn lone_cycle(lane: &LoneLane) -> [LaneSnapshot; 2] {
+    let mut sim = CycleSim::from_netlist(&lone_netlist()).expect("netlist builds");
+    sim.add_control_unit(
+        "ctl",
+        &["more", "tail"],
+        &[("inc", 1), ("wen", 1)],
+        lone_table(),
+    )
+    .expect("control unit attaches");
+    for &fault in &lane.faults {
+        let injected = match fault {
+            Fault::None => Ok(true),
+            Fault::Stuck(signal, bit, value) => sim.inject_stuck_at(signal, bit, value),
+            Fault::Flip(signal, bit, cycle) => sim.inject_transient_flip(signal, bit, cycle),
+        };
+        assert!(injected.expect("injects"));
+    }
+    sim.mem("limits").expect("sram exists").fill([lane.limit, 0]);
+    let aux = sim.mem("aux").expect("sram exists");
+    aux.fill([0, 0]);
+    match lane.aux {
+        Some(word) => aux.store(0, word),
+        None => aux.clear(0),
+    }
+    let mut finished: Option<LaneOutcome> = None;
+    LONE_BUDGETS.map(|budget| {
+        let (outcome, cycles) = match &finished {
+            Some(outcome) => (outcome.clone(), 0),
+            None => {
+                let start = sim.cycles();
+                match sim.run(budget) {
+                    Ok(summary) => (
+                        match summary.outcome {
+                            CycleOutcome::Done => LaneOutcome::Done,
+                            CycleOutcome::Watchpoint(name) => LaneOutcome::Watchpoint(name),
+                            CycleOutcome::CycleLimit => LaneOutcome::CycleLimit,
+                        },
+                        summary.cycles,
+                    ),
+                    Err(CycleSimError::Failed(m)) => (LaneOutcome::Failed(m), sim.cycles() - start),
+                    Err(e) => panic!("unexpected cycle-engine error: {e}"),
+                }
+            }
+        };
+        if outcome != LaneOutcome::CycleLimit {
+            finished = Some(outcome.clone());
+        }
+        LaneSnapshot {
+            outcome,
+            cycles,
+            values: LONE_PROBES
+                .iter()
+                .map(|name| (name.to_string(), sim.value(name)))
+                .collect(),
+            mem: sim.mem("log").expect("sram exists").snapshot(),
+        }
+    })
+}
+
+/// A pack whose one remaining lane runs alone for most of the run
+/// finishes that lane one lane wide. The lone lane carries a stuck-at
+/// clamp, transient flips after it was left alone, a budget that ends
+/// while it runs alone (and a resumed run), and an X-condition failure
+/// at its end. Every lane, after each budget, equals a fresh one-lane
+/// run and a fresh cycle-engine run, and profiling changes no evaluation
+/// count.
+#[test]
+fn a_lone_lane_finishes_like_a_fresh_one_lane_run() {
+    let lanes = lone_lanes();
+    let (batch, evals, _) = lone_batch::<LANES>(&lanes, false);
+
+    for (l, (lane, got)) in lanes.iter().zip(&batch).enumerate() {
+        let (one_lane, _, _) = lone_batch::<1>(std::slice::from_ref(lane), false);
+        assert_eq!(got, &one_lane[0], "lane {l} ({lane:?}) diverges from a one-lane walk");
+        assert_eq!(got, &lone_cycle(lane), "lane {l} ({lane:?}) diverges from the cycle engine");
+    }
+    // The scenario holds: the rest of the pack finishes early, the lone
+    // lane outlives the first budget and fails on its X condition.
+    for (l, [first, _]) in batch.iter().enumerate().filter(|(l, _)| *l != LONE) {
+        assert_eq!(first.outcome, LaneOutcome::Done, "lane {l}");
+        assert!(first.cycles < 20, "lane {l} ends early: {}", first.cycles);
+    }
+    let [first, second] = &batch[LONE];
+    assert_eq!(first.outcome, LaneOutcome::CycleLimit);
+    assert_eq!(first.cycles, LONE_BUDGETS[0]);
+    assert_eq!(
+        second.outcome,
+        LaneOutcome::Failed("ctl: X condition in state 'check'".to_string())
+    );
+    assert!(second.cycles > 50, "the lone lane runs on: {}", second.cycles);
+
+    // Profiling only observes, and the rank rows account for every
+    // evaluation, across the narrowing and back.
+    let (profiled, profiled_evals, sim) = lone_batch::<LANES>(&lanes, true);
+    assert_eq!(profiled, batch);
+    assert_eq!(profiled_evals, evals);
+    let profile = sim.profile().expect("profiling enabled");
+    let rank_evals: u64 = profile.ranks.iter().map(|row| row.evals).sum();
+    assert_eq!(rank_evals, evals);
 }

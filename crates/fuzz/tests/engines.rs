@@ -211,10 +211,10 @@ fn rank_tables(case: &Case) -> Vec<Vec<eventsim::batchsim::RankEntry>> {
         .iter()
         .map(|config| {
             let dp_doc = nenya::xml::emit_datapath(&config.datapath);
-            let hds = xform::apply(&xform::stylesheets::datapath_to_hds(), dp_doc.root())
+            let hds = xform::apply(xform::stylesheets::datapath_to_hds(), dp_doc.root())
                 .expect("datapath stylesheet applies");
             let netlist = eventsim::hds::parse(&hds).expect("stylesheet output parses");
-            eventsim::batchsim::BatchSim::<1>::from_netlist(&netlist)
+            eventsim::batchsim::BatchProgram::compile(&netlist)
                 .expect("generated datapaths are acyclic")
                 .rank_table()
         })

@@ -10,6 +10,7 @@
 
 use crate::ast::Stylesheet;
 use crate::dsl::parse_stylesheet;
+use std::sync::OnceLock;
 
 /// Source of the `datapath.xml → .hds` stylesheet.
 pub const DATAPATH_TO_HDS_SRC: &str = r##"
@@ -169,43 +170,54 @@ template cell {
 }
 "##;
 
-fn stock(source: &str, what: &str) -> Stylesheet {
-    parse_stylesheet(source).unwrap_or_else(|e| panic!("stock stylesheet '{what}' is broken: {e}"))
+/// Parses a stock stylesheet once per process; later calls share it.
+fn stock(cell: &'static OnceLock<Stylesheet>, source: &str, what: &str) -> &'static Stylesheet {
+    cell.get_or_init(|| {
+        parse_stylesheet(source)
+            .unwrap_or_else(|e| panic!("stock stylesheet '{what}' is broken: {e}"))
+    })
 }
 
 /// The `datapath.xml → .hds` stylesheet.
-pub fn datapath_to_hds() -> Stylesheet {
-    stock(DATAPATH_TO_HDS_SRC, "datapath_to_hds")
+pub fn datapath_to_hds() -> &'static Stylesheet {
+    static SHEET: OnceLock<Stylesheet> = OnceLock::new();
+    stock(&SHEET, DATAPATH_TO_HDS_SRC, "datapath_to_hds")
 }
 
 /// The `datapath.xml → .dot` stylesheet.
-pub fn datapath_to_dot() -> Stylesheet {
-    stock(DATAPATH_TO_DOT_SRC, "datapath_to_dot")
+pub fn datapath_to_dot() -> &'static Stylesheet {
+    static SHEET: OnceLock<Stylesheet> = OnceLock::new();
+    stock(&SHEET, DATAPATH_TO_DOT_SRC, "datapath_to_dot")
 }
 
 /// The `fsm.xml → behavioral source` stylesheet.
-pub fn fsm_to_behavior() -> Stylesheet {
-    stock(FSM_TO_BEHAVIOR_SRC, "fsm_to_behavior")
+pub fn fsm_to_behavior() -> &'static Stylesheet {
+    static SHEET: OnceLock<Stylesheet> = OnceLock::new();
+    stock(&SHEET, FSM_TO_BEHAVIOR_SRC, "fsm_to_behavior")
 }
 
 /// The `fsm.xml → .dot` stylesheet.
-pub fn fsm_to_dot() -> Stylesheet {
-    stock(FSM_TO_DOT_SRC, "fsm_to_dot")
+pub fn fsm_to_dot() -> &'static Stylesheet {
+    static SHEET: OnceLock<Stylesheet> = OnceLock::new();
+    stock(&SHEET, FSM_TO_DOT_SRC, "fsm_to_dot")
 }
 
 /// The `rtg.xml → controller source` stylesheet.
-pub fn rtg_to_controller() -> Stylesheet {
-    stock(RTG_TO_CONTROLLER_SRC, "rtg_to_controller")
+pub fn rtg_to_controller() -> &'static Stylesheet {
+    static SHEET: OnceLock<Stylesheet> = OnceLock::new();
+    stock(&SHEET, RTG_TO_CONTROLLER_SRC, "rtg_to_controller")
 }
 
 /// The `rtg.xml → .dot` stylesheet.
-pub fn rtg_to_dot() -> Stylesheet {
-    stock(RTG_TO_DOT_SRC, "rtg_to_dot")
+pub fn rtg_to_dot() -> &'static Stylesheet {
+    static SHEET: OnceLock<Stylesheet> = OnceLock::new();
+    stock(&SHEET, RTG_TO_DOT_SRC, "rtg_to_dot")
 }
 
 /// The `datapath.xml → Verilog skeleton` stylesheet.
-pub fn datapath_to_verilog() -> Stylesheet {
-    stock(DATAPATH_TO_VERILOG_SRC, "datapath_to_verilog")
+pub fn datapath_to_verilog() -> &'static Stylesheet {
+    static SHEET: OnceLock<Stylesheet> = OnceLock::new();
+    stock(&SHEET, DATAPATH_TO_VERILOG_SRC, "datapath_to_verilog")
 }
 
 #[cfg(test)]
@@ -269,9 +281,9 @@ mod tests {
         </rtg>
     "##;
 
-    fn run(sheet: Stylesheet, xml: &str) -> String {
+    fn run(sheet: &Stylesheet, xml: &str) -> String {
         let doc = Document::parse(xml).unwrap();
-        apply(&sheet, doc.root()).unwrap()
+        apply(sheet, doc.root()).unwrap()
     }
 
     #[test]
@@ -354,5 +366,12 @@ mod tests {
             rtg_to_controller(),
             rtg_to_dot(),
         );
+    }
+
+    #[test]
+    fn stock_sheets_are_parsed_once_per_process() {
+        assert!(std::ptr::eq(datapath_to_hds(), datapath_to_hds()));
+        assert!(std::ptr::eq(fsm_to_behavior(), fsm_to_behavior()));
+        assert!(!std::ptr::eq(datapath_to_hds(), datapath_to_dot()));
     }
 }

@@ -93,14 +93,14 @@ fn stock_stylesheets_apply_to_all_real_dialect_documents() {
             xform::stylesheets::datapath_to_hds(),
             xform::stylesheets::datapath_to_dot(),
         ] {
-            let out = xform::apply(&sheet, dp_doc.root()).expect("applies");
+            let out = xform::apply(sheet, dp_doc.root()).expect("applies");
             assert!(!out.is_empty());
         }
         for sheet in [
             xform::stylesheets::fsm_to_behavior(),
             xform::stylesheets::fsm_to_dot(),
         ] {
-            let out = xform::apply(&sheet, fsm_doc.root()).expect("applies");
+            let out = xform::apply(sheet, fsm_doc.root()).expect("applies");
             assert!(!out.is_empty());
         }
     }
@@ -109,7 +109,7 @@ fn stock_stylesheets_apply_to_all_real_dialect_documents() {
         xform::stylesheets::rtg_to_controller(),
         xform::stylesheets::rtg_to_dot(),
     ] {
-        let out = xform::apply(&sheet, rtg_doc.root()).expect("applies");
+        let out = xform::apply(sheet, rtg_doc.root()).expect("applies");
         assert!(out.contains("c0") && out.contains("c1"));
     }
 }

@@ -41,12 +41,12 @@
 //! defaults to 2 and the reported wall-clock is the best of the
 //! repeats).
 
-use bench::{fdct_flow, run_checked_recorded};
+use bench::{fdct_flow, run_checked};
 use fpgafuzz::rng::Rng;
 use fpgatest::flow::{prepare_design, BatchLaneSpec, Engine, FlowOptions, TestReport};
 use fpgatest::stimulus::Stimulus;
 use fpgatest::suite::{load_manifest, CaseResult, SuiteReport};
-use fpgatest::telemetry::{self, Json, Recorder};
+use fpgatest::telemetry::{self, Json, SpanSink};
 use fpgatest::workloads;
 use nenya::schedule::SchedulePolicy;
 use nenya::CompileOptions;
@@ -129,7 +129,7 @@ fn main() -> ExitCode {
     }
 
     println!("engine ablation (FDCT1): event kernel vs cycle sweeper vs compiled bytecode\n");
-    let mut recorder = Recorder::new();
+    let spans = SpanSink::recording();
     let mut reports = Vec::new();
     let mut comparison_rows = Vec::new();
     let mut disagreement = false;
@@ -137,11 +137,15 @@ fn main() -> ExitCode {
         let mut rows: Vec<EngineRow> = Vec::new();
         for engine in Engine::ALL {
             let label = format!("fdct1_{px}px_{engine}");
-            let flow = fdct_flow(px, 1, SchedulePolicy::List).with_engine(engine);
+            let flow = fdct_flow(px, 1, SchedulePolicy::List)
+                .with_engine(engine)
+                .with_spans(spans.clone());
             // Best-of-`repeat` wall-clock; counters asserted stable.
             let mut best: Option<(f64, TestReport)> = None;
             for _ in 0..repeat {
-                let report = run_checked_recorded(&flow, &mut recorder, &label);
+                let span = spans.start(format_args!("case.{label}"));
+                let report = run_checked(&flow);
+                spans.end(span);
                 let wall = report.runs[0].summary.wall_seconds;
                 if let Some((_, prev)) = &best {
                     assert_eq!(
@@ -349,7 +353,7 @@ fn main() -> ExitCode {
             .map(|(name, report)| (name, CaseResult::Finished(report)))
             .collect(),
     };
-    let mut json = telemetry::suite_json(&suite, &recorder);
+    let mut json = telemetry::suite_json(&suite, &spans.take());
     if let Json::Obj(pairs) = &mut json {
         pairs.push((
             "ablation_bench".to_string(),

@@ -24,10 +24,10 @@
 //! best of the repeats — the standard estimator under scheduler noise —
 //! and the counters are additionally asserted identical across repeats.
 
-use bench::{fdct_flow, run_checked_recorded};
+use bench::{fdct_flow, run_checked};
 use fpgatest::ledger::{self, LedgerEntry};
 use fpgatest::suite::{CaseResult, SuiteReport};
-use fpgatest::telemetry::{self, Json, Recorder};
+use fpgatest::telemetry::{self, Json, SpanSink};
 use nenya::schedule::SchedulePolicy;
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -124,7 +124,7 @@ fn main() -> ExitCode {
     };
 
     println!("event-kernel benchmark (FDCT1) vs checked-in baseline\n");
-    let mut recorder = Recorder::new();
+    let spans = SpanSink::recording();
     let mut reports = Vec::new();
     let mut comparison_rows = Vec::new();
     let mut drift = false;
@@ -138,11 +138,10 @@ fn main() -> ExitCode {
         // Best-of-`repeat`: minimum wall-clock, counters asserted stable.
         let mut best: Option<(f64, fpgatest::flow::TestReport)> = None;
         for _ in 0..repeat {
-            let report = run_checked_recorded(
-                &fdct_flow(px, 1, SchedulePolicy::List),
-                &mut recorder,
-                &label,
-            );
+            let span = spans.start(format_args!("case.{label}"));
+            let flow = fdct_flow(px, 1, SchedulePolicy::List).with_spans(spans.clone());
+            let report = run_checked(&flow);
+            spans.end(span);
             let wall = report.runs[0].summary.wall_seconds;
             if let Some((_, prev)) = &best {
                 assert_eq!(
@@ -214,7 +213,7 @@ fn main() -> ExitCode {
             .map(|(name, report)| (name, CaseResult::Finished(report)))
             .collect(),
     };
-    let mut json = telemetry::suite_json(&suite, &recorder);
+    let mut json = telemetry::suite_json(&suite, &spans.take());
     if let Json::Obj(pairs) = &mut json {
         pairs.push((
             "kernel_bench".to_string(),

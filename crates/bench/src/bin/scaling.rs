@@ -12,10 +12,9 @@
 //! entry per size (`fdct1_<pixels>px`).
 
 use bench::{
-    fdct_flow, render_comparisons, run_checked_recorded, take_metrics_out, write_metrics_json,
-    Comparison,
+    fdct_flow, render_comparisons, run_checked, take_metrics_out, write_metrics_json, Comparison,
 };
-use fpgatest::telemetry::Recorder;
+use fpgatest::telemetry::SpanSink;
 use nenya::schedule::SchedulePolicy;
 
 fn main() {
@@ -29,14 +28,16 @@ fn main() {
     let paper: &[(usize, f64)] = &[(4096, 6.9), (65_536, 60.0), (345_600, 390.0)];
 
     println!("FDCT1 simulation time vs image size (event-driven kernel)\n");
-    let mut recorder = Recorder::new();
+    let spans = SpanSink::recording();
     let mut reports = Vec::new();
     let mut rows = Vec::new();
     let mut points = Vec::new();
     for &pixels in &sizes {
         let label = format!("fdct1_{pixels}px");
-        let report =
-            run_checked_recorded(&fdct_flow(pixels, 1, SchedulePolicy::List), &mut recorder, &label);
+        let span = spans.start(format_args!("case.{label}"));
+        let flow = fdct_flow(pixels, 1, SchedulePolicy::List).with_spans(spans.clone());
+        let report = run_checked(&flow);
+        spans.end(span);
         let seconds = report.metrics.total_sim_seconds();
         let cycles = report.metrics.total_cycles();
         reports.push((label, report));
@@ -74,7 +75,7 @@ fn main() {
     );
 
     if let Some(path) = metrics_out {
-        write_metrics_json(&path, reports, &recorder)
+        write_metrics_json(&path, reports, &spans.take())
             .unwrap_or_else(|e| panic!("cannot write {}: {e}", path.display()));
         println!("metrics written to {}", path.display());
     }

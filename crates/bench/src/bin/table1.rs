@@ -9,11 +9,12 @@
 //! `--metrics-out` writes the `fpgatest-metrics-v1` JSON report).
 
 use bench::{
-    fdct_flow, hamming_flow, render_comparisons, run_checked_recorded, take_metrics_out,
+    fdct_flow, hamming_flow, render_comparisons, run_checked, take_metrics_out,
     write_metrics_json, Comparison,
 };
+use fpgatest::flow::TestFlow;
 use fpgatest::metrics::render_table1;
-use fpgatest::telemetry::Recorder;
+use fpgatest::telemetry::SpanSink;
 use nenya::schedule::SchedulePolicy;
 
 fn main() {
@@ -30,10 +31,18 @@ fn main() {
 
     println!("regenerating Table I (fdct over {pixels} pixels, hamming over {words} words)\n");
 
-    let mut recorder = Recorder::new();
-    let fdct1 = run_checked_recorded(&fdct_flow(pixels, 1, SchedulePolicy::List), &mut recorder, "fdct1");
-    let fdct2 = run_checked_recorded(&fdct_flow(pixels, 2, SchedulePolicy::List), &mut recorder, "fdct2");
-    let hamming = run_checked_recorded(&hamming_flow(words), &mut recorder, "hamming");
+    // Each flow's stage spans nest under a `case.<label>` span, as in a
+    // manifest run.
+    let spans = SpanSink::recording();
+    let run = |flow: TestFlow, label: &str| {
+        let span = spans.start(format_args!("case.{label}"));
+        let report = run_checked(&flow.with_spans(spans.clone()));
+        spans.end(span);
+        report
+    };
+    let fdct1 = run(fdct_flow(pixels, 1, SchedulePolicy::List), "fdct1");
+    let fdct2 = run(fdct_flow(pixels, 2, SchedulePolicy::List), "fdct2");
+    let hamming = run(hamming_flow(words), "hamming");
 
     println!(
         "{}",
@@ -135,7 +144,7 @@ fn main() {
             ("fdct2".to_string(), fdct2),
             ("hamming".to_string(), hamming),
         ];
-        write_metrics_json(&path, reports, &recorder)
+        write_metrics_json(&path, reports, &spans.take())
             .unwrap_or_else(|e| panic!("cannot write {}: {e}", path.display()));
         println!("metrics written to {}", path.display());
     }

@@ -43,26 +43,8 @@ pub fn hamming_flow(words: usize) -> TestFlow {
 ///
 /// Panics when the flow errors or the verdict is FAIL.
 pub fn run_checked(flow: &TestFlow) -> TestReport {
-    run_checked_recorded(flow, &mut Recorder::new(), "bench")
-}
-
-/// [`run_checked`] with the flow's stage spans traced under a
-/// `case.<label>` span in `recorder`.
-///
-/// # Panics
-///
-/// See [`run_checked`].
-pub fn run_checked_recorded(
-    flow: &TestFlow,
-    recorder: &mut Recorder,
-    label: &str,
-) -> TestReport {
-    let span = recorder.start(format!("case.{label}"));
-    let report = flow
-        .run_recorded(recorder)
-        .unwrap_or_else(|e| panic!("flow error: {e}"));
+    let report = flow.run().unwrap_or_else(|e| panic!("flow error: {e}"));
     assert!(report.passed, "flow failed:\n{}", report.render());
-    recorder.end(span);
     report
 }
 

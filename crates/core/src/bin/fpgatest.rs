@@ -109,51 +109,13 @@ use fpgatest::faults::{campaign_json, CampaignOptions, FaultSpec, InjectionOutco
 use fpgatest::flow::{Engine, FlowOptions, TestFlow};
 use fpgatest::ledger::{self, LedgerEntry};
 use fpgatest::suite::{CaseResult, SuiteReport};
-use fpgatest::telemetry::{self, Json, Recorder};
-use fpgatest::{metrics, stimulus, suite};
+use fpgatest::telemetry::{self, Json, Recorder, SpanSink};
+use fpgatest::{metrics, out, outln, stimulus, suite};
 use nenya::schedule::SchedulePolicy;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::Instant;
-
-/// `print!` through [`write_stdout`].
-macro_rules! out {
-    ($($arg:tt)*) => {
-        write_stdout(format_args!($($arg)*), false)
-    };
-}
-
-/// `println!` through [`write_stdout`].
-macro_rules! outln {
-    ($($arg:tt)*) => {
-        write_stdout(format_args!($($arg)*), true)
-    };
-}
-
-/// Writes to stdout without panicking. A reader that closes the pipe
-/// early (`fpgatest … | head`) must not turn a finished run into a
-/// panic, so a broken pipe is ignored and the process still exits with
-/// the run's own code. Any other write error (a full disk under
-/// `> log`) is reported on stderr and exits 2, so a cut-short output
-/// never passes as complete.
-fn write_stdout(args: std::fmt::Arguments, newline: bool) {
-    let mut stdout = std::io::stdout().lock();
-    let written = stdout.write_fmt(args).and_then(|()| {
-        if newline {
-            stdout.write_all(b"\n")
-        } else {
-            Ok(())
-        }
-    });
-    drop(stdout);
-    if let Err(e) = written {
-        if e.kind() != std::io::ErrorKind::BrokenPipe {
-            eprintln!("error: writing stdout: {e}");
-            std::process::exit(2);
-        }
-    }
-}
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -428,14 +390,15 @@ fn run_suite(
     if telemetry_args.profile {
         suite.set_profile(true);
     }
-    let mut recorder = Recorder::new();
+    let spans = SpanSink::recording();
+    suite.set_spans(spans.clone());
     let run_started = Instant::now();
-    let report = suite.run_parallel_recorded(jobs, &mut recorder);
+    let report = suite.run_parallel(jobs);
     let wall_seconds = run_started.elapsed().as_secs_f64();
     out!("{}", report.render());
     print_metrics(&report, telemetry_args.verbose);
     let engine = engine.unwrap_or_default();
-    if let Err(message) = emit_telemetry(&report, &recorder, telemetry_args, engine) {
+    if let Err(message) = emit_telemetry(&report, &spans.take(), telemetry_args, engine) {
         eprintln!("error: {message}");
         return ExitCode::from(2);
     }
@@ -1397,8 +1360,10 @@ fn cmd_test(args: &[String]) -> ExitCode {
         .file_stem()
         .map(|s| s.to_string_lossy().to_string())
         .unwrap_or_else(|| "design".to_string());
+    let spans = SpanSink::recording();
     let mut options = parsed.options.clone();
     options.profile = parsed.telemetry.profile;
+    options.spans = spans.clone();
     match parsed.telemetry.event_sink() {
         Ok(sink) => options.events = sink,
         Err(message) => {
@@ -1424,9 +1389,8 @@ fn cmd_test(args: &[String]) -> ExitCode {
         }
     }
 
-    let mut recorder = Recorder::new();
     let run_started = Instant::now();
-    let report = match flow.run_recorded(&mut recorder) {
+    let report = match flow.run() {
         Ok(r) => r,
         Err(e @ fpgatest::flow::FlowError::Timeout { .. }) => {
             eprintln!("timeout: {e}");
@@ -1459,7 +1423,7 @@ fn cmd_test(args: &[String]) -> ExitCode {
         results: vec![(name, CaseResult::Finished(report))],
     };
     let engine = parsed.options.engine;
-    if let Err(message) = emit_telemetry(&suite_report, &recorder, &parsed.telemetry, engine) {
+    if let Err(message) = emit_telemetry(&suite_report, &spans.take(), &parsed.telemetry, engine) {
         eprintln!("error: {message}");
         return ExitCode::from(2);
     }

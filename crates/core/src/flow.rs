@@ -14,6 +14,16 @@
 //! Step 5 is one RTG walk for every engine: the event, cycle and level
 //! engines run it with one lane (one stimulus and fault set), the batch
 //! engine with up to 64 ([`PreparedDesign::run_batch`]).
+//!
+//! Every stage runs under one span, opened and closed by one helper
+//! that records it on [`FlowOptions::spans`] (the metrics span tree) and
+//! streams `span-start`/`span-end` on [`FlowOptions::events`]. Every entry
+//! point records the same way, so campaigns, fuzz legs and served jobs
+//! can keep the stage timings that CLI runs keep. Both sinks are disabled
+//! by default, and a disabled sink reads no clock and formats no name.
+//! A stage that fails is left open: the stream keeps its lone
+//! `span-start`, and the caller's enclosing span (a suite's
+//! `case.<name>`) closes it in the tree.
 
 use crate::elaborate::{ConfigParts, ConfigSim, ElaborateConfigError};
 use crate::events::{Event, EventSink};
@@ -21,7 +31,7 @@ use crate::faults::FaultSpec;
 use crate::memcmp::{diff_images, render_mismatches, Mismatch};
 use crate::metrics::{ConfigMetrics, DesignMetrics};
 use crate::stimulus::{MemImage, Stimulus};
-use crate::telemetry::Recorder;
+use crate::telemetry::{Json, SpanId, SpanSink};
 use eventsim::batchsim::{BatchSim, FirstAccess, LaneOutcome, SignalBits, LANES};
 use eventsim::cyclesim::{CycleOutcome, CycleSim, CycleSimError};
 use eventsim::ops::FsmCoverageHandle;
@@ -127,6 +137,11 @@ pub struct FlowOptions {
     /// events are emitted here as they happen. Disabled by default —
     /// see [`crate::events::EventSink`].
     pub events: EventSink,
+    /// Span sink: every stage the flow runs records a span here (see
+    /// [`TestFlow::run`] for the names), nested under whatever span the
+    /// caller holds open. Disabled by default — see
+    /// [`crate::telemetry::SpanSink`].
+    pub spans: SpanSink,
     /// Collect an engine profile per configuration into
     /// [`ConfigRun::profile`]: per-component-class evaluation timing on
     /// the event kernel, per-rank walk timing and dirty-bitset hit rates
@@ -164,6 +179,7 @@ impl Default for FlowOptions {
             faults: Vec::new(),
             wall_timeout_ms: None,
             events: EventSink::disabled(),
+            spans: SpanSink::disabled(),
             profile: false,
             planted_panic: false,
         }
@@ -555,42 +571,36 @@ impl TestFlow {
         self
     }
 
-    /// Runs the full flow.
+    /// Records the flow's stage spans into `spans` ([`FlowOptions::spans`]).
+    pub fn with_spans(mut self, spans: SpanSink) -> Self {
+        self.options.spans = spans;
+        self
+    }
+
+    /// Runs the full flow. Every pipeline stage records a span on
+    /// [`FlowOptions::spans`] and streams `span-start`/`span-end` on
+    /// [`FlowOptions::events`]: `flow.parse`, `flow.lower`, `flow.golden`,
+    /// `flow.transform`, then `flow.elaborate` and
+    /// `flow.simulate.<config>` per configuration, and `flow.compare`.
     ///
     /// # Errors
     ///
     /// Returns [`FlowError`] when the flow cannot produce a verdict;
     /// compiler bugs manifest as `Ok(report)` with `passed == false`.
     pub fn run(&self) -> Result<TestReport, FlowError> {
-        self.run_recorded(&mut Recorder::new())
-    }
-
-    /// [`run`](Self::run) with every pipeline stage traced into
-    /// `recorder`: `flow.parse`, `flow.lower`, `flow.transform`,
-    /// `flow.golden`, `flow.elaborate`, `flow.simulate.<config>`, and
-    /// `flow.compare`.
-    ///
-    /// # Errors
-    ///
-    /// See [`run`](Self::run).
-    pub fn run_recorded(&self, recorder: &mut Recorder) -> Result<TestReport, FlowError> {
-        let span = recorder.start("flow.parse");
-        let parse_event = span_event_start(&self.options.events, "flow.parse");
+        let stage = Stage::start(&self.options, "flow.parse");
         let program = nenya::lang::parse(&self.source)
             .map_err(|e| FlowError::Compile(CompileError::from(e)))?;
-        recorder.attr(span, "source_lines", program.source_lines);
-        recorder.end(span);
-        span_event_end(&self.options.events, "flow.parse", parse_event);
+        stage.attr("source_lines", program.source_lines);
+        stage.end();
 
-        let span = recorder.start("flow.lower");
-        let lower_event = span_event_start(&self.options.events, "flow.lower");
+        let stage = Stage::start(&self.options, "flow.lower");
         let design = compile_program(&self.name, &program, &self.options.compile)?;
-        recorder.attr(span, "configs", design.configs.len());
-        recorder.attr(span, "operators", design.operator_count());
-        recorder.end(span);
-        span_event_end(&self.options.events, "flow.lower", lower_event);
+        stage.attr("configs", design.configs.len());
+        stage.attr("operators", design.operator_count());
+        stage.end();
 
-        run_design_recorded(&design, &self.stimuli, &self.options, recorder)
+        run_design(&design, &self.stimuli, &self.options)
     }
 }
 
@@ -604,35 +614,60 @@ pub fn run_design(
     stimuli: &[(String, Stimulus)],
     options: &FlowOptions,
 ) -> Result<TestReport, FlowError> {
-    run_design_recorded(design, stimuli, options, &mut Recorder::new())
-}
-
-/// [`run_design`] with stage spans traced into `recorder` (see
-/// [`TestFlow::run_recorded`] for the span names).
-///
-/// # Errors
-///
-/// See [`TestFlow::run`].
-pub fn run_design_recorded(
-    design: &Design,
-    stimuli: &[(String, Stimulus)],
-    options: &FlowOptions,
-    recorder: &mut Recorder,
-) -> Result<TestReport, FlowError> {
     preflight(options)?;
-    let golden = run_golden(design, initial_images(design, stimuli)?, options, recorder)?;
+    let golden = run_golden(design, initial_images(design, stimuli)?, options)?;
 
     // Artifact generation (XML + stylesheet translations + metrics),
     // plus the engine-independent parse products (netlists, FSM tables)
     // the simulation stage consumes.
-    let transform_span = recorder.start("flow.transform");
-    let transform_event = span_event_start(&options.events, "flow.transform");
+    let stage = Stage::start(options, "flow.transform");
     let parts = prepare_parts(design)?;
-    recorder.attr(transform_span, "configs", design.configs.len());
-    recorder.end(transform_span);
-    span_event_end(&options.events, "flow.transform", transform_event);
+    stage.attr("configs", design.configs.len());
+    stage.end();
 
-    simulate_prepared(design, &parts, golden, options, recorder, None)
+    simulate_prepared(design, &parts, golden, options, None)
+}
+
+/// One flow stage, open in both of a run's span outputs: the span tree
+/// ([`FlowOptions::spans`]) and the event stream
+/// ([`FlowOptions::events`]). [`Stage::end`] closes it in both. A stage
+/// whose work fails is never ended: the stream keeps its lone
+/// `span-start`, and in the tree the span the caller holds open (a
+/// suite's `case.<name>`) closes it.
+struct Stage<'a> {
+    options: &'a FlowOptions,
+    span: SpanId,
+    /// The name and start of the streamed `span-start`, when the event
+    /// stream is enabled.
+    event: Option<(String, Instant)>,
+}
+
+impl<'a> Stage<'a> {
+    fn start(options: &'a FlowOptions, name: impl fmt::Display) -> Self {
+        let span = options.spans.start(&name);
+        let event = options.events.is_enabled().then(|| {
+            let name = name.to_string();
+            options.events.emit(&Event::SpanStart { name: name.clone() });
+            (name, Instant::now())
+        });
+        Stage {
+            options,
+            span,
+            event,
+        }
+    }
+
+    fn attr(&self, key: &str, value: impl Into<Json>) {
+        self.options.spans.attr(self.span, key, value);
+    }
+
+    fn end(self) {
+        self.options.spans.end(self.span);
+        if let Some((name, started)) = self.event {
+            let wall_seconds = started.elapsed().as_secs_f64();
+            self.options.events.emit(&Event::SpanEnd { name, wall_seconds });
+        }
+    }
 }
 
 /// Rejects option combinations the flow cannot honour, and fires the
@@ -683,19 +718,16 @@ fn run_golden(
     design: &Design,
     initial: BTreeMap<String, MemImage>,
     options: &FlowOptions,
-    recorder: &mut Recorder,
 ) -> Result<PreparedGolden, FlowError> {
     let mut golden_mems = initial.clone();
-    let golden_span = recorder.start("flow.golden");
-    let golden_event = span_event_start(&options.events, "flow.golden");
+    let stage = Stage::start(options, "flow.golden");
     let golden_started = Instant::now();
     let stats = design
         .execute_golden(&mut golden_mems, options.golden_step_limit)
         .map_err(FlowError::Golden)?;
     let seconds = golden_started.elapsed().as_secs_f64();
-    recorder.attr(golden_span, "instructions", stats.instructions);
-    recorder.end(golden_span);
-    span_event_end(&options.events, "flow.golden", golden_event);
+    stage.attr("instructions", stats.instructions);
+    stage.end();
     Ok(PreparedGolden {
         initial,
         stats,
@@ -860,7 +892,8 @@ impl PreparedDesign {
 
     /// Runs the simulation + comparison stages against this prepared
     /// design. Equivalent to [`run_design`] minus the (already done)
-    /// transform stage: same verdicts, same errors, same report shape.
+    /// transform stage: same verdicts, same errors, same report shape,
+    /// and the same stage spans but `flow.transform`.
     ///
     /// # Errors
     ///
@@ -870,27 +903,10 @@ impl PreparedDesign {
         stimuli: &[(String, Stimulus)],
         options: &FlowOptions,
     ) -> Result<TestReport, FlowError> {
-        self.run_recorded(stimuli, options, &mut Recorder::new())
-    }
-
-    /// [`run`](Self::run) with stage spans traced into `recorder`
-    /// (`flow.golden`, `flow.elaborate`, `flow.simulate.<config>`,
-    /// `flow.compare` — no `flow.transform`: that work was done once at
-    /// preparation time).
-    ///
-    /// # Errors
-    ///
-    /// See [`TestFlow::run`].
-    pub fn run_recorded(
-        &self,
-        stimuli: &[(String, Stimulus)],
-        options: &FlowOptions,
-        recorder: &mut Recorder,
-    ) -> Result<TestReport, FlowError> {
         preflight(options)?;
         let initial = initial_images(&self.design, stimuli)?;
-        let golden = run_golden(&self.design, initial, options, recorder)?;
-        simulate_prepared(&self.design, &self.parts, golden, options, recorder, None)
+        let golden = run_golden(&self.design, initial, options)?;
+        simulate_prepared(&self.design, &self.parts, golden, options, None)
     }
 
     /// Runs the golden software reference once for a fixed stimulus set
@@ -931,14 +947,7 @@ impl PreparedDesign {
             seconds: 0.0,
             ..golden.clone()
         };
-        simulate_prepared(
-            &self.design,
-            &self.parts,
-            golden,
-            options,
-            &mut Recorder::new(),
-            None,
-        )
+        simulate_prepared(&self.design, &self.parts, golden, options, None)
     }
 
     /// [`run_with_golden`](Self::run_with_golden) on the one-lane
@@ -964,14 +973,7 @@ impl PreparedDesign {
             ..golden.clone()
         };
         let record = RefCell::new(CleanRecord::default());
-        let report = simulate_prepared(
-            &self.design,
-            &self.parts,
-            golden,
-            &options,
-            &mut Recorder::new(),
-            Some(&record),
-        )?;
+        let report = simulate_prepared(&self.design, &self.parts, golden, &options, Some(&record))?;
         Ok((report, record.into_inner()))
     }
 
@@ -1006,6 +1008,8 @@ impl PreparedDesign {
     ) -> Result<BatchRunReport, FlowError> {
         let mut batch_options = options.clone();
         batch_options.engine = Engine::Batch;
+        // Golden runs stream their spans; the 64-lane walk does not.
+        batch_options.events = EventSink::disabled();
         preflight(&batch_options)?;
         if !options.faults.is_empty() {
             return Err(FlowError::Fault(
@@ -1020,7 +1024,6 @@ impl PreparedDesign {
             )));
         }
         let design = &self.design;
-        let mut recorder = Recorder::new();
 
         // Per-lane initial images and golden runs, one golden run per
         // distinct initial image.
@@ -1032,7 +1035,7 @@ impl PreparedDesign {
                 if let Some(index) = goldens.iter().position(|g| g.initial == initial) {
                     return Ok((index, initial));
                 }
-                goldens.push(run_golden(design, initial.clone(), options, &mut recorder)?);
+                goldens.push(run_golden(design, initial.clone(), options)?);
                 Ok((goldens.len() - 1, initial))
             });
             let mut lane = Lane::new(&spec.faults, BTreeMap::new());
@@ -1055,8 +1058,7 @@ impl PreparedDesign {
             options: &batch_options,
             record: None,
         };
-        let runs =
-            walk::<BatchSim<LANES>>(&ctx, &mut states, &EventSink::disabled(), &mut recorder)?;
+        let runs = walk::<BatchSim<LANES>>(&ctx, &mut states)?;
         let reports = states
             .into_iter()
             .zip(golden_of)
@@ -1217,16 +1219,11 @@ pub fn prepare_golden(
     stimuli: &[(String, Stimulus)],
     options: &FlowOptions,
 ) -> Result<PreparedGolden, FlowError> {
-    run_golden(
-        design,
-        initial_images(design, stimuli)?,
-        options,
-        &mut Recorder::new(),
-    )
+    run_golden(design, initial_images(design, stimuli)?, options)
 }
 
 /// The simulation + comparison stages for one stimulus set, shared by
-/// [`run_design_recorded`] (which prepares parts inline) and
+/// [`run_design`] (which prepares parts inline) and
 /// [`PreparedDesign`]'s runs (which reuse cached parts): one lane through
 /// [`walk`], then the compare against the golden memories.
 fn simulate_prepared(
@@ -1234,7 +1231,6 @@ fn simulate_prepared(
     parts: &PreparedParts,
     golden: PreparedGolden,
     options: &FlowOptions,
-    recorder: &mut Recorder,
     record: Option<&RefCell<CleanRecord>>,
 ) -> Result<TestReport, FlowError> {
     let ctx = WalkContext {
@@ -1244,12 +1240,11 @@ fn simulate_prepared(
         record,
     };
     let mut lanes = [Lane::new(&options.faults, golden.initial)];
-    let events = &options.events;
     let runs = match options.engine {
-        Engine::Event => walk::<EventConfig>(&ctx, &mut lanes, events, recorder)?,
-        Engine::Cycle => walk::<CycleSim>(&ctx, &mut lanes, events, recorder)?,
-        Engine::Level => walk::<BatchSim<1>>(&ctx, &mut lanes, events, recorder)?,
-        Engine::Batch => walk::<BatchSim<LANES>>(&ctx, &mut lanes, events, recorder)?,
+        Engine::Event => walk::<EventConfig>(&ctx, &mut lanes)?,
+        Engine::Cycle => walk::<CycleSim>(&ctx, &mut lanes)?,
+        Engine::Level => walk::<BatchSim<1>>(&ctx, &mut lanes)?,
+        Engine::Batch => walk::<BatchSim<LANES>>(&ctx, &mut lanes)?,
     };
     let [lane] = lanes;
     if let Some(e) = lane.error {
@@ -1264,15 +1259,13 @@ fn simulate_prepared(
     }
 
     // Comparison of data content.
-    let compare_span = recorder.start("flow.compare");
-    let compare_event = span_event_start(events, "flow.compare");
+    let stage = Stage::start(options, "flow.compare");
     let mismatches = match lane.failure {
         None => compare_mems(&golden.mems, &lane.mems),
         Some(_) => Vec::new(),
     };
-    recorder.attr(compare_span, "mismatches", mismatches.len());
-    recorder.end(compare_span);
-    span_event_end(events, "flow.compare", compare_event);
+    stage.attr("mismatches", mismatches.len());
+    stage.end();
 
     let artifacts = if options.keep_artifacts {
         Some(render_artifacts(parts)?)
@@ -1365,11 +1358,12 @@ type LaneRuns = Vec<Option<(u64, RunOutcome)>>;
 /// configuration. A lane is one independent stimulus and fault set; the
 /// event and cycle engines simulate one, the compiled bytecode as many
 /// as its width (one for level, [`LANES`] for batch) in one schedule
-/// walk. Span attributes go to the span the walk has open.
+/// walk. Span attributes go to the span the walk has open on
+/// [`FlowOptions::spans`].
 trait LaneEngine: Sized {
     /// Builds configuration `config` with the run's observers (VCD trace,
     /// probes) attached.
-    fn build(ctx: &WalkContext, config: usize, recorder: &mut Recorder) -> Result<Self, FlowError>;
+    fn build(ctx: &WalkContext, config: usize) -> Result<Self, FlowError>;
 
     /// Preloads the defined words of `image` into `lane`'s SRAM `mem`.
     fn load(&mut self, lane: usize, mem: &str, image: &[Option<i64>]);
@@ -1390,7 +1384,6 @@ trait LaneEngine: Sized {
         ctx: &WalkContext,
         live: u64,
         name: &str,
-        recorder: &mut Recorder,
     ) -> Result<(LaneRuns, ConfigRun), FlowError>;
 }
 
@@ -1403,8 +1396,6 @@ trait LaneEngine: Sized {
 fn walk<E: LaneEngine>(
     ctx: &WalkContext,
     lanes: &mut [Lane],
-    events: &EventSink,
-    recorder: &mut Recorder,
 ) -> Result<Vec<(usize, ConfigRun)>, FlowError> {
     let design = ctx.design;
     // SRAM corruption edits the initial images once, before the first
@@ -1448,12 +1439,10 @@ fn walk<E: LaneEngine>(
         let name = &ctx.parts.docs[config].0;
         let netlist = &ctx.parts.configs[config].netlist;
 
-        let span = recorder.start("flow.elaborate");
-        let event = span_event_start(events, "flow.elaborate");
-        recorder.attr(span, "config", name.as_str());
-        let mut engine = E::build(ctx, config, recorder)?;
-        recorder.end(span);
-        span_event_end(events, "flow.elaborate", event);
+        let stage = Stage::start(ctx.options, "flow.elaborate");
+        stage.attr("config", name.as_str());
+        let mut engine = E::build(ctx, config)?;
+        stage.end();
 
         // Preload SRAM contents. A size disagreement between the design's
         // memory map and the netlist is itself a compiler bug worth
@@ -1508,12 +1497,9 @@ fn walk<E: LaneEngine>(
             break;
         }
 
-        let span_name = format!("flow.simulate.{name}");
-        let span = recorder.start(span_name.as_str());
-        let event = span_event_start(events, &span_name);
-        let (results, run) = engine.simulate(ctx, live, name, recorder)?;
-        recorder.end(span);
-        span_event_end(events, &span_name, event);
+        let stage = Stage::start(ctx.options, format_args!("flow.simulate.{name}"));
+        let (results, run) = engine.simulate(ctx, live, name)?;
+        stage.end();
         for (l, (lane, result)) in lanes.iter_mut().zip(results).enumerate() {
             let Some((cycles, outcome)) = result else {
                 continue;
@@ -1569,12 +1555,13 @@ struct EventConfig {
 }
 
 impl LaneEngine for EventConfig {
-    fn build(ctx: &WalkContext, config: usize, recorder: &mut Recorder) -> Result<Self, FlowError> {
+    fn build(ctx: &WalkContext, config: usize) -> Result<Self, FlowError> {
         let name = &ctx.parts.docs[config].0;
         let coverage = ctx.options.coverage.then(FsmCoverageHandle::new);
         let mut cs = ctx.parts.configs[config].build(true, coverage.clone())?;
-        recorder.attr_open("signals", cs.sim.signal_count());
-        recorder.attr_open("components", cs.sim.component_count());
+        let spans = &ctx.options.spans;
+        spans.attr_open("signals", cs.sim.signal_count());
+        spans.attr_open("components", cs.sim.component_count());
         if ctx.options.trace {
             cs.sim.trace_signal(cs.clk);
             cs.sim.trace_signal(cs.done);
@@ -1650,7 +1637,6 @@ impl LaneEngine for EventConfig {
         ctx: &WalkContext,
         _live: u64,
         name: &str,
-        recorder: &mut Recorder,
     ) -> Result<(LaneRuns, ConfigRun), FlowError> {
         let options = ctx.options;
         let cs = &mut self.cs;
@@ -1662,9 +1648,9 @@ impl LaneEngine for EventConfig {
             handle
         });
         let summary = cs.sim.run(SimTime(options.max_ticks))?;
-        recorder.attr_open("events", summary.events);
-        recorder.attr_open("delta_cycles", summary.delta_cycles);
-        recorder.attr_open("end_time", summary.end_time.ticks());
+        options.spans.attr_open("events", summary.events);
+        options.spans.attr_open("delta_cycles", summary.delta_cycles);
+        options.spans.attr_open("end_time", summary.end_time.ticks());
 
         let sim = &cs.sim;
         let cycles = summary.end_time.ticks() / CLOCK_PERIOD;
@@ -1820,14 +1806,14 @@ fn compiled_run(
 }
 
 impl LaneEngine for CycleSim {
-    fn build(ctx: &WalkContext, config: usize, recorder: &mut Recorder) -> Result<Self, FlowError> {
+    fn build(ctx: &WalkContext, config: usize) -> Result<Self, FlowError> {
         let parts = &ctx.parts.configs[config];
         let mut sim = CycleSim::from_netlist(&parts.netlist).map_err(netlist_error)?;
         parts.attach(|n, c, o, t| sim.add_control_unit(n, c, o, t))?;
         if ctx.options.profile {
             sim.enable_profile();
         }
-        recorder.attr_open("engine", "cycle");
+        ctx.options.spans.attr_open("engine", "cycle");
         Ok(sim)
     }
 
@@ -1863,7 +1849,6 @@ impl LaneEngine for CycleSim {
         ctx: &WalkContext,
         _live: u64,
         name: &str,
-        recorder: &mut Recorder,
     ) -> Result<(LaneRuns, ConfigRun), FlowError> {
         let started = Instant::now();
         let result = self.run(ctx.options.max_ticks / CLOCK_PERIOD);
@@ -1877,8 +1862,8 @@ impl LaneEngine for CycleSim {
             Err(e) => return Err(netlist_error(e)),
         };
         let result = (self.cycles(), outcome);
-        recorder.attr_open("cycles", result.0);
-        recorder.attr_open("comb_evals", self.comb_evals());
+        ctx.options.spans.attr_open("cycles", result.0);
+        ctx.options.spans.attr_open("comb_evals", self.comb_evals());
         let profile = ctx.options.profile.then(|| cycle_profile(self));
         let run = compiled_run(
             name,
@@ -1953,12 +1938,12 @@ fn rank_profile<const W: usize>(sim: &BatchSim<W>) -> ConfigProfile {
 /// Every walk instantiates the configuration's one shared program
 /// ([`ConfigParts::program`]).
 impl<const W: usize> LaneEngine for BatchSim<W> {
-    fn build(ctx: &WalkContext, config: usize, recorder: &mut Recorder) -> Result<Self, FlowError> {
+    fn build(ctx: &WalkContext, config: usize) -> Result<Self, FlowError> {
         let mut sim = Self::new(ctx.parts.configs[config].program()?);
         if ctx.options.profile {
             sim.enable_profile();
         }
-        recorder.attr_open("engine", ctx.options.engine.to_string());
+        ctx.options.spans.attr_open("engine", ctx.options.engine.to_string());
         Ok(sim)
     }
 
@@ -1990,7 +1975,6 @@ impl<const W: usize> LaneEngine for BatchSim<W> {
         ctx: &WalkContext,
         live: u64,
         name: &str,
-        recorder: &mut Recorder,
     ) -> Result<(LaneRuns, ConfigRun), FlowError> {
         self.set_active(live);
         if ctx.record.is_some() {
@@ -2020,33 +2004,11 @@ impl<const W: usize> LaneEngine for BatchSim<W> {
             .collect();
         let first = results.iter().flatten().next().cloned();
         let first = first.expect("the walk runs a live lane");
-        recorder.attr_open("cycles", first.0);
-        recorder.attr_open("comb_evals", self.comb_evals());
+        ctx.options.spans.attr_open("cycles", first.0);
+        ctx.options.spans.attr_open("comb_evals", self.comb_evals());
         let profile = ctx.options.profile.then(|| rank_profile(self));
         let run = compiled_run(name, first, self.comb_evals(), wall_seconds, profile);
         Ok((results, run))
-    }
-}
-
-/// Emits a span-start event and returns the matching wall-clock anchor;
-/// `None` when the sink is disabled, so disabled runs never sample time.
-fn span_event_start(sink: &EventSink, name: &str) -> Option<Instant> {
-    if !sink.is_enabled() {
-        return None;
-    }
-    sink.emit(&Event::SpanStart {
-        name: name.to_string(),
-    });
-    Some(Instant::now())
-}
-
-/// Closes a span opened by [`span_event_start`].
-fn span_event_end(sink: &EventSink, name: &str, started: Option<Instant>) {
-    if let Some(started) = started {
-        sink.emit(&Event::SpanEnd {
-            name: name.to_string(),
-            wall_seconds: started.elapsed().as_secs_f64(),
-        });
     }
 }
 
@@ -2400,10 +2362,9 @@ mod tests {
                     options,
                     record,
                 };
-                let mut recorder = Recorder::new();
-                let one = <BatchSim<1> as LaneEngine>::build(&ctx, config, &mut recorder).unwrap();
+                let one = <BatchSim<1> as LaneEngine>::build(&ctx, config).unwrap();
                 let wide =
-                    <BatchSim<LANES> as LaneEngine>::build(&ctx, config, &mut recorder).unwrap();
+                    <BatchSim<LANES> as LaneEngine>::build(&ctx, config).unwrap();
                 assert!(Arc::ptr_eq(one.program(), program));
                 assert!(Arc::ptr_eq(wide.program(), program));
             }

@@ -65,6 +65,8 @@
 //! * [`serve`] — the `fpgatest-serve-v1` campaign daemon and client.
 //! * [`workloads`] — the paper's FDCT and Hamming benchmarks.
 //! * [`dot`] — Graphviz exports, including the Figure 1 regeneration.
+//! * [`stdout`] — the command-line tools' stdout writer, which survives
+//!   a reader that closes the pipe early.
 
 pub mod cache;
 pub mod campaign;
@@ -77,6 +79,7 @@ pub mod ledger;
 pub mod memcmp;
 pub mod metrics;
 pub mod serve;
+pub mod stdout;
 pub mod stimulus;
 pub mod suite;
 pub mod telemetry;

@@ -17,12 +17,19 @@
 //!   source hamming.src
 //!   stimulus code code.stim
 //! ```
+//!
+//! Sequential runs, `--jobs N` pools and cases under a wall-clock
+//! watchdog record spans the same way: each case records its
+//! `case.<name>` span, with the flow's stage spans beneath it, into a
+//! span sink of its own, and the suite absorbs the case sinks into its
+//! own ([`Suite::set_spans`]) in manifest order. The span tree is
+//! therefore the same at every job count.
 
 use crate::events::{CampaignProgress, Event, EventSink};
 use crate::faults::FaultSpec;
 use crate::flow::{FlowError, FlowOptions, TestFlow, TestReport};
 use crate::stimulus::{self, Stimulus};
-use crate::telemetry::Recorder;
+use crate::telemetry::SpanSink;
 use nenya::schedule::SchedulePolicy;
 use std::collections::BTreeMap;
 use std::error::Error;
@@ -202,6 +209,7 @@ pub struct Suite {
     cases: Vec<TestCase>,
     events: EventSink,
     events_key: String,
+    spans: SpanSink,
 }
 
 impl Suite {
@@ -253,15 +261,18 @@ impl Suite {
         self.events_key = key.into();
     }
 
+    /// Records every case's spans into `spans` (the CLI's `--metrics-out`
+    /// and `--trace-log`): a `case.<name>` span per case with the flow's
+    /// stage spans nested beneath it. Each case records into a sink of
+    /// its own, absorbed in manifest order, so the tree is the same at
+    /// every job count.
+    pub fn set_spans(&mut self, spans: SpanSink) {
+        self.spans = spans;
+    }
+
     /// Runs every case, never short-circuiting: a broken case must not
     /// hide results of the others.
     pub fn run(&self) -> SuiteReport {
-        self.run_recorded(&mut Recorder::new())
-    }
-
-    /// [`run`](Self::run) with tracing: each case gets a `case.<name>`
-    /// span, with the flow's stage spans nested beneath it.
-    pub fn run_recorded(&self, recorder: &mut Recorder) -> SuiteReport {
         let total = self.cases.len() as u64;
         let mut progress =
             CampaignProgress::start(self.events.clone(), "suite", &self.events_key, total);
@@ -275,8 +286,9 @@ impl Suite {
                 });
             }
             let case_started = Instant::now();
-            let result = run_case(case, recorder, &self.events);
+            let (result, spans) = run_case(case, self.spans.is_enabled(), &self.events);
             let wall_seconds = case_started.elapsed().as_secs_f64();
+            self.spans.absorb(&spans);
             if self.events.is_enabled() {
                 self.events.emit(&Event::CaseFinished {
                     case: case.name.clone(),
@@ -293,22 +305,16 @@ impl Suite {
     }
 
     /// Runs cases on a pool of `jobs` worker threads. Results (and their
-    /// telemetry spans) are reported in suite order regardless of which
-    /// worker finished first, so output is identical to [`run`](Self::run).
+    /// spans, absorbed after every worker finished) are reported in suite
+    /// order regardless of which worker finished first, so output is
+    /// identical to [`run`](Self::run).
     pub fn run_parallel(&self, jobs: usize) -> SuiteReport {
-        self.run_parallel_recorded(jobs, &mut Recorder::new())
-    }
-
-    /// [`run_parallel`](Self::run_parallel) with tracing. Each worker
-    /// records into its own [`Recorder`]; the per-case span trees are
-    /// absorbed into `recorder` in suite order after all workers finish.
-    pub fn run_parallel_recorded(&self, jobs: usize, recorder: &mut Recorder) -> SuiteReport {
         let jobs = jobs.max(1).min(self.cases.len().max(1));
         if jobs <= 1 {
-            return self.run_recorded(recorder);
+            return self.run();
         }
         let next = AtomicUsize::new(0);
-        let slots: Vec<Mutex<Option<(CaseResult, Recorder)>>> =
+        let slots: Vec<Mutex<Option<(CaseResult, SpanSink)>>> =
             self.cases.iter().map(|_| Mutex::new(None)).collect();
         // Finished cases stream out in manifest order, not finish order:
         // workers deliver into the reassembly buffer, and whoever holds
@@ -334,11 +340,11 @@ impl Suite {
                     let Some(case) = self.cases.get(index) else {
                         break;
                     };
-                    let mut worker_recorder = Recorder::new();
-                    // Workers get no flow-level sink: concurrent stage
-                    // spans would interleave nondeterministically.
+                    // Workers get no flow-level event sink: concurrent
+                    // stage spans would interleave nondeterministically.
                     let case_started = Instant::now();
-                    let result = run_case(case, &mut worker_recorder, &EventSink::disabled());
+                    let (result, spans) =
+                        run_case(case, self.spans.is_enabled(), &EventSink::disabled());
                     let wall_seconds = case_started.elapsed().as_secs_f64();
                     if let Some(ordered) = &ordered {
                         ordered
@@ -346,8 +352,7 @@ impl Suite {
                             .unwrap_or_else(|poisoned| poisoned.into_inner())
                             .deliver(self, index, result.status(), wall_seconds);
                     }
-                    *slots[index].lock().expect("slot poisoned") =
-                        Some((result, worker_recorder));
+                    *slots[index].lock().expect("slot poisoned") = Some((result, spans));
                 });
             }
         });
@@ -356,8 +361,11 @@ impl Suite {
             // A slot can legitimately be empty: if a worker dies in a way
             // `run_case` cannot absorb, the suite must still report every
             // case rather than abort the whole report.
-            let (result, worker_recorder) = match slot.into_inner().expect("slot poisoned") {
-                Some(filled) => filled,
+            let result = match slot.into_inner().expect("slot poisoned") {
+                Some((result, spans)) => {
+                    self.spans.absorb(&spans);
+                    result
+                }
                 None => {
                     if let Some(ordered) = &ordered {
                         ordered
@@ -365,16 +373,12 @@ impl Suite {
                             .unwrap_or_else(|poisoned| poisoned.into_inner())
                             .deliver(self, index, "crash", 0.0);
                     }
-                    (
-                        CaseResult::Crashed(format!(
-                            "worker died before reporting case '{}'",
-                            case.name
-                        )),
-                        Recorder::new(),
-                    )
+                    CaseResult::Crashed(format!(
+                        "worker died before reporting case '{}'",
+                        case.name
+                    ))
                 }
             };
-            recorder.absorb(worker_recorder);
             results.push((case.name.clone(), result));
         }
         if let Some(ordered) = ordered {
@@ -389,7 +393,7 @@ impl Suite {
 }
 
 /// Reassembly buffer turning finish-order worker completions into
-/// manifest-order event emission (see `run_parallel_recorded`).
+/// manifest-order event emission (see `run_parallel`).
 struct OrderedCaseEvents {
     next_to_emit: usize,
     pending: BTreeMap<usize, (&'static str, f64)>,
@@ -424,28 +428,35 @@ impl OrderedCaseEvents {
 /// caught and reported as [`CaseResult::Crashed`], tick-watchdog trips
 /// become [`CaseResult::TimedOut`], and when the case carries a
 /// wall-clock budget the whole flow runs on a watchdogged thread.
-fn run_case(case: &TestCase, recorder: &mut Recorder, events: &EventSink) -> CaseResult {
+/// Returns the result and the case's own span sink (recording when
+/// `record`), which the suite absorbs in manifest order.
+fn run_case(case: &TestCase, record: bool, events: &EventSink) -> (CaseResult, SpanSink) {
+    let fresh_spans = || {
+        if record {
+            SpanSink::recording()
+        } else {
+            SpanSink::disabled()
+        }
+    };
+    let spans = fresh_spans();
     let Some(wall_ms) = case.options.wall_timeout_ms else {
-        return run_case_traced(case, recorder, events);
+        return (run_case_traced(case, &spans, events), spans);
     };
     // The flow holds `Rc`-based memory handles, so the case cannot be
     // abandoned mid-run from outside; instead the whole case runs on its
     // own thread and the watchdog gives up *waiting*. On a trip the
     // thread is left detached (it still counts ticks and will stop at
-    // `max_ticks`); its telemetry is discarded.
+    // `max_ticks`), still recording into the sink it holds; the case
+    // reports a fresh sink instead.
     let (sender, receiver) = std::sync::mpsc::channel();
     let case_owned = case.clone();
     let events_owned = events.clone();
+    let worker_spans = spans.clone();
     std::thread::spawn(move || {
-        let mut worker_recorder = Recorder::new();
-        let result = run_case_traced(&case_owned, &mut worker_recorder, &events_owned);
-        let _ = sender.send((result, worker_recorder));
+        let _ = sender.send(run_case_traced(&case_owned, &worker_spans, &events_owned));
     });
     match receiver.recv_timeout(Duration::from_millis(wall_ms)) {
-        Ok((result, worker_recorder)) => {
-            recorder.absorb(worker_recorder);
-            result
-        }
+        Ok(result) => (result, spans),
         Err(error) => {
             let result = match error {
                 RecvTimeoutError::Timeout => CaseResult::TimedOut {
@@ -457,27 +468,31 @@ fn run_case(case: &TestCase, recorder: &mut Recorder, events: &EventSink) -> Cas
             };
             // Synthesize the case span the worker never delivered, so
             // span order still mirrors suite order.
-            let span = recorder.start(format!("case.{}", case.name));
-            recorder.attr(span, "status", result.status());
-            recorder.end(span);
-            result
+            let spans = fresh_spans();
+            let span = spans.start(format_args!("case.{}", case.name));
+            spans.attr(span, "status", result.status());
+            spans.end(span);
+            (result, spans)
         }
     }
 }
 
 /// Runs one case with its `case.<name>` span on the calling thread.
-fn run_case_traced(case: &TestCase, recorder: &mut Recorder, events: &EventSink) -> CaseResult {
-    let span = recorder.start(format!("case.{}", case.name));
+fn run_case_traced(case: &TestCase, spans: &SpanSink, events: &EventSink) -> CaseResult {
+    let span = spans.start(format_args!("case.{}", case.name));
     let outcome = catch_unwind(AssertUnwindSafe(|| {
         let mut options = case.options.clone();
         if events.is_enabled() {
             options.events = events.clone();
         }
+        if spans.is_enabled() {
+            options.spans = spans.clone();
+        }
         let mut flow = TestFlow::new(&case.name, &case.source).with_options(options);
         for (mem, stimulus) in &case.stimuli {
             flow = flow.stimulus(mem, stimulus.clone());
         }
-        flow.run_recorded(recorder)
+        flow.run()
     }));
     let result = match outcome {
         Ok(Ok(report)) => CaseResult::Finished(report),
@@ -487,15 +502,16 @@ fn run_case_traced(case: &TestCase, recorder: &mut Recorder, events: &EventSink)
         Ok(Err(e)) => CaseResult::Errored(e),
         Err(payload) => CaseResult::Crashed(crate::faults::panic_message(&*payload)),
     };
-    recorder.attr(span, "status", result.status());
+    spans.attr(span, "status", result.status());
     match &result {
-        CaseResult::Errored(e) => recorder.attr(span, "error", e.to_string()),
-        CaseResult::Crashed(m) => recorder.attr(span, "panic", m.clone()),
-        CaseResult::TimedOut { reason } => recorder.attr(span, "timeout", reason.clone()),
+        CaseResult::Errored(e) => spans.attr(span, "error", e.to_string()),
+        CaseResult::Crashed(m) => spans.attr(span, "panic", m.as_str()),
+        CaseResult::TimedOut { reason } => spans.attr(span, "timeout", reason.as_str()),
         CaseResult::Finished(_) => {}
     }
-    // `end` also closes any flow spans a panic left dangling.
-    recorder.end(span);
+    // `end` also closes any flow span that a panic or a failing stage
+    // left open.
+    spans.end(span);
     result
 }
 
@@ -681,6 +697,7 @@ pub fn parse_manifest(text: &str, base: &Path) -> Result<Suite, LoadSuiteError> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::telemetry::Json;
 
     fn passing_case(name: &str) -> TestCase {
         TestCase::new(
@@ -832,30 +849,65 @@ case copy
 
     #[test]
     fn parallel_run_matches_sequential_order_and_verdicts() {
-        let suite = Suite::new()
+        // One case runs under a wall-clock budget it meets, so its spans
+        // come back from the watchdog's thread.
+        let mut watched = passing_case("watched");
+        watched.options.wall_timeout_ms = Some(60_000);
+        let mut suite = Suite::new()
             .with_case(passing_case("a"))
             .with_case(TestCase::new("broken", "void main() {")) // parse error
+            .with_case(watched)
             .with_case(passing_case("b"))
             .with_case(passing_case("c"));
-        let sequential = suite.run();
+        // Every span's name, depth and attributes in start order; only
+        // the times may differ between runs.
+        let mut run = |jobs: Option<usize>| {
+            let spans = SpanSink::recording();
+            suite.set_spans(spans.clone());
+            let report = match jobs {
+                None => suite.run(),
+                Some(jobs) => suite.run_parallel(jobs),
+            };
+            let forest: Vec<(String, usize, String)> = spans
+                .take()
+                .spans()
+                .iter()
+                .map(|s| (s.name.clone(), s.depth, Json::Obj(s.attrs.clone()).emit()))
+                .collect();
+            (report, forest)
+        };
+        let (sequential, sequential_forest) = run(None);
+        let roots: Vec<&str> = sequential_forest
+            .iter()
+            .filter(|(_, depth, _)| *depth == 0)
+            .map(|(name, ..)| name.as_str())
+            .collect();
+        assert_eq!(
+            roots,
+            ["case.a", "case.broken", "case.watched", "case.b", "case.c"]
+        );
+        let watched_stages: Vec<&str> = sequential_forest
+            .iter()
+            .skip_while(|(name, ..)| name != "case.watched")
+            .skip(1)
+            .take_while(|(_, depth, _)| *depth == 1)
+            .map(|(name, ..)| name.as_str())
+            .collect();
+        assert_eq!(
+            watched_stages[..4],
+            ["flow.parse", "flow.lower", "flow.golden", "flow.transform"],
+            "{watched_stages:?}"
+        );
+        assert_eq!(watched_stages.last(), Some(&"flow.compare"));
         for jobs in [1, 2, 4, 8] {
-            let mut recorder = Recorder::new();
-            let parallel = suite.run_parallel_recorded(jobs, &mut recorder);
+            let (parallel, forest) = run(Some(jobs));
             let names: Vec<&str> = parallel.results.iter().map(|(n, _)| n.as_str()).collect();
-            assert_eq!(names, ["a", "broken", "b", "c"], "jobs={jobs}");
+            assert_eq!(names, ["a", "broken", "watched", "b", "c"], "jobs={jobs}");
             assert_eq!(parallel.passed(), sequential.passed(), "jobs={jobs}");
             assert_eq!(parallel.render(), sequential.render(), "jobs={jobs}");
-            // Case spans land in suite order regardless of worker timing.
-            let case_spans: Vec<&str> = recorder
-                .span_names()
-                .into_iter()
-                .filter(|n| n.starts_with("case."))
-                .collect();
-            assert_eq!(
-                case_spans,
-                ["case.a", "case.broken", "case.b", "case.c"],
-                "jobs={jobs}"
-            );
+            // Case spans land in suite order regardless of worker timing,
+            // each with the same flow spans beneath it.
+            assert_eq!(forest, sequential_forest, "jobs={jobs}");
         }
     }
 }

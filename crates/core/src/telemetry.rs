@@ -7,10 +7,15 @@
 //!
 //! * [`Json`] — a zero-dependency JSON value with an emitter and parser,
 //!   so the report format needs no external crates.
-//! * [`Recorder`] — hierarchical wall-clock spans. The flow opens one
-//!   span per pipeline stage (`flow.parse`, `flow.lower`,
-//!   `flow.transform`, `flow.elaborate`, `flow.simulate.<config>`,
-//!   `flow.compare`); suites wrap each case in `case.<name>`.
+//! * [`SpanSink`] — the one span sink: a shared handle that records
+//!   hierarchical wall-clock spans into a [`Recorder`] tree. A run
+//!   records through [`crate::flow::FlowOptions::spans`]: the flow opens
+//!   one span per pipeline stage (`flow.parse`, `flow.lower`,
+//!   `flow.golden`, `flow.transform`, `flow.elaborate`,
+//!   `flow.simulate.<config>`, `flow.compare`); suites wrap each case in
+//!   `case.<name>`, record every case into a sink of its own and absorb
+//!   them in manifest order. The disabled sink, the default, records
+//!   nothing.
 //! * [`suite_json`] / [`render_baseline_deltas`] — the
 //!   `fpgatest-metrics-v1` report (suite verdicts, per-design Table I
 //!   fields, kernel stats, hot-component histogram, span tree) and the
@@ -19,6 +24,7 @@
 use crate::flow::{ConfigProfile, TestReport};
 use crate::suite::{CaseResult, SuiteReport};
 use std::fmt;
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
 /// Identifies the report layout; bump when fields change incompatibly.
@@ -468,7 +474,7 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, JsonParseError>
 // Span recorder
 // ---------------------------------------------------------------------
 
-/// Handle to a span opened by [`Recorder::start`].
+/// Handle to a span opened by [`SpanSink::start`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SpanId(usize);
 
@@ -491,19 +497,26 @@ pub struct Span {
     closed: bool,
 }
 
-/// Hierarchical wall-clock span recorder.
+/// A hierarchical wall-clock span tree, recorded through a [`SpanSink`]
+/// and handed back by [`SpanSink::take`].
 ///
-/// Spans nest by call order: a span started while another is open becomes
-/// its child. The recorder serializes to a span-tree [`Json`] forest and
-/// to a flat JSONL trace log.
+/// Spans nest by call order: a span started while another is open
+/// becomes its child. The tree serializes to a span-tree [`Json`] forest
+/// and to a flat JSONL trace log.
 ///
 /// ```
-/// use fpgatest::telemetry::Recorder;
-/// let mut rec = Recorder::new();
-/// let outer = rec.start("flow.parse");
-/// rec.attr(outer, "lines", 12u64);
-/// rec.end(outer);
-/// assert_eq!(rec.span_names(), ["flow.parse"]);
+/// use fpgatest::telemetry::SpanSink;
+/// let spans = SpanSink::recording();
+/// let outer = spans.start("flow.simulate");
+/// let inner = spans.start("flow.simulate.fdct1");
+/// spans.end(inner);
+/// spans.end(outer);
+/// let rec = spans.take();
+/// assert_eq!(rec.span_names(), ["flow.simulate", "flow.simulate.fdct1"]);
+/// assert_eq!(rec.find("flow.simulate.fdct1").unwrap().depth, 1);
+/// let mut log = Vec::new();
+/// rec.write_jsonl(&mut log).unwrap();
+/// assert_eq!(String::from_utf8(log).unwrap().lines().count(), 2);
 /// ```
 #[derive(Debug)]
 pub struct Recorder {
@@ -512,73 +525,18 @@ pub struct Recorder {
     stack: Vec<usize>,
 }
 
+/// An empty tree; its clock starts now.
 impl Default for Recorder {
     fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Recorder {
-    /// Creates an empty recorder; its clock starts now.
-    pub fn new() -> Self {
         Recorder {
             epoch: Instant::now(),
             spans: Vec::new(),
             stack: Vec::new(),
         }
     }
+}
 
-    /// Opens a span as a child of the innermost open span.
-    pub fn start(&mut self, name: impl Into<String>) -> SpanId {
-        let index = self.spans.len();
-        let parent = self.stack.last().copied();
-        let now = Instant::now();
-        self.spans.push(Span {
-            name: name.into(),
-            start_seconds: now.duration_since(self.epoch).as_secs_f64(),
-            wall_seconds: 0.0,
-            depth: self.stack.len(),
-            attrs: Vec::new(),
-            parent,
-            children: Vec::new(),
-            started: now,
-            closed: false,
-        });
-        if let Some(p) = parent {
-            self.spans[p].children.push(index);
-        }
-        self.stack.push(index);
-        SpanId(index)
-    }
-
-    /// Attaches an attribute to a span (open or closed).
-    pub fn attr(&mut self, id: SpanId, key: impl Into<String>, value: impl Into<Json>) {
-        self.spans[id.0].attrs.push((key.into(), value.into()));
-    }
-
-    /// Attaches an attribute to the innermost open span, if any.
-    pub fn attr_open(&mut self, key: impl Into<String>, value: impl Into<Json>) {
-        if let Some(&open) = self.stack.last() {
-            self.attr(SpanId(open), key, value);
-        }
-    }
-
-    /// Closes a span, recording its duration. Any children still open are
-    /// closed with it (a span cannot outlive its parent).
-    pub fn end(&mut self, id: SpanId) {
-        let Some(position) = self.stack.iter().rposition(|&i| i == id.0) else {
-            return; // already ended
-        };
-        for &open in self.stack[position..].iter().rev() {
-            let span = &mut self.spans[open];
-            if !span.closed {
-                span.closed = true;
-                span.wall_seconds = span.started.elapsed().as_secs_f64();
-            }
-        }
-        self.stack.truncate(position);
-    }
-
+impl Recorder {
     /// All spans in start order.
     pub fn spans(&self) -> &[Span] {
         &self.spans
@@ -592,32 +550,6 @@ impl Recorder {
     /// Every span name, in start order.
     pub fn span_names(&self) -> Vec<&str> {
         self.spans.iter().map(|s| s.name.as_str()).collect()
-    }
-
-    /// Merges another recorder's spans into this one, preserving their
-    /// tree shape. The absorbed spans keep their relative timing but are
-    /// rebased onto this recorder's epoch, so a span forest built by
-    /// worker threads (each with its own recorder) reads as one coherent
-    /// timeline. Absorbed roots stay roots — they do not become children
-    /// of any span currently open here.
-    pub fn absorb(&mut self, other: Recorder) {
-        let base = self.spans.len();
-        let offset = other
-            .epoch
-            .saturating_duration_since(self.epoch)
-            .as_secs_f64();
-        for mut span in other.spans {
-            span.start_seconds += offset;
-            span.parent = span.parent.map(|p| p + base);
-            for child in &mut span.children {
-                *child += base;
-            }
-            if !span.closed {
-                span.closed = true;
-                span.wall_seconds = span.started.elapsed().as_secs_f64();
-            }
-            self.spans.push(span);
-        }
     }
 
     /// The span forest as JSON (one object per root, children nested).
@@ -647,20 +579,10 @@ impl Recorder {
         Json::Obj(members)
     }
 
-    /// The flat JSONL trace log: one `{"type":"span",...}` object per
-    /// line, in start order, with depth instead of nesting.
-    pub fn to_jsonl(&self) -> String {
-        let mut out = Vec::new();
-        self.write_jsonl(&mut out)
-            .expect("writing JSONL to a Vec cannot fail");
-        String::from_utf8(out).expect("JSONL output is UTF-8")
-    }
-
-    /// Streams the JSONL trace log into `out`, one span per line.
-    ///
-    /// Identical output to [`Recorder::to_jsonl`]; wrap `out` in a
-    /// [`std::io::BufWriter`] when targeting a file so long traces go
-    /// out line by line instead of through one in-memory string.
+    /// Streams the flat JSONL trace log into `out`: one
+    /// `{"type":"span",...}` object per line, in start order, with depth
+    /// instead of nesting. Wrap `out` in a [`std::io::BufWriter`] when
+    /// targeting a file so long traces go out line by line.
     pub fn write_jsonl<W: std::io::Write>(&self, out: &mut W) -> std::io::Result<()> {
         for span in &self.spans {
             let mut members = vec![
@@ -676,6 +598,157 @@ impl Recorder {
             writeln!(out, "{}", Json::Obj(members).emit())?;
         }
         Ok(())
+    }
+}
+
+/// The span sink: a shareable handle over one [`Recorder`], and the one
+/// way spans are recorded. A run records its stage spans through
+/// [`crate::flow::FlowOptions::spans`].
+///
+/// Cloning is cheap (an `Arc`); every clone records into the same tree,
+/// so a span opened through one clone nests under the spans another
+/// holds open. One flow at a time records into a sink: concurrent flows
+/// take one sink each, as the suite's workers do, and the trees are
+/// merged afterwards with [`SpanSink::absorb`]. The disabled sink
+/// ([`SpanSink::disabled`], also `Default`) records nothing: its methods
+/// return at once, without reading the clock or formatting a name.
+///
+/// ```
+/// use fpgatest::telemetry::SpanSink;
+/// let spans = SpanSink::recording();
+/// let span = spans.start("flow.parse");
+/// spans.attr(span, "lines", 12u64);
+/// spans.end(span);
+/// assert_eq!(spans.take().span_names(), ["flow.parse"]);
+/// ```
+#[derive(Debug, Clone, Default)]
+pub struct SpanSink {
+    recorder: Option<Arc<Mutex<Recorder>>>,
+}
+
+impl SpanSink {
+    /// The sink that records nothing.
+    pub fn disabled() -> SpanSink {
+        SpanSink { recorder: None }
+    }
+
+    /// A sink recording into a fresh [`Recorder`]; its clock starts now.
+    pub fn recording() -> SpanSink {
+        SpanSink {
+            recorder: Some(Arc::default()),
+        }
+    }
+
+    /// Whether spans are recorded.
+    pub fn is_enabled(&self) -> bool {
+        self.recorder.is_some()
+    }
+
+    fn lock(&self) -> Option<MutexGuard<'_, Recorder>> {
+        let recorder = self.recorder.as_ref()?;
+        Some(recorder.lock().unwrap_or_else(|poisoned| poisoned.into_inner()))
+    }
+
+    /// Opens a span as a child of the innermost open span. On the
+    /// disabled sink the name is never formatted and the returned id
+    /// names no span.
+    pub fn start(&self, name: impl fmt::Display) -> SpanId {
+        let Some(mut recorder) = self.lock() else {
+            return SpanId(usize::MAX);
+        };
+        let recorder = &mut *recorder;
+        let index = recorder.spans.len();
+        let parent = recorder.stack.last().copied();
+        let now = Instant::now();
+        recorder.spans.push(Span {
+            name: name.to_string(),
+            start_seconds: now.duration_since(recorder.epoch).as_secs_f64(),
+            wall_seconds: 0.0,
+            depth: recorder.stack.len(),
+            attrs: Vec::new(),
+            parent,
+            children: Vec::new(),
+            started: now,
+            closed: false,
+        });
+        if let Some(p) = parent {
+            recorder.spans[p].children.push(index);
+        }
+        recorder.stack.push(index);
+        SpanId(index)
+    }
+
+    /// Attaches an attribute to a span this sink opened (open or closed).
+    pub fn attr(&self, id: SpanId, key: &str, value: impl Into<Json>) {
+        if let Some(mut recorder) = self.lock() {
+            recorder.spans[id.0].attrs.push((key.to_string(), value.into()));
+        }
+    }
+
+    /// Attaches an attribute to the innermost open span, if any.
+    pub fn attr_open(&self, key: &str, value: impl Into<Json>) {
+        let open = self.lock().and_then(|recorder| recorder.stack.last().copied());
+        if let Some(open) = open {
+            self.attr(SpanId(open), key, value);
+        }
+    }
+
+    /// Closes a span, recording its duration. Any children still open are
+    /// closed with it (a span cannot outlive its parent).
+    pub fn end(&self, id: SpanId) {
+        let Some(mut recorder) = self.lock() else {
+            return;
+        };
+        let recorder = &mut *recorder;
+        let Some(position) = recorder.stack.iter().rposition(|&i| i == id.0) else {
+            return; // already ended
+        };
+        for &open in recorder.stack[position..].iter().rev() {
+            let span = &mut recorder.spans[open];
+            if !span.closed {
+                span.closed = true;
+                span.wall_seconds = span.started.elapsed().as_secs_f64();
+            }
+        }
+        recorder.stack.truncate(position);
+    }
+
+    /// Moves every span `other` recorded into this sink, leaving `other`
+    /// empty, and closes any still open. The tree keeps its shape and its
+    /// relative timing, rebased onto this sink's clock, so a forest built
+    /// by worker threads (each with its own sink) reads as one coherent
+    /// timeline. Absorbed roots stay roots: they do not become children
+    /// of any span open here.
+    pub fn absorb(&self, other: &SpanSink) {
+        let taken = other.lock().map(|mut other| std::mem::take(&mut *other));
+        let (Some(other), Some(mut recorder)) = (taken, self.lock()) else {
+            return;
+        };
+        let base = recorder.spans.len();
+        let offset = other
+            .epoch
+            .saturating_duration_since(recorder.epoch)
+            .as_secs_f64();
+        for mut span in other.spans {
+            span.start_seconds += offset;
+            span.parent = span.parent.map(|p| p + base);
+            for child in &mut span.children {
+                *child += base;
+            }
+            if !span.closed {
+                span.closed = true;
+                span.wall_seconds = span.started.elapsed().as_secs_f64();
+            }
+            recorder.spans.push(span);
+        }
+    }
+
+    /// Takes the spans recorded so far, leaving the sink empty; the
+    /// disabled sink yields an empty tree.
+    pub fn take(&self) -> Recorder {
+        self.lock()
+            .map(|mut recorder| std::mem::take(&mut *recorder))
+            .unwrap_or_default()
     }
 }
 
@@ -1061,15 +1134,16 @@ mod tests {
 
     #[test]
     fn spans_nest_by_call_order() {
-        let mut rec = Recorder::new();
-        let outer = rec.start("flow.lower");
-        let inner = rec.start("flow.lower.schedule");
-        rec.end(inner);
-        let second = rec.start("flow.lower.datapath");
-        rec.end(second);
-        rec.end(outer);
-        let after = rec.start("flow.compare");
-        rec.end(after);
+        let sink = SpanSink::recording();
+        let outer = sink.start("flow.lower");
+        let inner = sink.start("flow.lower.schedule");
+        sink.end(inner);
+        let second = sink.start("flow.lower.datapath");
+        sink.end(second);
+        sink.end(outer);
+        let after = sink.start("flow.compare");
+        sink.end(after);
+        let rec = sink.take();
 
         assert_eq!(
             rec.span_names(),
@@ -1096,29 +1170,33 @@ mod tests {
 
     #[test]
     fn ending_parent_closes_open_children() {
-        let mut rec = Recorder::new();
-        let outer = rec.start("a");
-        let _inner = rec.start("b");
-        rec.end(outer); // b never explicitly ended
+        let sink = SpanSink::recording();
+        let outer = sink.start("a");
+        let _inner = sink.start("b");
+        sink.end(outer); // b never explicitly ended
+        let c = sink.start("c");
+        sink.end(c);
+        let rec = sink.take();
         assert!(rec.spans().iter().all(|s| s.closed));
-        let c = rec.start("c");
-        rec.end(c);
         assert_eq!(rec.spans()[2].depth, 0); // c is a root, not a child of a
     }
 
     #[test]
     fn span_attrs_serialize() {
-        let mut rec = Recorder::new();
-        let span = rec.start("flow.parse");
-        rec.attr(span, "lines", 7u64);
-        rec.attr(span, "design", "fdct1");
-        rec.end(span);
+        let sink = SpanSink::recording();
+        let span = sink.start("flow.parse");
+        sink.attr(span, "lines", 7u64);
+        sink.attr(span, "design", "fdct1");
+        sink.end(span);
+        let rec = sink.take();
         let tree = rec.to_json();
         let attrs = tree.as_array().unwrap()[0].get("attrs").unwrap();
         assert_eq!(attrs.get("lines").unwrap().as_u64(), Some(7));
         assert_eq!(attrs.get("design").unwrap().as_str(), Some("fdct1"));
         // JSONL round-trips line by line.
-        let jsonl = rec.to_jsonl();
+        let mut jsonl = Vec::new();
+        rec.write_jsonl(&mut jsonl).unwrap();
+        let jsonl = String::from_utf8(jsonl).unwrap();
         let line = Json::parse(jsonl.lines().next().unwrap()).unwrap();
         assert_eq!(line.get("type").unwrap().as_str(), Some("span"));
         assert_eq!(line.get("name").unwrap().as_str(), Some("flow.parse"));
@@ -1126,12 +1204,13 @@ mod tests {
 
     #[test]
     fn span_durations_are_monotone() {
-        let mut rec = Recorder::new();
-        let outer = rec.start("outer");
-        let inner = rec.start("inner");
+        let sink = SpanSink::recording();
+        let outer = sink.start("outer");
+        let inner = sink.start("inner");
         std::thread::sleep(std::time::Duration::from_millis(2));
-        rec.end(inner);
-        rec.end(outer);
+        sink.end(inner);
+        sink.end(outer);
+        let rec = sink.take();
         let outer = rec.find("outer").unwrap();
         let inner = rec.find("inner").unwrap();
         assert!(inner.wall_seconds > 0.0);
@@ -1140,17 +1219,19 @@ mod tests {
 
     #[test]
     fn absorb_merges_span_forests() {
-        let mut main = Recorder::new();
+        let main = SpanSink::recording();
         let root = main.start("suite");
         main.end(root);
 
-        let mut worker = Recorder::new();
+        let worker = SpanSink::recording();
         let outer = worker.start("case.a");
         let inner = worker.start("flow.parse");
         worker.end(inner);
         worker.end(outer);
 
-        main.absorb(worker);
+        main.absorb(&worker);
+        assert!(worker.take().spans().is_empty());
+        let main = main.take();
         assert_eq!(main.span_names(), ["suite", "case.a", "flow.parse"]);
         // The absorbed tree keeps its shape: case.a is a root with one child.
         let tree = main.to_json();
@@ -1164,6 +1245,25 @@ mod tests {
         );
         // Timing is rebased onto the absorbing recorder's epoch.
         assert!(main.find("case.a").unwrap().start_seconds >= 0.0);
+    }
+
+    #[test]
+    fn disabled_sink_records_nothing_and_formats_no_name() {
+        struct Unformattable;
+        impl fmt::Display for Unformattable {
+            fn fmt(&self, _: &mut fmt::Formatter<'_>) -> fmt::Result {
+                panic!("the disabled sink formatted a span name")
+            }
+        }
+        let disabled = SpanSink::disabled();
+        let span = disabled.start(Unformattable);
+        disabled.attr(span, "lines", 7u64);
+        disabled.attr_open("lines", 7u64);
+        disabled.end(span);
+        let recording = SpanSink::recording();
+        recording.absorb(&disabled);
+        assert!(disabled.take().spans().is_empty());
+        assert!(recording.take().spans().is_empty());
     }
 
     #[test]

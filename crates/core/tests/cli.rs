@@ -1,9 +1,11 @@
 //! Integration tests of the `fpgatest` command-line binary.
 
 use fpgatest::telemetry::Json;
-use std::io::BufRead;
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::TcpStream;
 use std::path::{Path, PathBuf};
-use std::process::{Child, Command, Stdio};
+use std::process::{Child, ChildStdout, Command, Stdio};
+use std::time::Duration;
 
 fn bin() -> Command {
     Command::new(env!("CARGO_BIN_EXE_fpgatest"))
@@ -179,6 +181,57 @@ impl Drop for Daemon {
     }
 }
 
+impl Daemon {
+    /// Starts `fpgatest serve --listen 127.0.0.1:0` with `args`. Returns
+    /// the daemon, the address it listens on and the rest of its stdout.
+    fn start(args: &[&str], stderr: Stdio) -> (Daemon, String, BufReader<ChildStdout>) {
+        let mut daemon = Daemon(
+            bin()
+                .args(["serve", "--listen", "127.0.0.1:0"])
+                .args(args)
+                .stdout(Stdio::piped())
+                .stderr(stderr)
+                .spawn()
+                .expect("daemon starts"),
+        );
+        // "fpgatest serve: listening on ADDR (…)" is the first stdout line.
+        let mut stdout = BufReader::new(daemon.0.stdout.take().expect("piped stdout"));
+        let mut first = String::new();
+        stdout.read_line(&mut first).expect("daemon prints its address");
+        let addr = first
+            .split("listening on ")
+            .nth(1)
+            .and_then(|rest| rest.split_whitespace().next())
+            .unwrap_or_else(|| panic!("no address in {first:?}"))
+            .to_string();
+        (daemon, addr, stdout)
+    }
+}
+
+/// The example suite manifest.
+const SUITE_MANIFEST: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/../../examples/suite/suite.manifest"
+);
+
+/// A string member of a JSON object.
+fn field(json: &Json, key: &str) -> Option<String> {
+    json.get(key).and_then(Json::as_str).map(str::to_string)
+}
+
+/// The served suite's `fpgatest-submit-v1` report has one job per
+/// manifest case, each `pass` with exit 0.
+fn assert_every_job_passed(report: &Path) {
+    let suite = Json::parse(&std::fs::read_to_string(report).unwrap()).unwrap();
+    assert_eq!(field(&suite, "schema").as_deref(), Some("fpgatest-submit-v1"));
+    let jobs = suite.get("jobs").and_then(Json::as_array).expect("jobs");
+    assert_eq!(jobs.len(), 5, "one job per manifest case");
+    for job in jobs {
+        assert_eq!(field(job, "verdict").as_deref(), Some("pass"), "{}", job.emit());
+        assert_eq!(job.get("exit_code").and_then(Json::as_u64), Some(0), "{}", job.emit());
+    }
+}
+
 /// The example suite submitted to `fpgatest serve` with `--events-out`
 /// and `--report`: every event line is `fpgatest-events-v1`, the stream
 /// ends with `campaign-finished`, each served job closes with one
@@ -187,33 +240,11 @@ impl Drop for Daemon {
 #[test]
 fn served_suite_events_and_report_hold() {
     let dir = workdir("served_suite");
-    let mut daemon = Daemon(
-        bin()
-            .args(["serve", "--listen", "127.0.0.1:0", "--workers", "2"])
-            .stdout(Stdio::piped())
-            .stderr(Stdio::null())
-            .spawn()
-            .expect("daemon starts"),
-    );
-    // "fpgatest serve: listening on ADDR (…)" is the first stdout line.
-    let mut first = String::new();
-    std::io::BufReader::new(daemon.0.stdout.take().expect("piped stdout"))
-        .read_line(&mut first)
-        .expect("daemon prints its address");
-    let addr = first
-        .split("listening on ")
-        .nth(1)
-        .and_then(|rest| rest.split_whitespace().next())
-        .unwrap_or_else(|| panic!("no address in {first:?}"))
-        .to_string();
+    let (mut daemon, addr, _) = Daemon::start(&["--workers", "2"], Stdio::null());
 
-    let manifest = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../../examples/suite/suite.manifest"
-    );
     let (events, report) = (dir.join("events.jsonl"), dir.join("submit.json"));
     let submit = bin()
-        .args(["submit", manifest, "--addr", &addr, "--events-out"])
+        .args(["submit", SUITE_MANIFEST, "--addr", &addr, "--events-out"])
         .arg(&events)
         .arg("--report")
         .arg(&report)
@@ -231,7 +262,6 @@ fn served_suite_events_and_report_hold() {
     assert!(shutdown.status.success());
     assert!(daemon.0.wait().unwrap().success(), "daemon drains cleanly");
 
-    let field = |json: &Json, key: &str| json.get(key).and_then(Json::as_str).map(str::to_string);
     let text = std::fs::read_to_string(&events).unwrap();
     let lines: Vec<Json> = text
         .lines()
@@ -251,18 +281,122 @@ fn served_suite_events_and_report_hold() {
         })
         .count();
 
-    let suite = Json::parse(&std::fs::read_to_string(&report).unwrap()).unwrap();
-    assert_eq!(field(&suite, "schema").as_deref(), Some("fpgatest-submit-v1"));
-    let jobs = suite.get("jobs").and_then(Json::as_array).expect("jobs");
-    assert_eq!(jobs.len(), 5, "one job per manifest case");
-    for job in jobs {
-        assert_eq!(field(job, "verdict").as_deref(), Some("pass"), "{}", job.emit());
-        assert_eq!(job.get("exit_code").and_then(Json::as_u64), Some(0), "{}", job.emit());
-    }
+    assert_every_job_passed(&report);
     assert_eq!(
-        serve_closures,
-        jobs.len(),
+        serve_closures, 5,
         "one serve-level campaign-finished per served job"
     );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A client connection to a daemon that gives up after 30 s of silence.
+fn connect(addr: &str) -> TcpStream {
+    let conn = TcpStream::connect(addr).expect("connect to the daemon");
+    conn.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+    conn
+}
+
+/// Reads one reply line and checks it is the typed error `code`.
+fn expect_error(reader: &mut impl BufRead, code: &str) {
+    let mut line = String::new();
+    reader.read_line(&mut line).expect("a reply line");
+    let reply = Json::parse(line.trim()).unwrap_or_else(|e| panic!("{e}: {line:?}"));
+    assert_eq!(field(&reply, "type").as_deref(), Some("error"), "{line}");
+    assert_eq!(field(&reply, "code").as_deref(), Some(code), "{line}");
+}
+
+/// The daemon under chaos (about a quarter of job dequeues kill the
+/// worker mid-job) serves the example suite past its kills and two
+/// hostile clients:
+/// - a client that stalls half a request line past the read deadline
+///   while the suite runs gets the typed `deadline` error;
+/// - three garbage frames (malformed JSON, an unknown request type,
+///   binary bytes) each get a typed `bad-request` error;
+/// - every suite job passes with exit 0, at least one worker was
+///   restarted, every submitted job finished, and none is in flight or
+///   queued;
+/// - the daemon drains on shutdown and leaves its ledger behind.
+#[test]
+fn chaos_daemon_serves_the_suite_past_kills_and_hostile_clients() {
+    let dir = workdir("chaos");
+    let ledger = dir.join("ledger.jsonl");
+    let serve_err = std::fs::File::create(dir.join("serve.err")).unwrap();
+    let (mut daemon, addr, mut stdout) = Daemon::start(
+        &[
+            "--workers",
+            "2",
+            "--retries",
+            "3",
+            "--backoff",
+            "5",
+            "--read-deadline",
+            "1000",
+            "--chaos",
+            "42",
+            "--ledger",
+            ledger.to_str().expect("UTF-8 temp path"),
+        ],
+        serve_err.into(),
+    );
+
+    let stall = {
+        let mut conn = connect(&addr);
+        std::thread::spawn(move || {
+            conn.write_all(b"{\"type\":\"stat").unwrap(); // then silence
+            expect_error(&mut BufReader::new(conn), "deadline");
+        })
+    };
+    let report = dir.join("submit.json");
+    let submit = bin()
+        .args(["submit", SUITE_MANIFEST, "--addr", &addr, "--report"])
+        .arg(&report)
+        .output()
+        .unwrap();
+    assert!(
+        submit.status.success(),
+        "{}",
+        String::from_utf8_lossy(&submit.stderr)
+    );
+    stall.join().expect("the stalled client got the deadline error");
+
+    let mut garbage = connect(&addr);
+    let mut replies = BufReader::new(garbage.try_clone().unwrap());
+    for frame in [
+        &b"{not json\n"[..],
+        b"{\"type\":\"frobnicate\"}\n",
+        b"\x00\x01\xfe\xff garbage\n",
+    ] {
+        garbage.write_all(frame).unwrap();
+        expect_error(&mut replies, "bad-request");
+    }
+    drop((garbage, replies));
+
+    let stats = bin().args(["submit", "--addr", &addr, "--stats"]).output().unwrap();
+    assert!(stats.status.success(), "{}", String::from_utf8_lossy(&stats.stderr));
+    let stats = Json::parse(String::from_utf8_lossy(&stats.stdout).trim()).unwrap();
+    let count = |key: &str| {
+        stats
+            .get(key)
+            .and_then(Json::as_u64)
+            .unwrap_or_else(|| panic!("no '{key}' in {}", stats.emit()))
+    };
+    assert_every_job_passed(&report);
+    assert!(count("worker_restarts") >= 1, "{}", stats.emit());
+    assert_eq!(
+        count("finished"),
+        count("submitted"),
+        "every accepted job reached a terminal outcome"
+    );
+    assert_eq!((count("inflight"), count("queued")), (0, 0), "{}", stats.emit());
+
+    let shutdown = bin().args(["submit", "--addr", &addr, "--shutdown"]).output().unwrap();
+    assert!(shutdown.status.success());
+    assert!(daemon.0.wait().unwrap().success(), "daemon drains cleanly");
+    let mut rest = String::new();
+    stdout.read_to_string(&mut rest).unwrap();
+    assert!(rest.contains("drained and stopped"), "{rest}");
+    let serve_err = std::fs::read_to_string(dir.join("serve.err")).unwrap();
+    assert!(serve_err.contains("CHAOS MODE"), "{serve_err}");
+    assert!(!std::fs::read_to_string(&ledger).unwrap().is_empty());
     std::fs::remove_dir_all(&dir).ok();
 }

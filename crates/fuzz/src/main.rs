@@ -8,15 +8,18 @@
 //! ```
 //!
 //! Exit codes: 0 = clean, 1 = at least one divergence, 2 = usage or
-//! generator error. Output is deterministic: same seed, same cases,
-//! bit-identical bytes at any `--shards` count (default: the machine's
-//! available parallelism).
+//! generator error, or a failed stdout write (a reader that closes the
+//! pipe early is not one: see [`fpgatest::stdout::write_stdout`]).
+//! Output is deterministic: same seed, same cases, bit-identical bytes
+//! at any `--shards` count (default: the machine's available
+//! parallelism).
 
 use fpgafuzz::campaign::{run_campaign_sharded, CampaignOptions, ShardedCampaignOptions};
 use fpgafuzz::distill::{distill, DistillOptions};
 use fpgafuzz::exec::{run_case, CaseOutcome, ExecOptions, Injection};
 use fpgafuzz::gen::{generate_case, Budget};
 use fpgafuzz::shrink::{line_count, shrink};
+use fpgatest::{out, outln};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -84,7 +87,7 @@ fn cmd_run(flags: &Flags) -> Result<ExitCode, String> {
         eprintln!("fpgafuzz: {note}");
     }
     let report = outcome.report;
-    print!("{}", report.log);
+    out!("{}", report.log);
     if outcome.interrupted {
         eprintln!("fpgafuzz: interrupted; checkpoint holds the completed prefix");
         return Ok(ExitCode::from(130));
@@ -132,7 +135,7 @@ fn cmd_distill(flags: &Flags) -> Result<ExitCode, String> {
         max_ticks: flags.u64_or("max-ticks", 5_000_000)?,
     })
     .map_err(|e| format!("distill: {e}"))?;
-    print!("{}", report.log);
+    out!("{}", report.log);
     Ok(ExitCode::SUCCESS)
 }
 
@@ -144,10 +147,10 @@ fn cmd_gen(flags: &Flags) -> Result<ExitCode, String> {
         ..Budget::default()
     };
     let case = generate_case(seed, index, &budget)?;
-    print!("{}", case.source);
+    out!("{}", case.source);
     for (mem, values) in &case.stimuli {
         let rendered: Vec<String> = values.iter().map(|v| v.to_string()).collect();
-        println!("// stimulus {mem}: {}", rendered.join(" "));
+        outln!("// stimulus {mem}: {}", rendered.join(" "));
     }
     Ok(ExitCode::SUCCESS)
 }
@@ -168,26 +171,26 @@ fn cmd_repro(flags: &Flags) -> Result<ExitCode, String> {
     let case = generate_case(seed, index, &budget)?;
     match run_case(&case, width, &exec) {
         CaseOutcome::Pass { coverage } => {
-            println!("case {index}: PASS ({} coverage keys)", coverage.len());
+            outln!("case {index}: PASS ({} coverage keys)", coverage.len());
             Ok(ExitCode::SUCCESS)
         }
         CaseOutcome::Divergence(d) => {
-            println!(
+            outln!(
                 "case {index}: DIVERGENCE [{}] {:?}: {}",
                 d.variant, d.kind, d.detail
             );
             let report = shrink(&case, width, &exec, 500);
-            println!(
+            outln!(
                 "shrunk {} -> {} lines in {} evals:",
                 line_count(&case),
                 line_count(&report.case),
                 report.evals
             );
-            print!("{}", report.case.source);
+            out!("{}", report.case.source);
             Ok(ExitCode::from(1))
         }
         CaseOutcome::GeneratorError(e) => {
-            println!("case {index}: generator error: {e}");
+            outln!("case {index}: generator error: {e}");
             Ok(ExitCode::from(2))
         }
     }

@@ -10,7 +10,7 @@ use fpgatest::flow::{Engine, FlowOptions, TestFlow};
 use fpgatest::ledger::{self, LedgerEntry};
 use fpgatest::stimulus::Stimulus;
 use fpgatest::suite::{Suite, TestCase};
-use fpgatest::telemetry::{suite_json, Json, Recorder};
+use fpgatest::telemetry::{suite_json, Json, SpanSink};
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
@@ -280,20 +280,94 @@ fn profiled_level_run_cli_streams_events_and_rank_frames() {
     }
 }
 
+/// A stage that fails streams its `span-start` and no `span-end`, and in
+/// the span tree the case's span closes it. A parse error streams only
+/// `flow.parse`'s start; a golden run that stores X streams a lone
+/// `flow.golden` start after `flow.parse` and `flow.lower` closed.
+#[test]
+fn a_failing_stage_streams_a_lone_span_start_and_its_case_span_closes_it() {
+    let (sink, captured) = EventSink::capture();
+    let spans = SpanSink::recording();
+    let mut suite = Suite::new()
+        .with_case(TestCase::new("unparsed", "void main() {"))
+        .with_case(TestCase::new(
+            "xstore",
+            "mem out[1]; void main() { int x; out[0] = x + 1; }",
+        ));
+    suite.set_events(sink, "failing");
+    suite.set_spans(spans.clone());
+    let report = suite.run();
+    let verdicts: Vec<&str> = report.results.iter().map(|(_, r)| r.status()).collect();
+    assert_eq!(verdicts, ["error", "error"]);
+
+    let stream: Vec<String> = captured
+        .events()
+        .iter()
+        .map(|event| match event {
+            Event::SpanStart { name } | Event::SpanEnd { name, .. } => {
+                format!("{} {name}", event.kind())
+            }
+            Event::CaseStarted { case, .. } | Event::CaseFinished { case, .. } => {
+                format!("{} {case}", event.kind())
+            }
+            _ => event.kind().to_string(),
+        })
+        .collect();
+    assert_eq!(
+        stream,
+        [
+            "campaign-started",
+            "case-started unparsed",
+            "span-start flow.parse",
+            "case-finished unparsed",
+            "heartbeat",
+            "case-started xstore",
+            "span-start flow.parse",
+            "span-end flow.parse",
+            "span-start flow.lower",
+            "span-end flow.lower",
+            "span-start flow.golden",
+            "case-finished xstore",
+            "heartbeat",
+            "campaign-finished",
+        ]
+    );
+
+    let recorder = spans.take();
+    // Every span is closed: a span still open has no duration.
+    assert!(recorder.spans().iter().all(|span| span.wall_seconds > 0.0));
+    let tree: Vec<(String, usize)> = recorder
+        .spans()
+        .iter()
+        .map(|span| (span.name.clone(), span.depth))
+        .collect();
+    let expect = [
+        ("case.unparsed", 0),
+        ("flow.parse", 1),
+        ("case.xstore", 0),
+        ("flow.parse", 1),
+        ("flow.lower", 1),
+        ("flow.golden", 1),
+    ];
+    let expect: Vec<(String, usize)> = expect.iter().map(|&(n, d)| (n.to_string(), d)).collect();
+    assert_eq!(tree, expect);
+}
+
 #[test]
 fn report_json_serializes_canonically() {
     let build = || {
-        let mut recorder = Recorder::new();
+        let spans = SpanSink::recording();
         let flow = TestFlow::new("double", PROGRAM)
+            .with_spans(spans.clone())
             .stimulus("inp", Stimulus::from_values([3, 1, 4, 1]));
-        let report = flow.run_recorded(&mut recorder).expect("flow runs");
+        let report = flow.run().expect("flow runs");
         let suite = fpgatest::suite::SuiteReport {
             results: vec![(
                 "double".to_string(),
                 fpgatest::suite::CaseResult::Finished(report),
             )],
         };
-        let mut json = suite_json(&suite, &recorder);
+        let mut json = suite_json(&suite, &spans.take());
         json.sort_keys();
         json.emit_pretty()
     };

@@ -5,7 +5,7 @@
 
 use fpgatest::flow::TestFlow;
 use fpgatest::stimulus::Stimulus;
-use fpgatest::telemetry::{suite_json, Json, Recorder};
+use fpgatest::telemetry::{suite_json, Json, SpanSink};
 use std::path::PathBuf;
 use std::process::Command;
 
@@ -189,10 +189,11 @@ fn test_subcommand_accepts_a_manifest() {
 
 #[test]
 fn library_report_agrees_with_flow_results() {
-    let mut recorder = Recorder::new();
+    let spans = SpanSink::recording();
     let report = TestFlow::new("lib", PROGRAM)
+        .with_spans(spans.clone())
         .stimulus("inp", Stimulus::from_values([9, 9, 9, 9]))
-        .run_recorded(&mut recorder)
+        .run()
         .unwrap();
     assert!(report.passed);
     assert_eq!(report.runs[0].kernel.events, report.runs[0].summary.events);
@@ -211,7 +212,7 @@ fn library_report_agrees_with_flow_results() {
             fpgatest::suite::CaseResult::Finished(report),
         )],
     };
-    let json = suite_json(&suite, &recorder);
+    let json = suite_json(&suite, &spans.take());
     let text = json.emit_pretty();
     let reparsed = Json::parse(&text).unwrap();
     assert_eq!(reparsed, json, "report JSON must round-trip");

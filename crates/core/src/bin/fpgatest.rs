@@ -56,7 +56,11 @@
 //! and exits non-zero when the latest run regresses past the gate.
 //!
 //! `test` also accepts a `.manifest` path, which runs the whole suite
-//! (equivalent to `run`) so the observability flags apply uniformly.
+//! (equivalent to `run`) so the observability flags apply uniformly. A
+//! single source runs as a one-case suite: the same watchdogs, the
+//! `case.<name>` span over the flow's stages and the suite's event
+//! framing, written for every verdict; stdout shows the case's own
+//! report.
 //!
 //! `test` fault/watchdog options (also available as manifest directives
 //! `fault`, `max_ticks`, `timeout`):
@@ -100,15 +104,18 @@
 //! uninterrupted run produces.
 //!
 //! Exit codes: 0 = everything passed; 1 = verification failed (or fault
-//! coverage below the requested floor/baseline); 2 = usage or flow
-//! error; 3 = a case crashed the harness (caught panic); 4 = a watchdog
-//! (tick or wall-clock) tripped.
+//! coverage below the requested floor/baseline); 2 = usage, manifest or
+//! flow error; 3 = a case crashed the harness (caught panic); 4 = a
+//! watchdog (tick or wall-clock) tripped. A single design exits with its
+//! own case's code, so its flow error exits 2; in a suite (`run`,
+//! `submit`) crashes outrank timeouts, and a case's flow error counts as
+//! a failure (1).
 
 use fpgatest::events::EventSink;
 use fpgatest::faults::{campaign_json, CampaignOptions, FaultSpec, InjectionOutcome};
-use fpgatest::flow::{Engine, FlowOptions, TestFlow};
+use fpgatest::flow::{Engine, FlowOptions};
 use fpgatest::ledger::{self, LedgerEntry};
-use fpgatest::suite::{CaseResult, SuiteReport};
+use fpgatest::suite::{CaseResult, Suite, SuiteReport, TestCase};
 use fpgatest::telemetry::{self, Json, Recorder, SpanSink};
 use fpgatest::{metrics, out, outln, stimulus, suite};
 use nenya::schedule::SchedulePolicy;
@@ -178,7 +185,8 @@ USAGE:
   fpgatest compile <prog.src> --out DIR [--width N] [--partitions K] [--optimize]
   fpgatest figure1 > figure1.dot
 
-exit codes: 0 pass, 1 fail, 2 usage/flow error, 3 harness crash, 4 watchdog"
+exit codes: 0 pass, 1 fail, 2 usage/flow error, 3 harness crash, 4 watchdog
+  (a suite counts a case's flow error as a failure, 1)"
     );
 }
 
@@ -363,30 +371,65 @@ fn print_metrics(report: &SuiteReport, verbose: bool) {
     }
 }
 
+/// Runs a manifest's suite: prints its one-line-per-case summary and
+/// Table I, and exits with the suite's folded exit code.
 fn run_suite(
     manifest: &Path,
     telemetry_args: &TelemetryArgs,
     jobs: usize,
     engine: Option<Engine>,
 ) -> ExitCode {
-    let mut suite = match suite::load_manifest(manifest) {
+    let suite = match suite::load_manifest(manifest) {
         Ok(s) => s,
         Err(e) => {
             eprintln!("error: {e}");
             return ExitCode::from(2);
         }
     };
+    let report = run_recorded(
+        suite,
+        manifest,
+        "run",
+        telemetry_args,
+        jobs,
+        engine,
+        |report| {
+            out!("{}", report.render());
+            print_metrics(report, telemetry_args.verbose);
+            Ok(())
+        },
+    );
+    match report {
+        Ok(report) => exit(report.exit_code()),
+        Err(code) => code,
+    }
+}
+
+/// Runs `suite` under the observability flags, its events keyed by `key`
+/// and `engine` overriding every case's engine. `print` writes the run's
+/// stdout report; the telemetry files and the ledger line (`command`
+/// over `key`) follow it, for every verdict. Returns the report, or the
+/// exit code of a failure to run or record it.
+fn run_recorded(
+    mut suite: Suite,
+    key: &Path,
+    command: &str,
+    telemetry_args: &TelemetryArgs,
+    jobs: usize,
+    engine: Option<Engine>,
+    print: impl FnOnce(&SuiteReport) -> Result<(), ExitCode>,
+) -> Result<SuiteReport, ExitCode> {
+    let fail = |message: String| {
+        eprintln!("error: {message}");
+        ExitCode::from(2)
+    };
     if let Some(engine) = engine {
         suite.set_engine(engine);
     }
-    let sink = match telemetry_args.event_sink() {
-        Ok(sink) => sink,
-        Err(message) => {
-            eprintln!("error: {message}");
-            return ExitCode::from(2);
-        }
-    };
-    suite.set_events(sink, manifest.display().to_string());
+    suite.set_events(
+        telemetry_args.event_sink().map_err(fail)?,
+        key.display().to_string(),
+    );
     if telemetry_args.profile {
         suite.set_profile(true);
     }
@@ -395,13 +438,9 @@ fn run_suite(
     let run_started = Instant::now();
     let report = suite.run_parallel(jobs);
     let wall_seconds = run_started.elapsed().as_secs_f64();
-    out!("{}", report.render());
-    print_metrics(&report, telemetry_args.verbose);
+    print(&report)?;
     let engine = engine.unwrap_or_default();
-    if let Err(message) = emit_telemetry(&report, &spans.take(), telemetry_args, engine) {
-        eprintln!("error: {message}");
-        return ExitCode::from(2);
-    }
+    emit_telemetry(&report, &spans.take(), telemetry_args, engine).map_err(fail)?;
     if let Some(path) = &telemetry_args.ledger {
         let entry = LedgerEntry {
             engine: engine.to_string(),
@@ -409,14 +448,16 @@ fn run_suite(
             passed: report.passed() as u64,
             failed: report.failed() as u64,
             counters: suite_counters(&report),
-            ..LedgerEntry::new("run", &manifest.display().to_string())
+            ..LedgerEntry::new(command, &key.display().to_string())
         };
-        if let Err(message) = append_ledger(path, &entry) {
-            eprintln!("error: {message}");
-            return ExitCode::from(2);
-        }
+        append_ledger(path, &entry).map_err(fail)?;
     }
-    ExitCode::from(u8::try_from(report.exit_code()).unwrap_or(1))
+    Ok(report)
+}
+
+/// The process exit code for a run's exit code.
+fn exit(code: i32) -> ExitCode {
+    ExitCode::from(u8::try_from(code).unwrap_or(1))
 }
 
 fn cmd_run(args: &[String]) -> ExitCode {
@@ -1183,17 +1224,9 @@ fn cmd_submit(args: &[String]) -> ExitCode {
         outln!("report written to {}", path.display());
     }
 
-    // Same precedence as SuiteReport::exit_code: crash > timeout > fail.
-    let verdicts: Vec<&str> = outcomes.iter().map(|(_, o)| o.verdict.as_str()).collect();
-    if verdicts.contains(&"crash") {
-        ExitCode::from(3)
-    } else if verdicts.contains(&"timeout") {
-        ExitCode::from(4)
-    } else if verdicts.iter().all(|v| *v == "pass") {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
+    exit(suite::fold_exit_code(
+        outcomes.iter().map(|(_, outcome)| outcome.verdict.as_str()),
+    ))
 }
 
 /// Compares campaign coverage against a checked-in `fpgatest-faults-v1`
@@ -1348,104 +1381,80 @@ fn cmd_test(args: &[String]) -> ExitCode {
         let engine = (parsed.options.engine != Engine::default()).then_some(parsed.options.engine);
         return run_suite(&parsed.source, &parsed.telemetry, parsed.jobs, engine);
     }
-    let source = match std::fs::read_to_string(&parsed.source) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("cannot read {}: {e}", parsed.source.display());
+    // One source runs as a one-case suite: the same shield, telemetry and
+    // event framing as a manifest, but the case's own report and exit
+    // code.
+    let case = match load_source_case(&parsed) {
+        Ok(case) => case,
+        Err(message) => {
+            eprintln!("{message}");
             return ExitCode::from(2);
         }
     };
+    let engine = Some(parsed.options.engine);
+    let suite = Suite::new().with_case(case);
+    let print = |report: &SuiteReport| print_case(&report.results[0].1, &parsed);
+    let report = run_recorded(
+        suite,
+        &parsed.source,
+        "test",
+        &parsed.telemetry,
+        1,
+        engine,
+        print,
+    );
+    match report {
+        Ok(report) => exit(report.results[0].1.exit_code()),
+        Err(code) => code,
+    }
+}
+
+/// Prints a single design's verdict: a finished case's report and Table
+/// I row on stdout (and its `--artifacts`), any other verdict on stderr.
+fn print_case(result: &CaseResult, parsed: &TestArgs) -> Result<(), ExitCode> {
+    match result {
+        CaseResult::Finished(report) => {
+            out!("{}", report.render());
+            if parsed.telemetry.verbose {
+                let rows = std::slice::from_ref(&report.metrics);
+                outln!("{}", metrics::render_table1_ext(rows));
+            } else {
+                outln!("{}", report.metrics);
+            }
+            if let Some(dir) = &parsed.artifacts {
+                if let Err(e) = write_artifacts(dir, report) {
+                    eprintln!("cannot write artifacts: {e}");
+                    return Err(ExitCode::from(2));
+                }
+                outln!("artifacts written to {}", dir.display());
+            }
+        }
+        CaseResult::Errored(e) => eprintln!("flow error: {e}"),
+        CaseResult::Crashed(message) => eprintln!("crash: {message}"),
+        CaseResult::TimedOut { reason } => eprintln!("timeout: {reason}"),
+    }
+    Ok(())
+}
+
+/// Loads `fpgatest test SOURCE` as a case named after the file stem,
+/// with its stimuli and flow options.
+fn load_source_case(parsed: &TestArgs) -> Result<TestCase, String> {
+    let source = std::fs::read_to_string(&parsed.source)
+        .map_err(|e| format!("cannot read {}: {e}", parsed.source.display()))?;
     let name = parsed
         .source
         .file_stem()
         .map(|s| s.to_string_lossy().to_string())
         .unwrap_or_else(|| "design".to_string());
-    let spans = SpanSink::recording();
-    let mut options = parsed.options.clone();
-    options.profile = parsed.telemetry.profile;
-    options.spans = spans.clone();
-    match parsed.telemetry.event_sink() {
-        Ok(sink) => options.events = sink,
-        Err(message) => {
-            eprintln!("error: {message}");
-            return ExitCode::from(2);
-        }
-    }
-    let mut flow = TestFlow::new(&name, source).with_options(options);
+    let mut case = TestCase::new(name, source).with_options(parsed.options.clone());
     for (mem, file) in &parsed.stimuli {
-        let text = match std::fs::read_to_string(file) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("cannot read {}: {e}", file.display());
-                return ExitCode::from(2);
-            }
-        };
-        match stimulus::parse(&text) {
-            Ok(s) => flow = flow.stimulus(mem, s),
-            Err(e) => {
-                eprintln!("stimulus {}: {e}", file.display());
-                return ExitCode::from(2);
-            }
-        }
+        let text = std::fs::read_to_string(file)
+            .map_err(|e| format!("cannot read {}: {e}", file.display()))?;
+        let stimulus =
+            stimulus::parse(&text).map_err(|e| format!("stimulus {}: {e}", file.display()))?;
+        case = case.with_stimulus(mem, stimulus);
     }
-
-    let run_started = Instant::now();
-    let report = match flow.run() {
-        Ok(r) => r,
-        Err(e @ fpgatest::flow::FlowError::Timeout { .. }) => {
-            eprintln!("timeout: {e}");
-            return ExitCode::from(4);
-        }
-        Err(e) => {
-            eprintln!("flow error: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    let wall_seconds = run_started.elapsed().as_secs_f64();
-    out!("{}", report.render());
-    if parsed.telemetry.verbose {
-        outln!("{}", metrics::render_table1_ext(std::slice::from_ref(&report.metrics)));
-    } else {
-        outln!("{}", report.metrics);
-    }
-
-    if let Some(dir) = &parsed.artifacts {
-        if let Err(e) = write_artifacts(dir, &report) {
-            eprintln!("cannot write artifacts: {e}");
-            return ExitCode::from(2);
-        }
-        outln!("artifacts written to {}", dir.display());
-    }
-    let passed = report.passed;
-    // The single-design run reuses the suite report schema so baselines
-    // and metrics files diff the same way in both modes.
-    let suite_report = SuiteReport {
-        results: vec![(name, CaseResult::Finished(report))],
-    };
-    let engine = parsed.options.engine;
-    if let Err(message) = emit_telemetry(&suite_report, &spans.take(), &parsed.telemetry, engine) {
-        eprintln!("error: {message}");
-        return ExitCode::from(2);
-    }
-    if let Some(path) = &parsed.telemetry.ledger {
-        let entry = LedgerEntry {
-            engine: parsed.options.engine.to_string(),
-            wall_seconds,
-            passed: u64::from(passed),
-            failed: u64::from(!passed),
-            counters: suite_counters(&suite_report),
-            ..LedgerEntry::new("test", &parsed.source.display().to_string())
-        };
-        if let Err(message) = append_ledger(path, &entry) {
-            eprintln!("error: {message}");
-            return ExitCode::from(2);
-        }
-    }
-    if passed {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
+    Ok(case)
 }
 
 fn write_artifacts(dir: &Path, report: &fpgatest::TestReport) -> std::io::Result<()> {

@@ -22,6 +22,7 @@
 use crate::telemetry::Json;
 use std::fmt;
 use std::io::{self, BufWriter, Write};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -361,9 +362,17 @@ struct SinkInner {
 /// ([`EventSink::disabled`], also `Default`) makes [`EventSink::emit`] a
 /// branch on a `None` — callers never pay for serialization when no
 /// stream was requested.
+///
+/// A handle made by [`EventSink::handle`] can be cut off the stream on
+/// its own ([`EventSink::cut`]): the harness's shield cuts the handle of
+/// a thread it abandons, so nothing that thread emits lands after the
+/// verdict.
 #[derive(Clone, Default)]
 pub struct EventSink {
     inner: Option<Arc<Mutex<SinkInner>>>,
+    /// This handle's cut-off switch, shared with its clones; read and
+    /// set only under `inner`'s lock.
+    cut: Option<Arc<AtomicBool>>,
 }
 
 impl fmt::Debug for EventSink {
@@ -377,13 +386,14 @@ impl fmt::Debug for EventSink {
 impl EventSink {
     /// The no-op sink: [`EventSink::emit`] does nothing.
     pub fn disabled() -> EventSink {
-        EventSink { inner: None }
+        EventSink::default()
     }
 
     /// A sink over an arbitrary writer (flushed after every event).
     pub fn to_writer(writer: Box<dyn Write + Send>) -> EventSink {
         EventSink {
             inner: Some(Arc::new(Mutex::new(SinkInner { writer, seq: 0 }))),
+            cut: None,
         }
     }
 
@@ -418,12 +428,42 @@ impl EventSink {
         self.inner.is_some()
     }
 
+    /// A new handle onto the same stream with a cut-off switch of its
+    /// own, shared only with its clones. On the disabled sink it is the
+    /// disabled sink.
+    pub fn handle(&self) -> EventSink {
+        let cut = self.inner.as_ref().map(|_| Arc::default());
+        EventSink {
+            inner: self.inner.clone(),
+            cut,
+        }
+    }
+
+    /// Cuts this handle and its clones off the stream; every other
+    /// handle keeps writing. The switch is set under the stream's lock,
+    /// so once `cut` returns no line of this handle is being written
+    /// and none will be. A no-op on a handle not made by
+    /// [`EventSink::handle`].
+    pub fn cut(&self) {
+        let (Some(inner), Some(cut)) = (&self.inner, &self.cut) else {
+            return;
+        };
+        // Held, poisoned or not, across the store: the stream's lock
+        // orders it before every later emit's load, so the switch needs
+        // no ordering of its own.
+        let _guard = inner.lock();
+        cut.store(true, Ordering::Relaxed);
+    }
+
     /// Emits one event: serialize, write one line, flush. A no-op on
-    /// the disabled sink; write errors are deliberately swallowed (a
-    /// full disk must not change a verdict).
+    /// the disabled sink and on a cut handle; write errors are
+    /// deliberately swallowed (a full disk must not change a verdict).
     pub fn emit(&self, event: &Event) {
         let Some(inner) = &self.inner else { return };
         let mut inner = inner.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
+        if matches!(&self.cut, Some(cut) if cut.load(Ordering::Relaxed)) {
+            return;
+        }
         let seq = inner.seq;
         inner.seq += 1;
         let line = event.to_json(seq).emit();
@@ -677,6 +717,41 @@ mod tests {
         let sink = EventSink::default();
         assert!(!sink.is_enabled());
         sink.emit(&Event::SpanStart { name: "x".into() });
+        let handle = sink.handle();
+        assert!(!handle.is_enabled());
+        handle.cut();
+    }
+
+    /// A cut handle and its clones write nothing, while the sink it came
+    /// from and a sibling handle keep writing onto one `seq` counter.
+    #[test]
+    fn a_cut_handle_writes_nothing_while_other_handles_keep_writing() {
+        let (sink, captured) = EventSink::capture();
+        let (cut, sibling) = (sink.handle(), sink.handle());
+        let cut_clone = cut.clone();
+        let span = |name: &str| Event::SpanStart { name: name.into() };
+        cut.emit(&span("before"));
+        cut.cut();
+        cut.emit(&span("cut"));
+        cut_clone.emit(&span("cut clone"));
+        sibling.emit(&span("sibling"));
+        sink.emit(&span("sink"));
+        sink.handle().emit(&span("fresh handle"));
+        let names: Vec<String> = captured
+            .events()
+            .into_iter()
+            .map(|event| match event {
+                Event::SpanStart { name } => name,
+                other => panic!("unexpected {other:?}"),
+            })
+            .collect();
+        assert_eq!(names, ["before", "sibling", "sink", "fresh handle"]);
+        let seqs: Vec<u64> = captured
+            .text()
+            .lines()
+            .filter_map(|line| Json::parse(line).ok()?.get("seq")?.as_u64())
+            .collect();
+        assert_eq!(seqs, [0, 1, 2, 3], "a cut handle takes no sequence number");
     }
 
     #[test]

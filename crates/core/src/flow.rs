@@ -130,8 +130,9 @@ pub struct FlowOptions {
     /// class the selected engine cannot express is recorded in
     /// [`TestReport::fault_skips`] instead of being silently dropped.
     pub faults: Vec<FaultSpec>,
-    /// Wall-clock watchdog in milliseconds, enforced by the suite runner
-    /// around the whole case (the flow itself only counts ticks).
+    /// Wall-clock watchdog in milliseconds, enforced around the whole
+    /// case by the suite runner's shield, which `fpgatest test` on a
+    /// single source also runs (the flow itself only counts ticks).
     pub wall_timeout_ms: Option<u64>,
     /// Live event stream (`fpgatest-events-v1`): stage span start/end
     /// events are emitted here as they happen. Disabled by default —

@@ -36,21 +36,23 @@
 //!
 //! ## Job isolation
 //!
-//! Each job runs on its own thread behind the same two shields the
-//! suite runner uses (see [`crate::suite`]): a `catch_unwind` so a
-//! panicking flow becomes a `crash` verdict (exit code 3) instead of
-//! killing a worker, and a wall-clock watchdog (`wall_ms`, defaulting
-//! to [`ServeOptions::default_wall_ms`]) that turns a hung job into a
-//! `timeout` verdict (exit code 4) while the worker moves on. A tripped
-//! watchdog *abandons* the job thread (it still stops at `max_ticks`);
-//! its event stream is muted once the final verdict is sent.
+//! Each attempt of a job runs behind the suite runner's shield (see
+//! [`crate::suite`]) on a thread of its own: a panicking flow becomes a
+//! `crash` verdict (exit code 3) instead of killing a worker, and a
+//! wall-clock budget (`wall_ms`, defaulting to
+//! [`ServeOptions::default_wall_ms`]) turns a hung attempt into a
+//! `timeout` verdict (exit code 4) while the worker moves on. A trip
+//! *abandons* the attempt's thread (it still stops at `max_ticks`) and
+//! cuts that thread's event handle off the job's stream, so none of its
+//! events land in a later attempt or after the job's `campaign-finished`.
 //!
-//! Verdicts and exit codes match the in-process suite runner exactly:
-//! `pass`→0, `fail`→1, `error`→2, `crash`→3, `timeout`→4 (and
-//! `cancelled`→2 for jobs cancelled while queued or shed while
-//! draining). With retries enabled, a job that exhausts its attempts on
-//! `crash`/`timeout` reports the distinct `quarantined` verdict (last
-//! failure's exit code) so poison jobs are visible instead of looping.
+//! A test job's verdict and exit code come from the suite runner's
+//! verdict table ([`crate::suite::CaseResult`]): `pass`→0, `fail`→1,
+//! `error`→2, `crash`→3, `timeout`→4 (and `cancelled`→2 for jobs
+//! cancelled while queued or shed while draining). With retries enabled,
+//! a job that exhausts its attempts on `crash`/`timeout` reports the
+//! distinct `quarantined` verdict (last failure's exit code) so poison
+//! jobs are visible instead of looping.
 //!
 //! ## Fault tolerance
 //!
@@ -100,7 +102,6 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::RecvTimeoutError;
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -108,10 +109,10 @@ use std::time::{Duration, Instant};
 use crate::cache::DesignCache;
 use crate::events::{Event, EventSink, EVENTS_SCHEMA};
 use crate::faults::{campaign_json, CampaignOptions, InjectionOutcome, ShardedCampaignOptions};
-use crate::flow::{Engine, FlowError, FlowOptions, TestFlow, TestReport};
+use crate::flow::{Engine, FlowOptions, TestFlow, TestReport};
 use crate::ledger::{self, LedgerEntry};
 use crate::stimulus::Stimulus;
-use crate::suite::TestCase;
+use crate::suite::{self, CaseResult, TestCase};
 use crate::telemetry::Json;
 use nenya::schedule::SchedulePolicy;
 
@@ -587,13 +588,9 @@ impl LineSender {
 /// `Write` adapter turning an [`EventSink`]'s byte stream back into
 /// whole lines sent through a [`LineSender`]. The sink writes one full
 /// line + `\n` then flushes, so `flush` always sees complete lines.
-/// Once `muted` is set (job verdict delivered) stragglers from an
-/// abandoned, watchdog-tripped job thread are dropped instead of
-/// trailing after `campaign-finished`.
 struct SinkToConnection {
     sender: LineSender,
     buf: Vec<u8>,
-    muted: Arc<AtomicBool>,
 }
 
 impl Write for SinkToConnection {
@@ -605,9 +602,7 @@ impl Write for SinkToConnection {
     fn flush(&mut self) -> io::Result<()> {
         while let Some(pos) = self.buf.iter().position(|&b| b == b'\n') {
             let line: Vec<u8> = self.buf.drain(..=pos).collect();
-            if !self.muted.load(Ordering::SeqCst) {
-                self.sender.send_line(&line[..line.len() - 1]);
-            }
+            self.sender.send_line(&line[..line.len() - 1]);
         }
         Ok(())
     }
@@ -1374,16 +1369,15 @@ fn run_one_job(state: &Arc<ServerState>, job: QueuedJob) {
             }
         }
     };
-    let muted = Arc::new(AtomicBool::new(false));
     let sink = if spec.events {
         EventSink::to_writer(Box::new(SinkToConnection {
             sender: sender.clone(),
             buf: Vec::new(),
-            muted: Arc::clone(&muted),
         }))
     } else {
         EventSink::disabled()
     };
+    let wall_ms = spec.wall_ms.unwrap_or(state.options.default_wall_ms);
     // Worker deaths already charged attempts; the retry budget is
     // shared between deaths and executed failures, so a job that kills
     // every worker it touches still terminates (quarantined).
@@ -1399,7 +1393,12 @@ fn run_one_job(state: &Arc<ServerState>, job: QueuedJob) {
     } else {
         loop {
             attempts += 1;
-            let result = execute_with_watchdog(state, &spec, &sink);
+            let work = {
+                let (state, spec) = (Arc::clone(state), spec.clone());
+                move |events: &EventSink| execute_job(&state, &spec, events)
+            };
+            let result = suite::shield(Some(wall_ms), &sink, work)
+                .unwrap_or_else(|failure| case_verdict(&failure));
             let retryable = result.0 == "crash" || result.0 == "timeout";
             if retryable && attempts < max_attempts {
                 state.retried.fetch_add(1, Ordering::SeqCst);
@@ -1437,7 +1436,6 @@ fn run_one_job(state: &Arc<ServerState>, job: QueuedJob) {
             failed: u64::from(exit_code != 0),
             wall_seconds,
         });
-        muted.store(true, Ordering::SeqCst);
     }
     let outcome = JobOutcome {
         id,
@@ -1480,58 +1478,6 @@ fn run_one_job(state: &Arc<ServerState>, job: QueuedJob) {
     }
 }
 
-/// Runs one job on a dedicated thread behind the suite runner's two
-/// shields: `catch_unwind` (panic → `crash`/3) and a wall-clock
-/// watchdog (hang → `timeout`/4, thread abandoned).
-fn execute_with_watchdog(
-    state: &Arc<ServerState>,
-    spec: &JobSpec,
-    sink: &EventSink,
-) -> (String, i32, String, Json) {
-    let wall_ms = spec.wall_ms.unwrap_or(state.options.default_wall_ms);
-    let (tx, rx) = std::sync::mpsc::channel();
-    let job_state = Arc::clone(state);
-    let job_spec = spec.clone();
-    let job_sink = sink.clone();
-    let spawned = std::thread::Builder::new()
-        .name(format!("serve-job-{}", job_spec.name))
-        .spawn(move || {
-            let outcome = catch_unwind(AssertUnwindSafe(|| {
-                execute_job(&job_state, &job_spec, &job_sink)
-            }));
-            let _ = tx.send(outcome);
-        });
-    if spawned.is_err() {
-        return (
-            "error".to_string(),
-            2,
-            "could not spawn job thread".to_string(),
-            Json::Null,
-        );
-    }
-    match rx.recv_timeout(Duration::from_millis(wall_ms)) {
-        Ok(Ok(result)) => result,
-        Ok(Err(payload)) => (
-            "crash".to_string(),
-            3,
-            crate::faults::panic_message(&*payload),
-            Json::Null,
-        ),
-        Err(RecvTimeoutError::Timeout) => (
-            "timeout".to_string(),
-            4,
-            format!("wall clock exceeded {wall_ms} ms"),
-            Json::Null,
-        ),
-        Err(RecvTimeoutError::Disconnected) => (
-            "crash".to_string(),
-            3,
-            "job thread died without reporting".to_string(),
-            Json::Null,
-        ),
-    }
-}
-
 fn execute_job(state: &ServerState, spec: &JobSpec, sink: &EventSink) -> (String, i32, String, Json) {
     // A reply carries the verdict, never the textual artifacts, so a job
     // does not pay for rendering them.
@@ -1571,7 +1517,7 @@ fn execute_job(state: &ServerState, spec: &JobSpec, sink: &EventSink) -> (String
                     .get_or_compile(&spec.name, &spec.source, &options.compile)
                     .and_then(|prepared| prepared.run(&spec.stimuli, &options))
             };
-            classify_test(result)
+            case_verdict(&CaseResult::from_flow(result))
         }
         JobKind::Faults => {
             let mut case_options = options.clone();
@@ -1620,39 +1566,25 @@ fn execute_job(state: &ServerState, spec: &JobSpec, sink: &EventSink) -> (String
                         ("pass".to_string(), 0, detail, campaign_json(&report))
                     }
                 }
-                Err(FlowError::Timeout { config, max_ticks }) => (
-                    "timeout".to_string(),
-                    4,
-                    format!("configuration '{config}' exceeded {max_ticks} ticks"),
-                    Json::Null,
-                ),
-                Err(e) => ("error".to_string(), 2, e.to_string(), Json::Null),
+                Err(e) => case_verdict(&CaseResult::from_flow(Err(e))),
             }
         }
     }
 }
 
-fn classify_test(result: Result<TestReport, FlowError>) -> (String, i32, String, Json) {
-    match result {
-        Ok(report) => {
-            if report.passed {
-                ("pass".to_string(), 0, String::new(), test_report_json(&report))
-            } else {
-                let detail = report
-                    .failure
-                    .clone()
-                    .unwrap_or_else(|| format!("{} memory mismatches", report.mismatches.len()));
-                ("fail".to_string(), 1, detail, test_report_json(&report))
-            }
-        }
-        Err(FlowError::Timeout { config, max_ticks }) => (
-            "timeout".to_string(),
-            4,
-            format!("configuration '{config}' exceeded {max_ticks} ticks"),
-            Json::Null,
-        ),
-        Err(e) => ("error".to_string(), 2, e.to_string(), Json::Null),
-    }
+/// A job verdict, exit code, detail and report from the suite runner's
+/// verdict table; only a finished test carries a report.
+fn case_verdict(result: &CaseResult) -> (String, i32, String, Json) {
+    let report = match result {
+        CaseResult::Finished(report) => test_report_json(report),
+        _ => Json::Null,
+    };
+    (
+        result.status().to_string(),
+        result.exit_code(),
+        result.detail(),
+        report,
+    )
 }
 
 fn test_report_json(report: &TestReport) -> Json {

@@ -18,6 +18,12 @@
 //!   stimulus code code.stim
 //! ```
 //!
+//! Every case runs behind one shield, which served job attempts share
+//! (`fpgatest serve`): a panic becomes a `crash` verdict, and a case with
+//! a wall-clock budget runs on a thread of its own that a trip abandons
+//! and cuts off the event stream. [`CaseResult`] is the one verdict
+//! table: its status word, its own exit code and its detail.
+//!
 //! Sequential runs, `--jobs N` pools and cases under a wall-clock
 //! watchdog record spans the same way: each case records its
 //! `case.<name>` span, with the flow's stage spans beneath it, into a
@@ -29,8 +35,9 @@ use crate::events::{CampaignProgress, Event, EventSink};
 use crate::faults::FaultSpec;
 use crate::flow::{FlowError, FlowOptions, TestFlow, TestReport};
 use crate::stimulus::{self, Stimulus};
-use crate::telemetry::SpanSink;
+use crate::telemetry::{SpanId, SpanSink};
 use nenya::schedule::SchedulePolicy;
+use std::any::Any;
 use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
@@ -101,6 +108,19 @@ pub enum CaseResult {
 }
 
 impl CaseResult {
+    /// The verdict of a flow that ran to its end: a report, a tick
+    /// watchdog trip ([`FlowError::Timeout`], which becomes
+    /// [`CaseResult::TimedOut`]), or any other flow error.
+    pub fn from_flow(result: Result<TestReport, FlowError>) -> CaseResult {
+        match result {
+            Ok(report) => CaseResult::Finished(report),
+            Err(e @ FlowError::Timeout { .. }) => CaseResult::TimedOut {
+                reason: e.to_string(),
+            },
+            Err(e) => CaseResult::Errored(e),
+        }
+    }
+
     /// Whether the case counts as passing.
     pub fn passed(&self) -> bool {
         matches!(self, CaseResult::Finished(r) if r.passed)
@@ -116,6 +136,51 @@ impl CaseResult {
             CaseResult::Crashed(_) => "crash",
             CaseResult::TimedOut { .. } => "timeout",
         }
+    }
+
+    /// The case's own exit code: pass 0, fail 1, error 2, crash 3,
+    /// timeout 4. A single design exits with it; a suite folds its
+    /// cases' verdicts with [`fold_exit_code`].
+    pub fn exit_code(&self) -> i32 {
+        match self {
+            CaseResult::Finished(r) if r.passed => 0,
+            CaseResult::Finished(_) => 1,
+            CaseResult::Errored(_) => 2,
+            CaseResult::Crashed(_) => 3,
+            CaseResult::TimedOut { .. } => 4,
+        }
+    }
+
+    /// Why the case did not pass (empty for a pass): the failure or the
+    /// mismatch count, the flow error, the panic message, or what
+    /// tripped.
+    pub fn detail(&self) -> String {
+        match self {
+            CaseResult::Finished(r) if r.passed => String::new(),
+            CaseResult::Finished(r) => r
+                .failure
+                .clone()
+                .unwrap_or_else(|| format!("{} memory mismatches", r.mismatches.len())),
+            CaseResult::Errored(e) => e.to_string(),
+            CaseResult::Crashed(message) => message.clone(),
+            CaseResult::TimedOut { reason } => reason.clone(),
+        }
+    }
+}
+
+/// The exit code of a run of several cases, from their verdict words:
+/// 3 when any crashed the harness, else 4 when any hit a watchdog, else
+/// 1 when any did not pass, else 0. Crashes outrank timeouts because they
+/// always indicate a harness bug. Served verdicts fold the same way
+/// (`quarantined` and `cancelled` count as not passing).
+pub fn fold_exit_code<'a>(verdicts: impl IntoIterator<Item = &'a str>) -> i32 {
+    let verdicts: Vec<&str> = verdicts.into_iter().collect();
+    if verdicts.contains(&"crash") {
+        3
+    } else if verdicts.contains(&"timeout") {
+        4
+    } else {
+        i32::from(verdicts.iter().any(|verdict| *verdict != "pass"))
     }
 }
 
@@ -158,40 +223,22 @@ impl SuiteReport {
             .count()
     }
 
-    /// The process exit code for this run: 0 all passed, 3 when any case
-    /// crashed the harness, 4 when any case hit a watchdog (and none
-    /// crashed), 1 for ordinary failures/errors. Crashes outrank
-    /// timeouts because they always indicate a harness bug.
+    /// The process exit code for this run: [`fold_exit_code`] over the
+    /// cases' verdicts, so a case's flow error counts as a failure (1).
     pub fn exit_code(&self) -> i32 {
-        if self.crashed() > 0 {
-            3
-        } else if self.timed_out() > 0 {
-            4
-        } else if self.all_passed() {
-            0
-        } else {
-            1
-        }
+        fold_exit_code(self.results.iter().map(|(_, r)| r.status()))
     }
 
     /// Renders a one-line-per-case summary.
     pub fn render(&self) -> String {
         let mut out = String::new();
         for (name, result) in &self.results {
-            let status = match result {
-                CaseResult::Finished(r) if r.passed => "PASS".to_string(),
-                CaseResult::Finished(r) => {
-                    let why = r
-                        .failure
-                        .clone()
-                        .unwrap_or_else(|| format!("{} memory mismatches", r.mismatches.len()));
-                    format!("FAIL ({why})")
-                }
-                CaseResult::Errored(e) => format!("ERROR ({e})"),
-                CaseResult::Crashed(m) => format!("CRASH ({m})"),
-                CaseResult::TimedOut { reason } => format!("TIMEOUT ({reason})"),
-            };
-            out.push_str(&format!("{name:<20} {status}\n"));
+            let status = result.status().to_uppercase();
+            if result.passed() {
+                out.push_str(&format!("{name:<20} {status}\n"));
+            } else {
+                out.push_str(&format!("{name:<20} {status} ({})\n", result.detail()));
+            }
         }
         out.push_str(&format!(
             "{} passed, {} failed, {} total\n",
@@ -356,31 +403,21 @@ impl Suite {
                 });
             }
         });
-        let mut results = Vec::with_capacity(self.cases.len());
-        for (index, (case, slot)) in self.cases.iter().zip(slots).enumerate() {
-            // A slot can legitimately be empty: if a worker dies in a way
-            // `run_case` cannot absorb, the suite must still report every
-            // case rather than abort the whole report.
-            let result = match slot.into_inner().expect("slot poisoned") {
-                Some((result, spans)) => {
-                    self.spans.absorb(&spans);
-                    result
-                }
-                None => {
-                    if let Some(ordered) = &ordered {
-                        ordered
-                            .lock()
-                            .unwrap_or_else(|poisoned| poisoned.into_inner())
-                            .deliver(self, index, "crash", 0.0);
-                    }
-                    CaseResult::Crashed(format!(
-                        "worker died before reporting case '{}'",
-                        case.name
-                    ))
-                }
-            };
-            results.push((case.name.clone(), result));
-        }
+        // `scope` re-raises a worker's panic after joining, so every slot
+        // holds its case's result here.
+        let results = self
+            .cases
+            .iter()
+            .zip(slots)
+            .map(|(case, slot)| {
+                let (result, spans) = slot
+                    .into_inner()
+                    .expect("slot poisoned")
+                    .expect("every case reported");
+                self.spans.absorb(&spans);
+                (case.name.clone(), result)
+            })
+            .collect();
         if let Some(ordered) = ordered {
             ordered
                 .into_inner()
@@ -424,10 +461,58 @@ impl OrderedCaseEvents {
     }
 }
 
-/// Runs one case, crash- and hang-proofed: panics inside the flow are
-/// caught and reported as [`CaseResult::Crashed`], tick-watchdog trips
-/// become [`CaseResult::TimedOut`], and when the case carries a
-/// wall-clock budget the whole flow runs on a watchdogged thread.
+/// The harness's one shield around a suite case or a served job
+/// attempt. `work` runs behind `catch_unwind`, so a panic becomes
+/// [`CaseResult::Crashed`].
+///
+/// Without a wall budget `work` runs in place and streams to `events`.
+/// With one it runs on a thread of its own, streaming to a handle of
+/// `events` ([`EventSink::handle`]), and the caller waits at most
+/// `wall_ms`. The flow holds `Rc`-based memory handles, so it cannot be
+/// stopped from outside: on a trip the thread is abandoned (it still
+/// counts ticks and stops at its `max_ticks`) and its handle is cut off
+/// the stream, so nothing it emits lands after the caller's verdict,
+/// [`CaseResult::TimedOut`]. A thread that cannot be spawned is
+/// [`CaseResult::Crashed`]. The failure comes boxed: a `CaseResult` is
+/// large and the failure path is cold.
+pub(crate) fn shield<T: Send + 'static>(
+    wall_ms: Option<u64>,
+    events: &EventSink,
+    work: impl FnOnce(&EventSink) -> T + Send + 'static,
+) -> Result<T, Box<CaseResult>> {
+    let crashed = |payload: Box<dyn Any + Send>| {
+        Box::new(CaseResult::Crashed(crate::faults::panic_message(&*payload)))
+    };
+    let Some(wall_ms) = wall_ms else {
+        return catch_unwind(AssertUnwindSafe(|| work(events))).map_err(crashed);
+    };
+    let handle = events.handle();
+    let worker_events = handle.clone();
+    let (sender, receiver) = std::sync::mpsc::channel();
+    std::thread::Builder::new()
+        .spawn(move || {
+            let _ = sender.send(catch_unwind(AssertUnwindSafe(|| work(&worker_events))));
+        })
+        .map_err(|e| {
+            Box::new(CaseResult::Crashed(format!(
+                "cannot spawn a watchdogged thread: {e}"
+            )))
+        })?;
+    match receiver.recv_timeout(Duration::from_millis(wall_ms)) {
+        Ok(outcome) => outcome.map_err(crashed),
+        Err(RecvTimeoutError::Timeout) => {
+            handle.cut();
+            Err(Box::new(CaseResult::TimedOut {
+                reason: format!("wall clock exceeded {wall_ms} ms"),
+            }))
+        }
+        Err(RecvTimeoutError::Disconnected) => Err(Box::new(CaseResult::Crashed(
+            "watchdogged thread died without reporting".to_string(),
+        ))),
+    }
+}
+
+/// Runs one case behind the [`shield`], under its `case.<name>` span.
 /// Returns the result and the case's own span sink (recording when
 /// `record`), which the suite absorbs in manifest order.
 fn run_case(case: &TestCase, record: bool, events: &EventSink) -> (CaseResult, SpanSink) {
@@ -439,80 +524,56 @@ fn run_case(case: &TestCase, record: bool, events: &EventSink) -> (CaseResult, S
         }
     };
     let spans = fresh_spans();
-    let Some(wall_ms) = case.options.wall_timeout_ms else {
-        return (run_case_traced(case, &spans, events), spans);
+    let span = spans.start(format_args!("case.{}", case.name));
+    let work = {
+        let (case, spans) = (case.clone(), spans.clone());
+        move |events: &EventSink| run_flow(case, &spans, events)
     };
-    // The flow holds `Rc`-based memory handles, so the case cannot be
-    // abandoned mid-run from outside; instead the whole case runs on its
-    // own thread and the watchdog gives up *waiting*. On a trip the
-    // thread is left detached (it still counts ticks and will stop at
-    // `max_ticks`), still recording into the sink it holds; the case
-    // reports a fresh sink instead.
-    let (sender, receiver) = std::sync::mpsc::channel();
-    let case_owned = case.clone();
-    let events_owned = events.clone();
-    let worker_spans = spans.clone();
-    std::thread::spawn(move || {
-        let _ = sender.send(run_case_traced(&case_owned, &worker_spans, &events_owned));
-    });
-    match receiver.recv_timeout(Duration::from_millis(wall_ms)) {
-        Ok(result) => (result, spans),
-        Err(error) => {
-            let result = match error {
-                RecvTimeoutError::Timeout => CaseResult::TimedOut {
-                    reason: format!("wall clock exceeded {wall_ms} ms"),
-                },
-                RecvTimeoutError::Disconnected => {
-                    CaseResult::Crashed("case worker died without reporting".to_string())
-                }
-            };
-            // Synthesize the case span the worker never delivered, so
-            // span order still mirrors suite order.
+    match shield(case.options.wall_timeout_ms, events, work).map_err(|failure| *failure) {
+        Ok(result) | Err(result @ CaseResult::Crashed(_)) => {
+            close_case_span(&spans, span, &result);
+            (result, spans)
+        }
+        Err(tripped) => {
+            // The abandoned thread still records into `spans`; the case
+            // reports a fresh sink holding its case span alone, so span
+            // order still mirrors suite order.
             let spans = fresh_spans();
             let span = spans.start(format_args!("case.{}", case.name));
-            spans.attr(span, "status", result.status());
-            spans.end(span);
-            (result, spans)
+            close_case_span(&spans, span, &tripped);
+            (tripped, spans)
         }
     }
 }
 
-/// Runs one case with its `case.<name>` span on the calling thread.
-fn run_case_traced(case: &TestCase, spans: &SpanSink, events: &EventSink) -> CaseResult {
-    let span = spans.start(format_args!("case.{}", case.name));
-    let outcome = catch_unwind(AssertUnwindSafe(|| {
-        let mut options = case.options.clone();
-        if events.is_enabled() {
-            options.events = events.clone();
-        }
-        if spans.is_enabled() {
-            options.spans = spans.clone();
-        }
-        let mut flow = TestFlow::new(&case.name, &case.source).with_options(options);
-        for (mem, stimulus) in &case.stimuli {
-            flow = flow.stimulus(mem, stimulus.clone());
-        }
-        flow.run()
-    }));
-    let result = match outcome {
-        Ok(Ok(report)) => CaseResult::Finished(report),
-        Ok(Err(FlowError::Timeout { config, max_ticks })) => CaseResult::TimedOut {
-            reason: format!("configuration '{config}' exceeded {max_ticks} ticks"),
-        },
-        Ok(Err(e)) => CaseResult::Errored(e),
-        Err(payload) => CaseResult::Crashed(crate::faults::panic_message(&*payload)),
-    };
+/// Runs one case's flow, streaming to `events` and recording its stage
+/// spans into `spans`.
+fn run_flow(case: TestCase, spans: &SpanSink, events: &EventSink) -> CaseResult {
+    let mut options = case.options;
+    if events.is_enabled() {
+        options.events = events.clone();
+    }
+    if spans.is_enabled() {
+        options.spans = spans.clone();
+    }
+    let mut flow = TestFlow::new(case.name, case.source).with_options(options);
+    for (mem, stimulus) in case.stimuli {
+        flow = flow.stimulus(mem, stimulus);
+    }
+    CaseResult::from_flow(flow.run())
+}
+
+/// Annotates the case span with the verdict and closes it; `end` also
+/// closes any flow span that a panic or a failing stage left open.
+fn close_case_span(spans: &SpanSink, span: SpanId, result: &CaseResult) {
     spans.attr(span, "status", result.status());
-    match &result {
+    match result {
         CaseResult::Errored(e) => spans.attr(span, "error", e.to_string()),
         CaseResult::Crashed(m) => spans.attr(span, "panic", m.as_str()),
         CaseResult::TimedOut { reason } => spans.attr(span, "timeout", reason.as_str()),
         CaseResult::Finished(_) => {}
     }
-    // `end` also closes any flow span that a panic or a failing stage
-    // left open.
     spans.end(span);
-    result
 }
 
 /// Error produced when loading a suite manifest.
@@ -721,6 +782,18 @@ mod tests {
         assert!(text.contains("a ") && text.contains("ERROR") && text.contains("2 passed"));
     }
 
+    /// Crashes outrank timeouts, which outrank every other non-pass
+    /// verdict, served ones included.
+    #[test]
+    fn exit_fold_ranks_crash_over_timeout_over_any_non_pass() {
+        assert_eq!(fold_exit_code([]), 0);
+        assert_eq!(fold_exit_code(["pass", "pass"]), 0);
+        assert_eq!(fold_exit_code(["pass", "error"]), 1);
+        assert_eq!(fold_exit_code(["cancelled", "quarantined"]), 1);
+        assert_eq!(fold_exit_code(["fail", "timeout"]), 4);
+        assert_eq!(fold_exit_code(["timeout", "crash", "fail"]), 3);
+    }
+
     #[test]
     fn manifest_parses_inline() {
         let dir = std::env::temp_dir().join("fpgatest_suite_test");
@@ -845,6 +918,72 @@ case copy
                 .collect()
         };
         assert_eq!(kinds(&streams[0]), kinds(&streams[1]));
+    }
+
+    /// A case whose wall budget trips during its golden run leaves its
+    /// thread running on through the flow. The trip cuts that thread off
+    /// the event stream, so none of its events land in the next case's
+    /// window, which runs well past the end of the abandoned golden run.
+    #[test]
+    fn a_tripped_cases_thread_cannot_write_after_its_verdict() {
+        use crate::events::{Event, EventSink};
+        // On a 2-vCPU x86-64 host the golden run took about 0.45 µs per
+        // iteration in a debug build and 50 ns in a release build, so A's
+        // 5 ms budget trips inside its golden run, and B's golden run,
+        // twice as long, ends well after A's would.
+        let spin = |name: &str, iterations: u32| {
+            let mut case = TestCase::new(
+                name,
+                format!(
+                    "mem out[1]; void main() {{ int i; int s; s = 0; \
+                     for (i = 0; i < {iterations}; i = i + 1) {{ s = s + i; }} out[0] = s; }}"
+                ),
+            );
+            case.options.compile.width = 32;
+            // Simulation stops at once, so the abandoned thread ends soon.
+            case.options.max_ticks = 1_000;
+            case
+        };
+        let mut tripped = spin("A", 1_000_000);
+        tripped.options.wall_timeout_ms = Some(5);
+        let (sink, captured) = EventSink::capture();
+        let mut suite = Suite::new()
+            .with_case(tripped)
+            .with_case(spin("B", 2_000_000));
+        suite.set_events(sink, "trip");
+        let report = suite.run();
+        let CaseResult::TimedOut { reason } = &report.results[0].1 else {
+            panic!("A did not trip: {}", report.render());
+        };
+        assert_eq!(reason, "wall clock exceeded 5 ms");
+
+        let events = captured.events();
+        let at = |wanted: &Event| {
+            events
+                .iter()
+                .position(|event| event == wanted)
+                .unwrap_or_else(|| panic!("no {wanted:?}"))
+        };
+        let started = at(&Event::CaseStarted {
+            case: "B".into(),
+            index: 1,
+            total: 2,
+        });
+        let finished = started
+            + events[started..]
+                .iter()
+                .position(|event| matches!(event, Event::CaseFinished { case, .. } if case == "B"))
+                .expect("B finished");
+        let golden_ends = events[started..finished]
+            .iter()
+            .filter(|event| matches!(event, Event::SpanEnd { name, .. } if name == "flow.golden"))
+            .count();
+        assert_eq!(golden_ends, 1, "only B's golden run ends in B's window");
+        assert!(
+            !events.iter().any(|event| matches!(event,
+                Event::SpanStart { name } | Event::SpanEnd { name, .. } if name == "flow.simulate.A")),
+            "the abandoned thread streamed on"
+        );
     }
 
     #[test]

@@ -128,6 +128,110 @@ fn bad_usage_exits_2() {
     assert_eq!(out.status.code(), Some(2));
 }
 
+/// `fpgatest test SOURCE --timeout MS` trips the wall clock the way a
+/// manifest's `timeout` directive does: exit 4, the reason on stderr and
+/// a `timeout` entry in `--metrics-out`.
+#[test]
+fn single_source_honours_the_wall_clock_timeout() {
+    let dir = workdir("single_timeout");
+    // On a 2-vCPU x86-64 host the full flow took about 0.4 s in a
+    // release build and 3.5 s in a debug build, far past the budget.
+    std::fs::write(
+        dir.join("spin.src"),
+        "mem out[1]; void main() { int i; int s; s = 0; \
+         for (i = 0; i < 100000; i = i + 1) { s = s + i; } out[0] = s; }",
+    )
+    .unwrap();
+    let metrics = dir.join("m.json");
+    let out = bin()
+        .arg("test")
+        .arg(dir.join("spin.src"))
+        .args([
+            "--width",
+            "32",
+            "--timeout",
+            "50",
+            "--max-ticks",
+            "4000000000",
+        ])
+        .arg("--metrics-out")
+        .arg(&metrics)
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(4), "{stderr}");
+    assert!(
+        stderr.contains("timeout: wall clock exceeded 50 ms"),
+        "{stderr}"
+    );
+    let report = Json::parse(&std::fs::read_to_string(&metrics).unwrap()).unwrap();
+    let designs = report
+        .get("designs")
+        .and_then(Json::as_array)
+        .expect("designs");
+    assert_eq!(designs.len(), 1);
+    assert_eq!(field(&designs[0], "status").as_deref(), Some("timeout"));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A single source whose golden run fails keeps its telemetry: exit 2
+/// with `flow error: …`, an `error` design entry whose case span holds
+/// the stages that ran, a trace log, and an event stream that closes
+/// with `campaign-finished`.
+#[test]
+fn single_source_flow_error_keeps_its_telemetry() {
+    let dir = workdir("single_flow_error");
+    std::fs::write(
+        dir.join("golden_err.src"),
+        "mem out[1]; void main() { int x; out[0] = x + 1; }",
+    )
+    .unwrap();
+    let (metrics, trace, events) = (dir.join("m.json"), dir.join("t.jsonl"), dir.join("e.jsonl"));
+    let out = bin()
+        .arg("test")
+        .arg(dir.join("golden_err.src"))
+        .arg("--metrics-out")
+        .arg(&metrics)
+        .arg("--trace-log")
+        .arg(&trace)
+        .arg("--events-out")
+        .arg(&events)
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(
+        stderr.starts_with("flow error: golden reference: "),
+        "{stderr}"
+    );
+
+    let report = Json::parse(&std::fs::read_to_string(&metrics).unwrap()).unwrap();
+    let designs = report
+        .get("designs")
+        .and_then(Json::as_array)
+        .expect("designs");
+    assert_eq!(designs.len(), 1);
+    assert_eq!(field(&designs[0], "design").as_deref(), Some("golden_err"));
+    assert_eq!(field(&designs[0], "status").as_deref(), Some("error"));
+    let spans = report.get("spans").and_then(Json::as_array).expect("spans");
+    assert_eq!(spans.len(), 1, "one case span");
+    assert_eq!(field(&spans[0], "name").as_deref(), Some("case.golden_err"));
+    let stages: Vec<String> = spans[0]
+        .get("children")
+        .and_then(Json::as_array)
+        .expect("stage spans")
+        .iter()
+        .filter_map(|span| field(span, "name"))
+        .collect();
+    assert_eq!(stages, ["flow.parse", "flow.lower", "flow.golden"]);
+
+    assert!(trace.exists(), "no trace log");
+    let stream = std::fs::read_to_string(&events).unwrap();
+    let last = Json::parse(stream.lines().last().expect("events")).unwrap();
+    assert_eq!(field(&last, "event").as_deref(), Some("campaign-finished"));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// A reader that closes the pipe before `fpgatest` prints (`fpgatest … |
 /// head -0`) gets no panic: the process exits with the run's own code.
 #[test]

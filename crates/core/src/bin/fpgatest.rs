@@ -103,6 +103,27 @@
 //! checkpoint; `--resume` continues it to the same bytes an
 //! uninterrupted run produces.
 //!
+//! `submit` sends each manifest case as a serve job carrying the case's
+//! compiler options, engine and watchdogs (`serve::JobSpec::from_case`);
+//! `--engine`, `--max-ticks` and `--timeout` override them for every
+//! job.
+//!
+//! `compile` takes `--out DIR` and the compiler's options alone
+//! (`--width`, `--partitions`, `--policy`, `--optimize`). It compiles
+//! and transforms the design without running it and writes the design
+//! files `test --artifacts` writes: `rtg.xml`, `rtg.dot`,
+//! `rtg_controller.java` and, per configuration, `<config>_datapath.xml`,
+//! `<config>_fsm.xml`, `<config>.hds`, `<config>_fsm.java`,
+//! `<config>_datapath.dot` and `<config>_fsm.dot` (`test` adds the VCDs
+//! and the final memory images).
+//!
+//! Every subcommand reads its flags through `fpgatest::flags`: an
+//! unknown flag, a missing or bad value and a second positional
+//! argument exit 2 with a message naming it, and the last value of a
+//! repeated flag wins. The case options (`--width` through `--timeout`)
+//! are read by `suite::read_case_flag`, from the table the manifest
+//! directives use too.
+//!
 //! Exit codes: 0 = everything passed; 1 = verification failed (or fault
 //! coverage below the requested floor/baseline); 2 = usage, manifest or
 //! flow error; 3 = a case crashed the harness (caught panic); 4 = a
@@ -112,42 +133,52 @@
 //! a failure (1).
 
 use fpgatest::events::EventSink;
-use fpgatest::faults::{campaign_json, CampaignOptions, FaultSpec, InjectionOutcome};
-use fpgatest::flow::{Engine, FlowOptions};
+use fpgatest::faults::{campaign_json, CampaignOptions, InjectionOutcome, ShardedCampaignOptions};
+use fpgatest::flags::{self, Value};
+use fpgatest::flow::{Artifacts, Engine, FlowOptions};
 use fpgatest::ledger::{self, LedgerEntry};
+use fpgatest::serve::{Client, JobKind, JobSpec, ServeOptions, Server};
 use fpgatest::suite::{CaseResult, Suite, SuiteReport, TestCase};
 use fpgatest::telemetry::{self, Json, Recorder, SpanSink};
 use fpgatest::{metrics, out, outln, stimulus, suite};
-use nenya::schedule::SchedulePolicy;
 use std::io::Write as _;
+use std::num::NonZeroUsize;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::Instant;
 
+/// A subcommand: its exit code, or a usage, manifest or I/O error that
+/// exits 2.
+type Command = fn(&[String]) -> Result<ExitCode, String>;
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        Some("run") => cmd_run(&args[1..]),
-        Some("test") => cmd_test(&args[1..]),
-        Some("faults") => cmd_faults(&args[1..]),
-        Some("trends") => cmd_trends(&args[1..]),
-        Some("serve") => cmd_serve(&args[1..]),
-        Some("submit") => cmd_submit(&args[1..]),
-        Some("compile") => cmd_compile(&args[1..]),
+    let command: Command = match args.first().map(String::as_str) {
+        Some("run") => cmd_run,
+        Some("test") => cmd_test,
+        Some("faults") => cmd_faults,
+        Some("trends") => cmd_trends,
+        Some("serve") => cmd_serve,
+        Some("submit") => cmd_submit,
+        Some("compile") => cmd_compile,
         Some("figure1") => {
             out!("{}", fpgatest::dot::flow_diagram());
-            ExitCode::SUCCESS
+            return ExitCode::SUCCESS;
         }
         Some("--help") | Some("-h") | None => {
             usage();
-            ExitCode::SUCCESS
+            return ExitCode::SUCCESS;
         }
         Some(other) => {
             eprintln!("unknown command '{other}'\n");
             usage();
-            ExitCode::from(2)
+            return ExitCode::from(2);
         }
-    }
+    };
+    command(&args[1..]).unwrap_or_else(|message| {
+        eprintln!("error: {message}");
+        ExitCode::from(2)
+    })
 }
 
 fn usage() {
@@ -182,7 +213,10 @@ USAGE:
                 [--faults --seed N --sites N [--shards N]] [--max-ticks N]
                 [--timeout MS] [--events-out FILE|-] [--report FILE] [--no-cache]
   fpgatest submit --addr ADDR --stats | --shutdown | --shed
-  fpgatest compile <prog.src> --out DIR [--width N] [--partitions K] [--optimize]
+  fpgatest compile <prog.src> --out DIR [--width N] [--partitions K]
+                [--policy list|one-op-per-state] [--optimize]
+                (writes rtg.xml/.dot, rtg_controller.java and each
+                configuration's XML, .hds, _fsm.java and .dot files)
   fpgatest figure1 > figure1.dot
 
 exit codes: 0 pass, 1 fail, 2 usage/flow error, 3 harness crash, 4 watchdog
@@ -204,38 +238,32 @@ struct TelemetryArgs {
 }
 
 impl TelemetryArgs {
-    /// Tries to claim one flag; `value` fetches its argument.
-    fn accept(
-        &mut self,
-        arg: &str,
-        value: &mut dyn FnMut(&str) -> Result<String, String>,
-    ) -> Result<bool, String> {
-        match arg {
-            "--metrics-out" => self.metrics_out = Some(PathBuf::from(value("--metrics-out")?)),
-            "--trace-log" => self.trace_log = Some(PathBuf::from(value("--trace-log")?)),
-            "--baseline" => self.baseline = Some(PathBuf::from(value("--baseline")?)),
+    /// Reads one observability flag; `Ok(false)` for any other.
+    fn read(&mut self, flag: &str, value: &mut Value) -> Result<bool, String> {
+        match flag {
+            "--metrics-out" => self.metrics_out = Some(value.parse()?),
+            "--trace-log" => self.trace_log = Some(value.parse()?),
+            "--baseline" => self.baseline = Some(value.parse()?),
             "--verbose" => self.verbose = true,
-            "--events-out" => self.events_out = Some(value("--events-out")?),
+            "--events-out" => self.events_out = Some(value.parse()?),
             "--profile" => self.profile = true,
             "--profile-folded" => {
-                self.profile_folded = Some(PathBuf::from(value("--profile-folded")?));
+                self.profile_folded = Some(value.parse()?);
                 // Folded stacks only exist when timing is collected.
                 self.profile = true;
             }
-            "--ledger" => self.ledger = Some(PathBuf::from(value("--ledger")?)),
+            "--ledger" => self.ledger = Some(value.parse()?),
             _ => return Ok(false),
         }
         Ok(true)
     }
+}
 
-    /// Opens the `--events-out` sink (disabled when the flag is absent).
-    fn event_sink(&self) -> Result<EventSink, String> {
-        match &self.events_out {
-            None => Ok(EventSink::disabled()),
-            Some(path) => {
-                EventSink::to_path(path).map_err(|e| format!("cannot open {path}: {e}"))
-            }
-        }
+/// Opens an `--events-out` sink (disabled when the flag is absent).
+fn event_sink(path: Option<&str>) -> Result<EventSink, String> {
+    match path {
+        None => Ok(EventSink::disabled()),
+        Some(path) => EventSink::to_path(path).map_err(|e| format!("cannot open {path}: {e}")),
     }
 }
 
@@ -378,14 +406,8 @@ fn run_suite(
     telemetry_args: &TelemetryArgs,
     jobs: usize,
     engine: Option<Engine>,
-) -> ExitCode {
-    let suite = match suite::load_manifest(manifest) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::from(2);
-        }
-    };
+) -> Result<ExitCode, String> {
+    let suite = suite::load_manifest(manifest).map_err(|e| e.to_string())?;
     let report = run_recorded(
         suite,
         manifest,
@@ -398,18 +420,15 @@ fn run_suite(
             print_metrics(report, telemetry_args.verbose);
             Ok(())
         },
-    );
-    match report {
-        Ok(report) => exit(report.exit_code()),
-        Err(code) => code,
-    }
+    )?;
+    Ok(exit(report.exit_code()))
 }
 
 /// Runs `suite` under the observability flags, its events keyed by `key`
 /// and `engine` overriding every case's engine. `print` writes the run's
 /// stdout report; the telemetry files and the ledger line (`command`
 /// over `key`) follow it, for every verdict. Returns the report, or the
-/// exit code of a failure to run or record it.
+/// error that kept it from running or being recorded.
 fn run_recorded(
     mut suite: Suite,
     key: &Path,
@@ -417,17 +436,13 @@ fn run_recorded(
     telemetry_args: &TelemetryArgs,
     jobs: usize,
     engine: Option<Engine>,
-    print: impl FnOnce(&SuiteReport) -> Result<(), ExitCode>,
-) -> Result<SuiteReport, ExitCode> {
-    let fail = |message: String| {
-        eprintln!("error: {message}");
-        ExitCode::from(2)
-    };
+    print: impl FnOnce(&SuiteReport) -> Result<(), String>,
+) -> Result<SuiteReport, String> {
     if let Some(engine) = engine {
         suite.set_engine(engine);
     }
     suite.set_events(
-        telemetry_args.event_sink().map_err(fail)?,
+        event_sink(telemetry_args.events_out.as_deref())?,
         key.display().to_string(),
     );
     if telemetry_args.profile {
@@ -440,7 +455,7 @@ fn run_recorded(
     let wall_seconds = run_started.elapsed().as_secs_f64();
     print(&report)?;
     let engine = engine.unwrap_or_default();
-    emit_telemetry(&report, &spans.take(), telemetry_args, engine).map_err(fail)?;
+    emit_telemetry(&report, &spans.take(), telemetry_args, engine)?;
     if let Some(path) = &telemetry_args.ledger {
         let entry = LedgerEntry {
             engine: engine.to_string(),
@@ -450,7 +465,7 @@ fn run_recorded(
             counters: suite_counters(&report),
             ..LedgerEntry::new(command, &key.display().to_string())
         };
-        append_ledger(path, &entry).map_err(fail)?;
+        append_ledger(path, &entry)?;
     }
     Ok(report)
 }
@@ -460,221 +475,98 @@ fn exit(code: i32) -> ExitCode {
     ExitCode::from(u8::try_from(code).unwrap_or(1))
 }
 
-fn cmd_run(args: &[String]) -> ExitCode {
-    let mut manifest = None;
+fn cmd_run(args: &[String]) -> Result<ExitCode, String> {
     let mut telemetry_args = TelemetryArgs::default();
-    let mut jobs = 1usize;
-    let mut engine = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value = |what: &str| -> Result<String, String> {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("'{what}' needs a value"))
-        };
-        if arg == "--jobs" {
-            match value("--jobs").and_then(|v| parse_jobs(&v)) {
-                Ok(n) => jobs = n,
-                Err(message) => {
-                    eprintln!("error: {message}");
-                    return ExitCode::from(2);
-                }
-            }
-            continue;
+    let (mut jobs, mut engine) = (1, None);
+    let manifest = flags::read(args, |flag, value| {
+        match flag {
+            "--jobs" => jobs = value.parse::<NonZeroUsize>()?.get(),
+            "--engine" => engine = Some(value.parse()?),
+            _ => return telemetry_args.read(flag, value),
         }
-        if arg == "--engine" {
-            match value("--engine").and_then(|v| v.parse::<Engine>()) {
-                Ok(e) => engine = Some(e),
-                Err(message) => {
-                    eprintln!("error: {message}");
-                    return ExitCode::from(2);
-                }
-            }
-            continue;
-        }
-        match telemetry_args.accept(arg, &mut value) {
-            Ok(true) => {}
-            Ok(false) if manifest.is_none() && !arg.starts_with("--") => {
-                manifest = Some(PathBuf::from(arg));
-            }
-            Ok(false) => {
-                eprintln!("error: unexpected argument '{arg}'");
-                return ExitCode::from(2);
-            }
-            Err(message) => {
-                eprintln!("error: {message}");
-                return ExitCode::from(2);
-            }
-        }
+        Ok(true)
+    })?
+    .ok_or("'run' needs a manifest path")?;
+    run_suite(Path::new(&manifest), &telemetry_args, jobs, engine)
+}
+
+/// The cases of `manifest`, or only those `only` names when it names
+/// any.
+fn load_cases(manifest: &Path, only: &[String]) -> Result<Vec<TestCase>, String> {
+    let suite = suite::load_manifest(manifest).map_err(|e| e.to_string())?;
+    let cases: Vec<TestCase> = suite
+        .cases()
+        .iter()
+        .filter(|c| only.is_empty() || only.contains(&c.name))
+        .cloned()
+        .collect();
+    if cases.is_empty() {
+        return Err(format!("no matching cases in {}", manifest.display()));
     }
-    let Some(manifest) = manifest else {
-        eprintln!("'run' needs a manifest path");
-        return ExitCode::from(2);
-    };
-    run_suite(&manifest, &telemetry_args, jobs, engine)
+    Ok(cases)
 }
 
 /// `fpgatest faults <suite.manifest>` — run a fault-injection campaign
 /// against every case of a manifest (or `--design NAME` only), classify
 /// each injection, and optionally gate on a coverage floor or a
 /// previously checked-in report.
-fn cmd_faults(args: &[String]) -> ExitCode {
-    let mut manifest = None;
-    let mut engine = Engine::default();
-    let mut seed = 1u64;
-    let mut sites = 200usize;
-    let mut max_ticks = None;
-    let mut only: Vec<String> = Vec::new();
-    let mut report_out: Option<PathBuf> = None;
-    let mut min_detected: Option<f64> = None;
-    let mut baseline: Option<PathBuf> = None;
-    let mut events_out: Option<String> = None;
-    let mut ledger_out: Option<PathBuf> = None;
-    let mut shards: Option<usize> = None;
-    let mut checkpoint: Option<PathBuf> = None;
-    let mut checkpoint_every = 0u64;
-    let mut resume: Option<PathBuf> = None;
-    let mut it = args.iter();
-    let result = (|| -> Result<(), String> {
-        while let Some(arg) = it.next() {
-            let mut value = |what: &str| -> Result<String, String> {
-                it.next()
-                    .cloned()
-                    .ok_or_else(|| format!("'{what}' needs a value"))
-            };
-            match arg.as_str() {
-                "--engine" => engine = value("--engine")?.parse()?,
-                "--seed" => {
-                    seed = value("--seed")?
-                        .parse()
-                        .map_err(|_| "--seed needs an integer".to_string())?;
-                }
-                "--sites" => {
-                    sites = value("--sites")?
-                        .parse()
-                        .map_err(|_| "--sites needs an integer".to_string())?;
-                }
-                "--max-ticks" => {
-                    max_ticks = Some(
-                        value("--max-ticks")?
-                            .parse()
-                            .map_err(|_| "--max-ticks needs an integer".to_string())?,
-                    );
-                }
-                "--design" => only.push(value("--design")?),
-                "--report" => report_out = Some(PathBuf::from(value("--report")?)),
-                "--min-detected" => {
-                    min_detected = Some(
-                        value("--min-detected")?
-                            .parse()
-                            .map_err(|_| "--min-detected needs a fraction".to_string())?,
-                    );
-                }
-                "--baseline" => baseline = Some(PathBuf::from(value("--baseline")?)),
-                "--events-out" => events_out = Some(value("--events-out")?),
-                "--ledger" => ledger_out = Some(PathBuf::from(value("--ledger")?)),
-                "--shards" => {
-                    shards = Some(
-                        value("--shards")?
-                            .parse()
-                            .map_err(|_| "--shards needs an integer".to_string())?,
-                    );
-                }
-                "--checkpoint" => checkpoint = Some(PathBuf::from(value("--checkpoint")?)),
-                "--checkpoint-every" => {
-                    checkpoint_every = value("--checkpoint-every")?
-                        .parse()
-                        .map_err(|_| "--checkpoint-every needs an integer".to_string())?;
-                }
-                "--resume" => resume = Some(PathBuf::from(value("--resume")?)),
-                other if manifest.is_none() && !other.starts_with("--") => {
-                    manifest = Some(PathBuf::from(other));
-                }
-                other => return Err(format!("unexpected argument '{other}'")),
-            }
+fn cmd_faults(args: &[String]) -> Result<ExitCode, String> {
+    let mut options = CampaignOptions::default();
+    let mut shard = ShardedCampaignOptions {
+        shards: fpgatest::campaign::default_shards(),
+        sigint: true,
+        ..ShardedCampaignOptions::default()
+    };
+    let mut only = Vec::new();
+    let (mut report_out, mut baseline, mut ledger_out) = (None, None, None);
+    let (mut min_detected, mut events_out) = (None, None);
+    let manifest = flags::read(args, |flag, value| {
+        match flag {
+            "--engine" => options.engine = value.parse()?,
+            "--seed" => options.seed = value.parse()?,
+            "--sites" => options.sites = value.parse()?,
+            "--max-ticks" => options.max_ticks = Some(value.parse()?),
+            "--design" => only.push(value.parse()?),
+            "--report" => report_out = Some(value.parse::<PathBuf>()?),
+            "--min-detected" => min_detected = Some(value.parse::<f64>()?),
+            "--baseline" => baseline = Some(value.parse::<PathBuf>()?),
+            "--events-out" => events_out = Some(value.parse::<String>()?),
+            "--ledger" => ledger_out = Some(value.parse::<PathBuf>()?),
+            "--shards" => shard.shards = value.parse()?,
+            "--checkpoint" => shard.checkpoint = Some(value.parse()?),
+            "--checkpoint-every" => shard.checkpoint_every = value.parse()?,
+            "--resume" => shard.resume = Some(value.parse()?),
+            _ => return Ok(false),
         }
-        Ok(())
-    })();
-    if let Err(message) = result {
-        eprintln!("error: {message}");
-        return ExitCode::from(2);
-    }
-    let Some(manifest) = manifest else {
-        eprintln!("'faults' needs a manifest path");
-        return ExitCode::from(2);
-    };
-    let suite = match suite::load_manifest(&manifest) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    let cases: Vec<_> = suite
-        .cases()
-        .iter()
-        .filter(|c| only.is_empty() || only.iter().any(|n| n == &c.name))
-        .collect();
-    if cases.is_empty() {
-        eprintln!("error: no matching cases in {}", manifest.display());
-        return ExitCode::from(2);
-    }
-
-    let sink = match &events_out {
-        None => EventSink::disabled(),
-        Some(path) => match EventSink::to_path(path) {
-            Ok(sink) => sink,
-            Err(e) => {
-                eprintln!("error: cannot open {path}: {e}");
-                return ExitCode::from(2);
-            }
-        },
-    };
-    let options = CampaignOptions {
-        seed,
-        sites,
-        engine,
-        max_ticks,
-        events: sink,
-    };
+        Ok(true)
+    })?
+    .ok_or("'faults' needs a manifest path")?;
+    let manifest = PathBuf::from(manifest);
+    let cases = load_cases(&manifest, &only)?;
+    options.events = event_sink(events_out.as_deref())?;
     // A checkpoint's identity is one design.
-    if (checkpoint.is_some() || resume.is_some()) && cases.len() != 1 {
-        eprintln!(
-            "error: --checkpoint and --resume run one design at a time; narrow with --design \
+    if (shard.checkpoint.is_some() || shard.resume.is_some()) && cases.len() != 1 {
+        return Err(format!(
+            "--checkpoint and --resume run one design at a time; narrow with --design \
              ({} cases matched)",
             cases.len()
-        );
-        return ExitCode::from(2);
+        ));
     }
     fpgatest::campaign::install_sigint();
-    let shard = fpgatest::faults::ShardedCampaignOptions {
-        shards: shards.unwrap_or_else(fpgatest::campaign::default_shards),
-        checkpoint,
-        checkpoint_every,
-        resume,
-        stop: None,
-        sigint: true,
-    };
     let campaigns_started = Instant::now();
     let mut campaigns = Vec::new();
-    for case in cases {
-        match fpgatest::faults::run_campaign_sharded(case, &options, &shard) {
-            Ok(outcome) => {
-                if let Some(note) = &outcome.salvage {
-                    eprintln!("fpgatest: {note}");
-                }
-                if outcome.interrupted {
-                    eprintln!("fpgatest: interrupted; checkpoint holds the completed prefix");
-                    return ExitCode::from(130);
-                }
-                out!("{}", outcome.report.render());
-                campaigns.push(outcome.report);
-            }
-            Err(e) => {
-                eprintln!("error: campaign '{}': {e}", case.name);
-                return ExitCode::from(2);
-            }
+    for case in &cases {
+        let outcome = fpgatest::faults::run_campaign_sharded(case, &options, &shard)
+            .map_err(|e| format!("campaign '{}': {e}", case.name))?;
+        if let Some(note) = &outcome.salvage {
+            eprintln!("fpgatest: {note}");
         }
+        if outcome.interrupted {
+            eprintln!("fpgatest: interrupted; checkpoint holds the completed prefix");
+            return Ok(ExitCode::from(130));
+        }
+        out!("{}", outcome.report.render());
+        campaigns.push(outcome.report);
     }
     let campaigns_seconds = campaigns_started.elapsed().as_secs_f64();
 
@@ -687,10 +579,8 @@ fn cmd_faults(args: &[String]) -> ExitCode {
     ]);
     json.sort_keys();
     if let Some(path) = &report_out {
-        if let Err(e) = std::fs::write(path, json.emit_pretty()) {
-            eprintln!("error: cannot write {}: {e}", path.display());
-            return ExitCode::from(2);
-        }
+        std::fs::write(path, json.emit_pretty())
+            .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
         outln!("fault report written to {}", path.display());
     }
 
@@ -719,7 +609,7 @@ fn cmd_faults(args: &[String]) -> ExitCode {
             ),
         ];
         let entry = LedgerEntry {
-            engine: engine.to_string(),
+            engine: options.engine.to_string(),
             wall_seconds: campaigns_seconds,
             passed: detected as u64,
             failed: silent as u64,
@@ -731,10 +621,7 @@ fn cmd_faults(args: &[String]) -> ExitCode {
             counters,
             ..LedgerEntry::new("faults", &manifest.display().to_string())
         };
-        if let Err(message) = append_ledger(path, &entry) {
-            eprintln!("error: {message}");
-            return ExitCode::from(2);
-        }
+        append_ledger(path, &entry)?;
     }
 
     // A crashed injection is a harness bug regardless of coverage.
@@ -744,7 +631,7 @@ fn cmd_faults(args: &[String]) -> ExitCode {
         .sum();
     if crashed > 0 {
         eprintln!("error: {crashed} injections crashed the harness");
-        return ExitCode::from(3);
+        return Ok(ExitCode::from(3));
     }
     if let Some(floor) = min_detected {
         for campaign in &campaigns {
@@ -754,7 +641,7 @@ fn cmd_faults(args: &[String]) -> ExitCode {
                     campaign.design,
                     campaign.detected_fraction()
                 );
-                return ExitCode::FAILURE;
+                return Ok(ExitCode::FAILURE);
             }
         }
     }
@@ -763,171 +650,63 @@ fn cmd_faults(args: &[String]) -> ExitCode {
             Ok(lines) => out!("{lines}"),
             Err(message) => {
                 eprintln!("error: {message}");
-                return ExitCode::FAILURE;
+                return Ok(ExitCode::FAILURE);
             }
         }
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 /// `fpgatest trends <runs.jsonl> [--gate PCT]` — render wall-time,
 /// counter, and detected-fraction trajectories across the ledger's
 /// entries; with `--gate`, exit non-zero when the latest run regresses
 /// past the threshold against its predecessor.
-fn cmd_trends(args: &[String]) -> ExitCode {
-    let mut path = None;
+fn cmd_trends(args: &[String]) -> Result<ExitCode, String> {
     let mut gate = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--gate" => match it.next().and_then(|v| v.parse::<f64>().ok()) {
-                Some(pct) => gate = Some(pct),
-                None => {
-                    eprintln!("error: --gate needs a percent");
-                    return ExitCode::from(2);
-                }
-            },
-            other if path.is_none() && !other.starts_with("--") => {
-                path = Some(PathBuf::from(other));
-            }
-            other => {
-                eprintln!("error: unexpected argument '{other}'");
-                return ExitCode::from(2);
-            }
+    let path = flags::read(args, |flag, value| {
+        match flag {
+            "--gate" => gate = Some(value.parse()?),
+            _ => return Ok(false),
         }
-    }
-    let Some(path) = path else {
-        eprintln!("'trends' needs a ledger path");
-        return ExitCode::from(2);
-    };
-    let entries = match ledger::read(&path) {
-        Ok(entries) => entries,
-        Err(message) => {
-            eprintln!("error: {message}");
-            return ExitCode::from(2);
-        }
-    };
+        Ok(true)
+    })?
+    .ok_or("'trends' needs a ledger path")?;
+    let entries = ledger::read(Path::new(&path))?;
     let report = ledger::render_trends(&entries, gate);
     out!("{}", report.text);
-    if report.gate_exceeded {
+    Ok(if report.gate_exceeded {
         ExitCode::FAILURE
     } else {
         ExitCode::SUCCESS
-    }
+    })
 }
 
-/// SIGINT flag for `serve`: the handler only stores, a watcher thread
-/// does the actual drain (signal handlers must not take locks).
-static SERVE_SIGINT: std::sync::atomic::AtomicBool = std::sync::atomic::AtomicBool::new(false);
-
-extern "C" fn serve_on_sigint(_signum: i32) {
-    SERVE_SIGINT.store(true, std::sync::atomic::Ordering::SeqCst);
-}
-
-/// Installs the SIGINT hook via libc's `signal` (std links libc; no
-/// crate needed). Unix-only; elsewhere `shutdown` requests still work.
-#[cfg(unix)]
-fn install_serve_sigint() {
-    extern "C" {
-        fn signal(signum: i32, handler: usize) -> usize;
-    }
-    const SIGINT: i32 = 2;
-    unsafe {
-        signal(SIGINT, serve_on_sigint as *const () as usize);
-    }
-}
-
-#[cfg(not(unix))]
-fn install_serve_sigint() {}
-
-fn cmd_serve(args: &[String]) -> ExitCode {
-    use fpgatest::serve::{ServeOptions, Server};
+fn cmd_serve(args: &[String]) -> Result<ExitCode, String> {
     let mut listen = "127.0.0.1:7411".to_string();
     let mut options = ServeOptions::default();
-    let mut it = args.iter();
-    let result = (|| -> Result<(), String> {
-        while let Some(arg) = it.next() {
-            let mut value = |what: &str| -> Result<String, String> {
-                it.next()
-                    .cloned()
-                    .ok_or_else(|| format!("'{what}' needs a value"))
-            };
-            match arg.as_str() {
-                "--listen" => listen = value("--listen")?,
-                "--workers" => {
-                    options.workers = value("--workers")?
-                        .parse()
-                        .ok()
-                        .filter(|n| *n >= 1)
-                        .ok_or("--workers needs an integer >= 1")?;
-                }
-                "--cache" => {
-                    options.cache_capacity = value("--cache")?
-                        .parse()
-                        .map_err(|_| "--cache needs an integer".to_string())?;
-                }
-                "--timeout" => {
-                    options.default_wall_ms = value("--timeout")?
-                        .parse()
-                        .map_err(|_| "--timeout needs milliseconds".to_string())?;
-                }
-                "--ledger" => options.ledger = Some(PathBuf::from(value("--ledger")?)),
-                "--retries" => {
-                    options.retries = value("--retries")?
-                        .parse()
-                        .map_err(|_| "--retries needs an integer".to_string())?;
-                }
-                "--backoff" => {
-                    options.backoff_base_ms = value("--backoff")?
-                        .parse()
-                        .map_err(|_| "--backoff needs milliseconds".to_string())?;
-                }
-                "--max-queue" => {
-                    options.max_queue = value("--max-queue")?
-                        .parse()
-                        .map_err(|_| "--max-queue needs an integer (0 = unbounded)".to_string())?;
-                }
-                "--max-line" => {
-                    options.max_line_len = value("--max-line")?
-                        .parse()
-                        .map_err(|_| "--max-line needs bytes".to_string())?;
-                }
-                "--read-deadline" => {
-                    options.read_deadline_ms = value("--read-deadline")?
-                        .parse()
-                        .map_err(|_| "--read-deadline needs milliseconds".to_string())?;
-                }
-                "--idle-timeout" => {
-                    options.idle_ms = value("--idle-timeout")?
-                        .parse()
-                        .map_err(|_| "--idle-timeout needs milliseconds".to_string())?;
-                }
-                "--chaos" => {
-                    options.chaos = Some(
-                        value("--chaos")?
-                            .parse()
-                            .map_err(|_| "--chaos needs a seed integer".to_string())?,
-                    );
-                }
-                other => return Err(format!("unexpected argument '{other}'")),
-            }
+    flags::read_flags(args, |flag, value| {
+        match flag {
+            "--listen" => listen = value.parse()?,
+            "--workers" => options.workers = value.parse::<NonZeroUsize>()?.get(),
+            "--cache" => options.cache_capacity = value.parse()?,
+            "--timeout" => options.default_wall_ms = value.parse()?,
+            "--ledger" => options.ledger = Some(value.parse()?),
+            "--retries" => options.retries = value.parse()?,
+            "--backoff" => options.backoff_base_ms = value.parse()?,
+            "--max-queue" => options.max_queue = value.parse()?,
+            "--max-line" => options.max_line_len = value.parse()?,
+            "--read-deadline" => options.read_deadline_ms = value.parse()?,
+            "--idle-timeout" => options.idle_ms = value.parse()?,
+            "--chaos" => options.chaos = Some(value.parse()?),
+            _ => return Ok(false),
         }
-        Ok(())
-    })();
-    if let Err(message) = result {
-        eprintln!("error: {message}");
-        return ExitCode::from(2);
-    }
+        Ok(true)
+    })?;
     let workers = options.workers;
     let cache = options.cache_capacity;
     let chaos = options.chaos;
-    let server = match Server::bind(&listen, options) {
-        Ok(server) => server,
-        Err(e) => {
-            eprintln!("error: cannot bind {listen}: {e}");
-            return ExitCode::from(2);
-        }
-    };
+    let server =
+        Server::bind(&listen, options).map_err(|e| format!("cannot bind {listen}: {e}"))?;
     outln!(
         "fpgatest serve: listening on {} ({workers} workers, cache {cache} designs)",
         server.local_addr()
@@ -936,138 +715,55 @@ fn cmd_serve(args: &[String]) -> ExitCode {
         eprintln!("fpgatest serve: CHAOS MODE — workers will be killed deterministically (seed {seed})");
     }
     let _ = std::io::stdout().flush();
-    install_serve_sigint();
+    // The handler only sets a flag (signal handlers must not take
+    // locks); a watcher thread does the actual drain. Served fault jobs
+    // do not stop on it, so a drain lets them finish.
+    fpgatest::campaign::install_sigint();
     let handle = server.shutdown_handle();
     std::thread::spawn(move || loop {
-        if SERVE_SIGINT.load(std::sync::atomic::Ordering::SeqCst) {
+        if fpgatest::campaign::sigint_pending() {
             eprintln!("fpgatest serve: SIGINT — draining");
             handle.shutdown();
             break;
         }
         std::thread::sleep(std::time::Duration::from_millis(100));
     });
-    match server.run() {
-        Ok(()) => {
-            outln!("fpgatest serve: drained and stopped");
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("error: serve failed: {e}");
-            ExitCode::from(2)
-        }
-    }
+    server.run().map_err(|e| format!("serve failed: {e}"))?;
+    outln!("fpgatest serve: drained and stopped");
+    Ok(ExitCode::SUCCESS)
 }
 
-/// Builds the serve job for one manifest case, carrying the case's own
-/// compile/engine/watchdog options so served verdicts match in-process
-/// runs of the same manifest.
-fn job_from_case(
-    case: &fpgatest::suite::TestCase,
-    engine_override: Option<Engine>,
-    events: bool,
-    no_cache: bool,
-    wall_override: Option<u64>,
-) -> fpgatest::serve::JobSpec {
-    let mut spec = fpgatest::serve::JobSpec::test(&case.name, &case.source);
-    spec.stimuli = case.stimuli.clone();
-    spec.width = Some(case.options.compile.width);
-    spec.partitions = Some(case.options.compile.partitions);
-    spec.policy = Some(case.options.compile.policy);
-    spec.optimize = case.options.compile.optimize;
-    spec.engine = engine_override.unwrap_or(case.options.engine);
-    spec.max_ticks = Some(case.options.max_ticks);
-    spec.wall_ms = wall_override.or(case.options.wall_timeout_ms);
-    spec.events = events;
-    spec.no_cache = no_cache;
-    spec
-}
-
-fn cmd_submit(args: &[String]) -> ExitCode {
-    use fpgatest::serve::Client;
+fn cmd_submit(args: &[String]) -> Result<ExitCode, String> {
     let mut addr = "127.0.0.1:7411".to_string();
-    let mut manifest: Option<PathBuf> = None;
-    let mut only: Vec<String> = Vec::new();
-    let mut engine: Option<Engine> = None;
-    let mut faults = false;
-    let mut seed = 1u64;
-    let mut sites = 200usize;
-    let mut shards = 0usize;
-    let mut max_ticks: Option<u64> = None;
-    let mut wall_ms: Option<u64> = None;
-    let mut events_out: Option<String> = None;
-    let mut report_out: Option<PathBuf> = None;
-    let mut no_cache = false;
-    let mut stats = false;
-    let mut shutdown = false;
-    let mut shed = false;
-    let mut it = args.iter();
-    let result = (|| -> Result<(), String> {
-        while let Some(arg) = it.next() {
-            let mut value = |what: &str| -> Result<String, String> {
-                it.next()
-                    .cloned()
-                    .ok_or_else(|| format!("'{what}' needs a value"))
-            };
-            match arg.as_str() {
-                "--addr" => addr = value("--addr")?,
-                "--design" => only.push(value("--design")?),
-                "--engine" => engine = Some(value("--engine")?.parse()?),
-                "--faults" => faults = true,
-                "--seed" => {
-                    seed = value("--seed")?
-                        .parse()
-                        .map_err(|_| "--seed needs an integer".to_string())?;
-                }
-                "--sites" => {
-                    sites = value("--sites")?
-                        .parse()
-                        .map_err(|_| "--sites needs an integer".to_string())?;
-                }
-                "--shards" => {
-                    shards = value("--shards")?
-                        .parse()
-                        .map_err(|_| "--shards needs an integer".to_string())?;
-                }
-                "--max-ticks" => {
-                    max_ticks = Some(
-                        value("--max-ticks")?
-                            .parse()
-                            .map_err(|_| "--max-ticks needs an integer".to_string())?,
-                    );
-                }
-                "--timeout" => {
-                    wall_ms = Some(
-                        value("--timeout")?
-                            .parse()
-                            .map_err(|_| "--timeout needs milliseconds".to_string())?,
-                    );
-                }
-                "--events-out" => events_out = Some(value("--events-out")?),
-                "--report" => report_out = Some(PathBuf::from(value("--report")?)),
-                "--no-cache" => no_cache = true,
-                "--stats" => stats = true,
-                "--shutdown" => shutdown = true,
-                "--shed" => shed = true,
-                other if manifest.is_none() && !other.starts_with("--") => {
-                    manifest = Some(PathBuf::from(other));
-                }
-                other => return Err(format!("unexpected argument '{other}'")),
-            }
+    let mut only = Vec::new();
+    let (mut engine, mut max_ticks, mut wall_ms) = (None, None, None);
+    let (mut faults, mut seed, mut sites, mut shards) = (false, 1, 200, 0);
+    let (mut events_out, mut report_out) = (None::<String>, None::<PathBuf>);
+    let (mut no_cache, mut stats, mut shutdown, mut shed) = (false, false, false, false);
+    let manifest = flags::read(args, |flag, value| {
+        match flag {
+            "--addr" => addr = value.parse()?,
+            "--design" => only.push(value.parse()?),
+            "--engine" => engine = Some(value.parse()?),
+            "--faults" => faults = true,
+            "--seed" => seed = value.parse()?,
+            "--sites" => sites = value.parse()?,
+            "--shards" => shards = value.parse()?,
+            "--max-ticks" => max_ticks = Some(value.parse()?),
+            "--timeout" => wall_ms = Some(value.parse()?),
+            "--events-out" => events_out = Some(value.parse()?),
+            "--report" => report_out = Some(value.parse()?),
+            "--no-cache" => no_cache = true,
+            "--stats" => stats = true,
+            "--shutdown" => shutdown = true,
+            "--shed" => shed = true,
+            _ => return Ok(false),
         }
-        Ok(())
-    })();
-    if let Err(message) = result {
-        eprintln!("error: {message}");
-        return ExitCode::from(2);
-    }
+        Ok(true)
+    })?;
 
-    let mut client = match Client::connect(&addr) {
-        Ok(client) => client,
-        Err(e) => {
-            eprintln!("error: cannot connect to {addr}: {e}");
-            return ExitCode::from(2);
-        }
-    };
+    let mut client =
+        Client::connect(&addr).map_err(|e| format!("cannot connect to {addr}: {e}"))?;
 
     // Control modes need no manifest.
     if stats || shutdown {
@@ -1078,39 +774,15 @@ fn cmd_submit(args: &[String]) -> ExitCode {
         } else {
             client.shutdown()
         };
-        return match response {
-            Ok(mut json) => {
-                json.sort_keys();
-                outln!("{}", json.emit_pretty());
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("error: {e}");
-                ExitCode::from(2)
-            }
-        };
+        let mut json = response.map_err(|e| e.to_string())?;
+        json.sort_keys();
+        outln!("{}", json.emit_pretty());
+        return Ok(ExitCode::SUCCESS);
     }
 
-    let Some(manifest) = manifest else {
-        eprintln!("'submit' needs a manifest path (or --stats / --shutdown)");
-        return ExitCode::from(2);
-    };
-    let suite = match suite::load_manifest(&manifest) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    let cases: Vec<_> = suite
-        .cases()
-        .iter()
-        .filter(|c| only.is_empty() || only.iter().any(|n| n == &c.name))
-        .collect();
-    if cases.is_empty() {
-        eprintln!("error: no matching cases in {}", manifest.display());
-        return ExitCode::from(2);
-    }
+    let manifest =
+        PathBuf::from(manifest.ok_or("'submit' needs a manifest path (or --stats / --shutdown)")?);
+    let cases = load_cases(&manifest, &only)?;
     for case in &cases {
         if !case.options.faults.is_empty() {
             eprintln!(
@@ -1126,13 +798,7 @@ fn cmd_submit(args: &[String]) -> ExitCode {
         let writer: Box<dyn std::io::Write> = if path == "-" {
             Box::new(std::io::stdout())
         } else {
-            match std::fs::File::create(path) {
-                Ok(file) => Box::new(file),
-                Err(e) => {
-                    eprintln!("error: cannot open {path}: {e}");
-                    return ExitCode::from(2);
-                }
-            }
+            Box::new(std::fs::File::create(path).map_err(|e| format!("cannot open {path}: {e}"))?)
         };
         client.stream_events_to(writer);
     }
@@ -1141,59 +807,49 @@ fn cmd_submit(args: &[String]) -> ExitCode {
     // parallel, then collect verdicts in manifest order. Specs are kept
     // so a lost daemon can be survived: reconnect, resume by id, or
     // resubmit when the restarted daemon no longer knows the id.
-    let mut submitted: Vec<(String, u64, fpgatest::serve::JobSpec)> = Vec::new();
+    let kind = if faults {
+        JobKind::Faults
+    } else {
+        JobKind::Test
+    };
+    let mut submitted: Vec<(String, u64, JobSpec)> = Vec::new();
     for case in &cases {
-        let spec = if faults {
-            let mut spec =
-                fpgatest::serve::JobSpec::faults(&case.name, &case.source, seed, sites);
-            spec.stimuli = case.stimuli.clone();
-            spec.width = Some(case.options.compile.width);
-            spec.partitions = Some(case.options.compile.partitions);
-            spec.policy = Some(case.options.compile.policy);
-            spec.optimize = case.options.compile.optimize;
-            spec.engine = engine.unwrap_or(case.options.engine);
-            spec.max_ticks = max_ticks;
-            spec.wall_ms = wall_ms;
-            spec.events = events;
-            spec.shards = shards;
-            spec
-        } else {
-            job_from_case(case, engine, events, no_cache, wall_ms)
-        };
-        match client.submit(&spec) {
-            Ok(id) => submitted.push((case.name.clone(), id, spec)),
-            Err(e) => {
-                eprintln!("error: submitting '{}': {e}", case.name);
-                return ExitCode::from(2);
-            }
+        let mut spec = JobSpec::from_case(kind, case);
+        spec.engine = engine.unwrap_or(spec.engine);
+        spec.max_ticks = max_ticks.or(spec.max_ticks);
+        spec.wall_ms = wall_ms.or(spec.wall_ms);
+        spec.events = events;
+        spec.no_cache = no_cache;
+        if faults {
+            (spec.seed, spec.sites, spec.shards) = (seed, sites, shards);
         }
+        let id = client
+            .submit(&spec)
+            .map_err(|e| format!("submitting '{}': {e}", case.name))?;
+        submitted.push((case.name.clone(), id, spec));
     }
 
     let mut outcomes = Vec::new();
     for (name, id, spec) in &submitted {
-        match client.wait_or_resubmit(*id, spec) {
-            Ok(outcome) => {
-                let detail = if outcome.detail.is_empty() {
-                    String::new()
-                } else {
-                    format!(" — {}", outcome.detail)
-                };
-                let attempts = if outcome.attempts > 1 {
-                    format!(", {} attempts", outcome.attempts)
-                } else {
-                    String::new()
-                };
-                outln!(
-                    "{name}: {} ({:.3}s{attempts}){detail}",
-                    outcome.verdict, outcome.wall_seconds
-                );
-                outcomes.push((name.clone(), outcome));
-            }
-            Err(e) => {
-                eprintln!("error: waiting for '{name}': {e}");
-                return ExitCode::from(2);
-            }
-        }
+        let outcome = client
+            .wait_or_resubmit(*id, spec)
+            .map_err(|e| format!("waiting for '{name}': {e}"))?;
+        let detail = if outcome.detail.is_empty() {
+            String::new()
+        } else {
+            format!(" — {}", outcome.detail)
+        };
+        let attempts = if outcome.attempts > 1 {
+            format!(", {} attempts", outcome.attempts)
+        } else {
+            String::new()
+        };
+        outln!(
+            "{name}: {} ({:.3}s{attempts}){detail}",
+            outcome.verdict,
+            outcome.wall_seconds
+        );
+        outcomes.push((name.clone(), outcome));
     }
 
     if let Some(path) = &report_out {
@@ -1217,16 +873,14 @@ fn cmd_submit(args: &[String]) -> ExitCode {
             ("jobs", Json::Arr(jobs)),
         ]);
         json.sort_keys();
-        if let Err(e) = std::fs::write(path, json.emit_pretty()) {
-            eprintln!("error: cannot write {}: {e}", path.display());
-            return ExitCode::from(2);
-        }
+        std::fs::write(path, json.emit_pretty())
+            .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
         outln!("report written to {}", path.display());
     }
 
-    exit(suite::fold_exit_code(
+    Ok(exit(suite::fold_exit_code(
         outcomes.iter().map(|(_, outcome)| outcome.verdict.as_str()),
-    ))
+    )))
 }
 
 /// Compares campaign coverage against a checked-in `fpgatest-faults-v1`
@@ -1275,157 +929,81 @@ fn check_faults_baseline(
     Ok(out)
 }
 
-fn parse_jobs(raw: &str) -> Result<usize, String> {
-    match raw.parse::<usize>() {
-        Ok(n) if n >= 1 => Ok(n),
-        _ => Err("--jobs needs an integer >= 1".to_string()),
-    }
-}
-
-struct TestArgs {
-    source: PathBuf,
-    stimuli: Vec<(String, PathBuf)>,
-    options: FlowOptions,
-    artifacts: Option<PathBuf>,
-    telemetry: TelemetryArgs,
-    jobs: usize,
-}
-
-fn parse_test_args(args: &[String]) -> Result<TestArgs, String> {
-    let mut source = None;
+fn cmd_test(args: &[String]) -> Result<ExitCode, String> {
     let mut stimuli = Vec::new();
     let mut options = FlowOptions::default();
     let mut artifacts = None;
     let mut telemetry_args = TelemetryArgs::default();
-    let mut jobs = 1usize;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value = |what: &str| -> Result<String, String> {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("'{what}' needs a value"))
-        };
-        if telemetry_args.accept(arg, &mut value)? {
-            continue;
-        }
-        match arg.as_str() {
-            "--stimulus" => {
-                let v = value("--stimulus")?;
-                let (mem, file) = v
-                    .split_once('=')
-                    .ok_or_else(|| "--stimulus takes mem=file".to_string())?;
-                stimuli.push((mem.to_string(), PathBuf::from(file)));
-            }
-            "--width" => {
-                options.compile.width = value("--width")?
-                    .parse()
-                    .map_err(|_| "--width needs an integer".to_string())?;
-            }
-            "--partitions" => {
-                options.compile.partitions = value("--partitions")?
-                    .parse()
-                    .map_err(|_| "--partitions needs an integer".to_string())?;
-            }
-            "--policy" => {
-                options.compile.policy = match value("--policy")?.as_str() {
-                    "list" => SchedulePolicy::List,
-                    "one-op-per-state" => SchedulePolicy::OneOpPerState,
-                    other => return Err(format!("unknown policy '{other}'")),
-                };
-            }
-            "--optimize" => options.compile.optimize = true,
-            "--engine" => options.engine = value("--engine")?.parse()?,
-            "--fault" => options.faults.push(FaultSpec::parse(&value("--fault")?)?),
-            "--max-ticks" => {
-                options.max_ticks = value("--max-ticks")?
-                    .parse()
-                    .map_err(|_| "--max-ticks needs an integer".to_string())?;
-            }
-            "--timeout" => {
-                options.wall_timeout_ms = Some(
-                    value("--timeout")?
-                        .parse()
-                        .map_err(|_| "--timeout needs milliseconds".to_string())?,
-                );
-            }
+    let mut jobs = 1;
+    let source = flags::read(args, |flag, value| {
+        match flag {
+            "--stimulus" => stimuli.push(value.parse_with(|v| {
+                v.split_once('=')
+                    .map(|(mem, file)| (mem.to_string(), PathBuf::from(file)))
+                    .ok_or("takes mem=file")
+            })?),
+            "--engine" => options.engine = value.parse()?,
             "--trace" => options.trace = true,
-            "--artifacts" => artifacts = Some(PathBuf::from(value("--artifacts")?)),
-            "--jobs" => jobs = parse_jobs(&value("--jobs")?)?,
-            other if source.is_none() && !other.starts_with("--") => {
-                source = Some(PathBuf::from(other));
+            "--artifacts" => artifacts = Some(value.parse::<PathBuf>()?),
+            "--jobs" => jobs = value.parse::<NonZeroUsize>()?.get(),
+            _ => {
+                return Ok(telemetry_args.read(flag, value)?
+                    || suite::read_case_flag(&mut options, flag, value, false)?)
             }
-            other => return Err(format!("unexpected argument '{other}'")),
         }
-    }
-    Ok(TestArgs {
-        source: source.ok_or_else(|| "missing source file".to_string())?,
-        stimuli,
-        options,
-        artifacts,
-        telemetry: telemetry_args,
-        jobs,
-    })
-}
-
-fn cmd_test(args: &[String]) -> ExitCode {
-    let parsed = match parse_test_args(args) {
-        Ok(p) => p,
-        Err(message) => {
-            eprintln!("error: {message}");
-            return ExitCode::from(2);
-        }
-    };
+        Ok(true)
+    })?
+    .ok_or("missing source file")?;
+    let source = PathBuf::from(source);
     // A manifest runs the whole suite, so the observability flags work
     // uniformly across `run` and `test`.
-    if parsed.source.extension().is_some_and(|e| e == "manifest") {
-        let engine = (parsed.options.engine != Engine::default()).then_some(parsed.options.engine);
-        return run_suite(&parsed.source, &parsed.telemetry, parsed.jobs, engine);
+    if source.extension().is_some_and(|e| e == "manifest") {
+        let engine = (options.engine != Engine::default()).then_some(options.engine);
+        return run_suite(&source, &telemetry_args, jobs, engine);
     }
     // One source runs as a one-case suite: the same shield, telemetry and
     // event framing as a manifest, but the case's own report and exit
     // code.
-    let case = match load_source_case(&parsed) {
-        Ok(case) => case,
-        Err(message) => {
-            eprintln!("{message}");
-            return ExitCode::from(2);
-        }
+    let engine = Some(options.engine);
+    let mut case = TestCase::new(file_stem(&source), read_file(&source)?).with_options(options);
+    for (mem, file) in &stimuli {
+        let stimulus = stimulus::parse(&read_file(file)?)
+            .map_err(|e| format!("stimulus {}: {e}", file.display()))?;
+        case = case.with_stimulus(mem, stimulus);
+    }
+    let print = |report: &SuiteReport| {
+        print_case(
+            &report.results[0].1,
+            telemetry_args.verbose,
+            artifacts.as_deref(),
+        )
     };
-    let engine = Some(parsed.options.engine);
-    let suite = Suite::new().with_case(case);
-    let print = |report: &SuiteReport| print_case(&report.results[0].1, &parsed);
     let report = run_recorded(
-        suite,
-        &parsed.source,
+        Suite::new().with_case(case),
+        &source,
         "test",
-        &parsed.telemetry,
+        &telemetry_args,
         1,
         engine,
         print,
-    );
-    match report {
-        Ok(report) => exit(report.results[0].1.exit_code()),
-        Err(code) => code,
-    }
+    )?;
+    Ok(exit(report.results[0].1.exit_code()))
 }
 
 /// Prints a single design's verdict: a finished case's report and Table
 /// I row on stdout (and its `--artifacts`), any other verdict on stderr.
-fn print_case(result: &CaseResult, parsed: &TestArgs) -> Result<(), ExitCode> {
+fn print_case(result: &CaseResult, verbose: bool, artifacts: Option<&Path>) -> Result<(), String> {
     match result {
         CaseResult::Finished(report) => {
             out!("{}", report.render());
-            if parsed.telemetry.verbose {
+            if verbose {
                 let rows = std::slice::from_ref(&report.metrics);
                 outln!("{}", metrics::render_table1_ext(rows));
             } else {
                 outln!("{}", report.metrics);
             }
-            if let Some(dir) = &parsed.artifacts {
-                if let Err(e) = write_artifacts(dir, report) {
-                    eprintln!("cannot write artifacts: {e}");
-                    return Err(ExitCode::from(2));
-                }
+            if let Some(dir) = artifacts {
+                write_artifacts(dir, report).map_err(|e| format!("cannot write artifacts: {e}"))?;
                 outln!("artifacts written to {}", dir.display());
             }
         }
@@ -1436,41 +1014,50 @@ fn print_case(result: &CaseResult, parsed: &TestArgs) -> Result<(), ExitCode> {
     Ok(())
 }
 
-/// Loads `fpgatest test SOURCE` as a case named after the file stem,
-/// with its stimuli and flow options.
-fn load_source_case(parsed: &TestArgs) -> Result<TestCase, String> {
-    let source = std::fs::read_to_string(&parsed.source)
-        .map_err(|e| format!("cannot read {}: {e}", parsed.source.display()))?;
-    let name = parsed
-        .source
-        .file_stem()
-        .map(|s| s.to_string_lossy().to_string())
-        .unwrap_or_else(|| "design".to_string());
-    let mut case = TestCase::new(name, source).with_options(parsed.options.clone());
-    for (mem, file) in &parsed.stimuli {
-        let text = std::fs::read_to_string(file)
-            .map_err(|e| format!("cannot read {}: {e}", file.display()))?;
-        let stimulus =
-            stimulus::parse(&text).map_err(|e| format!("stimulus {}: {e}", file.display()))?;
-        case = case.with_stimulus(mem, stimulus);
-    }
-    Ok(case)
+/// The text of `path`.
+fn read_file(path: &Path) -> Result<String, String> {
+    std::fs::read_to_string(path).map_err(|e| format!("cannot read {}: {e}", path.display()))
 }
 
+/// A source file's design name: its file stem.
+fn file_stem(path: &Path) -> String {
+    path.file_stem()
+        .map(|s| s.to_string_lossy().to_string())
+        .unwrap_or_else(|| "design".to_string())
+}
+
+/// Writes a design's textual artifacts into `dir`: the RTG's XML, dot
+/// and controller source, and each configuration's XML, `.hds`,
+/// behaviour source and dot files.
+fn write_design_artifacts(dir: &Path, artifacts: &Artifacts) -> std::io::Result<()> {
+    std::fs::create_dir_all(dir)?;
+    std::fs::write(dir.join("rtg.xml"), &artifacts.rtg_xml)?;
+    std::fs::write(dir.join("rtg.dot"), &artifacts.rtg_dot)?;
+    std::fs::write(dir.join("rtg_controller.java"), &artifacts.controller_src)?;
+    for config in &artifacts.configs {
+        let name = &config.name;
+        std::fs::write(
+            dir.join(format!("{name}_datapath.xml")),
+            &config.datapath_xml,
+        )?;
+        std::fs::write(dir.join(format!("{name}_fsm.xml")), &config.fsm_xml)?;
+        std::fs::write(dir.join(format!("{name}.hds")), &config.hds)?;
+        std::fs::write(dir.join(format!("{name}_fsm.java")), &config.behavior_src)?;
+        std::fs::write(
+            dir.join(format!("{name}_datapath.dot")),
+            &config.datapath_dot,
+        )?;
+        std::fs::write(dir.join(format!("{name}_fsm.dot")), &config.fsm_dot)?;
+    }
+    Ok(())
+}
+
+/// `test --artifacts`: the design's artifacts, each configuration's VCD
+/// (under `--trace`) and each simulated memory's final image.
 fn write_artifacts(dir: &Path, report: &fpgatest::TestReport) -> std::io::Result<()> {
     std::fs::create_dir_all(dir)?;
     if let Some(artifacts) = &report.artifacts {
-        std::fs::write(dir.join("rtg.xml"), &artifacts.rtg_xml)?;
-        std::fs::write(dir.join("rtg.dot"), &artifacts.rtg_dot)?;
-        std::fs::write(dir.join("rtg_controller.java"), &artifacts.controller_src)?;
-        for config in &artifacts.configs {
-            std::fs::write(dir.join(format!("{}_datapath.xml", config.name)), &config.datapath_xml)?;
-            std::fs::write(dir.join(format!("{}_fsm.xml", config.name)), &config.fsm_xml)?;
-            std::fs::write(dir.join(format!("{}.hds", config.name)), &config.hds)?;
-            std::fs::write(dir.join(format!("{}_fsm.java", config.name)), &config.behavior_src)?;
-            std::fs::write(dir.join(format!("{}_datapath.dot", config.name)), &config.datapath_dot)?;
-            std::fs::write(dir.join(format!("{}_fsm.dot", config.name)), &config.fsm_dot)?;
-        }
+        write_design_artifacts(dir, artifacts)?;
     }
     for run in &report.runs {
         if let Some(vcd) = &run.vcd {
@@ -1487,78 +1074,25 @@ fn write_artifacts(dir: &Path, report: &fpgatest::TestReport) -> std::io::Result
     Ok(())
 }
 
-fn cmd_compile(args: &[String]) -> ExitCode {
-    // Reuse the test parser; --out is mandatory and doubles as artifacts.
-    let mut rewritten: Vec<String> = Vec::new();
+/// `fpgatest compile <prog.src> --out DIR` — compile and transform a
+/// design and write its artifacts, without running it: a design that
+/// reads uninitialised inputs would fail the golden run.
+fn cmd_compile(args: &[String]) -> Result<ExitCode, String> {
+    let mut options = FlowOptions::default();
     let mut out = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        if arg == "--out" {
-            match it.next() {
-                Some(dir) => out = Some(dir.clone()),
-                None => {
-                    eprintln!("'--out' needs a directory");
-                    return ExitCode::from(2);
-                }
-            }
-        } else {
-            rewritten.push(arg.clone());
+    let source = flags::read(args, |flag, value| {
+        match flag {
+            "--out" => out = Some(value.parse::<PathBuf>()?),
+            _ => return suite::read_case_flag(&mut options, flag, value, true),
         }
-    }
-    let Some(out) = out else {
-        eprintln!("'compile' needs --out DIR");
-        return ExitCode::from(2);
-    };
-    rewritten.push("--artifacts".to_string());
-    rewritten.push(out);
-
-    // Compile-only: run the flow with no stimuli; designs that read
-    // uninitialized inputs would fail the golden run, so emit artifacts
-    // straight from the compiler instead of the full flow.
-    let parsed = match parse_test_args(&rewritten) {
-        Ok(p) => p,
-        Err(message) => {
-            eprintln!("error: {message}");
-            return ExitCode::from(2);
-        }
-    };
-    let source = match std::fs::read_to_string(&parsed.source) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("cannot read {}: {e}", parsed.source.display());
-            return ExitCode::from(2);
-        }
-    };
-    let name = parsed
-        .source
-        .file_stem()
-        .map(|s| s.to_string_lossy().to_string())
-        .unwrap_or_else(|| "design".to_string());
-    let design = match nenya::compile(&name, &source, &parsed.options.compile) {
-        Ok(d) => d,
-        Err(e) => {
-            eprintln!("compile error: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    let dir = parsed.artifacts.expect("--out mapped to artifacts");
-    if let Err(e) = std::fs::create_dir_all(&dir) {
-        eprintln!("cannot create {}: {e}", dir.display());
-        return ExitCode::from(2);
-    }
-    let rtg_doc = nenya::xml::emit_rtg(&design.rtg);
-    let mut files = vec![("rtg.xml".to_string(), rtg_doc.to_pretty_string())];
+        Ok(true)
+    })?
+    .ok_or("'compile' needs a source file")?;
+    let out = out.ok_or("'compile' needs --out DIR")?;
+    let source = PathBuf::from(source);
+    let design = nenya::compile(&file_stem(&source), &read_file(&source)?, &options.compile)
+        .map_err(|e| format!("compile error: {e}"))?;
     for config in &design.configs {
-        let dp_doc = nenya::xml::emit_datapath(&config.datapath);
-        let fsm_doc = nenya::xml::emit_fsm(&config.fsm);
-        let hds = xform::apply(xform::stylesheets::datapath_to_hds(), dp_doc.root())
-            .unwrap_or_default();
-        let behavior = xform::apply(xform::stylesheets::fsm_to_behavior(), fsm_doc.root())
-            .unwrap_or_default();
-        files.push((format!("{}_datapath.xml", config.name), dp_doc.to_pretty_string()));
-        files.push((format!("{}_fsm.xml", config.name), fsm_doc.to_pretty_string()));
-        files.push((format!("{}.hds", config.name), hds));
-        files.push((format!("{}_fsm.java", config.name), behavior));
         outln!(
             "{}: {} operators, {} states",
             config.name,
@@ -1566,12 +1100,11 @@ fn cmd_compile(args: &[String]) -> ExitCode {
             config.fsm.state_count()
         );
     }
-    for (file, contents) in files {
-        if let Err(e) = std::fs::write(dir.join(&file), contents) {
-            eprintln!("cannot write {file}: {e}");
-            return ExitCode::from(2);
-        }
-    }
-    outln!("artifacts written to {}", dir.display());
-    ExitCode::SUCCESS
+    let artifacts = fpgatest::flow::prepare_design(design)
+        .and_then(|prepared| prepared.artifacts())
+        .map_err(|e| e.to_string())?;
+    write_design_artifacts(&out, &artifacts)
+        .map_err(|e| format!("cannot write artifacts to {}: {e}", out.display()))?;
+    outln!("artifacts written to {}", out.display());
+    Ok(ExitCode::SUCCESS)
 }

@@ -20,7 +20,6 @@
 //!   and the warm/cold benchmark read them.
 
 use crate::flow::{prepare_design, FlowError, PreparedDesign};
-use nenya::schedule::SchedulePolicy;
 use nenya::{compile_program, CompileError, CompileOptions};
 use std::collections::HashMap;
 use std::sync::{Arc, Condvar, Mutex};
@@ -84,12 +83,9 @@ pub fn content_hash(source: &str, options: &CompileOptions) -> u64 {
         byte(b);
     }
     byte(FIELD_POLICY);
-    // Stable names via exhaustive match: adding a policy variant is a
-    // compile error here until it gets its own spelling.
-    let policy_name: &str = match options.policy {
-        SchedulePolicy::OneOpPerState => "one-op-per-state",
-        SchedulePolicy::List => "list",
-    };
+    // The policy's stable word: adding a variant is a compile error in
+    // `as_str` until it gets its own spelling.
+    let policy_name = options.policy.as_str();
     for b in (policy_name.len() as u32).to_le_bytes() {
         byte(b);
     }
@@ -341,6 +337,7 @@ impl DesignCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nenya::schedule::SchedulePolicy;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn assert_send_sync<T: Send + Sync>() {}

@@ -891,6 +891,17 @@ impl PreparedDesign {
         &self.design
     }
 
+    /// The design's textual artifacts, as a `keep_artifacts` report
+    /// carries them, without running it (`fpgatest compile`).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FlowError::Elaborate`] when a stylesheet rejects the
+    /// design's XML.
+    pub fn artifacts(&self) -> Result<Artifacts, FlowError> {
+        render_artifacts(&self.parts)
+    }
+
     /// Runs the simulation + comparison stages against this prepared
     /// design. Equivalent to [`run_design`] minus the (already done)
     /// transform stage: same verdicts, same errors, same report shape,

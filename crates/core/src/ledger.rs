@@ -15,7 +15,7 @@
 //! subtracted from them); every *duration* in an entry was measured
 //! with monotonic `std::time::Instant` by the code that produced it.
 
-use crate::telemetry::Json;
+use crate::telemetry::{percent_change, Json};
 use std::io::{self, BufWriter, Write};
 use std::path::Path;
 use std::time::{SystemTime, UNIX_EPOCH};
@@ -201,14 +201,6 @@ pub struct TrendReport {
     pub text: String,
     /// Whether any group's latest entry regressed beyond the gate.
     pub gate_exceeded: bool,
-}
-
-fn percent_change(then: f64, now: f64) -> String {
-    if then <= 0.0 {
-        "n/a".to_string()
-    } else {
-        format!("{:+.1}%", (now - then) / then * 100.0)
-    }
 }
 
 fn percent_delta(then: f64, now: f64) -> Option<f64> {

@@ -67,6 +67,7 @@
 //! * [`dot`] — Graphviz exports, including the Figure 1 regeneration.
 //! * [`stdout`] — the command-line tools' stdout writer, which survives
 //!   a reader that closes the pipe early.
+//! * [`flags`] — the command-line tools' flag reader.
 
 pub mod cache;
 pub mod campaign;
@@ -74,6 +75,7 @@ pub mod dot;
 pub mod elaborate;
 pub mod events;
 pub mod faults;
+pub mod flags;
 pub mod flow;
 pub mod ledger;
 pub mod memcmp;

@@ -229,6 +229,52 @@ impl JobSpec {
         spec
     }
 
+    /// A `kind` job running manifest case `case`: its source, stimuli,
+    /// compiler options and engine, and a test job also the case's
+    /// watchdogs. A campaign's tick budget defaults to five times its
+    /// clean run, not to the case's flow budget, so a fault job's
+    /// watchdogs come from the submission alone.
+    pub fn from_case(kind: JobKind, case: &TestCase) -> JobSpec {
+        let options = &case.options;
+        let (max_ticks, wall_ms) = match kind {
+            JobKind::Test => (Some(options.max_ticks), options.wall_timeout_ms),
+            JobKind::Faults => (None, None),
+        };
+        JobSpec {
+            kind,
+            stimuli: case.stimuli.clone(),
+            width: Some(options.compile.width),
+            partitions: Some(options.compile.partitions),
+            policy: Some(options.compile.policy),
+            optimize: options.compile.optimize,
+            engine: options.engine,
+            max_ticks,
+            wall_ms,
+            ..JobSpec::test(&case.name, &case.source)
+        }
+    }
+
+    /// The flow options the job runs under, the inverse of
+    /// [`from_case`](Self::from_case) for everything a job carries
+    /// (its wall budget is the shield's, not the flow's). A reply carries
+    /// the verdict, never the textual artifacts, so a job does not pay for
+    /// rendering them.
+    fn flow_options(&self) -> FlowOptions {
+        let mut options = FlowOptions {
+            keep_artifacts: false,
+            engine: self.engine,
+            planted_panic: self.planted_panic,
+            ..FlowOptions::default()
+        };
+        let compile = &mut options.compile;
+        compile.width = self.width.unwrap_or(compile.width);
+        compile.partitions = self.partitions.unwrap_or(compile.partitions);
+        compile.policy = self.policy.unwrap_or(compile.policy);
+        compile.optimize = self.optimize;
+        options.max_ticks = self.max_ticks.unwrap_or(options.max_ticks);
+        options
+    }
+
     /// Adds a stimulus, builder-style.
     #[must_use]
     pub fn stimulus(mut self, mem: impl Into<String>, stimulus: Stimulus) -> JobSpec {
@@ -280,7 +326,7 @@ impl JobSpec {
             pairs.push(("partitions", Json::from(partitions)));
         }
         if let Some(policy) = self.policy {
-            pairs.push(("policy", Json::from(policy_name(policy))));
+            pairs.push(("policy", Json::from(policy.as_str())));
         }
         if let Some(ticks) = self.max_ticks {
             pairs.push(("max_ticks", Json::from(ticks)));
@@ -340,7 +386,7 @@ impl JobSpec {
             spec.partitions = Some(partitions as usize);
         }
         if let Some(policy) = json.get("policy").and_then(Json::as_str) {
-            spec.policy = Some(parse_policy(policy)?);
+            spec.policy = Some(policy.parse()?);
         }
         if let Some(optimize) = json.get("optimize").and_then(Json::as_bool) {
             spec.optimize = optimize;
@@ -373,23 +419,6 @@ impl JobSpec {
             spec.no_cache = no_cache;
         }
         Ok(spec)
-    }
-}
-
-fn policy_name(policy: SchedulePolicy) -> &'static str {
-    match policy {
-        SchedulePolicy::OneOpPerState => "one-op-per-state",
-        SchedulePolicy::List => "list",
-    }
-}
-
-fn parse_policy(word: &str) -> Result<SchedulePolicy, String> {
-    match word {
-        "list" => Ok(SchedulePolicy::List),
-        "one-op-per-state" => Ok(SchedulePolicy::OneOpPerState),
-        other => Err(format!(
-            "unknown policy '{other}' (want list|one-op-per-state)"
-        )),
     }
 }
 
@@ -1479,27 +1508,7 @@ fn run_one_job(state: &Arc<ServerState>, job: QueuedJob) {
 }
 
 fn execute_job(state: &ServerState, spec: &JobSpec, sink: &EventSink) -> (String, i32, String, Json) {
-    // A reply carries the verdict, never the textual artifacts, so a job
-    // does not pay for rendering them.
-    let mut options = FlowOptions {
-        keep_artifacts: false,
-        ..FlowOptions::default()
-    };
-    if let Some(width) = spec.width {
-        options.compile.width = width;
-    }
-    if let Some(partitions) = spec.partitions {
-        options.compile.partitions = partitions;
-    }
-    if let Some(policy) = spec.policy {
-        options.compile.policy = policy;
-    }
-    options.compile.optimize = spec.optimize;
-    options.engine = spec.engine;
-    if let Some(ticks) = spec.max_ticks {
-        options.max_ticks = ticks;
-    }
-    options.planted_panic = spec.planted_panic;
+    let mut options = spec.flow_options();
     match spec.kind {
         JobKind::Test => {
             options.events = sink.clone();
@@ -1520,13 +1529,11 @@ fn execute_job(state: &ServerState, spec: &JobSpec, sink: &EventSink) -> (String
             case_verdict(&CaseResult::from_flow(result))
         }
         JobKind::Faults => {
-            let mut case_options = options.clone();
-            case_options.events = EventSink::disabled();
             let case = TestCase {
                 name: spec.name.clone(),
                 source: spec.source.clone(),
                 stimuli: spec.stimuli.clone(),
-                options: case_options,
+                options,
             };
             let campaign = CampaignOptions {
                 seed: spec.seed,

@@ -33,10 +33,10 @@
 
 use crate::events::{CampaignProgress, Event, EventSink};
 use crate::faults::FaultSpec;
+use crate::flags::Value;
 use crate::flow::{FlowError, FlowOptions, TestFlow, TestReport};
 use crate::stimulus::{self, Stimulus};
 use crate::telemetry::{SpanId, SpanSink};
-use nenya::schedule::SchedulePolicy;
 use std::any::Any;
 use std::collections::BTreeMap;
 use std::error::Error;
@@ -516,15 +516,20 @@ pub(crate) fn shield<T: Send + 'static>(
 /// Returns the result and the case's own span sink (recording when
 /// `record`), which the suite absorbs in manifest order.
 fn run_case(case: &TestCase, record: bool, events: &EventSink) -> (CaseResult, SpanSink) {
-    let fresh_spans = || {
-        if record {
+    let open = || {
+        let spans = if record {
             SpanSink::recording()
         } else {
             SpanSink::disabled()
-        }
+        };
+        let span = spans.start(format_args!("case.{}", case.name));
+        (spans, span)
     };
-    let spans = fresh_spans();
-    let span = spans.start(format_args!("case.{}", case.name));
+    let (spans, span) = open();
+    // The abandoned thread of a tripped case still records into `spans`,
+    // so a trip reports a sink of its own holding the case span alone,
+    // opened with the case so that it spans the whole wall budget.
+    let trip = case.options.wall_timeout_ms.map(|_| open());
     let work = {
         let (case, spans) = (case.clone(), spans.clone());
         move |events: &EventSink| run_flow(case, &spans, events)
@@ -535,11 +540,7 @@ fn run_case(case: &TestCase, record: bool, events: &EventSink) -> (CaseResult, S
             (result, spans)
         }
         Err(tripped) => {
-            // The abandoned thread still records into `spans`; the case
-            // reports a fresh sink holding its case span alone, so span
-            // order still mirrors suite order.
-            let spans = fresh_spans();
-            let span = spans.start(format_args!("case.{}", case.name));
+            let (spans, span) = trip.expect("only a wall budget trips");
             close_case_span(&spans, span, &tripped);
             (tripped, spans)
         }
@@ -628,6 +629,100 @@ pub fn load_manifest(path: impl AsRef<Path>) -> Result<Suite, LoadSuiteError> {
     parse_manifest(&text, base)
 }
 
+/// One option a case carries besides its source and stimuli, spelled as
+/// a manifest directive (`max_ticks 5000`) and as the matching `fpgatest
+/// test` flag (`--max-ticks 5000`); both read their value through a
+/// [`Value`].
+pub(crate) struct CaseOption {
+    /// The manifest directive.
+    directive: &'static str,
+    /// The command-line flag.
+    flag: &'static str,
+    /// A compiler option, which `fpgatest compile` takes too.
+    compiler: bool,
+    /// Reads the option's value, if it takes one, into the options.
+    read: fn(&mut FlowOptions, &mut Value) -> Result<(), String>,
+}
+
+/// Every [`CaseOption`]: the one place a case option is named and
+/// parsed.
+pub(crate) const CASE_OPTIONS: [CaseOption; 7] = [
+    CaseOption {
+        directive: "width",
+        flag: "--width",
+        compiler: true,
+        read: |options, value| value.parse().map(|width| options.compile.width = width),
+    },
+    CaseOption {
+        directive: "partitions",
+        flag: "--partitions",
+        compiler: true,
+        read: |options, value| value.parse().map(|k| options.compile.partitions = k),
+    },
+    CaseOption {
+        directive: "policy",
+        flag: "--policy",
+        compiler: true,
+        read: |options, value| value.parse().map(|policy| options.compile.policy = policy),
+    },
+    CaseOption {
+        directive: "optimize",
+        flag: "--optimize",
+        compiler: true,
+        read: |options, _| {
+            options.compile.optimize = true;
+            Ok(())
+        },
+    },
+    CaseOption {
+        directive: "fault",
+        flag: "--fault",
+        compiler: false,
+        read: |options, value| {
+            value
+                .parse_with(FaultSpec::parse)
+                .map(|f| options.faults.push(f))
+        },
+    },
+    CaseOption {
+        directive: "max_ticks",
+        flag: "--max-ticks",
+        compiler: false,
+        read: |options, value| value.parse().map(|n| options.max_ticks = n),
+    },
+    CaseOption {
+        directive: "timeout",
+        flag: "--timeout",
+        compiler: false,
+        read: |options, value| value.parse().map(|ms| options.wall_timeout_ms = Some(ms)),
+    },
+];
+
+/// Reads `flag` into `options` when it is the flag of a case option —
+/// `--width`, `--partitions`, `--policy`, `--optimize`, `--fault`,
+/// `--max-ticks` or `--timeout`, the manifest's directives spelled as
+/// flags — and only of a compiler option (the first four) when
+/// `compiler_only`; `Ok(false)` when it is not, as
+/// [`flags::read`](crate::flags::read) expects.
+///
+/// # Errors
+///
+/// The option's missing or bad value.
+pub fn read_case_flag(
+    options: &mut FlowOptions,
+    flag: &str,
+    value: &mut Value,
+    compiler_only: bool,
+) -> Result<bool, String> {
+    match CASE_OPTIONS
+        .iter()
+        .find(|option| option.flag == flag && (option.compiler || !compiler_only))
+    {
+        Some(option) => (option.read)(options, value).map(|()| true),
+        None => Ok(false),
+    }
+}
+
 /// Parses manifest text with `base` as the directory for file references.
 ///
 /// # Errors
@@ -637,7 +732,6 @@ pub fn parse_manifest(text: &str, base: &Path) -> Result<Suite, LoadSuiteError> 
     let mut suite = Suite::new();
     let mut current: Option<TestCase> = None;
     for (index, raw) in text.lines().enumerate() {
-        let lineno = index + 1;
         let line = match raw.find('#') {
             Some(i) => &raw[..i],
             None => raw,
@@ -649,109 +743,55 @@ pub fn parse_manifest(text: &str, base: &Path) -> Result<Suite, LoadSuiteError> 
         let mut tokens = line.split_whitespace();
         let keyword = tokens.next().expect("non-empty line");
         let manifest_err = |message: String| LoadSuiteError::Manifest {
-            line: lineno,
+            line: index + 1,
             message,
             text: raw.trim_end().to_string(),
         };
+        if keyword == "case" {
+            suite.cases.extend(current.take());
+            let name = tokens
+                .next()
+                .ok_or_else(|| manifest_err("'case' needs a name".into()))?;
+            current = Some(TestCase::new(name, String::new()));
+            continue;
+        }
+        let case = current
+            .as_mut()
+            .ok_or_else(|| manifest_err(format!("'{keyword}' before any 'case'")))?;
         match keyword {
-            "case" => {
-                if let Some(done) = current.take() {
-                    suite.push(done);
-                }
-                let name = tokens
+            "source" => {
+                let file = tokens
                     .next()
-                    .ok_or_else(|| manifest_err("'case' needs a name".into()))?;
-                current = Some(TestCase::new(name, String::new()));
+                    .ok_or_else(|| manifest_err("'source' needs a path".into()))?;
+                let full = base.join(file);
+                case.source = std::fs::read_to_string(&full)
+                    .map_err(|e| LoadSuiteError::Io(full.clone(), e))?;
+            }
+            "stimulus" => {
+                let mem = tokens
+                    .next()
+                    .ok_or_else(|| manifest_err("'stimulus' needs a memory name".into()))?;
+                let file = tokens
+                    .next()
+                    .ok_or_else(|| manifest_err("'stimulus' needs a path".into()))?;
+                let full = base.join(file);
+                let text = std::fs::read_to_string(&full)
+                    .map_err(|e| LoadSuiteError::Io(full.clone(), e))?;
+                let stim = stimulus::parse(&text)
+                    .map_err(|e| LoadSuiteError::Stimulus(full.clone(), e))?;
+                case.stimuli.push((mem.to_string(), stim));
             }
             _ => {
-                let case = current
-                    .as_mut()
-                    .ok_or_else(|| manifest_err(format!("'{keyword}' before any 'case'")))?;
-                match keyword {
-                    "source" => {
-                        let file = tokens
-                            .next()
-                            .ok_or_else(|| manifest_err("'source' needs a path".into()))?;
-                        let full = base.join(file);
-                        case.source = std::fs::read_to_string(&full)
-                            .map_err(|e| LoadSuiteError::Io(full.clone(), e))?;
-                    }
-                    "stimulus" => {
-                        let mem = tokens
-                            .next()
-                            .ok_or_else(|| manifest_err("'stimulus' needs a memory name".into()))?;
-                        let file = tokens
-                            .next()
-                            .ok_or_else(|| manifest_err("'stimulus' needs a path".into()))?;
-                        let full = base.join(file);
-                        let text = std::fs::read_to_string(&full)
-                            .map_err(|e| LoadSuiteError::Io(full.clone(), e))?;
-                        let stim = stimulus::parse(&text)
-                            .map_err(|e| LoadSuiteError::Stimulus(full.clone(), e))?;
-                        case.stimuli.push((mem.to_string(), stim));
-                    }
-                    "width" => {
-                        let w = tokens
-                            .next()
-                            .and_then(|t| t.parse().ok())
-                            .ok_or_else(|| manifest_err("'width' needs an integer".into()))?;
-                        case.options.compile.width = w;
-                    }
-                    "partitions" => {
-                        let k = tokens
-                            .next()
-                            .and_then(|t| t.parse().ok())
-                            .ok_or_else(|| manifest_err("'partitions' needs an integer".into()))?;
-                        case.options.compile.partitions = k;
-                    }
-                    "optimize" => {
-                        case.options.compile.optimize = true;
-                    }
-                    "max_ticks" => {
-                        let n = tokens
-                            .next()
-                            .and_then(|t| t.parse().ok())
-                            .ok_or_else(|| manifest_err("'max_ticks' needs an integer".into()))?;
-                        case.options.max_ticks = n;
-                    }
-                    "timeout" => {
-                        let ms = tokens
-                            .next()
-                            .and_then(|t| t.parse().ok())
-                            .ok_or_else(|| {
-                                manifest_err("'timeout' needs milliseconds".into())
-                            })?;
-                        case.options.wall_timeout_ms = Some(ms);
-                    }
-                    "fault" => {
-                        let spec = tokens
-                            .next()
-                            .ok_or_else(|| manifest_err("'fault' needs a spec".into()))?;
-                        let fault = FaultSpec::parse(spec).map_err(manifest_err)?;
-                        case.options.faults.push(fault);
-                    }
-                    "policy" => {
-                        let p = tokens
-                            .next()
-                            .ok_or_else(|| manifest_err("'policy' needs a value".into()))?;
-                        case.options.compile.policy = match p {
-                            "list" => SchedulePolicy::List,
-                            "one-op-per-state" => SchedulePolicy::OneOpPerState,
-                            other => {
-                                return Err(manifest_err(format!("unknown policy '{other}'")))
-                            }
-                        };
-                    }
-                    other => {
-                        return Err(manifest_err(format!("unknown directive '{other}'")));
-                    }
-                }
+                let option = CASE_OPTIONS
+                    .iter()
+                    .find(|option| option.directive == keyword)
+                    .ok_or_else(|| manifest_err(format!("unknown directive '{keyword}'")))?;
+                (option.read)(&mut case.options, &mut Value::new(keyword, &mut tokens))
+                    .map_err(manifest_err)?;
             }
         }
     }
-    if let Some(done) = current.take() {
-        suite.push(done);
-    }
+    suite.cases.extend(current);
     Ok(suite)
 }
 
@@ -834,6 +874,68 @@ case copy
             parse_manifest("case a\n  policy turbo\n", base),
             Err(LoadSuiteError::Manifest { .. })
         ));
+    }
+
+    /// Every case option reads the same from its manifest directive as
+    /// from its `fpgatest test` flag, and both reject the same bad value.
+    #[test]
+    fn case_options_read_alike_from_manifests_and_flags() {
+        let fields = |o: &FlowOptions| {
+            (
+                o.compile.clone(),
+                o.faults.clone(),
+                o.max_ticks,
+                o.wall_timeout_ms,
+            )
+        };
+        for option in &CASE_OPTIONS {
+            let directive = option.directive;
+            let (good, bad) = match directive {
+                "width" => ("24", Some("wide")),
+                "partitions" => ("2", Some("-1")),
+                "policy" => ("one-op-per-state", Some("greedy")),
+                "optimize" => ("", None),
+                "fault" => ("stuck1:done.0", Some("melt:everything")),
+                "max_ticks" => ("5000", Some("5e3")),
+                "timeout" => ("50", Some("soon")),
+                other => panic!("no sample value for '{other}'"),
+            };
+            let from_manifest = |value: &str| {
+                let text = format!("case a\n  {directive} {value}\n");
+                match parse_manifest(&text, Path::new(".")) {
+                    Ok(suite) => Ok(fields(&suite.cases()[0].options)),
+                    Err(LoadSuiteError::Manifest { message, .. }) => Err(message),
+                    Err(e) => panic!("{directive}: {e}"),
+                }
+            };
+            let from_flag = |value: &str| {
+                let mut options = FlowOptions::default();
+                let args: Vec<String> = [option.flag, value]
+                    .iter()
+                    .filter(|word| !word.is_empty())
+                    .map(|word| word.to_string())
+                    .collect();
+                crate::flags::read(&args, |flag, value| {
+                    read_case_flag(&mut options, flag, value, false)
+                })
+                .map(|_| fields(&options))
+            };
+            let read = from_manifest(good).unwrap();
+            assert_ne!(read, fields(&FlowOptions::default()), "{directive} {good}");
+            assert_eq!(from_flag(good), Ok(read), "{directive} {good}");
+            if let Some(bad) = bad {
+                let rejected = from_manifest(bad).unwrap_err();
+                assert!(
+                    rejected.starts_with(&format!("{directive}: ")),
+                    "{rejected}"
+                );
+                assert_eq!(
+                    from_flag(bad),
+                    Err(rejected.replacen(directive, option.flag, 1)),
+                    "{directive} {bad}"
+                );
+            }
+        }
     }
 
     #[test]

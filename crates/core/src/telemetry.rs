@@ -1061,7 +1061,9 @@ pub fn render_baseline_deltas(current: &Json, baseline: &Json) -> String {
     out
 }
 
-fn percent_change(then: f64, now: f64) -> String {
+/// `now` against `then` as a signed percentage (`+12.5%`), or `n/a`
+/// without a positive `then`.
+pub(crate) fn percent_change(then: f64, now: f64) -> String {
     if then <= 0.0 {
         return "n/a".to_string();
     }

@@ -93,6 +93,21 @@ fn run_subcommand_reports_suite_verdicts() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// The files of `dir`, by name, with their contents.
+fn tree(dir: &Path) -> std::collections::BTreeMap<String, Vec<u8>> {
+    std::fs::read_dir(dir)
+        .unwrap_or_else(|e| panic!("{}: {e}", dir.display()))
+        .map(|entry| {
+            let path = entry.unwrap().path();
+            let name = path.file_name().unwrap().to_string_lossy().to_string();
+            (name, std::fs::read(&path).unwrap())
+        })
+        .collect()
+}
+
+/// `fpgatest compile` writes the XML dialects, which reparse, and the
+/// same design files `fpgatest test --artifacts` writes for the same
+/// source: every artifact but the run's VCDs and memory images.
 #[test]
 fn compile_subcommand_emits_dialects() {
     let dir = workdir("compile");
@@ -115,6 +130,33 @@ fn compile_subcommand_emits_dialects() {
     let dp_text = std::fs::read_to_string(out_dir.join("prog_c0_datapath.xml")).unwrap();
     let doc = xmlite::Document::parse(&dp_text).unwrap();
     assert!(nenya::xml::parse_datapath(&doc).is_ok());
+
+    let art = dir.join("art");
+    let out = bin()
+        .arg("test")
+        .arg(dir.join("prog.src"))
+        .arg("--stimulus")
+        .arg(format!("inp={}", dir.join("inp.stim").display()))
+        .args(["--partitions", "2", "--trace", "--artifacts"])
+        .arg(&art)
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let mut design_files = tree(&art);
+    design_files.retain(|name, _| !name.ends_with(".vcd") && !name.ends_with(".mem"));
+    let compiled = tree(&out_dir);
+    assert_eq!(
+        compiled.keys().collect::<Vec<_>>(),
+        design_files.keys().collect::<Vec<_>>()
+    );
+    assert!(
+        compiled == design_files,
+        "compile and test --artifacts differ"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -126,6 +168,45 @@ fn bad_usage_exits_2() {
     assert_eq!(out.status.code(), Some(2));
     let out = bin().arg("test").arg("/no/such/file.src").output().unwrap();
     assert_eq!(out.status.code(), Some(2));
+}
+
+/// An unknown or misspelled flag, a missing or bad value and a stray
+/// argument exit 2 with a message naming the argument, on every
+/// subcommand; `compile` takes only the compiler's options.
+#[test]
+fn malformed_flags_exit_2_naming_the_flag() {
+    let dir = workdir("malformed_flags");
+    write_demo(&dir);
+    let source = dir.join("prog.src").display().to_string();
+    let out_dir = dir.join("out").display().to_string();
+    for (args, named) in [
+        (vec!["run", SUITE_MANIFEST, "--jbos", "2"], "--jbos"),
+        (vec!["test", &source, "--widht", "32"], "--widht"),
+        (vec!["test", &source, "--width"], "--width"),
+        (vec!["test", &source, "--width", "wide"], "--width"),
+        (vec!["test", &source, "--policy", "greedy"], "--policy"),
+        (vec!["test", &source, "extra.src"], "extra.src"),
+        (vec!["faults", SUITE_MANIFEST, "--sites", "many"], "--sites"),
+        (vec!["trends", "runs.jsonl", "--gate"], "--gate"),
+        (vec!["serve", "--workers", "0"], "--workers"),
+        (vec!["serve", "127.0.0.1:0"], "127.0.0.1:0"),
+        (vec!["submit", SUITE_MANIFEST, "--fualts"], "--fualts"),
+        (
+            vec!["compile", &source, "--out", &out_dir, "--engine", "level"],
+            "--engine",
+        ),
+        (
+            vec!["compile", &source, "--out", &out_dir, "--timeout", "5"],
+            "--timeout",
+        ),
+    ] {
+        let out = bin().args(&args).output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains(named), "{args:?}: {stderr}");
+    }
+    assert!(!dir.join("out").exists(), "a rejected compile wrote files");
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// `fpgatest test SOURCE --timeout MS` trips the wall clock the way a
@@ -142,7 +223,7 @@ fn single_source_honours_the_wall_clock_timeout() {
          for (i = 0; i < 100000; i = i + 1) { s = s + i; } out[0] = s; }",
     )
     .unwrap();
-    let metrics = dir.join("m.json");
+    let (metrics, trace) = (dir.join("m.json"), dir.join("t.jsonl"));
     let out = bin()
         .arg("test")
         .arg(dir.join("spin.src"))
@@ -156,6 +237,8 @@ fn single_source_honours_the_wall_clock_timeout() {
         ])
         .arg("--metrics-out")
         .arg(&metrics)
+        .arg("--trace-log")
+        .arg(&trace)
         .output()
         .unwrap();
     let stderr = String::from_utf8_lossy(&out.stderr);
@@ -171,6 +254,18 @@ fn single_source_honours_the_wall_clock_timeout() {
         .expect("designs");
     assert_eq!(designs.len(), 1);
     assert_eq!(field(&designs[0], "status").as_deref(), Some("timeout"));
+    // The case span opens with the case, so it covers the whole budget.
+    let trace = std::fs::read_to_string(&trace).unwrap();
+    let case = trace
+        .lines()
+        .map(|line| Json::parse(line).unwrap())
+        .find(|span| field(span, "name").as_deref() == Some("case.spin"))
+        .expect("a case.spin span");
+    let wall = case
+        .get("wall_seconds")
+        .and_then(Json::as_f64)
+        .expect("wall_seconds");
+    assert!(wall >= 0.05, "case.spin lasted {wall} s");
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -390,6 +485,65 @@ fn served_suite_events_and_report_hold() {
         serve_closures, 5,
         "one serve-level campaign-finished per served job"
     );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A fault campaign submitted to `fpgatest serve` reports what the same
+/// campaign run in process by `fpgatest faults` reports.
+#[test]
+fn served_fault_campaign_matches_fpgatest_faults() {
+    let dir = workdir("served_faults");
+    let (mut daemon, addr, _) = Daemon::start(&[], Stdio::null());
+    let campaign = [
+        "--design", "hamming", "--seed", "1", "--sites", "32", "--report",
+    ];
+    let (served, local) = (dir.join("B.json"), dir.join("A.json"));
+    let submit = bin()
+        .args(["submit", SUITE_MANIFEST, "--addr", &addr, "--faults"])
+        .args(campaign)
+        .arg(&served)
+        .output()
+        .unwrap();
+    let shutdown = bin()
+        .args(["submit", "--addr", &addr, "--shutdown"])
+        .output()
+        .unwrap();
+    assert!(
+        submit.status.success(),
+        "{}",
+        String::from_utf8_lossy(&submit.stderr)
+    );
+    assert!(shutdown.status.success());
+    assert!(daemon.0.wait().unwrap().success(), "daemon drains cleanly");
+    let faults = bin()
+        .args(["faults", SUITE_MANIFEST])
+        .args(campaign)
+        .arg(&local)
+        .output()
+        .unwrap();
+    assert!(
+        faults.status.success(),
+        "{}",
+        String::from_utf8_lossy(&faults.stderr)
+    );
+
+    let read = |path: &Path| Json::parse(&std::fs::read_to_string(path).unwrap()).unwrap();
+    let first = |json: &Json, key: &str| {
+        json.get(key)
+            .and_then(Json::as_array)
+            .and_then(|list| list.first())
+            .cloned()
+            .unwrap_or_else(|| panic!("no {key} in {}", json.emit()))
+    };
+    let job = first(&read(&served), "jobs");
+    assert_eq!(
+        field(&job, "verdict").as_deref(),
+        Some("pass"),
+        "{}",
+        job.emit()
+    );
+    let report = job.get("report").expect("the job's report");
+    assert_eq!(*report, first(&read(&local), "campaigns"));
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -10,7 +10,7 @@ use fpgatest::faults::{
     campaign_json, run_campaign_sharded, CampaignOptions, ShardedCampaignOptions,
 };
 use fpgatest::flow::{Engine, FlowOptions, TestFlow};
-use fpgatest::serve::{Client, ClientError, JobSpec, ServeOptions, Server};
+use fpgatest::serve::{Client, ClientError, JobKind, JobSpec, ServeOptions, Server};
 use fpgatest::stimulus::Stimulus;
 use fpgatest::suite::TestCase;
 use fpgatest::telemetry::Json;
@@ -84,20 +84,6 @@ fn daemon_survives_crashing_and_hanging_jobs() {
     server.join().expect("server thread").expect("server run");
 }
 
-/// The serve job `fpgatest submit` sends for one manifest case.
-fn job_from_case(case: &TestCase) -> JobSpec {
-    let mut spec = JobSpec::test(&case.name, &case.source);
-    spec.stimuli = case.stimuli.clone();
-    spec.width = Some(case.options.compile.width);
-    spec.partitions = Some(case.options.compile.partitions);
-    spec.policy = Some(case.options.compile.policy);
-    spec.optimize = case.options.compile.optimize;
-    spec.engine = case.options.engine;
-    spec.max_ticks = Some(case.options.max_ticks);
-    spec.wall_ms = case.options.wall_timeout_ms;
-    spec
-}
-
 /// Re-submitting the example manifest's five cases, as `fpgatest submit`
 /// sends them, hits the cache for every case: the miss count (compiles)
 /// stays put, the hit count rises by one per case, and every job passes.
@@ -108,7 +94,11 @@ fn second_submission_skips_the_compile() {
         "/../../examples/suite/suite.manifest"
     );
     let suite = fpgatest::suite::load_manifest(manifest).expect("example manifest loads");
-    let jobs: Vec<JobSpec> = suite.cases().iter().map(job_from_case).collect();
+    let jobs: Vec<JobSpec> = suite
+        .cases()
+        .iter()
+        .map(|case| JobSpec::from_case(JobKind::Test, case))
+        .collect();
     assert_eq!(jobs.len(), 5);
     let (addr, server) = start_server(ServeOptions::default());
     let mut client = Client::connect(&addr).expect("connect");

@@ -47,6 +47,21 @@ pub enum Injection {
     SignalFault,
 }
 
+impl std::str::FromStr for Injection {
+    type Err = String;
+
+    /// Parses the `--inject` words.
+    fn from_str(word: &str) -> Result<Self, Self::Err> {
+        match word {
+            "branch-polarity" => Ok(Injection::BranchPolarity),
+            "signal-fault" => Ok(Injection::SignalFault),
+            other => Err(format!(
+                "unknown injection '{other}' (expected branch-polarity or signal-fault)"
+            )),
+        }
+    }
+}
+
 impl Injection {
     /// Applies the bug to a compiled design. Returns `false` when the
     /// design has nothing to corrupt (e.g. no conditional transitions),

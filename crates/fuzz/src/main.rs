@@ -3,9 +3,15 @@
 //! ```text
 //! fpgafuzz run --seed 42 --cases 500 [--width 16] [--corpus DIR]
 //!              [--inject branch-polarity|signal-fault] [--max-shrink-evals 500]
+//! fpgafuzz distill --corpus DIR [--out DIR]
 //! fpgafuzz gen --seed 42 --index 7 [--width 16]
 //! fpgafuzz repro --seed 42 --index 7 [--width 16] [--inject ...]
 //! ```
+//!
+//! (The full flag list is in `USAGE`.) Flags are read by
+//! [`fpgatest::flags`], as `fpgatest`'s are: a command rejects a flag
+//! it does not take, a missing or bad value and any positional
+//! argument, naming it, and the last value of a repeated flag wins.
 //!
 //! Exit codes: 0 = clean, 1 = at least one divergence, 2 = usage or
 //! generator error, or a failed stdout write (a reader that closes the
@@ -19,7 +25,7 @@ use fpgafuzz::distill::{distill, DistillOptions};
 use fpgafuzz::exec::{run_case, CaseOutcome, ExecOptions, Injection};
 use fpgafuzz::gen::{generate_case, Budget};
 use fpgafuzz::shrink::{line_count, shrink};
-use fpgatest::{out, outln};
+use fpgatest::{flags, out, outln};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -46,37 +52,42 @@ fn main() -> ExitCode {
 
 fn dispatch(args: &[String]) -> Result<ExitCode, String> {
     let (command, rest) = args.split_first().ok_or("missing command")?;
-    let flags = Flags::parse(rest)?;
-    match command.as_str() {
-        "run" => cmd_run(&flags),
-        "distill" => cmd_distill(&flags),
-        "gen" => cmd_gen(&flags),
-        "repro" => cmd_repro(&flags),
-        other => Err(format!("unknown command '{other}'")),
-    }
+    type Command = fn(FuzzArgs) -> Result<ExitCode, String>;
+    let (run, accepted): (Command, &str) = match command.as_str() {
+        "run" => (
+            cmd_run,
+            "--seed --cases --width --corpus --inject --max-shrink-evals --max-ticks \
+             --events-out --shards --checkpoint --checkpoint-every --resume --ledger",
+        ),
+        "distill" => (cmd_distill, "--corpus --width --out --max-ticks"),
+        "gen" => (cmd_gen, "--seed --index --width"),
+        "repro" => (cmd_repro, "--seed --index --width --inject --max-ticks"),
+        other => return Err(format!("unknown command '{other}'")),
+    };
+    run(FuzzArgs::read(rest, accepted)?)
 }
 
-fn cmd_run(flags: &Flags) -> Result<ExitCode, String> {
-    let events = match flags.get("events-out") {
+fn cmd_run(args: FuzzArgs) -> Result<ExitCode, String> {
+    let events = match &args.events_out {
         None => fpgatest::events::EventSink::disabled(),
         Some(path) => fpgatest::events::EventSink::to_path(path)
             .map_err(|e| format!("cannot open {path}: {e}"))?,
     };
     let opts = CampaignOptions {
-        seed: flags.require_u64("seed")?,
-        cases: flags.require_u64("cases")?,
-        width: flags.u64_or("width", 16)? as u32,
-        corpus_dir: flags.get("corpus").map(PathBuf::from),
-        injection: flags.injection()?,
-        max_shrink_evals: flags.u64_or("max-shrink-evals", 500)? as usize,
-        max_ticks: flags.u64_or("max-ticks", 5_000_000)?,
+        seed: required(args.seed, "--seed")?,
+        cases: required(args.cases, "--cases")?,
+        width: args.width,
+        corpus_dir: args.corpus,
+        injection: args.inject,
+        max_shrink_evals: args.max_shrink_evals,
+        max_ticks: args.max_ticks,
         events,
     };
     let shard = ShardedCampaignOptions {
-        shards: flags.u64_or("shards", fpgatest::campaign::default_shards() as u64)? as usize,
-        checkpoint: flags.get("checkpoint").map(PathBuf::from),
-        checkpoint_every: flags.u64_or("checkpoint-every", 0)?,
-        resume: flags.get("resume").map(PathBuf::from),
+        shards: args.shards,
+        checkpoint: args.checkpoint,
+        checkpoint_every: args.checkpoint_every,
+        resume: args.resume,
         stop: None,
         sigint: true,
     };
@@ -92,7 +103,7 @@ fn cmd_run(flags: &Flags) -> Result<ExitCode, String> {
         eprintln!("fpgafuzz: interrupted; checkpoint holds the completed prefix");
         return Ok(ExitCode::from(130));
     }
-    if let Some(path) = flags.get("ledger") {
+    if let Some(path) = &args.ledger {
         let wall = started.elapsed().as_secs_f64();
         let cases_per_sec = if wall > 0.0 {
             opts.cases as f64 / wall
@@ -111,9 +122,9 @@ fn cmd_run(flags: &Flags) -> Result<ExitCode, String> {
             ],
             ..fpgatest::ledger::LedgerEntry::new("fuzz", &format!("seed{}", opts.seed))
         };
-        fpgatest::ledger::append(std::path::Path::new(path), &entry)
-            .map_err(|e| format!("cannot append to {path}: {e}"))?;
-        eprintln!("ledger entry appended to {path}");
+        fpgatest::ledger::append(path, &entry)
+            .map_err(|e| format!("cannot append to {}: {e}", path.display()))?;
+        eprintln!("ledger entry appended to {}", path.display());
     }
     if report.divergences > 0 {
         Ok(ExitCode::from(1))
@@ -124,26 +135,23 @@ fn cmd_run(flags: &Flags) -> Result<ExitCode, String> {
     }
 }
 
-fn cmd_distill(flags: &Flags) -> Result<ExitCode, String> {
-    let corpus = flags
-        .get("corpus")
-        .ok_or("--corpus is required for distill")?;
+fn cmd_distill(args: FuzzArgs) -> Result<ExitCode, String> {
     let report = distill(&DistillOptions {
-        corpus_dir: PathBuf::from(corpus),
-        width: flags.u64_or("width", 16)? as u32,
-        out_dir: flags.get("out").map(PathBuf::from),
-        max_ticks: flags.u64_or("max-ticks", 5_000_000)?,
+        corpus_dir: args.corpus.ok_or("--corpus is required")?,
+        width: args.width,
+        out_dir: args.out,
+        max_ticks: args.max_ticks,
     })
     .map_err(|e| format!("distill: {e}"))?;
     out!("{}", report.log);
     Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_gen(flags: &Flags) -> Result<ExitCode, String> {
-    let seed = flags.require_u64("seed")?;
-    let index = flags.require_u64("index")?;
+fn cmd_gen(args: FuzzArgs) -> Result<ExitCode, String> {
+    let seed = required(args.seed, "--seed")?;
+    let index = required(args.index, "--index")?;
     let budget = Budget {
-        width: flags.u64_or("width", 16)? as u32,
+        width: args.width,
         ..Budget::default()
     };
     let case = generate_case(seed, index, &budget)?;
@@ -155,17 +163,17 @@ fn cmd_gen(flags: &Flags) -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_repro(flags: &Flags) -> Result<ExitCode, String> {
-    let seed = flags.require_u64("seed")?;
-    let index = flags.require_u64("index")?;
-    let width = flags.u64_or("width", 16)? as u32;
+fn cmd_repro(args: FuzzArgs) -> Result<ExitCode, String> {
+    let seed = required(args.seed, "--seed")?;
+    let index = required(args.index, "--index")?;
+    let width = args.width;
     let budget = Budget {
         width,
         ..Budget::default()
     };
     let exec = ExecOptions {
-        injection: flags.injection()?,
-        max_ticks: flags.u64_or("max-ticks", 5_000_000)?,
+        injection: args.inject,
+        max_ticks: args.max_ticks,
         ..ExecOptions::default()
     };
     let case = generate_case(seed, index, &budget)?;
@@ -196,59 +204,67 @@ fn cmd_repro(flags: &Flags) -> Result<ExitCode, String> {
     }
 }
 
-/// Minimal `--flag value` parser (the container has no argument-parsing
-/// crate, and the fuzzer's surface is small enough not to want one).
-struct Flags {
-    pairs: Vec<(String, String)>,
+/// The `fpgafuzz` flags, typed, with their defaults; each command
+/// accepts its own subset.
+#[derive(Default)]
+struct FuzzArgs {
+    seed: Option<u64>,
+    cases: Option<u64>,
+    index: Option<u64>,
+    width: u32,
+    corpus: Option<PathBuf>,
+    inject: Option<Injection>,
+    max_shrink_evals: usize,
+    max_ticks: u64,
+    events_out: Option<String>,
+    shards: usize,
+    checkpoint: Option<PathBuf>,
+    checkpoint_every: u64,
+    resume: Option<PathBuf>,
+    ledger: Option<PathBuf>,
+    out: Option<PathBuf>,
 }
 
-impl Flags {
-    fn parse(args: &[String]) -> Result<Flags, String> {
-        let mut pairs = Vec::new();
-        let mut iter = args.iter();
-        while let Some(arg) = iter.next() {
-            let name = arg
-                .strip_prefix("--")
-                .ok_or_else(|| format!("expected --flag, got '{arg}'"))?;
-            let value = iter
-                .next()
-                .ok_or_else(|| format!("--{name} needs a value"))?;
-            pairs.push((name.to_string(), value.clone()));
-        }
-        Ok(Flags { pairs })
+impl FuzzArgs {
+    /// Reads `args`, rejecting any flag outside the space-separated
+    /// `accepted`.
+    fn read(args: &[String], accepted: &str) -> Result<FuzzArgs, String> {
+        let mut a = FuzzArgs {
+            width: 16,
+            max_shrink_evals: 500,
+            max_ticks: 5_000_000,
+            shards: fpgatest::campaign::default_shards(),
+            ..FuzzArgs::default()
+        };
+        flags::read_flags(args, |flag, value| {
+            if !accepted.split_whitespace().any(|name| name == flag) {
+                return Ok(false);
+            }
+            match flag {
+                "--seed" => a.seed = Some(value.parse()?),
+                "--cases" => a.cases = Some(value.parse()?),
+                "--index" => a.index = Some(value.parse()?),
+                "--width" => a.width = value.parse()?,
+                "--corpus" => a.corpus = Some(value.parse()?),
+                "--inject" => a.inject = Some(value.parse()?),
+                "--max-shrink-evals" => a.max_shrink_evals = value.parse()?,
+                "--max-ticks" => a.max_ticks = value.parse()?,
+                "--events-out" => a.events_out = Some(value.parse()?),
+                "--shards" => a.shards = value.parse()?,
+                "--checkpoint" => a.checkpoint = Some(value.parse()?),
+                "--checkpoint-every" => a.checkpoint_every = value.parse()?,
+                "--resume" => a.resume = Some(value.parse()?),
+                "--ledger" => a.ledger = Some(value.parse()?),
+                "--out" => a.out = Some(value.parse()?),
+                _ => return Ok(false),
+            }
+            Ok(true)
+        })?;
+        Ok(a)
     }
+}
 
-    fn get(&self, name: &str) -> Option<&str> {
-        self.pairs
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, v)| v.as_str())
-    }
-
-    fn require_u64(&self, name: &str) -> Result<u64, String> {
-        self.get(name)
-            .ok_or_else(|| format!("--{name} is required"))?
-            .parse()
-            .map_err(|_| format!("--{name} must be an integer"))
-    }
-
-    fn u64_or(&self, name: &str, default: u64) -> Result<u64, String> {
-        match self.get(name) {
-            Some(value) => value
-                .parse()
-                .map_err(|_| format!("--{name} must be an integer")),
-            None => Ok(default),
-        }
-    }
-
-    fn injection(&self) -> Result<Option<Injection>, String> {
-        match self.get("inject") {
-            None => Ok(None),
-            Some("branch-polarity") => Ok(Some(Injection::BranchPolarity)),
-            Some("signal-fault") => Ok(Some(Injection::SignalFault)),
-            Some(other) => Err(format!(
-                "unknown injection '{other}' (expected branch-polarity or signal-fault)"
-            )),
-        }
-    }
+/// A required flag's value.
+fn required<T: Copy>(value: Option<T>, flag: &str) -> Result<T, String> {
+    value.ok_or_else(|| format!("{flag} is required"))
 }

@@ -23,6 +23,27 @@ fn closed_stdout_keeps_the_exit_code() {
     assert!(!stderr.contains("panicked"), "{stderr}");
 }
 
+/// A misspelled flag, which a campaign once ran without, exits 2 naming
+/// the flag; so does a flag its command does not take.
+#[test]
+fn unknown_flag_exits_2_naming_it() {
+    for (args, named) in [
+        (
+            &["run", "--seed", "1", "--cases", "2", "--widht", "32"][..],
+            "--widht",
+        ),
+        (
+            &["gen", "--seed", "1", "--index", "0", "--cases", "2"][..],
+            "--cases",
+        ),
+    ] {
+        let out = bin().args(args).output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains(named), "{args:?}: {stderr}");
+    }
+}
+
 /// A stdout write that fails for any reason other than a closed reader
 /// (here a full device) is an error: exit 2 with the cause on stderr,
 /// never a panic and never a silent success.

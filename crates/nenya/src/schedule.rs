@@ -34,11 +34,34 @@ pub enum SchedulePolicy {
     List,
 }
 
+impl SchedulePolicy {
+    /// The policy's word, as manifests, flags and the serve protocol
+    /// spell it.
+    pub fn as_str(self) -> &'static str {
+        match self {
+            SchedulePolicy::OneOpPerState => "one-op-per-state",
+            SchedulePolicy::List => "list",
+        }
+    }
+}
+
 impl fmt::Display for SchedulePolicy {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            SchedulePolicy::OneOpPerState => f.write_str("one-op-per-state"),
-            SchedulePolicy::List => f.write_str("list"),
+        f.write_str(self.as_str())
+    }
+}
+
+impl std::str::FromStr for SchedulePolicy {
+    type Err = String;
+
+    /// Parses the words [`SchedulePolicy::as_str`] writes.
+    fn from_str(word: &str) -> Result<Self, Self::Err> {
+        match word {
+            "list" => Ok(SchedulePolicy::List),
+            "one-op-per-state" => Ok(SchedulePolicy::OneOpPerState),
+            other => Err(format!(
+                "unknown policy '{other}' (want list|one-op-per-state)"
+            )),
         }
     }
 }
@@ -327,6 +350,15 @@ mod tests {
 
     fn prog(src: &str) -> TacProgram {
         lower(&parse(src).unwrap(), "t", 16).unwrap()
+    }
+
+    #[test]
+    fn policy_words_round_trip() {
+        for policy in [SchedulePolicy::List, SchedulePolicy::OneOpPerState] {
+            assert_eq!(policy.to_string().parse(), Ok(policy));
+        }
+        let err = "greedy".parse::<SchedulePolicy>().unwrap_err();
+        assert!(err.contains("'greedy'"), "{err}");
     }
 
     #[test]

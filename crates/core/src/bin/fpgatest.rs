@@ -56,11 +56,13 @@
 //! and exits non-zero when the latest run regresses past the gate.
 //!
 //! `test` also accepts a `.manifest` path, which runs the whole suite
-//! (equivalent to `run`) so the observability flags apply uniformly. A
-//! single source runs as a one-case suite: the same watchdogs, the
-//! `case.<name>` span over the flow's stages and the suite's event
-//! framing, written for every verdict; stdout shows the case's own
-//! report.
+//! (equivalent to `run`) so the observability flags apply uniformly.
+//! Its cases keep the manifest's options, so `test` rejects the case
+//! flags, `--stimulus`, `--trace` and `--artifacts` with a manifest, and
+//! `--jobs` with one source. A single source runs as a one-case suite:
+//! the same watchdogs, the `case.<name>` span over the flow's stages and
+//! the suite's event framing, written for every verdict; stdout shows
+//! the case's own report.
 //!
 //! `test` fault/watchdog options (also available as manifest directives
 //! `fault`, `max_ticks`, `timeout`):
@@ -96,7 +98,7 @@
 //!                           the completed prefix while running (one
 //!                           --design at a time, as for --resume)
 //! --checkpoint-every <k>    simulated injections between snapshots
-//! --resume <file>           skip the ranges a checkpoint already holds
+//! --resume <file>           skip the checkpoint's completed prefix
 //! ```
 //!
 //! A campaign interrupted by SIGINT exits 130 after saving a final
@@ -934,7 +936,9 @@ fn cmd_test(args: &[String]) -> Result<ExitCode, String> {
     let mut options = FlowOptions::default();
     let mut artifacts = None;
     let mut telemetry_args = TelemetryArgs::default();
-    let mut jobs = 1;
+    let mut jobs = None;
+    // The first flag given that only a single source takes.
+    let mut source_only = None;
     let source = flags::read(args, |flag, value| {
         match flag {
             "--stimulus" => stimuli.push(value.parse_with(|v| {
@@ -945,21 +949,29 @@ fn cmd_test(args: &[String]) -> Result<ExitCode, String> {
             "--engine" => options.engine = value.parse()?,
             "--trace" => options.trace = true,
             "--artifacts" => artifacts = Some(value.parse::<PathBuf>()?),
-            "--jobs" => jobs = value.parse::<NonZeroUsize>()?.get(),
-            _ => {
-                return Ok(telemetry_args.read(flag, value)?
-                    || suite::read_case_flag(&mut options, flag, value, false)?)
-            }
+            "--jobs" => jobs = Some(value.parse::<NonZeroUsize>()?.get()),
+            _ if telemetry_args.read(flag, value)? => return Ok(true),
+            _ if !suite::read_case_flag(&mut options, flag, value, false)? => return Ok(false),
+            _ => {}
+        }
+        if !matches!(flag, "--engine" | "--jobs") {
+            source_only.get_or_insert_with(|| flag.to_string());
         }
         Ok(true)
     })?
     .ok_or("missing source file")?;
     let source = PathBuf::from(source);
     // A manifest runs the whole suite, so the observability flags work
-    // uniformly across `run` and `test`.
+    // uniformly across `run` and `test`; its cases keep their own options.
     if source.extension().is_some_and(|e| e == "manifest") {
+        if let Some(flag) = source_only {
+            return Err(format!("'{flag}' applies to one source, not a manifest"));
+        }
         let engine = (options.engine != Engine::default()).then_some(options.engine);
-        return run_suite(&source, &telemetry_args, jobs, engine);
+        return run_suite(&source, &telemetry_args, jobs.unwrap_or(1), engine);
+    }
+    if jobs.is_some() {
+        return Err("'--jobs' applies to a manifest, not one source".to_string());
     }
     // One source runs as a one-case suite: the same shield, telemetry and
     // event framing as a manifest, but the case's own report and exit

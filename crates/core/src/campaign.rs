@@ -4,7 +4,8 @@
 //! the unit level (a fuzz case is `(seed, index)`, a fault injection is
 //! a site index), but the batch engine only parallelizes *within* one
 //! schedule walk; everything above it was single-threaded. This module
-//! supplies the shared machinery both campaign kinds run on:
+//! supplies the shared machinery both campaign kinds run on, and is the
+//! only one that knows the checkpoint document and when it is written:
 //!
 //! * [`run_sharded`] — a work-stealing worker pool over the index space
 //!   `0..total`. The space is cut into chunks at **absolute** chunk
@@ -14,10 +15,12 @@
 //!   are merged on the calling thread **in strict index order**, so the
 //!   merged output — logs, coverage, records, and the
 //!   `fpgatest-events-v1` stream — is bit-identical at any shard count.
-//! * [`RangeSet`] — sorted, coalesced half-open index ranges; the
-//!   completed-work ledger a checkpoint persists.
+//!   It also paces and saves the campaign's snapshots.
+//! * [`CampaignId`] — what a campaign's checkpoints must match (kind,
+//!   key, unit total, identity fields), stated once for the resume check
+//!   and for every snapshot.
 //! * [`Checkpoint`] — the `fpgatest-checkpoint-v1` JSON document:
-//!   campaign identity, the completed [`RangeSet`], and a
+//!   campaign identity, the length of the completed prefix, and a
 //!   campaign-specific `state` object (merged coverage, records, log).
 //!   Saved atomically (write-temp-then-rename) with a one-deep
 //!   generation history (generation N on disk, N-1 kept as `.prev`), and
@@ -43,137 +46,6 @@ use std::sync::{Arc, Mutex};
 /// Schema tag of the checkpoint document.
 pub const CHECKPOINT_SCHEMA: &str = "fpgatest-checkpoint-v1";
 
-/// A set of `u64` indices stored as sorted, coalesced half-open ranges.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct RangeSet {
-    /// Disjoint `[start, end)` ranges, ascending, never touching.
-    ranges: Vec<(u64, u64)>,
-}
-
-impl RangeSet {
-    /// The empty set.
-    pub fn new() -> RangeSet {
-        RangeSet::default()
-    }
-
-    /// The ranges, ascending and disjoint.
-    pub fn ranges(&self) -> &[(u64, u64)] {
-        &self.ranges
-    }
-
-    /// Inserts one index.
-    pub fn insert(&mut self, index: u64) {
-        self.insert_range(index, index + 1);
-    }
-
-    /// Inserts the half-open range `[start, end)` (no-op when empty),
-    /// coalescing with every range it overlaps or touches.
-    pub fn insert_range(&mut self, start: u64, end: u64) {
-        if start >= end {
-            return;
-        }
-        let mut merged = Vec::with_capacity(self.ranges.len() + 1);
-        let mut new = (start, end);
-        let mut placed = false;
-        for &(s, e) in &self.ranges {
-            if e < new.0 {
-                // Strictly before, not touching.
-                merged.push((s, e));
-            } else if s > new.1 {
-                // Strictly after, not touching.
-                if !placed {
-                    merged.push(new);
-                    placed = true;
-                }
-                merged.push((s, e));
-            } else {
-                // Overlapping or adjacent: absorb.
-                new.0 = new.0.min(s);
-                new.1 = new.1.max(e);
-            }
-        }
-        if !placed {
-            merged.push(new);
-        }
-        self.ranges = merged;
-    }
-
-    /// Whether `index` is in the set.
-    pub fn contains(&self, index: u64) -> bool {
-        self.ranges
-            .binary_search_by(|&(s, e)| {
-                if index < s {
-                    std::cmp::Ordering::Greater
-                } else if index >= e {
-                    std::cmp::Ordering::Less
-                } else {
-                    std::cmp::Ordering::Equal
-                }
-            })
-            .is_ok()
-    }
-
-    /// Total number of indices covered.
-    pub fn covered(&self) -> u64 {
-        self.ranges.iter().map(|&(s, e)| e - s).sum()
-    }
-
-    /// Whether the set covers all of `[0, total)`.
-    pub fn is_complete(&self, total: u64) -> bool {
-        total == 0 || self.ranges == [(0, total)]
-    }
-
-    /// The maximal half-open ranges of `[0, total)` **not** in the set —
-    /// the work a resumed campaign still owes.
-    pub fn gaps(&self, total: u64) -> Vec<(u64, u64)> {
-        let mut gaps = Vec::new();
-        let mut cursor = 0u64;
-        for &(s, e) in &self.ranges {
-            if s.min(total) > cursor {
-                gaps.push((cursor, s.min(total)));
-            }
-            cursor = cursor.max(e);
-            if cursor >= total {
-                break;
-            }
-        }
-        if cursor < total {
-            gaps.push((cursor, total));
-        }
-        gaps
-    }
-
-    /// Serializes as an array of `[start, end]` pairs.
-    pub fn to_json(&self) -> Json {
-        Json::Arr(
-            self.ranges
-                .iter()
-                .map(|&(s, e)| Json::Arr(vec![Json::from(s), Json::from(e)]))
-                .collect(),
-        )
-    }
-
-    /// Parses the [`RangeSet::to_json`] form.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message for malformed pairs.
-    pub fn from_json(json: &Json) -> Result<RangeSet, String> {
-        let list = json.as_array().ok_or("ranges must be an array")?;
-        let mut set = RangeSet::new();
-        for pair in list {
-            let pair = pair
-                .as_array()
-                .filter(|p| p.len() == 2)
-                .ok_or("each range is a [start, end] pair")?;
-            let s = pair[0].as_u64().ok_or("range start must be an integer")?;
-            let e = pair[1].as_u64().ok_or("range end must be an integer")?;
-            set.insert_range(s, e);
-        }
-        Ok(set)
-    }
-}
-
 /// One `fpgatest-checkpoint-v1` document: which campaign this is, how
 /// much of it is merged, and the campaign-specific merged state.
 #[derive(Debug, Clone)]
@@ -185,9 +57,9 @@ pub struct Checkpoint {
     pub key: String,
     /// Planned number of units.
     pub total: u64,
-    /// Units merged so far — always a prefix `[0, k)` as written by
-    /// [`run_sharded`], but stored as a general [`RangeSet`].
-    pub completed: RangeSet,
+    /// Length of the completed prefix: units `[0, completed)` are merged.
+    /// Written as `[]` or `[[0, completed]]`.
+    pub completed: u64,
     /// Campaign-specific merged state (records, coverage, log text).
     pub state: Json,
 }
@@ -195,12 +67,14 @@ pub struct Checkpoint {
 impl Checkpoint {
     /// Serializes the document.
     pub fn to_json(&self) -> Json {
+        let prefix = (self.completed > 0)
+            .then(|| Json::Arr(vec![Json::from(0u64), Json::from(self.completed)]));
         let mut json = Json::obj([
             ("schema", Json::from(CHECKPOINT_SCHEMA)),
             ("kind", Json::from(self.kind.as_str())),
             ("key", Json::from(self.key.as_str())),
             ("total", Json::from(self.total)),
-            ("completed", self.completed.to_json()),
+            ("completed", Json::Arr(prefix.into_iter().collect())),
             ("state", self.state.clone()),
         ]);
         json.sort_keys();
@@ -211,13 +85,33 @@ impl Checkpoint {
     ///
     /// # Errors
     ///
-    /// Returns a message for a wrong schema tag or missing fields.
+    /// Returns a message for a wrong schema tag, a missing field, or a
+    /// `completed` other than `[]` or `[[0, k]]` with `k <= total`.
     pub fn from_json(json: &Json) -> Result<Checkpoint, String> {
         match json.get("schema").and_then(Json::as_str) {
             Some(CHECKPOINT_SCHEMA) => {}
             Some(other) => return Err(format!("unexpected checkpoint schema '{other}'")),
             None => return Err("missing 'schema'".to_string()),
         }
+        let total = json
+            .get("total")
+            .and_then(Json::as_u64)
+            .ok_or("missing 'total'")?;
+        let malformed = || format!("'completed' must be [] or [[0, k]] with k <= total ({total})");
+        let completed = match json
+            .get("completed")
+            .ok_or("missing 'completed'")?
+            .as_array()
+        {
+            Some([]) => 0,
+            Some([prefix]) => match prefix.as_array() {
+                Some([start, end]) if start.as_u64() == Some(0) => {
+                    end.as_u64().filter(|&k| k <= total).ok_or_else(malformed)?
+                }
+                _ => return Err(malformed()),
+            },
+            _ => return Err(malformed()),
+        };
         Ok(Checkpoint {
             kind: json
                 .get("kind")
@@ -229,8 +123,8 @@ impl Checkpoint {
                 .and_then(Json::as_str)
                 .ok_or("missing 'key'")?
                 .to_string(),
-            total: json.get("total").and_then(Json::as_u64).ok_or("missing 'total'")?,
-            completed: RangeSet::from_json(json.get("completed").ok_or("missing 'completed'")?)?,
+            total,
+            completed,
             state: json.get("state").cloned().unwrap_or(Json::Null),
         })
     }
@@ -269,57 +163,10 @@ impl Checkpoint {
         Checkpoint::from_json(&json).map_err(|e| format!("checkpoint {}: {e}", path.display()))
     }
 
-    /// Loads the checkpoint a campaign resumes from, salvaging torn
-    /// writes ([`load_salvage`](Self::load_salvage)), and refuses one
-    /// that another campaign wrote: its `kind`, `key` (design or seed)
-    /// and unit `total` must match, every `identity` field must equal the
-    /// one in its state, and its completed set must be a prefix.
-    ///
-    /// # Errors
-    ///
-    /// The salvage error; `checkpoint P: FIELD does not match this
-    /// campaign` for the first mismatch; or a non-prefix completed set.
-    pub fn load_resume(
-        path: &Path,
-        kind: &str,
-        key: &str,
-        total: u64,
-        identity: &[(&str, Json)],
-    ) -> Result<SalvagedCheckpoint, String> {
-        let salvaged = Checkpoint::load_salvage(path)?;
-        let checkpoint = &salvaged.checkpoint;
-        let mismatch = if checkpoint.kind != kind {
-            Some("kind")
-        } else if checkpoint.key != key {
-            Some("key")
-        } else if checkpoint.total != total {
-            Some("total")
-        } else {
-            identity
-                .iter()
-                .find(|(field, value)| checkpoint.state.get(field) != Some(value))
-                .map(|(field, _)| *field)
-        };
-        if let Some(field) = mismatch {
-            return Err(format!(
-                "checkpoint {}: {field} does not match this campaign",
-                path.display()
-            ));
-        }
-        let ranges = checkpoint.completed.ranges();
-        if ranges.len() > 1 || ranges.first().is_some_and(|&(s, _)| s != 0) {
-            return Err(format!(
-                "checkpoint {}: completed set is not a prefix",
-                path.display()
-            ));
-        }
-        Ok(salvaged)
-    }
-
     /// Loads a checkpoint, salvaging what it can from torn writes.
     ///
-    /// Tried in order, best surviving generation wins (most covered
-    /// units; ties go to the earlier candidate):
+    /// Tried in order, best surviving generation wins (longest completed
+    /// prefix; ties go to the earlier candidate):
     ///
     /// 1. `path` parsed strictly — the normal case, short-circuits;
     /// 2. `path` parsed tolerantly (first complete JSON value, trailing
@@ -329,9 +176,10 @@ impl Checkpoint {
     /// 4. `<path>.prev` — the N-1 generation [`Checkpoint::save`] keeps.
     ///
     /// A truncated primary therefore costs at most one checkpoint
-    /// interval of repeated work, never the whole campaign. Salvage only
-    /// finds a structurally sound document; identity validation is
-    /// [`load_resume`](Self::load_resume)'s.
+    /// interval of repeated work, never the whole campaign. A generation
+    /// whose `completed` is not a prefix of its `total` is malformed like
+    /// a torn one. Salvage only finds a structurally sound document;
+    /// identity validation is [`CampaignId::load_resume`]'s.
     ///
     /// # Errors
     ///
@@ -342,67 +190,49 @@ impl Checkpoint {
             Ok(checkpoint) => {
                 return Ok(SalvagedCheckpoint {
                     checkpoint,
-                    source: SalvageSource::Primary,
                     note: None,
                 })
             }
             Err(e) => e,
         };
-        let mut candidates: Vec<(Checkpoint, SalvageSource, String)> = Vec::new();
+        let mut candidates: Vec<(Checkpoint, String)> = Vec::new();
         if let Some(checkpoint) = load_tolerant(path) {
             let note = format!(
                 "salvaged {} ({} units) ignoring trailing garbage",
                 path.display(),
-                checkpoint.completed.covered()
+                checkpoint.completed
             );
-            candidates.push((checkpoint, SalvageSource::TrailingGarbage, note));
+            candidates.push((checkpoint, note));
         }
-        for (extension, source) in [("tmp", SalvageSource::Tmp), ("prev", SalvageSource::Previous)]
-        {
+        for extension in ["tmp", "prev"] {
             let alt = path.with_extension(extension);
             let loaded = Checkpoint::load(&alt).ok().or_else(|| load_tolerant(&alt));
             if let Some(checkpoint) = loaded {
                 let note = format!(
                     "salvaged generation {} ({} units)",
                     alt.display(),
-                    checkpoint.completed.covered()
+                    checkpoint.completed
                 );
-                candidates.push((checkpoint, source, note));
+                candidates.push((checkpoint, note));
             }
         }
-        let mut best: Option<(Checkpoint, SalvageSource, String)> = None;
+        let mut best: Option<(Checkpoint, String)> = None;
         for candidate in candidates {
-            let better = best
+            if best
                 .as_ref()
-                .is_none_or(|(b, _, _)| candidate.0.completed.covered() > b.completed.covered());
-            if better {
+                .is_none_or(|(b, _)| candidate.0.completed > b.completed)
+            {
                 best = Some(candidate);
             }
         }
         match best {
-            Some((checkpoint, source, note)) => Ok(SalvagedCheckpoint {
+            Some((checkpoint, note)) => Ok(SalvagedCheckpoint {
                 checkpoint,
-                source,
                 note: Some(note),
             }),
             None => Err(format!("{primary_err}; no salvageable generation found")),
         }
     }
-}
-
-/// Which generation [`Checkpoint::load_salvage`] recovered.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SalvageSource {
-    /// The primary file, intact — nothing was salvaged.
-    Primary,
-    /// The primary file, with trailing garbage after the document
-    /// ignored.
-    TrailingGarbage,
-    /// The in-flight `.tmp` file (a save was killed between write and
-    /// rename).
-    Tmp,
-    /// The previous generation kept as `.prev`.
-    Previous,
 }
 
 /// A checkpoint recovered by [`Checkpoint::load_salvage`], with
@@ -411,10 +241,8 @@ pub enum SalvageSource {
 pub struct SalvagedCheckpoint {
     /// The recovered document.
     pub checkpoint: Checkpoint,
-    /// Which generation it came from.
-    pub source: SalvageSource,
-    /// Human-readable salvage description; `None` when the primary file
-    /// was intact.
+    /// Which generation was salvaged, and how; `None` when the primary
+    /// file was intact.
     pub note: Option<String>,
 }
 
@@ -428,9 +256,77 @@ fn load_tolerant(path: &Path) -> Option<Checkpoint> {
     Checkpoint::from_json(&json).ok()
 }
 
+/// What a campaign's checkpoints must match, stated once: a resume
+/// checks it ([`CampaignId::load_resume`]) and every snapshot carries it
+/// ([`CampaignId::snapshot`]).
+#[derive(Debug, Clone)]
+pub struct CampaignId {
+    /// Campaign kind: `faults` or `fuzz`.
+    pub kind: &'static str,
+    /// Identity key: the design name, or `seedN`.
+    pub key: String,
+    /// Planned number of units.
+    pub total: u64,
+    /// Settings that make a checkpoint this campaign's beyond its key and
+    /// total (seed, engine, budgets), kept in the snapshot's state.
+    pub fields: Vec<(&'static str, Json)>,
+}
+
+impl CampaignId {
+    /// Loads the checkpoint a campaign resumes from, salvaging torn or
+    /// malformed writes ([`Checkpoint::load_salvage`]), and refuses one
+    /// that another campaign wrote: its `kind`, `key`, unit `total` and
+    /// every identity field must match.
+    ///
+    /// # Errors
+    ///
+    /// The salvage error, or `checkpoint P: FIELD does not match this
+    /// campaign` for the first mismatch.
+    pub fn load_resume(&self, path: &Path) -> Result<SalvagedCheckpoint, String> {
+        let salvaged = Checkpoint::load_salvage(path)?;
+        let checkpoint = &salvaged.checkpoint;
+        let mismatch = if checkpoint.kind != self.kind {
+            Some("kind")
+        } else if checkpoint.key != self.key {
+            Some("key")
+        } else if checkpoint.total != self.total {
+            Some("total")
+        } else {
+            self.fields
+                .iter()
+                .find(|(field, value)| checkpoint.state.get(field) != Some(value))
+                .map(|(field, _)| *field)
+        };
+        match mismatch {
+            Some(field) => Err(format!(
+                "checkpoint {}: {field} does not match this campaign",
+                path.display()
+            )),
+            None => Ok(salvaged),
+        }
+    }
+
+    /// This campaign's checkpoint with `completed` units merged and
+    /// `state` after the identity fields.
+    pub fn snapshot(
+        &self,
+        completed: u64,
+        state: impl IntoIterator<Item = (&'static str, Json)>,
+    ) -> Checkpoint {
+        Checkpoint {
+            kind: self.kind.to_string(),
+            key: self.key.clone(),
+            total: self.total,
+            completed,
+            state: Json::obj(self.fields.iter().cloned().chain(state)),
+        }
+    }
+}
+
 /// What a campaign runner takes beyond its own campaign options: the
 /// shard count and the checkpoint/resume and stop controls. Both runners
-/// — [`crate::faults::run_campaign_sharded`] and the fuzzer's — share it.
+/// — [`crate::faults::run_campaign_sharded`] and the fuzzer's — share it,
+/// and hand it to [`run_sharded`].
 #[derive(Debug, Clone, Default)]
 pub struct ShardedCampaignOptions {
     /// Worker-shard count (clamped to at least 1).
@@ -443,7 +339,9 @@ pub struct ShardedCampaignOptions {
     /// Resume from this checkpoint: its completed prefix is re-merged
     /// (and its events re-emitted) without re-running.
     pub resume: Option<std::path::PathBuf>,
-    /// Cooperative stop flag (tests; SIGINT uses [`install_sigint`]).
+    /// Cooperative stop flag: set it and workers finish their current
+    /// chunk and exit; the merge keeps only the contiguous prefix (tests;
+    /// SIGINT uses [`install_sigint`]).
     pub stop: Option<Arc<AtomicBool>>,
     /// Stop when the process-wide SIGINT flag fires.
     pub sigint: bool,
@@ -466,89 +364,59 @@ pub struct ShardedCampaignOutcome<R> {
     pub salvage: Option<String>,
 }
 
-/// Knobs for [`run_sharded`].
-#[derive(Debug, Clone)]
-pub struct ShardOptions {
-    /// Worker-thread count (clamped to at least 1).
-    pub shards: usize,
-    /// Chunk size in units; `0` picks a default. Chunks are cut at
-    /// absolute index boundaries (`k*chunk`), so chunk membership — and
-    /// with it anything chunk-scoped, like batch-lane packing — is
-    /// independent of the shard count and of where a resume started.
-    pub chunk: u64,
-    /// Merged units between checkpoint callbacks (`0` = only at the
-    /// end / on interrupt).
-    pub checkpoint_every: u64,
-    /// Cooperative stop flag: set it and workers finish their current
-    /// chunk and exit; the merge keeps only the contiguous prefix.
-    pub stop: Option<Arc<AtomicBool>>,
-    /// Also stop on the process-wide SIGINT flag (see
-    /// [`install_sigint`]).
-    pub sigint: bool,
-}
-
-impl Default for ShardOptions {
-    fn default() -> Self {
-        ShardOptions {
-            shards: 1,
-            chunk: 0,
-            checkpoint_every: 0,
-            stop: None,
-            sigint: false,
-        }
-    }
-}
-
-/// What [`run_sharded`] did.
-#[derive(Debug)]
-pub struct ShardOutcome {
-    /// Whether the run stopped before merging everything (stop flag or
-    /// SIGINT).
-    pub interrupted: bool,
-    /// Everything merged (including the pre-completed `skip` set);
-    /// always a prefix `[0, k)` of the index space.
-    pub completed: RangeSet,
-}
-
-/// Default chunk size when [`ShardOptions::chunk`] is `0`. Deliberately
-/// shard-count-independent: determinism of chunk-scoped behaviour (batch
-/// lane packing) must not depend on `--shards`.
-const DEFAULT_CHUNK: u64 = 16;
-
-/// Runs `worker` over every index of `[0, total)` not already in
-/// `skip`, across [`ShardOptions::shards`] work-stealing worker
-/// threads, merging results on the calling thread in ascending index
-/// order.
+/// Runs `worker` over the units `[resumed, total)` across
+/// [`ShardedCampaignOptions::shards`] work-stealing worker threads,
+/// merging results on the calling thread in ascending index order, and
+/// saves the campaign's snapshots to
+/// [`ShardedCampaignOptions::checkpoint`].
 ///
+/// * Units are cut into chunks of `chunk` at absolute `k*chunk`
+///   boundaries, so chunk membership — and with it anything
+///   chunk-scoped, like batch-lane packing — is independent of the shard
+///   count and of where a resume started.
 /// * `worker(start, end)` computes the results of the chunk
-///   `[start, end)` (every index pending) and returns exactly
-///   `end - start` results. It runs on a worker thread and must be
-///   deterministic per index for the merged output to be
-///   shard-count-independent.
+///   `[start, end)` and returns exactly `end - start` results. It runs
+///   on a worker thread and must be deterministic per index for the
+///   merged output to be shard-count-independent.
 /// * `merge(index, result)` is called on the calling thread, in
-///   strictly ascending index order over the pending indices.
-/// * `checkpoint(&completed)` is called on the calling thread after
-///   every [`ShardOptions::checkpoint_every`] merged units, and once
-///   more before returning (when interrupted or when anything merged).
+///   strictly ascending index order.
+/// * `snapshot(done)` builds the checkpoint of everything merged, `done`
+///   being the end of the merged unit prefix. It is saved after every
+///   [`ShardedCampaignOptions::checkpoint_every`] merged units (0 = every
+///   chunk), and once more at the end when anything merged since the
+///   last save — or, for a finished run, when nothing was saved yet — so
+///   the final snapshot is written exactly once. Without a checkpoint
+///   path it is never called.
 ///
 /// On interrupt only the contiguous in-order prefix is merged; buffered
 /// out-of-order results are discarded (a resume recomputes them).
-pub fn run_sharded<R, W, M, C>(
+/// Returns whether the run was interrupted.
+///
+/// # Errors
+///
+/// The first failed save, `cannot save P: …`; the run still goes to its
+/// end, and later snapshots are not attempted.
+pub fn run_sharded<R, W, M, S>(
     total: u64,
-    skip: &RangeSet,
-    options: &ShardOptions,
+    resumed: u64,
+    options: &ShardedCampaignOptions,
+    chunk: u64,
     worker: W,
     mut merge: M,
-    mut checkpoint: C,
-) -> ShardOutcome
+    mut snapshot: S,
+) -> Result<bool, String>
 where
     R: Send,
     W: Fn(u64, u64) -> Vec<R> + Sync,
     M: FnMut(u64, R),
-    C: FnMut(&RangeSet),
+    S: FnMut(u64) -> Checkpoint,
 {
-    let chunk = if options.chunk == 0 { DEFAULT_CHUNK } else { options.chunk };
+    let chunk = chunk.max(1);
     let shards = options.shards.max(1);
+    let every = match options.checkpoint_every {
+        0 => chunk,
+        every => every,
+    };
     let stopped = || {
         options
             .stop
@@ -557,23 +425,14 @@ where
             || (options.sigint && sigint_pending())
     };
 
-    // Cut the pending gaps into chunks at absolute `k*chunk` boundaries.
+    // Cut the pending units into chunks at absolute `k*chunk` boundaries.
     let mut chunks: Vec<(u64, u64)> = Vec::new();
-    for (start, end) in skip.gaps(total) {
-        let mut cursor = start;
-        while cursor < end {
-            let boundary = ((cursor / chunk) + 1) * chunk;
-            let stop_at = boundary.min(end);
-            chunks.push((cursor, stop_at));
-            cursor = stop_at;
-        }
+    let mut cursor = resumed.min(total);
+    while cursor < total {
+        let end = ((cursor / chunk + 1) * chunk).min(total);
+        chunks.push((cursor, end));
+        cursor = end;
     }
-
-    let mut completed = skip.clone();
-    // Normalize: completed must describe a prefix for resume semantics;
-    // callers hand us checkpoint sets which are prefixes by
-    // construction, but a hand-edited file must not break merging.
-    let expected: Vec<u64> = chunks.iter().map(|&(s, _)| s).collect();
 
     // Deal chunks to per-shard deques in contiguous blocks, so shard 0
     // starts at the front of the index space (merging can start
@@ -590,9 +449,20 @@ where
         deques
     };
 
+    // Saves one snapshot, keeping the first failure and trying no more.
+    let mut save_error = None;
+    let mut save = |done: u64| {
+        if let (Some(path), None) = (&options.checkpoint, &save_error) {
+            if let Err(e) = snapshot(done).save(path) {
+                save_error = Some(format!("cannot save {}: {e}", path.display()));
+            }
+        }
+    };
+
     let (tx, rx) = mpsc::channel::<(u64, Vec<R>)>();
-    let mut merged_since_checkpoint = 0u64;
-    let mut any_merged = false;
+    let mut done = resumed.min(total);
+    let mut unsaved = 0u64;
+    let mut saved = false;
     let mut interrupted = false;
 
     std::thread::scope(|scope| {
@@ -635,42 +505,34 @@ where
         }
         drop(tx);
 
-        // In-order merge: buffer out-of-order chunks, advance along the
-        // expected chunk-start sequence.
+        // In-order merge: buffer out-of-order chunks, merge the one that
+        // starts where the merged prefix ends.
         let mut buffer: BTreeMap<u64, Vec<R>> = BTreeMap::new();
-        let mut next = 0usize;
         while let Ok((start, results)) = rx.recv() {
             buffer.insert(start, results);
-            while next < expected.len() {
-                let Some(results) = buffer.remove(&expected[next]) else {
-                    break;
-                };
-                let start = expected[next];
-                let len = results.len() as u64;
+            while let Some(results) = buffer.remove(&done) {
+                let start = done;
+                done += results.len() as u64;
+                unsaved += results.len() as u64;
                 for (offset, result) in results.into_iter().enumerate() {
                     merge(start + offset as u64, result);
                 }
-                completed.insert_range(start, start + len);
-                merged_since_checkpoint += len;
-                any_merged = true;
-                next += 1;
-                if options.checkpoint_every > 0
-                    && merged_since_checkpoint >= options.checkpoint_every
-                {
-                    checkpoint(&completed);
-                    merged_since_checkpoint = 0;
+                if unsaved >= every {
+                    save(done);
+                    unsaved = 0;
+                    saved = true;
                 }
             }
         }
-        interrupted = next < expected.len();
+        interrupted = done < total;
     });
 
-    if (interrupted || any_merged) && merged_since_checkpoint > 0 {
-        checkpoint(&completed);
+    if unsaved > 0 || !(interrupted || saved) {
+        save(done);
     }
-    ShardOutcome {
-        interrupted,
-        completed,
+    match save_error {
+        Some(message) => Err(message),
+        None => Ok(interrupted),
     }
 }
 
@@ -688,10 +550,10 @@ pub fn default_shards() -> usize {
 }
 
 /// Installs a SIGINT handler that sets the process-wide campaign stop
-/// flag (checked when [`ShardOptions::sigint`] is on). First Ctrl-C
-/// stops workers cooperatively so the campaign can checkpoint and exit
-/// 130; the handler stays installed, so a second Ctrl-C also just sets
-/// the (already set) flag rather than killing the process mid-save.
+/// flag (checked when [`ShardedCampaignOptions::sigint`] is on). First
+/// Ctrl-C stops workers cooperatively so the campaign can checkpoint and
+/// exit 130; the handler stays installed, so a second Ctrl-C also just
+/// sets the (already set) flag rather than killing the process mid-save.
 #[cfg(unix)]
 pub fn install_sigint() {
     extern "C" {
@@ -716,70 +578,52 @@ pub fn sigint_pending() -> bool {
 mod tests {
     use super::*;
 
-    #[test]
-    fn rangeset_coalesces_and_queries() {
-        let mut set = RangeSet::new();
-        set.insert_range(10, 20);
-        set.insert_range(0, 5);
-        assert_eq!(set.ranges(), &[(0, 5), (10, 20)]);
-        set.insert_range(5, 10); // bridges the gap
-        assert_eq!(set.ranges(), &[(0, 20)]);
-        set.insert(25);
-        set.insert(24);
-        assert_eq!(set.ranges(), &[(0, 20), (24, 26)]);
-        assert!(set.contains(0) && set.contains(19) && set.contains(25));
-        assert!(!set.contains(20) && !set.contains(23) && !set.contains(26));
-        assert_eq!(set.covered(), 22);
-        assert_eq!(set.gaps(30), vec![(20, 24), (26, 30)]);
-        assert!(!set.is_complete(30));
-        set.insert_range(0, 30);
-        assert!(set.is_complete(30));
-        assert_eq!(set.gaps(30), Vec::<(u64, u64)>::new());
+    /// A checkpoint of a 100-unit campaign with `units` merged.
+    fn checkpoint_covering(units: u64) -> Checkpoint {
+        prefix_of(100, units)
     }
 
-    #[test]
-    fn rangeset_insert_overlapping_and_contained() {
-        let mut set = RangeSet::new();
-        set.insert_range(5, 15);
-        set.insert_range(0, 20); // superset swallows
-        assert_eq!(set.ranges(), &[(0, 20)]);
-        set.insert_range(3, 7); // contained: no-op
-        assert_eq!(set.ranges(), &[(0, 20)]);
-        set.insert_range(30, 40);
-        set.insert_range(18, 32); // overlaps both
-        assert_eq!(set.ranges(), &[(0, 40)]);
+    fn prefix_of(total: u64, units: u64) -> Checkpoint {
+        Checkpoint {
+            kind: "faults".to_string(),
+            key: "fdct1".to_string(),
+            total,
+            completed: units,
+            state: Json::obj([("records", Json::Arr(vec![Json::from(units)]))]),
+        }
     }
 
-    #[test]
-    fn rangeset_round_trips_through_json() {
-        let mut set = RangeSet::new();
-        set.insert_range(0, 7);
-        set.insert_range(64, 128);
-        let back = RangeSet::from_json(&set.to_json()).unwrap();
-        assert_eq!(back, set);
-        assert!(RangeSet::from_json(&Json::from("nope")).is_err());
+    fn fresh_dir(name: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(name);
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
     }
 
     #[test]
     fn checkpoint_round_trips_and_saves_atomically() {
-        let mut completed = RangeSet::new();
-        completed.insert_range(0, 42);
         let checkpoint = Checkpoint {
             kind: "faults".to_string(),
             key: "fdct1".to_string(),
             total: 100,
-            completed,
+            completed: 42,
             state: Json::obj([("records", Json::Arr(vec![]))]),
         };
         let back = Checkpoint::from_json(&checkpoint.to_json()).unwrap();
         assert_eq!(back.kind, "faults");
         assert_eq!(back.key, "fdct1");
         assert_eq!(back.total, 100);
-        assert_eq!(back.completed.ranges(), &[(0, 42)]);
+        assert_eq!(back.completed, 42);
+        assert_eq!(
+            checkpoint
+                .to_json()
+                .get("completed")
+                .map(Json::emit)
+                .as_deref(),
+            Some("[[0,42]]")
+        );
 
-        let dir = std::env::temp_dir().join("fpgatest_checkpoint_test");
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = fresh_dir("fpgatest_checkpoint_test");
         let path = dir.join("campaign.checkpoint");
         checkpoint.save(&path).unwrap();
         let loaded = Checkpoint::load(&path).unwrap();
@@ -793,23 +637,43 @@ mod tests {
         assert!(Checkpoint::load(&path).is_err());
     }
 
-    fn checkpoint_covering(units: u64) -> Checkpoint {
-        let mut completed = RangeSet::new();
-        completed.insert_range(0, units);
-        Checkpoint {
-            kind: "faults".to_string(),
-            key: "fdct1".to_string(),
-            total: 100,
-            completed,
-            state: Json::obj([("records", Json::Arr(vec![Json::from(units)]))]),
+    /// `completed` is `[]` or `[[0, k]]` with `k <= total`, and nothing
+    /// else: a suffix, a gap or a prefix past the total is malformed.
+    #[test]
+    fn completed_must_be_a_prefix_of_the_total() {
+        let with_completed = |completed: &str| {
+            let mut json = checkpoint_covering(0).to_json();
+            if let Json::Obj(members) = &mut json {
+                for (key, value) in members.iter_mut() {
+                    if key == "completed" {
+                        *value = Json::parse(completed).unwrap();
+                    }
+                }
+            }
+            Checkpoint::from_json(&json)
+        };
+        assert_eq!(with_completed("[]").unwrap().completed, 0);
+        assert_eq!(with_completed("[[0, 100]]").unwrap().completed, 100);
+        assert_eq!(
+            checkpoint_covering(0)
+                .to_json()
+                .get("completed")
+                .map(Json::emit)
+                .as_deref(),
+            Some("[]")
+        );
+        for malformed in [
+            "[[0, 101]]",
+            "[[0, 500]]",
+            "[[2, 5]]",
+            "[[0, 5], [10, 20]]",
+            "[[0, 5, 7]]",
+            "[0, 5]",
+            "\"all\"",
+        ] {
+            let err = with_completed(malformed).unwrap_err();
+            assert!(err.contains("'completed'"), "{malformed}: {err}");
         }
-    }
-
-    fn fresh_dir(name: &str) -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join(name);
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        dir
     }
 
     #[test]
@@ -822,8 +686,8 @@ mod tests {
         assert!(!path.with_extension("tmp").exists(), "temp renamed away");
         let current = Checkpoint::load(&path).unwrap();
         let previous = Checkpoint::load(&path.with_extension("prev")).unwrap();
-        assert_eq!(current.completed.covered(), 20);
-        assert_eq!(previous.completed.covered(), 10, ".prev holds generation N-1");
+        assert_eq!(current.completed, 20);
+        assert_eq!(previous.completed, 10, ".prev holds generation N-1");
     }
 
     #[test]
@@ -836,9 +700,9 @@ mod tests {
         std::fs::write(&path, &bytes).unwrap();
         assert!(Checkpoint::load(&path).is_err(), "strict load refuses");
         let salvaged = Checkpoint::load_salvage(&path).unwrap();
-        assert_eq!(salvaged.source, SalvageSource::TrailingGarbage);
-        assert_eq!(salvaged.checkpoint.completed.covered(), 42);
-        assert!(salvaged.note.is_some());
+        assert_eq!(salvaged.checkpoint.completed, 42);
+        let note = salvaged.note.expect("a salvage note");
+        assert!(note.contains("ignoring trailing garbage"), "{note}");
     }
 
     #[test]
@@ -856,17 +720,26 @@ mod tests {
         .unwrap();
         std::fs::write(&path, "{\"schema\": \"fpgatest-checkp").unwrap();
         let salvaged = Checkpoint::load_salvage(&path).unwrap();
-        assert_eq!(salvaged.source, SalvageSource::Tmp);
-        assert_eq!(salvaged.checkpoint.completed.covered(), 30);
+        assert!(salvaged.note.unwrap().contains("campaign.tmp"));
+        assert_eq!(salvaged.checkpoint.completed, 30);
         // Without the .tmp, the previous generation wins.
         std::fs::remove_file(path.with_extension("tmp")).unwrap();
         let salvaged = Checkpoint::load_salvage(&path).unwrap();
-        assert_eq!(salvaged.source, SalvageSource::Previous);
-        assert_eq!(salvaged.checkpoint.completed.covered(), 10);
+        assert!(salvaged.note.unwrap().contains("campaign.prev"));
+        assert_eq!(salvaged.checkpoint.completed, 10);
+        // A primary whose `completed` is not a prefix is malformed like a
+        // torn one: the previous generation still wins.
+        let mut gap = checkpoint_covering(0).to_json().emit_pretty();
+        gap = gap.replace("\"completed\": []", "\"completed\": [[2, 5]]");
+        std::fs::write(&path, gap).unwrap();
+        let salvaged = Checkpoint::load_salvage(&path).unwrap();
+        assert!(salvaged.note.unwrap().contains("campaign.prev"));
+        assert_eq!(salvaged.checkpoint.completed, 10);
         // With nothing valid anywhere, salvage reports the strict error.
         std::fs::remove_file(path.with_extension("prev")).unwrap();
         let err = Checkpoint::load_salvage(&path).unwrap_err();
         assert!(err.contains("no salvageable generation"), "{err}");
+        assert!(err.contains("'completed'"), "{err}");
     }
 
     #[test]
@@ -880,7 +753,7 @@ mod tests {
             std::fs::write(&path, &full[..cut]).unwrap();
             let salvaged = Checkpoint::load_salvage(&path)
                 .unwrap_or_else(|e| panic!("cut at byte {cut}: {e}"));
-            let covered = salvaged.checkpoint.completed.covered();
+            let covered = salvaged.checkpoint.completed;
             // Either the full newest generation (only possible when the
             // document survived the cut) or the intact N-1 fallback —
             // never a refusal, never a bogus document.
@@ -888,45 +761,51 @@ mod tests {
                 covered == 20 || covered == 10,
                 "cut at byte {cut} recovered {covered} units"
             );
-            assert!(
-                salvaged.checkpoint.completed.ranges().len() == 1
-                    && salvaged.checkpoint.completed.ranges()[0].0 == 0,
-                "recovered set is a prefix"
-            );
             if covered == 10 {
-                assert_eq!(salvaged.source, SalvageSource::Previous, "cut {cut}");
+                let note = salvaged.note.unwrap_or_default();
+                assert!(note.contains("campaign.prev"), "cut {cut}: {note}");
             }
+        }
+    }
+
+    /// Options that checkpoint to `path` every `every` merged units.
+    fn saving(path: &Path, shards: usize, every: u64) -> ShardedCampaignOptions {
+        ShardedCampaignOptions {
+            shards,
+            checkpoint: Some(path.to_path_buf()),
+            checkpoint_every: every,
+            ..ShardedCampaignOptions::default()
         }
     }
 
     /// The worker squares indices; the merged sequence must be the
     /// ascending squares regardless of shard count or chunk size.
-    fn collect_sharded(total: u64, skip: &RangeSet, shards: usize, chunk: u64) -> Vec<(u64, u64)> {
+    fn collect_sharded(total: u64, shards: usize, chunk: u64) -> Vec<(u64, u64)> {
         let mut out = Vec::new();
-        let outcome = run_sharded(
+        let interrupted = run_sharded(
             total,
-            skip,
-            &ShardOptions {
+            0,
+            &ShardedCampaignOptions {
                 shards,
-                chunk,
-                ..ShardOptions::default()
+                ..ShardedCampaignOptions::default()
             },
+            chunk,
             |start, end| (start..end).map(|i| i * i).collect::<Vec<u64>>(),
             |index, value| out.push((index, value)),
-            |_| {},
-        );
-        assert!(!outcome.interrupted);
-        assert!(outcome.completed.is_complete(total));
+            |_| unreachable!("no checkpoint path, no snapshot"),
+        )
+        .unwrap();
+        assert!(!interrupted);
         out
     }
 
     #[test]
     fn sharded_merge_is_index_ordered_at_any_shard_count() {
-        let reference = collect_sharded(103, &RangeSet::new(), 1, 7);
+        let reference = collect_sharded(103, 1, 7);
         for shards in [2, 3, 7, 16] {
             for chunk in [1, 5, 64] {
                 assert_eq!(
-                    collect_sharded(103, &RangeSet::new(), shards, chunk),
+                    collect_sharded(103, shards, chunk),
                     reference,
                     "shards={shards} chunk={chunk}"
                 );
@@ -937,31 +816,20 @@ mod tests {
     }
 
     #[test]
-    fn sharded_run_skips_completed_ranges() {
-        let mut skip = RangeSet::new();
-        skip.insert_range(0, 10);
-        skip.insert_range(20, 25);
-        let merged = collect_sharded(30, &skip, 3, 4);
-        let indices: Vec<u64> = merged.iter().map(|&(i, _)| i).collect();
-        let expected: Vec<u64> = (10..20).chain(25..30).collect();
-        assert_eq!(indices, expected);
-    }
-
-    #[test]
     fn stop_flag_keeps_only_the_contiguous_prefix() {
+        let dir = fresh_dir("fpgatest_campaign_stop_prefix");
+        let path = dir.join("stop.checkpoint");
         let stop = Arc::new(AtomicBool::new(false));
         let mut merged = Vec::new();
-        let mut checkpoints = 0usize;
-        let outcome = run_sharded(
+        let mut snapshots = Vec::new();
+        let interrupted = run_sharded(
             1000,
-            &RangeSet::new(),
-            &ShardOptions {
-                shards: 2,
-                chunk: 4,
-                checkpoint_every: 8,
+            0,
+            &ShardedCampaignOptions {
                 stop: Some(stop.clone()),
-                sigint: false,
+                ..saving(&path, 2, 8)
             },
+            4,
             |start, end| {
                 if start >= 100 {
                     stop.store(true, Ordering::SeqCst);
@@ -972,22 +840,25 @@ mod tests {
                 assert_eq!(index, value);
                 merged.push(index);
             },
-            |completed| {
-                checkpoints += 1;
-                // Every checkpoint set is a prefix.
-                assert_eq!(completed.ranges().len(), 1);
-                assert_eq!(completed.ranges()[0].0, 0);
+            |done| {
+                snapshots.push(done);
+                prefix_of(1000, done)
             },
-        );
-        assert!(outcome.interrupted);
+        )
+        .unwrap();
+        assert!(interrupted);
         // Merged exactly [0, k) for some k (possibly 0 when the flag won
         // the race before the first chunk).
         let k = merged.len() as u64;
         assert!(k < 1000, "the stop flag cut the campaign short");
         assert_eq!(merged, (0..k).collect::<Vec<u64>>());
-        assert_eq!(outcome.completed.gaps(1000), vec![(k, 1000)]);
         if k > 0 {
-            assert!(checkpoints >= 1, "final checkpoint fires on interrupt");
+            assert_eq!(
+                snapshots.last(),
+                Some(&k),
+                "final snapshot fires on interrupt"
+            );
+            assert_eq!(Checkpoint::load(&path).unwrap().completed, k);
         }
     }
 
@@ -997,15 +868,15 @@ mod tests {
         let stop = Arc::new(AtomicBool::new(false));
         let mut first = Vec::new();
         let stop_trigger = stop.clone();
-        let outcome = run_sharded(
+        run_sharded(
             200,
-            &RangeSet::new(),
-            &ShardOptions {
+            0,
+            &ShardedCampaignOptions {
                 shards: 3,
-                chunk: 8,
                 stop: Some(stop),
-                ..ShardOptions::default()
+                ..ShardedCampaignOptions::default()
             },
+            8,
             move |start, end| {
                 if start >= 64 {
                     stop_trigger.store(true, Ordering::SeqCst);
@@ -1013,54 +884,108 @@ mod tests {
                 (start..end).map(|i| i + 1).collect::<Vec<u64>>()
             },
             |index, value| first.push((index, value)),
-            |_| {},
-        );
+            |_| unreachable!("no checkpoint path, no snapshot"),
+        )
+        .unwrap();
         // Whether (and where) the stop landed depends on scheduling; the
         // property under test is that resume completes the remainder and
         // the concatenation equals the uninterrupted sequence.
         // Phase 2: resume from the completed prefix.
         let mut second = Vec::new();
-        let resumed = run_sharded(
+        let interrupted = run_sharded(
             200,
-            &outcome.completed,
-            &ShardOptions {
+            first.len() as u64,
+            &ShardedCampaignOptions {
                 shards: 3,
-                chunk: 8,
-                ..ShardOptions::default()
+                ..ShardedCampaignOptions::default()
             },
+            8,
             |start, end| (start..end).map(|i| i + 1).collect::<Vec<u64>>(),
             |index, value| second.push((index, value)),
-            |_| {},
-        );
-        assert!(!resumed.interrupted);
-        assert!(resumed.completed.is_complete(200));
+            |_| unreachable!("no checkpoint path, no snapshot"),
+        )
+        .unwrap();
+        assert!(!interrupted);
         let mut all = first;
         all.extend(second);
         let expected: Vec<(u64, u64)> = (0..200).map(|i| (i, i + 1)).collect();
         assert_eq!(all, expected);
     }
 
+    /// Snapshots come every `checkpoint_every` merged units, and the
+    /// final one is written once: `.prev` keeps the generation before it.
     #[test]
     fn checkpoint_callback_fires_on_interval() {
-        let mut checkpoints: Vec<u64> = Vec::new();
+        let dir = fresh_dir("fpgatest_campaign_interval");
+        let path = dir.join("interval.checkpoint");
+        let mut snapshots: Vec<u64> = Vec::new();
         run_sharded(
             100,
-            &RangeSet::new(),
-            &ShardOptions {
-                shards: 4,
-                chunk: 5,
-                checkpoint_every: 20,
-                ..ShardOptions::default()
-            },
+            0,
+            &saving(&path, 4, 20),
+            5,
             |start, end| (start..end).collect::<Vec<u64>>(),
             |_, _| {},
-            |completed| checkpoints.push(completed.covered()),
+            |done| {
+                snapshots.push(done);
+                checkpoint_covering(done)
+            },
+        )
+        .unwrap();
+        assert_eq!(snapshots, [20, 40, 60, 80, 100]);
+        assert_eq!(Checkpoint::load(&path).unwrap().completed, 100);
+        let previous = Checkpoint::load(&path.with_extension("prev")).unwrap();
+        assert_eq!(
+            previous.completed, 80,
+            ".prev is the generation before the final one"
         );
-        assert!(!checkpoints.is_empty());
-        assert!(
-            checkpoints.windows(2).all(|w| w[0] < w[1]),
-            "checkpoint coverage grows monotonically: {checkpoints:?}"
-        );
-        assert_eq!(*checkpoints.last().unwrap(), 100);
+
+        // Off the interval, the final snapshot closes the tail; a run with
+        // nothing left to merge still writes its final snapshot once; 0
+        // means one snapshot per chunk.
+        for (resumed, every, expected) in [
+            (0, 30, &[30, 60, 90, 100][..]),
+            (100, 30, &[100]),
+            (80, 0, &[85, 90, 95, 100]),
+        ] {
+            let mut snapshots: Vec<u64> = Vec::new();
+            run_sharded(
+                100,
+                resumed,
+                &saving(&path, 2, every),
+                5,
+                |start, end| (start..end).collect::<Vec<u64>>(),
+                |_, _| {},
+                |done| {
+                    snapshots.push(done);
+                    checkpoint_covering(done)
+                },
+            )
+            .unwrap();
+            assert_eq!(snapshots, expected, "resumed {resumed} every {every}");
+        }
+    }
+
+    /// A failed save is the run's error, and no later snapshot is tried.
+    #[test]
+    fn first_save_error_is_kept() {
+        let dir = fresh_dir("fpgatest_campaign_save_error");
+        let path = dir.join("missing").join("run.checkpoint");
+        let mut snapshots = 0;
+        let err = run_sharded(
+            40,
+            0,
+            &saving(&path, 2, 8),
+            8,
+            |start, end| (start..end).collect::<Vec<u64>>(),
+            |_, _| {},
+            |done| {
+                snapshots += 1;
+                checkpoint_covering(done)
+            },
+        )
+        .unwrap_err();
+        assert!(err.starts_with("cannot save "), "{err}");
+        assert_eq!(snapshots, 1);
     }
 }

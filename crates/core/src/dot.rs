@@ -1,8 +1,6 @@
 //! Graphviz exports, including the regeneration of the paper's Figure 1
 //! (the infrastructure diagram) from the flow the code actually executes.
 
-use crate::flow::TestReport;
-
 /// Renders the infrastructure diagram — the reproduction of Figure 1.
 ///
 /// Unlike a hand-drawn figure, this one is generated from the running
@@ -60,20 +58,6 @@ pub fn flow_diagram() -> String {
     g
 }
 
-/// Bundles every dot artifact of a finished run (datapaths, FSMs, RTG)
-/// as `(file name, dot text)` pairs, ready to write to disk.
-pub fn report_graphs(report: &TestReport) -> Vec<(String, String)> {
-    let mut graphs = Vec::new();
-    if let Some(artifacts) = &report.artifacts {
-        for config in &artifacts.configs {
-            graphs.push((format!("{}_datapath.dot", config.name), config.datapath_dot.clone()));
-            graphs.push((format!("{}_fsm.dot", config.name), config.fsm_dot.clone()));
-        }
-        graphs.push((format!("{}_rtg.dot", report.design), artifacts.rtg_dot.clone()));
-    }
-    graphs
-}
-
 /// Minimal structural well-formedness check used by tests: every quoted
 /// edge endpoint is also declared or at least quoted consistently, and
 /// braces balance.
@@ -86,7 +70,6 @@ pub fn dot_is_balanced(dot: &str) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::flow::TestFlow;
 
     #[test]
     fn figure1_diagram_is_wellformed() {
@@ -104,23 +87,6 @@ mod tests {
             "compare",
         ] {
             assert!(dot.contains(node), "missing node '{node}'");
-        }
-    }
-
-    #[test]
-    fn report_graphs_cover_all_configs() {
-        let report = TestFlow::new(
-            "g",
-            "mem out[2]; void main() { int a = 1; out[0] = a; out[1] = a + 1; }",
-        )
-        .with_partitions(2)
-        .run()
-        .unwrap();
-        let graphs = report_graphs(&report);
-        // Two configs × (datapath + fsm) + one rtg.
-        assert_eq!(graphs.len(), 5);
-        for (name, dot) in &graphs {
-            assert!(dot_is_balanced(dot), "graph {name} malformed:\n{dot}");
         }
     }
 }

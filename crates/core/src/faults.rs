@@ -41,6 +41,7 @@
 
 use crate::elaborate::ConfigParts;
 use crate::flow::{Engine, FlowError, CLOCK_PERIOD};
+use crate::rng::Rng;
 use crate::suite::TestCase;
 use crate::telemetry::Json;
 use std::fmt;
@@ -432,25 +433,6 @@ pub fn campaign_json(report: &CampaignReport) -> Json {
     ])
 }
 
-/// The SplitMix64 generator — the same tiny deterministic PRNG the fuzz
-/// crate seeds its campaigns with, re-implemented here so `core` does not
-/// depend on `fuzz` (the dependency points the other way).
-struct SplitMix64(u64);
-
-impl SplitMix64 {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E3779B97F4A7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n.max(1)
-    }
-}
-
 /// Enumerates the deterministic fault-site pool of a compiled design:
 /// per-bit stuck-at-0/1 on every netlist signal, per-bit corruption of
 /// every SRAM word, one SEU site per register bit (cycle seeded), and one
@@ -512,7 +494,7 @@ impl SiteTable {
         clean_cycles: u64,
         seed: u64,
     ) -> SiteTable {
-        let mut rng = SplitMix64(seed ^ 0xD1F4_17A8_5EED_5EED);
+        let mut rng = Rng::new(seed ^ 0xD1F4_17A8_5EED_5EED);
         let mut seen = std::collections::HashSet::new();
         let cycle_span = clean_cycles.max(2);
         let mut signals = Vec::new();
@@ -592,7 +574,7 @@ fn sample(pool: usize, sites: usize, seed: u64) -> Result<Vec<u32>, FlowError> {
         FlowError::Fault(format!("a pool of {pool} fault sites is too large to sample"))
     })?;
     let mut order: Vec<u32> = (0..pool).collect();
-    let mut rng = SplitMix64(seed);
+    let mut rng = Rng::new(seed);
     for i in (1..order.len()).rev() {
         order.swap(i, rng.below(i as u64 + 1) as usize);
     }
@@ -662,9 +644,9 @@ pub type ShardedCampaignOutcome = crate::campaign::ShardedCampaignOutcome<Campai
 /// wall-clock fields zeroed (`wall_seconds`, `rate`, `eta_seconds`,
 /// `slowest*`), so `--events-out` bytes are identical across
 /// `--shards 1..N` and across a killed-then-resumed run (resume
-/// re-emits the completed prefix from the checkpoint). Checkpoints keep
-/// their `completed` ranges in sampled-site indices and store no
-/// reasons: restored records take theirs from the recomputed proof.
+/// re-emits the completed prefix from the checkpoint). A checkpoint's
+/// completed prefix counts sampled sites, and it stores no reasons:
+/// restored records take theirs from the recomputed proof.
 ///
 /// # Errors
 ///
@@ -679,7 +661,7 @@ pub fn run_campaign_sharded(
     options: &CampaignOptions,
     shard: &ShardedCampaignOptions,
 ) -> Result<ShardedCampaignOutcome, FlowError> {
-    use crate::campaign::{Checkpoint, RangeSet, ShardOptions};
+    use crate::campaign::CampaignId;
     use std::cell::RefCell;
 
     let program = nenya::lang::parse(&case.source)
@@ -752,13 +734,19 @@ pub fn run_campaign_sharded(
         .filter(|&index| proofs[index as usize].is_none())
         .collect();
 
-    // What makes a checkpoint this campaign's beyond its design and site
-    // count: checked on resume and written into every snapshot.
-    let identity = [
-        ("engine", Json::from(options.engine.to_string())),
-        ("seed", options.seed.into()),
-        ("max_ticks", max_ticks.into()),
-    ];
+    // What a checkpoint of this campaign must match: its design and
+    // sampled-site count, and the settings below (the tick budget is the
+    // effective one, explicit or derived from the clean run).
+    let id = CampaignId {
+        kind: "faults",
+        key: case.name.clone(),
+        total,
+        fields: vec![
+            ("engine", Json::from(options.engine.to_string())),
+            ("seed", options.seed.into()),
+            ("max_ticks", max_ticks.into()),
+        ],
+    };
 
     // Resume: salvage what survives on disk, validate identity, preload
     // the record prefix. Salvage only relaxes *structural* damage (torn
@@ -766,8 +754,7 @@ pub fn run_campaign_sharded(
     let mut records: Vec<InjectionRecord> = Vec::new();
     let mut salvage = None;
     if let Some(path) = &shard.resume {
-        let salvaged = Checkpoint::load_resume(path, "faults", &case.name, total, &identity)
-            .map_err(FlowError::Fault)?;
+        let salvaged = id.load_resume(path).map_err(FlowError::Fault)?;
         let checkpoint = salvaged.checkpoint;
         salvage = salvaged.note;
         let bad = |what: &str| {
@@ -781,7 +768,7 @@ pub fn run_campaign_sharded(
             .get("records")
             .and_then(Json::as_array)
             .ok_or_else(|| bad("records"))?;
-        if list.len() as u64 != checkpoint.completed.covered() {
+        if list.len() as u64 != checkpoint.completed {
             return Err(bad("record count"));
         }
         for (entry, proof) in list
@@ -810,10 +797,6 @@ pub fn run_campaign_sharded(
         }
     }
     let resumed = records.len() as u64;
-    // The checkpoint holds the sampled prefix `[0, resumed)`: every
-    // unproven site in it is a completed unit.
-    let mut skip = RangeSet::new();
-    skip.insert_range(0, unproven.partition_point(|&index| index < resumed) as u64);
 
     // Deterministic event stream: indices, outcomes, and order only —
     // wall-clock fields zeroed so shard count and resume cannot leak in.
@@ -895,41 +878,6 @@ pub fn run_campaign_sharded(
             .collect()
     };
 
-    // The checkpoint document: identity (with the effective tick budget,
-    // explicit or derived from the clean run) plus the merged records,
-    // which always cover a sampled-site prefix.
-    let faults_checkpoint = |records: &[InjectionRecord]| {
-        let mut completed = RangeSet::new();
-        completed.insert_range(0, records.len() as u64);
-        Checkpoint {
-            kind: "faults".to_string(),
-            key: case.name.clone(),
-            total,
-            completed,
-            state: Json::obj(
-                identity.iter().cloned().chain([
-                    ("requested_sites", options.sites.into()),
-                    ("site_pool", site_pool.into()),
-                    ("clean_cycles", clean_cycles.into()),
-                    (
-                        "records",
-                        Json::Arr(
-                            records
-                                .iter()
-                                .map(|r| {
-                                    Json::obj([
-                                        ("fault", r.fault.to_string().into()),
-                                        ("outcome", r.outcome.to_string().into()),
-                                        ("detail", r.detail.as_str().into()),
-                                    ])
-                                })
-                                .collect(),
-                        ),
-                    ),
-                ]),
-            ),
-        }
-    };
     let merged = RefCell::new(records);
     // Appends the proven records from the merged prefix's end up to
     // `limit`: every sampled site before the next unproven one.
@@ -947,26 +895,15 @@ pub fn run_campaign_sharded(
         }
     };
     let next_unproven = |unit: u64| unproven.get(unit as usize).copied().unwrap_or(total);
-    merge_proven(next_unproven(skip.covered()));
-    let save_error = RefCell::new(None::<String>);
-    let outcome = crate::campaign::run_sharded(
+    // The checkpoint holds the sampled prefix `[0, resumed)`: every
+    // unproven site in it is a completed unit.
+    let resumed_units = unproven.partition_point(|&index| index < resumed) as u64;
+    merge_proven(next_unproven(resumed_units));
+    let interrupted = crate::campaign::run_sharded(
         unproven.len() as u64,
-        &skip,
-        &ShardOptions {
-            shards: shard.shards.max(1),
-            chunk,
-            checkpoint_every: if shard.checkpoint.is_some() {
-                if shard.checkpoint_every == 0 {
-                    chunk
-                } else {
-                    shard.checkpoint_every
-                }
-            } else {
-                0
-            },
-            stop: shard.stop.clone(),
-            sigint: shard.sigint,
-        },
+        resumed_units,
+        shard,
+        chunk,
         worker,
         |unit, result| {
             let index = unproven[unit as usize];
@@ -975,19 +912,32 @@ pub fn run_campaign_sharded(
             merged.borrow_mut().push(record);
             merge_proven(next_unproven(unit + 1));
         },
+        // The merged records always cover a sampled-site prefix, so the
+        // document counts sampled sites, not pooled units.
         |_| {
-            let Some(path) = &shard.checkpoint else { return };
-            if let Err(e) = faults_checkpoint(&merged.borrow()).save(path) {
-                *save_error.borrow_mut() = Some(format!("cannot save {}: {e}", path.display()));
-            }
+            let records = merged.borrow();
+            let records_json = records.iter().map(|r| {
+                Json::obj([
+                    ("fault", r.fault.to_string().into()),
+                    ("outcome", r.outcome.to_string().into()),
+                    ("detail", r.detail.as_str().into()),
+                ])
+            });
+            id.snapshot(
+                records.len() as u64,
+                [
+                    ("requested_sites", options.sites.into()),
+                    ("site_pool", site_pool.into()),
+                    ("clean_cycles", clean_cycles.into()),
+                    ("records", Json::Arr(records_json.collect())),
+                ],
+            )
         },
-    );
-    if let Some(message) = save_error.into_inner() {
-        return Err(FlowError::Fault(message));
-    }
+    )
+    .map_err(FlowError::Fault)?;
     let injections = merged.into_inner();
 
-    if !outcome.interrupted {
+    if !interrupted {
         let silent = injections
             .iter()
             .filter(|r| r.outcome == InjectionOutcome::Silent)
@@ -999,11 +949,6 @@ pub fn run_campaign_sharded(
             failed: silent,
             wall_seconds: 0.0,
         });
-        if let Some(path) = &shard.checkpoint {
-            faults_checkpoint(&injections)
-                .save(path)
-                .map_err(|e| FlowError::Fault(format!("cannot save {}: {e}", path.display())))?;
-        }
     }
 
     Ok(ShardedCampaignOutcome {
@@ -1015,7 +960,7 @@ pub fn run_campaign_sharded(
             clean_cycles,
             injections,
         },
-        interrupted: outcome.interrupted,
+        interrupted,
         resumed,
         salvage,
     })
@@ -1193,14 +1138,5 @@ mod tests {
             );
         }
         assert!(InjectionOutcome::parse("shrugged").is_err());
-    }
-
-    #[test]
-    fn splitmix_is_deterministic() {
-        let mut a = SplitMix64(42);
-        let mut b = SplitMix64(42);
-        for _ in 0..100 {
-            assert_eq!(a.next(), b.next());
-        }
     }
 }

@@ -68,6 +68,8 @@
 //! * [`stdout`] — the command-line tools' stdout writer, which survives
 //!   a reader that closes the pipe early.
 //! * [`flags`] — the command-line tools' flag reader.
+//! * [`rng`] — the SplitMix64 generator behind fault-site sampling, the
+//!   serve chaos hook and the fuzzer.
 
 pub mod cache;
 pub mod campaign;
@@ -80,6 +82,7 @@ pub mod flow;
 pub mod ledger;
 pub mod memcmp;
 pub mod metrics;
+pub mod rng;
 pub mod serve;
 pub mod stdout;
 pub mod stimulus;

@@ -111,6 +111,7 @@ use crate::events::{Event, EventSink, EVENTS_SCHEMA};
 use crate::faults::{campaign_json, CampaignOptions, InjectionOutcome, ShardedCampaignOptions};
 use crate::flow::{Engine, FlowOptions, TestFlow, TestReport};
 use crate::ledger::{self, LedgerEntry};
+use crate::rng::Rng;
 use crate::stimulus::Stimulus;
 use crate::suite::{self, CaseResult, TestCase};
 use crate::telemetry::Json;
@@ -1310,17 +1311,14 @@ fn supervisor_loop(state: &Arc<ServerState>) {
 /// Deterministic chaos: when [`ServeOptions::chaos`] is set, roughly a
 /// quarter of job dequeues kill the worker thread via panic *before*
 /// the job's own isolation arms — exactly the failure the supervisor
-/// exists for. SplitMix64 over (seed, tick) keeps runs reproducible.
+/// exists for. SplitMix64 over (seed, tick) keeps runs reproducible:
+/// tick `t` takes output `t` (from 0) of `Rng::new(seed)`, jumped to
+/// directly.
 fn chaos_maybe_kill_worker(state: &ServerState) {
     let Some(seed) = state.options.chaos else { return };
     let tick = state.chaos_ticks.fetch_add(1, Ordering::SeqCst);
-    let mut z = seed
-        .wrapping_add(tick.wrapping_mul(0x9E37_79B9_7F4A_7C15))
-        .wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^= z >> 31;
-    if z % 4 == 0 {
+    let stream = seed.wrapping_add(tick.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+    if Rng::new(stream).next_u64().is_multiple_of(4) {
         panic!("chaos: worker killed mid-job (seed {seed}, tick {tick})");
     }
 }

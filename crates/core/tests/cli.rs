@@ -199,6 +199,37 @@ fn malformed_flags_exit_2_naming_the_flag() {
             vec!["compile", &source, "--out", &out_dir, "--timeout", "5"],
             "--timeout",
         ),
+        // A manifest's cases keep their own options, and one source runs
+        // one case: `test` refuses the flags it would ignore.
+        (vec!["test", SUITE_MANIFEST, "--width", "8"], "--width"),
+        (
+            vec!["test", SUITE_MANIFEST, "--partitions", "3"],
+            "--partitions",
+        ),
+        (
+            vec!["test", SUITE_MANIFEST, "--policy", "one-op-per-state"],
+            "--policy",
+        ),
+        (vec!["test", SUITE_MANIFEST, "--optimize"], "--optimize"),
+        (
+            vec!["test", SUITE_MANIFEST, "--fault", "stuck1:done.0"],
+            "--fault",
+        ),
+        (
+            vec!["test", SUITE_MANIFEST, "--max-ticks", "9"],
+            "--max-ticks",
+        ),
+        (vec!["test", SUITE_MANIFEST, "--timeout", "50"], "--timeout"),
+        (
+            vec!["test", SUITE_MANIFEST, "--stimulus", "a=b.stim"],
+            "--stimulus",
+        ),
+        (vec!["test", SUITE_MANIFEST, "--trace"], "--trace"),
+        (
+            vec!["test", SUITE_MANIFEST, "--artifacts", &out_dir],
+            "--artifacts",
+        ),
+        (vec!["test", "--jobs", "2", &source], "--jobs"),
     ] {
         let out = bin().args(&args).output().unwrap();
         let stderr = String::from_utf8_lossy(&out.stderr);

@@ -164,6 +164,10 @@ fn concurrent_clients_share_one_compile() {
     server.join().expect("server thread").expect("server run");
 }
 
+/// A loop of a million iterations: seconds of simulation in any build.
+const SPIN_SRC: &str = "mem out[1]; void main() { int i; int s; s = 0; \
+     for (i = 0; i < 1000000; i = i + 1) { s = s + i; } out[0] = s; }";
+
 /// Shared buffer the event stream is copied into.
 #[derive(Clone, Default)]
 struct EventTap(Arc<Mutex<Vec<u8>>>);
@@ -189,11 +193,10 @@ fn shutdown_drains_inflight_and_rejects_new_jobs() {
         ..ServeOptions::default()
     });
 
-    // Occupy the only worker for ~600 ms with a job that hangs until
-    // its wall-clock watchdog trips. The 1024-point FDCT needs seconds
-    // in a debug build; a 256-point one can finish inside the budget.
-    let mut hog = JobSpec::test("fdct-hog", &workloads::fdct_source(1024))
-        .stimulus("img", Stimulus::from_values(workloads::test_image(1024)));
+    // Occupy the only worker until its 600 ms wall-clock watchdog trips,
+    // in any build: the loop runs 7 M cycles, which took about 4 s in a
+    // release build and 30 s in a debug build on a 2-vCPU x86-64 host.
+    let mut hog = JobSpec::test("spin-hog", SPIN_SRC);
     hog.width = Some(32);
     hog.wall_ms = Some(600);
     hog.events = true;

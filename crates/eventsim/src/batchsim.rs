@@ -958,12 +958,6 @@ impl<const W: usize> BatchSim<W> {
         Ok(true)
     }
 
-    /// Number of words in the named SRAM, or `None` if absent.
-    pub fn mem_size(&self, name: &str) -> Option<usize> {
-        let p = &self.program;
-        p.mem_names.get(name).map(|&i| p.mems[i].size)
-    }
-
     /// Loads an image (`None` = leave X) into one lane of the named
     /// SRAM. Returns `false` when the memory does not exist. Values
     /// truncate to the memory width, like [`crate::MemHandle::store`].

@@ -25,11 +25,6 @@ impl EvalProfile {
     pub fn total_evals(&self) -> u64 {
         self.components.iter().map(|(evals, _)| evals).sum()
     }
-
-    /// Total evaluation nanoseconds across all components.
-    pub fn total_nanos(&self) -> u64 {
-        self.components.iter().map(|(_, nanos)| nanos).sum()
-    }
 }
 
 /// The shared handle [`EvalTimer::new`] returns alongside the hook.

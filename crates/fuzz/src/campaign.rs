@@ -146,7 +146,7 @@ pub fn run_campaign_sharded(
 ) -> io::Result<ShardedCampaignOutcome> {
     use crate::coverage::{op_from_kind_name, op_kind_name};
     use crate::gen::stimuli_for;
-    use fpgatest::campaign::{Checkpoint, RangeSet, ShardOptions};
+    use fpgatest::campaign::CampaignId;
     use fpgatest::telemetry::Json;
     use std::cell::RefCell;
 
@@ -182,23 +182,27 @@ pub fn run_campaign_sharded(
         saved: 0,
         error: None,
     };
-    // What makes a checkpoint this campaign's beyond its seed and case
-    // count: checked on resume and written into every snapshot.
-    let identity = [
-        ("seed", Json::from(opts.seed)),
-        ("width", u64::from(opts.width).into()),
-        ("injection", injection_name.into()),
-        ("max_ticks", opts.max_ticks.into()),
-        ("max_shrink_evals", opts.max_shrink_evals.into()),
-    ];
+    // What a checkpoint of this campaign must match: its seed and case
+    // count, and the settings below.
+    let id = CampaignId {
+        kind: "fuzz",
+        key: key.clone(),
+        total: opts.cases,
+        fields: vec![
+            ("seed", Json::from(opts.seed)),
+            ("width", u64::from(opts.width).into()),
+            ("injection", injection_name.into()),
+            ("max_ticks", opts.max_ticks.into()),
+            ("max_shrink_evals", opts.max_shrink_evals.into()),
+        ],
+    };
     let bias;
-    let mut skip = RangeSet::new();
+    let mut resumed = 0;
     let mut salvage = None;
     if let Some(path) = &shard.resume {
         // Salvage tolerates torn writes (falling back to the `.tmp` or
         // `.prev` generation); identity mismatches still refuse.
-        let salvaged =
-            Checkpoint::load_resume(path, "fuzz", &key, opts.cases, &identity).map_err(invalid)?;
+        let salvaged = id.load_resume(path).map_err(invalid)?;
         let checkpoint = salvaged.checkpoint;
         salvage = salvaged.note;
         let bad = |what: &str| {
@@ -267,7 +271,7 @@ pub fn run_campaign_sharded(
             });
         }
         state.divergences = state.shrunk.len();
-        skip = checkpoint.completed.clone();
+        resumed = checkpoint.completed;
     } else {
         bias = missing_ops(&start_coverage);
         let (seed, cases, width) = (opts.seed, opts.cases, opts.width);
@@ -280,7 +284,6 @@ pub fn run_campaign_sharded(
         }
         state.log.push('\n');
     }
-    let resumed = skip.covered();
 
     // Deterministic event stream: merge order only, wall-clock fields
     // zeroed. On resume the completed prefix is re-emitted first, so the
@@ -359,70 +362,13 @@ pub fn run_campaign_sharded(
 
     let merged = RefCell::new(state);
     let corpus = &corpus;
-    let fuzz_checkpoint = |state: &MergeState, completed: &RangeSet| Checkpoint {
-        kind: "fuzz".to_string(),
-        key: key.clone(),
-        total: opts.cases,
-        completed: completed.clone(),
-        state: Json::obj(
-            identity.iter().cloned().chain([
-                (
-                    "bias",
-                    bias.iter()
-                        .filter_map(|op| op_kind_name(*op))
-                        .collect::<Vec<_>>()
-                        .join(" ")
-                        .into(),
-                ),
-                ("coverage", state.coverage.render().into()),
-                ("log", state.log.as_str().into()),
-                ("new_keys", state.new_keys.into()),
-                ("saved", state.saved.into()),
-                ("generator_errors", state.generator_errors.into()),
-                (
-                    "divergences",
-                    Json::Arr(
-                        state
-                            .divergence_info
-                            .iter()
-                            .zip(&state.shrunk)
-                            .map(
-                                |((index, variant, kind, detail, orig_lines, evals), case)| {
-                                    Json::obj([
-                                        ("index", (*index).into()),
-                                        ("variant", variant.as_str().into()),
-                                        ("kind", kind.as_str().into()),
-                                        ("detail", detail.as_str().into()),
-                                        ("orig_lines", (*orig_lines).into()),
-                                        ("evals", (*evals).into()),
-                                        ("source", case.source.as_str().into()),
-                                    ])
-                                },
-                            )
-                            .collect(),
-                    ),
-                ),
-            ]),
-        ),
-    };
-    let outcome = fpgatest::campaign::run_sharded(
+    let bias_names: Vec<&str> = bias.iter().filter_map(|op| op_kind_name(*op)).collect();
+    let bias_names = bias_names.join(" ");
+    let interrupted = fpgatest::campaign::run_sharded(
         opts.cases,
-        &skip,
-        &ShardOptions {
-            shards: shard.shards.max(1),
-            chunk: 8,
-            checkpoint_every: if shard.checkpoint.is_some() {
-                if shard.checkpoint_every == 0 {
-                    8
-                } else {
-                    shard.checkpoint_every
-                }
-            } else {
-                0
-            },
-            stop: shard.stop.clone(),
-            sigint: shard.sigint,
-        },
+        resumed,
+        shard,
+        8,
         worker,
         |index, result: ShardCase| {
             let mut state = merged.borrow_mut();
@@ -482,23 +428,44 @@ pub fn run_campaign_sharded(
             }
             emit_heartbeat(index);
         },
-        |completed| {
-            let Some(path) = &shard.checkpoint else { return };
+        |done| {
             let state = merged.borrow();
-            if let Err(e) = fuzz_checkpoint(&state, completed).save(path) {
-                drop(state);
-                merged.borrow_mut().error.get_or_insert(io::Error::other(
-                    format!("cannot save {}: {e}", path.display()),
-                ));
-            }
+            let divergences = state.divergence_info.iter().zip(&state.shrunk).map(
+                |((index, variant, kind, detail, orig_lines, evals), case)| {
+                    Json::obj([
+                        ("index", (*index).into()),
+                        ("variant", variant.as_str().into()),
+                        ("kind", kind.as_str().into()),
+                        ("detail", detail.as_str().into()),
+                        ("orig_lines", (*orig_lines).into()),
+                        ("evals", (*evals).into()),
+                        ("source", case.source.as_str().into()),
+                    ])
+                },
+            );
+            // The log goes in without its footer, which a resume appends
+            // again like any completed run.
+            id.snapshot(
+                done,
+                [
+                    ("bias", bias_names.as_str().into()),
+                    ("coverage", state.coverage.render().into()),
+                    ("log", state.log.as_str().into()),
+                    ("new_keys", state.new_keys.into()),
+                    ("saved", state.saved.into()),
+                    ("generator_errors", state.generator_errors.into()),
+                    ("divergences", Json::Arr(divergences.collect())),
+                ],
+            )
         },
-    );
+    )
+    .map_err(io::Error::other)?;
 
     let mut state = merged.into_inner();
     if let Some(error) = state.error.take() {
         return Err(error);
     }
-    if !outcome.interrupted {
+    if !interrupted {
         events.emit(&fpgatest::events::Event::CampaignFinished {
             kind: "fuzz".to_string(),
             key: key.clone(),
@@ -508,13 +475,6 @@ pub fn run_campaign_sharded(
         });
         if let Some(corpus) = corpus {
             corpus.save_coverage(&state.coverage)?;
-        }
-        // The final snapshot holds the log without its footer, which a
-        // resume appends again like any completed run.
-        if let Some(path) = &shard.checkpoint {
-            fuzz_checkpoint(&state, &outcome.completed)
-                .save(path)
-                .map_err(|e| io::Error::other(format!("cannot save {}: {e}", path.display())))?;
         }
         let _ = writeln!(
             state.log,
@@ -539,7 +499,7 @@ pub fn run_campaign_sharded(
             coverage: state.coverage,
             new_keys: state.new_keys,
         },
-        interrupted: outcome.interrupted,
+        interrupted,
         resumed,
         salvage,
     })

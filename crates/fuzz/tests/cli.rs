@@ -64,3 +64,44 @@ fn failed_stdout_write_exits_two() {
     assert!(stderr.contains("error: writing stdout"), "{stderr}");
     assert!(!stderr.contains("panicked"), "{stderr}");
 }
+
+/// A finished run's checkpoint edited to claim more cases than the
+/// campaign has is malformed: with no `.tmp` or `.prev` generation
+/// beside it, `--resume` exits 2 naming `completed` instead of replaying
+/// phantom cases.
+#[test]
+fn resume_refuses_a_completed_prefix_past_the_total() {
+    use fpgatest::telemetry::Json;
+    let dir = std::env::temp_dir().join("fpgafuzz_cli_crafted_checkpoint");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let (finished, crafted) = (dir.join("finished.ckpt"), dir.join("crafted.ckpt"));
+    let run = |flag: &str, checkpoint: &std::path::Path| {
+        bin()
+            .args(["run", "--seed", "1", "--cases", "16", flag])
+            .arg(checkpoint)
+            .output()
+            .unwrap()
+    };
+    let out = run("--checkpoint", &finished);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+
+    let mut doc = Json::parse(&std::fs::read_to_string(&finished).unwrap()).unwrap();
+    let Json::Obj(members) = &mut doc else {
+        panic!("a checkpoint is an object")
+    };
+    let completed = members
+        .iter_mut()
+        .find(|(key, _)| key == "completed")
+        .expect("completed");
+    assert_eq!(completed.1.emit(), "[[0,16]]");
+    completed.1 = Json::parse("[[0, 500]]").unwrap();
+    std::fs::write(&crafted, doc.emit_pretty()).unwrap();
+
+    let out = run("--resume", &crafted);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("completed"), "{stderr}");
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -133,6 +133,32 @@ fn artifacts_are_complete_and_consistent() {
     }
 }
 
+/// A partitioned run keeps a datapath and an FSM graph per configuration
+/// beside the RTG's, and every one is a balanced digraph.
+#[test]
+fn dot_graphs_cover_all_configs() {
+    let report = TestFlow::new(
+        "g",
+        "mem out[2]; void main() { int a = 1; out[0] = a; out[1] = a + 1; }",
+    )
+    .with_partitions(2)
+    .run()
+    .expect("flow runs");
+    let artifacts = report.artifacts.expect("kept by default");
+    assert_eq!(artifacts.configs.len(), 2);
+    let graphs = artifacts
+        .configs
+        .iter()
+        .flat_map(|config| [&config.datapath_dot, &config.fsm_dot])
+        .chain([&artifacts.rtg_dot]);
+    for dot in graphs {
+        assert!(
+            fpgatest::dot::dot_is_balanced(dot),
+            "graph malformed:\n{dot}"
+        );
+    }
+}
+
 #[test]
 fn extended_workloads_pass_in_hardware() {
     // Matrix multiply: triple loop nest, 2-D addressing.

@@ -963,7 +963,8 @@ impl PreparedDesign {
     }
 
     /// [`run_with_golden`](Self::run_with_golden) on the one-lane
-    /// bytecode (`--engine level`, whatever `options.engine` names),
+    /// bytecode (`--engine level`, whatever `options.engine` names) and
+    /// without a profile (a walk feeds one instrument at most),
     /// recording what the walk saw ([`CleanRecord`]): the bits every
     /// signal held as known 0 and known 1, and whether a read or a write
     /// touched each memory word first. Fault campaigns make this walk
@@ -979,6 +980,7 @@ impl PreparedDesign {
     ) -> Result<(TestReport, CleanRecord), FlowError> {
         let mut options = options.clone();
         options.engine = Engine::Level;
+        options.profile = false;
         preflight(&options)?;
         let golden = PreparedGolden {
             seconds: 0.0,

@@ -1360,20 +1360,15 @@ fn worker_loop(state: &Arc<ServerState>, slot: &WorkerSlot) {
 
 /// Backoff before retry `attempt` (1-based count of attempts already
 /// made): exponential from [`ServeOptions::backoff_base_ms`], capped at
-/// [`BACKOFF_CAP_MS`], plus up to 50% jitter derived deterministically
-/// from `(job_id, attempt)` so co-failing jobs decorrelate without the
-/// daemon needing a randomness source.
+/// [`BACKOFF_CAP_MS`], plus up to 50% jitter drawn from the stream
+/// [`Rng`] derives for `(job_id, attempt)`, so co-failing jobs decorrelate
+/// without the daemon needing a randomness source.
 fn backoff_delay(base_ms: u64, attempt: u64, job_id: u64) -> Duration {
     let base = base_ms.max(1);
     let exp = base
         .saturating_mul(1u64 << attempt.saturating_sub(1).min(16))
         .min(BACKOFF_CAP_MS);
-    let mut z = job_id
-        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-        .wrapping_add(attempt);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z ^= z >> 31;
-    let jitter = z % (exp / 2 + 1);
+    let jitter = Rng::new(job_id).derive(attempt).below(exp / 2 + 1);
     Duration::from_millis(exp + jitter)
 }
 

@@ -60,14 +60,19 @@
 //!   engine ([`crate::cyclesim::CycleSim`]). Lanes that fail or finish
 //!   drop out of the running mask and stop committing state; the
 //!   surviving lanes walk on. See `DESIGN.md` ("Batch engine").
-//! * **Opt-in per-rank profile.** [`BatchSim::enable_profile`] times
-//!   every evaluation into its rank's counters; the unprofiled walk is a
-//!   separate instance of the same loop that carries no timing code.
-//! * **Opt-in walk record.** [`BatchSim::enable_record`] notes, per
-//!   signal, the bits it ever held as known 0 and known 1 (toggle
-//!   coverage), and per memory word whether a read or a write touched it
-//!   first. Fault campaigns prove sites silent from it. Like the
-//!   profile, it lives in its own instance of the walk.
+//! * **One observer per walk.** The walk is generic over a
+//!   `WalkObserver`, whose hooks hear that a walk started, an op was
+//!   evaluated at its rank, a slot's column changed, or a memory word
+//!   was read or written. `()` is the observer of ordinary walks: its
+//!   hooks are empty, so its instance of the walk carries no instrument
+//!   code. A [`BatchSim`] feeds one instrument at most, and each is an
+//!   observer with its own instance of the walk:
+//!   * the per-rank profile ([`BatchSim::enable_profile`]) times every
+//!     evaluation into its rank's counters;
+//!   * the walk record ([`BatchSim::enable_record`]) notes, per signal,
+//!     the bits it ever held as known 0 and known 1 (toggle coverage),
+//!     and per memory word whether a read or a write touched it first.
+//!     Fault campaigns prove sites silent from it.
 //!
 //! Faults are per-lane: stuck-at clamps carry a `W`-lane AND/OR row per
 //! faulted slot, transient flips carry a lane mask, so a fault campaign
@@ -356,6 +361,77 @@ struct WalkRecord {
     first: Vec<Vec<FirstAccess>>,
 }
 
+/// What a walk tells the instrument it feeds. Every hook defaults to
+/// nothing, so an observer overrides only the hooks it reads, and `()`,
+/// the observer of ordinary walks, overrides none.
+trait WalkObserver {
+    /// A walk (one clock cycle) starts.
+    fn walk_started(&mut self) {}
+
+    /// An op (the program and its index give its rank) is evaluated by
+    /// `f`, which says whether its output column changed; returns that.
+    #[inline(always)]
+    fn evaluate(&mut self, _: &BatchProgram, _: usize, f: impl FnOnce(&mut Self) -> bool) -> bool {
+        f(self)
+    }
+
+    /// A slot's column in the lane state changed, or is held when
+    /// recording starts.
+    fn column_changed<const W: usize>(&mut self, _: &BatchProgram, _: &LaneState<W>, _: usize) {}
+
+    /// A running lane read or wrote word `addr` of memory `mem`.
+    fn mem_access(&mut self, _mem: usize, _addr: usize, _access: FirstAccess) {}
+}
+
+impl WalkObserver for () {}
+
+/// Times each evaluation into its rank's row.
+impl WalkObserver for WalkProfile {
+    fn walk_started(&mut self) {
+        self.walks += 1;
+    }
+
+    fn evaluate(&mut self, p: &BatchProgram, oi: usize, f: impl FnOnce(&mut Self) -> bool) -> bool {
+        let started = Instant::now();
+        let changed = f(self);
+        let nanos = started.elapsed().as_nanos() as u64;
+        let row = &mut self.ranks[p.op_ranks[oi] as usize];
+        row.evals += 1;
+        row.changes += changed as u64;
+        row.nanos += nanos;
+        changed
+    }
+}
+
+/// Folds the known running lanes of every changed column into the bits
+/// held, and notes each word's first access.
+impl WalkObserver for WalkRecord {
+    fn column_changed<const W: usize>(&mut self, p: &BatchProgram, s: &LaneState<W>, slot: usize) {
+        let vmask = mask(p.widths[slot]);
+        let mut m = s.known[slot] & s.running;
+        while m != 0 {
+            let l = m.trailing_zeros() as usize;
+            m &= m - 1;
+            let v = s.values[slot * W + l] as u64 & vmask;
+            self.ever1[slot] |= v;
+            self.ever0[slot] |= !v & vmask;
+        }
+    }
+
+    fn mem_access(&mut self, mem: usize, addr: usize, access: FirstAccess) {
+        let first = &mut self.first[mem][addr];
+        if *first == FirstAccess::Untouched {
+            *first = access;
+        }
+    }
+}
+
+/// The instrument a [`BatchSim`]'s walks feed.
+enum Instrument {
+    Profile(WalkProfile),
+    Record(WalkRecord),
+}
+
 /// The compiled program: the bytecode and every table a walk reads but
 /// never writes, independent of the lane width. Compile it once per
 /// netlist, attach its control units, and share it through an `Arc`
@@ -452,10 +528,6 @@ struct LaneState<const W: usize> {
     lane_cycles: Vec<u64>,
     cycles: u64,
     comb_evals: u64,
-    /// Opt-in per-rank profile; `None` runs the untimed walk.
-    profile: Option<Box<WalkProfile>>,
-    /// Opt-in walk record; `None` runs the walk without recording code.
-    record: Option<Box<WalkRecord>>,
 }
 
 /// The compiled engine over `W` lanes: a shared [`BatchProgram`] and the
@@ -463,6 +535,8 @@ struct LaneState<const W: usize> {
 pub struct BatchSim<const W: usize> {
     program: Arc<BatchProgram>,
     lanes: LaneState<W>,
+    /// The one instrument the walks feed, if any.
+    instrument: Option<Instrument>,
 }
 
 /// Canonicalizes a raw result at `shift = 64 - width`.
@@ -837,7 +911,11 @@ impl<const W: usize> BatchSim<W> {
     /// states, everything dirty. Creating one only allocates lane state.
     pub fn new(program: Arc<BatchProgram>) -> Self {
         let lanes = LaneState::new(&program);
-        BatchSim { program, lanes }
+        BatchSim {
+            program,
+            lanes,
+            instrument: None,
+        }
     }
 
     /// Compiles a netlist ([`BatchProgram::compile`]) and instantiates
@@ -984,23 +1062,7 @@ impl<const W: usize> BatchSim<W> {
 
     /// [`load_mem`](Self::load_mem) into every lane.
     pub fn load_mem_all(&mut self, name: &str, image: &[Option<i64>]) -> bool {
-        let p = &self.program;
-        let Some(&mi) = p.mem_names.get(name) else {
-            return false;
-        };
-        let shape = p.mems[mi];
-        let mem = &mut self.lanes.mems[mi];
-        for (addr, word) in image.iter().enumerate().take(shape.size) {
-            match word {
-                Some(v) => {
-                    mem.data[addr * W..addr * W + W].fill(canon(*v, shape.shift));
-                    mem.known[addr] = LaneState::<W>::ALL;
-                }
-                None => mem.known[addr] = 0,
-            }
-        }
-        self.lanes.mark_mem_readers(p, mi);
-        true
+        (0..W).all(|lane| self.load_mem(name, lane, image))
     }
 
     /// Final image of one lane of the named SRAM (`None` entries are
@@ -1060,15 +1122,16 @@ impl<const W: usize> BatchSim<W> {
         self.lanes.comb_evals
     }
 
-    /// Turns on the per-rank walk profile. Profiling only observes:
-    /// cycle and evaluation counters, values, and outcomes are
-    /// bit-identical with it on or off.
+    /// Turns on the per-rank walk profile, in place of a walk record if
+    /// one was on (an instance feeds one instrument at most). Profiling
+    /// only observes: cycle and evaluation counters, values, and
+    /// outcomes are bit-identical with it on or off.
     pub fn enable_profile(&mut self) {
         let mut rank_sizes = vec![0u64; self.program.rank_count()];
         for &rank in &self.program.op_ranks {
             rank_sizes[rank as usize] += 1;
         }
-        self.lanes.profile = Some(Box::new(WalkProfile {
+        self.instrument = Some(Instrument::Profile(WalkProfile {
             walks: 0,
             ranks: vec![RankProfile::default(); rank_sizes.len()],
             rank_sizes,
@@ -1076,42 +1139,51 @@ impl<const W: usize> BatchSim<W> {
     }
 
     /// The accumulated profile, when [`enable_profile`](Self::enable_profile)
-    /// was called.
+    /// was the last instrument turned on.
     pub fn profile(&self) -> Option<&WalkProfile> {
-        self.lanes.profile.as_deref()
-    }
-
-    /// Turns on the walk record: from here on, the known bits every
-    /// signal takes in a running lane and the first access to every
-    /// memory word are noted. Values already held count at once, so a
-    /// constant's bits and a control unit's initial outputs count from
-    /// construction (call this once the run is set up). X values set
-    /// neither mask. Recording only observes: cycles, evaluation counts,
-    /// values, memories and outcomes are bit-identical with it on or off,
-    /// and walks without it run an instance of the loop that carries no
-    /// recording code.
-    pub fn enable_record(&mut self) {
-        let p = &self.program;
-        let slots = p.widths.len();
-        let s = &mut self.lanes;
-        s.record = Some(Box::new(WalkRecord {
-            ever0: vec![0; slots],
-            ever1: vec![0; slots],
-            first: p
-                .mems
-                .iter()
-                .map(|m| vec![FirstAccess::Untouched; m.size])
-                .collect(),
-        }));
-        for slot in 0..slots {
-            s.note_bits(p, slot);
+        match &self.instrument {
+            Some(Instrument::Profile(profile)) => Some(profile),
+            _ => None,
         }
     }
 
-    /// The bits each named signal held while recording (nothing when
-    /// [`enable_record`](Self::enable_record) was not called).
+    /// Turns on the walk record, in place of a profile if one was on:
+    /// from here on, the known bits every signal takes in a running lane
+    /// and the first access to every memory word are noted. Values
+    /// already held count at once, so a constant's bits and a control
+    /// unit's initial outputs count from construction (call this once
+    /// the run is set up). X values set neither mask. Recording only
+    /// observes: cycles, evaluation counts, values, memories and outcomes
+    /// are bit-identical with it on or off.
+    pub fn enable_record(&mut self) {
+        let p = &self.program;
+        let slots = p.widths.len();
+        let first = p.mems.iter().map(|m| vec![FirstAccess::Untouched; m.size]);
+        let mut record = WalkRecord {
+            ever0: vec![0; slots],
+            ever1: vec![0; slots],
+            first: first.collect(),
+        };
+        for slot in 0..slots {
+            record.column_changed(p, &self.lanes, slot);
+        }
+        self.instrument = Some(Instrument::Record(record));
+    }
+
+    /// The walk record, when [`enable_record`](Self::enable_record) was
+    /// the last instrument turned on.
+    fn record(&self) -> Option<&WalkRecord> {
+        match &self.instrument {
+            Some(Instrument::Record(record)) => Some(record),
+            _ => None,
+        }
+    }
+
+    /// The bits each named signal held while recording (nothing unless
+    /// [`enable_record`](Self::enable_record) was the last instrument
+    /// turned on).
     pub fn recorded_signals(&self) -> impl Iterator<Item = (&str, SignalBits)> + '_ {
-        let record = self.lanes.record.as_deref();
+        let record = self.record();
         let p = &self.program;
         p.signal_index.iter().filter_map(move |(name, &slot)| {
             let record = record?;
@@ -1125,10 +1197,10 @@ impl<const W: usize> BatchSim<W> {
     }
 
     /// Each named memory's first access per word while recording
-    /// (nothing when [`enable_record`](Self::enable_record) was not
-    /// called).
+    /// (nothing unless [`enable_record`](Self::enable_record) was the
+    /// last instrument turned on).
     pub fn recorded_accesses(&self) -> impl Iterator<Item = (&str, &[FirstAccess])> + '_ {
-        let record = self.lanes.record.as_deref();
+        let record = self.record();
         self.program
             .mem_names
             .iter()
@@ -1142,7 +1214,12 @@ impl<const W: usize> BatchSim<W> {
     /// Once a single lane is left running, it finishes one lane wide
     /// (see the [module docs](self)).
     pub fn run_batch(&mut self, max_cycles: u64) -> BatchSummary {
-        self.lanes.run_batch(&self.program, max_cycles)
+        let (p, lanes) = (&*self.program, &mut self.lanes);
+        match &mut self.instrument {
+            None => lanes.run_batch(p, max_cycles, &mut ()),
+            Some(Instrument::Profile(profile)) => lanes.run_batch(p, max_cycles, profile),
+            Some(Instrument::Record(record)) => lanes.run_batch(p, max_cycles, record),
+        }
     }
 
     /// Single-result run: lane 0's outcome in the [`CycleSummary`] shape,
@@ -1156,12 +1233,7 @@ impl<const W: usize> BatchSim<W> {
     pub fn run(&mut self, max_cycles: u64) -> Result<CycleSummary, CycleSimError> {
         let start_evals = self.lanes.comb_evals;
         let summary = self.run_batch(max_cycles);
-        let lane = summary
-            .lanes
-            .first()
-            .cloned()
-            .flatten()
-            .expect("lane 0 is active");
+        let lane = summary.lanes[0].clone().expect("lane 0 is active");
         let outcome = match lane.outcome {
             LaneOutcome::Failed(m) => return Err(CycleSimError::Failed(m)),
             LaneOutcome::Done => CycleOutcome::Done,
@@ -1229,8 +1301,6 @@ impl<const W: usize> LaneState<W> {
             lane_cycles: vec![0; W],
             cycles: 0,
             comb_evals: 0,
-            profile: None,
-            record: None,
         };
         state.mark_all(p);
         state
@@ -1262,13 +1332,11 @@ impl<const W: usize> LaneState<W> {
 
     /// Marks everything that reads `slot`: the comb ops with it as an
     /// input, and the registers sampling it as `d`/`en`/`rst`. Every
-    /// change of a slot's column passes through here, so a `RECORD`ing
-    /// walk folds the new column into the walk record here too.
+    /// change of a slot's column passes through here, so this is where
+    /// the observer hears of it.
     #[inline]
-    fn mark_slot<const RECORD: bool>(&mut self, p: &BatchProgram, slot: usize) {
-        if RECORD {
-            self.note_bits(p, slot);
-        }
+    fn mark_slot<O: WalkObserver>(&mut self, p: &BatchProgram, slot: usize, obs: &mut O) {
+        obs.column_changed(p, self, slot);
         for &op in &p.readers[slot] {
             self.dirty[(op / 64) as usize] |= 1u64 << (op % 64);
         }
@@ -1346,7 +1414,7 @@ impl<const W: usize> LaneState<W> {
             m &= m - 1;
             self.values[base + l] = self.clamp_lane(slot, l, self.values[base + l], shift);
         }
-        self.mark_slot::<false>(p, slot);
+        self.mark_slot(p, slot, &mut ());
         Ok(true)
     }
 
@@ -1356,34 +1424,6 @@ impl<const W: usize> LaneState<W> {
         for (sram, &op) in p.srams.iter().zip(&p.sram_read_op) {
             if sram.mem as usize == mem {
                 self.mark_op(op);
-            }
-        }
-    }
-
-    /// Folds the known running lanes of `slot` into the walk record.
-    fn note_bits(&mut self, p: &BatchProgram, slot: usize) {
-        let Some(record) = self.record.as_deref_mut() else {
-            return;
-        };
-        let vmask = mask(p.widths[slot]);
-        let base = slot * W;
-        let mut m = self.known[slot] & self.running;
-        while m != 0 {
-            let l = m.trailing_zeros() as usize;
-            m &= m - 1;
-            let v = self.values[base + l] as u64 & vmask;
-            record.ever1[slot] |= v;
-            record.ever0[slot] |= !v & vmask;
-        }
-    }
-
-    /// Notes an access to word `addr` of memory `mem`, if it is the
-    /// word's first.
-    fn note_access(&mut self, mem: usize, addr: usize, access: FirstAccess) {
-        if let Some(record) = self.record.as_deref_mut() {
-            let first = &mut record.first[mem][addr];
-            if *first == FirstAccess::Untouched {
-                *first = access;
             }
         }
     }
@@ -1439,10 +1479,10 @@ impl<const W: usize> LaneState<W> {
     }
 
     /// One walk of the bytecode: flips, reset drive, the op loop, the
-    /// edge commit, and per-lane termination — one clock cycle. The
-    /// `RECORD` instance also feeds the walk record; the other carries
-    /// no recording code.
-    fn walk<const RECORD: bool>(&mut self, p: &BatchProgram) {
+    /// edge commit, and per-lane termination — one clock cycle, told to
+    /// `obs` as it goes.
+    fn walk<O: WalkObserver>(&mut self, p: &BatchProgram, obs: &mut O) {
+        obs.walk_started();
         // Transient flips scheduled for this cycle, known lanes only.
         if !self.flips.is_empty() {
             for i in 0..self.flips.len() {
@@ -1485,7 +1525,7 @@ impl<const W: usize> LaneState<W> {
                         self.reg_dirty[r / 64] |= 1u64 << (r % 64);
                     }
                 }
-                self.mark_slot::<RECORD>(p, slot);
+                self.mark_slot(p, slot, obs);
                 // A flipped Moore output must be reverted by the edge's
                 // change-detected redrive of every output.
                 self.force_fsm_drive = true;
@@ -1507,45 +1547,26 @@ impl<const W: usize> LaneState<W> {
             if self.known[y] != Self::ALL || self.values[base..base + W] != out {
                 self.values[base..base + W].copy_from_slice(&out);
                 self.known[y] = Self::ALL;
-                self.mark_slot::<RECORD>(p, y);
+                self.mark_slot(p, y, obs);
             }
         }
 
-        if let Some(profile) = self.profile.as_mut() {
-            profile.walks += 1;
-            self.eval_ops::<true, RECORD>(p);
-        } else {
-            self.eval_ops::<false, RECORD>(p);
-        }
-        self.commit_edge::<RECORD>(p);
+        self.eval_ops(p, obs);
+        self.commit_edge(p, obs);
     }
 
     /// The settle phase: drains the dirty bitset in ascending (rank)
     /// order. Evaluating an op can re-dirty later positions, including
     /// in the word being drained, so each word is re-fetched until it
-    /// empties; rank order guarantees no earlier bit ever sets. The
-    /// `PROFILE` instance also times each evaluation into its rank's
-    /// row; the other carries no timing code.
-    fn eval_ops<const PROFILE: bool, const RECORD: bool>(&mut self, p: &BatchProgram) {
+    /// empties; rank order guarantees no earlier bit ever sets.
+    fn eval_ops<O: WalkObserver>(&mut self, p: &BatchProgram, obs: &mut O) {
         for word in 0..self.dirty.len() {
             while self.dirty[word] != 0 {
                 let bit = self.dirty[word].trailing_zeros() as usize;
                 self.dirty[word] &= !(1u64 << bit);
                 self.comb_evals += 1;
                 let oi = word * 64 + bit;
-                if PROFILE {
-                    let started = Instant::now();
-                    let changed = self.eval_op::<RECORD>(p, oi);
-                    let nanos = started.elapsed().as_nanos() as u64;
-                    let rank = p.op_ranks[oi] as usize;
-                    let profile = self.profile.as_mut().expect("profiling enabled");
-                    let row = &mut profile.ranks[rank];
-                    row.evals += 1;
-                    row.changes += changed as u64;
-                    row.nanos += nanos;
-                } else {
-                    self.eval_op::<RECORD>(p, oi);
-                }
+                obs.evaluate(p, oi, |obs| self.eval_op(p, oi, obs));
             }
         }
     }
@@ -1553,12 +1574,11 @@ impl<const W: usize> LaneState<W> {
     /// Evaluates one bytecode op into a scratch column, applies the
     /// fault clamp, and — only when the column or its known mask
     /// actually changed — writes it back and marks the slot's readers.
-    /// Returns whether it changed. A `RECORD`ing walk notes each
-    /// read-port evaluation (enabled, not writing, known in-range
-    /// address) as a read of that word, whether or not the word is
-    /// known.
+    /// Returns whether it changed. Each read-port evaluation (enabled,
+    /// not writing, known in-range address) of a running lane is a read
+    /// of that word for the observer, whether or not the word is known.
     #[inline(always)]
-    fn eval_op<const RECORD: bool>(&mut self, p: &BatchProgram, oi: usize) -> bool {
+    fn eval_op<O: WalkObserver>(&mut self, p: &BatchProgram, oi: usize, obs: &mut O) -> bool {
         let mut out = [0i64; W];
         let (y, shift, kout) = match p.ops[oi] {
             BOp::Bin { kind, a, b, y, shift } => {
@@ -1752,8 +1772,8 @@ impl<const W: usize> LaneState<W> {
                         if a0 < size {
                             out.copy_from_slice(&m.data[a0 * W..a0 * W + W]);
                             kout = m.known[a0];
-                            if RECORD && self.running != 0 {
-                                self.note_access(mem, a0, FirstAccess::Read);
+                            if self.running != 0 {
+                                obs.mem_access(mem, a0, FirstAccess::Read);
                             }
                         }
                     }
@@ -1772,8 +1792,8 @@ impl<const W: usize> LaneState<W> {
                             continue; // X address reads X (writes fail)
                         }
                         let a = ((self.values[addr_base + l] as u64) & addr_mask) as usize;
-                        if RECORD && a < size && self.running & bit != 0 {
-                            self.note_access(mem, a, FirstAccess::Read);
+                        if a < size && self.running & bit != 0 {
+                            obs.mem_access(mem, a, FirstAccess::Read);
                         }
                         let m = &self.mems[mem];
                         if a >= size || m.known[a] & bit == 0 {
@@ -1799,7 +1819,7 @@ impl<const W: usize> LaneState<W> {
         if self.known[y] != kout || self.values[base..base + W] != out {
             self.values[base..base + W].copy_from_slice(&out);
             self.known[y] = kout;
-            self.mark_slot::<RECORD>(p, y);
+            self.mark_slot(p, y, obs);
             return true;
         }
         false
@@ -1824,12 +1844,13 @@ impl<const W: usize> LaneState<W> {
     /// after one is `force`d: every output of every running lane, staying
     /// lanes included, is redriven with per-lane change detection, as the
     /// sweep engine's drive does.
-    fn commit_fsm<const RECORD: bool>(
+    fn commit_fsm<O: WalkObserver>(
         &mut self,
         p: &BatchProgram,
         fi: usize,
         force: bool,
         done_mask: &mut u64,
+        obs: &mut O,
     ) {
         let fsm = &p.fsms[fi];
         let states = fsm.table.states();
@@ -1887,13 +1908,8 @@ impl<const W: usize> LaneState<W> {
                         m &= m - 1;
                         self.fsm_state[col + l] = to as u32;
                     }
-                    if force {
-                        let all = 0..fsm.outputs.len();
-                        self.drive_outputs::<RECORD>(p, fsm, to, all, taken, true);
-                    } else {
-                        let delta = fsm.deltas[from][ti].iter().map(|&j| j as usize);
-                        self.drive_outputs::<RECORD>(p, fsm, to, delta, taken, false);
-                    }
+                    let delta = (!force).then(|| fsm.deltas[from][ti].as_slice());
+                    self.drive_outputs(p, fsm, to, delta, taken, obs);
                     if states[to].terminal {
                         *done_mask |= taken;
                     }
@@ -1902,27 +1918,27 @@ impl<const W: usize> LaneState<W> {
             // Lanes that stay put (terminal or unmatched) redrive only on
             // forced walks.
             if force && undecided != 0 {
-                let all = 0..fsm.outputs.len();
-                self.drive_outputs::<RECORD>(p, fsm, from, all, undecided, true);
+                self.drive_outputs(p, fsm, from, None, undecided, obs);
             }
         }
     }
 
-    /// Drives `state`'s Moore values for the given `outputs` (indices
-    /// into the control unit's output list) into `lanes`, marking each
-    /// written slot's readers: unconditionally when unforced (a
-    /// transition's delta, or every output of every lane at
-    /// registration), only on a change when `force`d.
-    fn drive_outputs<const RECORD: bool>(
+    /// Drives `state`'s Moore values into `lanes`, marking each written
+    /// slot's readers: the outputs in `delta` (a transition's delta,
+    /// indices into the control unit's output list) unconditionally, or,
+    /// when forced (`None`), every output where it changes.
+    fn drive_outputs<O: WalkObserver>(
         &mut self,
         p: &BatchProgram,
         fsm: &BFsm,
         state: usize,
-        outputs: impl Iterator<Item = usize>,
+        delta: Option<&[u32]>,
         lanes: u64,
-        force: bool,
+        obs: &mut O,
     ) {
-        for j in outputs {
+        let force = delta.is_none();
+        let count = delta.map_or(fsm.outputs.len(), <[u32]>::len);
+        for j in (0..count).map(|i| delta.map_or(i, |d| d[i] as usize)) {
             let slot = fsm.outputs[j] as usize;
             let v = fsm.state_values[state][j];
             let shift = fsm.out_shifts[j];
@@ -1938,7 +1954,7 @@ impl<const W: usize> LaneState<W> {
             }
             self.known[slot] |= lanes;
             if changed {
-                self.mark_slot::<RECORD>(p, slot);
+                self.mark_slot(p, slot, obs);
             }
         }
     }
@@ -1948,7 +1964,7 @@ impl<const W: usize> LaneState<W> {
     /// the same phase order as `FlatModel::commit_edge` — then the cycle
     /// counter and per-lane termination with the sweep engine's
     /// watch-beats-done priority.
-    fn commit_edge<const RECORD: bool>(&mut self, p: &BatchProgram) {
+    fn commit_edge<O: WalkObserver>(&mut self, p: &BatchProgram, obs: &mut O) {
         // Phase a: sample the dirty registers into scratch (all lanes;
         // commit is masked later so frozen-lane samples are
         // unobservable). The dirty set is drained fully — a register
@@ -2051,9 +2067,7 @@ impl<const W: usize> LaneState<W> {
                 }
                 self.mems[mem].data[a * W + l] = canon(self.values[din * W + l], shift);
                 self.mems[mem].known[a] |= bit;
-                if RECORD {
-                    self.note_access(mem, a, FirstAccess::Write);
-                }
+                obs.mem_access(mem, a, FirstAccess::Write);
                 wrote = true;
             }
             // A committed write dirties the read path even though no
@@ -2068,7 +2082,7 @@ impl<const W: usize> LaneState<W> {
         let force = std::mem::take(&mut self.force_fsm_drive);
         let mut done_mask = 0u64;
         for fi in 0..p.fsms.len() {
-            self.commit_fsm::<RECORD>(p, fi, force, &mut done_mask);
+            self.commit_fsm(p, fi, force, &mut done_mask, obs);
         }
 
         // Phase d: register commit (non-blocking) for the registers
@@ -2097,7 +2111,7 @@ impl<const W: usize> LaneState<W> {
                 if self.known[q] != new_known || dst[..] != src[..] {
                     dst.copy_from_slice(src);
                     self.known[q] = new_known;
-                    self.mark_slot::<RECORD>(p, q);
+                    self.mark_slot(p, q, obs);
                 }
                 continue;
             }
@@ -2120,7 +2134,7 @@ impl<const W: usize> LaneState<W> {
                 }
             }
             if changed {
-                self.mark_slot::<RECORD>(p, q);
+                self.mark_slot(p, q, obs);
             }
         }
         self.edge_regs = edge_regs;
@@ -2171,8 +2185,13 @@ impl<const W: usize> LaneState<W> {
         }
     }
 
-    /// See [`BatchSim::run_batch`].
-    fn run_batch(&mut self, p: &BatchProgram, max_cycles: u64) -> BatchSummary {
+    /// See [`BatchSim::run_batch`]; every walk is told to `obs`.
+    fn run_batch<O: WalkObserver>(
+        &mut self,
+        p: &BatchProgram,
+        max_cycles: u64,
+        obs: &mut O,
+    ) -> BatchSummary {
         for l in 0..W {
             if self.outcomes[l] == Some(LaneOutcome::CycleLimit) {
                 self.outcomes[l] = None;
@@ -2196,11 +2215,9 @@ impl<const W: usize> LaneState<W> {
                 break;
             }
             if W > 1 && self.running.count_ones() == 1 {
-                self.run_lone_lane(p, max_cycles - (self.cycles - start));
-            } else if self.record.is_some() {
-                self.walk::<true>(p);
+                self.run_lone_lane(p, max_cycles - (self.cycles - start), obs);
             } else {
-                self.walk::<false>(p);
+                self.walk(p, obs);
             }
         }
         BatchSummary {
@@ -2221,12 +2238,12 @@ impl<const W: usize> LaneState<W> {
     /// Runs the one running lane to its end (or `max_cycles`) in a
     /// one-lane instance of the same program, then moves it back. The
     /// lane's values, known bits, memory words, FSM states, clamp row and
-    /// scheduled flips move over, with the cycle counter, the evaluation
-    /// count, the profile and the record. The one-lane instance starts
-    /// with everything dirty and a forced Moore drive, the re-arm
-    /// [`set_active`](Self::set_active) makes, and so does this instance
-    /// once the lane is back.
-    fn run_lone_lane(&mut self, p: &BatchProgram, max_cycles: u64) {
+    /// scheduled flips move over, with the cycle counter and the
+    /// evaluation count, and `obs` hears the one-lane walks. The one-lane
+    /// instance starts with everything dirty and a forced Moore drive,
+    /// the re-arm [`set_active`](Self::set_active) makes, and so does
+    /// this instance once the lane is back.
+    fn run_lone_lane<O: WalkObserver>(&mut self, p: &BatchProgram, max_cycles: u64, obs: &mut O) {
         let lane = self.running.trailing_zeros() as usize;
         let bit = 1u64 << lane;
         let mut one = LaneState::<1>::new(p);
@@ -2261,10 +2278,8 @@ impl<const W: usize> LaneState<W> {
         one.force_fsm_drive = true;
         one.cycles = self.cycles;
         one.comb_evals = self.comb_evals;
-        one.profile = self.profile.take();
-        one.record = self.record.take();
 
-        one.run_batch(p, max_cycles);
+        one.run_batch(p, max_cycles, obs);
 
         // A lane that finished reads its freeze-frame, which may differ
         // from the live column when it failed mid-settle.
@@ -2294,8 +2309,6 @@ impl<const W: usize> LaneState<W> {
         self.running = 0;
         self.cycles = one.cycles;
         self.comb_evals = one.comb_evals;
-        self.profile = one.profile.take();
-        self.record = one.record.take();
         self.mark_all(p);
         self.force_fsm_drive = true;
     }

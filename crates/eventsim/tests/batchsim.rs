@@ -951,6 +951,26 @@ fn walk_record_notes_held_bits_and_first_accesses() {
     assert_eq!(plain.recorded_accesses().count(), 0);
 }
 
+/// A walk feeds one instrument at most: turning one on replaces the
+/// other, whose readers then read nothing.
+#[test]
+fn turning_on_one_instrument_replaces_the_other() {
+    let mut profiled = record_sim::<1>(true);
+    profiled.enable_profile();
+    assert_eq!(profiled.recorded_signals().count(), 0);
+    assert_eq!(profiled.recorded_accesses().count(), 0);
+    profiled.run_batch(20);
+    assert_eq!(profiled.profile().map(|profile| profile.walks), Some(3));
+
+    let mut recorded = record_sim::<1>(false);
+    recorded.enable_profile();
+    recorded.enable_record();
+    assert!(recorded.profile().is_none());
+    recorded.run_batch(20);
+    assert!(recorded.profile().is_none());
+    assert_eq!(recorded_bits(&recorded, "fo").ever1, 0b1111);
+}
+
 /// Recording only observes: on the lane-parity netlist with its fault
 /// plan, a recording walk gives the same cycles, evaluation counts,
 /// outcomes, values and memories as a plain one, at one lane and at 64.
@@ -1180,13 +1200,9 @@ fn lone_lanes() -> Vec<LoneLane> {
         .collect()
 }
 
-/// Runs `lanes` (lane `l` of the engine gets `lanes[l]`) through the
-/// lone-lane design with both budgets, returning every lane's snapshot
-/// after each budget and the evaluation count.
-fn lone_batch<const W: usize>(
-    lanes: &[LoneLane],
-    profile: bool,
-) -> (Vec<[LaneSnapshot; 2]>, u64, BatchSim<W>) {
+/// The lone-lane design with `lanes` injected and loaded (lane `l` of
+/// the engine gets `lanes[l]`).
+fn lone_sim<const W: usize>(lanes: &[LoneLane]) -> BatchSim<W> {
     let mut sim = instance::<W>(&lone_netlist(), |p| {
         p.add_control_unit(
             "ctl",
@@ -1202,6 +1218,17 @@ fn lone_batch<const W: usize>(
         assert!(sim.load_mem("limits", l, &[Some(lane.limit), Some(0)]));
         assert!(sim.load_mem("aux", l, &[lane.aux, Some(0)]));
     }
+    sim
+}
+
+/// Runs `lanes` through the lone-lane design with both budgets,
+/// returning every lane's snapshot after each budget and the evaluation
+/// count.
+fn lone_batch<const W: usize>(
+    lanes: &[LoneLane],
+    profile: bool,
+) -> (Vec<[LaneSnapshot; 2]>, u64, BatchSim<W>) {
+    let mut sim = lone_sim::<W>(lanes);
     if profile {
         sim.enable_profile();
     }
@@ -1330,4 +1357,57 @@ fn a_lone_lane_finishes_like_a_fresh_one_lane_run() {
     let profile = sim.profile().expect("profiling enabled");
     let rank_evals: u64 = profile.ranks.iter().map(|row| row.evals).sum();
     assert_eq!(rank_evals, evals);
+}
+
+/// The walk record of a pack is the union of its lanes' own records, at
+/// 64 lanes and across the lone lane's one-lane finish: each signal's
+/// bits are the OR of every lane's one-lane record, and a memory word is
+/// untouched in the pack exactly when no lane's walk touched it.
+#[test]
+fn a_packed_record_is_the_union_of_its_lanes_records() {
+    /// Each signal's bits, and each memory's words as untouched or not.
+    type Record = (BTreeMap<String, SignalBits>, BTreeMap<String, Vec<bool>>);
+    fn recorded<const W: usize>(lanes: &[LoneLane]) -> Record {
+        let mut sim = lone_sim::<W>(lanes);
+        sim.enable_record();
+        for budget in LONE_BUDGETS {
+            sim.run_batch(budget);
+        }
+        let signals = sim
+            .recorded_signals()
+            .map(|(name, bits)| (name.to_string(), bits));
+        let words = sim.recorded_accesses().map(|(mem, words)| {
+            let untouched = words.iter().map(|&w| w == FirstAccess::Untouched);
+            (mem.to_string(), untouched.collect())
+        });
+        (signals.collect(), words.collect())
+    }
+    let lanes = lone_lanes();
+    let (pack_signals, pack_words) = recorded::<LANES>(&lanes);
+    let (mut signals, mut words) = recorded::<1>(&lanes[..1]);
+    for lane in &lanes[1..] {
+        let (lane_signals, lane_words) = recorded::<1>(std::slice::from_ref(lane));
+        for (name, bits) in lane_signals {
+            let union = signals
+                .get_mut(&name)
+                .expect("every lane records every signal");
+            union.ever0 |= bits.ever0;
+            union.ever1 |= bits.ever1;
+        }
+        for (mem, lane_words) in lane_words {
+            let union = words
+                .get_mut(&mem)
+                .expect("every lane records every memory");
+            for (untouched, lane_untouched) in union.iter_mut().zip(lane_words) {
+                *untouched &= lane_untouched;
+            }
+        }
+    }
+    assert_eq!((pack_signals.len(), pack_words.len()), (20, 3));
+    assert_eq!(pack_signals, signals);
+    assert_eq!(pack_words, words);
+    // The scenario holds: only the lone lane counts past 127, which it
+    // does one lane wide, and no lane reads the second `aux` word.
+    assert_ne!(pack_signals["cnt"].ever1 & 0x80, 0);
+    assert_eq!(pack_words["aux"], [false, true]);
 }

@@ -137,7 +137,8 @@ const SHARD_HEARTBEAT: u64 = 25;
 ///
 /// Returns the underlying I/O error for corpus or checkpoint trouble; a
 /// malformed or mismatched resume checkpoint (seed, cases, width,
-/// injection, tick or shrink budget) surfaces as
+/// injection, tick or shrink budget, or divergences and generator errors
+/// that do not fit its completed prefix) surfaces as
 /// [`io::ErrorKind::InvalidData`]. Execution itself never errors:
 /// failures are counted in the report.
 pub fn run_campaign_sharded(
@@ -236,6 +237,7 @@ pub fn run_campaign_sharded(
             .get("divergences")
             .and_then(Json::as_array)
             .ok_or_else(|| bad("divergences"))?;
+        resumed = checkpoint.completed;
         for entry in list {
             let text = |name: &str| {
                 entry
@@ -249,7 +251,11 @@ pub fn run_campaign_sharded(
                     .and_then(Json::as_u64)
                     .ok_or_else(|| bad(name))
             };
+            // Divergences are merged in index order, inside the prefix.
             let index = num("index")?;
+            if index >= resumed || state.divergence_info.last().is_some_and(|d| d.0 >= index) {
+                return Err(bad("divergences"));
+            }
             let source = text("source")?.to_string();
             let program = nenya::lang::parse(&source)
                 .map_err(|e| invalid(format!("checkpoint shrunk case {index}: {e}")))?;
@@ -271,7 +277,9 @@ pub fn run_campaign_sharded(
             });
         }
         state.divergences = state.shrunk.len();
-        resumed = checkpoint.completed;
+        if (state.divergences + state.generator_errors) as u64 > resumed {
+            return Err(bad("generator_errors"));
+        }
     } else {
         bias = missing_ops(&start_coverage);
         let (seed, cases, width) = (opts.seed, opts.cases, opts.width);

@@ -105,3 +105,69 @@ fn resume_refuses_a_completed_prefix_past_the_total() {
     assert!(stderr.contains("completed"), "{stderr}");
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// A checkpoint's divergences lie inside its completed prefix, in index
+/// order, and fit in it with its generator errors. A finished
+/// `branch-polarity` run (23 divergences, indices 5 to 39) edited to
+/// `completed: [[0, 5]]` once resumed to report 46 divergences of 40
+/// cases; it exits 2 naming `divergences`. One claiming more generator
+/// errors than its prefix has room for exits 2 naming
+/// `generator_errors`.
+#[test]
+fn resume_refuses_divergences_outside_the_completed_prefix() {
+    use fpgatest::telemetry::Json;
+    fn member<'a>(doc: &'a mut Json, key: &str) -> &'a mut Json {
+        let Json::Obj(members) = doc else {
+            panic!("'{key}' is read from an object")
+        };
+        &mut members.iter_mut().find(|(k, _)| k == key).expect(key).1
+    }
+    let dir = std::env::temp_dir().join("fpgafuzz_cli_divergences_past_prefix");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let run = |flag: &str, checkpoint: &std::path::Path| {
+        bin()
+            .args([
+                "run",
+                "--seed",
+                "42",
+                "--cases",
+                "40",
+                "--inject",
+                "branch-polarity",
+            ])
+            .args(["--max-ticks", "50000", flag])
+            .arg(checkpoint)
+            .output()
+            .unwrap()
+    };
+    let finished = dir.join("finished.ckpt");
+    let out = run("--checkpoint", &finished);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    let text = std::fs::read_to_string(&finished).unwrap();
+
+    let mut past_prefix = Json::parse(&text).unwrap();
+    let divergences = member(member(&mut past_prefix, "state"), "divergences");
+    let first = divergences
+        .as_array()
+        .and_then(|list| list[0].get("index")?.as_u64());
+    assert_eq!(first, Some(5));
+    *member(&mut past_prefix, "completed") = Json::parse("[[0, 5]]").unwrap();
+    let mut extra_errors = Json::parse(&text).unwrap();
+    *member(member(&mut extra_errors, "state"), "generator_errors") = Json::parse("18").unwrap();
+
+    let crafted = dir.join("crafted.ckpt");
+    for (doc, named) in [
+        (past_prefix, "divergences"),
+        (extra_errors, "generator_errors"),
+    ] {
+        std::fs::write(&crafted, doc.emit_pretty()).unwrap();
+        let out = run("--resume", &crafted);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{named}: {stderr}");
+        let message = format!("{named} does not match this campaign");
+        assert!(stderr.contains(&message), "{stderr}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -210,7 +210,6 @@ USAGE:
   fpgatest serve [--listen ADDR] [--workers N] [--cache N] [--timeout MS]
                 [--ledger FILE] [--retries N] [--backoff MS] [--max-queue N]
                 [--max-line BYTES] [--read-deadline MS] [--idle-timeout MS]
-                [--chaos SEED]
   fpgatest submit <suite.manifest> --addr ADDR [--design NAME]... [--engine E]
                 [--faults --seed N --sites N [--shards N]] [--max-ticks N]
                 [--timeout MS] [--events-out FILE|-] [--report FILE] [--no-cache]
@@ -699,23 +698,18 @@ fn cmd_serve(args: &[String]) -> Result<ExitCode, String> {
             "--max-line" => options.max_line_len = value.parse()?,
             "--read-deadline" => options.read_deadline_ms = value.parse()?,
             "--idle-timeout" => options.idle_ms = value.parse()?,
-            "--chaos" => options.chaos = Some(value.parse()?),
             _ => return Ok(false),
         }
         Ok(true)
     })?;
     let workers = options.workers;
     let cache = options.cache_capacity;
-    let chaos = options.chaos;
     let server =
         Server::bind(&listen, options).map_err(|e| format!("cannot bind {listen}: {e}"))?;
     outln!(
         "fpgatest serve: listening on {} ({workers} workers, cache {cache} designs)",
         server.local_addr()
     );
-    if let Some(seed) = chaos {
-        eprintln!("fpgatest serve: CHAOS MODE — workers will be killed deterministically (seed {seed})");
-    }
     let _ = std::io::stdout().flush();
     // The handler only sets a flag (signal handlers must not take
     // locks); a watcher thread does the actual drain. Served fault jobs
@@ -808,7 +802,7 @@ fn cmd_submit(args: &[String]) -> Result<ExitCode, String> {
     // Submit everything first so the daemon's worker pool runs cases in
     // parallel, then collect verdicts in manifest order. Specs are kept
     // so a lost daemon can be survived: reconnect, resume by id, or
-    // resubmit when the restarted daemon no longer knows the id.
+    // resubmit when the daemon no longer knows the id.
     let kind = if faults {
         JobKind::Faults
     } else {

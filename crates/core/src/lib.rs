@@ -69,7 +69,7 @@
 //!   a reader that closes the pipe early.
 //! * [`flags`] — the command-line tools' flag reader.
 //! * [`rng`] — the SplitMix64 generator behind fault-site sampling, the
-//!   serve chaos hook and the fuzzer.
+//!   serve daemon's retry backoff and the fuzzer.
 
 pub mod cache;
 pub mod campaign;

@@ -2,10 +2,10 @@
 //! workspace.
 //!
 //! SplitMix64: tiny, fast, and fully reproducible from a `u64` seed.
-//! Fault-site sampling, the serve daemon's chaos hook and retry backoff
-//! jitter, and the fuzzer (which re-exports it as `fpgafuzz::rng::Rng`)
-//! draw from it, and none of them consults wall-clock or OS randomness
-//! (the repo's determinism rule).
+//! Fault-site sampling, the serve daemon's retry backoff jitter, and
+//! the fuzzer (which re-exports it as `fpgafuzz::rng::Rng`) draw from
+//! it, and none of them consults wall-clock or OS randomness (the
+//! repo's determinism rule).
 
 /// A SplitMix64 generator.
 #[derive(Debug, Clone)]

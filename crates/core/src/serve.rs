@@ -57,13 +57,14 @@
 //! ## Fault tolerance
 //!
 //! The daemon assumes its parts fail routinely and contains each blast
-//! radius:
+//! radius. Its contract is that every accepted job reaches exactly one
+//! terminal outcome: every outcome, executed, cancelled while queued or
+//! shed, goes through one function, and each dequeued job reaches it
+//! once. The worker pool is [`ServeOptions::workers`] plain threads.
+//! Each attempt runs behind the shield above, and a panic in the retry
+//! loop around it is a `crash` outcome too, so no worker dies holding a
+//! job.
 //!
-//! * a **supervisor** thread watches the worker pool; a worker that
-//!   dies mid-job (a panic that somehow escapes both shields — or the
-//!   `--chaos` hook below) has its job requeued at the front (the death
-//!   charged as one attempt) and a replacement worker spawned, so every
-//!   accepted job still reaches exactly one terminal outcome;
 //! * **retries**: `crash`/`timeout` outcomes rerun up to
 //!   [`ServeOptions::retries`] times with bounded exponential backoff
 //!   plus deterministic jitter; the attempt count rides on
@@ -79,10 +80,10 @@
 //!   [`ServeOptions::max_line_len`] gets `frame-too-long` (OOM guard);
 //!   a connection idle past [`ServeOptions::idle_ms`] with no pending
 //!   jobs is closed silently;
-//! * **chaos hook**: [`ServeOptions::chaos`] seeds a deterministic
-//!   worker-killer (a fraction of dequeues panic the worker before the
-//!   job's own shields arm) so the supervisor/retry machinery is
-//!   testable end to end.
+//! * **bounded memory**: only the [`FINISHED_KEPT`] most recently
+//!   finished outcomes are kept; `status`, `result` and `cancel` of an
+//!   older id answer `unknown-job`, which
+//!   [`Client::wait_or_resubmit`] turns into a resubmission.
 //!
 //! ## Shutdown
 //!
@@ -446,9 +447,9 @@ pub struct JobOutcome {
     pub exit_code: i32,
     /// Wall-clock seconds from dequeue to verdict.
     pub wall_seconds: f64,
-    /// Execution attempts charged to the job: 1 for the common case,
-    /// more when retries or worker deaths reran it, 0 for jobs that
-    /// never started (cancelled while queued / shed).
+    /// Executed attempts: 1 for the common case, more when retries
+    /// reran it, 0 for jobs that never started (cancelled while queued /
+    /// shed).
     pub attempts: u64,
     /// Failure detail (empty on pass).
     pub detail: String,
@@ -458,6 +459,19 @@ pub struct JobOutcome {
 }
 
 impl JobOutcome {
+    /// The outcome of job `id`, cancelled before it started.
+    fn cancelled(id: u64, detail: &str) -> JobOutcome {
+        JobOutcome {
+            id,
+            verdict: "cancelled".to_string(),
+            exit_code: 2,
+            wall_seconds: 0.0,
+            attempts: 0,
+            detail: detail.to_string(),
+            report: Json::Null,
+        }
+    }
+
     /// Serializes to a `job-finished` response line.
     pub fn to_json(&self) -> Json {
         Json::obj([
@@ -672,14 +686,14 @@ pub struct ServeOptions {
     /// How long a connection with no buffered bytes and no pending jobs
     /// may idle before being closed silently.
     pub idle_ms: u64,
-    /// Chaos-test hook: deterministic seed for the worker-killer (a
-    /// fraction of job dequeues panic the worker thread before the
-    /// job's own shields arm). `None` in production.
-    pub chaos: Option<u64>,
 }
 
 /// Retry backoff ceiling — exponential growth stops here.
 pub const BACKOFF_CAP_MS: u64 = 2_000;
+
+/// Finished outcomes the daemon keeps for `status` and `result`; the
+/// oldest is dropped when another job finishes.
+pub const FINISHED_KEPT: usize = 1024;
 
 impl Default for ServeOptions {
     fn default() -> Self {
@@ -694,7 +708,6 @@ impl Default for ServeOptions {
             max_line_len: 8 * 1024 * 1024,
             read_deadline_ms: 10_000,
             idle_ms: 600_000,
-            chaos: None,
         }
     }
 }
@@ -721,14 +734,42 @@ impl JobState {
     }
 }
 
-#[derive(Clone)]
+/// Every job's state by id. Queued and running jobs stay until they
+/// finish; of the finished ones only the newest [`FINISHED_KEPT`] stay.
+#[derive(Default)]
+struct JobTable {
+    states: HashMap<u64, JobState>,
+    /// The finished ids kept, oldest first.
+    finished: VecDeque<u64>,
+}
+
+impl JobTable {
+    /// Records `outcome`'s job as finished, dropping the oldest finished
+    /// job past [`FINISHED_KEPT`].
+    fn finish(&mut self, outcome: JobOutcome) {
+        let id = outcome.id;
+        self.states.insert(
+            id,
+            JobState::Finished {
+                outcome: Box::new(outcome),
+            },
+        );
+        self.finished.push_back(id);
+        if self.finished.len() > FINISHED_KEPT {
+            if let Some(oldest) = self.finished.pop_front() {
+                self.states.remove(&oldest);
+            }
+        }
+    }
+}
+
 struct QueuedJob {
     id: u64,
     spec: JobSpec,
     sender: LineSender,
-    /// Attempts already charged to this job (worker deaths requeue with
-    /// the death counted, so a poison job cannot crash workers forever).
-    attempt: u32,
+    /// The job's event stream onto `sender`, disabled unless the spec
+    /// asks for events; the job's terminal `campaign-finished` ends it.
+    events: EventSink,
     /// The submitting connection's accepted-but-unfinished job count —
     /// the idle-deadline must not close a connection still owed a
     /// `job-finished` line.
@@ -753,7 +794,7 @@ struct ServerState {
     queue_signal: Condvar,
     /// Shutdown waits here for `inflight` to reach zero.
     idle: Condvar,
-    jobs: Mutex<HashMap<u64, JobState>>,
+    jobs: Mutex<JobTable>,
     next_id: AtomicU64,
     stopped: AtomicBool,
     submitted: AtomicU64,
@@ -765,12 +806,8 @@ struct ServerState {
     shed: AtomicU64,
     /// Retry attempts executed (not counting each job's first).
     retried: AtomicU64,
-    /// Workers respawned by the supervisor.
-    restarts: AtomicU64,
     /// `(id, kind:name)` of jobs quarantined after exhausting retries.
     quarantined: Mutex<Vec<(u64, String)>>,
-    /// Position in the chaos worker-killer's deterministic stream.
-    chaos_ticks: AtomicU64,
     /// Serializes ledger appends across workers.
     ledger_lock: Mutex<()>,
 }
@@ -780,7 +817,7 @@ impl ServerState {
         self.work.lock().unwrap_or_else(|p| p.into_inner())
     }
 
-    fn lock_jobs(&self) -> std::sync::MutexGuard<'_, HashMap<u64, JobState>> {
+    fn lock_jobs(&self) -> std::sync::MutexGuard<'_, JobTable> {
         self.jobs.lock().unwrap_or_else(|p| p.into_inner())
     }
 
@@ -794,9 +831,7 @@ impl ServerState {
 pub struct Server {
     listener: TcpListener,
     state: Arc<ServerState>,
-    /// The supervisor owns the worker pool (spawning, death detection,
-    /// respawn); the server only joins the supervisor.
-    supervisor: JoinHandle<()>,
+    workers: Vec<JoinHandle<()>>,
 }
 
 impl Server {
@@ -806,7 +841,8 @@ impl Server {
     ///
     /// # Errors
     ///
-    /// Propagates the bind failure.
+    /// Propagates the bind failure, or a worker thread that cannot be
+    /// spawned (the workers already started then exit).
     pub fn bind(addr: &str, options: ServeOptions) -> io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
@@ -821,7 +857,7 @@ impl Server {
             }),
             queue_signal: Condvar::new(),
             idle: Condvar::new(),
-            jobs: Mutex::new(HashMap::new()),
+            jobs: Mutex::default(),
             next_id: AtomicU64::new(1),
             stopped: AtomicBool::new(false),
             submitted: AtomicU64::new(0),
@@ -830,22 +866,32 @@ impl Server {
             overloaded: AtomicU64::new(0),
             shed: AtomicU64::new(0),
             retried: AtomicU64::new(0),
-            restarts: AtomicU64::new(0),
             quarantined: Mutex::new(Vec::new()),
-            chaos_ticks: AtomicU64::new(0),
             ledger_lock: Mutex::new(()),
         });
-        let supervisor = {
-            let state = Arc::clone(&state);
-            std::thread::Builder::new()
-                .name("serve-supervisor".to_string())
-                .spawn(move || supervisor_loop(&state))
-                .expect("spawn supervisor thread")
-        };
+        let mut workers = Vec::new();
+        for index in 0..state.options.workers.max(1) {
+            let worker = Arc::clone(&state);
+            let spawned = std::thread::Builder::new()
+                .name(format!("serve-worker-{index}"))
+                .spawn(move || worker_loop(&worker));
+            match spawned {
+                Ok(handle) => workers.push(handle),
+                Err(e) => {
+                    // Nothing is queued yet, so the workers already
+                    // started return as soon as the drain begins.
+                    drain(&state);
+                    for worker in workers {
+                        let _ = worker.join();
+                    }
+                    return Err(e);
+                }
+            }
+        }
         Ok(Server {
             listener,
             state,
-            supervisor,
+            workers,
         })
     }
 
@@ -882,7 +928,11 @@ impl Server {
                 .spawn(move || handle_connection(&state, stream));
         }
         self.state.queue_signal.notify_all();
-        let _ = self.supervisor.join();
+        for worker in self.workers {
+            worker
+                .join()
+                .map_err(|_| io::Error::other("a serve worker panicked"))?;
+        }
         Ok(())
     }
 }
@@ -1027,14 +1077,14 @@ fn dispatch_request(
         Ok(Request::Submit(spec)) => submit_job(state, *spec, sender, conn_pending),
         Ok(Request::Status(id)) => {
             let jobs = state.lock_jobs();
-            match jobs.get(&id) {
+            match jobs.states.get(&id) {
                 Some(job_state) => sender.send_json(&resp_status(id, job_state)),
                 None => sender.send_json(&resp_error("unknown-job", &format!("no job {id}"))),
             }
         }
         Ok(Request::Result(id)) => {
             let jobs = state.lock_jobs();
-            match jobs.get(&id) {
+            match jobs.states.get(&id) {
                 // Replay the terminal line; a reconnected client
                 // resumes exactly where its old connection died.
                 Some(JobState::Finished { outcome }) => {
@@ -1048,7 +1098,7 @@ fn dispatch_request(
         }
         Ok(Request::Cancel(id)) => {
             let mut jobs = state.lock_jobs();
-            match jobs.get_mut(&id) {
+            match jobs.states.get_mut(&id) {
                 // Only queued jobs can be cancelled; the worker
                 // notices the flag at dequeue and reports the
                 // `cancelled` verdict. Running/finished jobs just
@@ -1085,10 +1135,8 @@ fn dispatch_request(
 }
 
 /// Load-shedding drain: flips draining on and cancels every job still
-/// queued. Each shed job gets its terminal `job-finished` line (verdict
-/// `cancelled`, 0 attempts) so the accepted-implies-terminal-outcome
-/// invariant holds; in-flight jobs are untouched (the follow-up
-/// [`drain`] waits for them).
+/// queued (verdict `cancelled`, 0 attempts); in-flight jobs are
+/// untouched (the follow-up [`drain`] waits for them).
 fn shed_queue(state: &ServerState) {
     let taken: Vec<QueuedJob> = {
         let mut work = state.lock_work();
@@ -1096,40 +1144,63 @@ fn shed_queue(state: &ServerState) {
         work.queue.drain(..).collect()
     };
     for job in taken {
-        let outcome = JobOutcome {
-            id: job.id,
-            verdict: "cancelled".to_string(),
-            exit_code: 2,
-            wall_seconds: 0.0,
-            attempts: 0,
-            detail: "shed: server draining under load".to_string(),
-            report: Json::Null,
-        };
-        // Terminal state before notification, as in `run_one_job`.
-        state.lock_jobs().insert(
-            job.id,
-            JobState::Finished {
-                outcome: Box::new(outcome.clone()),
-            },
-        );
-        state.finished.fetch_add(1, Ordering::SeqCst);
         state.shed.fetch_add(1, Ordering::SeqCst);
-        release_inflight(state);
-        job.sender.send_json(&outcome.to_json());
-        job.conn_pending.fetch_sub(1, Ordering::SeqCst);
+        let outcome = JobOutcome::cancelled(job.id, "shed: server draining under load");
+        finish_job(state, job, outcome);
     }
 }
 
-/// Drops one unit of the drain count and wakes shutdown waiters. Part
-/// of a job's terminal bookkeeping, so it must run *before* the
-/// `job-finished` line goes out — a client reacting instantly to that
-/// line must already see the job gone from `inflight`. Saturating so
-/// the worker loop's panic-path fallback can never underflow.
-fn release_inflight(state: &ServerState) {
-    let mut work = state.lock_work();
-    work.inflight = work.inflight.saturating_sub(1);
-    if work.inflight == 0 {
-        state.idle.notify_all();
+/// The one terminal path, which every accepted job reaches exactly
+/// once: executed, cancelled while queued or shed. An event-streaming
+/// job's stream ends with a serve-level `campaign-finished`, whatever
+/// the verdict. The job is recorded finished, counted and released from
+/// `inflight` *before* its `job-finished` line goes out, so a client
+/// reacting instantly to that line (a stats query, a status poll, a
+/// shutdown) already sees it so.
+fn finish_job(state: &ServerState, job: QueuedJob, outcome: JobOutcome) {
+    let key = format!("{}:{}", job.spec.kind.as_str(), job.spec.name);
+    let passed = u64::from(outcome.verdict == "pass");
+    let failed = u64::from(outcome.exit_code != 0);
+    job.events.emit(&Event::CampaignFinished {
+        kind: "serve".to_string(),
+        key: key.clone(),
+        done: passed,
+        failed,
+        wall_seconds: outcome.wall_seconds,
+    });
+    let ledger_line = state.options.ledger.as_ref().map(|path| {
+        let entry = LedgerEntry {
+            engine: job.spec.engine.to_string(),
+            wall_seconds: outcome.wall_seconds,
+            passed,
+            failed,
+            detected_fraction: outcome
+                .report
+                .get("detected_fraction")
+                .and_then(Json::as_f64),
+            counters: vec![
+                ("exit_code".to_string(), f64::from(outcome.exit_code)),
+                ("attempts".to_string(), outcome.attempts as f64),
+            ],
+            ..LedgerEntry::new("serve", &key)
+        };
+        (path, entry)
+    });
+    let line = outcome.to_json();
+    state.lock_jobs().finish(outcome);
+    state.finished.fetch_add(1, Ordering::SeqCst);
+    {
+        let mut work = state.lock_work();
+        work.inflight -= 1;
+        if work.inflight == 0 {
+            state.idle.notify_all();
+        }
+    }
+    job.sender.send_json(&line);
+    job.conn_pending.fetch_sub(1, Ordering::SeqCst);
+    if let Some((path, entry)) = ledger_line {
+        let _guard = state.ledger_lock.lock().unwrap_or_else(|p| p.into_inner());
+        let _ = ledger::append(path, &entry);
     }
 }
 
@@ -1166,14 +1237,22 @@ fn submit_job(
             return;
         }
         let id = state.next_id.fetch_add(1, Ordering::SeqCst);
-        state.lock_jobs().insert(id, JobState::Queued);
+        state.lock_jobs().states.insert(id, JobState::Queued);
         work.inflight += 1;
         conn_pending.fetch_add(1, Ordering::SeqCst);
+        let events = if spec.events {
+            EventSink::to_writer(Box::new(SinkToConnection {
+                sender: sender.clone(),
+                buf: Vec::new(),
+            }))
+        } else {
+            EventSink::disabled()
+        };
         work.queue.push_back(QueuedJob {
             id,
             spec,
             sender: sender.clone(),
-            attempt: 0,
+            events,
             conn_pending: Arc::clone(conn_pending),
         });
         state.queue_signal.notify_one();
@@ -1212,7 +1291,6 @@ fn stats_json(state: &ServerState) -> Json {
         ("overloaded", Json::from(state.overloaded.load(Ordering::SeqCst))),
         ("shed", Json::from(state.shed.load(Ordering::SeqCst))),
         ("retried", Json::from(state.retried.load(Ordering::SeqCst))),
-        ("worker_restarts", Json::from(state.restarts.load(Ordering::SeqCst))),
         ("quarantined", Json::Arr(quarantined)),
         ("queued", Json::from(queued)),
         ("inflight", Json::from(inflight)),
@@ -1235,95 +1313,7 @@ fn stats_json(state: &ServerState) -> Json {
 // Workers
 // ---------------------------------------------------------------------------
 
-/// A worker's "currently running" slot, shared with the supervisor. A
-/// worker parks its job here before executing; a worker that dies
-/// mid-job leaves the slot occupied, which is how the supervisor knows
-/// what to requeue.
-type WorkerSlot = Arc<Mutex<Option<QueuedJob>>>;
-
-/// How often the supervisor sweeps the pool for dead workers.
-const SUPERVISE_POLL_MS: u64 = 20;
-
-fn spawn_worker(state: &Arc<ServerState>, index: usize, slot: &WorkerSlot) -> JoinHandle<()> {
-    let state = Arc::clone(state);
-    let slot = Arc::clone(slot);
-    std::thread::Builder::new()
-        .name(format!("serve-worker-{index}"))
-        .spawn(move || worker_loop(&state, &slot))
-        .expect("spawn worker thread")
-}
-
-/// Owns the worker pool: spawns it, sweeps for dead workers, requeues
-/// the job a dead worker was holding (front of queue, death charged as
-/// an attempt), and respawns replacements. Returns once every worker
-/// exits naturally at the end of a drain.
-fn supervisor_loop(state: &Arc<ServerState>) {
-    let mut next_index = state.options.workers.max(1);
-    let mut pool: Vec<(JoinHandle<()>, WorkerSlot)> = (0..next_index)
-        .map(|index| {
-            let slot: WorkerSlot = Arc::new(Mutex::new(None));
-            (spawn_worker(state, index, &slot), slot)
-        })
-        .collect();
-    loop {
-        std::thread::sleep(Duration::from_millis(SUPERVISE_POLL_MS));
-        let mut alive: Vec<(JoinHandle<()>, WorkerSlot)> = Vec::with_capacity(pool.len());
-        for (handle, slot) in pool {
-            if !handle.is_finished() {
-                alive.push((handle, slot));
-                continue;
-            }
-            let _ = handle.join();
-            let died_holding = slot.lock().unwrap_or_else(|p| p.into_inner()).take();
-            let draining = state.lock_work().draining;
-            if let Some(mut job) = died_holding {
-                // Abnormal death mid-job: charge the death as one
-                // attempt and requeue at the *front* (the job was next
-                // in line; starving it would break FIFO fairness and
-                // the exactly-once terminal-outcome invariant).
-                // `inflight` is untouched — the job never finished.
-                job.attempt = job.attempt.saturating_add(1);
-                state.lock_jobs().insert(job.id, JobState::Queued);
-                state.lock_work().queue.push_front(job);
-                state.queue_signal.notify_one();
-                state.restarts.fetch_add(1, Ordering::SeqCst);
-                let slot: WorkerSlot = Arc::new(Mutex::new(None));
-                alive.push((spawn_worker(state, next_index, &slot), slot));
-                next_index += 1;
-            } else if !draining {
-                // Died between jobs (shouldn't happen, but a supervisor
-                // that assumes that would be pointless): keep the pool
-                // at strength.
-                state.restarts.fetch_add(1, Ordering::SeqCst);
-                let slot: WorkerSlot = Arc::new(Mutex::new(None));
-                alive.push((spawn_worker(state, next_index, &slot), slot));
-                next_index += 1;
-            }
-            // Drained worker with an empty slot: natural exit, let it go.
-        }
-        pool = alive;
-        if pool.is_empty() {
-            return;
-        }
-    }
-}
-
-/// Deterministic chaos: when [`ServeOptions::chaos`] is set, roughly a
-/// quarter of job dequeues kill the worker thread via panic *before*
-/// the job's own isolation arms — exactly the failure the supervisor
-/// exists for. SplitMix64 over (seed, tick) keeps runs reproducible:
-/// tick `t` takes output `t` (from 0) of `Rng::new(seed)`, jumped to
-/// directly.
-fn chaos_maybe_kill_worker(state: &ServerState) {
-    let Some(seed) = state.options.chaos else { return };
-    let tick = state.chaos_ticks.fetch_add(1, Ordering::SeqCst);
-    let stream = seed.wrapping_add(tick.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-    if Rng::new(stream).next_u64().is_multiple_of(4) {
-        panic!("chaos: worker killed mid-job (seed {seed}, tick {tick})");
-    }
-}
-
-fn worker_loop(state: &Arc<ServerState>, slot: &WorkerSlot) {
+fn worker_loop(state: &Arc<ServerState>) {
     loop {
         let job = {
             let mut work = state.lock_work();
@@ -1340,21 +1330,7 @@ fn worker_loop(state: &Arc<ServerState>, slot: &WorkerSlot) {
                     .unwrap_or_else(|p| p.into_inner());
             }
         };
-        // Park the job in the supervisor-visible slot before anything
-        // can go wrong; clear it only after the bookkeeping below, so a
-        // death anywhere in between leaves the job recoverable.
-        *slot.lock().unwrap_or_else(|p| p.into_inner()) = Some(job.clone());
-        chaos_maybe_kill_worker(state);
-        // run_one_job already isolates the flow; this outer shield only
-        // guards serve's own bookkeeping so the drain count never leaks.
-        let finished = catch_unwind(AssertUnwindSafe(|| run_one_job(state, job)));
-        *slot.lock().unwrap_or_else(|p| p.into_inner()) = None;
-        if finished.is_err() {
-            // run_one_job normally releases the drain count itself as
-            // part of terminal bookkeeping; if it panicked before
-            // getting there, keep the daemon drainable anyway.
-            release_inflight(state);
-        }
+        run_one_job(state, job);
     }
 }
 
@@ -1373,67 +1349,49 @@ fn backoff_delay(base_ms: u64, attempt: u64, job_id: u64) -> Duration {
 }
 
 fn run_one_job(state: &Arc<ServerState>, job: QueuedJob) {
-    let QueuedJob {
-        id,
-        spec,
-        sender,
-        attempt: prior_attempts,
-        conn_pending,
-    } = job;
-    let started = Instant::now();
     let cancelled = {
         let mut jobs = state.lock_jobs();
-        match jobs.get(&id) {
+        match jobs.states.get(&job.id) {
             Some(JobState::Cancelled) => true,
             _ => {
-                jobs.insert(id, JobState::Running);
+                jobs.states.insert(job.id, JobState::Running);
                 false
             }
         }
     };
-    let sink = if spec.events {
-        EventSink::to_writer(Box::new(SinkToConnection {
-            sender: sender.clone(),
-            buf: Vec::new(),
-        }))
-    } else {
-        EventSink::disabled()
-    };
-    let wall_ms = spec.wall_ms.unwrap_or(state.options.default_wall_ms);
-    // Worker deaths already charged attempts; the retry budget is
-    // shared between deaths and executed failures, so a job that kills
-    // every worker it touches still terminates (quarantined).
+    if cancelled {
+        let outcome = JobOutcome::cancelled(job.id, "cancelled while queued");
+        return finish_job(state, job, outcome);
+    }
+    let started = Instant::now();
+    let wall_ms = job.spec.wall_ms.unwrap_or(state.options.default_wall_ms);
     let max_attempts = u64::from(state.options.retries) + 1;
-    let mut attempts = u64::from(prior_attempts);
-    let (mut verdict, exit_code, mut detail, report) = if cancelled {
-        (
-            "cancelled".to_string(),
-            2,
-            "cancelled while queued".to_string(),
-            Json::Null,
-        )
-    } else {
-        loop {
-            attempts += 1;
-            let work = {
-                let (state, spec) = (Arc::clone(state), spec.clone());
-                move |events: &EventSink| execute_job(&state, &spec, events)
-            };
-            let result = suite::shield(Some(wall_ms), &sink, work)
-                .unwrap_or_else(|failure| case_verdict(&failure));
-            let retryable = result.0 == "crash" || result.0 == "timeout";
-            if retryable && attempts < max_attempts {
-                state.retried.fetch_add(1, Ordering::SeqCst);
-                std::thread::sleep(backoff_delay(
-                    state.options.backoff_base_ms,
-                    attempts,
-                    id,
-                ));
-                continue;
-            }
+    let mut attempts = 0;
+    // Each attempt runs behind the shield; a panic in the loop's own
+    // bookkeeping is a crash of the job, which still finishes.
+    let attempt_loop = catch_unwind(AssertUnwindSafe(|| loop {
+        attempts += 1;
+        let work = {
+            let (state, spec) = (Arc::clone(state), job.spec.clone());
+            move |events: &EventSink| execute_job(&state, &spec, events)
+        };
+        let result = suite::shield(Some(wall_ms), &job.events, work)
+            .unwrap_or_else(|failure| case_verdict(&failure));
+        let retryable = result.0 == "crash" || result.0 == "timeout";
+        if !retryable || attempts >= max_attempts {
             break result;
         }
-    };
+        state.retried.fetch_add(1, Ordering::SeqCst);
+        std::thread::sleep(backoff_delay(
+            state.options.backoff_base_ms,
+            attempts,
+            job.id,
+        ));
+    }));
+    let (mut verdict, exit_code, mut detail, report) = attempt_loop.unwrap_or_else(|payload| {
+        let message = crate::faults::panic_message(&*payload);
+        case_verdict(&CaseResult::Crashed(message))
+    });
     if (verdict == "crash" || verdict == "timeout")
         && max_attempts > 1
         && attempts >= max_attempts
@@ -1445,59 +1403,18 @@ fn run_one_job(state: &Arc<ServerState>, job: QueuedJob) {
         verdict = "quarantined".to_string();
         state
             .lock_quarantined()
-            .push((id, format!("{}:{}", spec.kind.as_str(), spec.name)));
-    }
-    let wall_seconds = started.elapsed().as_secs_f64();
-    if sink.is_enabled() {
-        // The stream contract: every event-streaming job ends with a
-        // serve-level campaign-finished, whatever the verdict.
-        sink.emit(&Event::CampaignFinished {
-            kind: "serve".to_string(),
-            key: format!("{}:{}", spec.kind.as_str(), spec.name),
-            done: u64::from(verdict == "pass"),
-            failed: u64::from(exit_code != 0),
-            wall_seconds,
-        });
+            .push((job.id, format!("{}:{}", job.spec.kind.as_str(), job.spec.name)));
     }
     let outcome = JobOutcome {
-        id,
-        verdict: verdict.clone(),
+        id: job.id,
+        verdict,
         exit_code,
-        wall_seconds,
+        wall_seconds: started.elapsed().as_secs_f64(),
         attempts,
         detail,
         report,
     };
-    // Record the terminal state *before* notifying the client: a client
-    // reacting instantly to the job-finished line (a stats query, a
-    // status poll) must already see the job finished, counted, and out
-    // of the inflight drain count.
-    state.lock_jobs().insert(
-        id,
-        JobState::Finished {
-            outcome: Box::new(outcome.clone()),
-        },
-    );
-    state.finished.fetch_add(1, Ordering::SeqCst);
-    release_inflight(state);
-    sender.send_json(&outcome.to_json());
-    conn_pending.fetch_sub(1, Ordering::SeqCst);
-    if let Some(path) = &state.options.ledger {
-        let mut entry = LedgerEntry::new("serve", &format!("{}:{}", spec.kind.as_str(), spec.name));
-        entry.engine = spec.engine.to_string();
-        entry.wall_seconds = wall_seconds;
-        entry.passed = u64::from(verdict == "pass");
-        entry.failed = u64::from(exit_code != 0);
-        if let Some(fraction) = outcome.report.get("detected_fraction").and_then(Json::as_f64) {
-            entry.detected_fraction = Some(fraction);
-        }
-        entry
-            .counters
-            .push(("exit_code".to_string(), f64::from(exit_code)));
-        entry.counters.push(("attempts".to_string(), attempts as f64));
-        let _guard = state.ledger_lock.lock().unwrap_or_else(|p| p.into_inner());
-        let _ = ledger::append(path, &entry);
-    }
+    finish_job(state, job, outcome);
 }
 
 fn execute_job(state: &ServerState, spec: &JobSpec, sink: &EventSink) -> (String, i32, String, Json) {
@@ -1741,8 +1658,8 @@ impl Client {
     }
 
     /// Kills the underlying socket without telling the daemon — the
-    /// next read observes a lost connection. A chaos-test hook for
-    /// exercising the [`reconnect`](Client::reconnect) /
+    /// next read observes a lost connection. A test hook for exercising
+    /// the [`reconnect`](Client::reconnect) /
     /// [`wait_or_resubmit`](Client::wait_or_resubmit) recovery paths;
     /// production code has no reason to call it.
     pub fn sever(&mut self) {
@@ -1916,7 +1833,8 @@ impl Client {
     /// # Errors
     ///
     /// [`ClientError::Rejected`] with code `unknown-job` for an id this
-    /// daemon never issued (e.g. it restarted and lost its state).
+    /// daemon does not know: one it never issued (e.g. it restarted and
+    /// lost its state) or one whose outcome it dropped ([`FINISHED_KEPT`]).
     pub fn result(&mut self, id: u64) -> Result<Option<JobOutcome>, ClientError> {
         if let Some(outcome) = self.finished.remove(&id) {
             return Ok(Some(outcome));
@@ -1949,9 +1867,9 @@ impl Client {
 
     /// [`wait`](Client::wait), hardened against losing the daemon
     /// mid-stream: on disconnect it reconnects with backoff and resumes
-    /// by id via the `result` request; if the daemon restarted and no
-    /// longer knows the id (`unknown-job`), the job is resubmitted from
-    /// `spec`. Interleaved events that were in flight when the
+    /// by id via the `result` request; if the daemon no longer knows
+    /// the id (`unknown-job`: it restarted, or dropped the outcome, see
+    /// [`FINISHED_KEPT`]), the job is resubmitted from `spec`. Interleaved events that were in flight when the
     /// connection died are lost — the terminal outcome is not.
     ///
     /// # Errors
@@ -1980,8 +1898,8 @@ impl Client {
                     // on this one would hang forever: poll instead.
                     Ok(None) => std::thread::sleep(Duration::from_millis(200)),
                     Err(ClientError::Rejected { code, .. }) if code == "unknown-job" => {
-                        // The daemon restarted and lost the job. The
-                        // spec is idempotent (same design, same seed):
+                        // The daemon restarted or dropped the outcome.
+                        // The spec is idempotent (same design, same seed):
                         // resubmit and wait on the fresh id.
                         id = self.submit(spec)?;
                         continue 'wait;

@@ -414,13 +414,13 @@ impl Drop for Daemon {
 impl Daemon {
     /// Starts `fpgatest serve --listen 127.0.0.1:0` with `args`. Returns
     /// the daemon, the address it listens on and the rest of its stdout.
-    fn start(args: &[&str], stderr: Stdio) -> (Daemon, String, BufReader<ChildStdout>) {
+    fn start(args: &[&str]) -> (Daemon, String, BufReader<ChildStdout>) {
         let mut daemon = Daemon(
             bin()
                 .args(["serve", "--listen", "127.0.0.1:0"])
                 .args(args)
                 .stdout(Stdio::piped())
-                .stderr(stderr)
+                .stderr(Stdio::null())
                 .spawn()
                 .expect("daemon starts"),
         );
@@ -470,7 +470,7 @@ fn assert_every_job_passed(report: &Path) {
 #[test]
 fn served_suite_events_and_report_hold() {
     let dir = workdir("served_suite");
-    let (mut daemon, addr, _) = Daemon::start(&["--workers", "2"], Stdio::null());
+    let (mut daemon, addr, _) = Daemon::start(&["--workers", "2"]);
 
     let (events, report) = (dir.join("events.jsonl"), dir.join("submit.json"));
     let submit = bin()
@@ -524,7 +524,7 @@ fn served_suite_events_and_report_hold() {
 #[test]
 fn served_fault_campaign_matches_fpgatest_faults() {
     let dir = workdir("served_faults");
-    let (mut daemon, addr, _) = Daemon::start(&[], Stdio::null());
+    let (mut daemon, addr, _) = Daemon::start(&[]);
     let campaign = [
         "--design", "hamming", "--seed", "1", "--sites", "32", "--report",
     ];
@@ -594,39 +594,30 @@ fn expect_error(reader: &mut impl BufRead, code: &str) {
     assert_eq!(field(&reply, "code").as_deref(), Some(code), "{line}");
 }
 
-/// The daemon under chaos (about a quarter of job dequeues kill the
-/// worker mid-job) serves the example suite past its kills and two
-/// hostile clients:
+/// The daemon serves the example suite past two hostile clients:
 /// - a client that stalls half a request line past the read deadline
 ///   while the suite runs gets the typed `deadline` error;
 /// - three garbage frames (malformed JSON, an unknown request type,
 ///   binary bytes) each get a typed `bad-request` error;
-/// - every suite job passes with exit 0, at least one worker was
-///   restarted, every submitted job finished, and none is in flight or
-///   queued;
+/// - every suite job passes with exit 0, every submitted job finished,
+///   and none is in flight or queued;
 /// - the daemon drains on shutdown and leaves its ledger behind.
 #[test]
-fn chaos_daemon_serves_the_suite_past_kills_and_hostile_clients() {
-    let dir = workdir("chaos");
+fn served_suite_passes_past_stalled_and_garbage_clients() {
+    let dir = workdir("hostile");
     let ledger = dir.join("ledger.jsonl");
-    let serve_err = std::fs::File::create(dir.join("serve.err")).unwrap();
-    let (mut daemon, addr, mut stdout) = Daemon::start(
-        &[
-            "--workers",
-            "2",
-            "--retries",
-            "3",
-            "--backoff",
-            "5",
-            "--read-deadline",
-            "1000",
-            "--chaos",
-            "42",
-            "--ledger",
-            ledger.to_str().expect("UTF-8 temp path"),
-        ],
-        serve_err.into(),
-    );
+    let (mut daemon, addr, mut stdout) = Daemon::start(&[
+        "--workers",
+        "2",
+        "--retries",
+        "3",
+        "--backoff",
+        "5",
+        "--read-deadline",
+        "1000",
+        "--ledger",
+        ledger.to_str().expect("UTF-8 temp path"),
+    ]);
 
     let stall = {
         let mut conn = connect(&addr);
@@ -670,7 +661,6 @@ fn chaos_daemon_serves_the_suite_past_kills_and_hostile_clients() {
             .unwrap_or_else(|| panic!("no '{key}' in {}", stats.emit()))
     };
     assert_every_job_passed(&report);
-    assert!(count("worker_restarts") >= 1, "{}", stats.emit());
     assert_eq!(
         count("finished"),
         count("submitted"),
@@ -684,8 +674,6 @@ fn chaos_daemon_serves_the_suite_past_kills_and_hostile_clients() {
     let mut rest = String::new();
     stdout.read_to_string(&mut rest).unwrap();
     assert!(rest.contains("drained and stopped"), "{rest}");
-    let serve_err = std::fs::read_to_string(dir.join("serve.err")).unwrap();
-    assert!(serve_err.contains("CHAOS MODE"), "{serve_err}");
     assert!(!std::fs::read_to_string(&ledger).unwrap().is_empty());
     std::fs::remove_dir_all(&dir).ok();
 }

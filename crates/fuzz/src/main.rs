@@ -38,21 +38,41 @@ const USAGE: &str = "usage:
   fpgafuzz gen --seed N --index I [--width W]
   fpgafuzz repro --seed N --index I [--width W] [--inject branch-polarity|signal-fault] [--max-ticks T]";
 
+/// Why a command failed. Only a usage error (a missing or unknown
+/// command, a flag error, a missing required flag) is followed by the
+/// usage text.
+enum Failure {
+    Usage(String),
+    Run(String),
+}
+
+impl From<String> for Failure {
+    fn from(message: String) -> Failure {
+        Failure::Run(message)
+    }
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match dispatch(&args) {
         Ok(code) => code,
-        Err(e) => {
+        Err(Failure::Usage(e)) => {
             eprintln!("fpgafuzz: {e}");
             eprintln!("{USAGE}");
+            ExitCode::from(2)
+        }
+        Err(Failure::Run(e)) => {
+            eprintln!("fpgafuzz: {e}");
             ExitCode::from(2)
         }
     }
 }
 
-fn dispatch(args: &[String]) -> Result<ExitCode, String> {
-    let (command, rest) = args.split_first().ok_or("missing command")?;
-    type Command = fn(FuzzArgs) -> Result<ExitCode, String>;
+fn dispatch(args: &[String]) -> Result<ExitCode, Failure> {
+    let (command, rest) = args
+        .split_first()
+        .ok_or_else(|| Failure::Usage("missing command".to_string()))?;
+    type Command = fn(FuzzArgs) -> Result<ExitCode, Failure>;
     let (run, accepted): (Command, &str) = match command.as_str() {
         "run" => (
             cmd_run,
@@ -62,12 +82,12 @@ fn dispatch(args: &[String]) -> Result<ExitCode, String> {
         "distill" => (cmd_distill, "--corpus --width --out --max-ticks"),
         "gen" => (cmd_gen, "--seed --index --width"),
         "repro" => (cmd_repro, "--seed --index --width --inject --max-ticks"),
-        other => return Err(format!("unknown command '{other}'")),
+        other => return Err(Failure::Usage(format!("unknown command '{other}'"))),
     };
-    run(FuzzArgs::read(rest, accepted)?)
+    run(FuzzArgs::read(rest, accepted).map_err(Failure::Usage)?)
 }
 
-fn cmd_run(args: FuzzArgs) -> Result<ExitCode, String> {
+fn cmd_run(args: FuzzArgs) -> Result<ExitCode, Failure> {
     let events = match &args.events_out {
         None => fpgatest::events::EventSink::disabled(),
         Some(path) => fpgatest::events::EventSink::to_path(path)
@@ -135,9 +155,9 @@ fn cmd_run(args: FuzzArgs) -> Result<ExitCode, String> {
     }
 }
 
-fn cmd_distill(args: FuzzArgs) -> Result<ExitCode, String> {
+fn cmd_distill(args: FuzzArgs) -> Result<ExitCode, Failure> {
     let report = distill(&DistillOptions {
-        corpus_dir: args.corpus.ok_or("--corpus is required")?,
+        corpus_dir: required(args.corpus, "--corpus")?,
         width: args.width,
         out_dir: args.out,
         max_ticks: args.max_ticks,
@@ -147,7 +167,7 @@ fn cmd_distill(args: FuzzArgs) -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_gen(args: FuzzArgs) -> Result<ExitCode, String> {
+fn cmd_gen(args: FuzzArgs) -> Result<ExitCode, Failure> {
     let seed = required(args.seed, "--seed")?;
     let index = required(args.index, "--index")?;
     let budget = Budget {
@@ -163,7 +183,7 @@ fn cmd_gen(args: FuzzArgs) -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_repro(args: FuzzArgs) -> Result<ExitCode, String> {
+fn cmd_repro(args: FuzzArgs) -> Result<ExitCode, Failure> {
     let seed = required(args.seed, "--seed")?;
     let index = required(args.index, "--index")?;
     let width = args.width;
@@ -265,6 +285,6 @@ impl FuzzArgs {
 }
 
 /// A required flag's value.
-fn required<T: Copy>(value: Option<T>, flag: &str) -> Result<T, String> {
-    value.ok_or_else(|| format!("{flag} is required"))
+fn required<T>(value: Option<T>, flag: &str) -> Result<T, Failure> {
+    value.ok_or_else(|| Failure::Usage(format!("{flag} is required")))
 }

@@ -24,7 +24,8 @@ fn closed_stdout_keeps_the_exit_code() {
 }
 
 /// A misspelled flag, which a campaign once ran without, exits 2 naming
-/// the flag; so does a flag its command does not take.
+/// the flag and prints the usage text; so does a flag its command does
+/// not take.
 #[test]
 fn unknown_flag_exits_2_naming_it() {
     for (args, named) in [
@@ -41,6 +42,7 @@ fn unknown_flag_exits_2_naming_it() {
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
         assert!(stderr.contains(named), "{args:?}: {stderr}");
+        assert!(stderr.contains("usage:"), "{args:?}: {stderr}");
     }
 }
 
@@ -68,7 +70,8 @@ fn failed_stdout_write_exits_two() {
 /// A finished run's checkpoint edited to claim more cases than the
 /// campaign has is malformed: with no `.tmp` or `.prev` generation
 /// beside it, `--resume` exits 2 naming `completed` instead of replaying
-/// phantom cases.
+/// phantom cases. The refusal is not a usage error, so no usage text
+/// follows it.
 #[test]
 fn resume_refuses_a_completed_prefix_past_the_total() {
     use fpgatest::telemetry::Json;
@@ -103,6 +106,7 @@ fn resume_refuses_a_completed_prefix_past_the_total() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(2), "{stderr}");
     assert!(stderr.contains("completed"), "{stderr}");
+    assert!(!stderr.contains("usage:"), "{stderr}");
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -168,6 +172,7 @@ fn resume_refuses_divergences_outside_the_completed_prefix() {
         assert_eq!(out.status.code(), Some(2), "{named}: {stderr}");
         let message = format!("{named} does not match this campaign");
         assert!(stderr.contains(&message), "{stderr}");
+        assert!(!stderr.contains("usage:"), "{stderr}");
     }
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -12,9 +12,9 @@
 //!
 //! A second batch column measures *effective case-throughput*: 64
 //! distinct stimulus images dispatched as lanes of one
-//! [`PreparedDesign::run_batch`] call, compared against 64 sequential
-//! level-engine runs (priced at the level row's measured per-case sim
-//! wall). Since the level row is the same bytecode one lane wide, the
+//! [`fpgatest::flow::PreparedDesign::run_batch`] call, compared against
+//! 64 sequential level-engine runs (priced at the level row's measured
+//! per-case sim wall). Since the level row is the same bytecode one lane wide, the
 //! ratio prices lane packing alone. Every lane must pass its golden
 //! comparison, and lane 0 — which reuses the level row's stimulus — must
 //! leave memories word-identical to the level engine's. The effective

@@ -3,8 +3,9 @@
 //! Runs the paper's FDCT1 workload through the event kernel at one or
 //! more image sizes, writes a `fpgatest-metrics-v1` report (default
 //! `BENCH_kernel.json`) extended with a `kernel_bench` comparison block,
-//! and checks the kernel's `events`/`evals`/`updates` counters against
-//! the checked-in baseline (`crates/bench/baselines/kernel_counters.json`).
+//! and checks the kernel's `events`/`evals`/`updates`/`delta_cycles`/
+//! `max_queue_depth` counters against the checked-in baseline
+//! (`crates/bench/baselines/kernel_counters.json`).
 //!
 //! The baseline serves two purposes:
 //!
@@ -37,6 +38,8 @@ struct BaselineRow {
     events: u64,
     evals: u64,
     updates: u64,
+    delta_cycles: u64,
+    max_queue_depth: u64,
     wall_seconds: f64,
 }
 
@@ -64,6 +67,8 @@ fn load_baseline(path: &PathBuf) -> Result<Vec<BaselineRow>, String> {
                 events: field(row, "events")? as u64,
                 evals: field(row, "evals")? as u64,
                 updates: field(row, "updates")? as u64,
+                delta_cycles: field(row, "delta_cycles")? as u64,
+                max_queue_depth: field(row, "max_queue_depth")? as u64,
                 wall_seconds: field(row, "wall_seconds")?,
             })
         })
@@ -197,6 +202,12 @@ fn main() -> ExitCode {
                 check("events", stats.events, base.events);
                 check("evals", stats.evals, base.evals);
                 check("updates", stats.updates, base.updates);
+                check("delta_cycles", stats.delta_cycles, base.delta_cycles);
+                check(
+                    "max_queue_depth",
+                    stats.max_queue_depth as u64,
+                    base.max_queue_depth,
+                );
             }
             None => println!("           (no baseline entry for {px} px)"),
         }
@@ -275,7 +286,8 @@ mod tests {
     use super::*;
 
     /// FDCT1 at the baseline's 1,024 px row: the event kernel's counters
-    /// fingerprint its scheduling and the order components register in.
+    /// fingerprint its scheduling and the order components register in,
+    /// and every evaluation is one activation in the histogram.
     #[test]
     fn fdct1_counters_match_the_baseline_at_1024_px() {
         let baseline = load_baseline(&default_baseline()).expect("baseline loads");
@@ -284,10 +296,24 @@ mod tests {
             .find(|row| row.pixels == 1024)
             .expect("the baseline has a 1,024 px row");
         let report = bench::run_checked(&fdct_flow(1024, 1, SchedulePolicy::List));
-        let stats = report.runs[0].kernel;
+        let run = &report.runs[0];
+        let stats = run.kernel;
         assert_eq!(
-            (stats.events, stats.evals, stats.updates),
-            (row.events, row.evals, row.updates)
+            (
+                stats.events,
+                stats.evals,
+                stats.updates,
+                stats.delta_cycles,
+                stats.max_queue_depth as u64
+            ),
+            (
+                row.events,
+                row.evals,
+                row.updates,
+                row.delta_cycles,
+                row.max_queue_depth
+            )
         );
+        assert_eq!(run.activations, stats.evals);
     }
 }

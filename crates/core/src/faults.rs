@@ -438,7 +438,7 @@ pub fn campaign_json(report: &CampaignReport) -> Json {
 /// every SRAM word, one SEU site per register bit (cycle seeded), and one
 /// bit-flip site per signal (bit and cycle seeded). `clean_cycles` bounds
 /// the transient schedule. Campaigns index the same pool without
-/// materializing it ([`SiteTable`]), so this order has one definition.
+/// materializing it (`SiteTable`), so this order has one definition.
 ///
 /// # Errors
 ///

@@ -305,6 +305,10 @@ pub struct ConfigRun {
     /// The most-activated components, `(name, reactive evaluations)`
     /// pairs in descending order — the "hot operator" histogram.
     pub hot_components: Vec<(String, u64)>,
+    /// The sum of every component's reactive evaluations
+    /// (`Simulator::activation_counts`); the event kernel keeps it equal
+    /// to `kernel.evals`. Zero on the other engines.
+    pub activations: u64,
     /// Clock cycles executed.
     pub cycles: u64,
     /// VCD text when tracing was requested.
@@ -1750,6 +1754,7 @@ impl LaneEngine for EventConfig {
                 .into_iter()
                 .map(|(id, count)| (sim.component_name(id).to_string(), count))
                 .collect(),
+            activations: sim.activation_counts().iter().sum(),
             cycles,
             vcd: options.trace.then(|| eventsim::vcd::render(sim, name)),
             probes,
@@ -1811,6 +1816,7 @@ fn compiled_run(
             ..KernelStats::default()
         },
         hot_components: Vec::new(),
+        activations: 0,
         cycles,
         vcd: None,
         probes: BTreeMap::new(),

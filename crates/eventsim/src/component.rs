@@ -50,7 +50,9 @@ pub enum Sense {
     Any,
     /// Only changes *to* a true (non-zero) value — for 1-bit signals,
     /// the rising edge. Edge-triggered components (registers, control
-    /// units) use this so the falling clock edge costs nothing.
+    /// units) use this so the falling clock edge costs nothing. A rising
+    /// entry must be its component's only entry: the kernel schedules a
+    /// signal's rising-edge sinks together, as one edge group.
     Rising,
 }
 
@@ -106,8 +108,10 @@ pub trait Component {
     /// Sensitivity list: the signals whose updates trigger
     /// [`react`](Component::react). Queried once at registration.
     ///
-    /// A component whose only entry is `Sensitivity::rising(clk)` may
-    /// treat every `react` call as a rising clock edge.
+    /// A rising-edge entry (`Sensitivity::rising(clk)`) must be the only
+    /// entry; registration panics otherwise. Such a component may treat
+    /// every `react` call that is not a self-scheduled wake-up as a
+    /// rising clock edge.
     fn inputs(&self) -> Vec<Sensitivity>;
 
     /// Called once at simulation start, before any event is processed. Use
@@ -120,10 +124,14 @@ pub trait Component {
     /// An optional evaluation gate, the kernel-level analogue of a clock
     /// enable. Returning `Some(signal)` promises that whenever `signal`
     /// is not currently true (zero or `X`), [`react`](Component::react)
-    /// is a no-op: it reads nothing else and schedules nothing. The
-    /// kernel then skips the dispatch entirely while still counting the
-    /// evaluation, which makes the pervasive "disabled register on a
-    /// clock edge" case nearly free.
+    /// is a no-op: it reads nothing else and schedules nothing.
+    ///
+    /// The gate matters only for a rising-edge sink: its signal's edge
+    /// group keeps the sink armed while the gate is true, and a rising
+    /// edge calls `react` on armed sinks only, while still counting every
+    /// sink's evaluation. That makes the pervasive "disabled register on
+    /// a clock edge" case nearly free. Any other component, and any
+    /// self-scheduled wake-up, is always dispatched.
     ///
     /// Queried once at registration, like [`inputs`](Component::inputs).
     /// The default (`None`) never skips.

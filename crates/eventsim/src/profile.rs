@@ -30,7 +30,7 @@ impl EvalProfile {
 /// The shared handle [`EvalTimer::new`] returns alongside the hook.
 pub type EvalProfileHandle = Arc<Mutex<EvalProfile>>;
 
-/// A [`KernelHook`] timing every ungated component evaluation.
+/// A [`KernelHook`] timing every `react` call the kernel makes.
 #[derive(Debug)]
 pub struct EvalTimer {
     shared: EvalProfileHandle,
